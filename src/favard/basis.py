@@ -257,6 +257,8 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if method != "quadrature" and basis.closed_form is not None and sigma is None:
+        if basis.closed_form is hermite_function:
+            return hermite_function_table(nmax, xs).astype(complex)
         return np.stack([np.asarray(basis.closed_form(n, xs), dtype=complex)
                          for n in range(nmax + 1)])
     basis.ensure(nmax)

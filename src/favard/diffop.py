@@ -1,19 +1,23 @@
-"""Truncated differentiation matrices D_N and their exponentials.
+"""Truncated differentiation matrices D_N and the operators built from them.
 
 In a transformed basis the derivative acts on expansion coefficients as the
 skew-Hermitian tridiagonal matrix with D_{m,m-1} = b_{m-1}, D_{m,m} = i c_m,
 D_{m,m+1} = -b_m, the principal N x N section of the differential recurrence.
-e^{tau D} is unitary; its application uses a Lanczos Krylov method on the
-Hermitian matrix -i D.
+With S = diag((-i)^n) and J the N x N Jacobi matrix (diagonal c,
+off-diagonal b), D = S (i J) S^-1.  One real eigensystem J = V diag(x) V^T,
+computed once per DiffMatrix and cached, therefore diagonalizes every
+function of D: e^{tau D} is the phase tau x on the Gauss nodes x, the free
+Schroedinger flow e^{i t D^2} the phase -t x^2, and the spectral radius is
+max |x|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import EigenError
 from .recurrence import JacobiMatrix
@@ -46,6 +50,19 @@ class DiffMatrix:
     @property
     def N(self) -> int:
         return self.diag.size
+
+    @cached_property
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, V) with J = V diag(x) V^T for the Jacobi section J.
+
+        J has diagonal c and off-diagonal b, so x are the Gauss nodes of the
+        N-point rule.  Computed on first use, then cached; the LAPACK driver
+        is pinned so no library default picks it.
+        """
+        try:
+            return eigh_tridiagonal(self.diag, self.sub, lapack_driver="stemr")
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigenError(f"tridiagonal eigensolve failed for N={self.N}: {exc}") from exc
 
     def dense(self) -> np.ndarray:
         """The full complex N x N matrix; for small-N checks only."""
@@ -92,77 +109,50 @@ def apply(D: DiffMatrix, a):
     return _rewrap(a, out)
 
 
-def expm_apply(D: DiffMatrix, tau: float, a, tol: float = 1e-12):
-    """e^{tau D} a by a Lanczos Krylov approximation; unitary to ~10 tol.
+def _real_times(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """M @ z for a real matrix M and a complex vector z.
 
-    -i D is Hermitian, so the Krylov projection is a real symmetric
-    tridiagonal matrix whose exponential is handled by a dense eigensolve;
-    the subspace grows (with full reorthogonalization) until two successive
-    approximations agree to tol * ||a||, reaching exactness at size N.
+    M acts on the N x 2 stack of real and imaginary parts: a real-times-complex
+    product would copy M to complex on every call.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    y = M @ np.column_stack((z.real, z.imag))
+    return y[:, 0] + 1j * y[:, 1]
+
+
+def _to_spectral(D: DiffMatrix, v: np.ndarray) -> np.ndarray:
+    """V^T S^-1 v with S = diag((-i)^n): coefficients in D's eigenbasis."""
+    _, V = D.eigensystem
+    return _real_times(V.T, 1j ** (np.arange(D.N) % 4) * v)
+
+
+def _from_spectral(D: DiffMatrix, z: np.ndarray) -> np.ndarray:
+    """S V z: the inverse of _to_spectral."""
+    _, V = D.eigensystem
+    return (-1j) ** (np.arange(D.N) % 4) * _real_times(V, z)
+
+
+def _eigen_apply(D: DiffMatrix, factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """f(D) v = S V diag(factor) V^T S^-1 v, factor holding f at D's eigenvalues i x."""
+    return _from_spectral(D, factor * _to_spectral(D, v))
+
+
+def expm_apply(D: DiffMatrix, tau: float, a):
+    """e^{tau D} a, unitary to rounding.
+
+    e^{tau D} = S V diag(e^{i tau x}) V^T S^-1 from the cached eigensystem:
+    translation by tau is a phase on the Gauss nodes x.
+    """
     v = _vector_of(a)
     if v.shape != (D.N,):
         raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
-    norm_a = float(np.linalg.norm(v))
-    if tau == 0.0 or norm_a == 0.0:
-        return _rewrap(a, v.copy())
-
-    # Lanczos on H = -iD: alpha_k real (quadratic forms of a Hermitian
-    # matrix), beta_k >= 0, so the projection T_k is real symmetric.
-    N = D.N
-    Q = [v / norm_a]
-    alphas: list[float] = []
-    betas: list[float] = []
-    prev_estimate = None
-    result = None
-    step = 4
-    for k in range(N):
-        w = -1j * apply(D, Q[-1])
-        alpha = float(np.real(np.vdot(Q[-1], w)))
-        alphas.append(alpha)
-        w = w - alpha * Q[-1]
-        if k > 0:
-            w = w - betas[-1] * Q[-2]
-        # Full reorthogonalization, twice, keeps Q orthonormal to machine
-        # precision so the projected exponential stays unitary.
-        for _ in range(2):
-            for q in Q:
-                w = w - np.vdot(q, w) * q
-        beta = float(np.linalg.norm(w))
-        done = k + 1 == N or beta < 1e-14 * norm_a
-        if done or (k + 1) % step == 0:
-            T_diag = np.array(alphas)
-            T_off = np.array(betas)
-            vals, vecs = eigh_tridiagonal(T_diag, T_off)
-            core = vecs @ (np.exp(1j * tau * vals) * vecs[0].conj())
-            estimate = norm_a * np.stack(Q, axis=1) @ core
-            if prev_estimate is not None:
-                if float(np.linalg.norm(estimate - prev_estimate)) <= tol * norm_a:
-                    result = estimate
-                    break
-            prev_estimate = estimate
-            if done:
-                result = estimate
-                break
-        betas.append(beta)
-        Q.append(w / beta)
-    return _rewrap(a, result)
+    x, _ = D.eigensystem
+    return _rewrap(a, _eigen_apply(D, np.exp(1j * tau * x), v))
 
 
 def spectral_radius(D: DiffMatrix) -> float:
     """max |eigenvalue| of D.
 
-    The eigenvalues of D are i times those of the symmetric tridiagonal
-    matrix with diagonal c and off-diagonal b (the Jacobi truncation), so
-    this equals the largest-magnitude Gauss node of the underlying N-point
-    rule.
+    The eigenvalues of D are i times those of the Jacobi truncation J, so
+    this is the largest-magnitude Gauss node of the underlying N-point rule.
     """
-    if D.N == 1:
-        return abs(float(D.diag[0]))
-    try:
-        vals = eigvalsh_tridiagonal(D.diag, D.sub)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenError(f"tridiagonal eigensolve failed for N={D.N}: {exc}") from exc
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(D.eigensystem[0])))

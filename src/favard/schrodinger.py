@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from . import basis as basis_mod
 from . import diffop
@@ -120,15 +119,11 @@ def free_propagate(state: PropagatedState, t: float):
     return u
 
 
-def _coeff_flow(D: diffop.DiffMatrix):
-    """Eigendecomposition of the Hermitian operator D_N^2 (dense)."""
-    dense = D.dense()
-    vals, vecs = scipy.linalg.eigh(dense @ dense)
-    return vals, vecs
-
-
 def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     """exp(i t D_N^2) applied to coefficients: the truncated free flow.
+
+    D_N^2 = -S J^2 S^-1, so the flow is the phase -t x^2 on the Gauss nodes x
+    of D's cached eigensystem.
 
     This is the coefficient-side counterpart of free_propagate; the two
     agree up to basis truncation, with the gap shrinking as N grows.
@@ -136,8 +131,8 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     v = np.asarray(getattr(a, "values", a), dtype=complex)
     if len(v) != D.N:
         raise ValueError(f"coefficient length {len(v)} does not match operator size {D.N}")
-    vals, vecs = _coeff_flow(D)
-    out = vecs @ (np.exp(1j * t * vals) * (vecs.conj().T @ v))
+    x, _ = D.eigensystem
+    out = diffop._eigen_apply(D, np.exp(-1j * t * x * x), v)
     if hasattr(a, "with_values"):
         return a.with_values(out)
     return out
@@ -158,7 +153,7 @@ def _hermite_grid(basis: basis_mod.TransformedBasis, N: int):
     table = basis_mod.hermite_function_table(N - 1, nodes)
     omega = 1.0 / np.sum(table**2, axis=0)
     synth = table.T.astype(complex)  # (M, N)
-    analyze = lambda u: (table.conj() @ (omega * u))
+    analyze = lambda u: diffop._real_times(table, omega * u)
     return nodes, synth, analyze
 
 
@@ -206,19 +201,33 @@ class _StrangWork:
 
     def __init__(self, basis: basis_mod.TransformedBasis, N: int, tau: float):
         basis.ensure(N - 1)
-        D = diffop.build(basis.jacobi, N)
-        vals, vecs = _coeff_flow(D)
-        self.half = vecs @ ((np.exp(0.5j * tau * vals))[:, None] * vecs.conj().T)
+        self.D = diffop.build(basis.jacobi, N)
+        x, _ = self.D.eigensystem
+        self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in D's eigenbasis
         self.nodes, self.synth, self.analyze = _grid_pair(basis, N)
         self.tau = tau
 
+    def run(self, v: np.ndarray, V, steps: int) -> tuple[np.ndarray, list[float]]:
+        """``steps`` Strang steps from v, with the norm after each.
+
+        The state stays in D's eigenbasis, where the free half-steps are
+        diagonal, so the closing half-step of one step and the opening
+        half-step of the next need no change of basis between them.
+        """
+        z = diffop._to_spectral(self.D, v)
+        norms = []
+        for _ in range(steps):
+            z = self.half_flow * z
+            if V is not None:
+                u = self.synth @ diffop._from_spectral(self.D, z)
+                u = u * np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
+                z = diffop._to_spectral(self.D, self.analyze(u))
+            z = self.half_flow * z
+            norms.append(float(np.linalg.norm(z)))
+        return diffop._from_spectral(self.D, z), norms
+
     def step(self, v: np.ndarray, V) -> np.ndarray:
-        out = self.half @ v
-        if V is not None:
-            u = self.synth @ out
-            u = u * np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
-            out = self.analyze(u)
-        return self.half @ out
+        return self.run(v, V, 1)[0]
 
 
 def _check_drift(before: float, after: float, where: str):
@@ -260,13 +269,8 @@ def strang_propagate(a, tau: float, steps: int, V,
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     v = np.asarray(getattr(a, "values", a), dtype=complex)
-    work = _StrangWork(basis, len(v), tau)
     norm0 = float(np.linalg.norm(v))
-    norms = []
-    for _ in range(steps):
-        v = work.step(v, V)
-        if record:
-            norms.append(float(np.linalg.norm(v)))
+    v, norms = _StrangWork(basis, len(v), tau).run(v, V, steps)
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     out = a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})

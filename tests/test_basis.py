@@ -65,6 +65,16 @@ def test_hermite_function_table_consistent():
         assert np.max(np.abs(table[n] - hermite_function(n, x))) < 1e-14
 
 
+def test_hermite_phi_grid_is_one_table_scan():
+    # the closed-form grid takes every row from one recurrence scan; each row
+    # must be exactly the single-index evaluation, out into the underflow tails
+    x = np.linspace(-38.0, 38.0, 153)
+    got = phi_grid(make_basis("hermite", N=8), 64, x)
+    want = np.stack([hermite_function(n, x) for n in range(65)])
+    assert got.shape == (65, 153)
+    assert np.array_equal(got, want)
+
+
 def test_transformed_legendre_frozen_values():
     for n, x, ref in LEGENDRE_REF:
         assert abs(transformed_legendre(n, x) - ref) < 1e-14, (n, x)

@@ -2,9 +2,17 @@
 application, exponential unitarity, spectral radius growth."""
 
 import numpy as np
+import pytest
 
 from favard import diffop
 from favard import recurrence as rec
+from favard.quadrature import golub_welsch
+
+FAMILIES = {
+    "hermite": rec.hermite_coeffs,
+    "legendre": lambda n: rec.ultraspherical_coeffs(0.0, n),
+    "laguerre": lambda n: rec.laguerre_coeffs(0.0, n),
+}
 
 
 def build_for(coeff_fn, N):
@@ -69,6 +77,37 @@ def test_expm_apply_matches_scipy_expm():
     assert np.max(np.abs(diffop.expm_apply(D, 0.7, a) - ref)) < 1e-11
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_expm_apply_round_trip_large_n(family):
+    # e^{-tau D} e^{tau D} = I and e^{tau D} unitary, at a size where the
+    # largest node phase tau x_k is far beyond 2 pi
+    rng = np.random.default_rng(11)
+    N = 1024
+    D = build_for(FAMILIES[family], N)
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    a /= np.linalg.norm(a)
+    out = diffop.expm_apply(D, 1.3, a)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    assert np.max(np.abs(diffop.expm_apply(D, -1.3, out) - a)) < 1e-12
+
+
+def test_eigensystem_computed_once(monkeypatch):
+    calls = []
+    solve = diffop.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(diffop, "eigh_tridiagonal", counting)
+    D = build_for(rec.hermite_coeffs, 32)
+    a = np.ones(32, dtype=complex)
+    for tau in (0.5, -0.25, 2.0):
+        diffop.expm_apply(D, tau, a)
+    diffop.spectral_radius(D)
+    assert calls == ["stemr"]
+
+
 def test_expm_apply_translates_hermite_functions():
     # e^{tau D} is translation by tau in x-space
     from favard.basis import hermite_function_table, make_basis
@@ -107,3 +146,19 @@ def test_spectral_radius_hermite_value():
     D = build_for(rec.hermite_coeffs, 32)
     ev = np.linalg.eigvals(D.dense())
     assert abs(diffop.spectral_radius(D) - np.max(np.abs(ev))) < 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_spectral_radius_is_largest_gauss_node(family):
+    J = rec.build_jacobi(FAMILIES[family], 513)
+    nodes = golub_welsch(J, 512).nodes
+    ref = float(np.max(np.abs(nodes)))
+    assert abs(diffop.spectral_radius(diffop.build(J, 512)) - ref) < 1e-12 * ref
+
+
+def test_spectral_radius_single_mode():
+    J = rec.build_jacobi(lambda n: rec.laguerre_coeffs(0.0, n), 2)
+    D = diffop.build(J, 1)
+    assert diffop.spectral_radius(D) == abs(float(J.c[0]))
+    assert np.allclose(diffop.expm_apply(D, 0.5, np.array([1.0 + 0j])),
+                       np.exp(0.5j * J.c[0]), rtol=0.0, atol=1e-15)

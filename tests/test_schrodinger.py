@@ -67,6 +67,24 @@ def test_free_coeff_step_unitary_and_reversible():
     assert np.max(np.abs(back.values - a.values)) < 1e-10
 
 
+@pytest.mark.parametrize("family", ["hermite", "laguerre:0"])
+def test_free_coeff_step_matches_dense_expm(family):
+    # pins the sign of S = diag((-i)^n) and of the -t x^2 phase against an
+    # independent dense exponential of i t D^2
+    import scipy.linalg
+    rng = np.random.default_rng(8)
+    basis = make_basis(family, N=24)
+    D = diffop.build(basis.jacobi, 24)
+    dense = D.dense()
+    a = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    for t in (0.3, -1.1):
+        ref = scipy.linalg.expm(1j * t * dense @ dense) @ a
+        # rounding in both grows with the largest phase |t| max x^2
+        # (about 7.7e3 for Laguerre); a wrong sign errs by O(|a|)
+        scale = max(1.0, abs(t) * diffop.spectral_radius(D) ** 2) * np.linalg.norm(a)
+        assert np.max(np.abs(sch.free_coeff_step(D, t, a) - ref)) < 1e-14 * scale
+
+
 def test_gaussian_free_evolution_matches_fft_reference():
     basis = make_basis("hermite", N=64)
     a = co.coeffs_fourier_side(F_gaussian, basis, 64)
