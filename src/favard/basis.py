@@ -284,7 +284,8 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
             arg = np.outer(xi, block)
             if sigma is not None:
                 arg = arg + shift[:, None]
-            out[:, start:start + step] = table @ np.exp(1j * arg)
+            # two real products: a real table never turns complex
+            out[:, start:start + step] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
         return phases[:, None] * out / _SQRT_2PI
 
     prev = evaluate(0)

@@ -227,9 +227,8 @@ def _cmd_schrodinger(cfg: RunConfig) -> int:
     V = cfg.params["potential"]
     tau = cfg.params["tau"]
     steps = cfg.params["steps"]
-    nodes, synth, analyze = sch._grid_pair(bas, cfg.N)
-    a = analyze(np.asarray(f0(nodes), dtype=complex))
     work = sch._StrangWork(bas, cfg.N, tau)
+    a = work.analyze(np.asarray(f0(work.nodes), dtype=complex))
     table = basis_mod.phi_grid(bas, cfg.N - 1, cfg.grid)
     rows = []
 

@@ -57,10 +57,11 @@ def gamma_pair_phase(a: float, b: float, xi):
 
 def _sph_forward(m: int, x: np.ndarray) -> np.ndarray:
     """Spherical Bessel j_m by forward recurrence; stable for x >= m."""
-    j0 = np.sin(x) / x
+    s = np.sin(x)
+    j0 = s / x
     if m == 0:
         return j0
-    j1 = np.sin(x) / x**2 - np.cos(x) / x
+    j1 = s / x**2 - np.cos(x) / x
     if m == 1:
         return j1
     jm1, jm = j0, j1
@@ -70,7 +71,13 @@ def _sph_forward(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _sph_backward(m: int, x: np.ndarray) -> np.ndarray:
-    """Spherical Bessel j_m by Miller's downward recurrence, normalized at j_0."""
+    """Spherical Bessel j_m by Miller's downward recurrence.
+
+    The recurrence ends on values proportional to (j_0, j_1); the scale is
+    their least-squares fit to the closed forms of both, so it stays exact
+    where j_0 = sin(x)/x vanishes (x = k pi).  The fit runs on copies scaled
+    by a power of two, which keeps the squares finite.
+    """
     start = m + int(np.ceil(np.sqrt(40.0 * (m + 1)))) + 18
     jp = np.zeros_like(x)
     jc = np.full_like(x, 1e-155)
@@ -84,9 +91,14 @@ def _sph_backward(m: int, x: np.ndarray) -> np.ndarray:
             jp = np.where(big, jp * 1e-250, jp)
             jc = np.where(big, jc * 1e-250, jc)
             target = np.where(big, target * 1e-250, target)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = (np.sin(x) / x) / jc
-    return target * scale
+    _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
+    jc = np.ldexp(jc, -e)
+    jp = np.ldexp(jp, -e)
+    s = np.sin(x)
+    j0 = s / x
+    j1 = s / x**2 - np.cos(x) / x
+    scale = (j0 * jc + j1 * jp) / (jc * jc + jp * jp)
+    return target * np.ldexp(scale, -e)
 
 
 def bessel_j_half(m: int, x):
@@ -94,7 +106,7 @@ def bessel_j_half(m: int, x):
 
     Uses the closed trigonometric forms of the spherical Bessel functions:
     forward recurrence from j_0 = sin(x)/x where it is stable (x >= m),
-    downward (Miller) recurrence normalized at j_0 otherwise.  Absolute
+    downward (Miller) recurrence fitted to j_0 and j_1 otherwise.  Absolute
     accuracy ~1e-12 * (1 + |J|).
     """
     if m < 0:

@@ -186,6 +186,25 @@ def test_verify_all_hermite(capsys):
     assert names == ["gram", "recurrence", "cramer"]
 
 
+def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
+    from favard import schrodinger as sch
+
+    calls = []
+    build = sch._grid_pair
+
+    def counted(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(sch, "_grid_pair", counted)
+    rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", "64",
+                       "--f0", "exp(-x^2)", "--potential", "x^2",
+                       "--T", "0.5", "--tau", "0.0625"], capsys)
+    assert rc == 0
+    assert out.startswith("t,x,re_u,im_u,norm\n")
+    assert calls == [(64,)]
+
+
 def test_leading_dash_option_values(capsys):
     # "--grid -20:20:0.05" style must parse even though the value starts
     # with a minus sign

@@ -3,7 +3,9 @@
 Frozen constants below were produced with mpmath at 40 digits.
 """
 
+import mpmath
 import numpy as np
+import pytest
 
 from favard import specfun
 
@@ -61,6 +63,18 @@ def test_bessel_j_half_spherical_identity():
         lhs = specfun.bessel_j_half(n, x)
         rhs = np.sqrt(2 * x / np.pi) * scipy.special.spherical_jn(n, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+@pytest.mark.parametrize("m", [5, 16, 32, 64])
+def test_bessel_j_half_at_and_near_multiples_of_pi(m):
+    # j_0 = sin(x)/x vanishes at k pi, so the downward recurrence (x < m)
+    # must not be normalized by j_0 alone; k runs past m to cover the
+    # forward branch as well
+    mpmath.mp.dps = 40
+    x = np.array([k * np.pi + d for k in range(1, 26) for d in (-1e-5, 0.0, 1e-5)])
+    got = specfun.bessel_j_half(m, x)
+    ref = np.array([float(mpmath.besselj(m + 0.5, mpmath.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(got - ref)) < 1e-14
 
 
 def test_gamma_and_beta_consistency():

@@ -1,10 +1,15 @@
 """Diagnostic checks: report structure, Gram strategies, the exact
 Legendre tail integrals, Cramer, Ramanujan, identity, and support."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
+from favard import basis as basis_mod
 from favard import verify as ver
 from favard.basis import make_basis
 from favard.periodic import charlier_basis
@@ -113,10 +118,52 @@ def test_pw_support_legendre_inside_band():
     assert rep.max_abs_error < 1e-6
 
 
-def test_pw_support_hermite_expected_fail():
+def test_pw_support_hermite_expected_fail(monkeypatch):
     # Hermite functions are not bandlimited; the check must fail loudly
-    # and flag itself as an expected failure
-    rep = ver.check_pw_support(make_basis("hermite", N=8), n=0)
-    assert not rep.passed
-    assert rep.metadata["expected_fail"]
-    assert rep.max_abs_error > 0.1
+    # and flag itself as an expected failure, without sampling anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-compact support needs no samples")
+
+    monkeypatch.setattr(basis_mod, "phi", refuse)
+    monkeypatch.setattr(basis_mod, "phi_grid", refuse)
+    rep = ver.check_pw_support(make_basis("hermite", N=8), n=2)
+    assert rep.as_dict() == {
+        "schema": "favard.report/1", "name": "pw-support", "max_abs_error": 1.0,
+        "tolerance": 1e-6, "pass": False,
+        "metadata": {"family": "hermite", "n": 2, "support": (-np.inf, np.inf),
+                     "M": 2**23, "dx": 3.0, "expected_fail": True},
+    }
+    assert list(rep.metadata) == ["family", "n", "support", "M", "dx", "expected_fail"]
+
+
+def _pw_ratio_full_grid(basis, n, M, dx=3.0, taper=3.5):
+    # every row 0..n on the whole grid, as the check was first written
+    x = (np.arange(M) - M / 2 + 0.5) * dx
+    vals = basis_mod.phi_grid(basis, n, x)[n]
+    g = vals * np.exp(-0.5 * (x / ((0.5 * M * dx) / taper)) ** 2)
+    assert np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real))
+    energy = np.abs(scipy.fft.rfft(g.real)) ** 2
+    energy[1:] *= 2.0
+    k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
+    return float(energy[k > 1.0].sum()) / float(energy.sum())
+
+
+@pytest.mark.parametrize("M", [2**16, 2**16 + 1])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pw_support_one_row_matches_full_grid_exactly(M, symmetric):
+    # the half grid mirrored by parity (symmetric measure) and the plain
+    # full grid must both reproduce the all-rows full-grid ratio bit for bit
+    basis = make_basis("legendre", N=8)
+    if not symmetric:
+        basis.measure = dataclasses.replace(basis.measure, symmetric=False)
+    for n in range(6):
+        rep = ver.check_pw_support(basis, n=n, M=M)
+        assert rep.max_abs_error == _pw_ratio_full_grid(basis, n, M), n
+        assert rep.metadata == {"family": "legendre", "n": n, "support": (-1.0, 1.0),
+                                "M": M, "dx": 3.0}
+
+
+def test_pw_support_rejects_negative_index():
+    for family in ("legendre", "hermite"):
+        with pytest.raises(ValueError):
+            ver.check_pw_support(make_basis(family, N=8), n=-1, M=2**10)
