@@ -14,7 +14,7 @@ directly; everything else goes through oscillatory quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -174,6 +174,9 @@ class TransformedBasis:
     closed_form: Callable | None = None
     sigma: Callable | None = None
     bilateral: bool = False
+    # Strang set-up per size N, valid for the jacobi stored under "jacobi";
+    # filled and emptied by schrodinger._strang_setup.
+    _strang: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pw_support(self) -> tuple[float, float]:

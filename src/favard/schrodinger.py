@@ -11,7 +11,9 @@ which stay orthonormal for every t, so u(x, t) = sum_n u_hat_n psi_n(x, t)
 with time-independent coefficients.  With a potential, Strang splitting
 alternates this free flow (a coefficient-space exponential of the squared
 differentiation matrix) with pointwise phase multiplication on a physical
-grid matched to the basis.
+grid matched to the basis.  That set-up (D with its eigensystem, the grid
+and its synthesis/analysis pair) is built once per basis and size and kept
+on the basis, so repeated Strang calls pay only for their steps.
 """
 
 from __future__ import annotations
@@ -138,23 +140,22 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     return out
 
 
-def _hermite_grid(basis: basis_mod.TransformedBasis, N: int):
+def _hermite_grid(D: diffop.DiffMatrix):
     """Gauss-Hermite synthesis/analysis pair exact on span{phi_0..phi_{N-1}}.
 
-    The analysis weights are the Christoffel numbers written through the
-    orthonormal Hermite functions, omega_i = 1 / sum_{k<N} phi_k(x_i)^2,
-    which stays O(1) at every node (no underflowing e^{-x^2} factors).
+    The nodes are the eigenvalues of D's Jacobi section, i.e. the N-point
+    Gauss-Hermite nodes.  The analysis weights are the Christoffel numbers
+    written through the orthonormal Hermite functions,
+    omega_i = 1 / sum_{k<N} phi_k(x_i)^2, which stays O(1) at every node (no
+    underflowing e^{-x^2} factors).  The table is real, so both directions
+    are real-times-complex products.
     """
-    from . import quadrature
-
-    basis.ensure(N - 1)
-    rule = quadrature.golub_welsch(basis.jacobi, N)
-    nodes = np.asarray(rule.nodes, dtype=float)
-    table = basis_mod.hermite_function_table(N - 1, nodes)
+    nodes, _ = D.eigensystem
+    table = basis_mod.hermite_function_table(D.N - 1, nodes)
     omega = 1.0 / np.sum(table**2, axis=0)
-    synth = table.T.astype(complex)  # (M, N)
+    synthesize = lambda a: diffop._real_times(table.T, a)
     analyze = lambda u: diffop._real_times(table, omega * u)
-    return nodes, synth, analyze
+    return nodes, synthesize, analyze
 
 
 def _mt_grid(N: int, M: int | None = None):
@@ -168,7 +169,8 @@ def _mt_grid(N: int, M: int | None = None):
         M = 4 * N
     h = 2.0 * math.pi / M
     theta = -math.pi + (np.arange(M) + 0.5) * h
-    nodes = 0.5 * np.tan(0.5 * theta)
+    tan_half = np.tan(0.5 * theta)
+    nodes = 0.5 * tan_half
     common = math.sqrt(2.0 / math.pi) * np.cos(0.5 * theta)
     ns = np.arange(N)
     synth = (common[:, None]
@@ -176,35 +178,57 @@ def _mt_grid(N: int, M: int | None = None):
              * np.exp(1j * np.multiply.outer(theta, ns + 0.5)))  # (M, N)
 
     pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * (1j ** (ns % 4)) * np.exp(-0.5j * ns * h)
+    factor = 1.0 - 1j * tan_half
 
     def analyze(u):
-        g = (1.0 - 1j * np.tan(0.5 * theta)) * u
-        spectrum = scipy.fft.fft(g, workers=_fft_workers())
+        spectrum = scipy.fft.fft(factor * u, workers=_fft_workers())
         return pref * spectrum[ns]
 
-    return nodes, synth, analyze
+    return nodes, lambda a: synth @ a, analyze
 
 
-def _grid_pair(basis: basis_mod.TransformedBasis, N: int):
+def _grid_pair(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix):
+    """(nodes, synthesize, analyze) for the N = D.N leading basis functions."""
     if basis.family == "hermite":
-        return _hermite_grid(basis, N)
+        return _hermite_grid(D)
     if basis.family == "mt":
-        return _mt_grid(N)
+        return _mt_grid(D.N)
     raise ValueError(
         "Strang splitting needs a fast synthesis/analysis path; "
         "supported bases: hermite, mt"
     )
 
 
+def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
+    """(D, nodes, synthesize, analyze) for size N, built once per basis and N.
+
+    The entries live on the basis and are built from ``basis.jacobi``; when
+    that object is replaced (``ensure`` growing the table, whose leading
+    coefficients need not be the old ones, or a direct assignment) every
+    entry is dropped before use.
+    """
+    basis.ensure(N - 1)
+    cache = basis._strang
+    if cache.get("jacobi") is not basis.jacobi:
+        cache.clear()
+        cache["jacobi"] = basis.jacobi
+    if N not in cache:
+        D = diffop.build(basis.jacobi, N)
+        cache[N] = (D, *_grid_pair(basis, D))
+    return cache[N]
+
+
 class _StrangWork:
-    """Precomputed machinery for repeated Strang steps of a fixed size."""
+    """Strang machinery for one basis, size N and step tau.
+
+    D, its eigensystem and the grid pair come from the per-basis, per-size
+    cache (_strang_setup); only the half-step phase depends on tau.
+    """
 
     def __init__(self, basis: basis_mod.TransformedBasis, N: int, tau: float):
-        basis.ensure(N - 1)
-        self.D = diffop.build(basis.jacobi, N)
+        self.D, self.nodes, self.synthesize, self.analyze = _strang_setup(basis, N)
         x, _ = self.D.eigensystem
         self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in D's eigenbasis
-        self.nodes, self.synth, self.analyze = _grid_pair(basis, N)
         self.tau = tau
 
     def run(self, v: np.ndarray, V, steps: int) -> tuple[np.ndarray, list[float]]:
@@ -214,13 +238,14 @@ class _StrangWork:
         diagonal, so the closing half-step of one step and the opening
         half-step of the next need no change of basis between them.
         """
+        if V is not None:
+            phase = np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
         z = diffop._to_spectral(self.D, v)
         norms = []
         for _ in range(steps):
             z = self.half_flow * z
             if V is not None:
-                u = self.synth @ diffop._from_spectral(self.D, z)
-                u = u * np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
+                u = self.synthesize(diffop._from_spectral(self.D, z)) * phase
                 z = diffop._to_spectral(self.D, self.analyze(u))
             z = self.half_flow * z
             norms.append(float(np.linalg.norm(z)))

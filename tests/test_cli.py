@@ -192,9 +192,9 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     calls = []
     build = sch._grid_pair
 
-    def counted(*args):
-        calls.append(args[1:])
-        return build(*args)
+    def counted(basis, D):
+        calls.append(D.N)
+        return build(basis, D)
 
     monkeypatch.setattr(sch, "_grid_pair", counted)
     rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", "64",
@@ -202,7 +202,7 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
                        "--T", "0.5", "--tau", "0.0625"], capsys)
     assert rc == 0
     assert out.startswith("t,x,re_u,im_u,norm\n")
-    assert calls == [(64,)]
+    assert calls == [64]
 
 
 def test_leading_dash_option_values(capsys):

@@ -8,8 +8,10 @@ import pytest
 
 from favard import coeffs as co
 from favard import diffop
+from favard import recurrence as rec
 from favard import schrodinger as sch
-from favard.basis import hermite_function_table, make_basis, transformed_legendre
+from favard.basis import (TransformedBasis, hermite_function, hermite_function_table,
+                          make_basis, transformed_legendre)
 from favard.errors import TruncationLossWarning
 
 
@@ -134,12 +136,12 @@ def test_strang_self_convergence_second_order():
 
 def test_hermite_grid_pair_roundtrip():
     basis = make_basis("hermite", N=32)
-    nodes, synth, analyze = sch._grid_pair(basis, 32)
+    nodes, synthesize, analyze = sch._grid_pair(basis, diffop.build(basis.jacobi, 32))
     rng = np.random.default_rng(4)
     a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.max(np.abs(analyze(synth @ a) - a)) < 1e-12
+    assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
     # square unitary pair: grid values carry the exact coefficient norm
-    u = synth @ a
+    u = synthesize(a)
     table = hermite_function_table(31, nodes)
     omega = 1.0 / np.sum(table * table, axis=0)
     assert abs(np.sum(omega * np.abs(u) ** 2) - np.sum(np.abs(a) ** 2)) < 1e-10
@@ -147,10 +149,92 @@ def test_hermite_grid_pair_roundtrip():
 
 def test_mt_grid_pair_roundtrip():
     basis = make_basis("mt", N=32)
-    nodes, synth, analyze = sch._grid_pair(basis, 32)
+    nodes, synthesize, analyze = sch._grid_pair(basis, diffop.build(basis.jacobi, 32))
     rng = np.random.default_rng(6)
     a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.max(np.abs(analyze(synth @ a) - a)) < 1e-12
+    assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
+
+
+def _count_setups(monkeypatch):
+    """Record every stemr eigensolve and every grid-pair build (by size)."""
+    solves, grids = [], []
+    solve, build = diffop.eigh_tridiagonal, sch._grid_pair
+
+    def counted_solve(*args, **kwargs):
+        solves.append(kwargs.get("lapack_driver"))
+        return solve(*args, **kwargs)
+
+    def counted_build(basis, D):
+        grids.append(D.N)
+        return build(basis, D)
+
+    monkeypatch.setattr(diffop, "eigh_tridiagonal", counted_solve)
+    monkeypatch.setattr(sch, "_grid_pair", counted_build)
+    return solves, grids
+
+
+def test_strang_setup_built_once_per_basis_and_size(monkeypatch):
+    solves, grids = _count_setups(monkeypatch)
+    basis = make_basis("hermite", N=32)
+    a = co.coeffs_fourier_side(F_gaussian, basis, 32)
+    V = lambda x: x**2
+    sch.strang_propagate(a, 0.1, 3, V, basis)
+    sch.strang_step(a, 0.2, V, basis)
+    sch.strang_propagate(a, -0.05, 2, None, basis, record=True)
+    assert solves == ["stemr"] and grids == [32]
+    b = co.coeffs_fourier_side(F_gaussian, basis, 16)
+    sch.strang_step(b, 0.2, V, basis)
+    sch.strang_propagate(a, 0.1, 1, V, basis)
+    assert solves == ["stemr", "stemr"] and grids == [32, 16]
+
+
+def test_strang_setup_rebuilt_when_jacobi_is_replaced(monkeypatch):
+    # a Stieltjes-built table is recomputed by ensure(), and its leading
+    # coefficients move at rounding level, so the old D must not survive
+    solves, grids = _count_setups(monkeypatch)
+    measure = rec.hermite_measure()
+    source = lambda M: rec.stieltjes(measure, M)
+    basis = TransformedBasis("hermite", measure, source(16), coeff_source=source,
+                             closed_form=hermite_function)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    V = lambda x: x**2
+    sch.strang_propagate(a, 0.1, 3, V, basis)
+    basis.ensure(40)
+    got = sch.strang_propagate(a, 0.1, 3, V, basis).values
+    assert solves == ["stemr"] * 2 and grids == [16, 16]
+    fresh = TransformedBasis("hermite", measure, basis.jacobi, closed_form=hermite_function)
+    assert np.array_equal(got, sch.strang_propagate(a, 0.1, 3, V, fresh).values)
+
+    basis.jacobi = rec.build_jacobi(rec.hermite_coeffs, 16)
+    sch.strang_step(a, 0.1, V, basis)
+    assert solves == ["stemr"] * 4 and grids == [16] * 4
+
+
+@pytest.mark.parametrize("family", ["hermite", "mt"])
+def test_strang_warm_call_bitwise_equals_cold(family):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    V = lambda x: 0.5 * x**2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLossWarning)
+        for run in (lambda b: sch.strang_propagate(a, 0.05, 5, V, b),
+                    lambda b: sch.strang_step(a, 0.05, V, b)):
+            basis = make_basis(family, N=24)
+            cold = run(basis).values
+            warm = run(basis).values
+            assert np.array_equal(cold, warm)
+
+
+def test_strang_cached_entry_serves_every_tau():
+    basis = make_basis("hermite", N=32)
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    V = lambda x: x**2
+    for tau in (0.1, -0.3, 0.7):
+        got = sch.strang_propagate(a, tau, 4, V, basis).values
+        ref, _ = sch._StrangWork(make_basis("hermite", N=32), 32, tau).run(a, V, 4)
+        assert np.array_equal(got, ref)
 
 
 def test_hermite_strang_never_warns():
