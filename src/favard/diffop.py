@@ -9,6 +9,16 @@ computed once per DiffMatrix and cached, therefore diagonalizes every
 function of D: e^{tau D} is the phase tau x on the Gauss nodes x, the free
 Schroedinger flow e^{i t D^2} the phase -t x^2, and the spectral radius is
 max |x|.
+
+When the diagonal c is exactly zero (symmetric measures with closed-form
+coefficients: Hermite, Legendre, ultraspherical, generalized Hermite),
+P J P = -J with P = diag((-1)^n), so the nodes pair as +-x and the
+eigenvector of -x is P times that of x.  Such operators fold: only the
+eigenvectors of the nodes x >= 0 are kept, split by row parity into two
+real blocks of about N/2 x N/2, and every product with V becomes two
+half-size products.  Operators with any nonzero c_n (Laguerre, MT, and the
+symmetric families whose c is computed numerically, such as tanhjacobi and
+conthahn) keep the full V.
 """
 
 from __future__ import annotations
@@ -22,7 +32,8 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import EigenError
 from .recurrence import JacobiMatrix
 
-__all__ = ["DiffMatrix", "apply", "build", "expm_apply", "spectral_radius"]
+__all__ = ["DiffMatrix", "Eigensystem", "FoldedEigensystem", "apply", "build", "expm_apply",
+           "spectral_radius"]
 
 
 @dataclass(frozen=True)
@@ -52,17 +63,19 @@ class DiffMatrix:
         return self.diag.size
 
     @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, V) with J = V diag(x) V^T for the Jacobi section J.
+    def eigensystem(self) -> Eigensystem | FoldedEigensystem:
+        """J = V diag(x) V^T for the Jacobi section J (diagonal c, off-diagonal b).
 
-        J has diagonal c and off-diagonal b, so x are the Gauss nodes of the
-        N-point rule.  Computed on first use, then cached; the LAPACK driver
-        is pinned so no library default picks it.
+        x are the Gauss nodes of the N-point rule.  Computed on first use,
+        then cached, folded by parity when c is exactly zero; the LAPACK
+        driver is pinned so no library default picks it.
         """
         try:
-            return eigh_tridiagonal(self.diag, self.sub, lapack_driver="stemr")
+            x, V = eigh_tridiagonal(self.diag, self.sub, lapack_driver="stemr")
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise EigenError(f"tridiagonal eigensolve failed for N={self.N}: {exc}") from exc
+        V = _sign_columns(V)
+        return FoldedEigensystem(x, V) if not np.any(self.diag) else Eigensystem(x, V)
 
     def dense(self) -> np.ndarray:
         """The full complex N x N matrix; for small-N checks only."""
@@ -112,23 +125,105 @@ def apply(D: DiffMatrix, a):
 def _real_times(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     """M @ z for a real matrix M and a complex vector z.
 
-    M acts on the N x 2 stack of real and imaginary parts: a real-times-complex
-    product would copy M to complex on every call.
+    M acts on the N x 2 view of z as real and imaginary parts: a
+    real-times-complex product would copy M to complex on every call.
     """
-    y = M @ np.column_stack((z.real, z.imag))
-    return y[:, 0] + 1j * y[:, 1]
+    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    return (M @ pairs).view(complex).ravel()
+
+
+def _sign_columns(V: np.ndarray) -> np.ndarray:
+    """V with each column signed so that V[k, i] = p_k(x_i) sqrt(lambda_i).
+
+    The sign is read off the last row: for ascending nodes the zeros of
+    p_{N-1} interlace those of p_N, so p_{N-1}(x_i) has the sign
+    (-1)^{N-1-i}, and the last entry of an eigenvector of an unreduced
+    tridiagonal matrix never vanishes.  The first row cannot serve: stemr
+    returns V[0, i] = 0.0 exactly at tail nodes where lambda_i underflows.
+    """
+    N = V.shape[0]
+    want = (-1.0) ** (N - 1 - np.arange(N))
+    V *= np.where(V[-1] * want < 0.0, -1.0, 1.0)
+    return V
+
+
+class Eigensystem:
+    """Ascending nodes x and products with the eigenvectors V of J = V diag(x) V^T.
+
+    Each column of V is signed so that V[k, i] = p_k(x_i) sqrt(lambda_i)
+    (see _sign_columns).
+    """
+
+    def __init__(self, x: np.ndarray, V: np.ndarray):
+        self.x = x
+        self._V = V
+
+    def times(self, z: np.ndarray) -> np.ndarray:
+        """V z for a complex vector z."""
+        return _real_times(self._V, z)
+
+    def t_times(self, w: np.ndarray) -> np.ndarray:
+        """V^T w for a complex vector w."""
+        return _real_times(self._V.T, w)
+
+
+class FoldedEigensystem:
+    """Eigensystem's products for a Jacobi section with zero diagonal, folded by parity.
+
+    With N = 2h + r (r = N mod 2, the centre node 0) the node of column
+    N-1-i is -x_i and V[k, N-1-i] = (-1)^k V[k, i].  Only the columns of the
+    r + h nodes x >= 0 are kept, by row parity: U = V[0::2, h:] and
+    W = V[1::2, h+r:] (the odd rows vanish at the centre), and x is rebuilt
+    from its upper half so the pairing is exact.  A vector z over
+    the nodes folds into e = (z(0), z(x) + z(-x)) and d = z(x) - z(-x), and
+
+        V z = [U e; W d]  (even rows; odd rows),
+        (V^T w)(+-x) = (U^T w_even)(x) +- (W^T w_odd)(x).
+    """
+
+    def __init__(self, x: np.ndarray, V: np.ndarray):
+        N = x.size
+        self.h, self.r = N // 2, N % 2
+        xp = x[self.h + self.r:]
+        self.x = np.concatenate((-xp[::-1], np.zeros(self.r), xp))
+        self.U = V[0::2, self.h:].copy()
+        self.W = V[1::2, self.h + self.r:].copy()
+
+    def fold(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(e, d) for z over the ascending nodes."""
+        h, r = self.h, self.r
+        lo, hi = z[:h][::-1], z[h + r:]
+        return np.concatenate((z[h:h + r], hi + lo)), hi - lo
+
+    def unfold(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The vector over the ascending nodes that is a + b at x, a - b at -x, a at 0."""
+        r = self.r
+        return np.concatenate(((a[r:] - b)[::-1], a[:r], a[r:] + b))
+
+    def times(self, z: np.ndarray) -> np.ndarray:
+        """V z for a complex vector z."""
+        e, d = self.fold(z)
+        out = np.empty(self.x.size, dtype=complex)
+        out[0::2] = _real_times(self.U, e)
+        out[1::2] = _real_times(self.W, d)
+        return out
+
+    def t_times(self, w: np.ndarray) -> np.ndarray:
+        """V^T w for a complex vector w."""
+        return self.unfold(_real_times(self.U.T, w[0::2]), _real_times(self.W.T, w[1::2]))
+
+
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^n by n mod 4
 
 
 def _to_spectral(D: DiffMatrix, v: np.ndarray) -> np.ndarray:
     """V^T S^-1 v with S = diag((-i)^n): coefficients in D's eigenbasis."""
-    _, V = D.eigensystem
-    return _real_times(V.T, 1j ** (np.arange(D.N) % 4) * v)
+    return D.eigensystem.t_times(_I_POWERS[np.arange(D.N) % 4] * v)
 
 
 def _from_spectral(D: DiffMatrix, z: np.ndarray) -> np.ndarray:
     """S V z: the inverse of _to_spectral."""
-    _, V = D.eigensystem
-    return (-1j) ** (np.arange(D.N) % 4) * _real_times(V, z)
+    return _I_POWERS[-np.arange(D.N) % 4] * D.eigensystem.times(z)
 
 
 def _eigen_apply(D: DiffMatrix, factor: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -145,8 +240,7 @@ def expm_apply(D: DiffMatrix, tau: float, a):
     v = _vector_of(a)
     if v.shape != (D.N,):
         raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
-    x, _ = D.eigensystem
-    return _rewrap(a, _eigen_apply(D, np.exp(1j * tau * x), v))
+    return _rewrap(a, _eigen_apply(D, np.exp(1j * tau * D.eigensystem.x), v))
 
 
 def spectral_radius(D: DiffMatrix) -> float:
@@ -155,4 +249,4 @@ def spectral_radius(D: DiffMatrix) -> float:
     The eigenvalues of D are i times those of the Jacobi truncation J, so
     this is the largest-magnitude Gauss node of the underlying N-point rule.
     """
-    return float(np.max(np.abs(D.eigensystem[0])))
+    return float(np.max(np.abs(D.eigensystem.x)))

@@ -14,10 +14,17 @@ differentiation matrix) with pointwise phase multiplication on a physical
 grid matched to the basis.  That set-up (D with its eigensystem, the grid
 and its synthesis/analysis pair) is built once per basis and size and kept
 on the basis, so repeated Strang calls pay only for their steps.
+
+On the Gauss-Hermite grid the potential step needs no grid pair at all when
+D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
+is z -> conj(K) Phi K z with K = V^T diag(i^k) V, and K is fixed by two real
+half-size blocks.  Every other case (MT, a Hermite table with numerically
+computed, nonzero c) synthesizes on the grid and analyzes back.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -133,7 +140,7 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     v = np.asarray(getattr(a, "values", a), dtype=complex)
     if len(v) != D.N:
         raise ValueError(f"coefficient length {len(v)} does not match operator size {D.N}")
-    x, _ = D.eigensystem
+    x = D.eigensystem.x
     out = diffop._eigen_apply(D, np.exp(-1j * t * x * x), v)
     if hasattr(a, "with_values"):
         return a.with_values(out)
@@ -143,27 +150,65 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
 def _hermite_grid(D: diffop.DiffMatrix):
     """Gauss-Hermite synthesis/analysis pair exact on span{phi_0..phi_{N-1}}.
 
-    The nodes are the eigenvalues of D's Jacobi section, i.e. the N-point
-    Gauss-Hermite nodes.  The analysis weights are the Christoffel numbers
-    written through the orthonormal Hermite functions,
-    omega_i = 1 / sum_{k<N} phi_k(x_i)^2, which stays O(1) at every node (no
-    underflowing e^{-x^2} factors).  The table is real, so both directions
-    are real-times-complex products.
+    The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
+    V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
+    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i).  The
+    last row gives c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|: one Hermite function
+    and no Hermite function table (|V[N-1, i]| >= 1.5e-2 for N <= 4096).
+    Synthesis is then c V^T P and analysis P V / c with P = diag((-1)^k):
+    the Christoffel weights omega_i = c_i^2 cancel.  c is built on the first
+    call, which a folded Strang step never makes.
     """
-    nodes, _ = D.eigensystem
-    table = basis_mod.hermite_function_table(D.N - 1, nodes)
-    omega = 1.0 / np.sum(table**2, axis=0)
-    synthesize = lambda a: diffop._real_times(table.T, a)
-    analyze = lambda u: diffop._real_times(table, omega * u)
-    return nodes, synthesize, analyze
+    eig = D.eigensystem
+    parity = (-1.0) ** np.arange(D.N)
+
+    @functools.cache
+    def scale():
+        unit = np.zeros(D.N)
+        unit[-1] = 1.0
+        last = eig.t_times(unit).real  # V[N-1, :]
+        return np.abs(basis_mod.hermite_function(D.N - 1, eig.x)) / np.abs(last)
+
+    synthesize = lambda a: scale() * eig.t_times(parity * a)
+    analyze = lambda u: parity * eig.times(u / scale())
+    return eig.x, synthesize, analyze
+
+
+def _folded_hermite_kick(eig: diffop.FoldedEigensystem):
+    """The potential step z -> conj(K) Phi K z in a folded Hermite eigenbasis.
+
+    On the Gauss-Hermite grid, synthesis of S V z is c K z with
+    K = V^T diag(i^k) V, and analysis back to the eigenbasis is conj(K) / c,
+    so c cancels.  In folded coordinates (e, d) of z (see diffop.FoldedEigensystem),
+    K z = A e + i B d at x and A e - i B d at -x, with the real blocks
+    A = U^T diag((-1)^{k/2}) U over the even rows k and
+    B = W^T diag((-1)^{(k-1)/2}) W over the odd rows; conj(K) flips the sign
+    of the B term.
+    """
+    def signed_gram(M):
+        # row j of U is k = 2j and of W is k = 2j+1: both signs are (-1)^j
+        return M.T @ (M * ((-1.0) ** np.arange(M.shape[0]))[:, None])
+
+    A, B = signed_gram(eig.U), signed_gram(eig.W)
+
+    def kick(z, phase):
+        e, d = eig.fold(z)
+        u = phase * eig.unfold(diffop._real_times(A, e), 1j * diffop._real_times(B, d))
+        e, d = eig.fold(u)
+        return eig.unfold(diffop._real_times(A, e), -1j * diffop._real_times(B, d))
+
+    return kick
 
 
 def _mt_grid(N: int, M: int | None = None):
     """Uniform theta-grid pair for the Malmquist-Takenaka basis.
 
-    On theta_j = -pi + (j + 1/2) h the basis is a pure Fourier mode times a
-    common factor, so synthesis is a dense matmul and analysis one FFT; the
-    round trip is exact for functions in span{phi_0..phi_{N-1}}.
+    On theta_j = -pi + (j + 1/2) h, h = 2 pi / M, the basis is a pure
+    Fourier mode times a common factor,
+    phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) i^n e^{i (n + 1/2) theta_j}, so
+    synthesis is one zero-padded inverse FFT of (-i)^n e^{i n h/2} a_n and
+    analysis one FFT; the round trip is exact for functions in
+    span{phi_0..phi_{N-1}}.
     """
     if M is None:
         M = 4 * N
@@ -171,11 +216,12 @@ def _mt_grid(N: int, M: int | None = None):
     theta = -math.pi + (np.arange(M) + 0.5) * h
     tan_half = np.tan(0.5 * theta)
     nodes = 0.5 * tan_half
-    common = math.sqrt(2.0 / math.pi) * np.cos(0.5 * theta)
     ns = np.arange(N)
-    synth = (common[:, None]
-             * (1j ** (ns % 4))[None, :]
-             * np.exp(1j * np.multiply.outer(theta, ns + 0.5)))  # (M, N)
+    common = M * math.sqrt(2.0 / math.pi) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
+    shift = (-1j) ** (ns % 4) * np.exp(0.5j * ns * h)
+
+    def synthesize(a):
+        return common * scipy.fft.ifft(shift * a, n=M, workers=_fft_workers())
 
     pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * (1j ** (ns % 4)) * np.exp(-0.5j * ns * h)
     factor = 1.0 - 1j * tan_half
@@ -184,7 +230,7 @@ def _mt_grid(N: int, M: int | None = None):
         spectrum = scipy.fft.fft(factor * u, workers=_fft_workers())
         return pref * spectrum[ns]
 
-    return nodes, lambda a: synth @ a, analyze
+    return nodes, synthesize, analyze
 
 
 def _grid_pair(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix):
@@ -199,8 +245,17 @@ def _grid_pair(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix):
     )
 
 
+def _potential_kick(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix,
+                    synthesize, analyze):
+    """(z, phase) -> the pointwise phase applied on the grid, in D's eigenbasis."""
+    if basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem):
+        return _folded_hermite_kick(D.eigensystem)
+    return lambda z, phase: diffop._to_spectral(
+        D, analyze(synthesize(diffop._from_spectral(D, z)) * phase))
+
+
 def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
-    """(D, nodes, synthesize, analyze) for size N, built once per basis and N.
+    """(D, nodes, synthesize, analyze, kick) for size N, built once per basis and N.
 
     The entries live on the basis and are built from ``basis.jacobi``; when
     that object is replaced (``ensure`` growing the table, whose leading
@@ -214,25 +269,29 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
         cache["jacobi"] = basis.jacobi
     if N not in cache:
         D = diffop.build(basis.jacobi, N)
-        cache[N] = (D, *_grid_pair(basis, D))
+        nodes, synthesize, analyze = _grid_pair(basis, D)
+        cache[N] = (D, nodes, synthesize, analyze,
+                    _potential_kick(basis, D, synthesize, analyze))
     return cache[N]
 
 
 class _StrangWork:
     """Strang machinery for one basis, size N and step tau.
 
-    D, its eigensystem and the grid pair come from the per-basis, per-size
-    cache (_strang_setup); only the half-step phase depends on tau.
+    D, its eigensystem, the grid pair and the potential step come from the
+    per-basis, per-size cache (_strang_setup); only the half-step phase
+    depends on tau.
     """
 
     def __init__(self, basis: basis_mod.TransformedBasis, N: int, tau: float):
-        self.D, self.nodes, self.synthesize, self.analyze = _strang_setup(basis, N)
-        x, _ = self.D.eigensystem
+        self.D, self.nodes, self.synthesize, self.analyze, self.kick = _strang_setup(basis, N)
+        x = self.D.eigensystem.x
         self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in D's eigenbasis
         self.tau = tau
 
-    def run(self, v: np.ndarray, V, steps: int) -> tuple[np.ndarray, list[float]]:
-        """``steps`` Strang steps from v, with the norm after each.
+    def run(self, v: np.ndarray, V, steps: int,
+            record: bool = False) -> tuple[np.ndarray, list[float] | None]:
+        """``steps`` Strang steps from v, with the norm after each when ``record``.
 
         The state stays in D's eigenbasis, where the free half-steps are
         diagonal, so the closing half-step of one step and the opening
@@ -241,14 +300,14 @@ class _StrangWork:
         if V is not None:
             phase = np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
         z = diffop._to_spectral(self.D, v)
-        norms = []
+        norms = [] if record else None
         for _ in range(steps):
             z = self.half_flow * z
             if V is not None:
-                u = self.synthesize(diffop._from_spectral(self.D, z)) * phase
-                z = diffop._to_spectral(self.D, self.analyze(u))
+                z = self.kick(z, phase)
             z = self.half_flow * z
-            norms.append(float(np.linalg.norm(z)))
+            if record:
+                norms.append(float(np.linalg.norm(z)))
         return diffop._from_spectral(self.D, z), norms
 
     def step(self, v: np.ndarray, V) -> np.ndarray:
@@ -295,7 +354,7 @@ def strang_propagate(a, tau: float, steps: int, V,
         raise ValueError("steps must be nonnegative")
     v = np.asarray(getattr(a, "values", a), dtype=complex)
     norm0 = float(np.linalg.norm(v))
-    v, norms = _StrangWork(basis, len(v), tau).run(v, V, steps)
+    v, norms = _StrangWork(basis, len(v), tau).run(v, V, steps, record)
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     out = a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})

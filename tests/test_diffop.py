@@ -162,3 +162,35 @@ def test_spectral_radius_single_mode():
     assert diffop.spectral_radius(D) == abs(float(J.c[0]))
     assert np.allclose(diffop.expm_apply(D, 0.5, np.array([1.0 + 0j])),
                        np.exp(0.5j * J.c[0]), rtol=0.0, atol=1e-15)
+
+
+SYMMETRIC = ("hermite", "legendre", "ultraspherical:1.5")
+
+
+@pytest.mark.parametrize("family", SYMMETRIC)
+@pytest.mark.parametrize("N", [1, 2, 3, 63, 64])
+def test_folded_operators_match_dense_expm(family, N):
+    # a zero diagonal folds the eigensystem by parity, odd N included;
+    # exp(tau D) and the free flow exp(i t D^2) must equal the dense ones
+    import scipy.linalg
+    from favard.basis import make_basis
+    from favard.schrodinger import free_coeff_step
+    D = diffop.build(make_basis(family, N=N).jacobi, N)
+    assert isinstance(D.eigensystem, diffop.FoldedEigensystem)
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    dense = D.dense()
+    ref = scipy.linalg.expm(0.7 * dense) @ a
+    assert np.max(np.abs(diffop.expm_apply(D, 0.7, a) - ref)) < 1e-12
+    ref = scipy.linalg.expm(0.3j * (dense @ dense)) @ a
+    assert np.max(np.abs(free_coeff_step(D, 0.3, a) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["laguerre", "mt", "tanhjacobi:0.75,0.75"])
+def test_nonzero_diagonal_does_not_fold(family):
+    # tanhjacobi's Stieltjes-built c is about 8e-16, not 0: only an exactly zero
+    # diagonal proves the +-x node pairing
+    from favard.basis import make_basis
+    D = diffop.build(make_basis(family, N=16).jacobi, 16)
+    assert np.any(D.diag)
+    assert not isinstance(D.eigensystem, diffop.FoldedEigensystem)

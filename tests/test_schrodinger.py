@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from favard import coeffs as co
 from favard import diffop
 from favard import recurrence as rec
 from favard import schrodinger as sch
 from favard.basis import (TransformedBasis, hermite_function, hermite_function_table,
-                          make_basis, transformed_legendre)
+                          make_basis, malmquist_takenaka, transformed_legendre)
 from favard.errors import TruncationLossWarning
 
 
@@ -143,6 +144,7 @@ def test_hermite_grid_pair_roundtrip():
     # square unitary pair: grid values carry the exact coefficient norm
     u = synthesize(a)
     table = hermite_function_table(31, nodes)
+    assert np.max(np.abs(u - a @ table)) < 1e-13
     omega = 1.0 / np.sum(table * table, axis=0)
     assert abs(np.sum(omega * np.abs(u) ** 2) - np.sum(np.abs(a) ** 2)) < 1e-10
 
@@ -153,6 +155,8 @@ def test_mt_grid_pair_roundtrip():
     rng = np.random.default_rng(6)
     a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
+    table = np.stack([malmquist_takenaka(n, nodes) for n in range(32)])
+    assert np.max(np.abs(synthesize(a) - a @ table)) < 1e-12
 
 
 def _count_setups(monkeypatch):
@@ -235,6 +239,73 @@ def test_strang_cached_entry_serves_every_tau():
         got = sch.strang_propagate(a, tau, 4, V, basis).values
         ref, _ = sch._StrangWork(make_basis("hermite", N=32), 32, tau).run(a, V, 4)
         assert np.array_equal(got, ref)
+
+
+def _table_route_strang(jacobi, N, a, tau, steps):
+    """Harmonic Strang steps on the Hermite function table and its Christoffel
+    weights, with the full eigenvector matrix: the unfolded reference."""
+    x, V = eigh_tridiagonal(jacobi.c[:N], jacobi.b[:N - 1], lapack_driver="stemr")
+    table = hermite_function_table(N - 1, x).astype(complex)
+    omega = 1.0 / np.sum(table.real**2, axis=0)
+    V = V.astype(complex)
+    S = (-1j) ** (np.arange(N) % 4)
+    half, phase = np.exp(-0.5j * tau * x * x), np.exp(-1j * tau * x * x)
+    z = V.T @ (a / S)
+    for _ in range(steps):
+        u = phase * (table.T @ (S * (V @ (half * z))))
+        z = half * (V.T @ ((table @ (omega * u)) / S))
+    return S * (V @ z)
+
+
+@pytest.mark.parametrize("N,diag", [(512, 0.0), (63, 0.0), (64, 1e-300)])
+def test_strang_matches_table_route(N, diag):
+    # a zero diagonal takes the folded step, any nonzero one (here far below
+    # rounding) the grid-pair step; both reproduce the unfolded route
+    exact = rec.build_jacobi(rec.hermite_coeffs, N)
+    jacobi = rec.JacobiMatrix(exact.b, np.full(N, diag))
+    basis = TransformedBasis("hermite", rec.hermite_measure(), jacobi,
+                             closed_form=hermite_function)
+    rng = np.random.default_rng(N)
+    a = np.zeros(N, dtype=complex)
+    a[:40] = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    got = sch.strang_propagate(a, 0.01, 100, lambda x: x * x, basis).values
+    D = sch._strang_setup(basis, N)[0]
+    assert isinstance(D.eigensystem, diffop.FoldedEigensystem) == (diag == 0.0)
+    ref = _table_route_strang(jacobi, N, a, 0.01, 100)
+    assert np.max(np.abs(got - ref)) < 1e-11
+
+
+def test_results_independent_of_eigenvector_signs(monkeypatch):
+    # stemr's column signs are arbitrary, and its first row is exactly 0 at
+    # tail nodes; the grid pair relies on V[k, i] = p_k(x_i) sqrt(lambda_i),
+    # so flipping columns, tail ones included, must change nothing
+    N = 512
+    rng = np.random.default_rng(14)
+    u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    V = lambda x: x * x
+
+    def run():
+        work = sch._StrangWork(make_basis("hermite", N=N), N, 0.05)
+        a = work.analyze(u)
+        D = diffop.build(make_basis("legendre", N=N).jacobi, N)
+        return (a, work.synthesize(a[::-1]), work.run(a, V, 10)[0],
+                diffop.expm_apply(D, 0.7, a))
+
+    before = run()
+    solve, flipped = diffop.eigh_tridiagonal, []
+
+    def flipping(*args, **kwargs):
+        x, vecs = solve(*args, **kwargs)
+        flip = (vecs[0] == 0.0) | (np.arange(N) % 3 == 0)
+        vecs[:, flip] *= -1.0
+        flipped.append(np.count_nonzero(flip[N // 2:] & (vecs[0, N // 2:] == 0.0)))
+        return x, vecs
+
+    monkeypatch.setattr(diffop, "eigh_tridiagonal", flipping)
+    after = run()
+    assert len(flipped) == 2 and flipped[0] > 0
+    for got, ref in zip(after, before):
+        assert np.max(np.abs(got - ref)) < 1e-14
 
 
 def test_hermite_strang_never_warns():
