@@ -50,7 +50,9 @@ from .basis import (
     phi_grid,
     phi_with_phase,
     tanh_jacobi,
+    tanh_jacobi_table,
     transformed_legendre,
+    transformed_legendre_table,
 )
 from .diffop import DiffMatrix, apply, build, expm_apply, spectral_radius
 from .coeffs import (
@@ -122,7 +124,9 @@ __all__ = [
     "phi_grid",
     "phi_with_phase",
     "tanh_jacobi",
+    "tanh_jacobi_table",
     "transformed_legendre",
+    "transformed_legendre_table",
     "DiffMatrix",
     "apply",
     "build",

@@ -9,6 +9,13 @@ which satisfies phi_n' = -b_{n-1} phi_{n-1} + i c_n phi_n + b_n phi_{n+1}
 with the recurrence coefficients of p_n.  Families with known closed forms
 (Hermite, Legendre, Malmquist-Takenaka, tanh-Jacobi) evaluate those
 directly; everything else goes through oscillatory quadrature.
+
+A closed form comes in two entry points on one scan: ``*_table(nmax, x)``
+returns rows 0..nmax from a single sweep in n (a three-term recurrence for
+Hermite, Legendre and tanh-Jacobi, one broadcast expression for
+Malmquist-Takenaka), and the single-row function is that same sweep run
+without collecting rows.  Row n of a table with nmax = n is therefore the
+single-row value bit for bit; for nmax > n the two agree at rounding level.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ __all__ = [
     "hermite_function",
     "hermite_function_table",
     "transformed_legendre",
+    "transformed_legendre_table",
     "malmquist_takenaka",
     "tanh_jacobi",
+    "tanh_jacobi_table",
 ]
 
 _PHI0_HERMITE = math.pi ** -0.25
@@ -94,39 +103,88 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     return _hermite_scan(nmax, xs.ravel(), collect=True)
 
 
+def _scan_rows(nmax: int, collect: bool) -> np.ndarray:
+    """Indices of the rows a scan returns: 0..nmax, or nmax alone."""
+    return np.arange(nmax + 1) if collect else np.array([nmax])
+
+
+def _legendre_scan(nmax: int, x, collect: bool) -> np.ndarray:
+    """Transformed Legendre rows from one spherical Bessel sweep in |x|.
+
+    phi_n(x) = (-1)^n sqrt((2n+1)/pi) j_n(x), and phi_n(-x) = (-1)^n phi_n(x).
+    Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
+    """
+    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    ns = _scan_rows(nmax, collect)
+    j = specfun._sph_scan(nmax, np.abs(flat), collect).reshape(ns.size, flat.size)
+    rows = np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None] * j
+    rows[ns % 2 == 1] *= np.where(flat > 0.0, -1.0, 1.0)
+    return rows
+
+
 def transformed_legendre(n: int, x):
     """Bandlimited Legendre system (-1)^n sqrt((n+1/2)/x) J_{n+1/2}(x)."""
     if n < 0:
         raise ValueError("index n must be >= 0")
     xs = np.asarray(x, dtype=float)
-    ax = np.abs(np.atleast_1d(xs)).ravel()
-    out = np.empty_like(ax)
-    at_zero = ax == 0.0
-    if np.any(~at_zero):
-        j = specfun.bessel_j_half(n, ax[~at_zero])
-        out[~at_zero] = (-1) ** n * math.sqrt(n + 0.5) * j / np.sqrt(ax[~at_zero])
-    out[at_zero] = 1.0 / math.sqrt(math.pi) if n == 0 else 0.0
-    neg = np.atleast_1d(xs).ravel() < 0
-    out[neg] *= (-1) ** n
+    out = _legendre_scan(n, xs, collect=False)[0]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def malmquist_takenaka(n: int, x):
+def transformed_legendre_table(nmax: int, x) -> np.ndarray:
+    """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x))."""
+    if nmax < 0:
+        raise ValueError("index nmax must be >= 0")
+    return _legendre_scan(nmax, x, collect=True)
+
+
+def malmquist_takenaka(n, x):
     """Malmquist-Takenaka function sqrt(2/pi) i^n (1+2ix)^n / (1-2ix)^{n+1}.
 
     Valid for any integer n (negative included); evaluated in polar form so
-    large |n| stays stable.  |phi_n(x)| = sqrt(2/pi) / sqrt(1+4x^2).
+    large |n| stays stable.  |phi_n(x)| = sqrt(2/pi) / sqrt(1+4x^2).  An
+    integer array n broadcasts against x.
     """
     xs = np.asarray(x, dtype=float)
     alpha = np.arctan(2.0 * xs)
     r = np.sqrt(1.0 + 4.0 * xs * xs)
     out = math.sqrt(2.0 / math.pi) * np.exp(1j * ((2 * n + 1) * alpha + n * math.pi / 2)) / r
-    return complex(out) if xs.ndim == 0 else out
+    return complex(out) if out.ndim == 0 else out
+
+
+def _mt_table(nmax: int, x) -> np.ndarray:
+    return malmquist_takenaka(np.arange(nmax + 1)[:, None], x)
 
 
 @lru_cache(maxsize=32)
 def _tanh_jacobi_polys(a: float, b: float, N: int) -> JacobiMatrix:
     return rec.jacobi_poly_coeffs(2.0 * a - 1.0, 2.0 * b - 1.0, N)
+
+
+def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool) -> np.ndarray:
+    """tanh-Jacobi rows: one polynomial scan in tanh x times one envelope.
+
+    Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("tanh_jacobi requires a > 0 and b > 0")
+    if nmax < 0:
+        raise ValueError("index n must be >= 0")
+    size = 8
+    while size < nmax + 1:
+        size *= 2
+    jac = _tanh_jacobi_polys(float(a), float(b), size)
+    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    with np.errstate(over="ignore"):
+        lo = 2.0 / (np.exp(2.0 * flat) + 1.0)   # 1 - tanh(x), no cancellation
+        hi = 2.0 / (np.exp(-2.0 * flat) + 1.0)  # 1 + tanh(x)
+    norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+    envelope = lo**a * hi**b / norm
+    t = np.tanh(flat)
+    p = rec.eval_poly_table(jac, nmax, t) if collect else rec.eval_poly(jac, nmax, t)[None]
+    rows = p * envelope
+    rows[_scan_rows(nmax, collect) % 2 == 1] *= -1.0
+    return rows
 
 
 def tanh_jacobi(a: float, b: float, n: int, x):
@@ -137,22 +195,14 @@ def tanh_jacobi(a: float, b: float, n: int, x):
     S = 2^{2a+2b-1} B(2a, 2b) making the L2 norm one.  Decays like
     e^{-2a x} as x -> +inf and e^{2b x} as x -> -inf.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("tanh_jacobi requires a > 0 and b > 0")
-    if n < 0:
-        raise ValueError("index n must be >= 0")
-    size = 8
-    while size < n + 1:
-        size *= 2
-    jac = _tanh_jacobi_polys(float(a), float(b), size)
     xs = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        lo = 2.0 / (np.exp(2.0 * xs) + 1.0)   # 1 - tanh(x), no cancellation
-        hi = 2.0 / (np.exp(-2.0 * xs) + 1.0)  # 1 + tanh(x)
-    p = rec.eval_poly(jac, n, np.tanh(xs))
-    norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
-    out = (-1) ** n * lo**a * hi**b * p / norm
-    return float(out) if xs.ndim == 0 else out
+    out = _tanh_jacobi_scan(a, b, n, xs, collect=False)[0]
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def tanh_jacobi_table(a: float, b: float, nmax: int, x) -> np.ndarray:
+    """All tanh-Jacobi functions 0..nmax on a grid, shape (nmax+1, len(x))."""
+    return _tanh_jacobi_scan(a, b, nmax, x, collect=True)
 
 
 @dataclass(eq=False)
@@ -161,7 +211,11 @@ class TransformedBasis:
 
     ``jacobi`` grows on demand through ``coeff_source`` when higher indices
     are requested.  ``closed_form(n, x)`` short-circuits quadrature when the
-    family has an explicit formula; ``bilateral`` marks families indexed
+    family has an explicit formula, and ``closed_table(nmax, x)`` returns its
+    rows 0..nmax, shape (nmax+1, len(x)), from one sweep; ``closed_form`` is
+    the same sweep without collecting rows, so ``phi(basis, n, x)`` equals
+    ``phi_grid(basis, n, x)[n]`` bit for bit.  ``phi_grid`` takes the closed
+    route only through ``closed_table``.  ``bilateral`` marks families indexed
     over all integers (Malmquist-Takenaka).  ``sigma`` is an optional real
     phase baked into the transform: the integrand carries e^{i sigma(xi)},
     which changes neither orthonormality nor the differentiation matrix.
@@ -172,6 +226,7 @@ class TransformedBasis:
     jacobi: JacobiMatrix
     coeff_source: Callable[[int], JacobiMatrix] | None = None
     closed_form: Callable | None = None
+    closed_table: Callable | None = None
     sigma: Callable | None = None
     bilateral: bool = False
     # Strang set-up per size N, valid for the jacobi stored under "jacobi";
@@ -254,16 +309,14 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
              method: str = "auto") -> np.ndarray:
     """Evaluate phi_0..phi_nmax on a grid at once; shape (nmax+1, len(x)).
 
+    A family with a closed form returns ``basis.closed_table(nmax, x)``.
     The quadrature route shares one panel rule across all indices and grid
     points (a single matrix product per refinement level), doubling the
     panel count until two levels agree to ``tol``.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if method != "quadrature" and basis.closed_form is not None and sigma is None:
-        if basis.closed_form is hermite_function:
-            return hermite_function_table(nmax, xs).astype(complex)
-        return np.stack([np.asarray(basis.closed_form(n, xs), dtype=complex)
-                         for n in range(nmax + 1)])
+    if method != "quadrature" and basis.closed_table is not None and sigma is None:
+        return np.asarray(basis.closed_table(nmax, xs), dtype=complex)
     basis.ensure(nmax)
     sigma = _combine_sigma(basis, sigma)
     if basis.sigma is not None:
@@ -362,7 +415,8 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
             raise ValueError("hermite takes no parameters")
         source = lambda M: rec.build_jacobi(rec.hermite_coeffs, M)
         return TransformedBasis("hermite", rec.hermite_measure(), source(N),
-                                coeff_source=source, closed_form=hermite_function)
+                                coeff_source=source, closed_form=hermite_function,
+                                closed_table=hermite_function_table)
     if head == "genhermite":
         eta, = _parse_params(family, tail, 1)
         source = lambda M: rec.build_jacobi(lambda n: rec.generalized_hermite_coeffs(eta, n), M)
@@ -373,13 +427,16 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
             raise ValueError("legendre takes no parameters")
         source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(0.0, n), M)
         return TransformedBasis("legendre", rec.legendre_measure(), source(N),
-                                coeff_source=source, closed_form=transformed_legendre)
+                                coeff_source=source, closed_form=transformed_legendre,
+                                closed_table=transformed_legendre_table)
     if head == "ultraspherical":
         alpha, = _parse_params(family, tail, 1)
         source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(alpha, n), M)
-        closed = transformed_legendre if alpha == 0.0 else None
+        closed = alpha == 0.0  # the Legendre measure
         return TransformedBasis(family, rec.ultraspherical_measure(alpha), source(N),
-                                coeff_source=source, closed_form=closed)
+                                coeff_source=source,
+                                closed_form=transformed_legendre if closed else None,
+                                closed_table=transformed_legendre_table if closed else None)
     if head == "jacobi":
         alpha, beta = _parse_params(family, tail, 2)
         source = lambda M: rec.jacobi_poly_coeffs(alpha, beta, M)
@@ -388,16 +445,18 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     if head == "laguerre":
         alpha = _parse_params(family, tail, 1)[0] if tail else 0.0
         source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(alpha, n), M)
-        closed = malmquist_takenaka if alpha == 0.0 else None
+        closed = alpha == 0.0  # the Malmquist-Takenaka measure
         return TransformedBasis(family, rec.laguerre_measure(alpha), source(N),
-                                coeff_source=source, closed_form=closed)
+                                coeff_source=source,
+                                closed_form=malmquist_takenaka if closed else None,
+                                closed_table=_mt_table if closed else None)
     if head == "mt":
         if tail:
             raise ValueError("mt takes no parameters")
         source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(0.0, n), M)
         return TransformedBasis("mt", rec.laguerre_measure(0.0), source(N),
                                 coeff_source=source, closed_form=malmquist_takenaka,
-                                bilateral=True)
+                                closed_table=_mt_table, bilateral=True)
     if head == "conthahn":
         a, b = _parse_params(family, tail, 2)
         measure = rec.conthahn_measure(a, b)
@@ -415,6 +474,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / 2.0))
         return TransformedBasis(family, measure, source(N), coeff_source=source,
                                 closed_form=lambda n, x: tanh_jacobi(a, b, n, x),
+                                closed_table=lambda nmax, x: tanh_jacobi_table(a, b, nmax, x),
                                 sigma=sig)
     if head == "custom-weight":
         if not tail:

@@ -267,7 +267,7 @@ def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None,
     xs = np.asarray(xs, dtype=float)
     bas = basis_mod.make_basis(f"tanhjacobi:{a},{b}", N=N + 1)
     quad = basis_mod.phi_grid(bas, N, xs, method="quadrature")
-    closed = np.stack([basis_mod.tanh_jacobi(a, b, n, xs) for n in range(N + 1)])
+    closed = basis_mod.tanh_jacobi_table(a, b, N, xs)
     j0 = int(np.argmin(np.abs(xs)))
     worst = 0.0
     for n in range(N + 1):

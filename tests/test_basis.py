@@ -4,6 +4,11 @@ quadrature transform against closed forms, phase freedom, validation.
 Frozen constants below were produced with mpmath at 40 digits.
 """
 
+import functools
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +22,9 @@ from favard.basis import (
     phi_grid,
     phi_with_phase,
     tanh_jacobi,
+    tanh_jacobi_table,
     transformed_legendre,
+    transformed_legendre_table,
 )
 
 # phi_n = (-1)^n H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)); the (-1)^n is
@@ -86,6 +93,97 @@ def test_transformed_legendre_even_odd():
         sym = 1.0 if n % 2 == 0 else -1.0
         vals = transformed_legendre(n, x)
         assert np.max(np.abs(transformed_legendre(n, -x) - sym * vals)) < 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_legendre(n, ax):
+    """(-1)^n sqrt((n+1/2)/x) J_{n+1/2}(x) at x = ax >= 0, from mpmath."""
+    if ax == 0.0:
+        return 1.0 / math.sqrt(math.pi) if n == 0 else 0.0
+    with mpmath.workdps(40):
+        x = mpmath.mpf(ax)
+        v = mpmath.sqrt((n + mpmath.mpf(1) / 2) / x) * mpmath.besselj(n + mpmath.mpf(1) / 2, x)
+    return (-1) ** n * float(v)
+
+
+# x = k pi and k pi +- 1e-5 for |k| <= 9 (k = 0 gives x = 0), plus a few
+# negative and small points
+_PI_PROBES = np.concatenate([np.pi * np.arange(-9, 10)[:, None]
+                             + np.array([-1e-5, 0.0, 1e-5])]).ravel()
+_EXTRA = np.array([-0.3, -7.7, 1e-3, 2e-8, -4e-12])
+
+
+@pytest.mark.parametrize("nmax", [16, 64, 128])
+def test_legendre_table_matches_mpmath(nmax):
+    # the table runs forward where |x| >= nmax and one Miller pass below, so
+    # the points straddle |x| = nmax on both sides of zero
+    split = nmax + np.array([-0.25, 0.0, 0.25])
+    x = np.unique(np.concatenate([_PI_PROBES, _EXTRA, split, -split]))
+    table = transformed_legendre_table(nmax, x)
+    assert table.shape == (nmax + 1, x.size)
+    for n in sorted({0, 1, 2, 3, 7, 15, 16, 17, 31, 63, 64, 65, 100, 127, 128} & set(range(nmax + 1))):
+        ref = np.array([_mp_legendre(n, abs(float(v))) * (1 if v >= 0 else (-1) ** n) for v in x])
+        assert np.max(np.abs(table[n] - ref)) <= 1e-14, n
+
+
+@pytest.mark.parametrize("nmax", [16, 64, 200])
+def test_legendre_table_rows_match_single_rows(nmax):
+    # rows n < nmax may come from the other side of the forward/backward
+    # split than the single row does: equal at rounding level, and bit for
+    # bit for the last row, which is the same sweep
+    x = np.concatenate([np.linspace(-1.3 * nmax, 1.3 * nmax, 401), _PI_PROBES])
+    table = transformed_legendre_table(nmax, x)
+    for n in range(nmax + 1):
+        assert np.max(np.abs(table[n] - transformed_legendre(n, x))) < 2e-15, n
+    for n in (0, 1, 5, nmax):
+        assert np.array_equal(transformed_legendre_table(n, x)[n], transformed_legendre(n, x))
+
+
+@pytest.mark.parametrize("a,b", [(0.75, 0.75), (0.25, 0.75)])
+def test_tanh_jacobi_table_matches_single_rows(a, b):
+    # one polynomial scan in tanh x: every row is the single row bit for bit
+    x = np.linspace(-9.0, 9.0, 181)
+    table = tanh_jacobi_table(a, b, 40, x)
+    assert table.shape == (41, 181)
+    for n in range(41):
+        assert np.array_equal(table[n], tanh_jacobi(a, b, n, x)), n
+
+
+def test_closed_tables_raise_no_runtime_warning():
+    # x = 0 and subnormal x for the Bessel sweep, exp(2x) overflow for
+    # tanh-Jacobi, and squares past the double range
+    x = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-60, 3e-9, -800.0, 800.0, 1e200, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        legendre = transformed_legendre_table(40, x)
+        tanh = tanh_jacobi_table(0.75, 0.75, 40, x)
+        moderate = {family: phi_grid(make_basis(family, N=8), 40, x[:8])
+                    for family in ("hermite", "legendre", "mt", "tanhjacobi:0.75,0.75")}
+    for table in (legendre, tanh, *moderate.values()):
+        assert np.all(np.isfinite(table))
+    assert np.max(np.abs(legendre[:, :2] - np.eye(41)[:, :1] / math.sqrt(math.pi))) < 1e-16
+    # below 2^-27 the sweep is the leading series term x^n / (2n+1)!!
+    for n in range(6):
+        ref = _mp_legendre(n, 3e-9)
+        assert abs(legendre[n, 5] - ref) <= 1e-15 * abs(ref), n
+
+
+def test_ultraspherical_zero_uses_the_legendre_table():
+    x = np.concatenate([np.linspace(-70.0, 70.0, 301), _PI_PROBES])
+    want = phi_grid(make_basis("legendre", N=8), 48, x)
+    got = phi_grid(make_basis("ultraspherical:0.0", N=8), 48, x)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "ultraspherical:0.0", "mt",
+                                    "laguerre", "tanhjacobi:0.75,0.75",
+                                    "tanhjacobi:0.25,0.75"])
+def test_phi_is_last_row_of_phi_grid(family):
+    # one scan behind both: the single row is the table's last row bit for bit
+    basis = make_basis(family, N=8)
+    x = np.concatenate([np.linspace(-40.0, 40.0, 161), _PI_PROBES])
+    for n in (0, 1, 2, 9, 33):
+        assert np.array_equal(phi(basis, n, x), phi_grid(basis, n, x)[n]), n
 
 
 def test_malmquist_takenaka_frozen_values():
