@@ -85,6 +85,7 @@ from .verify import (
     check_cramer,
     check_gram,
     check_pw_support,
+    pw_support_reports,
     check_ramanujan,
     check_recurrence,
     check_tanh_jacobi_identity,
@@ -155,6 +156,7 @@ __all__ = [
     "check_cramer",
     "check_gram",
     "check_pw_support",
+    "pw_support_reports",
     "check_ramanujan",
     "check_recurrence",
     "check_tanh_jacobi_identity",

@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 _PHI0_HERMITE = math.pi ** -0.25
+# e^{-x^2/2} < 2^{-3e15} beyond this, far below anything the recurrence's
+# growth of at most 27 bits per step can lift back into range.
+_HERMITE_CLAMP = 2.0**26
+# Past this 1 + 4 x^2 rounds to 4 x^2, whose square root is 2|x| exactly.
+_MT_BIG = 2.0**26
 
 
 def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
@@ -58,7 +63,10 @@ def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
     phi_0 = pi^{-1/4} e^{-x^2/2}.  Values are carried as m * 2^e with a
     shared per-point exponent so the seed never underflows the recurrence;
     materialized rows use ldexp (harmlessly flushing true subnormals to 0).
+    |x| is clamped to _HERMITE_CLAMP first: every row is 0.0 beyond it, and
+    the clamp keeps x^2 finite and the exponent inside int64.
     """
+    x = np.clip(x, -_HERMITE_CLAMP, _HERMITE_CLAMP)
     t = -x * x / (2.0 * math.log(2.0))
     e = np.floor(t)
     cur = _PHI0_HERMITE * np.exp2(t - e)
@@ -147,7 +155,9 @@ def malmquist_takenaka(n, x):
     """
     xs = np.asarray(x, dtype=float)
     alpha = np.arctan(2.0 * xs)
-    r = np.sqrt(1.0 + 4.0 * xs * xs)
+    ax = np.abs(xs)
+    small = np.minimum(ax, _MT_BIG)  # keeps the square finite
+    r = np.where(ax > _MT_BIG, 2.0 * ax, np.sqrt(1.0 + 4.0 * small * small))
     out = math.sqrt(2.0 / math.pi) * np.exp(1j * ((2 * n + 1) * alpha + n * math.pi / 2)) / r
     return complex(out) if out.ndim == 0 else out
 
@@ -313,6 +323,13 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     The quadrature route shares one panel rule across all indices and grid
     points (a single matrix product per refinement level), doubling the
     panel count until two levels agree to ``tol``.
+
+    When the measure is symmetric and no phase sigma is combined in, p_n
+    has the parity of n and sqrt(w) is even, so the integral over the line
+    is twice the integral over [0, hi] of cos(x xi) (even n) or i sin(x xi)
+    (odd n).  The route then uses the mirrored half rule of
+    ``_transform_nodes`` (same panel width, doubled weights) and computes
+    only the cosines for even rows and only the sines for odd rows.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if method != "quadrature" and basis.closed_table is not None and sigma is None:
@@ -322,6 +339,7 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     if basis.sigma is not None:
         extra_freq = extra_freq + _sigma_freq(basis, basis.sigma, nmax)
     meas = basis.measure
+    fold = meas.symmetric and sigma is None
 
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
@@ -330,18 +348,26 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     phases = 1j ** (np.arange(nmax + 1) % 4)
 
     def evaluate(refine: int) -> np.ndarray:
-        xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine)
+        xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine,
+                                 half=fold)
         table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
+        if fold:
+            even, odd = table[0::2], table[1::2]
         shift = sigma(xi) if sigma is not None else 0.0
         out = np.empty((nmax + 1, xs.size), dtype=complex)
         step = max(16, (1 << 21) // max(xi.size, 1))
         for start in range(0, xs.size, step):
-            block = xs[start:start + step]
-            arg = np.outer(xi, block)
+            cols = slice(start, start + step)
+            arg = np.outer(xi, xs[cols])
             if sigma is not None:
                 arg = arg + shift[:, None]
-            # two real products: a real table never turns complex
-            out[:, start:start + step] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
+            if fold:
+                out[0::2, cols] = even @ np.cos(arg)
+                if nmax > 0:
+                    out[1::2, cols] = 1j * (odd @ np.sin(arg))
+            else:
+                # two real products: a real table never turns complex
+                out[:, cols] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
         return phases[:, None] * out / _SQRT_2PI
 
     prev = evaluate(0)

@@ -273,8 +273,7 @@ def _verify_reports(cfg: RunConfig) -> list:
             reports.append(verify_mod.check_tanh_jacobi_identity(a, b, min(N, 6)))
         elif name == "pw-support":
             bas = _resolve_family(family, max(N, 8))
-            for n in range(min(N, 3)):
-                reports.append(verify_mod.check_pw_support(bas, n))
+            reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
         else:
             raise ValueError(f"unknown check {name!r}")
 

@@ -137,18 +137,26 @@ def integrate(f, rule: QuadratureRule) -> float | complex:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine):
+def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
+                     half=False):
+    """Panel rule on the truncated support, panels at most pi/(1 + freq) wide.
+
+    With ``half`` the rule covers [0, hi] only, with the panel width of the
+    whole rule, grading toward 0 when 0 is a breakpoint, and doubled weights:
+    for a symmetric measure it stands for the whole line.
+    """
     lo, hi = _truncated_interval(sqrt_weight, support, degree)
     width = min((hi - lo) / max(8, degree), math.pi / (1.0 + freq)) / 2.0**refine
     edges = _panels.build_edges(
-        lo,
+        0.0 if half else lo,
         hi,
         width=width,
-        grade_lo=np.isfinite(support[0]),
+        grade_lo=0.0 in breakpoints if half else np.isfinite(support[0]),
         grade_hi=np.isfinite(support[1]),
         interior=breakpoints,
     )
-    return _panels.panel_rule(edges)
+    xs, ws = _panels.panel_rule(edges)
+    return (xs, 2.0 * ws) if half else (xs, ws)
 
 
 def oscillatory_transform(poly, sqrt_weight, support, x: float, tol: float = 1e-10,

@@ -29,6 +29,7 @@ __all__ = [
     "check_ramanujan",
     "check_tanh_jacobi_identity",
     "check_pw_support",
+    "pw_support_reports",
 ]
 
 SCHEMA = "favard.report/1"
@@ -59,11 +60,22 @@ class CheckReport:
 
 
 def _window_gram(basis, N: int, X: float, width: float) -> np.ndarray:
-    """Gram by panel quadrature on [-X, X]; right for fast-decaying families."""
-    edges = _panels.build_edges(-X, X, width=width)
+    """Gram by panel quadrature on [-X, X]; right for fast-decaying families.
+
+    When the measure is symmetric and the basis carries no phase sigma,
+    phi_n(-x) = (-1)^n phi_n(x): the rule then covers [0, X] only, and the
+    Gram is G + P G P with G the half-window Gram and P = diag((-1)^n), so
+    entries with m + n odd are exactly 0.
+    """
+    fold = basis.measure.symmetric and basis.sigma is None
+    edges = _panels.build_edges(0.0 if fold else -X, X, width=width)
     x, w = _panels.panel_rule(edges)
     table = basis_mod.phi_grid(basis, N - 1, x)
-    return (table * w) @ table.conj().T
+    G = (table * w) @ table.conj().T
+    if fold:
+        sign = np.where(np.arange(N) % 2 == 1, -1.0, 1.0)
+        G = G + sign[:, None] * G * sign[None, :]
+    return G
 
 
 def _mt_gram(basis, N: int) -> np.ndarray:
@@ -157,7 +169,7 @@ def check_gram(basis, N: int = 12, window: float | None = None,
     if head == "mt":
         G = _mt_gram(basis, N)
         meta = {"strategy": "theta-substitution", "family": family, "N": N}
-    elif head == "legendre":
+    elif basis.closed_table is basis_mod.transformed_legendre_table:
         X = 30.0 if window is None else float(window)
         G = _legendre_gram(basis, N, X)
         meta = {"strategy": "panels+exact-tails", "family": family, "N": N, "window": X}
@@ -281,44 +293,12 @@ def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None,
                        metadata={"a": a, "b": b, "N": N})
 
 
-def check_pw_support(basis, n: int = 0, dx: float = 3.0, M: int = 2**23,
-                     taper: float = 3.5) -> CheckReport:
-    """Fraction of phi_n's Fourier energy outside the measure's support.
-
-    Samples phi_n on a wide grid whose spacing keeps the Nyquist frequency
-    just above the band edge, applies a Gaussian taper against truncation
-    leakage, and integrates the discrete spectrum outside the support.
-    Only row n is evaluated, through ``phi``.  The grid is symmetric bit
-    for bit, so when the measure is symmetric and the basis carries no
-    phase sigma, where phi_n(-x) = (-1)^n phi_n(x), the tapered row is
-    computed on the upper half of the grid and mirrored.  For measures
-    supported on all of R all of the energy lies outside the support:
-    the ratio 1.0 is returned at once, without sampling or an FFT, and the
-    report is tagged expected_fail.
-    """
-    if n < 0:
-        raise ValueError("index n must be >= 0")
-    lo, hi = basis.measure.support
-    meta = {"family": basis.family, "n": n, "support": (lo, hi), "M": M, "dx": dx}
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        meta["expected_fail"] = True
-        return CheckReport("pw-support", 1.0, 1e-6, metadata=meta)
-    band = max(abs(lo), abs(hi))
-    if math.pi / dx <= band:
-        raise ValueError("grid spacing too coarse for the band edge")
-    mirror = basis.measure.symmetric and basis.sigma is None
-    x = (np.arange(M // 2 if mirror else 0, M) - M / 2 + 0.5) * dx
-    sigma = (0.5 * M * dx) / taper
-    g = basis_mod.phi(basis, n, x) * np.exp(-0.5 * (x / sigma) ** 2)
-    real = np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real))
-    if real:
-        g = g.real
-    if mirror:
-        # the full grid's point M-1-i is exactly minus its point i
-        lower = g[M % 2:][::-1]
-        g = np.concatenate([-lower if n % 2 else lower, g])
-    if real:
-        spectrum = scipy.fft.rfft(g)
+def _pw_full_grid(basis, n: int, dx: float, M: int, width: float, band: float) -> float:
+    """Out-of-band energy ratio of row n from a length-M FFT of the full grid."""
+    x = (np.arange(M) - M / 2 + 0.5) * dx
+    g = basis_mod.phi(basis, n, x) * np.exp(-0.5 * (x / width) ** 2)
+    if np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real)):
+        spectrum = scipy.fft.rfft(g.real)
         k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
         energy = np.abs(spectrum) ** 2
         energy[1:] *= 2.0
@@ -326,5 +306,96 @@ def check_pw_support(basis, n: int = 0, dx: float = 3.0, M: int = 2**23,
         spectrum = scipy.fft.fft(g)
         k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
         energy = np.abs(spectrum) ** 2
-    ratio = float(energy[k > band].sum()) / float(energy.sum())
-    return CheckReport("pw-support", ratio, 1e-6, metadata=meta)
+    return float(energy[k > band].sum()) / float(energy.sum())
+
+
+def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
+    """Out-of-band energy ratios of rows ns from half-length DCT-II/DST-II.
+
+    On the upper half of the grid, x_j = (j + 1/2) dx for j < M/2, an even
+    row's length-M DFT has the magnitude of the DCT-II of the half, bin j at
+    frequency j, and an odd row's that of the DST-II, bin j at frequency
+    j + 1; the frequency M/2 bin of an even row is zero.  Rows 0..max(ns)
+    come from one table (a lone row of a closed form from its single-row
+    sweep); a row with a non-negligible imaginary part is left out of the
+    result.
+    """
+    half = M // 2
+    # first bin of the length-M rfft whose frequency exceeds the band edge
+    cut = int(np.searchsorted(2.0 * math.pi * np.fft.rfftfreq(M, d=dx), band, side="right"))
+    x = (np.arange(half, M) - M / 2 + 0.5) * dx
+    nmax = max(ns)
+    if basis.closed_form is not None and set(ns) == {nmax}:
+        # a lone row through the single-row sweep, which keeps no other row
+        rows = {nmax: np.asarray(basis.closed_form(nmax, x))}
+    elif basis.closed_table is not None:
+        # phi_grid's rows, kept in the table's own (real) dtype
+        rows = basis.closed_table(nmax, x)
+    else:
+        rows = basis_mod.phi_grid(basis, nmax, x)
+    taper = np.exp(-0.5 * (x / width) ** 2)
+    del x
+    ratios = {}
+    for n in sorted(set(ns)):
+        g = rows[n]
+        if np.iscomplexobj(g):
+            if not np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real)):
+                continue
+            g = g.real.copy()
+        g *= taper
+        odd = n % 2
+        energy = (scipy.fft.dst if odd else scipy.fft.dct)(g, type=2, overwrite_x=True)
+        np.square(energy, out=energy)
+        energy[1 - odd:] *= 2.0  # every bin above frequency zero counts twice
+        ratios[n] = float(energy[cut - odd:].sum()) / float(energy.sum())
+    return ratios
+
+
+def pw_support_reports(basis, ns, dx: float = 3.0, M: int = 2**23,
+                       taper: float = 3.5) -> list[CheckReport]:
+    """Fraction of each phi_n's Fourier energy outside the measure's support.
+
+    Samples the rows n in ``ns`` on a wide grid whose spacing keeps the
+    Nyquist frequency just above the band edge, applies a Gaussian taper
+    against truncation leakage, and integrates the discrete spectrum
+    outside the support; one report per entry of ``ns``.  The grid is
+    symmetric about 0.  When the measure is symmetric, the basis carries no
+    phase sigma and M is even, phi_n(-x) = (-1)^n phi_n(x), so the check is
+    folded: rows 0..max(ns) are evaluated once, as one table on the upper
+    half of the grid, and each tapered row goes through a length-M/2 DCT-II
+    (even n) or DST-II (odd n), which gives the energies of the length-M
+    real FFT of the whole row.  Odd M, an asymmetric measure, a phase, or
+    a row with a non-negligible imaginary part takes the full grid: that row
+    alone through ``phi`` and a length-M FFT.  For measures supported on all
+    of R all of the energy lies outside the support: the ratio 1.0 is
+    returned at once, without sampling or an FFT, and the report is tagged
+    expected_fail.
+    """
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError("index n must be >= 0")
+    lo, hi = basis.measure.support
+    metas = [{"family": basis.family, "n": n, "support": (lo, hi), "M": M, "dx": dx}
+             for n in ns]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return [CheckReport("pw-support", 1.0, 1e-6, metadata={**meta, "expected_fail": True})
+                for meta in metas]
+    band = max(abs(lo), abs(hi))
+    if math.pi / dx <= band:
+        raise ValueError("grid spacing too coarse for the band edge")
+    width = (0.5 * M * dx) / taper
+    ratios = {}
+    if ns and basis.measure.symmetric and basis.sigma is None and M % 2 == 0:
+        ratios = _pw_folded(basis, ns, dx, M, width, band)
+    reports = []
+    for n, meta in zip(ns, metas):
+        if n not in ratios:
+            ratios[n] = _pw_full_grid(basis, n, dx, M, width, band)
+        reports.append(CheckReport("pw-support", ratios[n], 1e-6, metadata=meta))
+    return reports
+
+
+def check_pw_support(basis, n: int = 0, dx: float = 3.0, M: int = 2**23,
+                     taper: float = 3.5) -> CheckReport:
+    """``pw_support_reports`` for the single row n; see there for the fold."""
+    return pw_support_reports(basis, (n,), dx, M, taper)[0]

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from favard import basis as bas
+from favard import recurrence as rec
+from favard.quadrature import _SQRT_2PI, _transform_nodes
 from favard.basis import (
     hermite_function,
     hermite_function_table,
@@ -151,16 +153,28 @@ def test_tanh_jacobi_table_matches_single_rows(a, b):
 
 def test_closed_tables_raise_no_runtime_warning():
     # x = 0 and subnormal x for the Bessel sweep, exp(2x) overflow for
-    # tanh-Jacobi, and squares past the double range
-    x = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-60, 3e-9, -800.0, 800.0, 1e200, -1e300])
+    # tanh-Jacobi, an int64 overflow of the Hermite exponent (4e9), and
+    # squares past the double range for Hermite and Malmquist-Takenaka
+    x = np.array([0.0, -0.0, 5e-324, -1e-300, 1e-60, 3e-9, -800.0, 800.0, 4e9, 1e200,
+                  -1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         legendre = transformed_legendre_table(40, x)
         tanh = tanh_jacobi_table(0.75, 0.75, 40, x)
-        moderate = {family: phi_grid(make_basis(family, N=8), 40, x[:8])
-                    for family in ("hermite", "legendre", "mt", "tanhjacobi:0.75,0.75")}
-    for table in (legendre, tanh, *moderate.values()):
+        hermite = hermite_function_table(40, x)
+        mt = malmquist_takenaka(np.arange(-20, 21)[:, None], x)
+        single = [hermite_function(3, 4e9), hermite_function(3, -1e300),
+                  malmquist_takenaka(3, 1e300)]
+        grids = {family: phi_grid(make_basis(family, N=8), 40, x)
+                 for family in ("hermite", "legendre", "mt", "tanhjacobi:0.75,0.75")}
+    for table in (legendre, tanh, hermite, mt, *grids.values()):
         assert np.all(np.isfinite(table))
+    assert np.all(hermite[:, -3:] == 0.0)
+    assert single[:2] == [0.0, 0.0]
+    # |phi_n(x)| = sqrt(2/pi) / sqrt(1 + 4x^2), which is sqrt(2/pi) / (2|x|) here
+    assert np.allclose(np.abs(mt[:, -3:]), math.sqrt(2.0 / math.pi) / (2.0 * np.abs(x[-3:])),
+                       rtol=1e-15, atol=0.0)
+    assert abs(abs(single[2]) - math.sqrt(2.0 / math.pi) / 2e300) <= 1e-15 * 1e-300
     assert np.max(np.abs(legendre[:, :2] - np.eye(41)[:, :1] / math.sqrt(math.pi))) < 1e-16
     # below 2^-27 the sweep is the leading series term x^n / (2n+1)!!
     for n in range(6):
@@ -275,3 +289,71 @@ def test_generalized_hermite_quadrature_orthonormal():
     w[-1] *= 0.5
     G = (table * w) @ table.conj().T
     assert np.max(np.abs(G - np.eye(6))) < 1e-6
+
+
+def _unfolded_phi_grid(basis, nmax, x, tol=1e-10):
+    # the quadrature route over the whole-line rule, cos and sin for every
+    # row, as phi_grid computes it for a measure that does not fold
+    xs = np.asarray(x, dtype=float)
+    meas = basis.measure
+    basis.ensure(nmax)
+
+    def sqrtw(xi):
+        return np.sqrt(meas.weight(xi))
+
+    freq = float(np.max(np.abs(xs), initial=0.0))
+    phases = 1j ** (np.arange(nmax + 1) % 4)
+    prev = None
+    for refine in range(5):
+        xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine)
+        table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
+        out = np.empty((nmax + 1, xs.size), dtype=complex)
+        step = max(16, (1 << 21) // max(xi.size, 1))
+        for start in range(0, xs.size, step):
+            arg = np.outer(xi, xs[start:start + step])
+            out[:, start:start + step] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
+        cur = phases[:, None] * out / _SQRT_2PI
+        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
+            return cur
+        prev = cur
+    raise AssertionError("reference kernel did not converge")
+
+
+@pytest.mark.parametrize("family,folds", [
+    ("conthahn:1,1", True), ("tanhjacobi:0.75,0.75", True), ("genhermite:1", True),
+    ("jacobi:1,1", True), ("jacobi:0.5,1.5", False), ("laguerre:0", False),
+])
+def test_quadrature_fold_matches_unfolded_kernel(family, folds):
+    # a symmetric measure without a phase takes the mirrored half rule
+    # (cosines for even rows, sines for odd); that moves values only at
+    # rounding level, and an asymmetric measure keeps the whole-line kernel
+    basis = make_basis(family, N=8)
+    assert basis.measure.symmetric == folds
+    x = np.concatenate([np.linspace(-6.0, 6.0, 25), [0.0, 1e-3, 17.5]])
+    got = phi_grid(basis, 7, x, method="quadrature")
+    want = _unfolded_phi_grid(basis, 7, x)
+    if folds:
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # p_n has the parity of n, so every row is real
+        assert np.all(got.imag == 0.0)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_half_rule_mirrors_the_whole_line_rule():
+    # with 0 as a breakpoint (genhermite) the whole-line rule is the half
+    # rule and its mirror image; weights of the half rule count twice
+    meas = make_basis("genhermite:1", N=8).measure
+
+    def sqrtw(xi):
+        return np.sqrt(meas.weight(xi))
+
+    xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, 7, 4.0, 1)
+    hx, hw = _transform_nodes(meas.support, meas.breakpoints, sqrtw, 7, 4.0, 1, half=True)
+    order = np.argsort(hx)
+    assert hx.min() > 0.0
+    upper = np.argsort(xi[xi > 0.0])
+    assert np.array_equal(xi[xi > 0.0][upper], hx[order])
+    assert np.array_equal(2.0 * w[xi > 0.0][upper], hw[order])
+    lower = (xi < 0.0) & (w > 0.0)
+    assert np.allclose(np.sort(-xi[lower]), hx[order], rtol=1e-14, atol=0.0)

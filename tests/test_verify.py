@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 import scipy.special
 
+from favard import _panels
 from favard import basis as basis_mod
 from favard import verify as ver
 from favard.basis import make_basis
@@ -151,16 +152,97 @@ def _pw_ratio_full_grid(basis, n, M, dx=3.0, taper=3.5):
 @pytest.mark.parametrize("M", [2**16, 2**16 + 1])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_pw_support_one_row_matches_full_grid_exactly(M, symmetric):
-    # the half grid mirrored by parity (symmetric measure) and the plain
-    # full grid must both reproduce the all-rows full-grid ratio bit for bit
+    # odd M and an asymmetric measure take the plain full grid and must
+    # reproduce the full-grid rfft ratio bit for bit; the folded check
+    # (symmetric measure, even M: a half-length DCT-II/DST-II) moves it at
+    # rounding level only
     basis = make_basis("legendre", N=8)
     if not symmetric:
         basis.measure = dataclasses.replace(basis.measure, symmetric=False)
+    folded = symmetric and M % 2 == 0
     for n in range(6):
         rep = ver.check_pw_support(basis, n=n, M=M)
-        assert rep.max_abs_error == _pw_ratio_full_grid(basis, n, M), n
+        want = _pw_ratio_full_grid(basis, n, M)
+        if folded:
+            assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
+        else:
+            assert rep.max_abs_error == want, n
         assert rep.metadata == {"family": "legendre", "n": n, "support": (-1.0, 1.0),
                                 "M": M, "dx": 3.0}
+
+
+def test_pw_support_reports_fold_one_table(monkeypatch):
+    # one list call evaluates the Legendre table once, on half the grid,
+    # and no single row; a lone row takes the single-row sweep and no
+    # table; each ratio matches the full-grid rfft
+    calls = []
+
+    def counted(nmax, x):
+        calls.append((nmax, len(x)))
+        return basis_mod._legendre_scan(nmax, x, collect=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the folded check evaluates no single row")
+
+    monkeypatch.setattr(basis_mod, "transformed_legendre_table", counted)
+    monkeypatch.setattr(basis_mod, "phi", refuse)
+    basis = make_basis("legendre", N=8)
+    M = 2**16
+    reps = ver.pw_support_reports(basis, range(6), M=M)
+    lone = ver.check_pw_support(basis, n=5, M=M)
+    assert calls == [(5, M // 2)]
+    monkeypatch.undo()
+    assert [r.metadata["n"] for r in reps] == list(range(6))
+    for n, rep in enumerate(reps):
+        want = _pw_ratio_full_grid(basis, n, M)
+        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
+    assert abs(lone.max_abs_error - reps[5].max_abs_error) <= 1e-12 * lone.max_abs_error
+
+
+def test_pw_support_reports_fold_quadrature_rows():
+    # a family without a closed table folds through phi_grid's complex,
+    # exactly real rows
+    basis = make_basis("jacobi:1,1", N=8)
+    M = 2**8
+    for n, rep in enumerate(ver.pw_support_reports(basis, range(3), M=M)):
+        want = _pw_ratio_full_grid(basis, n, M)
+        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
+
+
+def test_pw_support_reports_expected_fail_per_row():
+    reps = ver.pw_support_reports(make_basis("hermite", N=8), [0, 2])
+    assert [r.metadata["n"] for r in reps] == [0, 2]
+    assert all(r.metadata["expected_fail"] and r.max_abs_error == 1.0 for r in reps)
+    assert ver.pw_support_reports(make_basis("legendre", N=8), []) == []
+
+
+def _full_window_gram(basis, N, X, width):
+    # the Gram over the whole window [-X, X], with no fold
+    x, w = _panels.panel_rule(_panels.build_edges(-X, X, width=width))
+    table = basis_mod.phi_grid(basis, N - 1, x)
+    return (table * w) @ table.conj().T
+
+
+@pytest.mark.parametrize("family,X,width", [("hermite", 15.0, 0.5),
+                                            ("tanhjacobi:0.75,0.75", 13.0, 0.25),
+                                            ("conthahn:1,1", 6.0, 0.5)])
+def test_window_gram_fold(family, X, width):
+    # a symmetric measure integrates [0, X] and adds the mirror half as
+    # P G P; entries of opposite parity are exactly zero
+    basis = make_basis(family, N=10)
+    G = ver._window_gram(basis, 8, X, width)
+    m, n = np.indices(G.shape)
+    assert np.all(G[(m + n) % 2 == 1] == 0.0)
+    assert np.max(np.abs(G - _full_window_gram(basis, 8, X, width))) < 1e-13
+
+
+def test_gram_ultraspherical_zero_is_legendre():
+    # the same functions, the same table, so the same strategy and error
+    got = ver.check_gram(make_basis("ultraspherical:0", N=8), N=6).as_dict()
+    want = ver.check_gram(make_basis("legendre", N=8), N=6).as_dict()
+    assert got["pass"] and got["metadata"].pop("family") == "ultraspherical:0"
+    want["metadata"].pop("family")
+    assert got == want
 
 
 def test_pw_support_rejects_negative_index():
