@@ -8,23 +8,30 @@ singularities of a weight do not degrade convergence.
 
 import numpy as np
 
-__all__ = ["GL_ORDER", "build_edges", "panel_rule", "truncation_point"]
+__all__ = ["GL_ORDER", "GL_NODES", "GL_WEIGHTS", "build_edges", "panel_rule",
+           "truncation_point", "width_classes"]
 
 GL_ORDER = 32
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
-# Geometric grading: 42 levels of ratio 1/4 puts the innermost panel at
-# ~3e-26 of the original width, enough for exponents down to -1/2.
+# Geometric grading: 42 levels of ratio 1/4 put the innermost edge at
+# 4^-42 ~ 5e-26 of the graded width from the endpoint, enough for exponents
+# down to -1/2.  At a nonzero endpoint a the levels closer than half an ulp
+# of a round onto it and are dropped, so there the innermost panel is about
+# one ulp of a wide.
 _GRADE_LEVELS = 42
 _GRADE_RATIO = 0.25
 
 
 def _graded(a: float, b: float, toward_a: bool) -> np.ndarray:
-    """Edges subdividing [a, b] geometrically toward one end."""
+    """Strictly increasing edges subdividing [a, b] geometrically toward one end."""
     d = (b - a) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
     if toward_a:
-        return np.concatenate(([a], a + d, [b]))
-    return np.concatenate(([a], b - d[::-1], [b]))
+        edges = np.concatenate(([a], a + d, [b]))
+    else:
+        edges = np.concatenate(([a], b - d[::-1], [b]))
+    # rounding is monotone, so the collapsed levels are repeats of a neighbour
+    return np.unique(edges)
 
 
 def _segment_edges(a, b, width, grade_a, grade_b):
@@ -32,21 +39,13 @@ def _segment_edges(a, b, width, grade_a, grade_b):
     if grade_a and grade_b and n == 1:
         n = 2
     base = np.linspace(a, b, n + 1)
-    pieces = []
-    lo_idx, hi_idx = 0, n
-    if grade_a:
-        pieces.append(_graded(base[0], base[1], toward_a=True)[:-1])
-        lo_idx = 1
-    pieces.append(base[lo_idx:hi_idx])
-    if grade_b:
-        pieces.append(_graded(base[n - 1], base[n], toward_a=False))
-    else:
-        pieces.append(base[hi_idx : hi_idx + 1])
-    return np.concatenate(pieces)
+    first = _graded(base[0], base[1], toward_a=True)[:-1] if grade_a else base[:1]
+    last = _graded(base[n - 1], base[n], toward_a=False)[1:] if grade_b else base[n:]
+    return np.concatenate((first, base[1:n], last))
 
 
 def build_edges(lo, hi, width, grade_lo=False, grade_hi=False, interior=()):
-    """Panel edges covering [lo, hi] with panel width <= ``width``.
+    """Strictly increasing panel edges covering [lo, hi], panel width <= ``width``.
 
     ``interior`` points split the domain and are graded from both sides;
     ``grade_lo``/``grade_hi`` request grading toward the outer endpoints.
@@ -69,9 +68,37 @@ def panel_rule(edges) -> tuple[np.ndarray, np.ndarray]:
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _NODES).ravel()
-    w = (half[:, None] * _WEIGHTS[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * GL_NODES).ravel()
+    w = (half[:, None] * GL_WEIGHTS[None, :]).ravel()
     return x, w
+
+
+def width_classes(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of ``edges`` grouped by width: ``(half, mids, counts)``.
+
+    Class c holds ``counts[c]`` panels of half-width ``half[c]``; their
+    midpoints m_q are the next ``counts[c]`` entries of ``mids``, in
+    increasing order, and their nodes are m_q + half[c] t_k with the
+    GL_ORDER Gauss offsets t_k.  Panels whose half-widths differ by at most
+    four ulps of their larger edge magnitude, as those cut from one
+    linspace do, form one class with their mean half-width; that moves the
+    rule only at rounding level.  A graded panel is a class of its own, or
+    shares one with its mirror image (or, when it is only a few ulps wide,
+    with other such panels).  Classes come in increasing width.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    scale = np.maximum(np.abs(edges[:-1]), np.abs(edges[1:]))
+    order = np.argsort(half, kind="stable")
+    tol = 4.0 * np.finfo(float).eps * np.maximum(scale[order][:-1], scale[order][1:])
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(half[order]) > tol) + 1))
+    counts = np.diff(np.append(starts, half.size))
+    label = np.empty(half.size, dtype=int)
+    label[order] = np.repeat(np.arange(starts.size), counts)
+    # a stable sort by class keeps each class's midpoints in increasing order
+    mids = mid[np.argsort(label, kind="stable")]
+    return np.add.reduceat(half[order], starts) / counts, mids, counts
 
 
 def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18,

@@ -27,10 +27,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _panels
 from . import recurrence as rec
 from . import specfun
 from .errors import AccuracyError
-from .quadrature import _SQRT_2PI, _transform_nodes, oscillatory_transform
+from .quadrature import _SQRT_2PI, _transform_edges, oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -124,9 +125,13 @@ def _legendre_scan(nmax: int, x, collect: bool) -> np.ndarray:
     """
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     ns = _scan_rows(nmax, collect)
-    j = specfun._sph_scan(nmax, np.abs(flat), collect).reshape(ns.size, flat.size)
-    rows = np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None] * j
-    rows[ns % 2 == 1] *= np.where(flat > 0.0, -1.0, 1.0)
+    # scaled and signed in place: on the Paley-Wiener grid a row is 2^22 points
+    rows = specfun._sph_scan(nmax, np.abs(flat), collect).reshape(ns.size, flat.size)
+    rows *= np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None]
+    positive = flat > 0.0
+    for n, row in zip(ns, rows):
+        if n % 2:
+            np.negative(row, out=row, where=positive)
     return rows
 
 
@@ -314,6 +319,22 @@ def phi(basis: TransformedBasis, n: int, x, tol: float = 1e-10,
     ]).reshape(xs.shape)
 
 
+def _unit_phase(arg: np.ndarray) -> np.ndarray:
+    """e^{i arg} from one cosine and one sine per entry."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
+    """out = table @ factor for a complex factor; a real table takes one real product."""
+    if np.iscomplexobj(table):
+        np.matmul(table, factor, out=out)
+    else:
+        np.matmul(table, factor.view(float), out=out.view(float))
+
+
 def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
              sigma=None, extra_freq: float = 0.0,
              method: str = "auto") -> np.ndarray:
@@ -321,15 +342,31 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
 
     A family with a closed form returns ``basis.closed_table(nmax, x)``.
     The quadrature route shares one panel rule across all indices and grid
-    points (a single matrix product per refinement level), doubling the
-    panel count until two levels agree to ``tol``.
+    points, doubling the panel count until two levels agree to ``tol``.
+
+    The Fourier kernel is built per panel, not per node.  The panels of a
+    level are grouped by width (``_panels.width_classes``): every node is
+    xi = m_q + h t_k with a panel midpoint m_q, its class half-width h and
+    one of the GL_ORDER Gauss offsets t_k, so e^{i x xi} is the panel factor
+    e^{i x m_q} times the offset factor e^{i x h t_k}.  A grid point takes
+    one panel factor per panel and GL_ORDER offset factors per class, and a
+    rule cut from one linspace is a single class: about 2 (panels +
+    GL_ORDER) trigonometric calls per point where a kernel per node takes
+    2 per node.  The table p_n(xi) w sqrt(w(xi)), times e^{i sigma(xi)}
+    with a phase, meets the factors in whichever order costs less: a class
+    of more panels than rows goes through one matrix product with its panel
+    factors and is then summed against its offset factors; the kernel
+    entries of the other classes (graded panels, mostly alone in their
+    class) are formed as products of the two factors and go through one
+    matrix product together.  Intermediates are chunked over x to about
+    2^21 entries.
 
     When the measure is symmetric and no phase sigma is combined in, p_n
     has the parity of n and sqrt(w) is even, so the integral over the line
     is twice the integral over [0, hi] of cos(x xi) (even n) or i sin(x xi)
     (odd n).  The route then uses the mirrored half rule of
-    ``_transform_nodes`` (same panel width, doubled weights) and computes
-    only the cosines for even rows and only the sines for odd rows.
+    ``_transform_edges`` (same panel width, doubled weights) and keeps only
+    the real part of the even rows and the imaginary part of the odd rows.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if method != "quadrature" and basis.closed_table is not None and sigma is None:
@@ -340,34 +377,57 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
         extra_freq = extra_freq + _sigma_freq(basis, basis.sigma, nmax)
     meas = basis.measure
     fold = meas.symmetric and sigma is None
+    rows = nmax + 1
+    order = _panels.GL_ORDER
 
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
     freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
-    phases = 1j ** (np.arange(nmax + 1) % 4)
+    phases = 1j ** (np.arange(rows) % 4)
 
     def evaluate(refine: int) -> np.ndarray:
-        xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine,
+        edges = _transform_edges(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine,
                                  half=fold)
-        table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
-        if fold:
-            even, odd = table[0::2], table[1::2]
-        shift = sigma(xi) if sigma is not None else 0.0
-        out = np.empty((nmax + 1, xs.size), dtype=complex)
-        step = max(16, (1 << 21) // max(xi.size, 1))
+        half, mids, counts = _panels.width_classes(edges)
+        hq = np.repeat(half, counts)
+        # node (k, q) is m_q + h t_k; a class is a block of panels q
+        xi = (mids + hq * _panels.GL_NODES[:, None]).ravel()
+        w = (hq * _panels.GL_WEIGHTS[:, None]).ravel()
+        table = rec.eval_poly_table(basis.jacobi, nmax, xi) * ((2.0 if fold else 1.0) * w
+                                                               * sqrtw(xi))
+        if sigma is not None:
+            table = table * np.exp(1j * sigma(xi))
+        table = table.reshape(rows, order, mids.size)
+        offsets = (half[:, None] * _panels.GL_NODES).ravel()
+        panels = [slice(s, s + n) for s, n in zip(np.cumsum(counts) - counts, counts)]
+        wide = counts > rows
+        in_narrow = np.repeat(~wide, counts)
+        n_narrow = int(in_narrow.sum())
+        t_narrow = table[:, :, in_narrow].reshape(rows, order * n_narrow)
+        out = np.empty((rows, xs.size), dtype=complex)
+        per_point = mids.size + order * (half.size + n_narrow + rows)
+        step = max(16, (1 << 21) // per_point)
         for start in range(0, xs.size, step):
-            cols = slice(start, start + step)
-            arg = np.outer(xi, xs[cols])
-            if sigma is not None:
-                arg = arg + shift[:, None]
-            if fold:
-                out[0::2, cols] = even @ np.cos(arg)
-                if nmax > 0:
-                    out[1::2, cols] = 1j * (odd @ np.sin(arg))
-            else:
-                # two real products: a real table never turns complex
-                out[:, cols] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
+            xc = xs[start:start + step]
+            panel = _unit_phase(np.outer(mids, xc))
+            offset = _unit_phase(np.outer(offsets, xc)).reshape(half.size, order, xc.size)
+            kernel = np.empty((order, n_narrow, xc.size), dtype=complex)
+            j = 0
+            for c in np.flatnonzero(~wide):
+                np.multiply(offset[c][:, None, :], panel[None, panels[c], :],
+                            out=kernel[:, j:j + counts[c], :])
+                j += counts[c]
+            acc = out[:, start:start + step]
+            _times(t_narrow, kernel.reshape(order * n_narrow, xc.size), acc)
+            part = np.empty((rows * order, xc.size), dtype=complex)
+            for c in np.flatnonzero(wide):
+                q = panels[c]
+                _times(table[:, :, q].reshape(rows * order, counts[c]), panel[q], part)
+                acc += np.einsum("nkx,kx->nx", part.reshape(rows, order, xc.size), offset[c])
+        if fold:
+            out[0::2].imag = 0.0
+            out[1::2].real = 0.0
         return phases[:, None] * out / _SQRT_2PI
 
     prev = evaluate(0)

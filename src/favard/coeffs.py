@@ -17,7 +17,7 @@ import scipy.fft
 
 from . import recurrence as rec
 from . import specfun
-from .basis import TransformedBasis, phi, phi_grid
+from .basis import TransformedBasis, malmquist_takenaka, phi_grid
 from .quadrature import _SQRT_2PI, golub_welsch
 
 __all__ = [
@@ -126,7 +126,10 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
                   M: int = 8193) -> CoefficientVector:
     """Coefficients by trapezoid rule on f(x) conj(phi_n(x)) over a window.
 
-    Works for any basis with an evaluation path; O(N M).  The metadata holds
+    Works for any basis with an evaluation path; O(N M).  A bilateral
+    (Malmquist-Takenaka) basis takes n = -N/2+1..N/2 from one broadcast
+    ``malmquist_takenaka`` call, each row equal to ``phi`` bit for bit; the
+    others take rows 0..N-1 from ``phi_grid``.  The metadata holds
     a tail estimate (largest integrand magnitude at the window edges); a
     warning string is attached when the window looks too small.
     """
@@ -144,7 +147,7 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     fx = np.asarray(f(x), dtype=complex)
     if basis.bilateral:
         ns = np.arange(-N // 2 + 1, N // 2 + 1)
-        V = np.stack([np.asarray(phi(basis, int(n), x), dtype=complex) for n in ns])
+        V = malmquist_takenaka(ns[:, None], x)
         n_start = int(ns[0])
     else:
         V = phi_grid(basis, N - 1, x)

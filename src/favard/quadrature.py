@@ -137,17 +137,16 @@ def integrate(f, rule: QuadratureRule) -> float | complex:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
-                     half=False):
-    """Panel rule on the truncated support, panels at most pi/(1 + freq) wide.
+def _transform_edges(support, breakpoints, sqrt_weight, degree, freq, refine, half=False):
+    """Panel edges on the truncated support, panels at most pi/(1 + freq) wide.
 
-    With ``half`` the rule covers [0, hi] only, with the panel width of the
-    whole rule, grading toward 0 when 0 is a breakpoint, and doubled weights:
-    for a symmetric measure it stands for the whole line.
+    With ``half`` the edges cover [0, hi] only, with the panel width of the
+    whole rule, grading toward 0 when 0 is a breakpoint: for a symmetric
+    measure the rule on them, with doubled weights, stands for the whole line.
     """
     lo, hi = _truncated_interval(sqrt_weight, support, degree)
     width = min((hi - lo) / max(8, degree), math.pi / (1.0 + freq)) / 2.0**refine
-    edges = _panels.build_edges(
+    return _panels.build_edges(
         0.0 if half else lo,
         hi,
         width=width,
@@ -155,6 +154,12 @@ def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
         grade_hi=np.isfinite(support[1]),
         interior=breakpoints,
     )
+
+
+def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
+                     half=False):
+    """Panel rule on ``_transform_edges``; with ``half`` the weights are doubled."""
+    edges = _transform_edges(support, breakpoints, sqrt_weight, degree, freq, refine, half)
     xs, ws = _panels.panel_rule(edges)
     return (xs, 2.0 * ws) if half else (xs, ws)
 

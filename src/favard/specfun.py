@@ -136,6 +136,21 @@ def _sph_down(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     return rows if collect else rows[0]
 
 
+def _run(mask: np.ndarray):
+    """The points of ``mask`` as a slice when they form one run, else the mask.
+
+    A slice indexes without the gather and scatter copies of a boolean mask;
+    an empty mask gives None.
+    """
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        return None
+    first = int(np.argmax(mask))
+    if mask[first:first + count].all():
+        return slice(first, first + count)
+    return mask
+
+
 def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     """Spherical Bessel j_0..j_nmax at x >= 0 in one sweep.
 
@@ -144,15 +159,18 @@ def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     and the limits j_0(0) = 1, j_n(0) = 0 at zero.  With
     ``collect`` the result is every row, shape (nmax+1, len(x)); without it
     it is row nmax alone, computed by the same arithmetic, so it equals the
-    last row of the table bit for bit.
+    last row of the table bit for bit.  Every sweep is elementwise, so the
+    points of a branch are passed as a slice when they form one run, as
+    they do on an ascending grid.
     """
     out = np.zeros((nmax + 1, x.size) if collect else x.size)
     up = x >= max(nmax, 1)
     tiny = (x > 0.0) & (x < _SPH_TINY)
     down = (x >= _SPH_TINY) & ~up
     for part, sweep in ((up, _sph_up), (down, _sph_down), (tiny, _sph_series)):
-        if np.any(part):
-            out[..., part] = sweep(nmax, x[part], collect)
+        sel = _run(part)
+        if sel is not None:
+            out[..., sel] = sweep(nmax, x[sel], collect)
     if collect:
         out[0, x == 0.0] = 1.0
     elif nmax == 0:

@@ -309,6 +309,21 @@ def _pw_full_grid(basis, n: int, dx: float, M: int, width: float, band: float) -
     return float(energy[k > band].sum()) / float(energy.sum())
 
 
+def _first_bin_above(band: float, M: int, dx: float) -> int:
+    """First bin of the length-M rfft whose angular frequency exceeds ``band``.
+
+    The bin frequencies are computed as ``2 pi * np.fft.rfftfreq(M, d=dx)``
+    computes them, 2 pi (j (1 / (M dx))), but only next to the estimate
+    j ~ band M dx / (2 pi); the result is the ``searchsorted(..., side="right")``
+    index of that array without building it.
+    """
+    step = 1.0 / (M * dx)
+    j = min(max(int(band / (2.0 * math.pi * step)) - 1, 0), M // 2 + 1)
+    while j <= M // 2 and 2.0 * math.pi * (j * step) <= band:
+        j += 1
+    return j
+
+
 def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
     """Out-of-band energy ratios of rows ns from half-length DCT-II/DST-II.
 
@@ -321,8 +336,7 @@ def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
     result.
     """
     half = M // 2
-    # first bin of the length-M rfft whose frequency exceeds the band edge
-    cut = int(np.searchsorted(2.0 * math.pi * np.fft.rfftfreq(M, d=dx), band, side="right"))
+    cut = _first_bin_above(band, M, dx)
     x = (np.arange(half, M) - M / 2 + 0.5) * dx
     nmax = max(ns)
     if basis.closed_form is not None and set(ns) == {nmax}:

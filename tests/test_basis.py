@@ -291,9 +291,10 @@ def test_generalized_hermite_quadrature_orthonormal():
     assert np.max(np.abs(G - np.eye(6))) < 1e-6
 
 
-def _unfolded_phi_grid(basis, nmax, x, tol=1e-10):
-    # the quadrature route over the whole-line rule, cos and sin for every
-    # row, as phi_grid computes it for a measure that does not fold
+def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
+    # the quadrature route with one kernel entry e^{i (x xi + sigma(xi))} per
+    # node and grid point, cos and sin for every row, over the whole-line
+    # rule: phi_grid's kernel before it was factored by panel
     xs = np.asarray(x, dtype=float)
     meas = basis.measure
     basis.ensure(nmax)
@@ -301,7 +302,7 @@ def _unfolded_phi_grid(basis, nmax, x, tol=1e-10):
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
-    freq = float(np.max(np.abs(xs), initial=0.0))
+    freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
     phases = 1j ** (np.arange(nmax + 1) % 4)
     prev = None
     for refine in range(5):
@@ -311,6 +312,8 @@ def _unfolded_phi_grid(basis, nmax, x, tol=1e-10):
         step = max(16, (1 << 21) // max(xi.size, 1))
         for start in range(0, xs.size, step):
             arg = np.outer(xi, xs[start:start + step])
+            if sigma is not None:
+                arg += sigma(xi)[:, None]
             out[:, start:start + step] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
         cur = phases[:, None] * out / _SQRT_2PI
         if prev is not None and np.max(np.abs(cur - prev)) <= tol:
@@ -324,20 +327,36 @@ def _unfolded_phi_grid(basis, nmax, x, tol=1e-10):
     ("jacobi:1,1", True), ("jacobi:0.5,1.5", False), ("laguerre:0", False),
 ])
 def test_quadrature_fold_matches_unfolded_kernel(family, folds):
-    # a symmetric measure without a phase takes the mirrored half rule
-    # (cosines for even rows, sines for odd); that moves values only at
-    # rounding level, and an asymmetric measure keeps the whole-line kernel
+    # the kernel factored by panel and width class, and for a symmetric
+    # measure without a phase the mirrored half rule (real parts of even
+    # rows, imaginary parts of odd), move values only at rounding level
     basis = make_basis(family, N=8)
     assert basis.measure.symmetric == folds
     x = np.concatenate([np.linspace(-6.0, 6.0, 25), [0.0, 1e-3, 17.5]])
     got = phi_grid(basis, 7, x, method="quadrature")
     want = _unfolded_phi_grid(basis, 7, x)
+    assert np.max(np.abs(got - want)) <= 1e-13
     if folds:
-        assert np.max(np.abs(got - want)) <= 1e-13
         # p_n has the parity of n, so every row is real
         assert np.all(got.imag == 0.0)
-    else:
-        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family,t", [
+    ("conthahn:1,1", 0.05), ("genhermite:1", 0.2), ("conthahn:1,0.5", 0.0),
+])
+def test_quadrature_phase_matches_direct_kernel(family, t):
+    # a phase enters the table as the complex factor e^{i sigma(xi)}: the
+    # free-flow phase -xi^2 t passed as free_propagate passes it, and the
+    # basis's own gamma-pair phase (conthahn with a != b)
+    basis = make_basis(family, N=8)
+    x = np.concatenate([np.linspace(-5.0, 5.0, 21), [1e-3, 9.5]])
+    sigma = (lambda xi: -xi * xi * t) if t else None
+    got = phi_grid(basis, 5, x, sigma=sigma, method="quadrature")
+    total = bas._combine_sigma(basis, sigma)
+    extra = 0.0 if basis.sigma is None else bas._sigma_freq(basis, basis.sigma, 5)
+    want = _unfolded_phi_grid(basis, 5, x, sigma=total, extra_freq=extra)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_half_rule_mirrors_the_whole_line_rule():
@@ -355,5 +374,5 @@ def test_half_rule_mirrors_the_whole_line_rule():
     upper = np.argsort(xi[xi > 0.0])
     assert np.array_equal(xi[xi > 0.0][upper], hx[order])
     assert np.array_equal(2.0 * w[xi > 0.0][upper], hw[order])
-    lower = (xi < 0.0) & (w > 0.0)
-    assert np.allclose(np.sort(-xi[lower]), hx[order], rtol=1e-14, atol=0.0)
+    # no zero-width panel below 0 either, so the halves have equal node counts
+    assert np.allclose(np.sort(-xi[xi < 0.0]), hx[order], rtol=1e-14, atol=0.0)

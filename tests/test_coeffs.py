@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from favard import coeffs as co
-from favard.basis import make_basis, malmquist_takenaka, phi_grid
+from favard.basis import make_basis, malmquist_takenaka, phi, phi_grid
 
 
 def F_gaussian(xi):
@@ -30,6 +30,25 @@ def test_reconstruction_from_coeffs():
     table = phi_grid(basis, 39, x)
     rec = a.values @ table
     assert np.max(np.abs(rec - f(x))) < 1e-9
+
+
+def test_mt_xspace_rows_match_phi_bitwise():
+    # the bilateral rows come from one broadcast malmquist_takenaka call;
+    # each equals phi's row bit for bit, so the coefficients equal those of
+    # the per-row stack
+    basis = make_basis("mt", N=16)
+    f = lambda x: 1.0 / (1.0 + (2.0 * x) ** 4)
+    N, M, window = 16, 1025, (-40.0, 40.0)
+    got = co.coeffs_xspace(f, basis, N, window=window, M=M)
+    ns = np.arange(-N // 2 + 1, N // 2 + 1)
+    x = np.linspace(*window, M)
+    rows = np.stack([np.asarray(phi(basis, int(n), x), dtype=complex) for n in ns])
+    assert np.array_equal(malmquist_takenaka(ns[:, None], x), rows)
+    w = np.full(M, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    assert got.n_start == ns[0]
+    assert np.array_equal(got.values, (np.conj(rows) * f(x).astype(complex)) @ w)
 
 
 def test_mt_fft_matches_direct_projection():

@@ -1,12 +1,15 @@
 """Golub-Welsch quadrature: nodes/weights vs scipy references, tail
-weights in relative error, and polynomial exactness."""
+weights in relative error, and polynomial exactness; composite panel edges
+and their width classes."""
 
 import numpy as np
 import pytest
 import scipy.special
 
+from favard import _panels
+from favard import basis as bas
 from favard import recurrence as rec
-from favard.quadrature import golub_welsch, integrate
+from favard.quadrature import _transform_edges, golub_welsch, integrate
 
 
 def test_gauss_hermite_matches_scipy():
@@ -121,3 +124,57 @@ def test_large_n_weights_finite_nonnegative_normalized():
     assert np.all(np.isfinite(rule.weights))
     assert np.all(rule.weights >= 0.0)
     assert abs(np.sum(rule.weights) - 1.0) < 1e-13
+
+
+def _transform_edges_of(family, degree, freq, refine, half):
+    meas = bas.make_basis(family, N=8).measure
+
+    def sqrtw(xi):
+        return np.sqrt(meas.weight(xi))
+
+    return _transform_edges(meas.support, meas.breakpoints, sqrtw, degree, freq, refine,
+                            half=half)
+
+
+@pytest.mark.parametrize("edges", [
+    # graded toward +-1, where levels below half an ulp of 1 collapse
+    lambda: _panels.build_edges(-1.0, 1.0, 0.1, grade_lo=True, grade_hi=True),
+    lambda: _transform_edges_of("jacobi:0.5,1.5", 3, 2.0, 0, half=False),
+    # interior breakpoints, graded from both sides
+    lambda: _panels.build_edges(-3.0, 7.0, 0.5, interior=(1.0, 2.5)),
+    lambda: _transform_edges_of("genhermite:1", 7, 4.0, 1, half=False),
+    # half rules: graded at +1 only, and at the breakpoint 0
+    lambda: _transform_edges_of("jacobi:1,1", 3, 2.0, 0, half=True),
+    lambda: _transform_edges_of("genhermite:1", 7, 4.0, 1, half=True),
+    # one panel per segment, graded at both ends
+    lambda: _panels.build_edges(0.0, 0.2, 0.3, grade_lo=True, grade_hi=True),
+], ids=["pm1", "jacobi", "interior", "genhermite", "jacobi-half", "genhermite-half", "short"])
+def test_panel_edges_strictly_increasing(edges):
+    # no panel of zero width: a repeated edge would be 32 nodes of weight 0
+    e = edges()
+    assert np.all(np.diff(e) > 0.0)
+    _, w = _panels.panel_rule(e)
+    assert np.all(w > 0.0)
+
+
+def test_width_classes_reproduce_the_panel_rule():
+    edges = _panels.build_edges(-1.0, 1.0, 0.1, grade_lo=True, grade_hi=True)
+    half, mids, counts = _panels.width_classes(edges)
+    assert counts.sum() == edges.size - 1
+    assert np.all(np.diff(half) > 0.0)
+    # the 18 panels cut from one linspace share a class; a graded panel is
+    # alone or with its mirror image, unless it is only a few ulps of 1 wide
+    eps = np.finfo(float).eps
+    assert counts.max() == 18
+    assert np.all((counts <= 2) | (counts == 18) | (half <= 4 * eps))
+    # nodes m_q + h t_k and weights h W_k are the panel rule to rounding
+    x, w = _panels.panel_rule(edges)
+    hq = np.repeat(half, counts)[:, None]
+    cx = (mids[:, None] + hq * _panels.GL_NODES).ravel()
+    cw = (hq * _panels.GL_WEIGHTS).ravel()
+    assert np.max(np.abs(np.sort(cx) - np.sort(x))) <= 4 * eps
+    assert abs(cw.sum() - w.sum()) <= 4 * eps
+    start = 0
+    for n in counts:
+        assert np.all(np.diff(mids[start:start + n]) > 0.0)
+        start += n

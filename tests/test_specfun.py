@@ -89,3 +89,24 @@ def test_gamma_abs2_no_overflow_large_xi():
     v = specfun.gamma_abs2(0.75, np.array([50.0, 200.0, 500.0]))
     assert np.all(np.isfinite(v))
     assert np.all(v >= 0)
+
+
+@pytest.mark.parametrize("nmax", [0, 2, 5, 40])
+def test_sph_scan_runs_match_masks_bitwise(nmax):
+    # an ascending grid hands each branch its points as one slice; shuffled,
+    # the same points go through boolean masks; every sweep is elementwise,
+    # so the rows agree bit for bit
+    grids = [
+        np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(1e-3, 3.0 * nmax + 3.0, 501)]),
+        (np.arange(64) + 0.5) * 3.0 + max(nmax, 1),  # forward branch alone
+        np.linspace(0.0, 4.0 * nmax + 4.0, 257),
+    ]
+    perm = np.random.default_rng(nmax).permutation
+    for x in grids:
+        shuffle = perm(x.size)
+        for collect in (True, False):
+            got = specfun._sph_scan(nmax, x, collect)
+            mixed = specfun._sph_scan(nmax, x[shuffle], collect)
+            want = np.empty_like(mixed)
+            want[..., shuffle] = mixed
+            assert np.array_equal(got, want)

@@ -249,3 +249,17 @@ def test_pw_support_rejects_negative_index():
     for family in ("legendre", "hermite"):
         with pytest.raises(ValueError):
             ver.check_pw_support(make_basis(family, N=8), n=-1, M=2**10)
+
+
+def test_first_bin_above_matches_searchsorted():
+    # the cut of the folded check, without the length-M/2+1 frequency array
+    for M in (2**8, 2**9 + 1, 1000, 2**23):
+        for dx in (3.0, 0.5, 0.1, math.pi / 7):
+            k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
+            bands = [0.0, 1.0, 0.999 * k[-1], k[-1], 2.0 * k[-1]]
+            # bands on a bin frequency and one ulp either side of it
+            for j in (1, 2, M // 7, M // 2 - 1, M // 2):
+                bands += [k[j], np.nextafter(k[j], 0.0), np.nextafter(k[j], np.inf)]
+            for band in bands:
+                want = int(np.searchsorted(k, band, side="right"))
+                assert ver._first_bin_above(float(band), M, dx) == want, (M, dx, band)
