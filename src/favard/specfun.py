@@ -63,43 +63,56 @@ _SPH_BIG = 2.0**830
 _SPH_TINY = 2.0**-27
 
 
-def _sph_j01(x: np.ndarray):
-    """The closed forms j_0 = sin(x)/x and j_1 = (sin(x)/x - cos(x))/x."""
-    j0 = np.sin(x) / x
-    return j0, (j0 - np.cos(x)) / x
+def _sph_j01(x: np.ndarray, j0: np.ndarray, j1: np.ndarray | None):
+    """The closed forms j_0 = sin(x)/x and j_1 = (sin(x)/x - cos(x))/x, in place.
+
+    j1 may be None when j_0 alone is wanted.
+    """
+    np.sin(x, out=j0)
+    j0 /= x
+    if j1 is not None:
+        np.cos(x, out=j1)
+        np.subtract(j0, j1, out=j1)
+        j1 /= x
+    return j0, j1
 
 
-def _sph_series(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
-    """Leading terms x^n / (2n+1)!! for 0 < x < _SPH_TINY; they underflow to 0."""
-    rows = np.empty((nmax + 1, x.size)) if collect else None
+def _sph_series(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
+    """Leading terms x^n / (2n+1)!! for 0 < x < _SPH_TINY; they underflow to 0.
+
+    Like every sweep, it fills ``rows`` in place: j_0..j_nmax when it has
+    nmax+1 rows, j_nmax alone when it has one.
+    """
+    full = rows.shape[0] == nmax + 1
     term = np.ones_like(x)
-    if collect:
-        rows[0] = term
     for k in range(1, nmax + 1):
+        if full:
+            rows[k - 1] = term
         term = term * (x / (2 * k + 1))
-        if collect:
-            rows[k] = term
-    return rows if collect else term
+    rows[-1] = term
 
 
-def _sph_up(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
-    """Forward recurrence from the closed forms of j_0, j_1; stable for x >= nmax."""
-    rows = np.empty((nmax + 1, x.size)) if collect else None
-    jp, jc = _sph_j01(x)
-    if collect:
-        rows[0] = jp
-    if nmax == 0:
-        return rows if collect else jp
-    if collect:
-        rows[1] = jc
+def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
+    """Forward recurrence from the closed forms of j_0, j_1; stable for x >= nmax.
+
+    Each step is (2k+1)/x * j_k - j_{k-1}, as in-place ufuncs in that
+    order, written into the row it produces: the rows of ``rows`` when it
+    keeps every row, else three scratch rows taken in turn.
+    """
+    full = rows.shape[0] == nmax + 1
+    period = nmax + 1 if full else 3
+    work = rows if full else np.empty((period, x.size))
+    _sph_j01(x, work[0], work[1] if nmax > 0 else None)
     for k in range(1, nmax):
-        jp, jc = jc, (2 * k + 1) / x * jc - jp
-        if collect:
-            rows[k + 1] = jc
-    return rows if collect else jc
+        jn = work[(k + 1) % period]
+        np.divide(2 * k + 1, x, out=jn)
+        jn *= work[k % period]
+        jn -= work[(k - 1) % period]
+    if not full:
+        rows[0] = work[nmax % period]
 
 
-def _sph_down(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
+def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Miller's downward recurrence from an index past nmax, for x < nmax.
 
     Rows are kept as they are reached, on the scale of the running values.
@@ -112,8 +125,7 @@ def _sph_down(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     keeps the squares finite.
     """
     start = nmax + int(np.ceil(np.sqrt(40.0 * (nmax + 1)))) + 18
-    first = 0 if collect else nmax
-    rows = np.empty((nmax + 1 - first, x.size))
+    first = nmax + 1 - rows.shape[0]
     jp = np.zeros_like(x)
     jc = np.full_like(x, 2.0**-512)
     for k in range(start, 0, -1):
@@ -130,10 +142,9 @@ def _sph_down(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
     jc = np.ldexp(jc, -e)
     jp = np.ldexp(jp, -e)
-    j0, j1 = _sph_j01(x)
+    j0, j1 = _sph_j01(x, np.empty_like(x), np.empty_like(x))
     scale = (j0 * jc + j1 * jp) / (jc * jc + jp * jp)
     rows *= np.ldexp(scale, -e)
-    return rows if collect else rows[0]
 
 
 def _run(mask: np.ndarray):
@@ -159,23 +170,26 @@ def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     and the limits j_0(0) = 1, j_n(0) = 0 at zero.  With
     ``collect`` the result is every row, shape (nmax+1, len(x)); without it
     it is row nmax alone, computed by the same arithmetic, so it equals the
-    last row of the table bit for bit.  Every sweep is elementwise, so the
-    points of a branch are passed as a slice when they form one run, as
-    they do on an ascending grid.
+    last row of the table bit for bit.  Every sweep is elementwise and
+    fills its rows in place: the points of a branch that form one run, as
+    they do on an ascending grid, are a slice of the result and are written
+    there directly; scattered points go through a block of their own.
     """
-    out = np.zeros((nmax + 1, x.size) if collect else x.size)
+    out = np.zeros((nmax + 1 if collect else 1, x.size))
     up = x >= max(nmax, 1)
     tiny = (x > 0.0) & (x < _SPH_TINY)
     down = (x >= _SPH_TINY) & ~up
     for part, sweep in ((up, _sph_up), (down, _sph_down), (tiny, _sph_series)):
         sel = _run(part)
-        if sel is not None:
-            out[..., sel] = sweep(nmax, x[sel], collect)
-    if collect:
+        if isinstance(sel, slice):
+            sweep(nmax, x[sel], out[:, sel])
+        elif sel is not None:
+            block = np.empty((out.shape[0], np.count_nonzero(sel)))
+            sweep(nmax, x[sel], block)
+            out[:, sel] = block
+    if collect or nmax == 0:
         out[0, x == 0.0] = 1.0
-    elif nmax == 0:
-        out[x == 0.0] = 1.0
-    return out
+    return out if collect else out[0]
 
 
 def bessel_j_half(m: int, x):

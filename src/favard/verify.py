@@ -324,43 +324,69 @@ def _first_bin_above(band: float, M: int, dx: float) -> int:
     return j
 
 
+# Points per block of the folded check's closed-form rows: a block's
+# temporaries stay small (2^14 to 2^15 timed fastest for rows 0..2 at
+# M = 2^23), and no full-length temporary is made.
+_PW_BLOCK = 2**15
+
+
 def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
     """Out-of-band energy ratios of rows ns from half-length DCT-II/DST-II.
 
     On the upper half of the grid, x_j = (j + 1/2) dx for j < M/2, an even
     row's length-M DFT has the magnitude of the DCT-II of the half, bin j at
     frequency j, and an odd row's that of the DST-II, bin j at frequency
-    j + 1; the frequency M/2 bin of an even row is zero.  Rows 0..max(ns)
-    come from one table (a lone row of a closed form from its single-row
-    sweep); a row with a non-negligible imaginary part is left out of the
-    result.
+    j + 1; the frequency M/2 bin of an even row is zero.  The tapered rows
+    are written into one real (len(ns), M/2) buffer, which the transforms
+    then overwrite.  A closed form fills it block by block, each block with
+    its own x and taper: rows 0..max(ns) of the table, or a lone row from
+    its single-row sweep.  Other families take phi_grid's rows in one call,
+    since its quadrature refinement follows the grid's max |x|.  A row
+    with a non-negligible imaginary part is left out of the result.
     """
     half = M // 2
     cut = _first_bin_above(band, M, dx)
-    x = (np.arange(half, M) - M / 2 + 0.5) * dx
-    nmax = max(ns)
-    if basis.closed_form is not None and set(ns) == {nmax}:
+    ns = sorted(set(ns))
+    nmax = ns[-1]
+    picks, step = ns, _PW_BLOCK
+    if basis.closed_form is not None and ns == [nmax]:
         # a lone row through the single-row sweep, which keeps no other row
-        rows = {nmax: np.asarray(basis.closed_form(nmax, x))}
+        picks = [0]
+        evaluate = lambda x: np.asarray(basis.closed_form(nmax, x))[None]
     elif basis.closed_table is not None:
         # phi_grid's rows, kept in the table's own (real) dtype
-        rows = basis.closed_table(nmax, x)
+        evaluate = lambda x: basis.closed_table(nmax, x)
     else:
-        rows = basis_mod.phi_grid(basis, nmax, x)
-    taper = np.exp(-0.5 * (x / width) ** 2)
-    del x
+        step = half
+        evaluate = lambda x: basis_mod.phi_grid(basis, nmax, x)
+    g = np.empty((len(ns), half))
+    # max |imag| and max |real| over the blocks; a real row keeps imag = -inf
+    imag = np.full(len(ns), -np.inf)
+    real = np.zeros(len(ns))
+    for start in range(0, half, step):
+        stop = min(start + step, half)
+        x = (np.arange(half + start, half + stop) - M / 2 + 0.5) * dx
+        taper = np.exp(-0.5 * (x / width) ** 2)
+        rows = evaluate(x)
+        for i, pick in enumerate(picks):
+            row = rows[pick]
+            if np.iscomplexobj(row):
+                imag[i] = np.maximum(imag[i], np.max(np.abs(row.imag)))
+                real[i] = np.maximum(real[i], np.max(np.abs(row.real)))
+                row = row.real
+            np.multiply(row, taper, out=g[i, start:stop])
+        del rows, row
     ratios = {}
-    for n in sorted(set(ns)):
-        g = rows[n]
-        if np.iscomplexobj(g):
-            if not np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real)):
-                continue
-            g = g.real.copy()
-        g *= taper
+    for i, n in enumerate(ns):
+        if not imag[i] < 1e-14 * real[i]:
+            continue
         odd = n % 2
-        energy = (scipy.fft.dst if odd else scipy.fft.dct)(g, type=2, overwrite_x=True)
+        energy = (scipy.fft.dst if odd else scipy.fft.dct)(g[i], type=2, overwrite_x=True)
         np.square(energy, out=energy)
-        energy[1 - odd:] *= 2.0  # every bin above frequency zero counts twice
+        # every bin above frequency zero counts twice: halving bin zero of an
+        # even row scales both sums by the same power of two instead
+        if not odd:
+            energy[0] *= 0.5
         ratios[n] = float(energy[cut - odd:].sum()) / float(energy.sum())
     return ratios
 

@@ -3,11 +3,16 @@
 Frozen constants below were produced with mpmath at 40 digits.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard import specfun
+from favard.basis import transformed_legendre, transformed_legendre_table
 
 
 # |Gamma(a + i*xi)|^2, mpmath oracle
@@ -110,3 +115,55 @@ def test_sph_scan_runs_match_masks_bitwise(nmax):
             want = np.empty_like(mixed)
             want[..., shuffle] = mixed
             assert np.array_equal(got, want)
+
+
+def _forward_reference(nmax, x):
+    # the forward recurrence as separate out-of-place expressions
+    j0 = np.sin(x) / x
+    rows = [j0, (j0 - np.cos(x)) / x]
+    for k in range(1, nmax):
+        rows.append((2 * k + 1) / x * rows[k] - rows[k - 1])
+    return np.array(rows[: nmax + 1])
+
+
+@st.composite
+def _sph_grids(draw):
+    # zero, series points below 2^-27, Miller points below max(nmax, 1) and
+    # forward points, of either sign, in any order
+    nmax = draw(st.integers(0, 64))
+    split = float(max(nmax, 1))
+    point = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, specfun._SPH_TINY, exclude_min=True, exclude_max=True),
+        st.floats(specfun._SPH_TINY, split, exclude_max=True),
+        st.floats(split, 1e4),
+    )
+    x = np.array(draw(st.lists(point, min_size=1, max_size=24)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                   min_size=x.size, max_size=x.size)))
+    return nmax, signs * x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sph_grids())
+def test_sph_sweep_in_place_matches_single_rows(grid):
+    # the table fills its rows in place and the single row cycles through
+    # scratch rows; both run the same arithmetic, so the last row agrees
+    # everywhere, and every row agrees on the points that take the same
+    # branch for every index (forward, series, zero); the forward rows are
+    # the out-of-place recurrence bit for bit
+    nmax, x = grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = transformed_legendre_table(nmax, x)
+        rows = [transformed_legendre(n, x) for n in range(nmax + 1)]
+        r = np.abs(x)
+        forward = r >= max(nmax, 1)
+        reference = _forward_reference(nmax, r[forward])
+    assert np.array_equal(table[nmax], rows[nmax])
+    same = forward | (r < specfun._SPH_TINY)
+    for n in range(nmax + 1):
+        assert np.array_equal(table[n, same], rows[n][same]), n
+    scale = np.sqrt((2 * np.arange(nmax + 1) + 1) / np.pi)[:, None]
+    sign = np.where((np.arange(nmax + 1) % 2 == 1)[:, None] & (x[forward] > 0), -1.0, 1.0)
+    assert np.array_equal(table[:, forward], sign * (reference * scale))

@@ -3,6 +3,7 @@ Legendre tail integrals, Cramer, Ramanujan, identity, and support."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,31 +173,75 @@ def test_pw_support_one_row_matches_full_grid_exactly(M, symmetric):
 
 
 def test_pw_support_reports_fold_one_table(monkeypatch):
-    # one list call evaluates the Legendre table once, on half the grid,
-    # and no single row; a lone row takes the single-row sweep and no
-    # table; each ratio matches the full-grid rfft
-    calls = []
+    # one list call evaluates the Legendre table block by block, on half the
+    # grid, each point once, and no single row; a lone row takes the
+    # single-row sweep and no table; each ratio matches the full-grid rfft
+    tables, singles = [], []
 
-    def counted(nmax, x):
-        calls.append((nmax, len(x)))
+    def table(nmax, x):
+        tables.append((nmax, len(x)))
         return basis_mod._legendre_scan(nmax, x, collect=True)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the folded check evaluates no single row")
+    def single(n, x):
+        singles.append((n, len(x)))
+        return basis_mod._legendre_scan(n, x, collect=False)[0]
 
-    monkeypatch.setattr(basis_mod, "transformed_legendre_table", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the folded check evaluates no row through phi")
+
+    monkeypatch.setattr(basis_mod, "transformed_legendre_table", table)
+    monkeypatch.setattr(basis_mod, "transformed_legendre", single)
     monkeypatch.setattr(basis_mod, "phi", refuse)
+    monkeypatch.setattr(ver, "_PW_BLOCK", 2**10)
     basis = make_basis("legendre", N=8)
     M = 2**16
     reps = ver.pw_support_reports(basis, range(6), M=M)
+    assert singles == [] and len(tables) == M // 2 // 2**10
+    assert all(nmax == 5 for nmax, _ in tables)
+    assert sum(size for _, size in tables) == M // 2
+    tables.clear()
     lone = ver.check_pw_support(basis, n=5, M=M)
-    assert calls == [(5, M // 2)]
+    assert tables == [] and all(n == 5 for n, _ in singles)
+    assert sum(size for _, size in singles) == M // 2
     monkeypatch.undo()
     assert [r.metadata["n"] for r in reps] == list(range(6))
     for n, rep in enumerate(reps):
         want = _pw_ratio_full_grid(basis, n, M)
         assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
     assert abs(lone.max_abs_error - reps[5].max_abs_error) <= 1e-12 * lone.max_abs_error
+
+
+@pytest.mark.parametrize("family", ["legendre", "ultraspherical:0"])
+def test_pw_support_blocks_match_one_block_bitwise(monkeypatch, family):
+    # every sweep is elementwise, so the ratios do not depend on where the
+    # half grid is cut: blocks of 1 and 2 points start in the Miller branch
+    # (x = 1.5 and 4.5 lie below nmax = 5), and 3 and 100 do not divide M/2
+    basis = make_basis(family, N=8)
+    M = 2**10
+
+    def ratios():
+        table = [r.max_abs_error for r in ver.pw_support_reports(basis, range(6), M=M)]
+        return table, ver.check_pw_support(basis, 5, M=M).max_abs_error
+
+    monkeypatch.setattr(ver, "_PW_BLOCK", M // 2)
+    want = ratios()
+    for block in (1, 2, 3, 100, 2**7):
+        monkeypatch.setattr(ver, "_PW_BLOCK", block)
+        assert ratios() == want, block
+
+
+def test_pw_support_memory_is_one_row_per_index():
+    # the tapered rows go straight into one real (rows, M/2) buffer that the
+    # transforms overwrite; the blocks add only a small, fixed amount
+    basis = make_basis("legendre", N=8)
+    M = 2**20
+    tracemalloc.start()
+    try:
+        ver.pw_support_reports(basis, range(3), M=M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 3 * (M // 2) * 8
 
 
 def test_pw_support_reports_fold_quadrature_rows():
