@@ -16,22 +16,22 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
 # Geometric grading: 42 levels of ratio 1/4 put the innermost edge at
 # 4^-42 ~ 5e-26 of the graded width from the endpoint, enough for exponents
-# down to -1/2.  At a nonzero endpoint a the levels closer than half an ulp
-# of a round onto it and are dropped, so there the innermost panel is about
-# one ulp of a wide.
+# down to -1/2.  At a nonzero endpoint e grading stops at the last level at
+# least _GRADE_ULPS ulps of e away from it, about 731: a narrower panel's
+# 32 nodes round onto a handful of values, and its outermost node, at
+# (1 - t_max) / 2 of its width from e, would round onto e itself.
 _GRADE_LEVELS = 42
 _GRADE_RATIO = 0.25
+_GRADE_ULPS = 2.0 / (1.0 - GL_NODES[-1])
 
 
 def _graded(a: float, b: float, toward_a: bool) -> np.ndarray:
     """Strictly increasing edges subdividing [a, b] geometrically toward one end."""
     d = (b - a) * _GRADE_RATIO ** np.arange(_GRADE_LEVELS, 0, -1)
+    d = d[d >= _GRADE_ULPS * np.spacing(abs(a if toward_a else b))]
     if toward_a:
-        edges = np.concatenate(([a], a + d, [b]))
-    else:
-        edges = np.concatenate(([a], b - d[::-1], [b]))
-    # rounding is monotone, so the collapsed levels are repeats of a neighbour
-    return np.unique(edges)
+        return np.concatenate(([a], a + d, [b]))
+    return np.concatenate(([a], b - d[::-1], [b]))
 
 
 def _segment_edges(a, b, width, grade_a, grade_b):

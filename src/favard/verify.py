@@ -191,7 +191,11 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
 
     For transformed bases the derivative is a Richardson-extrapolated
     fourth-order central difference; for periodic bases differentiation is
-    exact on the Fourier side and the residual is pure roundoff.
+    exact on the Fourier side and the residual is pure roundoff.  The
+    difference divides the rounding of phi by h, so a transformed basis's
+    report carries that floor, eps max|phi| / h, as ``rounding_floor``: a
+    residual within a small multiple of it is rounding, not a recurrence
+    that fails to hold.
     """
     if isinstance(basis, periodic_mod.PeriodicBasis):
         err = periodic_mod.periodic_diff_check(basis, N)
@@ -215,9 +219,10 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
         if n > 0:
             rhs = rhs - b[n - 1] * at[n - 1]
         worst = max(worst, float(np.max(np.abs(deriv[n] - rhs))))
+    floor = np.finfo(float).eps * float(np.max(np.abs(table))) / h
     return CheckReport("recurrence", worst, 1e-6,
                        metadata={"family": basis.family, "N": N, "h": h,
-                                 "strategy": "fd-richardson"})
+                                 "strategy": "fd-richardson", "rounding_floor": floor})
 
 
 def check_cramer(N: int = 50, lo: float = -10.0, hi: float = 10.0,
@@ -328,66 +333,223 @@ def _first_bin_above(band: float, M: int, dx: float) -> int:
 # temporaries stay small (2^14 to 2^15 timed fastest for rows 0..2 at
 # M = 2^23), and no full-length temporary is made.
 _PW_BLOCK = 2**15
+# Stride of the angle-addition tables: a divisor of _PW_BLOCK, so a full
+# block of the half grid takes whole rows of its table.
+_PW_TRIG = 2**11
+
+
+def _unit(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} from one cos and one sin call."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _unit_steps(first: float, step: float, count: int):
+    """e^{i theta_j}, theta_j = (first + j) step, on j in [start, stop), by angle addition.
+
+    theta_j = Theta_q + r step with q = j // T, r = j % T and
+    Theta_q = (first + q T) step, for the fixed T = _PW_TRIG.  The coarse
+    table holds e^{i Theta_q} and the fine table e^{i r step}, each from
+    one np.cos and one np.sin call, and e^{i theta_j} is their product.
+    The products are formed a whole row of T at a time, the same operation
+    for every j, so a value does not depend on the range that asks for it.
+    When (first + j) step is exact, as on the half grid x_j = (j + 1/2) dx
+    with dx = 3, Theta_q + r step is theta_j exactly and the values are
+    within a few ulps of 1 of np.cos and np.sin of theta_j.  Returns the
+    function (start, stop) -> e^{i theta_j}, 0 <= start <= stop <= count.
+    """
+    T = _PW_TRIG
+    fine = _unit(np.arange(T) * step)
+    coarse = _unit((np.arange(-(-count // T)) * T + first) * step)[:, None]
+
+    def steps(start: int, stop: int) -> np.ndarray:
+        qa, qb = start // T, -(-stop // T)
+        return (coarse[qa:qb] * fine).ravel()[start - qa * T:stop - qa * T]
+
+    return steps
+
+
+def _makhoul_buffer(rows: int, N: int):
+    """A complex buffer for ``rows`` real sequences of length N, and its real view.
+
+    For even N it is (rows, N/2), and sample m of a sequence is entry m of
+    the real view, so entry p holds the pair (v_2p, v_2p+1) that a
+    length-N/2 complex FFT transforms; for odd N it is (rows, N) with zero
+    imaginary parts, and the view is the real parts.
+    """
+    if N % 2 == 0:
+        z = np.empty((rows, N // 2), dtype=complex)
+        return z, z.view(float)
+    z = np.zeros((rows, N), dtype=complex)
+    return z, z.real
+
+
+def _makhoul_slots(N: int, start: int, stop: int):
+    """Where samples j in [start, stop) of a length-N sequence go in Makhoul order.
+
+    Makhoul order is the even samples first and the odd samples reversed:
+    v_m = x_2m and v_{N-1-m} = x_{2m+1}.  Returns (source, target) slice
+    pairs for the even and the odd samples: ``x[source]`` relative to
+    ``start`` goes to ``v[target]``.
+    """
+    e = start + start % 2
+    o = start + 1 - start % 2
+    n_e = max(0, (stop - e + 1) // 2)
+    n_o = max(0, (stop - o + 1) // 2)
+    top = N - 1 - (o - 1) // 2
+    return ((slice(e - start, None, 2), slice(e // 2, e // 2 + n_e)),
+            (slice(o - start, None, 2), slice(top, top - n_o, -1)))
+
+
+def _twisted_bins(N: int, a: int, b: int):
+    """The map Z -> e^{-i pi k / 2N} V_k, a <= k < b <= N // 2 + 1.
+
+    V is the length-N FFT of the real Makhoul sequence v.  Z is V itself
+    for odd N, and for even N the length-N/2 FFT of the pairs
+    v_2p + i v_2p+1, from which V_k = E_k + e^{-2 pi i k / N} O_k with
+    E_k = (Z_k + conj Z_{N/2-k}) / 2 and O_k = (Z_k - conj Z_{N/2-k}) / 2i.
+    The twiddle factors are made here, once; the map reads only slices of
+    Z and works in place, so it holds two arrays of b - a bins.
+    """
+    twist = _unit_steps(a, -0.5 * math.pi / N, b - a)(0, b - a)
+    if N % 2:
+        return lambda Z: twist * Z[a:b]
+    L = N // 2
+    lo = max(a, 1)
+    hi = max(min(b, L), lo)
+    # V_0 and V_{N/2} are real: the sum and the difference of Z_0's parts
+    head, tail = a == 0, (twist[-1] if b > L else None)
+    t_even = twist[lo - a:hi - a]
+    t_even *= 0.5
+    t_odd = _unit_steps(lo, -2.5 * math.pi / N, hi - lo)(0, hi - lo)
+    t_odd *= -0.5j
+
+    def bins(Z):
+        out = np.empty(b - a, dtype=complex)
+        zk, mid = Z[lo:hi], out[lo - a:hi - a]
+        np.conjugate(Z[L - hi + 1:L - lo + 1][::-1], out=mid)
+        diff = zk - mid
+        diff *= t_odd
+        mid += zk
+        mid *= t_even
+        mid += diff
+        if head:
+            out[0] = Z[0].real + Z[0].imag
+        if tail is not None:
+            out[-1] = tail * (Z[0].real - Z[0].imag)
+        return out
+
+    return bins
+
+
+def _makhoul_energies(N: int, cut: int):
+    """The map (z, v, odd) -> (out-of-band, total) energy of one folded row.
+
+    ``v`` is the real view of the buffer row ``z`` (see ``_makhoul_buffer``)
+    and holds the tapered half row g of length N in Makhoul order, odd
+    samples negated for an odd row, since DST-II_k(g) =
+    DCT-II_{N-1-k}((-1)^j g_j).  The map runs one in-place FFT of z.  The
+    DCT-II is y_k = 2 Re(e^{-i pi k / 2N} V_k), and y_{N-k} = -2 Im of the
+    same product, so every bin comes from a V_k with k <= N/2.  The
+    out-of-band bins are y_k, k >= cut, of an even row (its bin k is
+    frequency k) and the DST bins k >= cut - 1 of an odd row (bin k is
+    frequency k + 1); only those are formed.  The totals follow Parseval:
+    y_0^2 / 2 + sum_{k>=1} y_k^2 = 2N sum g^2 for an even row, and the DST
+    sum of squares adds y_{N-1}^2 / 2 to that.
+    """
+    L, H = N // 2, N - N // 2
+    # the bins k in [0, min(N - cut, L)], and k in [cut, H) when cut < H
+    low = _twisted_bins(N, 0, min(N - cut, L) + 1)
+    high = _twisted_bins(N, cut, H) if cut < H else None
+
+    def energies(z: np.ndarray, v: np.ndarray, odd: bool):
+        total = 2.0 * N * float(np.dot(v, v))
+        Z = scipy.fft.fft(z, overwrite_x=True)
+        A = low(Z)
+        B = high(Z) if high is not None else A[:0]
+        if odd:
+            out = np.dot(A.real, A.real) + np.dot(B.imag, B.imag)
+            total += 2.0 * float(A[0].real) ** 2
+        else:
+            out = np.dot(A.imag[1:], A.imag[1:]) + np.dot(B.real, B.real)
+        return 4.0 * float(out), total
+
+    return energies
 
 
 def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
-    """Out-of-band energy ratios of rows ns from half-length DCT-II/DST-II.
+    """Out-of-band energy ratios of rows ns from half-length FFTs of the half grid.
 
-    On the upper half of the grid, x_j = (j + 1/2) dx for j < M/2, an even
-    row's length-M DFT has the magnitude of the DCT-II of the half, bin j at
-    frequency j, and an odd row's that of the DST-II, bin j at frequency
-    j + 1; the frequency M/2 bin of an even row is zero.  The tapered rows
-    are written into one real (len(ns), M/2) buffer, which the transforms
-    then overwrite.  A closed form fills it block by block, each block with
-    its own x and taper: rows 0..max(ns) of the table, or a lone row from
-    its single-row sweep.  Other families take phi_grid's rows in one call,
-    since its quadrature refinement follows the grid's max |x|.  A row
-    with a non-negligible imaginary part is left out of the result.
+    On the upper half of the grid, x_j = (j + 1/2) dx for j < N = M/2, an
+    even row's length-M DFT has the magnitude of the DCT-II of the half,
+    bin j at frequency j, and an odd row's that of the DST-II, bin j at
+    frequency j + 1; the frequency M/2 bin of an even row is zero.  Each
+    tapered row is written into one complex buffer in Makhoul order, which
+    takes the DCT-II of length N from one complex FFT of length N/2 (for
+    odd N, one of length N): see ``_makhoul_energies``.  Only the
+    out-of-band bins are formed; the total is Parseval's.  A closed form
+    fills the buffer block by block, each block with its own x and taper:
+    rows 0..max(ns) of the table, or a lone row from its single-row sweep;
+    the Legendre sweep takes sin x and cos x from ``_unit_steps``.
+    Other families take phi_grid's rows in one call, since its quadrature
+    refinement follows the grid's max |x|.  A row with a non-negligible
+    imaginary part is left out of the result.
     """
     half = M // 2
     cut = _first_bin_above(band, M, dx)
     ns = sorted(set(ns))
     nmax = ns[-1]
     picks, step = ns, _PW_BLOCK
+    # e^{i x_j} on the half grid, for the Legendre sweep's sin x and cos x
+    trig = (_unit_steps(0.5, dx, half)
+            if basis.closed_table is basis_mod.transformed_legendre_table else None)
     if basis.closed_form is not None and ns == [nmax]:
         # a lone row through the single-row sweep, which keeps no other row
         picks = [0]
-        evaluate = lambda x: np.asarray(basis.closed_form(nmax, x))[None]
+        evaluate = lambda x, **kw: np.asarray(basis.closed_form(nmax, x, **kw))[None]
     elif basis.closed_table is not None:
         # phi_grid's rows, kept in the table's own (real) dtype
-        evaluate = lambda x: basis.closed_table(nmax, x)
+        evaluate = lambda x, **kw: basis.closed_table(nmax, x, **kw)
     else:
         step = half
         evaluate = lambda x: basis_mod.phi_grid(basis, nmax, x)
-    g = np.empty((len(ns), half))
+    z, v = _makhoul_buffer(len(ns), half)
     # max |imag| and max |real| over the blocks; a real row keeps imag = -inf
     imag = np.full(len(ns), -np.inf)
     real = np.zeros(len(ns))
     for start in range(0, half, step):
         stop = min(start + step, half)
-        x = (np.arange(half + start, half + stop) - M / 2 + 0.5) * dx
-        taper = np.exp(-0.5 * (x / width) ** 2)
-        rows = evaluate(x)
+        # x_j = (j + 1/2) dx and the taper exp(-(x / width)^2 / 2), in place
+        x = np.arange(start + 0.5, stop, 1.0)
+        x *= dx
+        taper = x * x
+        taper *= -0.5 / width**2
+        np.exp(taper, out=taper)
+        if trig is None:
+            rows = evaluate(x)
+        else:
+            e = trig(start, stop)
+            rows = evaluate(x, sincos=(e.imag, e.real))
+        (es, et), (os_, ot) = _makhoul_slots(half, start, stop)
         for i, pick in enumerate(picks):
             row = rows[pick]
             if np.iscomplexobj(row):
                 imag[i] = np.maximum(imag[i], np.max(np.abs(row.imag)))
                 real[i] = np.maximum(real[i], np.max(np.abs(row.real)))
                 row = row.real
-            np.multiply(row, taper, out=g[i, start:stop])
+            np.multiply(row[es], taper[es], out=v[i, et])
+            np.multiply(row[os_], taper[os_], out=v[i, ot])
+            if ns[i] % 2:
+                np.negative(v[i, ot], out=v[i, ot])
         del rows, row
+    energies = _makhoul_energies(half, cut)
     ratios = {}
     for i, n in enumerate(ns):
-        if not imag[i] < 1e-14 * real[i]:
-            continue
-        odd = n % 2
-        energy = (scipy.fft.dst if odd else scipy.fft.dct)(g[i], type=2, overwrite_x=True)
-        np.square(energy, out=energy)
-        # every bin above frequency zero counts twice: halving bin zero of an
-        # even row scales both sums by the same power of two instead
-        if not odd:
-            energy[0] *= 0.5
-        ratios[n] = float(energy[cut - odd:].sum()) / float(energy.sum())
+        if imag[i] < 1e-14 * real[i]:
+            out, total = energies(z[i], v[i], n % 2 == 1)
+            ratios[n] = out / total
     return ratios
 
 
@@ -402,12 +564,17 @@ def pw_support_reports(basis, ns, dx: float = 3.0, M: int = 2**23,
     symmetric about 0.  When the measure is symmetric, the basis carries no
     phase sigma and M is even, phi_n(-x) = (-1)^n phi_n(x), so the check is
     folded: rows 0..max(ns) are evaluated once, as one table on the upper
-    half of the grid, and each tapered row goes through a length-M/2 DCT-II
-    (even n) or DST-II (odd n), which gives the energies of the length-M
-    real FFT of the whole row.  Odd M, an asymmetric measure, a phase, or
-    a row with a non-negligible imaginary part takes the full grid: that row
-    alone through ``phi`` and a length-M FFT.  For measures supported on all
-    of R all of the energy lies outside the support: the ratio 1.0 is
+    half of the grid, and the energies of the length-M real FFT of the
+    whole row are those of the length-M/2 DCT-II (even n) or DST-II (odd
+    n) of the tapered half row.  Each comes from one in-place complex FFT
+    of length M/4 (M/2 when M/2 is odd) of the half row in Makhoul order;
+    only the out-of-band bins are formed, and the total is Parseval's sum
+    of squares of the half row.  The Legendre rows take sin x and cos x
+    from an angle-addition table, so no full-length np.sin or np.cos call
+    is made.  Odd M, an asymmetric measure, a phase, or a row with a
+    non-negligible imaginary part takes the full grid: that row alone
+    through ``phi`` and a length-M FFT.  For measures supported on all of
+    R all of the energy lies outside the support: the ratio 1.0 is
     returned at once, without sampling or an FFT, and the report is tagged
     expected_fail.
     """

@@ -178,3 +178,20 @@ def test_width_classes_reproduce_the_panel_rule():
     for n in counts:
         assert np.all(np.diff(mids[start:start + n]) > 0.0)
         start += n
+
+
+def test_grading_stops_near_a_nonzero_endpoint():
+    # at +-1 the innermost panel is the first level at least _GRADE_ULPS
+    # ulps of 1 wide, so no Gauss node rounds onto the endpoint and a
+    # Chebyshev weight stays finite; at 0 all 42 levels are kept
+    edges = _panels.build_edges(-1.0, 1.0, 0.1, grade_lo=True, grade_hi=True)
+    floor = _panels._GRADE_ULPS * np.spacing(1.0)
+    for width in (edges[1] - edges[0], edges[-1] - edges[-2]):
+        assert floor <= width < 4 * floor
+    x, w = _panels.panel_rule(edges)
+    assert np.all(np.abs(x) < 1.0)
+    cheb = np.sum(w / np.sqrt((1.0 - x) * (1.0 + x)))
+    assert abs(cheb - np.pi) < 1e-7
+    zero = _panels.build_edges(0.0, 1.0, 0.1, grade_lo=True)
+    assert zero.size == 11 + _panels._GRADE_LEVELS
+    assert zero[1] == 0.1 * _panels._GRADE_RATIO ** _panels._GRADE_LEVELS

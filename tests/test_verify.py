@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard import _panels
 from favard import basis as basis_mod
@@ -45,6 +47,23 @@ def test_recurrence_all_closed_form_families():
         rep = ver.check_recurrence(make_basis(family, N=14), N=10)
         assert rep.passed, family
         assert rep.max_abs_error < 1e-8, family
+
+
+def test_recurrence_reports_its_rounding_floor():
+    # the Richardson difference divides the rounding of phi by h; the report
+    # carries eps max|phi| / h over the table it differences, and for these
+    # closed forms the residual is within a small multiple of it
+    eps = np.finfo(float).eps
+    xs = np.linspace(-3.3, 3.3, 23)
+    shifts = np.array([-2e-3, -1e-3, -5e-4, 0.0, 5e-4, 1e-3, 2e-3])
+    for family in ("hermite", "legendre", "tanhjacobi:0.75,0.75"):
+        basis = make_basis(family, N=12)
+        rep = ver.check_recurrence(basis, N=10)
+        table = basis_mod.phi_grid(basis, 10, (xs[None, :] + shifts[:, None]).ravel())
+        floor = eps * np.max(np.abs(table)) / 1e-3
+        assert rep.tolerance == 1e-6 and rep.passed, family
+        assert rep.metadata["rounding_floor"] == pytest.approx(floor, rel=1e-12), family
+        assert rep.max_abs_error <= 16.0 * floor, family
 
 
 def test_recurrence_periodic_branch():
@@ -150,12 +169,13 @@ def _pw_ratio_full_grid(basis, n, M, dx=3.0, taper=3.5):
     return float(energy[k > 1.0].sum()) / float(energy.sum())
 
 
-@pytest.mark.parametrize("M", [2**16, 2**16 + 1])
+@pytest.mark.parametrize("M", [2**16, 2**16 + 1, 2**16 + 2])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_pw_support_one_row_matches_full_grid_exactly(M, symmetric):
     # odd M and an asymmetric measure take the plain full grid and must
     # reproduce the full-grid rfft ratio bit for bit; the folded check
-    # (symmetric measure, even M: a half-length DCT-II/DST-II) moves it at
+    # (symmetric measure, even M: the half-length DCT-II/DST-II energies from
+    # a complex FFT of length M/4, or M/2 when M/2 is odd) moves it at
     # rounding level only
     basis = make_basis("legendre", N=8)
     if not symmetric:
@@ -178,11 +198,11 @@ def test_pw_support_reports_fold_one_table(monkeypatch):
     # single-row sweep and no table; each ratio matches the full-grid rfft
     tables, singles = [], []
 
-    def table(nmax, x):
+    def table(nmax, x, sincos=None):
         tables.append((nmax, len(x)))
         return basis_mod._legendre_scan(nmax, x, collect=True)
 
-    def single(n, x):
+    def single(n, x, sincos=None):
         singles.append((n, len(x)))
         return basis_mod._legendre_scan(n, x, collect=False)[0]
 
@@ -242,6 +262,97 @@ def test_pw_support_memory_is_one_row_per_index():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 3 * (M // 2) * 8
+
+
+def _kernel_energies(g, odd, cut, splits=()):
+    # the folded check's energy kernel on one half row g, written into its
+    # buffer block by block at the given split points
+    N = g.size
+    z, v = ver._makhoul_buffer(1, N)
+    bounds = [0, *splits, N]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        (es, et), (os_, ot) = ver._makhoul_slots(N, start, stop)
+        block = g[start:stop]
+        v[0, et] = block[es]
+        v[0, ot] = -block[os_] if odd else block[os_]
+    return ver._makhoul_energies(N, cut)(z[0], v[0], odd), v[0].copy()
+
+
+def _dct_energies(g, odd, cut):
+    # the energies as the DCT-II/DST-II fold computed them: bin j of an even
+    # row is frequency j (bin 0 counted once), bin j of an odd row j + 1
+    if odd:
+        y = scipy.fft.dst(g, type=2) ** 2
+        return float(y[cut - 1:].sum()), float(y.sum())
+    y = scipy.fft.dct(g, type=2) ** 2
+    y[0] *= 0.5
+    return float(y[cut:].sum()), float(y.sum())
+
+
+@pytest.mark.parametrize("N", [64, 65, 1000, 1001, 2**12, 2**12 + 1])
+@pytest.mark.parametrize("odd", [False, True])
+def test_makhoul_energies_match_dct_dst(N, odd):
+    # random rows, M/2 = N even and odd, cuts at the check's own fraction
+    # (band dx / pi = 0.955 of N), at N/2 and either side of it, and low
+    rng = np.random.default_rng(N + odd)
+    for cut in (round(0.955 * N), N // 2 + 1, N // 2, (N + 1) // 2, N // 3, 2):
+        g = rng.standard_normal(N)
+        (out, total), _ = _kernel_energies(g, odd, cut)
+        want_out, want_total = _dct_energies(g, odd, cut)
+        assert abs(out - want_out) <= 1e-13 * want_out, (cut, out, want_out)
+        assert abs(total - want_total) <= 1e-13 * want_total, cut
+
+
+@st.composite
+def _kernel_cases(draw):
+    N = draw(st.integers(1, 3000))
+    cut = draw(st.integers(1, N))
+    odd = draw(st.booleans())
+    splits = sorted(set(draw(st.lists(st.integers(1, max(N - 1, 1)), max_size=4))))
+    return N, cut, odd, [p for p in splits if p < N]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_kernel_cases())
+def test_makhoul_energies_property(case):
+    # every size and cut: the energies match the DCT-II/DST-II ones, and the
+    # buffer does not depend on where the row was cut into blocks.  A bin
+    # is accurate to rounding of the whole spectrum, so a small out-of-band
+    # share is held to that, about eps sqrt(out * total), and to 1e-13
+    # relative otherwise
+    N, cut, odd, splits = case
+    g = np.random.default_rng(N * 7 + cut).standard_normal(N)
+    (out, total), buf = _kernel_energies(g, odd, cut, splits)
+    want_out, want_total = _dct_energies(g, odd, cut)
+    eps = np.finfo(float).eps
+    assert abs(out - want_out) <= 1e-13 * want_out + 4 * eps * math.sqrt(want_out * want_total)
+    assert abs(total - want_total) <= 1e-13 * want_total
+    assert np.array_equal(buf, _kernel_energies(g, odd, cut)[1])
+
+
+def test_unit_steps_are_within_ulps_of_numpy():
+    # the angle-addition table on the default half grid, M = 2^23, dx = 3,
+    # against np.sin/np.cos, and each value the same whatever range asks
+    half, dx = 2**22, 3.0
+    steps = ver._unit_steps(0.5, dx, half)
+    e = steps(0, half)
+    x = (np.arange(half) + 0.5) * dx
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(e.imag - np.sin(x))) <= 4 * eps
+    assert np.max(np.abs(e.real - np.cos(x))) <= 4 * eps
+    for start, stop in ((0, 1), (2047, 2049), (12345, 12345 + 3 * 2**11), (half - 5, half)):
+        assert np.array_equal(steps(start, stop), e[start:stop])
+
+
+def test_pw_support_fold_calls_no_dct_or_dst(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the folded check runs no DCT or DST")
+
+    monkeypatch.setattr(scipy.fft, "dct", refuse)
+    monkeypatch.setattr(scipy.fft, "dst", refuse)
+    for family, M in (("legendre", 2**12), ("legendre", 2**12 + 2), ("jacobi:1,1", 2**8)):
+        reps = ver.pw_support_reports(make_basis(family, N=8), range(3), M=M)
+        assert all(0.0 < r.max_abs_error < 1.0 for r in reps), family
 
 
 def test_pw_support_reports_fold_quadrature_rows():
