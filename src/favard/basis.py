@@ -30,6 +30,7 @@ import numpy as np
 from . import _panels
 from . import recurrence as rec
 from . import specfun
+from .diffop import _I_POWERS
 from .errors import AccuracyError
 from .quadrature import _SQRT_2PI, _transform_edges, oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
@@ -53,6 +54,9 @@ _PHI0_HERMITE = math.pi ** -0.25
 # e^{-x^2/2} < 2^{-3e15} beyond this, far below anything the recurrence's
 # growth of at most 27 bits per step can lift back into range.
 _HERMITE_CLAMP = 2.0**26
+# Bound, in bits, on the growth of the carried mantissas between two
+# rescalings: they stay below 2^960, so no product of a step overflows.
+_HERMITE_BUDGET = 960.0
 # Past this 1 + 4 x^2 rounds to 4 x^2, whose square root is 2|x| exactly.
 _MT_BIG = 2.0**26
 
@@ -63,36 +67,63 @@ def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
     phi_{k+1} = -x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}, seeded by
     phi_0 = pi^{-1/4} e^{-x^2/2}.  Values are carried as m * 2^e with a
     shared per-point exponent so the seed never underflows the recurrence;
-    materialized rows use ldexp (harmlessly flushing true subnormals to 0).
+    a materialized row is m 2^e rounded once (true subnormals may round to 0).
     |x| is clamped to _HERMITE_CLAMP first: every row is 0.0 beyond it, and
     the clamp keeps x^2 finite and the exponent inside int64.
+
+    Step k grows max(|m_{k+1}|, |m_k|) by at most the factor
+    max|x| sqrt(2/(k+1)) + sqrt(k/(k+1)) + 1, so the mantissas are rescaled
+    only when those bounds, summed since the last rescale, would pass
+    _HERMITE_BUDGET.  A rescale divides each point by the power of two that
+    brings max(|m_k|, |m_{k-1}|) below 1 and never multiplies: points near
+    x = 0, whose odd rows are subnormal for subnormal x, keep their scale.
+    Every other mantissa stays normal, so the rows equal those of any other
+    power-of-two rescaling bit for bit.
+
+    A row m 2^e is formed as (m 2^(e+1022)) 2^-1022, not by ldexp, which
+    costs about ten multiplications: |m 2^e| <= 1, so the first product
+    cannot overflow and is exact unless the row is below 2^-2044, and the
+    second rounds once, as ldexp does; a row that small is 0.0 either way.
     """
     x = np.clip(x, -_HERMITE_CLAMP, _HERMITE_CLAMP)
     t = -x * x / (2.0 * math.log(2.0))
     e = np.floor(t)
     cur = _PHI0_HERMITE * np.exp2(t - e)
+    exps = e.astype(np.int64)
     prev = np.zeros_like(cur)
+    nxt, term = np.empty_like(cur), np.empty_like(cur)
+    neg_x = np.negative(x, out=t)
+    reach = float(np.max(np.abs(x), initial=0.0))
+    lift = np.ldexp(1.0, exps + 1022)
+
+    def emit(m, lift, out):
+        np.multiply(m, lift, out=out)
+        out *= 2.0**-1022
+        return out
+
     rows = np.empty((nmax + 1, x.size)) if collect else None
     if collect:
-        rows[0] = np.ldexp(cur, e.astype(np.int64))
+        emit(cur, lift, rows[0])
+    bits = 1.0  # the seed mantissa is below 2
     for k in range(nmax):
-        prev, cur = cur, -x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
-        mag = np.maximum(np.abs(cur), np.abs(prev))
-        high = mag > 2.0**500
-        low = (mag < 2.0**-500) & (mag > 0)
-        if np.any(high):
-            cur = np.where(high, cur * 2.0**-512, cur)
-            prev = np.where(high, prev * 2.0**-512, prev)
-            e = np.where(high, e + 512, e)
-        if np.any(low):
-            cur = np.where(low, cur * 2.0**512, cur)
-            prev = np.where(low, prev * 2.0**512, prev)
-            e = np.where(low, e - 512, e)
+        s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
+        step = math.log2(reach * s + r + 1.0)
+        if bits + step > _HERMITE_BUDGET:
+            mag = np.maximum(np.abs(cur), np.abs(prev))
+            shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
+            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+            exps += shift
+            lift = np.ldexp(1.0, exps + 1022)
+            bits = 0.0
+        bits += step
+        np.multiply(neg_x, s, out=nxt)
+        nxt *= cur
+        np.multiply(prev, r, out=term)
+        nxt -= term
+        prev, cur, nxt = cur, nxt, prev
         if collect:
-            rows[k + 1] = np.ldexp(cur, e.astype(np.int64))
-    if collect:
-        return rows
-    return np.ldexp(cur, e.astype(np.int64))
+            emit(cur, lift, rows[k + 1])
+    return rows if collect else emit(cur, lift, np.empty_like(cur))
 
 
 def hermite_function(n: int, x):
@@ -396,7 +427,7 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
         return np.sqrt(meas.weight(xi))
 
     freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
-    phases = 1j ** (np.arange(rows) % 4)
+    phases = _I_POWERS[np.arange(rows) % 4]
 
     def evaluate(refine: int) -> np.ndarray:
         edges = _transform_edges(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine,

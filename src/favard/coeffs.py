@@ -18,6 +18,7 @@ import scipy.fft
 from . import recurrence as rec
 from . import specfun
 from .basis import TransformedBasis, malmquist_takenaka, phi_grid
+from .diffop import _I_POWERS, _real_times
 from .quadrature import _SQRT_2PI, golub_welsch
 
 __all__ = [
@@ -117,7 +118,7 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int,
         samples = samples * np.exp(-1j * np.asarray(basis.sigma(nodes[live])))
     table = rec.eval_poly_table(basis.jacobi, N - 1, nodes[live])
     vals = table @ (rule.weights[live] * samples / sqw[live])
-    vals = (-1j) ** (np.arange(N) % 4) * vals
+    vals = _I_POWERS[-np.arange(N) % 4] * vals
     return CoefficientVector(vals, 0, basis, {"method": "fourier-side", "points": M})
 
 
@@ -129,9 +130,21 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     Works for any basis with an evaluation path; O(N M).  A bilateral
     (Malmquist-Takenaka) basis takes n = -N/2+1..N/2 from one broadcast
     ``malmquist_takenaka`` call, each row equal to ``phi`` bit for bit; the
-    others take rows 0..N-1 from ``phi_grid``.  The metadata holds
-    a tail estimate (largest integrand magnitude at the window edges); a
-    warning string is attached when the window looks too small.
+    others take rows 0..N-1 from ``phi_grid``.
+
+    The rule is folded by parity when the measure is symmetric, the basis
+    has no phase sigma and the grid is its own mirror (M odd and
+    x[::-1] == -x exactly, as for the default window).  Then phi_n is real
+    with phi_n(-x) = (-1)^n phi_n(x), so rows 0..N-1 are taken on x >= 0
+    only (``closed_table`` when the family has one, else ``phi_grid``) and
+    even rows are integrated against f(x) + f(-x), odd rows against
+    f(x) - f(-x), with the weight at x = 0 halved.  The odd coefficients of
+    an even f come out exactly 0.
+
+    The metadata holds a tail estimate (largest integrand magnitude
+    |phi_n(x) f(x)| at the window edges, taken as
+    |phi_n(x)| max(|f(x)|, |f(-x)|) on the folded rule); a warning string
+    is attached when the window looks too small.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -141,25 +154,96 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     if M < 8:
         raise ValueError("M must be at least 8")
     x = np.linspace(lo, hi, M)
-    w = np.full(M, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
     fx = np.asarray(f(x), dtype=complex)
-    if basis.bilateral:
-        ns = np.arange(-N // 2 + 1, N // 2 + 1)
-        V = malmquist_takenaka(ns[:, None], x)
-        n_start = int(ns[0])
+    n_start = 0
+    if (M % 2 and basis.measure.symmetric and basis.sigma is None and not basis.bilateral
+            and np.array_equal(x[::-1], -x)):
+        vals, edge, peak = _xspace_folded(basis, N, x, fx)
     else:
-        V = phi_grid(basis, N - 1, x)
-        n_start = 0
-    integrand = np.conj(V) * fx
-    vals = integrand @ w
-    edge = float(np.max(np.abs(integrand[:, [0, -1]])))
+        w = np.full(M, x[1] - x[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        if basis.bilateral:
+            ns = np.arange(-N // 2 + 1, N // 2 + 1)
+            V = malmquist_takenaka(ns[:, None], x)
+            n_start = int(ns[0])
+        else:
+            V = phi_grid(basis, N - 1, x)
+        integrand = np.conj(V) * fx
+        vals = integrand @ w
+        edge = float(np.max(np.abs(integrand[:, [0, -1]])))
+        peak = float(np.max(np.abs(integrand)))
     meta = {"method": "xspace", "window": (lo, hi), "points": M,
             "tail_estimate": edge}
-    if edge > 1e-10 * max(float(np.max(np.abs(integrand))), 1e-300):
+    if edge > 1e-10 * max(peak, 1e-300):
         meta["warning"] = "integrand not negligible at the window edges"
     return CoefficientVector(vals, n_start, basis, meta)
+
+
+def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarray):
+    """(values, edge, peak) of the parity-folded trapezoid rule.
+
+    ``x`` is the mirrored grid (x[M//2] = 0) and ``fx`` the samples of f on
+    it.  The rows are real: the closed tables of symmetric families are, and
+    for a symmetric measure without a phase so is every phi_n (its transform
+    integrand has the parity of n), which ``phi_grid``'s parity fold returns
+    with a zero imaginary part.
+    """
+    h = x.size // 2
+    half = x[h:]
+    table = (basis.closed_table(N - 1, half) if basis.closed_table is not None
+             else phi_grid(basis, N - 1, half))
+    rows = np.ascontiguousarray(table.real)
+    f_pos, f_neg = fx[h:], fx[h::-1]
+    w = np.full(half.size, x[1] - x[0])
+    w[0] *= 0.5  # x = 0 is counted once by f(0) + f(-0)
+    w[-1] *= 0.5
+    vals = np.empty(N, dtype=complex)
+    vals[0::2] = _real_times(rows[0::2], (f_pos + f_neg) * w)
+    vals[1::2] = _real_times(rows[1::2], (f_pos - f_neg) * w)
+    f_top = np.maximum(np.abs(f_pos), np.abs(f_neg))
+    reach = np.maximum(rows.max(axis=0), -rows.min(axis=0)) * f_top
+    return vals, float(reach[-1]), float(np.max(reach))
+
+
+# Points per call of f on the Malmquist-Takenaka grid: a block's complex
+# temporaries (64 KiB) stay below glibc's default 128 KiB mmap threshold and
+# in cache, where grid-length ones (4 MiB at N = 2^16) grow and trim the heap
+# and fault their pages in again on every call.
+_MT_BLOCK = 2**12
+
+
+def _mt_integrand(f, M: int) -> tuple[np.ndarray, float]:
+    """g = (1 - i t) f(t/2), t = tan(theta_j/2), on the M-point midpoint grid
+    theta_j = -pi + (j + 1/2) 2 pi / M, and max |g|.
+
+    The upper half grid is theta = (m + 1/2) 2 pi / M and the lower half its
+    mirror, t(-theta) = -t, so tan runs on M/2 points.  f is called on
+    blocks of _MT_BLOCK points and each block of g is written in place, so
+    g is the only complex array of grid length.
+    """
+    t = np.empty(M)
+    upper = t[M // 2:]
+    np.multiply(np.arange(M // 2) + 0.5, math.pi / M, out=upper)
+    np.tan(upper, out=upper)
+    np.negative(upper[::-1], out=t[:M // 2])
+    g = np.empty(M, dtype=complex)
+    top = 0.0
+    for start in range(0, M, _MT_BLOCK):
+        tb, gb = t[start:start + _MT_BLOCK], g[start:start + _MT_BLOCK]
+        fx = np.asarray(f(0.5 * tb))
+        re, im = gb.real, gb.imag
+        if np.iscomplexobj(fx):
+            np.multiply(tb, fx.imag, out=re)
+            re += fx.real
+            np.multiply(tb, fx.real, out=im)
+            np.subtract(fx.imag, im, out=im)
+        else:
+            re[...] = fx
+            np.multiply(tb, fx, out=im)
+            np.negative(im, out=im)
+        top = max(top, float(np.abs(gb).max()))
+    return g, top
 
 
 def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> CoefficientVector:
@@ -169,6 +253,7 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     Fourier coefficients of g(theta) = (1 - i tan(theta/2)) f(tan(theta/2)/2),
     sampled on a midpoint grid that avoids theta = +-pi (x = +-inf); cost
     O(N log N).  Requires N a power of two and x f(x) -> 0 at infinity.
+    f must act elementwise: it is called on blocks of the grid.
     """
     if N < 4 or (N & (N - 1)) != 0:
         raise ValueError("N must be a power of two, N >= 4")
@@ -177,10 +262,7 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     # indices +-N/2 are as accurate as the center ones.  Still O(N log N).
     M = 4 * N
     h = 2.0 * math.pi / M
-    theta = -math.pi + (np.arange(M) + 0.5) * h
-    half = np.tan(0.5 * theta)
-    g = (1.0 - 1j * half) * np.asarray(f(0.5 * half), dtype=complex)
-    top = float(np.max(np.abs(g)))
+    g, top = _mt_integrand(f, M)
     # The substituted integrand tends to -2i lim x f(x) at theta = +-pi.  A
     # mismatch between the two limits is a jump in the periodized integrand
     # and destroys the spectral accuracy of the midpoint rule; equal limits
@@ -197,14 +279,18 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     if abs(tail_limit(1.0) - tail_limit(-1.0)) > 1e-2 * max(top, 1e-300):
         raise ValueError("f decays too slowly for the Malmquist-Takenaka FFT path: "
                          "the substituted integrand jumps at theta = pi")
-    spectrum = scipy.fft.fft(g, workers=_fft_workers())
+    spectrum = scipy.fft.fft(g, workers=_fft_workers(), overwrite_x=True)
+    # bins n = -N/2+1..-1 sit at M+n, bins 0..N/2 at n; only they are kept
+    vals = np.concatenate((spectrum[M - N // 2 + 1:], spectrum[:N // 2 + 1]))
+    del g, spectrum
     ns = np.arange(-N // 2 + 1, N // 2 + 1)
-    pref = (h / (2.0 * _SQRT_2PI)) * 1j ** (ns % 4) * np.exp(-0.5j * ns * h)
-    vals = pref * spectrum[ns % M]
+    vals *= (h / (2.0 * _SQRT_2PI)) * _I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
     return CoefficientVector(vals, int(ns[0]), basis, {"method": "mt-fft", "samples": M})
 
 
-_TANH_CHEB_KINDS = {(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)}
+# (a, b) -> the midpoint transform and its type
+_TANH_CHEB_KINDS = {(0.75, 0.75): (scipy.fft.dst, 2), (0.25, 0.25): (scipy.fft.dct, 2),
+                    (0.25, 0.75): (scipy.fft.dct, 4), (0.75, 0.25): (scipy.fft.dst, 4)}
 
 def tanh_cheb_kind(basis) -> tuple[float, float] | None:
     """The (a, b) pair when ``basis`` is one of the four tanh-Chebyshev
@@ -240,42 +326,43 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     # midpoint rule converges algebraically there; the floor keeps that
     # regime at the 1e-9 level while staying O(N log N).
     M = max(4 * N, 1024)
-    theta = (np.arange(M) + 0.5) * (math.pi / M)
-    x = -np.log(np.tan(0.5 * theta))
-    H = np.asarray(f(x), dtype=complex) / np.sqrt(np.sin(theta))
-    top = float(np.max(np.abs(H)))
+    theta = (np.arange(M // 2) + 0.5) * (math.pi / M)
+    # theta_{M-1-j} = pi - theta_j, where x(pi - theta) = -x(theta) and
+    # sin(pi - theta) = sin(theta): the lower half of the grid gives both
+    x = np.empty(M)
+    np.log(np.tan(0.5 * theta), out=x[:M // 2])
+    np.negative(x[:M // 2], out=x[:M // 2])
+    np.negative(x[M // 2 - 1::-1], out=x[M // 2:])
+    H = np.empty(M)
+    np.sqrt(np.sin(theta), out=H[:M // 2])
+    H[M // 2:] = H[M // 2 - 1::-1]
+    fx = np.asarray(f(x))
+    if np.iscomplexobj(fx) and not np.any(fx.imag):
+        fx = fx.real
+    if np.iscomplexobj(fx):
+        H = fx / H
+    else:
+        np.divide(fx, H, out=H)
+    top = float(np.abs(H, out=x).max())
     # H must stay bounded toward theta = 0, pi (x = +-inf).  Probe one point
     # beyond each end of the grid: a value exceeding the on-grid maximum
     # means f decays more slowly than e^{-|x|/2}, H blows up, and the fast
     # path loses its accuracy.
-    for th in (0.25 * theta[0], math.pi - 0.25 * (math.pi - theta[-1])):
+    for th in (0.25 * theta[0], math.pi - 0.25 * theta[0]):
         xq = -math.log(math.tan(0.5 * th))
         hq = complex(np.asarray(f(np.array([xq])), dtype=complex)[0]) / math.sqrt(math.sin(th))
         if abs(hq) > 1.2 * max(top, 1e-300):
             raise ValueError("f decays too slowly for the tanh-Chebyshev transform path")
     root_s = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
     scale = math.pi / (2.0 * M) / root_s
-    workers = _fft_workers()
-    signs = (-1.0) ** (np.arange(M) % 2)
-    if (a, b) == (0.75, 0.75):
-        vals = signs * scale * _real_transform(scipy.fft.dst, H, 2, workers)
-    elif (a, b) == (0.25, 0.25):
-        vals = signs * scale * math.sqrt(2.0) * _real_transform(scipy.fft.dct, H, 2, workers)
+    transform, order = _TANH_CHEB_KINDS[(a, b)]
+    vals = transform(H, type=order, workers=_fft_workers(), overwrite_x=True)[:N]
+    vals *= scale if (a, b) == (0.75, 0.75) else scale * math.sqrt(2.0)
+    if (a, b) == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)
-    elif (a, b) == (0.25, 0.75):
-        vals = signs * scale * math.sqrt(2.0) * _real_transform(scipy.fft.dct, H, 4, workers)
-    else:
-        vals = signs * scale * math.sqrt(2.0) * _real_transform(scipy.fft.dst, H, 4, workers)
-    return CoefficientVector(vals[:N], 0, basis,
+    vals[1::2] *= -1.0
+    return CoefficientVector(vals, 0, basis,
                              {"method": "tanh-chebyshev", "kind": (a, b), "samples": M})
-
-
-def _real_transform(transform, H: np.ndarray, kind: int, workers) -> np.ndarray:
-    """Apply a real DCT/DST to a complex array componentwise."""
-    out = transform(H.real, type=kind, workers=workers).astype(complex)
-    if np.any(H.imag):
-        out += 1j * transform(H.imag, type=kind, workers=workers)
-    return out
 
 
 @dataclass(frozen=True)

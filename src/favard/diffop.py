@@ -213,7 +213,9 @@ class FoldedEigensystem:
         return self.unfold(_real_times(self.U.T, w[0::2]), _real_times(self.W.T, w[1::2]))
 
 
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])  # i^n by n mod 4
+# i^n by n mod 4, and (-i)^n = _I_POWERS[-n % 4]; bit for bit the values
+# of 1j ** (n % 4) and (-1j) ** (n % 4), signed zeros included
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _to_spectral(D: DiffMatrix, v: np.ndarray) -> np.ndarray:

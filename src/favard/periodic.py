@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recurrence as rec
+from .diffop import _I_POWERS
 
 __all__ = [
     "PeriodicBasis",
@@ -153,7 +154,7 @@ def periodic_gram(basis: PeriodicBasis, N: int, M: int = 4096) -> np.ndarray:
     amps = basis._roots * table  # (N, lattice)
     k = np.asarray(basis.measure.points, dtype=float)
     phases = np.exp(1j * np.multiply.outer(k, x))  # (lattice, M)
-    rows = (1j ** (np.arange(N) % 4))[:, None] * (amps @ phases)  # (N, M)
+    rows = _I_POWERS[np.arange(N) % 4][:, None] * (amps @ phases)  # (N, M)
     return (rows @ rows.conj().T) / M
 
 
@@ -172,8 +173,9 @@ def periodic_diff_check(basis: PeriodicBasis, N: int, M: int = 257) -> float:
     amps = basis._roots * table
     x = 2.0 * np.pi * np.arange(M) / M - np.pi
     modes = np.exp(1j * np.multiply.outer(k, x))  # (lattice, M)
-    phi = (1j ** (np.arange(N + 1) % 4))[:, None] * (amps @ modes)
-    dphi = (1j ** (np.arange(N + 1) % 4))[:, None] * ((amps * k) @ modes) * 1j
+    powers = _I_POWERS[np.arange(N + 1) % 4][:, None]
+    phi = powers * (amps @ modes)
+    dphi = powers * ((amps * k) @ modes) * 1j
     b = basis.jacobi.b
     c = basis.jacobi.c
     worst = 0.0

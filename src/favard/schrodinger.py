@@ -218,12 +218,12 @@ def _mt_grid(N: int, M: int | None = None):
     nodes = 0.5 * tan_half
     ns = np.arange(N)
     common = M * math.sqrt(2.0 / math.pi) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
-    shift = (-1j) ** (ns % 4) * np.exp(0.5j * ns * h)
+    shift = diffop._I_POWERS[-ns % 4] * np.exp(0.5j * ns * h)
 
     def synthesize(a):
         return common * scipy.fft.ifft(shift * a, n=M, workers=_fft_workers())
 
-    pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * (1j ** (ns % 4)) * np.exp(-0.5j * ns * h)
+    pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * diffop._I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
     factor = 1.0 - 1j * tan_half
 
     def analyze(u):

@@ -11,6 +11,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard import basis as bas
 from favard import recurrence as rec
@@ -149,6 +151,59 @@ def test_tanh_jacobi_table_matches_single_rows(a, b):
     assert table.shape == (41, 181)
     for n in range(41):
         assert np.array_equal(table[n], tanh_jacobi(a, b, n, x)), n
+
+
+def _hermite_scan_checked(nmax, x, collect):
+    # the scan with a range check after every step: rescale by 2^-512 where
+    # max(|m_k|, |m_{k-1}|) passes 2^500, by 2^512 where it drops below
+    # 2^-500, and materialize each row with ldexp
+    x = np.clip(x, -bas._HERMITE_CLAMP, bas._HERMITE_CLAMP)
+    t = -x * x / (2.0 * math.log(2.0))
+    e = np.floor(t)
+    cur = bas._PHI0_HERMITE * np.exp2(t - e)
+    prev = np.zeros_like(cur)
+    rows = np.empty((nmax + 1, x.size)) if collect else None
+    if collect:
+        rows[0] = np.ldexp(cur, e.astype(np.int64))
+    for k in range(nmax):
+        prev, cur = cur, -x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        mag = np.maximum(np.abs(cur), np.abs(prev))
+        high = mag > 2.0**500
+        low = (mag < 2.0**-500) & (mag > 0)
+        if np.any(high):
+            cur = np.where(high, cur * 2.0**-512, cur)
+            prev = np.where(high, prev * 2.0**-512, prev)
+            e = np.where(high, e + 512, e)
+        if np.any(low):
+            cur = np.where(low, cur * 2.0**512, cur)
+            prev = np.where(low, prev * 2.0**512, prev)
+            e = np.where(low, e - 512, e)
+        if collect:
+            rows[k + 1] = np.ldexp(cur, e.astype(np.int64))
+    if collect:
+        return rows
+    return np.ldexp(cur, e.astype(np.int64))
+
+
+_HERMITE_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                     1e-160, -2e-162, 2.0**26, -2.0**26, 3e7, -3e7, math.inf, -math.inf]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-60.0, 60.0),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_HERMITE_POINTS, min_size=1, max_size=16), st.integers(0, 600), st.booleans())
+def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax, collect):
+    # rescaling only when the summed growth bound demands it, by another
+    # power of two, changes no bit of any row: zero, tiny and subnormal
+    # points, the clamp at 2^26 and points far past it included
+    x = np.array(points)
+    got = bas._hermite_scan(nmax, x, collect)
+    want = _hermite_scan_checked(nmax, x, collect)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_closed_tables_raise_no_runtime_warning():

@@ -1,6 +1,9 @@
 """Expansion coefficients: x-space vs Fourier-side paths, MT fast
 transform, tanh-Chebyshev fast transform, decay fitting."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,70 @@ def test_mt_xspace_rows_match_phi_bitwise():
     w[-1] *= 0.5
     assert got.n_start == ns[0]
     assert np.array_equal(got.values, (np.conj(rows) * f(x).astype(complex)) @ w)
+
+
+def _xspace_general(f, basis, N, window=(-30.0, 30.0), M=8193):
+    # the unfolded trapezoid rule over the whole grid: values, tail
+    # estimate, and the largest integrand magnitude
+    x = np.linspace(*window, M)
+    w = np.full(M, x[1] - x[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    if basis.bilateral:
+        V = malmquist_takenaka(np.arange(-N // 2 + 1, N // 2 + 1)[:, None], x)
+    else:
+        V = phi_grid(basis, N - 1, x)
+    integrand = np.conj(V) * np.asarray(f(x), dtype=complex)
+    return (integrand @ w, float(np.max(np.abs(integrand[:, [0, -1]]))),
+            float(np.max(np.abs(integrand))))
+
+
+def _coherent(s, kick=0.0):
+    return lambda x: math.pi ** -0.25 * np.exp(-0.5 * (x - s) ** 2 + 1j * kick * x)
+
+
+@pytest.mark.parametrize("family, M", [("hermite", 8193), ("legendre", 8193),
+                                       ("jacobi:1,1", 1025)])
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 64])
+def test_xspace_fold_matches_general_rule(family, M, N):
+    # the parity fold sums the same terms in another order: it agrees with
+    # the whole-grid rule to rounding (each sits a few ulps of the largest
+    # coefficient from the exact sum), and so does its tail metadata
+    basis = make_basis(family, N=70)
+    for f in (_coherent(0.9), _coherent(-0.6, kick=0.3), lambda x: 0.5 / (1.0 + x * x)):
+        got = co.coeffs_xspace(f, basis, N, M=M)
+        ref, edge, peak = _xspace_general(f, basis, N, M=M)
+        assert got.n_start == 0
+        assert np.max(np.abs(got.values - ref)) <= 16 * np.spacing(np.max(np.abs(ref)))
+        assert got.meta["tail_estimate"] == pytest.approx(edge, rel=1e-14, abs=1e-300)
+        assert ("warning" in got.meta) == (edge > 1e-10 * max(peak, 1e-300))
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "tanhjacobi:0.75,0.75"])
+def test_xspace_fold_odd_coefficients_of_even_f_vanish(family):
+    basis = make_basis(family, N=40)
+    # f(-x) == f(x) bit for bit (x ** 4 would not be: NumPy's power rounds
+    # differently for negative bases)
+    vals = co.coeffs_xspace(lambda x: np.exp(-x * x) / (1.0 + x * x), basis, 33).values
+    assert np.all(vals[1::2] == 0.0)
+    assert np.all(vals[0:8:2] != 0.0)
+
+
+@pytest.mark.parametrize("family, window, M", [
+    ("hermite", (-30.0, 31.0), 8193),      # asymmetric window
+    ("hermite", (-30.0, 30.0), 8192),      # even M: no centre point
+    ("mt", (-30.0, 30.0), 8193),           # bilateral
+    ("tanhjacobi:0.25,0.75", (-30.0, 30.0), 8193),  # phase sigma
+    ("laguerre", (-30.0, 30.0), 1025),     # asymmetric measure
+])
+def test_xspace_unfolded_inputs_keep_general_rule(family, window, M):
+    basis = make_basis(family, N=24)
+    f = _coherent(0.4, kick=0.2)
+    got = co.coeffs_xspace(f, basis, 16, window=window, M=M)
+    ref, edge, peak = _xspace_general(f, basis, 16, window=window, M=M)
+    assert np.array_equal(got.values, ref)
+    assert got.meta["tail_estimate"] == edge
+    assert ("warning" in got.meta) == (edge > 1e-10 * max(peak, 1e-300))
 
 
 def test_mt_fft_matches_direct_projection():
@@ -116,6 +183,39 @@ def test_mt_real_function_conjugation_symmetry():
         lhs = a.values[(-n - 1) - a.n_start]
         rhs = 1j * np.conj(a.values[n - a.n_start])
         assert abs(lhs - rhs) < 1e-12, n
+
+
+def _peak_bytes(call):
+    call()  # FFT plans and other one-time set-up
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("f, grids", [
+    (lambda x: 1.0 / (1.0 + x * x), 3.25),
+    (lambda x: (1.0 + 0.5j) / (1.0 + x * x), 3.5),
+])
+def test_mt_fft_memory(f, grids):
+    # the measured peak, in float arrays of the M = 4N samples: t, g (two)
+    # and the temporaries of f on one block; the N returned bins are formed
+    # after g is freed
+    N = 2**14
+    peak = _peak_bytes(lambda: co.mt_coeffs_fft(f, N))
+    assert peak <= 1.25 * grids * (4 * N) * 8
+
+
+def test_tanh_chebyshev_memory():
+    # measured 4.5 float arrays of the M = 4N samples: x, H (the sqrt(sin)
+    # buffer, divided in place and transformed in place), f's temporaries
+    # and half-grid theta
+    N = 2**14
+    peak = _peak_bytes(lambda: co.tanh_chebyshev_coeffs(lambda x: 1.0 / np.cosh(x),
+                                                        (0.75, 0.75), N))
+    assert peak <= 1.25 * 4.5 * (4 * N) * 8
 
 
 def test_decay_fit_exponential_recovers_planted_rate():

@@ -194,3 +194,13 @@ def test_nonzero_diagonal_does_not_fold(family):
     D = diffop.build(make_basis(family, N=16).jacobi, 16)
     assert np.any(D.diag)
     assert not isinstance(D.eigensystem, diffop.FoldedEigensystem)
+
+
+def test_i_powers_table_is_the_complex_powers_bitwise():
+    # the lookup that replaces 1j ** (n % 4) and (-1j) ** (n % 4) in the
+    # basis, coefficient, periodic and Strang code, signed zeros included
+    n = np.arange(-9, 40)
+    assert np.array_equal(diffop._I_POWERS[n % 4].view(np.int64),
+                          (1j ** (n % 4)).view(np.int64))
+    assert np.array_equal(diffop._I_POWERS[-n % 4].view(np.int64),
+                          ((-1j) ** (n % 4)).view(np.int64))
