@@ -27,12 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import _panels
 from . import recurrence as rec
 from . import specfun
 from .diffop import _I_POWERS
-from .errors import AccuracyError
-from .quadrature import _SQRT_2PI, _transform_edges, oscillatory_transform
+from .quadrature import oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -317,65 +315,38 @@ def _combine_sigma(basis: TransformedBasis, sigma):
     return lambda xi: base(xi) + sigma(xi)
 
 
-def _quad_phi(basis: TransformedBasis, n: int, x: float, tol: float,
-              sigma=None, extra_freq: float = 0.0) -> complex:
-    basis.ensure(n)
-    meas = basis.measure
-    val = oscillatory_transform(
-        lambda xi: rec.eval_poly(basis.jacobi, n, xi),
-        lambda xi: np.sqrt(meas.weight(xi)),
-        meas.support,
-        float(x),
-        tol,
-        degree=n,
-        breakpoints=meas.breakpoints,
-        extra_phase=sigma,
-        extra_freq=extra_freq,
-    )
-    return 1j ** (n % 4) * val
+def _closed_route(basis: TransformedBasis, method: str, available: bool) -> bool:
+    """Whether ``method`` takes the closed form; raises if that route does not exist."""
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed" and not available:
+        raise ValueError(f"basis {basis.family!r} has no closed form for this call")
+    return available and method != "quadrature"
 
 
 def phi(basis: TransformedBasis, n: int, x, tol: float = 1e-10,
         method: str = "auto"):
     """Evaluate phi_n at scalar or array x; returns complex values.
 
-    ``method`` is "auto" (closed form when available), "closed", or
-    "quadrature".  Negative n is admitted only for bilateral families.
+    ``method`` is as for ``phi_grid``.  The closed route runs the family's
+    single-row scan; the quadrature route returns row n of
+    ``phi_grid(basis, n, x, tol, method=method)``, one transform over all
+    of x.  Negative n is admitted only for bilateral families, and only on
+    the closed route.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     if n < 0 and not basis.bilateral:
         raise ValueError("negative index on a one-sided basis")
-    if method != "quadrature" and basis.closed_form is not None:
+    if _closed_route(basis, method, basis.closed_form is not None):
         return np.asarray(basis.closed_form(n, x), dtype=complex)[()]
-    if method == "closed":
-        raise ValueError(f"basis {basis.family!r} has no closed form")
     if n < 0:
         raise ValueError("quadrature path is defined for n >= 0 only")
-    sigma = basis.sigma
-    extra = _sigma_freq(basis, sigma, n) if sigma is not None else 0.0
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return _quad_phi(basis, n, float(xs), tol, sigma=sigma, extra_freq=extra)
-    return np.array([
-        _quad_phi(basis, n, xv, tol, sigma=sigma, extra_freq=extra) for xv in xs.ravel()
-    ]).reshape(xs.shape)
+    return _row(phi_grid(basis, n, x, tol, method=method)[n], x)
 
 
-def _unit_phase(arg: np.ndarray) -> np.ndarray:
-    """e^{i arg} from one cosine and one sine per entry."""
-    out = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
-
-
-def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
-    """out = table @ factor for a complex factor; a real table takes one real product."""
-    if np.iscomplexobj(table):
-        np.matmul(table, factor, out=out)
-    else:
-        np.matmul(table, factor.view(float), out=out.view(float))
+def _row(row: np.ndarray, x):
+    """A grid row in the shape of x: a Python complex for a scalar x."""
+    xs = np.asarray(x)
+    return complex(row[0]) if xs.ndim == 0 else row.reshape(xs.shape)
 
 
 def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
@@ -383,108 +354,29 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
              method: str = "auto") -> np.ndarray:
     """Evaluate phi_0..phi_nmax on a grid at once; shape (nmax+1, len(x)).
 
-    A family with a closed form returns ``basis.closed_table(nmax, x)``.
-    The quadrature route shares one panel rule across all indices and grid
-    points, doubling the panel count until two levels agree to ``tol``.
-
-    The Fourier kernel is built per panel, not per node.  The panels of a
-    level are grouped by width (``_panels.width_classes``): every node is
-    xi = m_q + h t_k with a panel midpoint m_q, its class half-width h and
-    one of the GL_ORDER Gauss offsets t_k, so e^{i x xi} is the panel factor
-    e^{i x m_q} times the offset factor e^{i x h t_k}.  A grid point takes
-    one panel factor per panel and GL_ORDER offset factors per class, and a
-    rule cut from one linspace is a single class: about 2 (panels +
-    GL_ORDER) trigonometric calls per point where a kernel per node takes
-    2 per node.  The table p_n(xi) w sqrt(w(xi)), times e^{i sigma(xi)}
-    with a phase, meets the factors in whichever order costs less: a class
-    of more panels than rows goes through one matrix product with its panel
-    factors and is then summed against its offset factors; the kernel
-    entries of the other classes (graded panels, mostly alone in their
-    class) are formed as products of the two factors and go through one
-    matrix product together.  Intermediates are chunked over x to about
-    2^21 entries.
-
-    When the measure is symmetric and no phase sigma is combined in, p_n
-    has the parity of n and sqrt(w) is even, so the integral over the line
-    is twice the integral over [0, hi] of cos(x xi) (even n) or i sin(x xi)
-    (odd n).  The route then uses the mirrored half rule of
-    ``_transform_edges`` (same panel width, doubled weights) and keeps only
-    the real part of the even rows and the imaginary part of the odd rows.
+    ``method`` is "auto" (the closed form when the family has one),
+    "closed" or "quadrature"; "closed" raises for a family without a closed
+    form or with a phase ``sigma``, which only quadrature carries.  The
+    closed route returns ``basis.closed_table(nmax, x)``.  The quadrature
+    route is one call of ``quadrature.oscillatory_transform`` with the
+    basis's phase and ``sigma`` combined; ``extra_freq`` bounds max |sigma'|
+    and the basis's own phase is bounded here.  When the measure is
+    symmetric and no phase is combined in, the transform folds onto the half
+    rule [0, hi].  Row n is multiplied by i^n.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if method != "quadrature" and basis.closed_table is not None and sigma is None:
+    if _closed_route(basis, method, basis.closed_table is not None and sigma is None):
         return np.asarray(basis.closed_table(nmax, xs), dtype=complex)
     basis.ensure(nmax)
     sigma = _combine_sigma(basis, sigma)
     if basis.sigma is not None:
         extra_freq = extra_freq + _sigma_freq(basis, basis.sigma, nmax)
     meas = basis.measure
-    fold = meas.symmetric and sigma is None
-    rows = nmax + 1
-    order = _panels.GL_ORDER
-
-    def sqrtw(xi):
-        return np.sqrt(meas.weight(xi))
-
-    freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
-    phases = _I_POWERS[np.arange(rows) % 4]
-
-    def evaluate(refine: int) -> np.ndarray:
-        edges = _transform_edges(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine,
-                                 half=fold)
-        half, mids, counts = _panels.width_classes(edges)
-        hq = np.repeat(half, counts)
-        # node (k, q) is m_q + h t_k; a class is a block of panels q
-        xi = (mids + hq * _panels.GL_NODES[:, None]).ravel()
-        w = (hq * _panels.GL_WEIGHTS[:, None]).ravel()
-        table = rec.eval_poly_table(basis.jacobi, nmax, xi) * ((2.0 if fold else 1.0) * w
-                                                               * sqrtw(xi))
-        if sigma is not None:
-            table = table * np.exp(1j * sigma(xi))
-        table = table.reshape(rows, order, mids.size)
-        offsets = (half[:, None] * _panels.GL_NODES).ravel()
-        panels = [slice(s, s + n) for s, n in zip(np.cumsum(counts) - counts, counts)]
-        wide = counts > rows
-        in_narrow = np.repeat(~wide, counts)
-        n_narrow = int(in_narrow.sum())
-        t_narrow = table[:, :, in_narrow].reshape(rows, order * n_narrow)
-        out = np.empty((rows, xs.size), dtype=complex)
-        per_point = mids.size + order * (half.size + n_narrow + rows)
-        step = max(16, (1 << 21) // per_point)
-        for start in range(0, xs.size, step):
-            xc = xs[start:start + step]
-            panel = _unit_phase(np.outer(mids, xc))
-            offset = _unit_phase(np.outer(offsets, xc)).reshape(half.size, order, xc.size)
-            kernel = np.empty((order, n_narrow, xc.size), dtype=complex)
-            j = 0
-            for c in np.flatnonzero(~wide):
-                np.multiply(offset[c][:, None, :], panel[None, panels[c], :],
-                            out=kernel[:, j:j + counts[c], :])
-                j += counts[c]
-            acc = out[:, start:start + step]
-            _times(t_narrow, kernel.reshape(order * n_narrow, xc.size), acc)
-            part = np.empty((rows * order, xc.size), dtype=complex)
-            for c in np.flatnonzero(wide):
-                q = panels[c]
-                _times(table[:, :, q].reshape(rows * order, counts[c]), panel[q], part)
-                acc += np.einsum("nkx,kx->nx", part.reshape(rows, order, xc.size), offset[c])
-        if fold:
-            out[0::2].imag = 0.0
-            out[1::2].real = 0.0
-        return phases[:, None] * out / _SQRT_2PI
-
-    prev = evaluate(0)
-    est = np.inf
-    for refine in range(1, 5):
-        cur = evaluate(refine)
-        est = float(np.max(np.abs(cur - prev)))
-        if est <= tol:
-            return cur
-        prev = cur
-    raise AccuracyError(
-        f"basis grid evaluation did not reach tol={tol:g}; estimate {est:g}",
-        estimate=est,
-    )
+    rows = oscillatory_transform(basis.jacobi, nmax, lambda xi: np.sqrt(meas.weight(xi)),
+                                 meas.support, meas.breakpoints, xs, tol, phase=sigma,
+                                 phase_freq=extra_freq, fold=meas.symmetric and sigma is None)
+    rows *= _I_POWERS[np.arange(nmax + 1) % 4][:, None]
+    return rows
 
 
 def _sigma_freq(basis: TransformedBasis, sigma, degree: int) -> float:
@@ -501,18 +393,15 @@ def phi_with_phase(basis: TransformedBasis, sigma, n: int, x, tol: float = 1e-10
 
     Any real sigma preserves orthonormality and the differential-recurrence
     coefficients; sigma(xi) = xi*s translates the basis, sigma(xi) = -xi^2*t
-    performs free Schroedinger evolution.
+    performs free Schroedinger evolution.  The value is row n of
+    ``phi_grid(basis, n, x, tol, sigma=sigma, method="quadrature")``, its
+    phase bounded by sampling sigma combined with the basis's own phase.
     """
     if n < 0:
         raise ValueError("index n must be >= 0")
-    total = _combine_sigma(basis, sigma)
-    extra = _sigma_freq(basis, total, n)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return _quad_phi(basis, n, float(xs), tol, sigma=total, extra_freq=extra)
-    return np.array([
-        _quad_phi(basis, n, xv, tol, sigma=total, extra_freq=extra) for xv in xs.ravel()
-    ]).reshape(xs.shape)
+    extra = _sigma_freq(basis, _combine_sigma(basis, sigma), n)
+    return _row(phi_grid(basis, n, x, tol, sigma=sigma, extra_freq=extra,
+                         method="quadrature")[n], x)
 
 
 def _parse_params(family: str, text: str, count: int) -> list[float]:

@@ -378,9 +378,10 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         bas = _resolve_family(args.family, n_range[1])
         if isinstance(bas, periodic_mod.PeriodicBasis):
             raise ValueError("use the periodic subcommand for charlier families")
-        method = {"auto": "auto", "quadrature": "quadrature", "closed": "auto"}[args.method]
+        if args.method == "closed" and bas.closed_table is None:
+            raise ValueError(f"family {args.family!r} has no closed form")
         cfg = RunConfig(sub, family=args.family, n_range=n_range, grid=grid,
-                        out=args.out, method=method, params={"basis": bas})
+                        out=args.out, method=args.method, params={"basis": bas})
         return cfg, _cmd_basis
     if sub == "quad":
         if args.N < 1:

@@ -10,9 +10,11 @@ minus):
     atom  := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
 Functions: sin cos tan exp log tanh cosh sinh sqrt abs.  Evaluation follows
-IEEE double semantics elementwise on numpy arrays; genuine domain errors
-(log of a non-positive value, division by zero, sqrt of a negative) raise
-EvalError rather than propagating non-finite values.
+IEEE double semantics elementwise on numpy arrays; x^k with a non-negative
+integer literal k is formed by repeated squaring, so that it has the parity
+of k bit for bit.  Genuine domain errors (log of a non-positive value,
+division by zero, sqrt of a negative) raise EvalError rather than
+propagating non-finite values.
 """
 
 from __future__ import annotations
@@ -285,6 +287,9 @@ def _eval(node, x):
         return _check(FUNCTIONS[node.fn](arg), node.fn)
     if isinstance(node, Bin):
         lhs = _eval(node.lhs, x)
+        if (node.op == "^" and isinstance(node.rhs, Num) and node.rhs.value >= 0
+                and float(node.rhs.value).is_integer()):
+            return _check(_int_power(lhs, int(node.rhs.value)), "power")
         rhs = _eval(node.rhs, x)
         if node.op == "+":
             return lhs + rhs
@@ -296,6 +301,19 @@ def _eval(node, x):
             return _check(lhs / rhs, "division")
         return _check(np.power(lhs, rhs), "power")
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _int_power(base, k: int):
+    """base^k for an integer k >= 0 by repeated squaring: (-x)^k is exactly
+    +-x^k and x^2 is x*x, which np.power with an array exponent misses."""
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return np.ones_like(base) if out is None else out
 
 
 def compile_function(src: str, varname: str = "x"):

@@ -1,4 +1,7 @@
-"""Gauss quadrature from recurrence coefficients, and oscillatory transforms."""
+"""Gauss quadrature from recurrence coefficients, and the oscillatory transform:
+the one quadrature route to the Fourier integrals that define phi_n for a
+family without a closed form.
+"""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +11,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _panels
 from .errors import AccuracyError, EigenError
-from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval
+from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval, eval_poly_table
 
 __all__ = ["QuadratureRule", "golub_welsch", "integrate", "oscillatory_transform"]
 
@@ -164,35 +167,116 @@ def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
     return (xs, 2.0 * ws) if half else (xs, ws)
 
 
-def oscillatory_transform(poly, sqrt_weight, support, x: float, tol: float = 1e-10,
-                          *, degree: int = 0, breakpoints=(), extra_phase=None,
-                          extra_freq: float = 0.0, max_refine: int = 4) -> complex:
-    """(1/sqrt(2 pi)) * integral of e^{i x xi} poly(xi) sqrt_weight(xi) d xi.
+def _unit_phase(arg: np.ndarray) -> np.ndarray:
+    """e^{i arg} from one cosine and one sine per entry."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
 
-    Composite fixed-order Gauss panels of width at most pi/(1 + |x|) resolve
-    the Fourier kernel directly; infinite supports are truncated where
-    sqrt_weight (times |xi|^degree, for a degree-``degree`` polynomial
-    factor) drops below 1e-18 of its peak.  The panel count is doubled until
-    two successive refinements agree to ``tol``; failure to converge within
-    the budget raises AccuracyError carrying the achieved estimate.
 
-    ``extra_phase`` adds a real phase sigma(xi) inside the kernel and
-    ``extra_freq`` should then bound max |sigma'| so panels stay resolved.
+def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
+    """out = table @ factor for a complex factor; a real table takes one real product."""
+    if np.iscomplexobj(table):
+        np.matmul(table, factor, out=out)
+    else:
+        np.matmul(table, factor.view(float), out=out.view(float))
+
+
+def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support, breakpoints,
+                          x, tol: float = 1e-10, *, phase=None, phase_freq: float = 0.0,
+                          fold: bool = False) -> np.ndarray:
+    """Rows (1/sqrt(2 pi)) integral e^{i x xi} p_n(xi) sqrt_weight(xi) d xi, n = 0..nmax.
+
+    ``p_n`` are the orthonormal polynomials of ``jacobi``; for the points of
+    the flat array ``x`` the result has shape (nmax+1, len(x)).  One rule of
+    Gauss panels on the truncated support (``_transform_edges``, panels at
+    most pi/(1 + max|x| + phase_freq) wide) serves every row and point, and its
+    panel count is doubled until two levels agree to ``tol`` everywhere;
+    failure within four doublings raises AccuracyError carrying the
+    estimate.  ``phase`` adds a real sigma(xi) inside the kernel, and
+    ``phase_freq`` should then bound max |sigma'|.
+
+    The Fourier kernel is built per panel, not per node.  The panels of a
+    level are grouped by width (``_panels.width_classes``): every node is
+    xi = m_q + h t_k with a panel midpoint m_q, its class half-width h and
+    one of the GL_ORDER Gauss offsets t_k, so e^{i x xi} is the panel factor
+    e^{i x m_q} times the offset factor e^{i x h t_k}: 2 (panels +
+    GL_ORDER * classes) trigonometric calls per point where a kernel per
+    node takes 2 per node.  The table p_n(xi) w sqrt_weight(xi), times
+    e^{i sigma(xi)} with a phase, meets the factors in whichever order costs
+    less: a class of more panels than rows goes through one matrix product
+    with its panel factors and is then summed against its offset factors;
+    the kernel entries of the other classes (graded panels, mostly alone in
+    their class) are formed as products of the two factors and go through
+    one matrix product together.  Intermediates are chunked over x to about
+    2^21 entries.
+
+    ``fold`` asserts a symmetric measure and no phase: p_n has the parity of
+    n and sqrt_weight is even, so the integral is twice that over [0, hi] of
+    cos(x xi) (even n) or i sin(x xi) (odd n).  The rule is then the
+    mirrored half rule (same panel width, doubled weights), and only the
+    real parts of the even rows and the imaginary parts of the odd rows are
+    kept.
     """
-    freq = abs(x) + extra_freq
-    prev = None
+    xs = np.asarray(x, dtype=float)
+    rows = nmax + 1
+    order = _panels.GL_ORDER
+    freq = float(np.max(np.abs(xs), initial=0.0)) + phase_freq
+
+    def evaluate(refine: int) -> np.ndarray:
+        edges = _transform_edges(support, breakpoints, sqrt_weight, nmax, freq, refine,
+                                 half=fold)
+        half, mids, counts = _panels.width_classes(edges)
+        hq = np.repeat(half, counts)
+        # node (k, q) is m_q + h t_k; a class is a block of panels q
+        xi = (mids + hq * _panels.GL_NODES[:, None]).ravel()
+        w = (hq * _panels.GL_WEIGHTS[:, None]).ravel()
+        table = eval_poly_table(jacobi, nmax, xi) * ((2.0 if fold else 1.0) * w
+                                                     * sqrt_weight(xi))
+        if phase is not None:
+            table = table * np.exp(1j * phase(xi))
+        table = table.reshape(rows, order, mids.size)
+        offsets = (half[:, None] * _panels.GL_NODES).ravel()
+        panels = [slice(s, s + n) for s, n in zip(np.cumsum(counts) - counts, counts)]
+        wide = counts > rows
+        in_narrow = np.repeat(~wide, counts)
+        n_narrow = int(in_narrow.sum())
+        t_narrow = table[:, :, in_narrow].reshape(rows, order * n_narrow)
+        out = np.empty((rows, xs.size), dtype=complex)
+        per_point = mids.size + order * (half.size + n_narrow + rows)
+        step = max(16, (1 << 21) // per_point)
+        for start in range(0, xs.size, step):
+            xc = xs[start:start + step]
+            panel = _unit_phase(np.outer(mids, xc))
+            offset = _unit_phase(np.outer(offsets, xc)).reshape(half.size, order, xc.size)
+            kernel = np.empty((order, n_narrow, xc.size), dtype=complex)
+            j = 0
+            for c in np.flatnonzero(~wide):
+                np.multiply(offset[c][:, None, :], panel[None, panels[c], :],
+                            out=kernel[:, j:j + counts[c], :])
+                j += counts[c]
+            acc = out[:, start:start + step]
+            _times(t_narrow, kernel.reshape(order * n_narrow, xc.size), acc)
+            part = np.empty((rows * order, xc.size), dtype=complex)
+            for c in np.flatnonzero(wide):
+                q = panels[c]
+                _times(table[:, :, q].reshape(rows * order, counts[c]), panel[q], part)
+                acc += np.einsum("nkx,kx->nx", part.reshape(rows, order, xc.size), offset[c])
+        if fold:
+            out[0::2].imag = 0.0
+            out[1::2].real = 0.0
+        out /= _SQRT_2PI
+        return out
+
+    prev = evaluate(0)
     est = np.inf
-    for refine in range(max_refine + 1):
-        xs, ws = _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine)
-        phase = x * xs
-        if extra_phase is not None:
-            phase = phase + extra_phase(xs)
-        val = complex(np.sum(ws * poly(xs) * sqrt_weight(xs) * np.exp(1j * phase)) / _SQRT_2PI)
-        if prev is not None:
-            est = abs(val - prev)
-            if est <= tol:
-                return val
-        prev = val
+    for refine in range(1, 5):
+        cur = evaluate(refine)
+        est = float(np.max(np.abs(cur - prev), initial=0.0))
+        if est <= tol:
+            return cur
+        prev = cur
     raise AccuracyError(
         f"oscillatory transform did not reach tol={tol:g}; estimate {est:g}",
         estimate=est,

@@ -96,7 +96,9 @@ def free_psi(basis: basis_mod.TransformedBasis, n: int, x, t: float,
              printed_form: bool = False):
     """psi_n(x, t): the basis function propagated under u_t = i u_xx.
 
-    At t = 0 this is phi_n.  ``printed_form`` switches the multiplier phase
+    At t = 0 this is ``phi(basis, n, x)``; otherwise it is
+    ``phi_with_phase`` with the multiplier phase, row n of one quadrature
+    transform over all of x.  ``printed_form`` switches the multiplier phase
     from -xi^2 t to xi t^2 for side-by-side comparison; only the default
     solves the free equation.
     """

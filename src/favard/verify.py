@@ -19,6 +19,7 @@ from . import _panels
 from . import basis as basis_mod
 from . import periodic as periodic_mod
 from . import specfun
+from .quadrature import _unit_phase
 
 __all__ = [
     "SCHEMA",
@@ -338,14 +339,6 @@ _PW_BLOCK = 2**15
 _PW_TRIG = 2**11
 
 
-def _unit(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta} from one cos and one sin call."""
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def _unit_steps(first: float, step: float, count: int):
     """e^{i theta_j}, theta_j = (first + j) step, on j in [start, stop), by angle addition.
 
@@ -361,8 +354,8 @@ def _unit_steps(first: float, step: float, count: int):
     function (start, stop) -> e^{i theta_j}, 0 <= start <= stop <= count.
     """
     T = _PW_TRIG
-    fine = _unit(np.arange(T) * step)
-    coarse = _unit((np.arange(-(-count // T)) * T + first) * step)[:, None]
+    fine = _unit_phase(np.arange(T) * step)
+    coarse = _unit_phase((np.arange(-(-count // T)) * T + first) * step)[:, None]
 
     def steps(start: int, stop: int) -> np.ndarray:
         qa, qb = start // T, -(-stop // T)

@@ -431,3 +431,70 @@ def test_half_rule_mirrors_the_whole_line_rule():
     assert np.array_equal(2.0 * w[xi > 0.0][upper], hw[order])
     # no zero-width panel below 0 either, so the halves have equal node counts
     assert np.allclose(np.sort(-xi[xi < 0.0]), hx[order], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("family", ["jacobi:0.5,1.5", "conthahn:1,0.5"])
+def test_quadrature_phi_and_phase_are_rows_of_phi_grid(family):
+    # phi's and phi_with_phase's quadrature values are phi_grid's rows bit
+    # for bit, for a scalar and a 2-D x; conthahn:1,0.5 carries a phase
+    basis = make_basis(family, N=8)
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    sigma = lambda xi: 0.4 * xi
+    extra = bas._sigma_freq(basis, bas._combine_sigma(basis, sigma), 3)
+    for n in (0, 3):
+        row = phi_grid(basis, n, x.ravel(), method="quadrature")[n]
+        assert np.array_equal(phi(basis, n, x, method="quadrature"), row.reshape(3, 4))
+        assert np.array_equal(phi(basis, n, x), row.reshape(3, 4))
+        one = phi(basis, n, 0.7, method="quadrature")
+        assert type(one) is complex
+        assert one == phi_grid(basis, n, 0.7, method="quadrature")[n][0]
+    moved = phi_grid(basis, 3, x.ravel(), sigma=sigma, extra_freq=extra, method="quadrature")[3]
+    assert np.array_equal(phi_with_phase(basis, sigma, 3, x), moved.reshape(3, 4))
+    one = phi_grid(basis, 3, 0.7, sigma=sigma, extra_freq=extra, method="quadrature")[3][0]
+    assert phi_with_phase(basis, sigma, 3, 0.7) == one
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_phi_makes_one_transform_call(monkeypatch, size):
+    # the quadrature route transforms all of x at once, whatever its length
+    calls = []
+    transform = bas.oscillatory_transform
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(bas, "oscillatory_transform", counted)
+    basis = make_basis("jacobi:0.5,1.5", N=8)
+    x = np.linspace(-2.0, 2.0, size)
+    phi(basis, 2, x)
+    assert len(calls) == 1
+    phi_with_phase(basis, lambda xi: 0.3 * xi, 2, x)
+    assert len(calls) == 2
+
+
+def test_quadrature_route_on_an_empty_grid():
+    basis = make_basis("jacobi:1,1", N=8)
+    table = phi_grid(basis, 1, np.array([]), method="quadrature")
+    assert table.shape == (2, 0) and table.dtype == complex
+    row = phi(basis, 1, np.array([]), method="quadrature")
+    assert row.shape == (0,) and row.dtype == complex
+
+
+def test_method_validation():
+    jac = make_basis("jacobi:1,1", N=8)
+    leg = make_basis("legendre", N=8)
+    x = np.array([0.0, 0.5])
+    for basis in (jac, leg):
+        with pytest.raises(ValueError, match="unknown method"):
+            phi_grid(basis, 1, x, method="bogus")
+        with pytest.raises(ValueError, match="unknown method"):
+            phi(basis, 1, x, method="bogus")
+    with pytest.raises(ValueError, match="no closed form"):
+        phi_grid(jac, 1, x, method="closed")
+    with pytest.raises(ValueError, match="no closed form"):
+        phi(jac, 1, x, method="closed")
+    # a phase exists only on the quadrature route
+    with pytest.raises(ValueError, match="no closed form"):
+        phi_grid(leg, 1, x, sigma=lambda xi: 0.1 * xi, method="closed")
+    assert np.array_equal(phi_grid(leg, 1, x, method="closed"), phi_grid(leg, 1, x))

@@ -213,3 +213,30 @@ def test_leading_dash_option_values(capsys):
     assert rc == 0
     assert out.startswith("n,x,re_phi,im_phi\n")
     assert len(out.strip().splitlines()) == 7
+
+
+def test_basis_method_closed_needs_a_closed_form(capsys):
+    # a family without a closed form is refused before anything is printed
+    rc, out = run_cli(["basis", "eval", "--family", "jacobi:1,1", "--n", "0:1",
+                       "--grid", "0:1:0.5", "--method", "closed"], capsys)
+    assert rc == 2 and out == ""
+    argv = ["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1:0.5"]
+    rc, closed = run_cli(argv + ["--method", "closed"], capsys)
+    assert rc == 0
+    assert closed == run_cli(argv, capsys)[1]
+
+
+def test_perfbench_tracer_layers_resolve():
+    # the benchmark's tracer wraps these names through getattr; a missing
+    # one would raise in every traced run
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_favard_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.LAYERS.items():
+        mod = importlib.import_module(f"favard.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"favard.{module}.{name}"

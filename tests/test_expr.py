@@ -218,3 +218,29 @@ def test_fuzz_no_crashes():
             ex.evaluate(tree, 0.7)
         except (ex.ParseError, ex.EvalError, OverflowError):
             pass  # structured failures only
+
+
+def test_integer_powers_keep_parity_bit_for_bit():
+    # x^k with a literal integer k is formed by repeated squaring: an even
+    # expression is even bit for bit on a mirrored grid, and x^2 is x*x
+    x = np.linspace(-30.0, 30.0, 8193)
+    assert np.array_equal(x[::-1], -x)
+    v = ex.compile_function("exp(-x^2)/(1+x^4)")(x)
+    assert np.array_equal(v, v[::-1])
+    assert np.array_equal(ex.compile_function("x^2")(x), x * x)
+    assert np.array_equal(ex.compile_function("x^7")(x), -ex.compile_function("x^7")(x[::-1]))
+    assert np.array_equal(ex.compile_function("x^0")(x), np.ones_like(x))
+    assert ex.compile_function("x^3")(2.0) == 8.0
+    # any other exponent keeps np.power
+    assert ex.compile_function("x^2.5")(4.0) == 32.0
+    assert ex.compile_function("x^-1")(4.0) == 0.25
+
+
+def test_even_function_has_exactly_zero_odd_coefficients():
+    from favard.basis import make_basis
+    from favard.coeffs import coeffs_xspace
+
+    f = ex.compile_function("exp(-x^2)/(1+x^4)")
+    values = coeffs_xspace(f, make_basis("hermite", N=8), 4).values
+    assert np.all(values[1::2] == 0.0)
+    assert np.all(values[0::2] != 0.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from favard import basis as basis_mod
 from favard import coeffs as co
 from favard import diffop
 from favard import recurrence as rec
@@ -335,3 +336,19 @@ def test_fft_grid_reference_self_consistency():
     keep2 = np.isin(np.round(x2, 9), np.round(x1[keep1], 9))
     assert np.count_nonzero(keep2) == np.count_nonzero(keep1)
     assert np.max(np.abs(u1[keep1] - u2[keep2])) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["jacobi:0.5,1.5", "conthahn:1,0.5"])
+def test_free_psi_is_a_row_of_phi_grid(family):
+    # t != 0: row n of one phase-carrying transform, bit for bit
+    basis = make_basis(family, N=8)
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    t = 0.3
+    sigma = lambda xi: sch.free_multiplier(xi, t)
+    extra = basis_mod._sigma_freq(basis, basis_mod._combine_sigma(basis, sigma), 2)
+    for point in (x, 0.7):
+        row = basis_mod.phi_grid(basis, 2, point, sigma=sigma, extra_freq=extra,
+                                 method="quadrature")[2]
+        got = sch.free_psi(basis, 2, point, t)
+        assert np.array_equal(got, row.reshape(np.shape(point)))
+    assert type(got) is complex
