@@ -10,6 +10,8 @@ verification check failed, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -92,11 +94,20 @@ def _emit(out: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_FMT % v if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, columns) -> str:
+    """CSV text of equal-length, non-empty columns in one formatting call:
+    %.17g for a column of floats, %s for a column of ints."""
+    row = ",".join(_FMT if isinstance(col[0], float) else "%s" for col in columns) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return header + "\n" + (row * len(columns[0])) % cells
+
+
+def _grid_columns(labels, grid: np.ndarray, rows: np.ndarray) -> list:
+    """Columns label, x, re, im of a table whose row k holds the values on
+    ``grid`` for labels[k]: rows outer, grid points inner."""
+    m = grid.size
+    return [np.repeat(labels, m).tolist(), np.tile(grid, len(labels)).tolist(),
+            rows.real.ravel().tolist(), rows.imag.ravel().tolist()]
 
 
 def _resolve_family(family: str, N: int):
@@ -112,19 +123,15 @@ def _cmd_basis(cfg: RunConfig) -> int:
     bas = cfg.params["basis"]
     lo, hi = cfg.n_range
     table = basis_mod.phi_grid(bas, hi, cfg.grid, method=cfg.method or "auto")
-    rows = []
-    for n in range(lo, hi + 1):
-        for x, v in zip(cfg.grid, table[n]):
-            rows.append((n, float(x), float(v.real), float(v.imag)))
-    _emit(cfg.out, _csv("n,x,re_phi,im_phi", rows))
+    columns = _grid_columns(np.arange(lo, hi + 1), cfg.grid, table[lo:hi + 1])
+    _emit(cfg.out, _csv("n,x,re_phi,im_phi", columns))
     return 0
 
 
 def _cmd_quad(cfg: RunConfig) -> int:
     bas = cfg.params["basis"]
     rule = quadrature.golub_welsch(bas.jacobi, cfg.N)
-    rows = [(float(x), float(w)) for x, w in zip(rule.nodes, rule.weights)]
-    _emit(cfg.out, _csv("node,weight", rows))
+    _emit(cfg.out, _csv("node,weight", [rule.nodes.tolist(), rule.weights.tolist()]))
     return 0
 
 
@@ -138,39 +145,25 @@ def _cmd_diffmat(cfg: RunConfig) -> int:
         rows.append((m, m, 0.0, float(D.diag[m])))
         if m + 1 < cfg.N:
             rows.append((m, m + 1, float(D.super[m]), 0.0))
-    _emit(cfg.out, _csv("row,col,re,im", rows))
+    _emit(cfg.out, _csv("row,col,re,im", list(zip(*rows))))
     return 0
 
 
 def _cmd_coeffs(cfg: RunConfig) -> int:
     bas = cfg.params["basis"]
     f = cfg.params["f"]
-    method = cfg.method
-    head = bas.family.partition(":")[0]
-    if method == "auto":
-        if head == "mt":
-            method = "fft"
-        elif head == "tanhjacobi" and coeffs_mod.tanh_cheb_kind(bas) is not None:
-            method = "dct"
-        else:
-            method = "xspace"
-    if method == "fft":
-        if head != "mt":
-            raise ValueError("--method fft is only available for the mt family")
+    if cfg.method == "fft":
         vec = coeffs_mod.mt_coeffs_fft(f, cfg.N, basis=bas)
-    elif method == "dct":
-        kind = coeffs_mod.tanh_cheb_kind(bas)
-        if kind is None:
-            raise ValueError("--method dct needs a tanh-Chebyshev family "
-                             "(tanhjacobi with parameters in {1/4, 3/4})")
-        vec = coeffs_mod.tanh_chebyshev_coeffs(f, kind, cfg.N, basis=bas)
-    elif method == "xspace":
-        vec = coeffs_mod.coeffs_xspace(f, bas, cfg.N, window=cfg.params["window"])
+    elif cfg.method == "dct":
+        vec = coeffs_mod.tanh_chebyshev_coeffs(f, coeffs_mod.tanh_cheb_kind(bas), cfg.N,
+                                               basis=bas)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    rows = [(int(n), float(v.real), float(v.imag), float(abs(v)))
-            for n, v in zip(vec.indices, vec.values)]
-    _emit(cfg.out, _csv("n,re,im,abs", rows))
+        vec = coeffs_mod.coeffs_xspace(f, bas, cfg.N, window=cfg.params["window"])
+    re, im = vec.values.real, vec.values.imag
+    # np.hypot rounds as abs() of a complex scalar does; np.abs on a complex
+    # array may take a vector loop that differs in the last bit
+    columns = [vec.indices.tolist(), re.tolist(), im.tolist(), np.hypot(re, im).tolist()]
+    _emit(cfg.out, _csv("n,re,im,abs", columns))
     return 0
 
 
@@ -211,13 +204,9 @@ def _cmd_decay(cfg: RunConfig) -> int:
 
 def _cmd_periodic(cfg: RunConfig) -> int:
     bas = cfg.params["basis"]
-    lo, hi = cfg.n_range
-    rows = []
-    for n in range(lo, hi + 1):
-        vals = periodic_mod.periodic_phi(bas, n, cfg.grid)
-        for x, v in zip(cfg.grid, vals):
-            rows.append((n, float(x), float(v.real), float(v.imag)))
-    _emit(cfg.out, _csv("n,x,re_phi,im_phi", rows))
+    ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
+    table = np.array([periodic_mod.periodic_phi(bas, int(n), cfg.grid) for n in ns])
+    _emit(cfg.out, _csv("n,x,re_phi,im_phi", _grid_columns(ns, cfg.grid, table)))
     return 0
 
 
@@ -230,19 +219,14 @@ def _cmd_schrodinger(cfg: RunConfig) -> int:
     work = sch._StrangWork(bas, cfg.N, tau)
     a = work.analyze(np.asarray(f0(work.nodes), dtype=complex))
     table = basis_mod.phi_grid(bas, cfg.N - 1, cfg.grid)
-    rows = []
-
-    def emit(t, vec):
-        u = vec @ table
-        norm = float(np.linalg.norm(vec))
-        for x, v in zip(cfg.grid, u):
-            rows.append((float(t), float(x), float(v.real), float(v.imag), norm))
-
-    emit(0.0, a)
-    for k in range(1, steps + 1):
-        a = work.step(a, V)
-        emit(k * tau, a)
-    _emit(cfg.out, _csv("t,x,re_u,im_u,norm", rows))
+    states = [a]
+    for _ in range(steps):
+        states.append(work.step(states[-1], V))
+    u = np.array([vec @ table for vec in states])
+    norms = [float(np.linalg.norm(vec)) for vec in states]
+    columns = _grid_columns([k * tau for k in range(steps + 1)], cfg.grid, u)
+    columns.append(np.repeat(norms, cfg.grid.size).tolist())
+    _emit(cfg.out, _csv("t,x,re_u,im_u,norm", columns))
     return 0
 
 
@@ -256,10 +240,12 @@ def _verify_reports(cfg: RunConfig) -> list:
     which = cfg.params["check"]
     N = cfg.N
     reports = []
+    # gram, recurrence and pw-support share one basis per size
+    basis_at = functools.cache(functools.partial(_resolve_family, family))
 
     def add(name):
         if name in ("gram", "recurrence"):
-            bas = _resolve_family(family, max(N, 12))
+            bas = basis_at(max(N, 12))
             fn = verify_mod.check_gram if name == "gram" else verify_mod.check_recurrence
             reports.append(fn(bas, N))
         elif name == "cramer":
@@ -272,7 +258,7 @@ def _verify_reports(cfg: RunConfig) -> list:
             a, b = basis_mod._parse_params(family, tail, 2)
             reports.append(verify_mod.check_tanh_jacobi_identity(a, b, min(N, 6)))
         elif name == "pw-support":
-            bas = _resolve_family(family, max(N, 8))
+            bas = basis_at(max(N, 8))
             reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
         else:
             raise ValueError(f"unknown check {name!r}")
@@ -302,7 +288,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 1 if bad else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every main() call:
+    parse_args leaves it unchanged and returns a fresh namespace."""
     root = argparse.ArgumentParser(
         prog="favard",
         description="Orthonormal function systems with tridiagonal differentiation matrices.",
@@ -368,6 +357,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return root
 
 
+def _coeffs_method(bas, method: str, N: int) -> str:
+    """The transform coeffs runs: ``auto`` takes the family's fast one if it
+    has one; fft and dct are refused where they do not apply."""
+    head = bas.family.partition(":")[0]
+    kind = coeffs_mod.tanh_cheb_kind(bas)
+    if method == "auto":
+        method = "fft" if head == "mt" else "dct" if kind is not None else "xspace"
+    if method == "fft":
+        if head != "mt":
+            raise ValueError("--method fft is only available for the mt family")
+        coeffs_mod.check_mt_fft_size(N)
+    elif method == "dct" and kind is None:
+        raise ValueError("--method dct needs a tanh-Chebyshev family "
+                         "(tanhjacobi with parameters in {1/4, 3/4})")
+    return method
+
+
 def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
     sub = args.subcommand
     if sub == "basis":
@@ -403,18 +409,18 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         bas = _resolve_family(args.family, min(args.N, 256))
         if isinstance(bas, periodic_mod.PeriodicBasis):
             raise ValueError("coeffs supports continuous families only")
+        method = _coeffs_method(bas, args.method, args.N)
         f = compile_function(args.f)
         window_grid = _parse_grid(args.window)
         window = (float(window_grid[0]), float(window_grid[-1]))
         cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        method=args.method,
+                        method=method,
                         params={"basis": bas, "f": f, "window": window})
         return cfg, _cmd_coeffs
     if sub == "decay":
         names = {"exp": "exponential", "alg": "algebraic"}
         model = names.get(args.model, args.model)
-        if model not in names.values() and not model.startswith("stretched:"):
-            raise ValueError(f"unknown decay model {args.model!r}")
+        coeffs_mod.parse_decay_model(model)
         if args.skip < 0:
             raise ValueError("skip must be nonnegative")
         cfg = RunConfig(sub, out=args.out,
@@ -454,6 +460,8 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         if args.check != "all" and args.check not in _CHECK_NAMES:
             raise ValueError(f"unknown check {args.check!r}; "
                              f"expected all or one of {', '.join(_CHECK_NAMES)}")
+        if args.N < 1:
+            raise ValueError("N must be positive")
         a = _eval_scalar(args.a, "ramanujan parameter")
         cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
                         params={"check": args.check, "a": a})
@@ -461,19 +469,24 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
     raise ValueError(f"unknown subcommand {sub!r}")
 
 
-_VALUE_FLAGS = {"--family", "--n", "--grid", "--method", "--out", "--N", "--f",
-                "--window", "--in", "--model", "--skip", "--a", "--basis",
-                "--f0", "--T", "--tau", "--potential", "--check"}
+@functools.cache
+def _value_flags() -> frozenset[str]:
+    """Every option of a subcommand that takes a value."""
+    (subs,) = (a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return frozenset(flag for sub in subs.choices.values() for action in sub._actions
+                     if action.nargs != 0 for flag in action.option_strings)
 
 
 def _join_negative_values(argv):
     """Fold '--grid -20:20:0.05' into '--grid=-20:20:0.05' so argparse does
     not mistake a leading-minus value for an option."""
+    value_flags = _value_flags()
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (tok in _VALUE_FLAGS and i + 1 < len(argv)
+        if (tok in value_flags and i + 1 < len(argv)
                 and argv[i + 1].startswith("-") and argv[i + 1] != "-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2

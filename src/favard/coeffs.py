@@ -24,10 +24,12 @@ from .quadrature import _SQRT_2PI, golub_welsch
 __all__ = [
     "CoefficientVector",
     "DecayFit",
+    "check_mt_fft_size",
     "coeffs_fourier_side",
     "coeffs_xspace",
     "decay_fit",
     "mt_coeffs_fft",
+    "parse_decay_model",
     "tanh_cheb_kind",
     "tanh_chebyshev_coeffs",
 ]
@@ -246,6 +248,12 @@ def _mt_integrand(f, M: int) -> tuple[np.ndarray, float]:
     return g, top
 
 
+def check_mt_fft_size(N: int) -> None:
+    """Raise ValueError unless ``mt_coeffs_fft`` takes N: a power of two, N >= 4."""
+    if N < 4 or (N & (N - 1)) != 0:
+        raise ValueError("N must be a power of two, N >= 4")
+
+
 def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> CoefficientVector:
     """Malmquist-Takenaka coefficients for n = -N/2+1 .. N/2 by FFT.
 
@@ -255,8 +263,7 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     O(N log N).  Requires N a power of two and x f(x) -> 0 at infinity.
     f must act elementwise: it is called on blocks of the grid.
     """
-    if N < 4 or (N & (N - 1)) != 0:
-        raise ValueError("N must be a power of two, N >= 4")
+    check_mt_fft_size(N)
     # Sample at 4N points but return N coefficients: the returned window is
     # then four aliasing distances from the spectrum edge, so the edge
     # indices +-N/2 are as accurate as the center ones.  Still O(N log N).
@@ -382,6 +389,23 @@ class DecayFit:
     p: float | None = None
 
 
+def parse_decay_model(model: str) -> tuple[str, float | None]:
+    """Split a ``decay_fit`` model into its name and stretched exponent:
+    "exponential" and "algebraic" give p = None, "stretched:<p>" needs
+    0 < p <= 1.  Anything else raises ValueError."""
+    if model.startswith("stretched:"):
+        try:
+            p = float(model.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad stretched exponent in {model!r}") from None
+        if not 0.0 < p <= 1.0:
+            raise ValueError("stretched exponent must lie in (0, 1]")
+        return "stretched", p
+    if model not in ("exponential", "algebraic"):
+        raise ValueError(f"unknown decay model {model!r}")
+    return model, None
+
+
 def decay_fit(coeffs: CoefficientVector, model: str,
               skip: int = 8, floor: float = 1e-13) -> DecayFit:
     """Least-squares fit of the coefficient decay envelope.
@@ -392,18 +416,7 @@ def decay_fit(coeffs: CoefficientVector, model: str,
     bias the slope.  ``model`` is "exponential", "algebraic", or
     "stretched:<p>".
     """
-    p = None
-    if model.startswith("stretched:"):
-        try:
-            p = float(model.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad stretched exponent in {model!r}") from None
-        if not 0.0 < p <= 1.0:
-            raise ValueError("stretched exponent must lie in (0, 1]")
-        model = "stretched"
-    elif model not in ("exponential", "algebraic"):
-        raise ValueError(f"unknown decay model {model!r}")
-
+    model, p = parse_decay_model(model)
     mags = np.abs(coeffs.values)
     idx = coeffs.indices
     if coeffs.n_start < 0:

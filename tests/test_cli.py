@@ -1,7 +1,9 @@
 """Command-line front end: golden files per subcommand, determinism,
 exit codes, option-value handling."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,11 +155,23 @@ def test_exit_code_usage_errors(capsys):
          "--T", "0.35", "--tau", "0.1"],
         ["verify", "bogus", "--family", "hermite", "--N", "8"],
         ["nosuchcommand"],
+        # configuration errors that must be caught before any computation
+        ["verify", "gram", "--family", "hermite", "--N", "0"],
+        ["verify", "recurrence", "--family", "hermite", "--N", "0"],
+        ["verify", "pw-support", "--family", "legendre", "--N", "0"],
+        ["coeffs", "--family", "mt", "--f", "exp(-x^2)", "--N", "6", "--method", "fft"],
+        ["coeffs", "--family", "mt", "--f", "exp(-x^2)", "--N", "6"],
+        ["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "8", "--method", "fft"],
+        ["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "8", "--method", "dct"],
+        ["decay", "--model", "stretched:abc", "--in", "whatever.csv"],
+        ["decay", "--model", "stretched:0", "--in", "whatever.csv"],
+        ["decay", "--model", "stretched:-1", "--in", "whatever.csv"],
     ]
     for argv in cases:
         rc = cli.main(argv)
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert rc == 2, argv
+        assert out == "", argv
 
 
 def test_exit_code_runtime_failure(tmp_path, capsys):
@@ -213,6 +227,96 @@ def test_leading_dash_option_values(capsys):
     assert rc == 0
     assert out.startswith("n,x,re_phi,im_phi\n")
     assert len(out.strip().splitlines()) == 7
+
+
+def test_value_flags_are_the_subcommands_value_options():
+    parser = cli._build_parser()
+    assert cli._value_flags() == {
+        "--family", "--n", "--grid", "--method", "--out", "--N", "--f", "--window",
+        "--in", "--model", "--skip", "--a", "--basis", "--f0", "--T", "--tau",
+        "--potential"}
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        # the subcommand's required arguments, then each value option given -1
+        base = [name]
+        for action in sub._actions:
+            if not action.option_strings:
+                base.append(action.choices[0] if action.choices else "x")
+            elif action.required:
+                base += [action.option_strings[0], "1"]
+        for action in sub._actions:
+            if action.nargs == 0 or action.choices:
+                continue
+            for flag in action.option_strings:
+                argv = cli._join_negative_values(base + [flag, "-1"])
+                value = getattr(parser.parse_args(argv), action.dest)
+                assert value in ("-1", -1), (name, flag, value)
+
+
+def test_main_reuses_one_parser_across_calls(monkeypatch, capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n")
+    sequence = [
+        ["quad", "--family", "legendre", "--N", "4"],
+        ["quad", "--family", "hermite", "--N", "0"],
+        ["--help"],
+        ["decay", "--model", "exp", "--in", str(bad)],
+        ["quad", "--family", "legendre", "--N", "4"],
+    ]
+
+    def call(argv):
+        rc = cli.main(argv)
+        got = capsys.readouterr()
+        return rc, got.out, got.err
+
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        cli._value_flags.cache_clear()
+        fresh.append(call(argv))
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0, 1, 0]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "favard":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    cli._value_flags.cache_clear()
+    assert [call(argv) for argv in sequence] == fresh
+    assert len(built) == 1
+
+
+def _csv_per_cell(header, rows):
+    # reference: each cell formatted on its own, %.17g for floats, str() otherwise
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_cell_formatting():
+    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e-310, 2.0 ** 70]
+    ints = [-(2 ** 63), -7, -1, 0, 3, 10 ** 20, 2 ** 64, 42, -12, 5, 1, 0]
+    columns = [ints, floats, floats[::-1]]
+    # %.17g of a NumPy scalar must equal that of the Python float
+    rows = list(zip(ints, floats, [np.float64(v) for v in floats[::-1]]))
+    assert cli._csv("n,a,b", columns) == _csv_per_cell("n,a,b", rows)
+    assert cli._csv("x", [[0.5]]) == "x\n0.5\n"
+
+
+def test_coeffs_abs_column_is_abs_of_the_complex_coefficient(capsys):
+    rc, out = run_cli(["coeffs", "--family", "mt", "--f", "1/(1+(2*x)^4)", "--N", "64",
+                       "--method", "fft"], capsys)
+    assert rc == 0
+    for line in out.splitlines()[1:]:
+        n, re, im, mag = line.split(",")
+        assert mag == "%.17g" % abs(np.complex128(complex(float(re), float(im)))), n
 
 
 def test_basis_method_closed_needs_a_closed_form(capsys):
