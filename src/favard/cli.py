@@ -4,7 +4,8 @@ Every subcommand validates its whole configuration (grids, ranges,
 expressions, family names) before any computation starts, writes CSV with a
 header row and %.17g numbers (or schema-versioned JSON for reports), and is
 deterministic for a fixed argument list.  Exit codes: 0 success, 1 a
-verification check failed, 2 usage or configuration error.
+verification check failed or a file could not be read or written, 2 usage
+or configuration error; a failure prints one ``favard:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -236,12 +237,11 @@ _CHECK_NAMES = ("gram", "recurrence", "cramer", "ramanujan",
 
 def _verify_reports(cfg: RunConfig) -> list:
     family = cfg.family
-    head, _, tail = family.partition(":")
+    head = family.partition(":")[0]
     which = cfg.params["check"]
     N = cfg.N
     reports = []
-    # gram, recurrence and pw-support share one basis per size
-    basis_at = functools.cache(functools.partial(_resolve_family, family))
+    basis_at = cfg.params["basis_at"]
 
     def add(name):
         if name in ("gram", "recurrence"):
@@ -253,9 +253,7 @@ def _verify_reports(cfg: RunConfig) -> list:
         elif name == "ramanujan":
             reports.append(verify_mod.check_ramanujan(cfg.params["a"]))
         elif name == "tanh-jacobi-identity":
-            if head != "tanhjacobi":
-                raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
-            a, b = basis_mod._parse_params(family, tail, 2)
+            a, b = cfg.params["tanhjacobi"]
             reports.append(verify_mod.check_tanh_jacobi_identity(a, b, min(N, 6)))
         elif name == "pw-support":
             bas = basis_at(max(N, 8))
@@ -269,7 +267,7 @@ def _verify_reports(cfg: RunConfig) -> list:
         if head == "hermite":
             add("cramer")
         if head == "tanhjacobi":
-            a, b = basis_mod._parse_params(family, tail, 2)
+            a, b = cfg.params["tanhjacobi"]
             if a == b:
                 add("tanh-jacobi-identity")
             add("ramanujan")
@@ -368,9 +366,11 @@ def _coeffs_method(bas, method: str, N: int) -> str:
         if head != "mt":
             raise ValueError("--method fft is only available for the mt family")
         coeffs_mod.check_mt_fft_size(N)
-    elif method == "dct" and kind is None:
-        raise ValueError("--method dct needs a tanh-Chebyshev family "
-                         "(tanhjacobi with parameters in {1/4, 3/4})")
+    elif method == "dct":
+        if kind is None:
+            raise ValueError("--method dct needs a tanh-Chebyshev family "
+                             "(tanhjacobi with parameters in {1/4, 3/4})")
+        coeffs_mod.check_tanh_cheb_size(N)
     return method
 
 
@@ -463,8 +463,22 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         if args.N < 1:
             raise ValueError("N must be positive")
         a = _eval_scalar(args.a, "ramanujan parameter")
+        head, _, tail = args.family.partition(":")
+        tanhjacobi = None
+        if head == "tanhjacobi":
+            tanhjacobi = basis_mod._parse_params(args.family, tail, 2)
+        elif args.check == "tanh-jacobi-identity":
+            raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
+        # gram, recurrence and pw-support share one basis per size; the
+        # first size a check asks for is built here, which checks the family
+        basis_at = functools.cache(functools.partial(_resolve_family, args.family))
+        if args.check in ("all", "gram", "recurrence"):
+            basis_at(max(args.N, 12))
+        elif args.check == "pw-support":
+            basis_at(max(args.N, 8))
         cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        params={"check": args.check, "a": a})
+                        params={"check": args.check, "a": a, "basis_at": basis_at,
+                                "tanhjacobi": tanhjacobi})
         return cfg, _cmd_verify
     raise ValueError(f"unknown subcommand {sub!r}")
 
@@ -511,7 +525,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(cfg)
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, OSError) as exc:
         print(f"favard: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,7 @@ __all__ = [
     "CoefficientVector",
     "DecayFit",
     "check_mt_fft_size",
+    "check_tanh_cheb_size",
     "coeffs_fourier_side",
     "coeffs_xspace",
     "decay_fit",
@@ -313,6 +314,12 @@ def tanh_cheb_kind(basis) -> tuple[float, float] | None:
 
 
 
+def check_tanh_cheb_size(N: int) -> None:
+    """Raise ValueError unless ``tanh_chebyshev_coeffs`` takes N: N >= 4."""
+    if N < 4:
+        raise ValueError("N must be at least 4")
+
+
 def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
                           basis: TransformedBasis | None = None) -> CoefficientVector:
     """tanh-Jacobi coefficients for the four Chebyshev kinds by fast transform.
@@ -326,8 +333,7 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     a, b = float(kind[0]), float(kind[1])
     if (a, b) not in _TANH_CHEB_KINDS:
         raise ValueError("kind must be one of (1/4,1/4), (1/4,3/4), (3/4,1/4), (3/4,3/4)")
-    if N < 4:
-        raise ValueError("N must be at least 4")
+    check_tanh_cheb_size(N)
     # Sample at 4N points (at least 1024) and keep N coefficients.  H keeps
     # algebraic theta^{k-1/2} endpoint behavior when f ~ e^{-k|x|}, so the
     # midpoint rule converges algebraically there; the floor keeps that

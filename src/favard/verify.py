@@ -403,12 +403,15 @@ def _twisted_bins(N: int, a: int, b: int):
     for odd N, and for even N the length-N/2 FFT of the pairs
     v_2p + i v_2p+1, from which V_k = E_k + e^{-2 pi i k / N} O_k with
     E_k = (Z_k + conj Z_{N/2-k}) / 2 and O_k = (Z_k - conj Z_{N/2-k}) / 2i.
-    The twiddle factors are made here, once; the map reads only slices of
-    Z and works in place, so it holds two arrays of b - a bins.
+    Z is given as the function (i, j) -> Z[i:j], and the map asks it for
+    the bins it reads and no others, _PW_BINS at a time.  The twiddle
+    factors are made here, once; the map works elementwise, in place and
+    a step of bins at a time, so it holds one array of b - a bins and the
+    step's few temporaries.
     """
     twist = _unit_steps(a, -0.5 * math.pi / N, b - a)(0, b - a)
     if N % 2:
-        return lambda Z: twist * Z[a:b]
+        return lambda Z: twist * Z(a, b)
     L = N // 2
     lo = max(a, 1)
     hi = max(min(b, L), lo)
@@ -421,20 +424,76 @@ def _twisted_bins(N: int, a: int, b: int):
 
     def bins(Z):
         out = np.empty(b - a, dtype=complex)
-        zk, mid = Z[lo:hi], out[lo - a:hi - a]
-        np.conjugate(Z[L - hi + 1:L - lo + 1][::-1], out=mid)
-        diff = zk - mid
-        diff *= t_odd
-        mid += zk
-        mid *= t_even
-        mid += diff
+        for i in range(lo, hi, _PW_BINS):
+            j = min(i + _PW_BINS, hi)
+            zk, mid = Z(i, j), out[i - a:j - a]
+            np.conjugate(Z(L - j + 1, L - i + 1)[::-1], out=mid)
+            diff = zk - mid
+            diff *= t_odd[i - lo:j - lo]
+            mid += zk
+            mid *= t_even[i - lo:j - lo]
+            mid += diff
+        z0 = Z(0, 1)[0]
         if head:
-            out[0] = Z[0].real + Z[0].imag
+            out[0] = z0.real + z0.imag
         if tail is not None:
-            out[-1] = tail * (Z[0].real - Z[0].imag)
+            out[-1] = tail * (z0.real - z0.imag)
         return out
 
     return bins
+
+
+# Bins per step of the twisted-bin map, which gathers them from the
+# two-stage FFT's rows: a step's temporaries stay small.
+_PW_BINS = 2**12
+# Columns per block of the two-stage FFT's first stage: Q rows of this
+# many complex values (256 KB for Q = 16) stay in cache while the Q-point
+# DFT and the twiddles are applied; 2^10 and 2^11 timed fastest for
+# L = 2^21, and 2^10 keeps the twiddle table at Q x 2^10.
+_PW_COLUMNS = 2**10
+
+
+def _two_stage_fft(L: int):
+    """The map z -> (i, j) -> Z[i:j], Z the length-L DFT of z, computed in z's memory.
+
+    A decimation-in-frequency split of the length-L FFT into Q = gcd(L, 16)
+    chunks of length P = L / Q: with z viewed as the (Q, P) array z[q, p]
+    = z_{qP+p},
+
+        Z_{Qk+s} = sum_p w_P^{pk} [w_L^{ps} sum_q w_Q^{qs} z[q, p]],
+
+    so the Q-point DFT across the chunks and the twiddles w_L^{ps} are
+    applied one block of _PW_COLUMNS columns at a time, while the block is
+    in cache (the block's share w_L^{s c0} of the twiddles rides on its
+    DFT matrix), and then Q contiguous row FFTs of length P give row s =
+    Z_{Qk+s}.  No FFT longer than P runs and no full-length temporary is
+    made.  The function the map returns gathers Z[i:j] from the rows, so
+    only the bins asked for are put in natural order.  Odd L (Q = 1) is
+    the plain FFT.
+    """
+    Q = math.gcd(L, 16)
+    P = L // Q
+    width = min(_PW_COLUMNS, P)
+    s = np.arange(Q)
+    # every angle is -2 pi m / Q or -2 pi m / L for an exact integer m in [0, Q) or [0, L)
+    dft = _unit_phase((-2.0 * math.pi / Q) * (np.outer(s, s) % Q))
+    fine = _unit_phase((-2.0 * math.pi / L) * np.outer(s, np.arange(width)))
+    coarse = _unit_phase((-2.0 * math.pi / L) * np.outer(np.arange(0, P, width), s))
+
+    def transform(z: np.ndarray):
+        rows = z.reshape(Q, P)
+        for c0, shift in zip(range(0, P, width), coarse):
+            block = rows[:, c0:c0 + width]
+            np.multiply((dft * shift[:, None]) @ block, fine[:, :block.shape[1]], out=block)
+        rows = scipy.fft.fft(rows, axis=1, overwrite_x=True)
+
+        def Z(i: int, j: int) -> np.ndarray:
+            k0 = i // Q
+            return rows[:, k0:-(-j // Q)].T.ravel()[i - k0 * Q:j - k0 * Q]
+
+        return Z
+
+    return transform
 
 
 def _makhoul_energies(N: int, cut: int):
@@ -443,7 +502,8 @@ def _makhoul_energies(N: int, cut: int):
     ``v`` is the real view of the buffer row ``z`` (see ``_makhoul_buffer``)
     and holds the tapered half row g of length N in Makhoul order, odd
     samples negated for an odd row, since DST-II_k(g) =
-    DCT-II_{N-1-k}((-1)^j g_j).  The map runs one in-place FFT of z.  The
+    DCT-II_{N-1-k}((-1)^j g_j).  The map runs ``_two_stage_fft`` in z's
+    memory and reads from its rows only the bins named below.  The
     DCT-II is y_k = 2 Re(e^{-i pi k / 2N} V_k), and y_{N-k} = -2 Im of the
     same product, so every bin comes from a V_k with k <= N/2.  The
     out-of-band bins are y_k, k >= cut, of an even row (its bin k is
@@ -456,10 +516,11 @@ def _makhoul_energies(N: int, cut: int):
     # the bins k in [0, min(N - cut, L)], and k in [cut, H) when cut < H
     low = _twisted_bins(N, 0, min(N - cut, L) + 1)
     high = _twisted_bins(N, cut, H) if cut < H else None
+    fft = _two_stage_fft(L if N % 2 == 0 else N)
 
     def energies(z: np.ndarray, v: np.ndarray, odd: bool):
         total = 2.0 * N * float(np.dot(v, v))
-        Z = scipy.fft.fft(z, overwrite_x=True)
+        Z = fft(z)
         A = low(Z)
         B = high(Z) if high is not None else A[:0]
         if odd:
@@ -481,7 +542,7 @@ def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
     frequency j + 1; the frequency M/2 bin of an even row is zero.  Each
     tapered row is written into one complex buffer in Makhoul order, which
     takes the DCT-II of length N from one complex FFT of length N/2 (for
-    odd N, one of length N): see ``_makhoul_energies``.  Only the
+    odd N, one of length N), run in two stages: see ``_makhoul_energies``.  Only the
     out-of-band bins are formed; the total is Parseval's.  A closed form
     fills the buffer block by block, each block with its own x and taper:
     rows 0..max(ns) of the table, or a lone row from its single-row sweep;
@@ -559,12 +620,13 @@ def pw_support_reports(basis, ns, dx: float = 3.0, M: int = 2**23,
     folded: rows 0..max(ns) are evaluated once, as one table on the upper
     half of the grid, and the energies of the length-M real FFT of the
     whole row are those of the length-M/2 DCT-II (even n) or DST-II (odd
-    n) of the tapered half row.  Each comes from one in-place complex FFT
-    of length M/4 (M/2 when M/2 is odd) of the half row in Makhoul order;
-    only the out-of-band bins are formed, and the total is Parseval's sum
-    of squares of the half row.  The Legendre rows take sin x and cos x
-    from an angle-addition table, so no full-length np.sin or np.cos call
-    is made.  Odd M, an asymmetric measure, a phase, or a row with a
+    n) of the tapered half row.  Each comes from one complex FFT of length
+    M/4 (M/2 when M/2 is odd) of the half row in Makhoul order, run in the
+    buffer in two stages (``_two_stage_fft``; its longest FFT has M/64
+    points when 64 divides M); only the out-of-band bins are read from it
+    and formed, and the total is Parseval's sum of squares of the half
+    row.  The Legendre rows take sin x and cos x from an angle-addition
+    table, so no full-length np.sin or np.cos call is made.  Odd M, an asymmetric measure, a phase, or a row with a
     non-negligible imaginary part takes the full grid: that row alone
     through ``phi`` and a length-M FFT.  For measures supported on all of
     R all of the energy lies outside the support: the ratio 1.0 is

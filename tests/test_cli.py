@@ -166,6 +166,9 @@ def test_exit_code_usage_errors(capsys):
         ["decay", "--model", "stretched:abc", "--in", "whatever.csv"],
         ["decay", "--model", "stretched:0", "--in", "whatever.csv"],
         ["decay", "--model", "stretched:-1", "--in", "whatever.csv"],
+        ["verify", "gram", "--family", "nosuch"],
+        ["verify", "tanh-jacobi-identity", "--family", "hermite"],
+        ["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "2"],
     ]
     for argv in cases:
         rc = cli.main(argv)
@@ -180,6 +183,41 @@ def test_exit_code_runtime_failure(tmp_path, capsys):
     rc = cli.main(["decay", "--model", "exp", "--in", str(bad)])
     capsys.readouterr()
     assert rc == 1
+
+
+def test_file_errors_exit_one_with_one_line(tmp_path, capsys):
+    # an unreadable --in or unwritable --out is a runtime failure: one
+    # "favard:" line on stderr, nothing on stdout, and the code returned
+    cases = [
+        ["decay", "--model", "exp", "--in", str(tmp_path / "nosuch.csv")],
+        ["quad", "--family", "hermite", "--N", "4", "--out", str(tmp_path / "no" / "x.csv")],
+    ]
+    for argv in cases:
+        rc = cli.main(argv)
+        got = capsys.readouterr()
+        assert rc == 1, argv
+        assert got.out == "", argv
+        assert got.err.startswith("favard: ") and got.err.count("\n") == 1, got.err
+
+
+def test_verify_builds_each_basis_size_once(monkeypatch, capsys):
+    # the family is resolved while the command is configured, and every
+    # check of one command that asks for that size shares the basis
+    sizes = []
+    resolve = cli._resolve_family
+
+    def counted(family, N):
+        sizes.append(N)
+        return resolve(family, N)
+
+    monkeypatch.setattr(cli, "_resolve_family", counted)
+    for argv, want in ((["verify", "all", "--family", "tanhjacobi:0.75,0.75"], [12]),
+                       (["verify", "gram", "--family", "conthahn:1,1"], [12]),
+                       (["verify", "all", "--family", "legendre", "--N", "5"], [12, 8])):
+        sizes.clear()
+        rc, out = run_cli(argv, capsys)
+        assert rc == 0 and json.loads(out), argv
+        assert sizes == want, argv
 
 
 def test_verify_expected_fail_keeps_exit_zero(capsys):

@@ -330,6 +330,51 @@ def test_makhoul_energies_property(case):
     assert np.array_equal(buf, _kernel_energies(g, odd, cut)[1])
 
 
+@pytest.mark.parametrize("L,Q", [(2**16, 16), (16 * 3000, 16), (8 * 1001, 8),
+                                 (2 * 1001, 2), (1001, 1)])
+def test_two_stage_fft_ends_match_fft(L, Q):
+    # Q = gcd(L, 16) chunks of P columns; P = 3000 is not a multiple of
+    # the block width, and odd L is the plain FFT.  The ends the
+    # out-of-band bins read, and other ranges, match one length-L FFT
+    assert math.gcd(L, 16) == Q
+    rng = np.random.default_rng(L)
+    z = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    want = scipy.fft.fft(z)
+    Z = ver._two_stage_fft(L)(z.copy())
+    b = round(0.09 * L)
+    tol = 1e-13 * np.max(np.abs(want))
+    for i, j in ((0, b), (L - b + 1, L), (0, 1), (5, 5), (Q + 1, 3 * Q + 2), (0, L)):
+        got = Z(i, j)
+        assert got.shape == (j - i,)
+        assert np.max(np.abs(got - want[i:j]), initial=0.0) <= tol, (i, j)
+
+
+def test_two_stage_fft_runs_no_long_fft(monkeypatch):
+    # the folded Legendre check transforms rows of length L / Q = M / 64
+    # only: no FFT of a whole quarter row runs
+    lengths = []
+    fft = scipy.fft.fft
+
+    def spy(x, *args, axis=-1, **kwargs):
+        lengths.append(np.shape(x)[axis])
+        return fft(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fft", spy)
+    M = 2**16
+    reps = ver.pw_support_reports(make_basis("legendre", N=8), range(3), M=M)
+    assert all(0.0 < r.max_abs_error < 1.0 for r in reps)
+    assert lengths and max(lengths) == M // 4 // 16
+
+
+def test_pw_support_two_stage_matches_full_grid():
+    # rows 0..5 at M = 2^20, where each quarter row is 16 rows of 2^14
+    basis = make_basis("legendre", N=8)
+    M = 2**20
+    for n, rep in enumerate(ver.pw_support_reports(basis, range(6), M=M)):
+        want = _pw_ratio_full_grid(basis, n, M)
+        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
+
+
 def test_unit_steps_are_within_ulps_of_numpy():
     # the angle-addition table on the default half grid, M = 2^23, dx = 3,
     # against np.sin/np.cos, and each value the same whatever range asks
