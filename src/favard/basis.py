@@ -146,21 +146,20 @@ def _scan_rows(nmax: int, collect: bool) -> np.ndarray:
     return np.arange(nmax + 1) if collect else np.array([nmax])
 
 
-def _legendre_scan(nmax: int, x, collect: bool, sincos=None) -> np.ndarray:
+def _legendre_scan(nmax: int, x, collect: bool) -> np.ndarray:
     """Transformed Legendre rows from one spherical Bessel sweep in |x|.
 
     phi_n(x) = (-1)^n sqrt((2n+1)/pi) j_n(x), and phi_n(-x) = (-1)^n phi_n(x).
     Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
-    ``sincos`` is (sin |x|, cos |x|) when the caller has them already.
     """
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     ns = _scan_rows(nmax, collect)
-    # an all-positive grid, such as the Paley-Wiener half grid, is its own
-    # |x|, and every odd row changes sign on all of it
+    # an all-positive grid, such as the folded Gram window's half rule on
+    # [0, X], is its own |x|, and every odd row changes sign on all of it
     positive = bool(flat.size) and flat.min() > 0.0
-    # scaled and signed in place: on the Paley-Wiener grid a row is 2^22 points
-    rows = specfun._sph_scan(nmax, flat if positive else np.abs(flat), collect,
-                             sincos).reshape(ns.size, flat.size)
+    # scaled and signed in place, with no second table-sized temporary
+    rows = specfun._sph_scan(nmax, flat if positive else np.abs(flat),
+                             collect).reshape(ns.size, flat.size)
     rows *= np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None]
     where = True if positive else flat > 0.0
     for n, row in zip(ns, rows):
@@ -169,27 +168,20 @@ def _legendre_scan(nmax: int, x, collect: bool, sincos=None) -> np.ndarray:
     return rows
 
 
-def transformed_legendre(n: int, x, sincos=None):
-    """Bandlimited Legendre system (-1)^n sqrt((n+1/2)/x) J_{n+1/2}(x).
-
-    ``sincos``, when given, is (sin |x|, cos |x|) on the points of x, used
-    in place of np.sin and np.cos.
-    """
+def transformed_legendre(n: int, x):
+    """Bandlimited Legendre system (-1)^n sqrt((n+1/2)/x) J_{n+1/2}(x)."""
     if n < 0:
         raise ValueError("index n must be >= 0")
     xs = np.asarray(x, dtype=float)
-    out = _legendre_scan(n, xs, collect=False, sincos=sincos)[0]
+    out = _legendre_scan(n, xs, collect=False)[0]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def transformed_legendre_table(nmax: int, x, sincos=None) -> np.ndarray:
-    """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x)).
-
-    ``sincos`` is as for ``transformed_legendre``.
-    """
+def transformed_legendre_table(nmax: int, x) -> np.ndarray:
+    """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x))."""
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
-    return _legendre_scan(nmax, x, collect=True, sincos=sincos)
+    return _legendre_scan(nmax, x, collect=True)
 
 
 def malmquist_takenaka(n, x):

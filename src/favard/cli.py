@@ -464,9 +464,15 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
             raise ValueError("N must be positive")
         a = _eval_scalar(args.a, "ramanujan parameter")
         head, _, tail = args.family.partition(":")
+        if a <= 0.0 and (args.check == "ramanujan"
+                         or (args.check == "all" and head == "tanhjacobi")):
+            raise ValueError("ramanujan parameter --a must be positive")
         tanhjacobi = None
         if head == "tanhjacobi":
             tanhjacobi = basis_mod._parse_params(args.family, tail, 2)
+            if args.check == "tanh-jacobi-identity" and tanhjacobi[0] != tanhjacobi[1]:
+                raise ValueError("tanh-jacobi-identity runs only for a == b in "
+                                 "--family tanhjacobi:a,b; a != b is experimental")
         elif args.check == "tanh-jacobi-identity":
             raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
         # gram, recurrence and pw-support share one basis per size; the

@@ -96,12 +96,16 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int,
     an M-point Gauss rule for the basis measure (the sqrt(w) is folded into
     the measure, leaving F p_n / sqrt(w) as the Gauss integrand).  F must be
     the unitary-convention transform, F(xi) = (2 pi)^{-1/2} integral f(x)
-    e^{-i xi x} dx.
+    e^{-i xi x} dx.  A bilateral basis is refused: rows n >= 0 alone span
+    only the functions whose transform vanishes for xi < 0.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if basis.measure.kind != "continuous":
         raise ValueError("fourier-side coefficients need a continuous measure")
+    if basis.bilateral:
+        raise ValueError(f"fourier-side coefficients cover n >= 0 only; the bilateral "
+                         f"{basis.family!r} basis needs mt_coeffs_fft")
     if M is None:
         M = 2 * N + 32
     if M < N:

@@ -63,27 +63,25 @@ _SPH_BIG = 2.0**830
 _SPH_TINY = 2.0**-27
 
 
-def _sph_j01(x: np.ndarray, j0: np.ndarray, j1: np.ndarray | None, sincos=None):
+def _sph_j01(x: np.ndarray, j0: np.ndarray, j1: np.ndarray | None):
     """The closed forms j_0 = sin(x)/x and j_1 = (sin(x)/x - cos(x))/x, in place.
 
-    j1 may be None when j_0 alone is wanted.  ``sincos`` is (sin x, cos x)
-    when the caller has them already; else they come from np.sin, np.cos.
+    j1 may be None when j_0 alone is wanted.
     """
-    if sincos is None:
-        sincos = (np.sin(x, out=j0), None if j1 is None else np.cos(x, out=j1))
-    np.divide(sincos[0], x, out=j0)
+    np.sin(x, out=j0)
+    j0 /= x
     if j1 is not None:
-        np.subtract(j0, sincos[1], out=j1)
+        np.cos(x, out=j1)
+        np.subtract(j0, j1, out=j1)
         j1 /= x
     return j0, j1
 
 
-def _sph_series(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
+def _sph_series(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Leading terms x^n / (2n+1)!! for 0 < x < _SPH_TINY; they underflow to 0.
 
     Like every sweep, it fills ``rows`` in place: j_0..j_nmax when it has
-    nmax+1 rows, j_nmax alone when it has one.  It needs no sine or cosine,
-    so ``sincos`` is unused.
+    nmax+1 rows, j_nmax alone when it has one.
     """
     full = rows.shape[0] == nmax + 1
     term = np.ones_like(x)
@@ -94,7 +92,7 @@ def _sph_series(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None
     rows[-1] = term
 
 
-def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
+def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Forward recurrence from the closed forms of j_0, j_1; stable for x >= nmax.
 
     Each step is (2k+1)/x * j_k - j_{k-1}, as in-place ufuncs in that
@@ -104,7 +102,7 @@ def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
     full = rows.shape[0] == nmax + 1
     period = nmax + 1 if full else 3
     work = rows if full else np.empty((period, x.size))
-    _sph_j01(x, work[0], work[1] if nmax > 0 else None, sincos)
+    _sph_j01(x, work[0], work[1] if nmax > 0 else None)
     for k in range(1, nmax):
         jn = work[(k + 1) % period]
         np.divide(2 * k + 1, x, out=jn)
@@ -114,7 +112,7 @@ def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
         rows[0] = work[nmax % period]
 
 
-def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
+def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Miller's downward recurrence from an index past nmax, for x < nmax.
 
     Rows are kept as they are reached, on the scale of the running values.
@@ -144,7 +142,7 @@ def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray, sincos=None) -> None:
     _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
     jc = np.ldexp(jc, -e)
     jp = np.ldexp(jp, -e)
-    j0, j1 = _sph_j01(x, np.empty_like(x), np.empty_like(x), sincos)
+    j0, j1 = _sph_j01(x, np.empty_like(x), np.empty_like(x))
     scale = (j0 * jc + j1 * jp) / (jc * jc + jp * jp)
     rows *= np.ldexp(scale, -e)
 
@@ -164,7 +162,7 @@ def _run(mask: np.ndarray):
     return mask
 
 
-def _sph_scan(nmax: int, x: np.ndarray, collect: bool, sincos=None) -> np.ndarray:
+def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
     """Spherical Bessel j_0..j_nmax at x >= 0 in one sweep.
 
     Forward recurrence where it is stable (x >= max(nmax, 1)), one Miller
@@ -176,16 +174,12 @@ def _sph_scan(nmax: int, x: np.ndarray, collect: bool, sincos=None) -> np.ndarra
     fills its rows in place: the points of a branch that form one run, as
     they do on an ascending grid, are a slice of the result and are written
     there directly; scattered points go through a block of their own.
-    ``sincos`` is (sin x, cos x) on the same points when the caller has
-    them, for instance from an angle-addition table; the closed forms of
-    j_0 and j_1 then use them instead of np.sin and np.cos.
     """
     shape = (nmax + 1 if collect else 1, x.size)
     if x.size and x.min() >= max(nmax, 1):
-        # every point takes the forward branch, as on all but the first
-        # block of the Paley-Wiener half grid: no masks and no zero fill
+        # every point takes the forward branch: no masks and no zero fill
         out = np.empty(shape)
-        _sph_up(nmax, x, out, sincos)
+        _sph_up(nmax, x, out)
         return out if collect else out[0]
     out = np.zeros(shape)
     up = x >= max(nmax, 1)
@@ -195,12 +189,11 @@ def _sph_scan(nmax: int, x: np.ndarray, collect: bool, sincos=None) -> np.ndarra
         sel = _run(part)
         if sel is None:
             continue
-        trig = None if sincos is None else (sincos[0][sel], sincos[1][sel])
         if isinstance(sel, slice):
-            sweep(nmax, x[sel], out[:, sel], trig)
+            sweep(nmax, x[sel], out[:, sel])
         else:
             block = np.empty((out.shape[0], np.count_nonzero(sel)))
-            sweep(nmax, x[sel], block, trig)
+            sweep(nmax, x[sel], block)
             out[:, sel] = block
     if collect or nmax == 0:
         out[0, x == 0.0] = 1.0

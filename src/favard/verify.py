@@ -19,7 +19,6 @@ from . import _panels
 from . import basis as basis_mod
 from . import periodic as periodic_mod
 from . import specfun
-from .quadrature import _unit_phase
 
 __all__ = [
     "SCHEMA",
@@ -299,365 +298,52 @@ def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None,
                        metadata={"a": a, "b": b, "N": N})
 
 
-def _pw_full_grid(basis, n: int, dx: float, M: int, width: float, band: float) -> float:
-    """Out-of-band energy ratio of row n from a length-M FFT of the full grid."""
-    x = (np.arange(M) - M / 2 + 0.5) * dx
-    g = basis_mod.phi(basis, n, x) * np.exp(-0.5 * (x / width) ** 2)
-    if np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real)):
-        spectrum = scipy.fft.rfft(g.real)
-        k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
-        energy = np.abs(spectrum) ** 2
-        energy[1:] *= 2.0
-    else:
-        spectrum = scipy.fft.fft(g)
-        k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
-        energy = np.abs(spectrum) ** 2
-    return float(energy[k > band].sum()) / float(energy.sum())
+def pw_support_reports(basis, ns, delta: float = 0.05) -> list[CheckReport]:
+    """Fraction of each phi_n's Fourier energy beyond a guard band past the support.
 
-
-def _first_bin_above(band: float, M: int, dx: float) -> int:
-    """First bin of the length-M rfft whose angular frequency exceeds ``band``.
-
-    The bin frequencies are computed as ``2 pi * np.fft.rfftfreq(M, d=dx)``
-    computes them, 2 pi (j (1 / (M dx))), but only next to the estimate
-    j ~ band M dx / (2 pi); the result is the ``searchsorted(..., side="right")``
-    index of that array without building it.
-    """
-    step = 1.0 / (M * dx)
-    j = min(max(int(band / (2.0 * math.pi * step)) - 1, 0), M // 2 + 1)
-    while j <= M // 2 and 2.0 * math.pi * (j * step) <= band:
-        j += 1
-    return j
-
-
-# Points per block of the folded check's closed-form rows: a block's
-# temporaries stay small (2^14 to 2^15 timed fastest for rows 0..2 at
-# M = 2^23), and no full-length temporary is made.
-_PW_BLOCK = 2**15
-# Stride of the angle-addition tables: a divisor of _PW_BLOCK, so a full
-# block of the half grid takes whole rows of its table.
-_PW_TRIG = 2**11
-
-
-def _unit_steps(first: float, step: float, count: int):
-    """e^{i theta_j}, theta_j = (first + j) step, on j in [start, stop), by angle addition.
-
-    theta_j = Theta_q + r step with q = j // T, r = j % T and
-    Theta_q = (first + q T) step, for the fixed T = _PW_TRIG.  The coarse
-    table holds e^{i Theta_q} and the fine table e^{i r step}, each from
-    one np.cos and one np.sin call, and e^{i theta_j} is their product.
-    The products are formed a whole row of T at a time, the same operation
-    for every j, so a value does not depend on the range that asks for it.
-    When (first + j) step is exact, as on the half grid x_j = (j + 1/2) dx
-    with dx = 3, Theta_q + r step is theta_j exactly and the values are
-    within a few ulps of 1 of np.cos and np.sin of theta_j.  Returns the
-    function (start, stop) -> e^{i theta_j}, 0 <= start <= stop <= count.
-    """
-    T = _PW_TRIG
-    fine = _unit_phase(np.arange(T) * step)
-    coarse = _unit_phase((np.arange(-(-count // T)) * T + first) * step)[:, None]
-
-    def steps(start: int, stop: int) -> np.ndarray:
-        qa, qb = start // T, -(-stop // T)
-        return (coarse[qa:qb] * fine).ravel()[start - qa * T:stop - qa * T]
-
-    return steps
-
-
-def _makhoul_buffer(rows: int, N: int):
-    """A complex buffer for ``rows`` real sequences of length N, and its real view.
-
-    For even N it is (rows, N/2), and sample m of a sequence is entry m of
-    the real view, so entry p holds the pair (v_2p, v_2p+1) that a
-    length-N/2 complex FFT transforms; for odd N it is (rows, N) with zero
-    imaginary parts, and the view is the real parts.
-    """
-    if N % 2 == 0:
-        z = np.empty((rows, N // 2), dtype=complex)
-        return z, z.view(float)
-    z = np.zeros((rows, N), dtype=complex)
-    return z, z.real
-
-
-def _makhoul_slots(N: int, start: int, stop: int):
-    """Where samples j in [start, stop) of a length-N sequence go in Makhoul order.
-
-    Makhoul order is the even samples first and the odd samples reversed:
-    v_m = x_2m and v_{N-1-m} = x_{2m+1}.  Returns (source, target) slice
-    pairs for the even and the odd samples: ``x[source]`` relative to
-    ``start`` goes to ``v[target]``.
-    """
-    e = start + start % 2
-    o = start + 1 - start % 2
-    n_e = max(0, (stop - e + 1) // 2)
-    n_o = max(0, (stop - o + 1) // 2)
-    top = N - 1 - (o - 1) // 2
-    return ((slice(e - start, None, 2), slice(e // 2, e // 2 + n_e)),
-            (slice(o - start, None, 2), slice(top, top - n_o, -1)))
-
-
-def _twisted_bins(N: int, a: int, b: int):
-    """The map Z -> e^{-i pi k / 2N} V_k, a <= k < b <= N // 2 + 1.
-
-    V is the length-N FFT of the real Makhoul sequence v.  Z is V itself
-    for odd N, and for even N the length-N/2 FFT of the pairs
-    v_2p + i v_2p+1, from which V_k = E_k + e^{-2 pi i k / N} O_k with
-    E_k = (Z_k + conj Z_{N/2-k}) / 2 and O_k = (Z_k - conj Z_{N/2-k}) / 2i.
-    Z is given as the function (i, j) -> Z[i:j], and the map asks it for
-    the bins it reads and no others, _PW_BINS at a time.  The twiddle
-    factors are made here, once; the map works elementwise, in place and
-    a step of bins at a time, so it holds one array of b - a bins and the
-    step's few temporaries.
-    """
-    twist = _unit_steps(a, -0.5 * math.pi / N, b - a)(0, b - a)
-    if N % 2:
-        return lambda Z: twist * Z(a, b)
-    L = N // 2
-    lo = max(a, 1)
-    hi = max(min(b, L), lo)
-    # V_0 and V_{N/2} are real: the sum and the difference of Z_0's parts
-    head, tail = a == 0, (twist[-1] if b > L else None)
-    t_even = twist[lo - a:hi - a]
-    t_even *= 0.5
-    t_odd = _unit_steps(lo, -2.5 * math.pi / N, hi - lo)(0, hi - lo)
-    t_odd *= -0.5j
-
-    def bins(Z):
-        out = np.empty(b - a, dtype=complex)
-        for i in range(lo, hi, _PW_BINS):
-            j = min(i + _PW_BINS, hi)
-            zk, mid = Z(i, j), out[i - a:j - a]
-            np.conjugate(Z(L - j + 1, L - i + 1)[::-1], out=mid)
-            diff = zk - mid
-            diff *= t_odd[i - lo:j - lo]
-            mid += zk
-            mid *= t_even[i - lo:j - lo]
-            mid += diff
-        z0 = Z(0, 1)[0]
-        if head:
-            out[0] = z0.real + z0.imag
-        if tail is not None:
-            out[-1] = tail * (z0.real - z0.imag)
-        return out
-
-    return bins
-
-
-# Bins per step of the twisted-bin map, which gathers them from the
-# two-stage FFT's rows: a step's temporaries stay small.
-_PW_BINS = 2**12
-# Columns per block of the two-stage FFT's first stage: Q rows of this
-# many complex values (256 KB for Q = 16) stay in cache while the Q-point
-# DFT and the twiddles are applied; 2^10 and 2^11 timed fastest for
-# L = 2^21, and 2^10 keeps the twiddle table at Q x 2^10.
-_PW_COLUMNS = 2**10
-
-
-def _two_stage_fft(L: int):
-    """The map z -> (i, j) -> Z[i:j], Z the length-L DFT of z, computed in z's memory.
-
-    A decimation-in-frequency split of the length-L FFT into Q = gcd(L, 16)
-    chunks of length P = L / Q: with z viewed as the (Q, P) array z[q, p]
-    = z_{qP+p},
-
-        Z_{Qk+s} = sum_p w_P^{pk} [w_L^{ps} sum_q w_Q^{qs} z[q, p]],
-
-    so the Q-point DFT across the chunks and the twiddles w_L^{ps} are
-    applied one block of _PW_COLUMNS columns at a time, while the block is
-    in cache (the block's share w_L^{s c0} of the twiddles rides on its
-    DFT matrix), and then Q contiguous row FFTs of length P give row s =
-    Z_{Qk+s}.  No FFT longer than P runs and no full-length temporary is
-    made.  The function the map returns gathers Z[i:j] from the rows, so
-    only the bins asked for are put in natural order.  Odd L (Q = 1) is
-    the plain FFT.
-    """
-    Q = math.gcd(L, 16)
-    P = L // Q
-    width = min(_PW_COLUMNS, P)
-    s = np.arange(Q)
-    # every angle is -2 pi m / Q or -2 pi m / L for an exact integer m in [0, Q) or [0, L)
-    dft = _unit_phase((-2.0 * math.pi / Q) * (np.outer(s, s) % Q))
-    fine = _unit_phase((-2.0 * math.pi / L) * np.outer(s, np.arange(width)))
-    coarse = _unit_phase((-2.0 * math.pi / L) * np.outer(np.arange(0, P, width), s))
-
-    def transform(z: np.ndarray):
-        rows = z.reshape(Q, P)
-        for c0, shift in zip(range(0, P, width), coarse):
-            block = rows[:, c0:c0 + width]
-            np.multiply((dft * shift[:, None]) @ block, fine[:, :block.shape[1]], out=block)
-        rows = scipy.fft.fft(rows, axis=1, overwrite_x=True)
-
-        def Z(i: int, j: int) -> np.ndarray:
-            k0 = i // Q
-            return rows[:, k0:-(-j // Q)].T.ravel()[i - k0 * Q:j - k0 * Q]
-
-        return Z
-
-    return transform
-
-
-def _makhoul_energies(N: int, cut: int):
-    """The map (z, v, odd) -> (out-of-band, total) energy of one folded row.
-
-    ``v`` is the real view of the buffer row ``z`` (see ``_makhoul_buffer``)
-    and holds the tapered half row g of length N in Makhoul order, odd
-    samples negated for an odd row, since DST-II_k(g) =
-    DCT-II_{N-1-k}((-1)^j g_j).  The map runs ``_two_stage_fft`` in z's
-    memory and reads from its rows only the bins named below.  The
-    DCT-II is y_k = 2 Re(e^{-i pi k / 2N} V_k), and y_{N-k} = -2 Im of the
-    same product, so every bin comes from a V_k with k <= N/2.  The
-    out-of-band bins are y_k, k >= cut, of an even row (its bin k is
-    frequency k) and the DST bins k >= cut - 1 of an odd row (bin k is
-    frequency k + 1); only those are formed.  The totals follow Parseval:
-    y_0^2 / 2 + sum_{k>=1} y_k^2 = 2N sum g^2 for an even row, and the DST
-    sum of squares adds y_{N-1}^2 / 2 to that.
-    """
-    L, H = N // 2, N - N // 2
-    # the bins k in [0, min(N - cut, L)], and k in [cut, H) when cut < H
-    low = _twisted_bins(N, 0, min(N - cut, L) + 1)
-    high = _twisted_bins(N, cut, H) if cut < H else None
-    fft = _two_stage_fft(L if N % 2 == 0 else N)
-
-    def energies(z: np.ndarray, v: np.ndarray, odd: bool):
-        total = 2.0 * N * float(np.dot(v, v))
-        Z = fft(z)
-        A = low(Z)
-        B = high(Z) if high is not None else A[:0]
-        if odd:
-            out = np.dot(A.real, A.real) + np.dot(B.imag, B.imag)
-            total += 2.0 * float(A[0].real) ** 2
-        else:
-            out = np.dot(A.imag[1:], A.imag[1:]) + np.dot(B.real, B.real)
-        return 4.0 * float(out), total
-
-    return energies
-
-
-def _pw_folded(basis, ns, dx: float, M: int, width: float, band: float) -> dict:
-    """Out-of-band energy ratios of rows ns from half-length FFTs of the half grid.
-
-    On the upper half of the grid, x_j = (j + 1/2) dx for j < N = M/2, an
-    even row's length-M DFT has the magnitude of the DCT-II of the half,
-    bin j at frequency j, and an odd row's that of the DST-II, bin j at
-    frequency j + 1; the frequency M/2 bin of an even row is zero.  Each
-    tapered row is written into one complex buffer in Makhoul order, which
-    takes the DCT-II of length N from one complex FFT of length N/2 (for
-    odd N, one of length N), run in two stages: see ``_makhoul_energies``.  Only the
-    out-of-band bins are formed; the total is Parseval's.  A closed form
-    fills the buffer block by block, each block with its own x and taper:
-    rows 0..max(ns) of the table, or a lone row from its single-row sweep;
-    the Legendre sweep takes sin x and cos x from ``_unit_steps``.
-    Other families take phi_grid's rows in one call, since its quadrature
-    refinement follows the grid's max |x|.  A row with a non-negligible
-    imaginary part is left out of the result.
-    """
-    half = M // 2
-    cut = _first_bin_above(band, M, dx)
-    ns = sorted(set(ns))
-    nmax = ns[-1]
-    picks, step = ns, _PW_BLOCK
-    # e^{i x_j} on the half grid, for the Legendre sweep's sin x and cos x
-    trig = (_unit_steps(0.5, dx, half)
-            if basis.closed_table is basis_mod.transformed_legendre_table else None)
-    if basis.closed_form is not None and ns == [nmax]:
-        # a lone row through the single-row sweep, which keeps no other row
-        picks = [0]
-        evaluate = lambda x, **kw: np.asarray(basis.closed_form(nmax, x, **kw))[None]
-    elif basis.closed_table is not None:
-        # phi_grid's rows, kept in the table's own (real) dtype
-        evaluate = lambda x, **kw: basis.closed_table(nmax, x, **kw)
-    else:
-        step = half
-        evaluate = lambda x: basis_mod.phi_grid(basis, nmax, x)
-    z, v = _makhoul_buffer(len(ns), half)
-    # max |imag| and max |real| over the blocks; a real row keeps imag = -inf
-    imag = np.full(len(ns), -np.inf)
-    real = np.zeros(len(ns))
-    for start in range(0, half, step):
-        stop = min(start + step, half)
-        # x_j = (j + 1/2) dx and the taper exp(-(x / width)^2 / 2), in place
-        x = np.arange(start + 0.5, stop, 1.0)
-        x *= dx
-        taper = x * x
-        taper *= -0.5 / width**2
-        np.exp(taper, out=taper)
-        if trig is None:
-            rows = evaluate(x)
-        else:
-            e = trig(start, stop)
-            rows = evaluate(x, sincos=(e.imag, e.real))
-        (es, et), (os_, ot) = _makhoul_slots(half, start, stop)
-        for i, pick in enumerate(picks):
-            row = rows[pick]
-            if np.iscomplexobj(row):
-                imag[i] = np.maximum(imag[i], np.max(np.abs(row.imag)))
-                real[i] = np.maximum(real[i], np.max(np.abs(row.real)))
-                row = row.real
-            np.multiply(row[es], taper[es], out=v[i, et])
-            np.multiply(row[os_], taper[os_], out=v[i, ot])
-            if ns[i] % 2:
-                np.negative(v[i, ot], out=v[i, ot])
-        del rows, row
-    energies = _makhoul_energies(half, cut)
-    ratios = {}
-    for i, n in enumerate(ns):
-        if imag[i] < 1e-14 * real[i]:
-            out, total = energies(z[i], v[i], n % 2 == 1)
-            ratios[n] = out / total
-    return ratios
-
-
-def pw_support_reports(basis, ns, dx: float = 3.0, M: int = 2**23,
-                       taper: float = 3.5) -> list[CheckReport]:
-    """Fraction of each phi_n's Fourier energy outside the measure's support.
-
-    Samples the rows n in ``ns`` on a wide grid whose spacing keeps the
-    Nyquist frequency just above the band edge, applies a Gaussian taper
-    against truncation leakage, and integrates the discrete spectrum
-    outside the support; one report per entry of ``ns``.  The grid is
-    symmetric about 0.  When the measure is symmetric, the basis carries no
-    phase sigma and M is even, phi_n(-x) = (-1)^n phi_n(x), so the check is
-    folded: rows 0..max(ns) are evaluated once, as one table on the upper
-    half of the grid, and the energies of the length-M real FFT of the
-    whole row are those of the length-M/2 DCT-II (even n) or DST-II (odd
-    n) of the tapered half row.  Each comes from one complex FFT of length
-    M/4 (M/2 when M/2 is odd) of the half row in Makhoul order, run in the
-    buffer in two stages (``_two_stage_fft``; its longest FFT has M/64
-    points when 64 divides M); only the out-of-band bins are read from it
-    and formed, and the total is Parseval's sum of squares of the half
-    row.  The Legendre rows take sin x and cos x from an angle-addition
-    table, so no full-length np.sin or np.cos call is made.  Odd M, an asymmetric measure, a phase, or a row with a
-    non-negligible imaginary part takes the full grid: that row alone
-    through ``phi`` and a length-M FFT.  For measures supported on all of
-    R all of the energy lies outside the support: the ratio 1.0 is
-    returned at once, without sampling or an FFT, and the report is tagged
-    expected_fail.
+    phi_n is the Fourier transform of p_n sqrt(w), so for a measure on
+    [lo, hi] its spectrum lies in |k| <= B = max(|lo|, |hi|) (Paley-Wiener).
+    The rows n in ``ns`` are sampled at dx = pi / (2B), so the Nyquist
+    frequency is 2B, on M points covering |x| <= 9W, M the next power of
+    two; each row is tapered by exp(-(x / W)^2 / 2) with W = 9 / (delta B)
+    and transformed by one length-M FFT.  The ratio is the energy at
+    |k| > (1 + delta) B over the total.  The taper smears the spectrum's
+    jump at +-B by about 1/W, so past the guard band its leak is about
+    e^-81 and the ratio of a band-limited row sits at rounding, near 1e-30;
+    content inside the band (B, (1 + delta) B) is not seen.  At delta =
+    0.05 and B = 1, M = 4096.  For measures supported on all of R all of
+    the energy lies outside the support: the ratio 1.0 is returned at once,
+    without sampling, and the report is tagged expected_fail.
     """
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
         raise ValueError("index n must be >= 0")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("guard band delta must be in (0, 1]")
+    if not ns:
+        return []
     lo, hi = basis.measure.support
-    metas = [{"family": basis.family, "n": n, "support": (lo, hi), "M": M, "dx": dx}
+    # at least four orders above the floor of a band-limited row (about 1e-30)
+    tol = 1e-24
+    metas = [{"family": basis.family, "n": n, "support": (lo, hi), "delta": delta}
              for n in ns]
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        return [CheckReport("pw-support", 1.0, 1e-6, metadata={**meta, "expected_fail": True})
+        return [CheckReport("pw-support", 1.0, tol, metadata={**meta, "expected_fail": True})
                 for meta in metas]
     band = max(abs(lo), abs(hi))
-    if math.pi / dx <= band:
-        raise ValueError("grid spacing too coarse for the band edge")
-    width = (0.5 * M * dx) / taper
-    ratios = {}
-    if ns and basis.measure.symmetric and basis.sigma is None and M % 2 == 0:
-        ratios = _pw_folded(basis, ns, dx, M, width, band)
-    reports = []
-    for n, meta in zip(ns, metas):
-        if n not in ratios:
-            ratios[n] = _pw_full_grid(basis, n, dx, M, width, band)
-        reports.append(CheckReport("pw-support", ratios[n], 1e-6, metadata=meta))
-    return reports
+    width = 9.0 / (delta * band)
+    dx = 0.5 * math.pi / band
+    M = 1 << math.ceil(math.log2(18.0 * width / dx))
+    x = (np.arange(M) - 0.5 * M + 0.5) * dx
+    rows = basis_mod.phi_grid(basis, max(ns), x)[ns] * np.exp(-0.5 * (x / width) ** 2)
+    energy = np.abs(scipy.fft.fft(rows, axis=1)) ** 2
+    k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
+    ratios = energy[:, k > (1.0 + delta) * band].sum(axis=1) / energy.sum(axis=1)
+    return [CheckReport("pw-support", float(r), tol,
+                        metadata={**meta, "width": width, "M": M, "dx": dx})
+            for meta, r in zip(metas, ratios)]
 
 
-def check_pw_support(basis, n: int = 0, dx: float = 3.0, M: int = 2**23,
-                     taper: float = 3.5) -> CheckReport:
-    """``pw_support_reports`` for the single row n; see there for the fold."""
-    return pw_support_reports(basis, (n,), dx, M, taper)[0]
+def check_pw_support(basis, n: int = 0, delta: float = 0.05) -> CheckReport:
+    """``pw_support_reports`` for the single row n."""
+    return pw_support_reports(basis, (n,), delta)[0]

@@ -123,6 +123,12 @@ def test_golden_verify(capsys):
     assert_matches_golden_json(out, "verify_gram.json")
 
 
+def test_golden_verify_pw_support(capsys):
+    rc, out = run_cli(["verify", "pw-support", "--family", "legendre"], capsys)
+    assert rc == 0
+    assert_matches_golden_json(out, "verify_pw_support.json")
+
+
 def test_determinism_byte_identical():
     cmd = [sys.executable, "-m", "favard.cli", "coeffs", "--family", "hermite",
            "--f", "exp(-x^2)*sin(x)", "--N", "24"]
@@ -168,6 +174,9 @@ def test_exit_code_usage_errors(capsys):
         ["decay", "--model", "stretched:-1", "--in", "whatever.csv"],
         ["verify", "gram", "--family", "nosuch"],
         ["verify", "tanh-jacobi-identity", "--family", "hermite"],
+        ["verify", "tanh-jacobi-identity", "--family", "tanhjacobi:0.75,0.5"],
+        ["verify", "ramanujan", "--a", "-1"],
+        ["verify", "all", "--family", "tanhjacobi:0.75,0.75", "--a", "0"],
         ["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "2"],
     ]
     for argv in cases:

@@ -25,6 +25,13 @@ def test_xspace_vs_fourier_side_hermite():
     assert np.max(np.abs(a.values - b.values)) < 1e-9
 
 
+def test_fourier_side_refuses_bilateral_basis():
+    # rows n >= 0 of the MT system capture half a Gaussian's energy; the
+    # bilateral window is mt_coeffs_fft's, and the message names it
+    with pytest.raises(ValueError, match="mt_coeffs_fft"):
+        co.coeffs_fourier_side(F_gaussian, make_basis("mt", N=16), 16)
+
+
 def test_reconstruction_from_coeffs():
     basis = make_basis("hermite", N=40)
     f = lambda x: np.exp(-(x**2)) * (1.0 + 0.5 * x)

@@ -167,20 +167,3 @@ def test_sph_sweep_in_place_matches_single_rows(grid):
     scale = np.sqrt((2 * np.arange(nmax + 1) + 1) / np.pi)[:, None]
     sign = np.where((np.arange(nmax + 1) % 2 == 1)[:, None] & (x[forward] > 0), -1.0, 1.0)
     assert np.array_equal(table[:, forward], sign * (reference * scale))
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_sph_grids())
-def test_sph_scan_takes_given_sines_bitwise(grid):
-    # sin|x| and cos|x| handed to the sweep reach the closed forms of j_0
-    # and j_1 on every branch, scattered points included
-    nmax, x = grid
-    r = np.abs(x)
-    sincos = (np.sin(r), np.cos(r))
-    for collect in (True, False):
-        want = specfun._sph_scan(nmax, r, collect)
-        assert np.array_equal(specfun._sph_scan(nmax, r, collect, sincos), want)
-    assert np.array_equal(transformed_legendre_table(nmax, x, sincos=sincos),
-                          transformed_legendre_table(nmax, x))
-    assert np.array_equal(transformed_legendre(nmax, x, sincos=sincos),
-                          transformed_legendre(nmax, x))

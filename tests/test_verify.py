@@ -1,16 +1,13 @@
 """Diagnostic checks: report structure, Gram strategies, the exact
 Legendre tail integrals, Cramer, Ramanujan, identity, and support."""
 
-import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from favard import _panels
 from favard import basis as basis_mod
@@ -136,7 +133,7 @@ def test_tanh_jacobi_identity_asymmetric_gate():
 def test_pw_support_legendre_inside_band():
     rep = ver.check_pw_support(make_basis("legendre", N=8), n=0)
     assert rep.passed
-    assert rep.max_abs_error < 1e-6
+    assert rep.max_abs_error < 1e-28
 
 
 def test_pw_support_hermite_expected_fail(monkeypatch):
@@ -150,264 +147,106 @@ def test_pw_support_hermite_expected_fail(monkeypatch):
     rep = ver.check_pw_support(make_basis("hermite", N=8), n=2)
     assert rep.as_dict() == {
         "schema": "favard.report/1", "name": "pw-support", "max_abs_error": 1.0,
-        "tolerance": 1e-6, "pass": False,
+        "tolerance": 1e-24, "pass": False,
         "metadata": {"family": "hermite", "n": 2, "support": (-np.inf, np.inf),
-                     "M": 2**23, "dx": 3.0, "expected_fail": True},
+                     "delta": 0.05, "expected_fail": True},
     }
-    assert list(rep.metadata) == ["family", "n", "support", "M", "dx", "expected_fail"]
+    assert list(rep.metadata) == ["family", "n", "support", "delta", "expected_fail"]
 
 
-def _pw_ratio_full_grid(basis, n, M, dx=3.0, taper=3.5):
-    # every row 0..n on the whole grid, as the check was first written
+def _pw_ratio(basis, n, delta=0.05):
+    # the guard-band ratio of row n, written out with numpy's own FFT
+    meta = ver.check_pw_support(basis, n, delta).metadata
+    M, dx, W = meta["M"], meta["dx"], meta["width"]
     x = (np.arange(M) - M / 2 + 0.5) * dx
-    vals = basis_mod.phi_grid(basis, n, x)[n]
-    g = vals * np.exp(-0.5 * (x / ((0.5 * M * dx) / taper)) ** 2)
-    assert np.max(np.abs(g.imag)) < 1e-14 * np.max(np.abs(g.real))
-    energy = np.abs(scipy.fft.rfft(g.real)) ** 2
-    energy[1:] *= 2.0
-    k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
-    return float(energy[k > 1.0].sum()) / float(energy.sum())
-
-
-@pytest.mark.parametrize("M", [2**16, 2**16 + 1, 2**16 + 2])
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_pw_support_one_row_matches_full_grid_exactly(M, symmetric):
-    # odd M and an asymmetric measure take the plain full grid and must
-    # reproduce the full-grid rfft ratio bit for bit; the folded check
-    # (symmetric measure, even M: the half-length DCT-II/DST-II energies from
-    # a complex FFT of length M/4, or M/2 when M/2 is odd) moves it at
-    # rounding level only
-    basis = make_basis("legendre", N=8)
-    if not symmetric:
-        basis.measure = dataclasses.replace(basis.measure, symmetric=False)
-    folded = symmetric and M % 2 == 0
-    for n in range(6):
-        rep = ver.check_pw_support(basis, n=n, M=M)
-        want = _pw_ratio_full_grid(basis, n, M)
-        if folded:
-            assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
-        else:
-            assert rep.max_abs_error == want, n
-        assert rep.metadata == {"family": "legendre", "n": n, "support": (-1.0, 1.0),
-                                "M": M, "dx": 3.0}
-
-
-def test_pw_support_reports_fold_one_table(monkeypatch):
-    # one list call evaluates the Legendre table block by block, on half the
-    # grid, each point once, and no single row; a lone row takes the
-    # single-row sweep and no table; each ratio matches the full-grid rfft
-    tables, singles = [], []
-
-    def table(nmax, x, sincos=None):
-        tables.append((nmax, len(x)))
-        return basis_mod._legendre_scan(nmax, x, collect=True)
-
-    def single(n, x, sincos=None):
-        singles.append((n, len(x)))
-        return basis_mod._legendre_scan(n, x, collect=False)[0]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the folded check evaluates no row through phi")
-
-    monkeypatch.setattr(basis_mod, "transformed_legendre_table", table)
-    monkeypatch.setattr(basis_mod, "transformed_legendre", single)
-    monkeypatch.setattr(basis_mod, "phi", refuse)
-    monkeypatch.setattr(ver, "_PW_BLOCK", 2**10)
-    basis = make_basis("legendre", N=8)
-    M = 2**16
-    reps = ver.pw_support_reports(basis, range(6), M=M)
-    assert singles == [] and len(tables) == M // 2 // 2**10
-    assert all(nmax == 5 for nmax, _ in tables)
-    assert sum(size for _, size in tables) == M // 2
-    tables.clear()
-    lone = ver.check_pw_support(basis, n=5, M=M)
-    assert tables == [] and all(n == 5 for n, _ in singles)
-    assert sum(size for _, size in singles) == M // 2
-    monkeypatch.undo()
-    assert [r.metadata["n"] for r in reps] == list(range(6))
-    for n, rep in enumerate(reps):
-        want = _pw_ratio_full_grid(basis, n, M)
-        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
-    assert abs(lone.max_abs_error - reps[5].max_abs_error) <= 1e-12 * lone.max_abs_error
+    g = basis_mod.phi_grid(basis, n, x)[n] * np.exp(-0.5 * (x / W) ** 2)
+    energy = np.abs(np.fft.fft(g)) ** 2
+    k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
+    return float(energy[k > 1.0 + delta].sum() / energy.sum())
 
 
 @pytest.mark.parametrize("family", ["legendre", "ultraspherical:0"])
-def test_pw_support_blocks_match_one_block_bitwise(monkeypatch, family):
-    # every sweep is elementwise, so the ratios do not depend on where the
-    # half grid is cut: blocks of 1 and 2 points start in the Miller branch
-    # (x = 1.5 and 4.5 lie below nmax = 5), and 3 and 100 do not divide M/2
+def test_pw_support_guard_band_grid(family):
+    # delta = 0.05 on [-1, 1]: W = 9 / delta = 180, dx = pi / 2, and the
+    # grid covers |x| <= 9W = 1620 in the next power of two, 4096 points;
+    # delta = 0.01 takes 16384.  Every row reads at rounding level
     basis = make_basis(family, N=8)
-    M = 2**10
+    for delta, M in ((0.05, 2**12), (0.01, 2**14)):
+        reps = ver.pw_support_reports(basis, range(6), delta=delta)
+        assert [r.metadata["n"] for r in reps] == list(range(6))
+        assert all(r.passed and r.max_abs_error <= 1e-28 for r in reps), delta
+        assert reps[0].metadata == {"family": family, "n": 0, "support": (-1.0, 1.0),
+                                    "delta": delta, "width": 9.0 / delta, "M": M,
+                                    "dx": math.pi / 2}
+        assert reps[0].tolerance == 1e-24
+    for n in (0, 3, 5):
+        assert abs(ver.check_pw_support(basis, n).max_abs_error - _pw_ratio(basis, n)) < 1e-30
+    for delta in (0.0, -0.05, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            ver.check_pw_support(basis, 0, delta)
 
-    def ratios():
-        table = [r.max_abs_error for r in ver.pw_support_reports(basis, range(6), M=M)]
-        return table, ver.check_pw_support(basis, 5, M=M).max_abs_error
 
-    monkeypatch.setattr(ver, "_PW_BLOCK", M // 2)
-    want = ratios()
-    for block in (1, 2, 3, 100, 2**7):
-        monkeypatch.setattr(ver, "_PW_BLOCK", block)
-        assert ratios() == want, block
+def test_pw_support_sees_planted_error(monkeypatch):
+    # a non-band-limited error of 1e-10 in row 1 lifts its ratio far past
+    # the tolerance; the untouched rows still pass
+    grid = basis_mod.phi_grid
+
+    def planted(basis, nmax, x, **kwargs):
+        rows = grid(basis, nmax, x, **kwargs)
+        rows[1] += 1e-10 * np.cos(1.2 * x) / (1.0 + x * x)
+        return rows
+
+    monkeypatch.setattr(basis_mod, "phi_grid", planted)
+    reps = ver.pw_support_reports(make_basis("legendre", N=8), range(3))
+    assert [r.passed for r in reps] == [True, False, True]
+    assert reps[1].max_abs_error > 1e3 * reps[1].tolerance
+
+
+def test_pw_support_reports_one_table(monkeypatch):
+    # one list call evaluates one table, rows 0..max(ns), on the whole grid
+    # once; the reports follow the order of ns
+    calls = []
+    grid = basis_mod.phi_grid
+
+    def counted(basis, nmax, x, **kwargs):
+        calls.append((nmax, len(x)))
+        return grid(basis, nmax, x, **kwargs)
+
+    monkeypatch.setattr(basis_mod, "phi_grid", counted)
+    basis = make_basis("legendre", N=8)
+    reps = ver.pw_support_reports(basis, [4, 1, 2])
+    assert calls == [(4, 2**12)]
+    assert [r.metadata["n"] for r in reps] == [4, 1, 2]
+    monkeypatch.undo()
+    for rep in reps:
+        assert abs(rep.max_abs_error - _pw_ratio(basis, rep.metadata["n"])) < 1e-30
+
+
+def test_pw_support_reports_quadrature_rows():
+    # a compact family without a closed table takes phi_grid's quadrature
+    # rows on the same 4096-point grid, about 0.5 s on one core; the budget
+    # is six times that
+    basis = make_basis("jacobi:1,1", N=8)
+    start = time.perf_counter()
+    reps = ver.pw_support_reports(basis, range(2))
+    elapsed = time.perf_counter() - start
+    assert all(r.passed and r.max_abs_error <= 1e-28 for r in reps)
+    assert reps[0].metadata["M"] == 2**12
+    assert elapsed < 3.0, elapsed
 
 
 def test_pw_support_memory_is_one_row_per_index():
-    # the tapered rows go straight into one real (rows, M/2) buffer that the
-    # transforms overwrite; the blocks add only a small, fixed amount
+    # the check holds a few arrays of rows x M complex values and nothing
+    # larger
     basis = make_basis("legendre", N=8)
-    M = 2**20
+    basis_mod.phi_grid(basis, 2, np.linspace(0.0, 1.0, 5))
     tracemalloc.start()
     try:
-        ver.pw_support_reports(basis, range(3), M=M)
+        reps = ver.pw_support_reports(basis, range(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 3 * (M // 2) * 8
-
-
-def _kernel_energies(g, odd, cut, splits=()):
-    # the folded check's energy kernel on one half row g, written into its
-    # buffer block by block at the given split points
-    N = g.size
-    z, v = ver._makhoul_buffer(1, N)
-    bounds = [0, *splits, N]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        (es, et), (os_, ot) = ver._makhoul_slots(N, start, stop)
-        block = g[start:stop]
-        v[0, et] = block[es]
-        v[0, ot] = -block[os_] if odd else block[os_]
-    return ver._makhoul_energies(N, cut)(z[0], v[0], odd), v[0].copy()
-
-
-def _dct_energies(g, odd, cut):
-    # the energies as the DCT-II/DST-II fold computed them: bin j of an even
-    # row is frequency j (bin 0 counted once), bin j of an odd row j + 1
-    if odd:
-        y = scipy.fft.dst(g, type=2) ** 2
-        return float(y[cut - 1:].sum()), float(y.sum())
-    y = scipy.fft.dct(g, type=2) ** 2
-    y[0] *= 0.5
-    return float(y[cut:].sum()), float(y.sum())
-
-
-@pytest.mark.parametrize("N", [64, 65, 1000, 1001, 2**12, 2**12 + 1])
-@pytest.mark.parametrize("odd", [False, True])
-def test_makhoul_energies_match_dct_dst(N, odd):
-    # random rows, M/2 = N even and odd, cuts at the check's own fraction
-    # (band dx / pi = 0.955 of N), at N/2 and either side of it, and low
-    rng = np.random.default_rng(N + odd)
-    for cut in (round(0.955 * N), N // 2 + 1, N // 2, (N + 1) // 2, N // 3, 2):
-        g = rng.standard_normal(N)
-        (out, total), _ = _kernel_energies(g, odd, cut)
-        want_out, want_total = _dct_energies(g, odd, cut)
-        assert abs(out - want_out) <= 1e-13 * want_out, (cut, out, want_out)
-        assert abs(total - want_total) <= 1e-13 * want_total, cut
-
-
-@st.composite
-def _kernel_cases(draw):
-    N = draw(st.integers(1, 3000))
-    cut = draw(st.integers(1, N))
-    odd = draw(st.booleans())
-    splits = sorted(set(draw(st.lists(st.integers(1, max(N - 1, 1)), max_size=4))))
-    return N, cut, odd, [p for p in splits if p < N]
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(_kernel_cases())
-def test_makhoul_energies_property(case):
-    # every size and cut: the energies match the DCT-II/DST-II ones, and the
-    # buffer does not depend on where the row was cut into blocks.  A bin
-    # is accurate to rounding of the whole spectrum, so a small out-of-band
-    # share is held to that, about eps sqrt(out * total), and to 1e-13
-    # relative otherwise
-    N, cut, odd, splits = case
-    g = np.random.default_rng(N * 7 + cut).standard_normal(N)
-    (out, total), buf = _kernel_energies(g, odd, cut, splits)
-    want_out, want_total = _dct_energies(g, odd, cut)
-    eps = np.finfo(float).eps
-    assert abs(out - want_out) <= 1e-13 * want_out + 4 * eps * math.sqrt(want_out * want_total)
-    assert abs(total - want_total) <= 1e-13 * want_total
-    assert np.array_equal(buf, _kernel_energies(g, odd, cut)[1])
-
-
-@pytest.mark.parametrize("L,Q", [(2**16, 16), (16 * 3000, 16), (8 * 1001, 8),
-                                 (2 * 1001, 2), (1001, 1)])
-def test_two_stage_fft_ends_match_fft(L, Q):
-    # Q = gcd(L, 16) chunks of P columns; P = 3000 is not a multiple of
-    # the block width, and odd L is the plain FFT.  The ends the
-    # out-of-band bins read, and other ranges, match one length-L FFT
-    assert math.gcd(L, 16) == Q
-    rng = np.random.default_rng(L)
-    z = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    want = scipy.fft.fft(z)
-    Z = ver._two_stage_fft(L)(z.copy())
-    b = round(0.09 * L)
-    tol = 1e-13 * np.max(np.abs(want))
-    for i, j in ((0, b), (L - b + 1, L), (0, 1), (5, 5), (Q + 1, 3 * Q + 2), (0, L)):
-        got = Z(i, j)
-        assert got.shape == (j - i,)
-        assert np.max(np.abs(got - want[i:j]), initial=0.0) <= tol, (i, j)
-
-
-def test_two_stage_fft_runs_no_long_fft(monkeypatch):
-    # the folded Legendre check transforms rows of length L / Q = M / 64
-    # only: no FFT of a whole quarter row runs
-    lengths = []
-    fft = scipy.fft.fft
-
-    def spy(x, *args, axis=-1, **kwargs):
-        lengths.append(np.shape(x)[axis])
-        return fft(x, *args, axis=axis, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "fft", spy)
-    M = 2**16
-    reps = ver.pw_support_reports(make_basis("legendre", N=8), range(3), M=M)
-    assert all(0.0 < r.max_abs_error < 1.0 for r in reps)
-    assert lengths and max(lengths) == M // 4 // 16
-
-
-def test_pw_support_two_stage_matches_full_grid():
-    # rows 0..5 at M = 2^20, where each quarter row is 16 rows of 2^14
-    basis = make_basis("legendre", N=8)
-    M = 2**20
-    for n, rep in enumerate(ver.pw_support_reports(basis, range(6), M=M)):
-        want = _pw_ratio_full_grid(basis, n, M)
-        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
-
-
-def test_unit_steps_are_within_ulps_of_numpy():
-    # the angle-addition table on the default half grid, M = 2^23, dx = 3,
-    # against np.sin/np.cos, and each value the same whatever range asks
-    half, dx = 2**22, 3.0
-    steps = ver._unit_steps(0.5, dx, half)
-    e = steps(0, half)
-    x = (np.arange(half) + 0.5) * dx
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(e.imag - np.sin(x))) <= 4 * eps
-    assert np.max(np.abs(e.real - np.cos(x))) <= 4 * eps
-    for start, stop in ((0, 1), (2047, 2049), (12345, 12345 + 3 * 2**11), (half - 5, half)):
-        assert np.array_equal(steps(start, stop), e[start:stop])
-
-
-def test_pw_support_fold_calls_no_dct_or_dst(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the folded check runs no DCT or DST")
-
-    monkeypatch.setattr(scipy.fft, "dct", refuse)
-    monkeypatch.setattr(scipy.fft, "dst", refuse)
-    for family, M in (("legendre", 2**12), ("legendre", 2**12 + 2), ("jacobi:1,1", 2**8)):
-        reps = ver.pw_support_reports(make_basis(family, N=8), range(3), M=M)
-        assert all(0.0 < r.max_abs_error < 1.0 for r in reps), family
-
-
-def test_pw_support_reports_fold_quadrature_rows():
-    # a family without a closed table folds through phi_grid's complex,
-    # exactly real rows
-    basis = make_basis("jacobi:1,1", N=8)
-    M = 2**8
-    for n, rep in enumerate(ver.pw_support_reports(basis, range(3), M=M)):
-        want = _pw_ratio_full_grid(basis, n, M)
-        assert abs(rep.max_abs_error - want) <= 1e-12 * want, n
+    assert peak <= 8 * 3 * reps[0].metadata["M"] * 16
 
 
 def test_pw_support_reports_expected_fail_per_row():
@@ -449,18 +288,4 @@ def test_gram_ultraspherical_zero_is_legendre():
 def test_pw_support_rejects_negative_index():
     for family in ("legendre", "hermite"):
         with pytest.raises(ValueError):
-            ver.check_pw_support(make_basis(family, N=8), n=-1, M=2**10)
-
-
-def test_first_bin_above_matches_searchsorted():
-    # the cut of the folded check, without the length-M/2+1 frequency array
-    for M in (2**8, 2**9 + 1, 1000, 2**23):
-        for dx in (3.0, 0.5, 0.1, math.pi / 7):
-            k = 2.0 * math.pi * np.fft.rfftfreq(M, d=dx)
-            bands = [0.0, 1.0, 0.999 * k[-1], k[-1], 2.0 * k[-1]]
-            # bands on a bin frequency and one ulp either side of it
-            for j in (1, 2, M // 7, M // 2 - 1, M // 2):
-                bands += [k[j], np.nextafter(k[j], 0.0), np.nextafter(k[j], np.inf)]
-            for band in bands:
-                want = int(np.searchsorted(k, band, side="right"))
-                assert ver._first_bin_above(float(band), M, dx) == want, (M, dx, band)
+            ver.check_pw_support(make_basis(family, N=8), n=-1)
