@@ -1,12 +1,14 @@
 """Diagnostic checks: report structure, Gram strategies, the exact
 Legendre tail integrals, Cramer, Ramanujan, identity, and support."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 
 from favard import _panels
@@ -202,7 +204,7 @@ def test_pw_support_sees_planted_error(monkeypatch):
     assert reps[1].max_abs_error > 1e3 * reps[1].tolerance
 
 
-def test_pw_support_reports_one_table(monkeypatch):
+def test_pw_support_reports_fold_one_table(monkeypatch):
     # one list call evaluates one table, rows 0..max(ns), on the whole grid
     # once; the reports follow the order of ns
     calls = []
@@ -222,7 +224,7 @@ def test_pw_support_reports_one_table(monkeypatch):
         assert abs(rep.max_abs_error - _pw_ratio(basis, rep.metadata["n"])) < 1e-30
 
 
-def test_pw_support_reports_quadrature_rows():
+def test_pw_support_reports_fold_quadrature_rows():
     # a compact family without a closed table takes phi_grid's quadrature
     # rows on the same 4096-point grid, about 0.5 s on one core; the budget
     # is six times that
@@ -233,6 +235,23 @@ def test_pw_support_reports_quadrature_rows():
     assert all(r.passed and r.max_abs_error <= 1e-28 for r in reps)
     assert reps[0].metadata["M"] == 2**12
     assert elapsed < 3.0, elapsed
+
+
+def test_pw_support_fold_calls_no_dct_or_dst(monkeypatch):
+    # the guard-band check takes one plain FFT along the rows and no DCT or
+    # DST, and reads the same ratios whether or not the measure is flagged
+    # symmetric
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard-band check runs no DCT or DST")
+
+    monkeypatch.setattr(scipy.fft, "dct", refuse)
+    monkeypatch.setattr(scipy.fft, "dst", refuse)
+    for family in ("legendre", "ultraspherical:0"):
+        basis = make_basis(family, N=8)
+        want = [r.max_abs_error for r in ver.pw_support_reports(basis, range(3))]
+        assert all(0.0 < e <= 1e-28 for e in want), family
+        basis.measure = dataclasses.replace(basis.measure, symmetric=False)
+        assert [r.max_abs_error for r in ver.pw_support_reports(basis, range(3))] == want
 
 
 def test_pw_support_memory_is_one_row_per_index():
