@@ -281,10 +281,6 @@ class TransformedBasis:
     # filled and emptied by schrodinger._strang_setup.
     _strang: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def pw_support(self) -> tuple[float, float]:
-        return self.measure.support
-
     def ensure(self, n: int) -> None:
         """Extend the stored recurrence coefficients to cover index n."""
         if n < len(self.jacobi):

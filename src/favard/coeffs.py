@@ -9,7 +9,6 @@ classifies the tail behavior of a coefficient sequence.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,18 +33,6 @@ __all__ = [
     "tanh_cheb_kind",
     "tanh_chebyshev_coeffs",
 ]
-
-
-def _fft_workers() -> int | None:
-    """Worker count for scipy.fft, capped by FAVARD_THREADS when set."""
-    text = os.environ.get("FAVARD_THREADS", "").strip()
-    if not text:
-        return None
-    try:
-        count = int(text)
-    except ValueError:
-        return None
-    return max(1, count)
 
 
 @dataclass(eq=False)
@@ -291,7 +278,7 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     if abs(tail_limit(1.0) - tail_limit(-1.0)) > 1e-2 * max(top, 1e-300):
         raise ValueError("f decays too slowly for the Malmquist-Takenaka FFT path: "
                          "the substituted integrand jumps at theta = pi")
-    spectrum = scipy.fft.fft(g, workers=_fft_workers(), overwrite_x=True)
+    spectrum = scipy.fft.fft(g, overwrite_x=True)
     # bins n = -N/2+1..-1 sit at M+n, bins 0..N/2 at n; only they are kept
     vals = np.concatenate((spectrum[M - N // 2 + 1:], spectrum[:N // 2 + 1]))
     del g, spectrum
@@ -373,7 +360,7 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     root_s = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
     scale = math.pi / (2.0 * M) / root_s
     transform, order = _TANH_CHEB_KINDS[(a, b)]
-    vals = transform(H, type=order, workers=_fft_workers(), overwrite_x=True)[:N]
+    vals = transform(H, type=order, overwrite_x=True)[:N]
     vals *= scale if (a, b) == (0.75, 0.75) else scale * math.sqrt(2.0)
     if (a, b) == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)

@@ -35,7 +35,7 @@ import scipy.fft
 
 from . import basis as basis_mod
 from . import diffop
-from .coeffs import CoefficientVector, _fft_workers
+from .coeffs import CoefficientVector
 from .errors import TruncationLossWarning
 
 __all__ = [
@@ -202,18 +202,17 @@ def _folded_hermite_kick(eig: diffop.FoldedEigensystem):
     return kick
 
 
-def _mt_grid(N: int, M: int | None = None):
+def _mt_grid(N: int):
     """Uniform theta-grid pair for the Malmquist-Takenaka basis.
 
-    On theta_j = -pi + (j + 1/2) h, h = 2 pi / M, the basis is a pure
-    Fourier mode times a common factor,
+    On theta_j = -pi + (j + 1/2) h, h = 2 pi / M with M = 4N, the basis
+    is a pure Fourier mode times a common factor,
     phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) i^n e^{i (n + 1/2) theta_j}, so
     synthesis is one zero-padded inverse FFT of (-i)^n e^{i n h/2} a_n and
     analysis one FFT; the round trip is exact for functions in
     span{phi_0..phi_{N-1}}.
     """
-    if M is None:
-        M = 4 * N
+    M = 4 * N
     h = 2.0 * math.pi / M
     theta = -math.pi + (np.arange(M) + 0.5) * h
     tan_half = np.tan(0.5 * theta)
@@ -223,13 +222,13 @@ def _mt_grid(N: int, M: int | None = None):
     shift = diffop._I_POWERS[-ns % 4] * np.exp(0.5j * ns * h)
 
     def synthesize(a):
-        return common * scipy.fft.ifft(shift * a, n=M, workers=_fft_workers())
+        return common * scipy.fft.ifft(shift * a, n=M)
 
     pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * diffop._I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
     factor = 1.0 - 1j * tan_half
 
     def analyze(u):
-        spectrum = scipy.fft.fft(factor * u, workers=_fft_workers())
+        spectrum = scipy.fft.fft(factor * u)
         return pref * spectrum[ns]
 
     return nodes, synthesize, analyze

@@ -93,69 +93,62 @@ def _mt_gram(basis, N: int) -> np.ndarray:
     return (table * w) @ table.conj().T
 
 
-def _sph_coeffs(nmax: int):
-    """j_n(x) = sum_k (s[k] sin x + c[k] cos x) / x^{k+1}, exact for all n."""
-    s = [np.array([1.0]), np.array([0.0, 1.0])]
-    c = [np.array([0.0]), np.array([-1.0, 0.0])]
-    for n in range(1, nmax):
-        sn = np.zeros(n + 2)
-        cn = np.zeros(n + 2)
-        sn[1:] += (2 * n + 1) * s[n]
-        cn[1:] += (2 * n + 1) * c[n]
-        sn[: n] -= s[n - 1]
-        cn[: n] -= c[n - 1]
-        s.append(sn)
-        c.append(cn)
-    return s[: nmax + 1], c[: nmax + 1]
+def _zeta_tail(N: int, J: int) -> np.ndarray:
+    """pi times the sum of phi_m phi_n over the lattice k pi / 2, |k| >= 2J.
 
-
-def _legendre_tail(m: int, n: int, X: float, s, c) -> float:
-    """Exact integral of phi_m phi_n over [X, inf) for the Legendre transform.
-
-    Expands the closed-form spherical Bessel product into const, sin(2x) and
-    cos(2x) terms over inverse powers, then integrates each term with the
-    sine/cosine-integral recursions seeded by Si(2X), Ci(2X).
+    phi_n = d_n j_n with d_n = (-1)^n sqrt((2n+1)/pi), and exactly
+    j_n(x) = sum_p (S[n,p] sin x + C[n,p] cos x) / x^(p+1).  At x = j pi
+    sin vanishes and cos^2 = 1, at x = (j + 1/2) pi the reverse, so the
+    sums over j >= J are Hurwitz zetas and the tail is
+    pi D (C H_0 C^T + S H_1/2 S^T) D, H_s[p,q] = pi^-(p+q+2) zeta(p+q+2, J+s),
+    D = diag(d_n): two Hankel products for all pairs.  C and S are kept as
+    C[n,p] / a^(p+1) for the power of two a <= J pi, and H times a^(p+q+2),
+    so nothing overflows: with J pi >= N^2 / 2 the scaled coefficients stay
+    below about 2^p / p!, and the entries of H that underflow meet products
+    far below rounding.
     """
-    const = {}
-    cosc = {}
-    sinc = {}
-    for p, sp in enumerate(s[m]):
-        for q, sq in enumerate(s[n]):
-            r = p + q + 2
-            const[r] = const.get(r, 0.0) + 0.5 * (sp * sq + c[m][p] * c[n][q])
-            cosc[r] = cosc.get(r, 0.0) + 0.5 * (c[m][p] * c[n][q] - sp * sq)
-            sinc[r] = sinc.get(r, 0.0) + 0.5 * (sp * c[n][q] + c[m][p] * sq)
-    rmax = max(const)
-    si, ci = scipy.special.sici(2.0 * X)
-    S = {1: 0.5 * math.pi - si}
-    C = {1: -ci}
-    s2x, c2x = math.sin(2.0 * X), math.cos(2.0 * X)
-    for k in range(1, rmax):
-        S[k + 1] = (2.0 / k) * (C[k] + 0.5 * s2x / X**k)
-        C[k + 1] = (2.0 / k) * (0.5 * c2x / X**k - S[k])
-    total = 0.0
-    for r in const:
-        total += const[r] * X ** (1 - r) / (r - 1)
-        total += cosc[r] * C[r] + sinc[r] * S[r]
-    scale = math.sqrt((2 * m + 1) * (2 * n + 1)) / math.pi * (-1) ** (m + n)
-    return scale * total
+    e = math.floor(math.log2(J * math.pi))
+    a = 2.0**e
+    size = max(N, 2)
+    S = np.zeros((size, size))
+    C = np.zeros((size, size))
+    S[0, 0] = 1.0 / a                          # j_0 = sin x / x
+    C[1, 0], S[1, 1] = -1.0 / a, 1.0 / a**2    # j_1 = sin x / x^2 - cos x / x
+    for n in range(1, size - 1):               # j_{n+1} = (2n+1)/x j_n - j_{n-1}
+        for T in (S, C):
+            T[n + 1, 1:] = (2 * n + 1) / a * T[n, :-1]
+            T[n + 1] -= T[n - 1]
+    S, C = S[:N, :N], C[:N, :N]
+    s = np.arange(2, 2 * N + 1)
+    hankel = np.add.outer(np.arange(N), np.arange(N))
+    H0, Hh = (np.ldexp(math.pi ** -s * scipy.special.zeta(s, J + shift), e * s)[hankel]
+              for shift in (0.0, 0.5))
+    d = np.where(np.arange(N) % 2, -1.0, 1.0) * np.sqrt((2 * np.arange(N) + 1) / math.pi)
+    return math.pi * d[:, None] * (C @ H0 @ C.T + S @ Hh @ S.T) * d[None, :]
 
 
-def _legendre_gram(basis, N: int, X: float = 30.0) -> np.ndarray:
-    """Window quadrature plus the exact [X, inf) tails on both sides."""
-    G = _window_gram(basis, N, X, width=1.0).real
-    s, c = _sph_coeffs(N - 1)
-    for m in range(N):
-        for n in range(m, N):
-            tail = _legendre_tail(m, n, X, s, c) * (1 + (-1) ** (m + n))
-            G[m, n] += tail
-            if n > m:
-                G[n, m] += tail
-    return G
+def _legendre_gram(N: int) -> tuple[np.ndarray, float]:
+    """Gram of the transformed Legendre rows from their samples at k pi / 2.
+
+    phi_m phi_n is band-limited to [-2, 2], so the trapezoid rule with step
+    pi / 2 < pi is exact over all of Z (Trefethen & Weideman, SIAM Review
+    56, 2014).  The product has parity (-1)^(m+n): entries with m + n odd
+    are 0, and the rest fold onto k >= 0 with weight pi (pi / 2 at k = 0).
+    One table samples k < 2J, J = max(8, ceil(N^2 / (2 pi))), and
+    ``_zeta_tail`` adds the rest.  Returns G and the last sampled point.
+    """
+    J = max(8, math.ceil(N * N / (2.0 * math.pi)))
+    x = 0.5 * math.pi * np.arange(2 * J)
+    table = basis_mod.transformed_legendre_table(N - 1, x)
+    w = np.full(2 * J, math.pi)
+    w[0] = 0.5 * math.pi
+    G = (table * w) @ table.T + _zeta_tail(N, J)
+    n = np.arange(N)
+    G[np.add.outer(n, n) % 2 == 1] = 0.0
+    return G, float(x[-1])
 
 
-def check_gram(basis, N: int = 12, window: float | None = None,
-               grid: float | None = None) -> CheckReport:
+def check_gram(basis, N: int = 12) -> CheckReport:
     """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature."""
     if isinstance(basis, periodic_mod.PeriodicBasis):
         M = max(4096, 4 * basis.K)
@@ -170,17 +163,17 @@ def check_gram(basis, N: int = 12, window: float | None = None,
         G = _mt_gram(basis, N)
         meta = {"strategy": "theta-substitution", "family": family, "N": N}
     elif basis.closed_table is basis_mod.transformed_legendre_table:
-        X = 30.0 if window is None else float(window)
-        G = _legendre_gram(basis, N, X)
-        meta = {"strategy": "panels+exact-tails", "family": family, "N": N, "window": X}
+        G, reach = _legendre_gram(N)
+        meta = {"strategy": "nyquist-lattice+zeta-tail", "family": family, "N": N,
+                "step": 0.5 * math.pi, "reach": reach}
     elif head == "tanhjacobi":
         a, b = basis_mod._parse_params(family, tail, 2)
-        X = (max(12.0, 10.0 / min(a, b)) if window is None else float(window))
-        G = _window_gram(basis, N, X, grid or 0.25)
+        X = max(12.0, 10.0 / min(a, b))
+        G = _window_gram(basis, N, X, 0.25)
         meta = {"strategy": "window", "family": family, "N": N, "window": X}
     else:
-        X = 15.0 if window is None else float(window)
-        G = _window_gram(basis, N, X, grid or 0.5)
+        X = 15.0
+        G = _window_gram(basis, N, X, 0.5)
         meta = {"strategy": "window", "family": family, "N": N, "window": X}
     err = float(np.max(np.abs(G - np.eye(N))))
     return CheckReport("gram", err, 1e-8, metadata=meta)

@@ -4,7 +4,6 @@ exit codes, option-value handling."""
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -132,9 +131,8 @@ def test_golden_verify_pw_support(capsys):
 def test_determinism_byte_identical():
     cmd = [sys.executable, "-m", "favard.cli", "coeffs", "--family", "hermite",
            "--f", "exp(-x^2)*sin(x)", "--N", "24"]
-    env = dict(os.environ, FAVARD_THREADS="2")
-    a = subprocess.run(cmd, capture_output=True, env=env, check=True)
-    b = subprocess.run(cmd, capture_output=True, env=env, check=True)
+    a = subprocess.run(cmd, capture_output=True, check=True)
+    b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert len(a.stdout) > 0
 
@@ -245,6 +243,15 @@ def test_verify_all_hermite(capsys):
     assert rc == 0
     names = [r["name"] for r in json.loads(out)]
     assert names == ["gram", "recurrence", "cramer"]
+
+
+def test_verify_gram_legendre_n24_passes(capsys):
+    rc, out = run_cli(["verify", "gram", "--family", "legendre", "--N", "24"],
+                      capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-14
+    assert report["metadata"]["strategy"] == "nyquist-lattice+zeta-tail"
 
 
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):

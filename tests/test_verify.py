@@ -1,10 +1,11 @@
-"""Diagnostic checks: report structure, Gram strategies, the exact
-Legendre tail integrals, Cramer, Ramanujan, identity, and support."""
+"""Diagnostic checks: report structure, Gram strategies, the Legendre
+lattice Gram and its zeta tail, Cramer, Ramanujan, identity, and support."""
 
 import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,30 +73,47 @@ def test_recurrence_periodic_branch():
     assert rep.max_abs_error < 1e-12
 
 
-def test_legendre_tail_hand_formula():
-    # the n = m = 0 tail has the closed form
-    # (sin^2 X / X + pi/2 - Si(2X)) / pi; mpmath value at X = 30 frozen
-    X = 30.0
-    si, _ = scipy.special.sici(2.0 * X)
-    hand = (np.sin(X) ** 2 / X + np.pi / 2.0 - si) / np.pi
-    assert abs(hand - 0.0052810560453290825) < 1e-17
-    got = ver._legendre_tail(0, 0, X, *ver._sph_coeffs(0))
-    assert abs(got - hand) < 1e-16
+def test_legendre_zeta_tail_strip_identity():
+    # the tail at J1 minus the tail at J2 is the lattice sum over the strip
+    # 2 J1 <= k < 2 J2 between them, both sides at weight pi / 2 each
+    N = 10
+    for J1, J2 in ((16, 40), (8, 9)):
+        x = 0.5 * math.pi * np.arange(2 * J1, 2 * J2)
+        table = basis_mod.transformed_legendre_table(N - 1, x)
+        strip = math.pi * table @ table.T
+        got = ver._zeta_tail(N, J1) - ver._zeta_tail(N, J2)
+        assert np.max(np.abs(got - strip)) < 1e-15, (J1, J2)
 
 
-def test_legendre_tail_window_additivity():
-    # T(X) = int_X^Y + T(Y): the exact tails must agree with a dense
-    # trapezoid over the finite strip
-    import scipy.integrate
-    X, Y = 30.0, 90.0
-    s, c = ver._sph_coeffs(4)
-    x = np.linspace(X, Y, 240001)
-    from favard.basis import transformed_legendre
-    for m, n in ((0, 0), (1, 3), (2, 4)):
-        strip = scipy.integrate.simpson(
-            transformed_legendre(m, x) * transformed_legendre(n, x), x=x)
-        got = ver._legendre_tail(m, n, X, s, c) - ver._legendre_tail(m, n, Y, s, c)
-        assert abs(got - strip) < 1e-13, (m, n)
+@pytest.mark.parametrize("family", ["legendre", "ultraspherical:0"])
+@pytest.mark.parametrize("N", [12, 24, 48, 96, 200])
+def test_legendre_gram_at_rounding(family, N):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ver.check_gram(make_basis(family, N=N), N)
+    assert rep.max_abs_error <= 1e-14, (family, N)
+    assert rep.metadata["strategy"] == "nyquist-lattice+zeta-tail"
+    assert rep.metadata["step"] == 0.5 * math.pi
+    assert rep.metadata["reach"] >= 0.5 * N * N - 0.5 * math.pi
+
+
+def test_legendre_gram_fails_a_planted_gaussian(monkeypatch):
+    # the clean table reads at rounding; 1e-6 exp(-x^2) added to row 3 of
+    # every closed table moves G by about 1e-7, past the 1e-8 tolerance
+    basis = make_basis("legendre", N=24)
+    assert ver.check_gram(basis, 24).passed
+    scan = basis_mod._legendre_scan
+
+    def planted(nmax, x, collect):
+        rows = scan(nmax, x, collect)
+        if collect and nmax >= 3:
+            rows[3] += 1e-6 * np.exp(-np.asarray(x, dtype=float) ** 2)
+        return rows
+
+    monkeypatch.setattr(basis_mod, "_legendre_scan", planted)
+    rep = ver.check_gram(basis, 24)
+    assert not rep.passed
+    assert 1e-8 < rep.max_abs_error < 1e-6
 
 
 def test_cramer_bound_attained_at_origin():
