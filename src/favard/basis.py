@@ -367,10 +367,15 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     return rows
 
 
+def _band(basis: TransformedBasis, degree: int) -> tuple[float, float]:
+    """The truncated support [lo, hi] the quadrature route integrates rows 0..degree over."""
+    meas = basis.measure
+    return rec._truncated_interval(lambda xi: np.sqrt(meas.weight(xi)), meas.support, degree)
+
+
 def _sigma_freq(basis: TransformedBasis, sigma, degree: int) -> float:
     """Bound max |sigma'| on the truncated support by dense sampling."""
-    meas = basis.measure
-    lo, hi = rec._truncated_interval(lambda xi: np.sqrt(meas.weight(xi)), meas.support, degree)
+    lo, hi = _band(basis, degree)
     grid = np.linspace(lo, hi, 4097)
     vals = np.asarray(sigma(grid), dtype=float)
     return float(np.max(np.abs(np.gradient(vals, grid))))

@@ -140,14 +140,17 @@ def integrate(f, rule: QuadratureRule) -> float | complex:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _transform_edges(support, breakpoints, sqrt_weight, degree, freq, refine, half=False):
-    """Panel edges on the truncated support, panels at most pi/(1 + freq) wide.
+def _transform_edges(support, breakpoints, interval, degree, freq, refine, half=False):
+    """Panel edges on the truncated support ``interval``, panels at most
+    pi/(1 + freq) wide.
 
-    With ``half`` the edges cover [0, hi] only, with the panel width of the
-    whole rule, grading toward 0 when 0 is a breakpoint: for a symmetric
-    measure the rule on them, with doubled weights, stands for the whole line.
+    ``interval`` is ``recurrence._truncated_interval`` of sqrt(w) at
+    ``degree``.  With ``half`` the edges cover [0, hi] only, with the panel
+    width of the whole rule, grading toward 0 when 0 is a breakpoint: for a
+    symmetric measure the rule on them, with doubled weights, stands for the
+    whole line.
     """
-    lo, hi = _truncated_interval(sqrt_weight, support, degree)
+    lo, hi = interval
     width = min((hi - lo) / max(8, degree), math.pi / (1.0 + freq)) / 2.0**refine
     return _panels.build_edges(
         0.0 if half else lo,
@@ -159,10 +162,9 @@ def _transform_edges(support, breakpoints, sqrt_weight, degree, freq, refine, ha
     )
 
 
-def _transform_nodes(support, breakpoints, sqrt_weight, degree, freq, refine,
-                     half=False):
+def _transform_nodes(support, breakpoints, interval, degree, freq, refine, half=False):
     """Panel rule on ``_transform_edges``; with ``half`` the weights are doubled."""
-    edges = _transform_edges(support, breakpoints, sqrt_weight, degree, freq, refine, half)
+    edges = _transform_edges(support, breakpoints, interval, degree, freq, refine, half)
     xs, ws = _panels.panel_rule(edges)
     return (xs, 2.0 * ws) if half else (xs, ws)
 
@@ -223,9 +225,11 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support,
     rows = nmax + 1
     order = _panels.GL_ORDER
     freq = float(np.max(np.abs(xs), initial=0.0)) + phase_freq
+    # every refinement level shares the one truncated interval
+    interval = _truncated_interval(sqrt_weight, support, nmax)
 
     def evaluate(refine: int) -> np.ndarray:
-        edges = _transform_edges(support, breakpoints, sqrt_weight, nmax, freq, refine,
+        edges = _transform_edges(support, breakpoints, interval, nmax, freq, refine,
                                  half=fold)
         half, mids, counts = _panels.width_classes(edges)
         hq = np.repeat(half, counts)

@@ -72,10 +72,67 @@ def _window_gram(basis, N: int, X: float, width: float) -> np.ndarray:
     x, w = _panels.panel_rule(edges)
     table = basis_mod.phi_grid(basis, N - 1, x)
     G = (table * w) @ table.conj().T
-    if fold:
-        sign = np.where(np.arange(N) % 2 == 1, -1.0, 1.0)
-        G = G + sign[:, None] * G * sign[None, :]
-    return G
+    return _mirrored(G) if fold else G
+
+
+def _mirrored(G: np.ndarray) -> np.ndarray:
+    """G + P conj(G) P, P = diag((-1)^n): a half rule's Gram plus its mirror half's.
+
+    Without a phase p_n sqrt(w) is real, so phi_n(-x) = (-1)^n conj(phi_n(x));
+    for a symmetric measure the rows are real and conj(G) = G.
+    """
+    sign = np.where(np.arange(len(G)) % 2 == 1, -1.0, 1.0)
+    return G + sign[:, None] * G.conj() * sign[None, :]
+
+
+def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
+    """Gram of quadrature-route rows from their samples on the Nyquist lattice.
+
+    phi_n is the Fourier integral of p_n sqrt(w) over the truncated band
+    [lo, hi] = ``basis._band(basis, N - 1)`` that ``oscillatory_transform``
+    integrates, so phi_m conj(phi_n) is band-limited to |k| <= hi - lo and
+    the trapezoid rule with step h = 2 pi / (hi - lo) is exact over all of
+    Z (Trefethen & Weideman, SIAM Review 56, 2014): only cutting the lattice
+    at the reach X errs.  X starts at 15 and doubles, up to 30, until the
+    tail estimate is at most tol / 10; the lattice nests, so a doubling
+    samples only the new points.  The estimate is per row, from the masses
+    q3 and q4 of h |phi_n|^2 on the outer two quarters of the lattice,
+    (X/2, 3X/4] and (3X/4, X]: under geometric decay r = q4 / q3 per
+    quarter, the mass beyond X is q4 r / (1 - r), and it is infinite when
+    r >= 1.  By Cauchy-Schwarz the largest row tail bounds every entry's.
+    Rows that decay only algebraically get an estimate that is low
+    (laguerre:1, by about 2) or infinite (jacobi:0.5,1.5), in both cases
+    far above tol, so the report names the tail as what fails.  Without a
+    phase the lattice folds onto k >= 0 (``_mirrored``), for any measure.
+    Returns G and the step, reach (the last sampled point) and tail.
+    """
+    lo, hi = basis_mod._band(basis, N - 1)
+    h = 2.0 * math.pi / (hi - lo)
+    fold = basis.sigma is None
+    X, cap = 15.0, 30.0
+    K = math.ceil(X / h)
+    k = np.arange(K + 1)
+    G = np.zeros((N, N), dtype=complex)
+    ks, mass = [], []
+    while True:
+        k = k if fold else np.concatenate((k, -k[k > 0]))
+        table = basis_mod.phi_grid(basis, N - 1, h * k)
+        w = np.where(k == 0, 0.5 * h if fold else h, h)
+        G += (table * w) @ table.conj().T
+        ks.append(np.abs(k))
+        mass.append((2.0 if fold else 1.0) * w * np.abs(table) ** 2)
+        a = np.concatenate(ks)
+        m = np.concatenate(mass, axis=1)
+        q3 = m[:, (a > K / 2) & (a <= 3 * K / 4)].sum(axis=1)
+        q4 = m[:, a > 3 * K / 4].sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = q4 / q3
+            tails = np.where(r < 1.0, q4 * r / (1.0 - r), np.inf)
+        tail = float(np.max(np.where(q4 == 0.0, 0.0, tails)))
+        if tail <= 0.1 * tol or X >= cap:
+            break
+        X, k, K = 2.0 * X, np.arange(K + 1, 2 * K + 1), 2 * K
+    return _mirrored(G) if fold else G, {"step": h, "reach": K * h, "tail": tail}
 
 
 def _mt_gram(basis, N: int) -> np.ndarray:
@@ -151,12 +208,13 @@ def _legendre_gram(N: int) -> tuple[np.ndarray, float]:
 def check_gram(basis, N: int = 12) -> CheckReport:
     """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature."""
     if isinstance(basis, periodic_mod.PeriodicBasis):
-        M = max(4096, 4 * basis.K)
+        M = 4 * basis.K
         G = periodic_mod.periodic_gram(basis, N, M)
         err = float(np.max(np.abs(G - np.eye(N))))
         return CheckReport("gram", err, 1e-10,
                            metadata={"strategy": "trapezoid", "family": "periodic-charlier",
                                      "N": N, "M": M})
+    tol = 1e-8
     family = basis.family
     head, _, tail = family.partition(":")
     if head == "mt":
@@ -166,6 +224,9 @@ def check_gram(basis, N: int = 12) -> CheckReport:
         G, reach = _legendre_gram(N)
         meta = {"strategy": "nyquist-lattice+zeta-tail", "family": family, "N": N,
                 "step": 0.5 * math.pi, "reach": reach}
+    elif basis.closed_table is None:
+        G, lattice = _lattice_gram(basis, N, tol)
+        meta = {"strategy": "nyquist-lattice", "family": family, "N": N, **lattice}
     elif head == "tanhjacobi":
         a, b = basis_mod._parse_params(family, tail, 2)
         X = max(12.0, 10.0 / min(a, b))
@@ -176,7 +237,7 @@ def check_gram(basis, N: int = 12) -> CheckReport:
         G = _window_gram(basis, N, X, 0.5)
         meta = {"strategy": "window", "family": family, "N": N, "window": X}
     err = float(np.max(np.abs(G - np.eye(N))))
-    return CheckReport("gram", err, 1e-8, metadata=meta)
+    return CheckReport("gram", err, tol, metadata=meta)
 
 
 def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckReport:

@@ -358,10 +358,11 @@ def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
         return np.sqrt(meas.weight(xi))
 
     freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
+    interval = rec._truncated_interval(sqrtw, meas.support, nmax)
     phases = 1j ** (np.arange(nmax + 1) % 4)
     prev = None
     for refine in range(5):
-        xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, nmax, freq, refine)
+        xi, w = _transform_nodes(meas.support, meas.breakpoints, interval, nmax, freq, refine)
         table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
         out = np.empty((nmax + 1, xs.size), dtype=complex)
         step = max(16, (1 << 21) // max(xi.size, 1))
@@ -422,8 +423,9 @@ def test_half_rule_mirrors_the_whole_line_rule():
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
-    xi, w = _transform_nodes(meas.support, meas.breakpoints, sqrtw, 7, 4.0, 1)
-    hx, hw = _transform_nodes(meas.support, meas.breakpoints, sqrtw, 7, 4.0, 1, half=True)
+    interval = rec._truncated_interval(sqrtw, meas.support, 7)
+    xi, w = _transform_nodes(meas.support, meas.breakpoints, interval, 7, 4.0, 1)
+    hx, hw = _transform_nodes(meas.support, meas.breakpoints, interval, 7, 4.0, 1, half=True)
     order = np.argsort(hx)
     assert hx.min() > 0.0
     upper = np.argsort(xi[xi > 0.0])

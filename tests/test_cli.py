@@ -254,6 +254,14 @@ def test_verify_gram_legendre_n24_passes(capsys):
     assert report["metadata"]["strategy"] == "nyquist-lattice+zeta-tail"
 
 
+def test_verify_gram_custom_weight_passes(capsys):
+    rc, out = run_cli(["verify", "gram", "--family", "custom-weight:exp(-x^4)"], capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["tolerance"] == 1e-8
+    assert report["metadata"]["strategy"] == "nyquist-lattice"
+
+
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     from favard import schrodinger as sch
 

@@ -132,8 +132,28 @@ def _transform_edges_of(family, degree, freq, refine, half):
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
-    return _transform_edges(meas.support, meas.breakpoints, sqrtw, degree, freq, refine,
+    interval = rec._truncated_interval(sqrtw, meas.support, degree)
+    return _transform_edges(meas.support, meas.breakpoints, interval, degree, freq, refine,
                             half=half)
+
+
+def test_oscillatory_transform_truncates_once(monkeypatch):
+    # the truncated interval is scanned once per call, not once per
+    # refinement level; the rows stay the same: one scan per infinite side
+    basis = bas.make_basis("conthahn:1,1", N=10)
+    x = np.linspace(-4.0, 4.0, 17)
+    want = bas.phi_grid(basis, 7, x, method="quadrature")
+    scans = []
+    scan = _panels.truncation_point
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(_panels, "truncation_point", counted)
+    got = bas.phi_grid(basis, 7, x, method="quadrature")
+    assert len(scans) == 2
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("edges", [

@@ -36,10 +36,72 @@ def test_gram_all_closed_form_families():
 
 
 def test_gram_periodic_branch():
-    rep = ver.check_gram(charlier_basis(0.5, N=10), N=8)
+    # M = 4K is the exactness bound periodic_gram states
+    basis = charlier_basis(0.5, N=10)
+    rep = ver.check_gram(basis, N=8)
     assert rep.passed
     assert rep.metadata["strategy"] == "trapezoid"
+    assert rep.metadata["M"] == 4 * basis.K
     assert rep.max_abs_error < 1e-12
+
+
+@pytest.mark.parametrize("family", ["custom-weight:exp(-x^4)", "conthahn:1,1",
+                                    "conthahn:1,0.5", "genhermite:1", "ultraspherical:0.5"])
+def test_lattice_gram_steps_by_the_band_of_the_rows(family):
+    # every family without a closed table takes the lattice of the band
+    # its rows are integrated over; the smooth weights pass at 1e-8
+    basis = make_basis(family, N=8)
+    rep = ver.check_gram(basis, 6)
+    lo, hi = basis_mod._band(basis, 5)
+    assert rep.metadata["strategy"] == "nyquist-lattice"
+    assert rep.metadata["step"] == 2.0 * math.pi / (hi - lo)
+    assert 15.0 <= rep.metadata["reach"] < 30.0 + rep.metadata["step"]
+    if family.startswith(("custom", "conthahn")):
+        assert rep.passed and rep.metadata["tail"] <= 1e-9, family
+
+
+@pytest.mark.parametrize("family", ["conthahn:1,1", "custom-weight:exp(x-x^4)"])
+def test_lattice_gram_has_no_aliasing(family):
+    # at a fixed reach the lattice at half the step adds nothing: the rows'
+    # products are band-limited, so the Nyquist step is already exact; the
+    # half-step lattice is sampled on both sides, so the fold onto k >= 0
+    # (by parity for conthahn, by conjugation for the skewed weight) is
+    # checked with it
+    basis = make_basis(family, N=14)
+    G, meta = ver._lattice_gram(basis, 12, tol=0.0)
+    h = 0.5 * meta["step"]
+    x = h * np.arange(-round(meta["reach"] / h), round(meta["reach"] / h) + 1)
+    table = basis_mod.phi_grid(basis, 11, x)
+    fine = h * table @ table.conj().T
+    assert meta["reach"] >= 30.0
+    assert np.max(np.abs(G - fine)) <= 1e-14
+
+
+def test_lattice_gram_fails_a_planted_error(monkeypatch):
+    # 1e-6 phi_0 added to row 2 moves G[0, 2] by 1e-6, past the tolerance
+    basis = make_basis("custom-weight:exp(-x^4)", N=14)
+    assert ver.check_gram(basis, 12).max_abs_error <= 1e-13
+    grid = basis_mod.phi_grid
+
+    def planted(basis, nmax, x, *args, **kwargs):
+        rows = grid(basis, nmax, x, *args, **kwargs)
+        rows[2] += 1e-6 * rows[0]
+        return rows
+
+    monkeypatch.setattr(basis_mod, "phi_grid", planted)
+    rep = ver.check_gram(basis, 12)
+    assert not rep.passed
+    assert 1e-8 < rep.max_abs_error < 1e-5
+
+
+def test_lattice_gram_names_an_algebraic_tail():
+    # jacobi rows decay only algebraically: the reach stops at its cap and
+    # the tail estimate, not the basis, is what the report shows failing
+    rep = ver.check_gram(make_basis("jacobi:0.5,1.5", N=14), 12)
+    assert not rep.passed
+    assert rep.metadata["step"] == math.pi
+    assert 30.0 <= rep.metadata["reach"] < 30.0 + math.pi
+    assert not math.isfinite(rep.metadata["tail"])
 
 
 def test_recurrence_all_closed_form_families():
