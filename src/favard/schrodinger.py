@@ -18,8 +18,10 @@ on the basis, so repeated Strang calls pay only for their steps.
 On the Gauss-Hermite grid the potential step needs no grid pair at all when
 D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
 is z -> conj(K) Phi K z with K = V^T diag(i^k) V, and K is fixed by two real
-half-size blocks.  Every other case (MT, a Hermite table with numerically
-computed, nonzero c) synthesizes on the grid and analyzes back.
+half-size blocks.  A Strang run then keeps its state in half-size even/odd
+coordinates from the first step to the last (``_FoldedPath``).  Every other
+case (MT, a Hermite table with numerically computed, nonzero c) keeps the
+state in D's eigenbasis and synthesizes on the grid and analyzes back.
 """
 
 from __future__ import annotations
@@ -176,32 +178,6 @@ def _hermite_grid(D: diffop.DiffMatrix):
     return eig.x, synthesize, analyze
 
 
-def _folded_hermite_kick(eig: diffop.FoldedEigensystem):
-    """The potential step z -> conj(K) Phi K z in a folded Hermite eigenbasis.
-
-    On the Gauss-Hermite grid, synthesis of S V z is c K z with
-    K = V^T diag(i^k) V, and analysis back to the eigenbasis is conj(K) / c,
-    so c cancels.  In folded coordinates (e, d) of z (see diffop.FoldedEigensystem),
-    K z = A e + i B d at x and A e - i B d at -x, with the real blocks
-    A = U^T diag((-1)^{k/2}) U over the even rows k and
-    B = W^T diag((-1)^{(k-1)/2}) W over the odd rows; conj(K) flips the sign
-    of the B term.
-    """
-    def signed_gram(M):
-        # row j of U is k = 2j and of W is k = 2j+1: both signs are (-1)^j
-        return M.T @ (M * ((-1.0) ** np.arange(M.shape[0]))[:, None])
-
-    A, B = signed_gram(eig.U), signed_gram(eig.W)
-
-    def kick(z, phase):
-        e, d = eig.fold(z)
-        u = phase * eig.unfold(diffop._real_times(A, e), 1j * diffop._real_times(B, d))
-        e, d = eig.fold(u)
-        return eig.unfold(diffop._real_times(A, e), -1j * diffop._real_times(B, d))
-
-    return kick
-
-
 def _mt_grid(N: int):
     """Uniform theta-grid pair for the Malmquist-Takenaka basis.
 
@@ -246,22 +222,112 @@ def _grid_pair(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix):
     )
 
 
-def _potential_kick(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix,
-                    synthesize, analyze):
-    """(z, phase) -> the pointwise phase applied on the grid, in D's eigenbasis."""
-    if basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem):
-        return _folded_hermite_kick(D.eigensystem)
-    return lambda z, phase: diffop._to_spectral(
-        D, analyze(synthesize(diffop._from_spectral(D, z)) * phase))
+class _EigenbasisPath:
+    """Strang state in D's eigenbasis; the potential step goes through the grid pair."""
+
+    def __init__(self, D: diffop.DiffMatrix, synthesize, analyze):
+        self.D, self.synthesize, self.analyze = D, synthesize, analyze
+        self.x = D.eigensystem.x
+
+    def enter(self, v: np.ndarray) -> np.ndarray:
+        return diffop._to_spectral(self.D, v)
+
+    def leave(self, z: np.ndarray) -> np.ndarray:
+        return diffop._from_spectral(self.D, z)
+
+    def kick(self, phase: np.ndarray):
+        D, synthesize, analyze = self.D, self.synthesize, self.analyze
+        return lambda z: diffop._to_spectral(D, analyze(synthesize(diffop._from_spectral(D, z)) * phase))
+
+
+class _FoldedPath:
+    """Strang state of a folded Hermite operator in unitary even/odd coordinates.
+
+    With m = h + r node pairs (x >= 0, the centre first when N is odd), a
+    state z over the nodes is kept as the 2 x m array
+    f = [(z(x) + z(-x)) / sqrt2; -i (z(x) - z(-x)) / sqrt2], with z(0) itself
+    in the centre slot of the first row and 0 in that of the second.  The map
+    is unitary, so norms carry over, and the free half-step
+    e^{-i tau x^2 / 2} is even in x: one phase per pair.  On the
+    Gauss-Hermite grid the potential step is z -> conj(K) Phi K z with
+    K = V^T diag(i^k) V (the c of the grid pair cancels).  In these
+    coordinates K = diag(1, i) G for the stack G of the real symmetric blocks
+    c A c and 2 B, where A = U^T diag((-1)^j) U, B = W^T diag((-1)^j) W
+    (padded by a zero row and column at the centre) and c is 1 at the centre
+    and sqrt2 elsewhere.  With the phases P at x and Q at -x,
+    p = (P + Q) / 2 and q = (P - Q) / 2, the step is
+
+        g = G f,   f <- G (p g - q [g_1; g_0]),
+
+    and an even potential (P = Q bit for bit on the mirrored nodes) leaves
+    the rows uncoupled.  Each product is one batched matmul of the blocks on
+    the 2 x m x 2 real view of f.
+    """
+
+    def __init__(self, D: diffop.DiffMatrix):
+        eig = D.eigensystem
+        self.eig, self.N, self.h, self.r = eig, D.N, eig.h, eig.r
+        m = self.h + self.r
+        self.x = eig.x[self.h:]
+        self.scale = np.full(m, math.sqrt(2.0))
+        self.scale[:self.r] = 1.0
+        signs = (-1.0) ** np.arange(m)
+        self.blocks = np.zeros((2, m, m))
+        np.matmul(eig.U.T, eig.U * signs[:, None], out=self.blocks[0])
+        np.matmul(eig.W.T, eig.W * signs[:self.h, None], out=self.blocks[1, self.r:, self.r:])
+        # c A c and 2 B by exact factors where they exist: sqrt2^2 = 2 + 4e-16
+        # on every entry would drift the norm by about 4e-16 a product
+        self.blocks *= 2.0
+        if self.r:
+            A = self.blocks[0]
+            A[0, 1:] *= math.sqrt(0.5)
+            A[1:, 0] *= math.sqrt(0.5)
+            A[0, 0] *= 0.5
+
+    def enter(self, v: np.ndarray) -> np.ndarray:
+        w = diffop._I_POWERS[np.arange(self.N) % 4] * v
+        f = np.zeros((2, self.h + self.r), dtype=complex)
+        f[0] = self.scale * diffop._real_times(self.eig.U.T, w[0::2])
+        f[1, self.r:] = -1j * math.sqrt(2.0) * diffop._real_times(self.eig.W.T, w[1::2])
+        return f
+
+    def leave(self, f: np.ndarray) -> np.ndarray:
+        out = np.empty(self.N, dtype=complex)
+        out[0::2] = diffop._real_times(self.eig.U, self.scale * f[0])
+        out[1::2] = diffop._real_times(self.eig.W, 1j * math.sqrt(2.0) * f[1, self.r:])
+        return diffop._I_POWERS[-np.arange(self.N) % 4] * out
+
+    def kick(self, phase: np.ndarray):
+        P, Q = phase[self.h:], phase[:self.h + self.r][::-1]
+        p, q = 0.5 * (P + Q), 0.5 * (P - Q)
+        coupled = np.any(q)
+        g = np.empty((2, self.h + self.r), dtype=complex)
+
+        def kick(f):  # overwrites f
+            np.matmul(self.blocks, _pairs(f), out=_pairs(g))
+            if coupled:
+                g[:] = p * g - q * g[::-1]
+            else:
+                np.multiply(p, g, out=g)
+            np.matmul(self.blocks, _pairs(g), out=_pairs(f))
+            return f
+
+        return kick
+
+
+def _pairs(f: np.ndarray) -> np.ndarray:
+    """The real (..., 2) view of a contiguous complex array: real and imaginary parts."""
+    return f.view(float).reshape(*f.shape, 2)
 
 
 def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
-    """(D, nodes, synthesize, analyze, kick) for size N, built once per basis and N.
+    """(D, nodes, synthesize, analyze, path) for size N, built once per basis and N.
 
-    The entries live on the basis and are built from ``basis.jacobi``; when
-    that object is replaced (``ensure`` growing the table, whose leading
-    coefficients need not be the old ones, or a direct assignment) every
-    entry is dropped before use.
+    The path holds the Strang state: _FoldedPath for a folded Hermite
+    operator, _EigenbasisPath otherwise.  The entries live on the basis and
+    are built from ``basis.jacobi``; when that object is replaced (``ensure``
+    growing the table, whose leading coefficients need not be the old ones,
+    or a direct assignment) every entry is dropped before use.
     """
     basis.ensure(N - 1)
     cache = basis._strang
@@ -271,45 +337,50 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
     if N not in cache:
         D = diffop.build(basis.jacobi, N)
         nodes, synthesize, analyze = _grid_pair(basis, D)
-        cache[N] = (D, nodes, synthesize, analyze,
-                    _potential_kick(basis, D, synthesize, analyze))
+        if basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem):
+            path = _FoldedPath(D)
+        else:
+            path = _EigenbasisPath(D, synthesize, analyze)
+        cache[N] = (D, nodes, synthesize, analyze, path)
     return cache[N]
 
 
 class _StrangWork:
     """Strang machinery for one basis, size N and step tau.
 
-    D, its eigensystem, the grid pair and the potential step come from the
+    D, its eigensystem, the grid pair and the state's path come from the
     per-basis, per-size cache (_strang_setup); only the half-step phase
     depends on tau.
     """
 
     def __init__(self, basis: basis_mod.TransformedBasis, N: int, tau: float):
-        self.D, self.nodes, self.synthesize, self.analyze, self.kick = _strang_setup(basis, N)
-        x = self.D.eigensystem.x
-        self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in D's eigenbasis
+        self.D, self.nodes, self.synthesize, self.analyze, self.path = _strang_setup(basis, N)
+        x = self.path.x
+        self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in the path's coordinates
         self.tau = tau
 
     def run(self, v: np.ndarray, V, steps: int,
             record: bool = False) -> tuple[np.ndarray, list[float] | None]:
         """``steps`` Strang steps from v, with the norm after each when ``record``.
 
-        The state stays in D's eigenbasis, where the free half-steps are
-        diagonal, so the closing half-step of one step and the opening
-        half-step of the next need no change of basis between them.
+        The state enters the path's coordinates once and leaves them once.
+        The free half-steps are diagonal there, so the closing half-step of
+        one step and the opening half-step of the next need no change of
+        basis between them.
         """
+        kick = None
         if V is not None:
-            phase = np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float))
-        z = diffop._to_spectral(self.D, v)
+            kick = self.path.kick(np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float)))
+        z = self.path.enter(v)
         norms = [] if record else None
         for _ in range(steps):
-            z = self.half_flow * z
-            if V is not None:
-                z = self.kick(z, phase)
-            z = self.half_flow * z
+            np.multiply(self.half_flow, z, out=z)
+            if kick is not None:
+                z = kick(z)
+            np.multiply(self.half_flow, z, out=z)
             if record:
                 norms.append(float(np.linalg.norm(z)))
-        return diffop._from_spectral(self.D, z), norms
+        return self.path.leave(z), norms
 
     def step(self, v: np.ndarray, V) -> np.ndarray:
         return self.run(v, V, 1)[0]

@@ -217,7 +217,7 @@ def check_gram(basis, N: int = 12) -> CheckReport:
     tol = 1e-8
     family = basis.family
     head, _, tail = family.partition(":")
-    if head == "mt":
+    if basis.closed_table is basis_mod._mt_table:  # mt and laguerre:0
         G = _mt_gram(basis, N)
         meta = {"strategy": "theta-substitution", "family": family, "N": N}
     elif basis.closed_table is basis_mod.transformed_legendre_table:

@@ -262,6 +262,16 @@ def test_verify_gram_custom_weight_passes(capsys):
     assert report["metadata"]["strategy"] == "nyquist-lattice"
 
 
+def test_verify_gram_laguerre0_takes_the_mt_route(capsys):
+    # laguerre:0 is the Malmquist-Takenaka table under another name; a window
+    # cannot hold its 1/x tails (it read 2.1e-2)
+    rc, out = run_cli(["verify", "gram", "--family", "laguerre:0"], capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-14
+    assert report["metadata"]["strategy"] == "theta-substitution"
+
+
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     from favard import schrodinger as sch
 

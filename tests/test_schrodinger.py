@@ -242,26 +242,27 @@ def test_strang_cached_entry_serves_every_tau():
         assert np.array_equal(got, ref)
 
 
-def _table_route_strang(jacobi, N, a, tau, steps):
-    """Harmonic Strang steps on the Hermite function table and its Christoffel
-    weights, with the full eigenvector matrix: the unfolded reference."""
-    x, V = eigh_tridiagonal(jacobi.c[:N], jacobi.b[:N - 1], lapack_driver="stemr")
+def _table_route_strang(jacobi, N, a, tau, steps, V):
+    """Strang steps on the Hermite function table and its Christoffel weights,
+    with the full eigenvector matrix: the unfolded reference."""
+    x, vecs = eigh_tridiagonal(jacobi.c[:N], jacobi.b[:N - 1], lapack_driver="stemr")
     table = hermite_function_table(N - 1, x).astype(complex)
     omega = 1.0 / np.sum(table.real**2, axis=0)
-    V = V.astype(complex)
+    vecs = vecs.astype(complex)
     S = (-1j) ** (np.arange(N) % 4)
-    half, phase = np.exp(-0.5j * tau * x * x), np.exp(-1j * tau * x * x)
-    z = V.T @ (a / S)
+    half, phase = np.exp(-0.5j * tau * x * x), np.exp(-1j * tau * V(x))
+    z = vecs.T @ (a / S)
     for _ in range(steps):
-        u = phase * (table.T @ (S * (V @ (half * z))))
-        z = half * (V.T @ ((table @ (omega * u)) / S))
-    return S * (V @ z)
+        u = phase * (table.T @ (S * (vecs @ (half * z))))
+        z = half * (vecs.T @ ((table @ (omega * u)) / S))
+    return S * (vecs @ z)
 
 
 @pytest.mark.parametrize("N,diag", [(512, 0.0), (63, 0.0), (64, 1e-300)])
 def test_strang_matches_table_route(N, diag):
     # a zero diagonal takes the folded step, any nonzero one (here far below
-    # rounding) the grid-pair step; both reproduce the unfolded route
+    # rounding) the grid-pair step; both reproduce the unfolded route, for an
+    # even potential and for one that couples the even and odd rows
     exact = rec.build_jacobi(rec.hermite_coeffs, N)
     jacobi = rec.JacobiMatrix(exact.b, np.full(N, diag))
     basis = TransformedBasis("hermite", rec.hermite_measure(), jacobi,
@@ -269,11 +270,46 @@ def test_strang_matches_table_route(N, diag):
     rng = np.random.default_rng(N)
     a = np.zeros(N, dtype=complex)
     a[:40] = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    got = sch.strang_propagate(a, 0.01, 100, lambda x: x * x, basis).values
     D = sch._strang_setup(basis, N)[0]
     assert isinstance(D.eigensystem, diffop.FoldedEigensystem) == (diag == 0.0)
-    ref = _table_route_strang(jacobi, N, a, 0.01, 100)
-    assert np.max(np.abs(got - ref)) < 1e-11
+    for V in (lambda x: x * x, lambda x: x * x + x):
+        got = sch.strang_propagate(a, 0.01, 100, V, basis).values
+        ref = _table_route_strang(jacobi, N, a, 0.01, 100, V)
+        assert np.max(np.abs(got - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("N", [512, 63])
+def test_folded_strang_stays_folded(monkeypatch, N):
+    # a folded run changes coordinates on entry and exit only (the per-step
+    # fold/unfold kick made 2 of each per step), and its recorded norms are
+    # those of the eigenbasis state stepped through the grid pair
+    basis = make_basis("hermite", N=N)
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    a /= np.linalg.norm(a)
+    tau, steps = 0.005, 100
+    D, nodes, synthesize, analyze, _ = sch._strang_setup(basis, N)
+    ref_path = sch._EigenbasisPath(D, synthesize, analyze)
+    half = np.exp(-0.5j * tau * D.eigensystem.x ** 2)
+    for V in (lambda x: x * x, lambda x: x * x + x):
+        calls = {"fold": 0, "unfold": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(diffop.FoldedEigensystem, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(diffop.FoldedEigensystem, name, counted)
+        out, norms = sch.strang_propagate(a, tau, steps, V, basis, record=True)
+        assert calls["fold"] <= 2 and calls["unfold"] <= 2
+        monkeypatch.undo()
+
+        kick = ref_path.kick(np.exp(-1j * tau * V(nodes)))
+        z, ref = ref_path.enter(a), []
+        for _ in range(steps):
+            z = half * kick(half * z)
+            ref.append(np.linalg.norm(z))
+        assert len(norms) == steps
+        assert np.max(np.abs(norms - np.array(ref))) < 1e-14  # relative: |a| = 1
+        assert np.max(np.abs(out.values - ref_path.leave(z))) < 1e-13
 
 
 def test_results_independent_of_eigenvector_signs(monkeypatch):
