@@ -27,6 +27,7 @@ from .recurrence import (
     MeasureSpec,
     build_jacobi,
     charlier_bilateral,
+    conthahn_coeffs,
     conthahn_measure,
     custom_measure,
     eval_poly,
@@ -102,6 +103,7 @@ __all__ = [
     "MeasureSpec",
     "build_jacobi",
     "charlier_bilateral",
+    "conthahn_coeffs",
     "conthahn_measure",
     "custom_measure",
     "eval_poly",

@@ -1,0 +1,86 @@
+"""LAPACK's bidiagonal solvers, reached through SciPy's Cython LAPACK capsules.
+
+``scipy.linalg.cython_lapack`` exports every routine as a C function pointer
+in ``__pyx_capi__``; ctypes calls it directly (the route numba takes).  Two
+routines are used: ``dlasq1`` (dqds, singular values to high relative
+accuracy; Fernando & Parlett, Numer. Math. 67, 1994) and ``dbdsdc``
+(divide and conquer, singular vectors; Gu & Eisenstat, SIAM J. Matrix Anal.
+Appl. 16, 1995).  Neither forms B^T B, so neither squares away the relative
+accuracy of small singular values.
+"""
+
+import ctypes
+import functools
+
+import numpy as np
+
+from .errors import EigenError
+
+_INT, _PTR = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+_SIGNATURES = {
+    "dlasq1": (_INT, _PTR, _PTR, _PTR, _INT),
+    "dbdsdc": (ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT,
+               _PTR, _PTR, _PTR, _PTR, _INT),
+}
+
+
+@functools.cache
+def _routine(name: str):
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__[name]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype, api.PyCapsule_GetName.argtypes = ctypes.c_char_p, [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    pointer = api.PyCapsule_GetPointer(capsule, api.PyCapsule_GetName(capsule))
+    return ctypes.CFUNCTYPE(None, *_SIGNATURES[name])(pointer)
+
+
+def _call(name: str, n: int, *args) -> None:
+    info = ctypes.c_int(0)
+    _routine(name)(*args, ctypes.byref(info))
+    if info.value != 0:
+        raise EigenError(f"LAPACK {name} failed for a bidiagonal of order {n}: info={info.value}")
+
+
+def split_bidiagonal(b: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of the lower bidiagonal B with J = [[0, B], [B^T, 0]] after the even/odd split.
+
+    J is the N x N Jacobi section with zero diagonal and off-diagonal b.  For
+    N = 2h + r, B is (h + r)-square with diagonal b_0, b_2, ... and
+    subdiagonal b_1, b_3, ...; for odd N its last diagonal entry is 0, which
+    gives the centre node 0.
+    """
+    b = np.asarray(b[:N - 1], dtype=float)
+    d = np.zeros((N + 1) // 2)
+    d[:N // 2] = b[0::2]
+    return d, b[1::2]
+
+
+def singular_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of the bidiagonal with diagonal d and off-diagonal e (dqds)."""
+    n = d.size
+    s, work = np.array(d, dtype=float), np.zeros(4 * n)
+    off = np.zeros(n)
+    off[:n - 1] = e
+    _call("dlasq1", n, ctypes.byref(ctypes.c_int(n)), s.ctypes.data, off.ctypes.data,
+          work.ctypes.data)
+    return s
+
+
+def singular_vectors(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V) with B = U diag(s) V^T for the lower bidiagonal B (diagonal d, subdiagonal e).
+
+    Divide and conquer (``dbdsdc``); the columns follow descending singular
+    values s, and U and V are Fortran-ordered.
+    """
+    n = d.size
+    s, off = np.array(d, dtype=float), np.zeros(max(n - 1, 1))
+    off[:n - 1] = e
+    U, Vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    work, iwork = np.empty(3 * n * n + 4 * n), np.empty(8 * n, dtype=np.intc)
+    size = ctypes.byref(ctypes.c_int(n))
+    _call("dbdsdc", n, b"L", b"I", size, s.ctypes.data, off.ctypes.data, U.ctypes.data, size,
+          Vt.ctypes.data, size, None, None, work.ctypes.data, iwork.ctypes.data)
+    return U, Vt.T

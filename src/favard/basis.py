@@ -471,7 +471,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     if head == "conthahn":
         a, b = _parse_params(family, tail, 2)
         measure = rec.conthahn_measure(a, b)
-        source = lambda M: rec.stieltjes(measure, M)
+        source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n), M)
         # For a != b the real-valued system uses the complex square root
         # Gamma(a+i xi) Gamma(b-i xi), i.e. the canonical transform with the
         # phase of that product; for a = b the phase vanishes identically.
@@ -481,7 +481,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     if head == "tanhjacobi":
         a, b = _parse_params(family, tail, 2)
         measure = rec.conthahn_measure(a, b, dilation=2.0)
-        source = lambda M: rec.stieltjes(measure, M)
+        source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, 2.0), M)
         sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / 2.0))
         return TransformedBasis(family, measure, source(N), coeff_source=source,
                                 closed_form=lambda n, x: tanh_jacobi(a, b, n, x),

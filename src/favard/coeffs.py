@@ -403,6 +403,20 @@ def parse_decay_model(model: str) -> tuple[str, float | None]:
     return model, None
 
 
+def _log_bin_envelope(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, log m) at the first largest m of each non-empty bin [lo, hi) of 48
+    log-spaced bins over [k_0, k_last + 1), for ascending k and positive m.
+
+    Each non-empty bin is a run of k, so one ``searchsorted`` finds the runs
+    and ``np.maximum.reduceat`` their peaks.
+    """
+    edges = np.geomspace(k[0], k[-1] + 1.0, 49)
+    starts = np.flatnonzero(np.diff(np.searchsorted(edges, k, side="right"), prepend=-1))
+    peaks = np.maximum.reduceat(m, starts)
+    at_peak = np.flatnonzero(m == np.repeat(peaks, np.diff(starts, append=m.size)))
+    return k[at_peak[np.searchsorted(at_peak, starts)]], np.array([math.log(v) for v in peaks.tolist()])
+
+
 def decay_fit(coeffs: CoefficientVector, model: str,
               skip: int = 8, floor: float = 1e-13) -> DecayFit:
     """Least-squares fit of the coefficient decay envelope.
@@ -418,10 +432,11 @@ def decay_fit(coeffs: CoefficientVector, model: str,
     idx = coeffs.indices
     if coeffs.n_start < 0:
         # Bilateral window: fold onto |n| and keep the larger magnitude.
-        kmax = int(np.max(np.abs(idx)))
-        folded = np.zeros(kmax + 1)
-        np.maximum.at(folded, np.abs(idx), mags)
-        mags, idx = folded, np.arange(kmax + 1)
+        neg, pos = mags[:-coeffs.n_start][::-1], mags[-coeffs.n_start:]  # |n| = 1.., 0..
+        folded = np.zeros(max(neg.size, pos.size - 1) + 1)
+        folded[:pos.size] = pos
+        np.maximum(folded[1:neg.size + 1], neg, out=folded[1:neg.size + 1])
+        mags, idx = folded, np.arange(folded.size)
 
     keep = (idx >= skip) & (mags > floor)
     if int(np.count_nonzero(keep)) < 16:
@@ -429,17 +444,7 @@ def decay_fit(coeffs: CoefficientVector, model: str,
     k = idx[keep].astype(float)
     m = mags[keep]
 
-    edges = np.geomspace(k[0], k[-1] + 1.0, 49)
-    ks, logs = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        inside = (k >= lo) & (k < hi)
-        if not np.any(inside):
-            continue
-        j = int(np.argmax(m[inside]))
-        ks.append(k[inside][j])
-        logs.append(math.log(m[inside][j]))
-    ks = np.array(ks)
-    logs = np.array(logs)
+    ks, logs = _log_bin_envelope(k, m)
 
     if model == "exponential":
         t = ks

@@ -10,15 +10,20 @@ function of D: e^{tau D} is the phase tau x on the Gauss nodes x, the free
 Schroedinger flow e^{i t D^2} the phase -t x^2, and the spectral radius is
 max |x|.
 
-When the diagonal c is exactly zero (symmetric measures with closed-form
-coefficients: Hermite, Legendre, ultraspherical, generalized Hermite),
-P J P = -J with P = diag((-1)^n), so the nodes pair as +-x and the
-eigenvector of -x is P times that of x.  Such operators fold: only the
-eigenvectors of the nodes x >= 0 are kept, split by row parity into two
-real blocks of about N/2 x N/2, and every product with V becomes two
-half-size products.  Operators with any nonzero c_n (Laguerre, MT, and the
-symmetric families whose c is computed numerically, such as tanhjacobi and
-conthahn) keep the full V.
+When the diagonal c is exactly zero (every symmetric family: Hermite,
+Legendre, ultraspherical, generalized Hermite, continuous Hahn and
+tanh-Jacobi), the even/odd split of the rows turns J into the Golub-Kahan
+form [[0, B], [B^T, 0]] with B an (N+1)//2-square lower bidiagonal
+(``_lapack.split_bidiagonal``).  Its nodes are +-sigma for the singular
+values sigma of B, and with B = Q diag(sigma) P^T the eigenvector of
++-sigma_i is [q_i; +-p_i] / sqrt2 (the centre node 0 of odd N has
+[q_0; 0]).  So the operator is solved at half size and never squared: dqds
+gives sigma to high relative accuracy, the same nodes as the Gauss rule,
+and divide and conquer gives Q and P.  The eigensystem stays folded: only
+the columns of the nodes x >= 0 are kept, as two real blocks of about
+N/2 x N/2, and every product with V becomes two half-size products.
+Operators with any nonzero c_n (Laguerre, MT, custom weights) keep the
+full V from LAPACK's ``stemr``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import singular_values, singular_vectors, split_bidiagonal
 from .errors import EigenError
 from .recurrence import JacobiMatrix
 
@@ -67,15 +73,17 @@ class DiffMatrix:
         """J = V diag(x) V^T for the Jacobi section J (diagonal c, off-diagonal b).
 
         x are the Gauss nodes of the N-point rule.  Computed on first use,
-        then cached, folded by parity when c is exactly zero; the LAPACK
-        driver is pinned so no library default picks it.
+        then cached; a zero diagonal is solved at half size and kept folded
+        (``_folded_eigensystem``), any other one by ``stemr``, pinned so no
+        library default picks the driver.
         """
+        if not np.any(self.diag):
+            return _folded_eigensystem(self.sub)
         try:
             x, V = eigh_tridiagonal(self.diag, self.sub, lapack_driver="stemr")
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise EigenError(f"tridiagonal eigensolve failed for N={self.N}: {exc}") from exc
-        V = _sign_columns(V)
-        return FoldedEigensystem(x, V) if not np.any(self.diag) else Eigensystem(x, V)
+        return Eigensystem(x, _sign_columns(V))
 
     def dense(self) -> np.ndarray:
         """The full complex N x N matrix; for small-N checks only."""
@@ -173,21 +181,17 @@ class FoldedEigensystem:
     With N = 2h + r (r = N mod 2, the centre node 0) the node of column
     N-1-i is -x_i and V[k, N-1-i] = (-1)^k V[k, i].  Only the columns of the
     r + h nodes x >= 0 are kept, by row parity: U = V[0::2, h:] and
-    W = V[1::2, h+r:] (the odd rows vanish at the centre), and x is rebuilt
-    from its upper half so the pairing is exact.  A vector z over
-    the nodes folds into e = (z(0), z(x) + z(-x)) and d = z(x) - z(-x), and
+    W = V[1::2, h+r:] (the odd rows vanish at the centre); x holds all N
+    ascending nodes, mirrored exactly.  A vector z over the nodes folds into
+    e = (z(0), z(x) + z(-x)) and d = z(x) - z(-x), and
 
         V z = [U e; W d]  (even rows; odd rows),
         (V^T w)(+-x) = (U^T w_even)(x) +- (W^T w_odd)(x).
     """
 
-    def __init__(self, x: np.ndarray, V: np.ndarray):
-        N = x.size
-        self.h, self.r = N // 2, N % 2
-        xp = x[self.h + self.r:]
-        self.x = np.concatenate((-xp[::-1], np.zeros(self.r), xp))
-        self.U = V[0::2, self.h:].copy()
-        self.W = V[1::2, self.h + self.r:].copy()
+    def __init__(self, x: np.ndarray, U: np.ndarray, W: np.ndarray):
+        self.x, self.U, self.W = x, U, W
+        self.h, self.r = x.size // 2, x.size % 2
 
     def fold(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(e, d) for z over the ascending nodes."""
@@ -211,6 +215,30 @@ class FoldedEigensystem:
     def t_times(self, w: np.ndarray) -> np.ndarray:
         """V^T w for a complex vector w."""
         return self.unfold(_real_times(self.U.T, w[0::2]), _real_times(self.W.T, w[1::2]))
+
+
+def _folded_eigensystem(b: np.ndarray) -> FoldedEigensystem:
+    """The folded eigensystem of the Jacobi section with zero diagonal and off-diagonal b.
+
+    With B = Q diag(sigma) P^T (``_lapack.split_bidiagonal``; sigma from dqds,
+    Q and P from divide and conquer), U holds the columns q_i / sqrt2 and W
+    the columns p_i / sqrt2, ascending in sigma; the centre column q_0 of odd
+    N is kept whole and its padded p_0 dropped.  Each pair (q_i, p_i) is
+    signed together by _sign_columns' last-row rule, read from the block that
+    holds row N-1.
+    """
+    N = b.size + 1
+    h, r = N // 2, N % 2
+    d, e = split_bidiagonal(b, N)
+    sigma = singular_values(d, e)[::-1]
+    Q, P = singular_vectors(d, e)
+    Q, P = Q[:, ::-1], P[:h, ::-1][:, r:]
+    last = Q[-1] if r else P[-1]
+    want = (-1.0) ** (N - 1 - h - np.arange(h + r))
+    scale = np.full(h + r, np.sqrt(0.5))
+    scale[:r] = 1.0
+    scale[last * want < 0.0] *= -1.0
+    return FoldedEigensystem(np.concatenate((-sigma[r:][::-1], sigma)), Q * scale, P * scale[r:])
 
 
 # i^n by n mod 4, and (-i)^n = _I_POWERS[-n % 4]; bit for bit the values

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _panels
+from ._lapack import singular_values, split_bidiagonal
 from .errors import AccuracyError, EigenError
 from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval, eval_poly_table
 
@@ -39,8 +40,11 @@ _GROWTH_BITS = 480.0
 _BLOCK = 32
 
 
-def _christoffel_weights(nodes: np.ndarray, jacobi: JacobiMatrix) -> np.ndarray:
-    """Unit-sum Gauss weights 1 / sum_{k<N} p_k(x_i)^2 at the N nodes x_i.
+def _christoffel_log_weights(nodes: np.ndarray, jacobi: JacobiMatrix, N: int) -> np.ndarray:
+    """log(1 / sum_{k<N} p_k(x_i)^2) at nodes x_i of the N-point rule.
+
+    The nodes may be all N of them or, for a zero diagonal, the nonnegative
+    ones: the sum is even in x there, so the weights mirror exactly.
 
     Every term of the sum is positive and each p_k(x_i) comes from the
     orthonormal recurrence, so the weights carry relative accuracy however
@@ -48,10 +52,8 @@ def _christoffel_weights(nodes: np.ndarray, jacobi: JacobiMatrix) -> np.ndarray:
     Approximation, 2004, sec. 3.1).  A per-node power-of-two scale keeps the
     values in range for any N: a rescale happens only when a precomputed
     bound on the growth since the last one would exceed ``_GROWTH_BITS``.
-    Weights below the smallest normal double are returned as 0.0.
     """
-    N = nodes.size
-    n = N - 1
+    n, m = N - 1, nodes.size
     b, c = jacobi.b[:n], jacobi.c[:n]
     inv_b = 1.0 / b
     b_prev = np.concatenate(([0.0], b[:-1]))
@@ -60,10 +62,10 @@ def _christoffel_weights(nodes: np.ndarray, jacobi: JacobiMatrix) -> np.ndarray:
     reach = np.maximum(np.abs(nodes[-1] - c), np.abs(nodes[0] - c))
     growth = np.log2(np.maximum((reach + b_prev) * inv_b, 1.0)).tolist()
     ratio = (b_prev * inv_b).tolist()
-    prev, cur = np.zeros(N), np.ones(N)
-    total = np.ones(N)  # sum of p_k^2 so far, in units of 4^exps
-    exps = np.zeros(N)
-    rows = np.empty((_BLOCK, N))
+    prev, cur = np.zeros(m), np.ones(m)
+    total = np.ones(m)  # sum of p_k^2 so far, in units of 4^exps
+    exps = np.zeros(m)
+    rows = np.empty((_BLOCK, m))
     k0, bits = 0, 0.0
     while k0 < n:
         if bits + growth[k0] > _GROWTH_BITS:
@@ -89,7 +91,11 @@ def _christoffel_weights(nodes: np.ndarray, jacobi: JacobiMatrix) -> np.ndarray:
         np.square(block, out=block)
         total += block.sum(axis=0)
         k0 = k1
-    log_w = -np.log(total) - (2.0 * math.log(2.0)) * exps
+    return -np.log(total) - (2.0 * math.log(2.0)) * exps
+
+
+def _unit_weights(log_w: np.ndarray) -> np.ndarray:
+    """Weights e^{log_w} scaled to unit sum; those below the smallest normal double are 0.0."""
     weights = np.exp(log_w - log_w.max())
     weights /= weights.sum()
     weights[weights < np.finfo(float).tiny] = 0.0
@@ -99,13 +105,22 @@ def _christoffel_weights(nodes: np.ndarray, jacobi: JacobiMatrix) -> np.ndarray:
 def golub_welsch(jacobi: JacobiMatrix, N: int, measure: MeasureSpec | None = None) -> QuadratureRule:
     """N-point Gauss rule from the leading N x N block of the Jacobi matrix.
 
-    Nodes are the eigenvalues of the symmetric tridiagonal block (LAPACK
-    ``sterf``, pinned so no library default decides it).  Weights come from
-    the Christoffel sum w_i = 1 / sum_{k<N} p_k(x_i)^2 over the normalized
+    With a zero diagonal (every symmetric family) the block is, after the
+    even/odd split of its rows, [[0, B], [B^T, 0]] for an (N+1)//2-square
+    lower bidiagonal B (``_lapack.split_bidiagonal``), and the nodes are
+    +-sigma for the singular values sigma of B.  These come from dqds
+    (LAPACK ``dlasq1``), which works on B itself and gives every sigma,
+    the smallest included, to high relative accuracy; the centre node of
+    odd N is exactly 0 and the nodes mirror exactly.  Any other diagonal
+    takes the eigenvalues of the block from LAPACK ``sterf``.  Both drivers
+    are pinned, so no library default decides them.  Weights come from the
+    Christoffel sum w_i = 1 / sum_{k<N} p_k(x_i)^2 over the normalized
     recurrence rather than from squared eigenvector entries: they carry
     relative accuracy, so tail weights far below 1e-16 are right to about
-    1e-11 of their own size (Hermite, N up to 4096), not merely small.
-    Weights are normalized to unit sum; a weight whose true value is below
+    1e-11 of their own size (Hermite, N up to 4096), not merely small.  On
+    the split route the sum runs over the nodes x >= 0 only and the weights
+    are mirrored, so they too are exactly symmetric.  Weights are
+    normalized to unit sum; a weight whose true value is below
     ``np.finfo(float).tiny`` is returned as 0.0, since a subnormal cannot
     carry relative accuracy.  The rule integrates polynomials of degree
     <= 2N - 1 exactly against the measure underlying ``jacobi``.
@@ -117,14 +132,22 @@ def golub_welsch(jacobi: JacobiMatrix, N: int, measure: MeasureSpec | None = Non
     if N == 1:
         return QuadratureRule(nodes=np.array([jacobi.c[0]]), weights=np.ones(1),
                               exactness=1, measure=measure)
-    try:
-        # JacobiMatrix has already checked that its coefficients are finite
-        nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,
-                                     lapack_driver="sterf")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
-    weights = _christoffel_weights(nodes, jacobi)
-    return QuadratureRule(nodes=nodes, weights=weights, exactness=2 * N - 1, measure=measure)
+    if not np.any(jacobi.c[:N]):
+        r = N % 2
+        half = singular_values(*split_bidiagonal(jacobi.b, N))[::-1]
+        nodes = np.concatenate((-half[r:][::-1], half))
+        log_w = _christoffel_log_weights(half, jacobi, N)
+        log_w = np.concatenate((log_w[r:][::-1], log_w))
+    else:
+        try:
+            # JacobiMatrix has already checked that its coefficients are finite
+            nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,
+                                         lapack_driver="sterf")
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
+        log_w = _christoffel_log_weights(nodes, jacobi, N)
+    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1,
+                          measure=measure)
 
 
 def integrate(f, rule: QuadratureRule) -> float | complex:

@@ -28,6 +28,7 @@ __all__ = [
     "build_jacobi",
     "charlier_bilateral",
     "clenshaw",
+    "conthahn_coeffs",
     "conthahn_measure",
     "custom_measure",
     "eval_poly",
@@ -231,7 +232,8 @@ def conthahn_measure(a: float, b: float, dilation: float = 1.0) -> MeasureSpec:
     """Continuous Hahn measure, density ~ |Gamma(a+i xi)Gamma(b-i xi)|^2.
 
     ``dilation`` s rescales the density to w(xi/s); s = 2 matches the
-    hyperbolic-secant systems on the natural x scale.
+    hyperbolic-secant systems on the natural x scale.  The mass is Barnes'
+    first lemma, s 2 pi Gamma(2a) Gamma(2b) Gamma(a+b)^2 / Gamma(2a+2b).
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("continuous Hahn parameters must be positive")
@@ -241,8 +243,11 @@ def conthahn_measure(a: float, b: float, dilation: float = 1.0) -> MeasureSpec:
         u = np.asarray(xi, float) / s
         return gamma_abs2(a, u) * gamma_abs2(b, u)
 
+    lg = math.lgamma
+    mass = s * 2.0 * math.pi * math.exp(lg(2.0 * a) + lg(2.0 * b) + 2.0 * lg(a + b)
+                                        - lg(2.0 * a + 2.0 * b))
     return continuous_measure(
-        w, (-np.inf, np.inf), name=f"conthahn:{a},{b}", symmetric=True,
+        w, (-np.inf, np.inf), mass=mass, name=f"conthahn:{a},{b}", symmetric=True,
     )
 
 
@@ -310,6 +315,27 @@ def generalized_hermite_coeffs(eta: float, n: int) -> tuple[float, float]:
         raise ValueError("index must be >= 0")
     theta = 0.0 if (n + 1) % 2 == 0 else 2.0 * eta
     return math.sqrt((n + 1 + theta) / 2.0), 0.0
+
+
+def conthahn_coeffs(a: float, b: float, n: int, dilation: float = 1.0) -> tuple[float, float]:
+    """(b_n, c_n) for ``conthahn_measure(a, b, dilation)``.
+
+    The density is even, so c_n = 0, and with s = 2a + 2b
+    b_n^2 = (n+1)(n+s-1)(n+2a)(n+2b)(n+a+b)^2 / ((2n+s-1)(2n+s)^2(2n+s+1)),
+    times dilation^2 (the continuous Hahn recurrence with parameters
+    (a, b, a, b); Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal
+    Polynomials, 2010, sec. 9.4).
+    """
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("continuous Hahn parameters must be positive")
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    s = 2.0 * (a + b)
+    # (n+s-1)/(2n+s-1) is 1 at n = 0, where both vanish for s = 1
+    ratio = 1.0 if n == 0 else (n + s - 1.0) / (2 * n + s - 1.0)
+    b2 = (n + 1) * ratio * (n + 2.0 * a) * (n + 2.0 * b) * (n + a + b) ** 2 / (
+        (2 * n + s) ** 2 * (2 * n + s + 1.0))
+    return dilation * math.sqrt(b2), 0.0
 
 
 def build_jacobi(coeff_fn: Callable[[int], tuple[float, float]], N: int) -> JacobiMatrix:

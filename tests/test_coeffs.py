@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard import coeffs as co
 from favard.basis import make_basis, malmquist_takenaka, phi, phi_grid
@@ -273,6 +275,46 @@ def test_decay_fit_floor_excludes_noise():
     fit = co.decay_fit(a, "exponential", skip=2, floor=1e-13)
     assert abs(fit.param - 2.0) < 1e-3
     assert fit.n_used < 60
+
+
+def _decay_envelope_by_loop(k, m):
+    """The envelope as a loop over the 48 log-spaced bins: the reference."""
+    edges = np.geomspace(k[0], k[-1] + 1.0, 49)
+    ks, logs = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside = (k >= lo) & (k < hi)
+        if np.any(inside):
+            j = int(np.argmax(m[inside]))
+            ks.append(k[inside][j])
+            logs.append(math.log(m[inside][j]))
+    return np.array(ks), np.array(logs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k0=st.integers(1, 40), size=st.integers(1, 3000), levels=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_decay_envelope_is_bit_identical_to_the_bin_loop(k0, size, levels, seed):
+    # runs found by searchsorted and peaks by maximum.reduceat give the loop's
+    # points bit for bit; few levels force ties, where the first largest wins
+    rng = np.random.default_rng(seed)
+    k = (k0 + np.arange(size)).astype(float)
+    m = (1.0 + rng.integers(0, levels, size)) * np.exp(-0.01 * k)
+    for got, want in zip(co._log_bin_envelope(k, m), _decay_envelope_by_loop(k, m)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("left,right", [(32, 32), (5, 60), (60, 5), (40, 1)])
+def test_decay_fit_bilateral_fold_keeps_the_larger_side(left, right):
+    # the sliced fold equals np.maximum.at onto |n|, so the fit is that of the
+    # one-sided vector of the larger magnitudes
+    rng = np.random.default_rng(left)
+    n = np.arange(-left, right)
+    vals = (1.0 + rng.random(n.size)) * 1.3 ** (-np.abs(n).astype(float))
+    folded = np.zeros(np.max(np.abs(n)) + 1)
+    np.maximum.at(folded, np.abs(n), np.abs(vals))
+    two = co.CoefficientVector(values=vals, n_start=-left, basis=None, meta={})
+    one = co.CoefficientVector(values=folded, n_start=0, basis=None, meta={})
+    assert co.decay_fit(two, "exponential", skip=2) == co.decay_fit(one, "exponential", skip=2)
 
 
 def test_decay_fit_unknown_model():

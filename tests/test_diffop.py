@@ -91,21 +91,13 @@ def test_expm_apply_round_trip_large_n(family):
     assert np.max(np.abs(diffop.expm_apply(D, -1.3, out) - a)) < 1e-12
 
 
-def test_eigensystem_computed_once(monkeypatch):
-    calls = []
-    solve = diffop.eigh_tridiagonal
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("lapack_driver"))
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(diffop, "eigh_tridiagonal", counting)
+def test_eigensystem_computed_once(solves):
     D = build_for(rec.hermite_coeffs, 32)
     a = np.ones(32, dtype=complex)
     for tau in (0.5, -0.25, 2.0):
         diffop.expm_apply(D, tau, a)
     diffop.spectral_radius(D)
-    assert calls == ["stemr"]
+    assert solves == ["dbdsdc"]
 
 
 def test_expm_apply_translates_hermite_functions():
@@ -164,7 +156,7 @@ def test_spectral_radius_single_mode():
                        np.exp(0.5j * J.c[0]), rtol=0.0, atol=1e-15)
 
 
-SYMMETRIC = ("hermite", "legendre", "ultraspherical:1.5")
+SYMMETRIC = ("hermite", "legendre", "ultraspherical:1.5", "conthahn:1,1", "tanhjacobi:0.75,0.75")
 
 
 @pytest.mark.parametrize("family", SYMMETRIC)
@@ -183,13 +175,17 @@ def test_folded_operators_match_dense_expm(family, N):
     ref = scipy.linalg.expm(0.7 * dense) @ a
     assert np.max(np.abs(diffop.expm_apply(D, 0.7, a) - ref)) < 1e-12
     ref = scipy.linalg.expm(0.3j * (dense @ dense)) @ a
-    assert np.max(np.abs(free_coeff_step(D, 0.3, a) - ref)) < 1e-12
+    # the phase 0.3 x^2 turns a node's rounding (a few ulps of x) into about
+    # 0.6 x^2 eps: 1e-12 up to radius 18, more for the continuous Hahn
+    # families (radius 29 and 57 at N = 64), exact nodes or not
+    tol = 1e-14 * max(100.0, 0.3 * diffop.spectral_radius(D) ** 2)
+    assert np.max(np.abs(free_coeff_step(D, 0.3, a) - ref)) < tol
 
 
-@pytest.mark.parametrize("family", ["laguerre", "mt", "tanhjacobi:0.75,0.75"])
+@pytest.mark.parametrize("family", ["laguerre", "mt", "custom-weight:exp(-x^4)"])
 def test_nonzero_diagonal_does_not_fold(family):
-    # tanhjacobi's Stieltjes-built c is about 8e-16, not 0: only an exactly zero
-    # diagonal proves the +-x node pairing
+    # the symmetric custom weight's Stieltjes-built c is about 2e-16, not 0:
+    # only an exactly zero diagonal proves the +-x node pairing
     from favard.basis import make_basis
     D = diffop.build(make_basis(family, N=16).jacobi, 16)
     assert np.any(D.diag)
@@ -204,3 +200,60 @@ def test_i_powers_table_is_the_complex_powers_bitwise():
                           (1j ** (n % 4)).view(np.int64))
     assert np.array_equal(diffop._I_POWERS[-n % 4].view(np.int64),
                           ((-1j) ** (n % 4)).view(np.int64))
+
+
+def _stemr_blocks(b, N):
+    """The folded blocks cut from stemr's full eigenvectors, signed by the last row."""
+    import scipy.linalg
+    x, V = scipy.linalg.eigh_tridiagonal(np.zeros(N), b[:N - 1], lapack_driver="stemr")
+    V = diffop._sign_columns(V)
+    h, r = N // 2, N % 2
+    return x, V[0::2, h:], V[1::2, h + r:]
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre"])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 63, 64, 512, 513, 1024])
+def test_folded_blocks_match_stemr(family, N):
+    # the half-size solve gives stemr's blocks, signs included, and the
+    # Gauss rule's nodes bit for bit
+    J = rec.build_jacobi(FAMILIES[family], N + 1)
+    eig = diffop.build(J, N).eigensystem
+    x, U, W = _stemr_blocks(J.b, N)
+    assert U.shape == eig.U.shape and W.shape == eig.W.shape
+    assert np.max(np.abs(eig.U - U), initial=0.0) < 1e-12
+    assert np.max(np.abs(eig.W - W), initial=0.0) < 1e-12
+    assert np.max(np.abs(eig.x - x)) < 1e-12 * max(1.0, x[-1])
+    assert np.array_equal(eig.x, golub_welsch(J, N).nodes)
+    if N % 2:
+        assert eig.x[N // 2] == 0.0
+
+
+def test_folded_blocks_are_orthogonal():
+    # U^T U = W^T W = I/2 (the centre column of odd N has norm 1); stemr's
+    # blocks miss this by about 1e-13 at N = 1024
+    for N in (1023, 1024):
+        eig = diffop.build(rec.build_jacobi(rec.hermite_coeffs, N), N).eigensystem
+        h, r = N // 2, N % 2
+        half = np.full(h + r, 0.5)
+        half[:r] = 1.0
+        assert np.max(np.abs(eig.U.T @ eig.U - np.diag(half))) < 1e-14
+        assert np.max(np.abs(eig.W.T @ eig.W - 0.5 * np.eye(h))) < 1e-14
+        assert np.max(np.abs(eig.U[:, r:].T @ eig.U[:, r:] - eig.W.T @ eig.W)) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["dlasq1", "dbdsdc"])
+def test_lapack_failure_raises_eigen_error(monkeypatch, name):
+    # a nonzero info from either routine surfaces as EigenError at the solve
+    from favard import _lapack
+    from favard.errors import EigenError
+    routine = _lapack._routine
+
+    def failing(*args):
+        args[-1]._obj.value = 3  # info
+
+    monkeypatch.setattr(_lapack, "_routine", lambda n: failing if n == name else routine(n))
+    with pytest.raises(EigenError, match=f"{name} failed .* order 4: info=3"):
+        diffop.build(rec.build_jacobi(rec.hermite_coeffs, 9), 8).eigensystem
+    if name == "dlasq1":
+        with pytest.raises(EigenError, match="dlasq1"):
+            golub_welsch(rec.build_jacobi(rec.hermite_coeffs, 8), 8)

@@ -215,3 +215,67 @@ def test_grading_stops_near_a_nonzero_endpoint():
     zero = _panels.build_edges(0.0, 1.0, 0.1, grade_lo=True)
     assert zero.size == 11 + _panels._GRADE_LEVELS
     assert zero[1] == 0.1 * _panels._GRADE_RATIO ** _panels._GRADE_LEVELS
+
+
+ZERO_DIAGONAL = {
+    "hermite": (rec.hermite_coeffs, lambda k, mp: mp.sqrt(mp.mpf(k + 1) / 2)),
+    "legendre": (lambda n: rec.ultraspherical_coeffs(0.0, n),
+                 lambda k, mp: (k + 1) / mp.sqrt(mp.mpf(2 * k + 1) * (2 * k + 3))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(ZERO_DIAGONAL))
+@pytest.mark.parametrize("N", [512, 1023, 1024])
+def test_smallest_nodes_have_relative_accuracy(family, N):
+    # the four smallest positive nodes against 40-digit Newton on the
+    # orthonormal recurrence; a solver that squares B or works on the full
+    # N x N block loses relative accuracy here (sterf: about 1e-13)
+    mpmath = pytest.importorskip("mpmath")
+    coeff, mp_b = ZERO_DIAGONAL[family]
+    rule = golub_welsch(rec.build_jacobi(coeff, N), N)
+    got = rule.nodes[(N + 1) // 2:][:4]
+    with mpmath.workdps(40):
+        b = [mp_b(k, mpmath) for k in range(N)]
+
+        def p_and_slope(x):
+            p_prev, p, d_prev, d = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(N):
+                back = b[k - 1] if k else 0
+                p_prev, p, d_prev, d = (p, (x * p - back * p_prev) / b[k],
+                                        d, (p + x * d - back * d_prev) / b[k])
+            return p, d
+
+        for x0 in got:
+            x = mpmath.mpf(x0)
+            for _ in range(3):
+                p, d = p_and_slope(x)
+                x -= p / d
+            assert abs(x0 - float(x)) <= 1e-14 * float(x)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 63, 64, 1023])
+def test_zero_diagonal_rule_is_mirror_exact(N):
+    # nodes and weights are symmetric bit for bit, and odd N has the centre 0.0
+    for coeff, _ in ZERO_DIAGONAL.values():
+        rule = golub_welsch(rec.build_jacobi(coeff, N), N)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        if N % 2:
+            assert rule.nodes[N // 2] == 0.0 and not np.signbit(rule.nodes[N // 2])
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 65, 512])
+def test_zero_diagonal_rule_matches_full_eigensolve(N):
+    # the split route against sterf on the whole block and the Christoffel
+    # weights at its nodes: the same rule to rounding (the weights next to
+    # +-1 move by about 2e-11 of themselves per ulp of their node at N = 512)
+    import scipy.linalg
+
+    from favard.quadrature import _christoffel_log_weights, _unit_weights
+    J = rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(1.5, n), N)
+    rule = golub_welsch(J, N)
+    nodes = scipy.linalg.eigvalsh_tridiagonal(np.zeros(N), J.b[:N - 1], lapack_driver="sterf")
+    weights = _unit_weights(_christoffel_log_weights(nodes, J, N))
+    assert np.max(np.abs(rule.nodes - nodes)) < 1e-14
+    assert np.max(np.abs(rule.weights / weights - 1.0)) < 1e-10

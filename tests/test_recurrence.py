@@ -129,3 +129,52 @@ def test_jacobi_matrix_json_roundtrip():
     J2 = rec.JacobiMatrix.from_json(J.to_json())
     assert np.array_equal(J.b, J2.b)
     assert np.array_equal(J.c, J2.c)
+
+
+@pytest.mark.parametrize("a,b,dilation", [(1.0, 1.0, 1.0), (1.0, 0.5, 1.0), (0.25, 0.25, 1.0),
+                                          (0.75, 0.75, 2.0), (0.5, 1.5, 2.0)])
+def test_conthahn_coeffs_match_stieltjes(a, b, dilation):
+    # a + b = 1/2 takes the n = 0 limit of (n+s-1)/(2n+s-1)
+    N = 48
+    measure = rec.conthahn_measure(a, b, dilation)
+    ref = rec.stieltjes(measure, N)
+    J = rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, dilation), N)
+    assert not np.any(J.c)
+    assert np.max(np.abs(J.b / ref.b - 1.0)) < 5e-12
+    assert np.max(np.abs(ref.c)) < 1e-13
+
+
+@pytest.mark.parametrize("dilation", [1.0, 2.0])
+def test_conthahn_coeffs_and_mass_match_mpmath_moments(dilation):
+    # a = 1, b = 1/2: |Gamma(1+iu) Gamma(1/2+iu)|^2 = 2 pi^2 u / sinh(2 pi u);
+    # 40-digit moments, the monic recurrence from them, and the mass
+    mpmath = pytest.importorskip("mpmath")
+    N = 6
+    measure = rec.conthahn_measure(1.0, 0.5, dilation)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(dilation)
+
+        def w(x):
+            t = 2 * mpmath.pi * x / s
+            return mpmath.pi * (t / mpmath.sinh(t) if t else 1)
+
+        moments = [2 * mpmath.quad(lambda x: x**k * w(x), [0, mpmath.inf]) if k % 2 == 0
+                   else 0 for k in range(2 * N + 1)]
+
+        def dot(p, q):
+            return sum(pi * qj * moments[i + j] for i, pi in enumerate(p) for j, qj in enumerate(q))
+
+        # monic p_{n+1} = x p_n - beta_n p_{n-1} (the density is even)
+        prev, cur, norms = [], [mpmath.mpf(1)], [moments[0]]
+        for n in range(N):
+            beta = norms[-1] / norms[-2] if n else 0
+            nxt = [0] + cur
+            for i, v in enumerate(prev):
+                nxt[i] -= beta * v
+            prev, cur = cur, nxt
+            norms.append(dot(cur, cur))
+        want = [float(mpmath.sqrt(norms[n + 1] / norms[n])) for n in range(N)]
+        mass = float(moments[0])
+    got = [rec.conthahn_coeffs(1.0, 0.5, n, dilation)[0] for n in range(N)]
+    assert np.max(np.abs(np.array(got) / want - 1.0)) < 1e-14
+    assert abs(measure.weight(0.3) * mass / float(w(mpmath.mpf(0.3))) - 1.0) < 1e-14

@@ -160,43 +160,36 @@ def test_mt_grid_pair_roundtrip():
     assert np.max(np.abs(synthesize(a) - a @ table)) < 1e-12
 
 
-def _count_setups(monkeypatch):
-    """Record every stemr eigensolve and every grid-pair build (by size)."""
-    solves, grids = [], []
-    solve, build = diffop.eigh_tridiagonal, sch._grid_pair
-
-    def counted_solve(*args, **kwargs):
-        solves.append(kwargs.get("lapack_driver"))
-        return solve(*args, **kwargs)
+@pytest.fixture
+def grids(monkeypatch):
+    """Every grid-pair build, by size."""
+    sizes, build = [], sch._grid_pair
 
     def counted_build(basis, D):
-        grids.append(D.N)
+        sizes.append(D.N)
         return build(basis, D)
 
-    monkeypatch.setattr(diffop, "eigh_tridiagonal", counted_solve)
     monkeypatch.setattr(sch, "_grid_pair", counted_build)
-    return solves, grids
+    return sizes
 
 
-def test_strang_setup_built_once_per_basis_and_size(monkeypatch):
-    solves, grids = _count_setups(monkeypatch)
+def test_strang_setup_built_once_per_basis_and_size(solves, grids):
     basis = make_basis("hermite", N=32)
     a = co.coeffs_fourier_side(F_gaussian, basis, 32)
     V = lambda x: x**2
     sch.strang_propagate(a, 0.1, 3, V, basis)
     sch.strang_step(a, 0.2, V, basis)
     sch.strang_propagate(a, -0.05, 2, None, basis, record=True)
-    assert solves == ["stemr"] and grids == [32]
+    assert solves == ["dbdsdc"] and grids == [32]
     b = co.coeffs_fourier_side(F_gaussian, basis, 16)
     sch.strang_step(b, 0.2, V, basis)
     sch.strang_propagate(a, 0.1, 1, V, basis)
-    assert solves == ["stemr", "stemr"] and grids == [32, 16]
+    assert solves == ["dbdsdc", "dbdsdc"] and grids == [32, 16]
 
 
-def test_strang_setup_rebuilt_when_jacobi_is_replaced(monkeypatch):
+def test_strang_setup_rebuilt_when_jacobi_is_replaced(solves, grids):
     # a Stieltjes-built table is recomputed by ensure(), and its leading
     # coefficients move at rounding level, so the old D must not survive
-    solves, grids = _count_setups(monkeypatch)
     measure = rec.hermite_measure()
     source = lambda M: rec.stieltjes(measure, M)
     basis = TransformedBasis("hermite", measure, source(16), coeff_source=source,
@@ -213,7 +206,7 @@ def test_strang_setup_rebuilt_when_jacobi_is_replaced(monkeypatch):
 
     basis.jacobi = rec.build_jacobi(rec.hermite_coeffs, 16)
     sch.strang_step(a, 0.1, V, basis)
-    assert solves == ["stemr"] * 4 and grids == [16] * 4
+    assert solves == ["stemr"] * 3 + ["dbdsdc"] and grids == [16] * 4
 
 
 @pytest.mark.parametrize("family", ["hermite", "mt"])
@@ -313,9 +306,10 @@ def test_folded_strang_stays_folded(monkeypatch, N):
 
 
 def test_results_independent_of_eigenvector_signs(monkeypatch):
-    # stemr's column signs are arbitrary, and its first row is exactly 0 at
-    # tail nodes; the grid pair relies on V[k, i] = p_k(x_i) sqrt(lambda_i),
-    # so flipping columns, tail ones included, must change nothing
+    # the singular vector pairs (u_i, w_i) of the folded solve come with
+    # arbitrary signs, and the row of p_1 is exactly 0 at tail nodes; the grid
+    # pair relies on V[k, i] = p_k(x_i) sqrt(lambda_i), so flipping pairs,
+    # tail ones included, must change nothing
     N = 512
     rng = np.random.default_rng(14)
     u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -329,16 +323,17 @@ def test_results_independent_of_eigenvector_signs(monkeypatch):
                 diffop.expm_apply(D, 0.7, a))
 
     before = run()
-    solve, flipped = diffop.eigh_tridiagonal, []
+    solve, flipped = diffop.singular_vectors, []
 
-    def flipping(*args, **kwargs):
-        x, vecs = solve(*args, **kwargs)
-        flip = (vecs[0] == 0.0) | (np.arange(N) % 3 == 0)
-        vecs[:, flip] *= -1.0
-        flipped.append(np.count_nonzero(flip[N // 2:] & (vecs[0, N // 2:] == 0.0)))
-        return x, vecs
+    def flipping(*args):
+        U, W = solve(*args)
+        flip = (W[0] == 0.0) | (np.arange(W.shape[1]) % 3 == 0)
+        U[:, flip] *= -1.0
+        W[:, flip] *= -1.0
+        flipped.append(np.count_nonzero(flip & (W[0] == 0.0)))
+        return U, W
 
-    monkeypatch.setattr(diffop, "eigh_tridiagonal", flipping)
+    monkeypatch.setattr(diffop, "singular_vectors", flipping)
     after = run()
     assert len(flipped) == 2 and flipped[0] > 0
     for got, ref in zip(after, before):
