@@ -154,14 +154,10 @@ def _legendre_scan(nmax: int, x, collect: bool) -> np.ndarray:
     """
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     ns = _scan_rows(nmax, collect)
-    # an all-positive grid, such as the folded Gram window's half rule on
-    # [0, X], is its own |x|, and every odd row changes sign on all of it
-    positive = bool(flat.size) and flat.min() > 0.0
     # scaled and signed in place, with no second table-sized temporary
-    rows = specfun._sph_scan(nmax, flat if positive else np.abs(flat),
-                             collect).reshape(ns.size, flat.size)
+    rows = specfun._sph_scan(nmax, np.abs(flat), collect).reshape(ns.size, flat.size)
     rows *= np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None]
-    where = True if positive else flat > 0.0
+    where = flat > 0.0
     for n, row in zip(ns, rows):
         if n % 2:
             np.negative(row, out=row, where=where)
@@ -209,6 +205,14 @@ def _tanh_jacobi_polys(a: float, b: float, N: int) -> JacobiMatrix:
     return rec.jacobi_poly_coeffs(2.0 * a - 1.0, 2.0 * b - 1.0, N)
 
 
+def _tanh_jacobi_matrix(a: float, b: float, nmax: int) -> JacobiMatrix:
+    """The cached Jacobi(2a-1, 2b-1) matrix covering degree nmax, its size a power of two."""
+    size = 8
+    while size < nmax + 1:
+        size *= 2
+    return _tanh_jacobi_polys(float(a), float(b), size)
+
+
 def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool) -> np.ndarray:
     """tanh-Jacobi rows: one polynomial scan in tanh x times one envelope.
 
@@ -218,10 +222,7 @@ def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool) -> np.nda
         raise ValueError("tanh_jacobi requires a > 0 and b > 0")
     if nmax < 0:
         raise ValueError("index n must be >= 0")
-    size = 8
-    while size < nmax + 1:
-        size *= 2
-    jac = _tanh_jacobi_polys(float(a), float(b), size)
+    jac = _tanh_jacobi_matrix(a, b, nmax)
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     with np.errstate(over="ignore"):
         lo = 2.0 / (np.exp(2.0 * flat) + 1.0)   # 1 - tanh(x), no cancellation

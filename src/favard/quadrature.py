@@ -125,29 +125,37 @@ def golub_welsch(jacobi: JacobiMatrix, N: int, measure: MeasureSpec | None = Non
     carry relative accuracy.  The rule integrates polynomials of degree
     <= 2N - 1 exactly against the measure underlying ``jacobi``.
     """
+    nodes, log_w = _gauss_log_rule(jacobi, N)
+    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1,
+                          measure=measure)
+
+
+def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log Christoffel weights of ``golub_welsch``'s N-point rule.
+
+    The weights are log(1 / sum_{k<N} p_k(x_i)^2), unnormalized and never
+    clipped, so a caller that divides them by a tiny function value keeps
+    their relative accuracy where the unit weights are 0.0.
+    """
     if N <= 0:
         raise ValueError("N must be positive")
     if N > len(jacobi):
         raise IndexError(f"need {N} coefficient pairs, have {len(jacobi)}")
     if N == 1:
-        return QuadratureRule(nodes=np.array([jacobi.c[0]]), weights=np.ones(1),
-                              exactness=1, measure=measure)
+        return np.array([jacobi.c[0]]), np.zeros(1)
     if not np.any(jacobi.c[:N]):
         r = N % 2
         half = singular_values(*split_bidiagonal(jacobi.b, N))[::-1]
-        nodes = np.concatenate((-half[r:][::-1], half))
         log_w = _christoffel_log_weights(half, jacobi, N)
-        log_w = np.concatenate((log_w[r:][::-1], log_w))
-    else:
-        try:
-            # JacobiMatrix has already checked that its coefficients are finite
-            nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,
-                                         lapack_driver="sterf")
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
-        log_w = _christoffel_log_weights(nodes, jacobi, N)
-    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1,
-                          measure=measure)
+        return (np.concatenate((-half[r:][::-1], half)),
+                np.concatenate((log_w[r:][::-1], log_w)))
+    try:
+        # JacobiMatrix has already checked that its coefficients are finite
+        nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,
+                                     lapack_driver="sterf")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
+    return nodes, _christoffel_log_weights(nodes, jacobi, N)
 
 
 def integrate(f, rule: QuadratureRule) -> float | complex:

@@ -18,6 +18,7 @@ import scipy.special
 from . import _panels
 from . import basis as basis_mod
 from . import periodic as periodic_mod
+from . import quadrature
 from . import specfun
 
 __all__ = [
@@ -57,22 +58,6 @@ class CheckReport:
             "pass": self.passed,
             "metadata": dict(self.metadata),
         }
-
-
-def _window_gram(basis, N: int, X: float, width: float) -> np.ndarray:
-    """Gram by panel quadrature on [-X, X]; right for fast-decaying families.
-
-    When the measure is symmetric and the basis carries no phase sigma,
-    phi_n(-x) = (-1)^n phi_n(x): the rule then covers [0, X] only, and the
-    Gram is G + P G P with G the half-window Gram and P = diag((-1)^n), so
-    entries with m + n odd are exactly 0.
-    """
-    fold = basis.measure.symmetric and basis.sigma is None
-    edges = _panels.build_edges(0.0 if fold else -X, X, width=width)
-    x, w = _panels.panel_rule(edges)
-    table = basis_mod.phi_grid(basis, N - 1, x)
-    G = (table * w) @ table.conj().T
-    return _mirrored(G) if fold else G
 
 
 def _mirrored(G: np.ndarray) -> np.ndarray:
@@ -135,19 +120,42 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     return _mirrored(G) if fold else G, {"step": h, "reach": K * h, "tail": tail}
 
 
-def _mt_gram(basis, N: int) -> np.ndarray:
-    """Gram of the Malmquist-Takenaka family via x = tan(theta/2)/2.
+def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Points x and weights w at which a closed family's Gram sum is exact.
 
-    The substituted integrand is (1/2pi) e^{i(m-n)theta}, a trigonometric
-    polynomial, so the uniform rule below is exact rather than approximate.
+    A change of variable makes phi_m conj(phi_n) dx a polynomial against a
+    classical weight.  mt and laguerre:0 take x = tan(theta/2)/2, where the
+    integrand is (1/2pi) e^{i(m-n)theta}, on M = 8N uniform points in theta.
+    hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi); tanhjacobi:a,b
+    rows are +-P_n(t) e(x), t = tanh x, e = (1-t)^a (1+t)^b / sqrt(S), and
+    e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t.  Each takes the
+    N-point Gauss rule of its polynomials, w_i = lambda_i / e(x_i)^2, formed
+    from log lambda_i: at the outer Hermite nodes lambda_i underflows and
+    1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2 is not small.  Returns x,
+    w and the report's metadata.
     """
-    M = 8 * N
-    h = 2.0 * math.pi / M
-    theta = -math.pi + (np.arange(M) + 0.5) * h
-    x = 0.5 * np.tan(0.5 * theta)
-    w = h * 0.25 / np.cos(0.5 * theta) ** 2
-    table = basis_mod.phi_grid(basis, N - 1, x)
-    return (table * w) @ table.conj().T
+    meta = {"family": basis.family, "N": N}
+    if basis.closed_table is basis_mod._mt_table:
+        M = 8 * N
+        h = 2.0 * math.pi / M
+        theta = -math.pi + (np.arange(M) + 0.5) * h
+        x = 0.5 * np.tan(0.5 * theta)
+        return x, h * 0.25 / np.cos(0.5 * theta) ** 2, {"strategy": "theta-substitution", **meta}
+    if basis.closed_table is basis_mod.hermite_function_table:
+        basis.ensure(N - 1)
+        x, log_w = quadrature._gauss_log_rule(basis.jacobi, N)
+        log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
+        strategy = "gauss-hermite"
+    else:
+        a, b = basis_mod._parse_params(basis.family, basis.family.partition(":")[2], 2)
+        t, log_w = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
+        x = np.arctanh(t)
+        # 1 - t and 1 + t from x, as the table forms them
+        lo, hi = 2.0 / (np.exp(2.0 * x) + 1.0), 2.0 / (np.exp(-2.0 * x) + 1.0)
+        norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+        log_e = np.log(lo**a * hi**b / norm)
+        strategy = "gauss-jacobi"
+    return x, np.exp(log_w - 2.0 * log_e), {"strategy": strategy, **meta, "nodes": N}
 
 
 def _zeta_tail(N: int, J: int) -> np.ndarray:
@@ -216,26 +224,17 @@ def check_gram(basis, N: int = 12) -> CheckReport:
                                      "N": N, "M": M})
     tol = 1e-8
     family = basis.family
-    head, _, tail = family.partition(":")
-    if basis.closed_table is basis_mod._mt_table:  # mt and laguerre:0
-        G = _mt_gram(basis, N)
-        meta = {"strategy": "theta-substitution", "family": family, "N": N}
-    elif basis.closed_table is basis_mod.transformed_legendre_table:
+    if basis.closed_table is basis_mod.transformed_legendre_table:
         G, reach = _legendre_gram(N)
         meta = {"strategy": "nyquist-lattice+zeta-tail", "family": family, "N": N,
                 "step": 0.5 * math.pi, "reach": reach}
     elif basis.closed_table is None:
         G, lattice = _lattice_gram(basis, N, tol)
         meta = {"strategy": "nyquist-lattice", "family": family, "N": N, **lattice}
-    elif head == "tanhjacobi":
-        a, b = basis_mod._parse_params(family, tail, 2)
-        X = max(12.0, 10.0 / min(a, b))
-        G = _window_gram(basis, N, X, 0.25)
-        meta = {"strategy": "window", "family": family, "N": N, "window": X}
     else:
-        X = 15.0
-        G = _window_gram(basis, N, X, 0.5)
-        meta = {"strategy": "window", "family": family, "N": N, "window": X}
+        x, w, meta = _substitution_rule(basis, N)
+        table = basis_mod.phi_grid(basis, N - 1, x)
+        G = (table * w) @ table.conj().T
     err = float(np.max(np.abs(G - np.eye(N))))
     return CheckReport("gram", err, tol, metadata=meta)
 

@@ -254,6 +254,15 @@ def test_verify_gram_legendre_n24_passes(capsys):
     assert report["metadata"]["strategy"] == "nyquist-lattice+zeta-tail"
 
 
+def test_verify_gram_hermite_n256_passes(capsys):
+    # the Gauss-Hermite rule holds rows past |x| = 15 (a window read 0.54)
+    rc, out = run_cli(["verify", "gram", "--family", "hermite", "--N", "256"], capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-12
+    assert report["metadata"]["strategy"] == "gauss-hermite"
+
+
 def test_verify_gram_custom_weight_passes(capsys):
     rc, out = run_cli(["verify", "gram", "--family", "custom-weight:exp(-x^4)"], capsys)
     assert rc == 0

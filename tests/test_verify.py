@@ -12,7 +12,6 @@ import pytest
 import scipy.fft
 import scipy.special
 
-from favard import _panels
 from favard import basis as basis_mod
 from favard import verify as ver
 from favard.basis import make_basis
@@ -77,9 +76,12 @@ def test_lattice_gram_has_no_aliasing(family):
     assert np.max(np.abs(G - fine)) <= 1e-14
 
 
-def test_lattice_gram_fails_a_planted_error(monkeypatch):
-    # 1e-6 phi_0 added to row 2 moves G[0, 2] by 1e-6, past the tolerance
-    basis = make_basis("custom-weight:exp(-x^4)", N=14)
+@pytest.mark.parametrize("family", ["custom-weight:exp(-x^4)", "hermite",
+                                    "tanhjacobi:0.75,0.75", "mt"])
+def test_gram_fails_a_planted_error(monkeypatch, family):
+    # 1e-6 phi_0 added to row 2 moves G[0, 2] by 1e-6, past the tolerance,
+    # on the lattice, Gauss-Hermite, Gauss-Jacobi and theta routes alike
+    basis = make_basis(family, N=14)
     assert ver.check_gram(basis, 12).max_abs_error <= 1e-13
     grid = basis_mod.phi_grid
 
@@ -92,6 +94,19 @@ def test_lattice_gram_fails_a_planted_error(monkeypatch):
     rep = ver.check_gram(basis, 12)
     assert not rep.passed
     assert 1e-8 < rep.max_abs_error < 1e-5
+
+
+@pytest.mark.parametrize("family, strategy", [("hermite", "gauss-hermite"),
+                                              ("tanhjacobi:0.75,0.75", "gauss-jacobi"),
+                                              ("tanhjacobi:0.25,0.75", "gauss-jacobi"),
+                                              ("tanhjacobi:0.5,0.5", "gauss-jacobi")])
+@pytest.mark.parametrize("N", [128, 256, 512])
+def test_closed_gram_is_exact_at_every_size(family, strategy, N):
+    # the N-point Gauss rule of the rows' own polynomials has no window to
+    # outgrow: hermite rows pass |x| = 15 from n = 112 on
+    rep = ver.check_gram(make_basis(family, N=N), N)
+    assert rep.passed and rep.max_abs_error <= 1e-12, (family, N)
+    assert rep.metadata == {"strategy": strategy, "family": family, "N": N, "nodes": N}
 
 
 def test_lattice_gram_names_an_algebraic_tail():
@@ -353,26 +368,6 @@ def test_pw_support_reports_expected_fail_per_row():
     assert [r.metadata["n"] for r in reps] == [0, 2]
     assert all(r.metadata["expected_fail"] and r.max_abs_error == 1.0 for r in reps)
     assert ver.pw_support_reports(make_basis("legendre", N=8), []) == []
-
-
-def _full_window_gram(basis, N, X, width):
-    # the Gram over the whole window [-X, X], with no fold
-    x, w = _panels.panel_rule(_panels.build_edges(-X, X, width=width))
-    table = basis_mod.phi_grid(basis, N - 1, x)
-    return (table * w) @ table.conj().T
-
-
-@pytest.mark.parametrize("family,X,width", [("hermite", 15.0, 0.5),
-                                            ("tanhjacobi:0.75,0.75", 13.0, 0.25),
-                                            ("conthahn:1,1", 6.0, 0.5)])
-def test_window_gram_fold(family, X, width):
-    # a symmetric measure integrates [0, X] and adds the mirror half as
-    # P G P; entries of opposite parity are exactly zero
-    basis = make_basis(family, N=10)
-    G = ver._window_gram(basis, 8, X, width)
-    m, n = np.indices(G.shape)
-    assert np.all(G[(m + n) % 2 == 1] == 0.0)
-    assert np.max(np.abs(G - _full_window_gram(basis, 8, X, width))) < 1e-13
 
 
 def test_gram_ultraspherical_zero_is_legendre():
