@@ -27,6 +27,7 @@ from . import periodic as periodic_mod
 from . import quadrature
 from . import schrodinger as sch
 from . import verify as verify_mod
+from .errors import AccuracyError, EigenError
 from .expr import ParseError, compile_function, evaluate, parse as expr_parse
 
 __all__ = ["RunConfig", "main"]
@@ -531,7 +532,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return handler(cfg)
-    except (ValueError, ParseError, OSError) as exc:
+    except (ValueError, ParseError, OSError, AccuracyError, EigenError) as exc:
         print(f"favard: {exc}", file=sys.stderr)
         return 1
 

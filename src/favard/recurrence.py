@@ -241,7 +241,8 @@ def conthahn_measure(a: float, b: float, dilation: float = 1.0) -> MeasureSpec:
 
     def w(xi):
         u = np.asarray(xi, float) / s
-        return gamma_abs2(a, u) * gamma_abs2(b, u)
+        g = gamma_abs2(a, u)
+        return g * g if a == b else g * gamma_abs2(b, u)
 
     lg = math.lgamma
     mass = s * 2.0 * math.pi * math.exp(lg(2.0 * a) + lg(2.0 * b) + 2.0 * lg(a + b)

@@ -30,16 +30,54 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+# Largest a at which gamma_abs2 climbs from a closed form: its a - 1/2 (or
+# a - 1) array products stay cheaper than one complex loggamma, about
+# 100-170 ns a point.
+_CLIMB_MAX = 32.0
+
+
+def _gamma_abs2_climb(a: float, y: np.ndarray) -> np.ndarray:
+    """|Gamma(a + iy)|^2 for a in {1/2, 1, 3/2, ...}, a <= _CLIMB_MAX.
+
+    From the closed forms (DLMF 5.4) |Gamma(1/2 + iy)|^2 =
+    pi / cosh(pi y) = 2 pi e / (1 + e^2) and |Gamma(1 + iy)|^2 =
+    pi y / sinh(pi y) = -2 pi |y| e / expm1(-2 pi |y|) (1 at y = 0), with
+    e = e^(-pi |y|), it climbs by |Gamma(s + 1 + iy)|^2 = (s^2 + y^2)
+    |Gamma(s + iy)|^2.  e underflows to 0 long before (s^2 + y^2)^(a-1/2)
+    can overflow, so the products of a far tail stay 0.  The relative
+    error grows as pi |y| eps, the rounding of the exponent.
+    """
+    y = np.abs(y)
+    e = np.exp(-math.pi * y)
+    if a % 1.0 == 0.5:
+        g = 2.0 * math.pi * e / (1.0 + e * e)
+        s = 0.5
+    else:
+        t = 2.0 * math.pi * y
+        g = np.divide(t, -np.expm1(-t), out=np.ones_like(t), where=t > 0.0)
+        g *= e
+        s = 1.0
+    y2 = y * y
+    while s < a:
+        g *= s * s + y2
+        s += 1.0
+    return g
+
+
 def gamma_abs2(a: float, xi):
     """|Gamma(a + i xi)|**2 for a > 0, vectorized in xi.
 
-    Computed as exp(2 Re log Gamma(a + i xi)); decays like
-    2 pi |xi|^(2a-1) e^(-pi |xi|) for large |xi|.
+    For a in {1/2, 1, 3/2, ...} up to _CLIMB_MAX it climbs from a closed
+    form (``_gamma_abs2_climb``); every other a is exp(2 Re log Gamma(a +
+    i xi)).  Decays like 2 pi |xi|^(2a-1) e^(-pi |xi|) for large |xi|.
     """
     if a <= 0.0:
         raise ValueError("gamma_abs2 requires a > 0")
-    z = a + 1j * np.asarray(xi, dtype=float)
-    out = np.exp(2.0 * np.real(_loggamma(z)))
+    y = np.asarray(xi, dtype=float)
+    if a <= _CLIMB_MAX and (2.0 * a) % 1.0 == 0.0:
+        out = _gamma_abs2_climb(a, y)
+    else:
+        out = np.exp(2.0 * np.real(_loggamma(a + 1j * y)))
     if np.isscalar(xi):
         return float(out)
     return out

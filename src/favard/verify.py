@@ -125,7 +125,8 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
 
     A change of variable makes phi_m conj(phi_n) dx a polynomial against a
     classical weight.  mt and laguerre:0 take x = tan(theta/2)/2, where the
-    integrand is (1/2pi) e^{i(m-n)theta}, on M = 8N uniform points in theta.
+    integrand is (1/2pi) e^{i(m-n)theta}, on N uniform points in theta:
+    |m - n| <= N - 1, so the trapezoid sum is exact.
     hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi); tanhjacobi:a,b
     rows are +-P_n(t) e(x), t = tanh x, e = (1-t)^a (1+t)^b / sqrt(S), and
     e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t.  Each takes the
@@ -136,11 +137,11 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """
     meta = {"family": basis.family, "N": N}
     if basis.closed_table is basis_mod._mt_table:
-        M = 8 * N
-        h = 2.0 * math.pi / M
-        theta = -math.pi + (np.arange(M) + 0.5) * h
+        h = 2.0 * math.pi / N
+        theta = -math.pi + (np.arange(N) + 0.5) * h
         x = 0.5 * np.tan(0.5 * theta)
-        return x, h * 0.25 / np.cos(0.5 * theta) ** 2, {"strategy": "theta-substitution", **meta}
+        return (x, h * 0.25 / np.cos(0.5 * theta) ** 2,
+                {"strategy": "theta-substitution", **meta, "nodes": N})
     if basis.closed_table is basis_mod.hermite_function_table:
         basis.ensure(N - 1)
         x, log_w = quadrature._gauss_log_rule(basis.jacobi, N)
@@ -280,12 +281,17 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
 
 def check_cramer(N: int = 50, lo: float = -10.0, hi: float = 10.0,
                  samples: int = 10001) -> CheckReport:
-    """max_n max_x |phi_n(x)| - pi^{-1/4} over the Hermite family, n <= N."""
+    """max_n max_x |phi_n(x)| - pi^{-1/4} over the Hermite family, n <= N.
+
+    The table is reduced in place: its moduli overwrite it, and one argmax
+    gives both the peak and where it lies.
+    """
     x = np.linspace(lo, hi, samples)
     table = basis_mod.hermite_function_table(N, x)
+    np.abs(table, out=table)
+    idx = np.unravel_index(np.argmax(table), table.shape)
+    peak = float(table[idx])
     bound = math.pi ** -0.25
-    peak = float(np.max(np.abs(table)))
-    idx = np.unravel_index(np.argmax(np.abs(table)), table.shape)
     return CheckReport("cramer", peak - bound, 1e-12,
                        metadata={"N": N, "samples": samples,
                                  "argmax_n": int(idx[0]), "argmax_x": float(x[idx[1]])})

@@ -281,6 +281,23 @@ def test_verify_gram_laguerre0_takes_the_mt_route(capsys):
     assert report["metadata"]["strategy"] == "theta-substitution"
 
 
+def test_accuracy_error_exits_one_without_traceback(monkeypatch, capsys):
+    # favard's own errors derive from RuntimeError; the handler stage turns
+    # them into a one-line message, as it does a ValueError
+    from favard import basis as basis_mod
+    from favard.errors import AccuracyError
+
+    def exhausted(*args, **kwargs):
+        raise AccuracyError("oscillatory transform did not reach tol", estimate=1e-4)
+
+    monkeypatch.setattr(basis_mod, "oscillatory_transform", exhausted)
+    rc = cli.main(["verify", "gram", "--family", "conthahn:1,1", "--N", "256"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "favard: oscillatory transform did not reach tol\n"
+    assert "Traceback" not in captured.err
+
+
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     from favard import schrodinger as sch
 

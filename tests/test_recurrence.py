@@ -6,6 +6,7 @@ import pytest
 
 from favard import recurrence as rec
 from favard.errors import DegenerateMeasureError
+from favard.specfun import gamma_abs2
 
 
 def jacobi_b_hand(alpha: float, beta: float, n: int) -> float:
@@ -142,6 +143,22 @@ def test_conthahn_coeffs_match_stieltjes(a, b, dilation):
     assert not np.any(J.c)
     assert np.max(np.abs(J.b / ref.b - 1.0)) < 5e-12
     assert np.max(np.abs(ref.c)) < 1e-13
+
+
+def test_conthahn_equal_parameters_square_one_weight(monkeypatch):
+    # for a == b the density is |Gamma(a + iu)|^2 squared, evaluated once
+    raw = []
+    wrap = rec.continuous_measure
+
+    def keep(raw_weight, *args, **kwargs):
+        raw.append(raw_weight)
+        return wrap(raw_weight, *args, **kwargs)
+
+    monkeypatch.setattr(rec, "continuous_measure", keep)
+    xi = np.linspace(-30.0, 30.0, 121)
+    for a in (0.5, 0.75, 1.0):
+        rec.conthahn_measure(a, a, dilation=2.0)
+        assert np.array_equal(raw[-1](xi), gamma_abs2(a, xi / 2.0) ** 2), a
 
 
 @pytest.mark.parametrize("dilation", [1.0, 2.0])

@@ -96,6 +96,28 @@ def test_gamma_abs2_no_overflow_large_xi():
     assert np.all(v >= 0)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.5, 20.0])
+def test_gamma_abs2_climb_matches_mpmath(a):
+    # the closed forms' error grows as pi |xi| eps, the rounding of the
+    # argument of e^(-pi |xi|): about 8e-14 at |xi| = 200
+    xi = np.concatenate((np.linspace(-200.0, 200.0, 161), [1e-9, 1e-3, 0.3]))
+    with mpmath.workdps(40):
+        ref = np.array([float(abs(mpmath.gamma(a + 1j * mpmath.mpf(float(v)))) ** 2)
+                        for v in xi])
+    got = specfun.gamma_abs2(a, xi)
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 7.5, 20.0])
+def test_gamma_abs2_climb_far_tail_underflows_cleanly(a):
+    # the truncation scan reaches 1e9: e^(-pi |xi|) is 0 before any climbing
+    # product can overflow, so there is no inf * 0 and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = specfun.gamma_abs2(a, np.array([1e3, 1e6, 1e9, -1e9]))
+    assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+
+
 @pytest.mark.parametrize("nmax", [0, 2, 5, 40])
 def test_sph_scan_runs_match_masks_bitwise(nmax):
     # an ascending grid hands each branch its points as one slice; shuffled,

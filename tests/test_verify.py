@@ -109,6 +109,15 @@ def test_closed_gram_is_exact_at_every_size(family, strategy, N):
     assert rep.metadata == {"strategy": strategy, "family": family, "N": N, "nodes": N}
 
 
+@pytest.mark.parametrize("family", ["mt", "laguerre:0"])
+def test_theta_gram_is_exact_on_n_points(family):
+    # |m - n| <= N - 1, so N points in theta integrate every product exactly
+    rep = ver.check_gram(make_basis(family, N=512), 512)
+    assert rep.passed and rep.max_abs_error <= 1e-13
+    assert rep.metadata == {"strategy": "theta-substitution", "family": family,
+                            "N": 512, "nodes": 512}
+
+
 def test_lattice_gram_names_an_algebraic_tail():
     # jacobi rows decay only algebraically: the reach stops at its cap and
     # the tail estimate, not the basis, is what the report shows failing
@@ -198,6 +207,26 @@ def test_cramer_bound_attained_at_origin():
     assert rep.passed
     assert rep.metadata["argmax_n"] == 0
     assert abs(rep.metadata["argmax_x"]) < 1e-12
+
+
+def test_cramer_report_frozen():
+    # phi_0(0) = pi^(-1/4) is the grid's midpoint value, to the last bit
+    rep = ver.check_cramer()
+    assert rep.max_abs_error == 0.0
+    assert rep.metadata == {"N": 50, "samples": 10001, "argmax_n": 0, "argmax_x": 0.0}
+
+
+def test_cramer_memory_is_one_table():
+    # the moduli overwrite the table and one argmax reads the peak: no
+    # table-sized copy besides the table itself (two np.abs copies read 2.02x)
+    ver.check_cramer(N=2, samples=11)
+    tracemalloc.start()
+    try:
+        ver.check_cramer()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 51 * 10001 * 8
 
 
 def test_ramanujan_each_a():
