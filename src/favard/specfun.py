@@ -30,22 +30,33 @@ def beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-# Largest a at which gamma_abs2 climbs from a closed form: its a - 1/2 (or
-# a - 1) array products stay cheaper than one complex loggamma, about
-# 100-170 ns a point.
-_CLIMB_MAX = 32.0
+# Largest a at which gamma_abs2 climbs from a closed form.  On the
+# 1000-8000 points the weight's callers pass, one climbing step costs about
+# 1.5 ns a point and even a = 32 (35-85 ns) beats complex loggamma (85-130
+# ns); on 256 points a step costs 5-10 ns and the two meet near a = 8
+# (BENCH_cli_tail.json, layers.climb).
+_CLIMB_MAX = 8.0
+# Past this |y|, e^(-pi |y|) < e^-700 is near the subnormal range, where it
+# keeps too few digits for the climbing products to scale up; those points
+# take loggamma.
+_CLIMB_FAR = 700.0 / math.pi
+
+
+def _gamma_abs2_log(a: float, y: np.ndarray) -> np.ndarray:
+    return np.exp(2.0 * np.real(_loggamma(a + 1j * y)))
 
 
 def _gamma_abs2_climb(a: float, y: np.ndarray) -> np.ndarray:
-    """|Gamma(a + iy)|^2 for a in {1/2, 1, 3/2, ...}, a <= _CLIMB_MAX.
+    """|Gamma(a + iy)|^2 for a in {1/2, 1, 3/2, ...}.
 
     From the closed forms (DLMF 5.4) |Gamma(1/2 + iy)|^2 =
     pi / cosh(pi y) = 2 pi e / (1 + e^2) and |Gamma(1 + iy)|^2 =
     pi y / sinh(pi y) = -2 pi |y| e / expm1(-2 pi |y|) (1 at y = 0), with
     e = e^(-pi |y|), it climbs by |Gamma(s + 1 + iy)|^2 = (s^2 + y^2)
     |Gamma(s + iy)|^2.  e underflows to 0 long before (s^2 + y^2)^(a-1/2)
-    can overflow, so the products of a far tail stay 0.  The relative
-    error grows as pi |y| eps, the rounding of the exponent.
+    can overflow, so the products of a far tail stay 0; points past
+    _CLIMB_FAR are taken from loggamma.  The relative error grows as
+    pi |y| eps, the rounding of the exponent.
     """
     y = np.abs(y)
     e = np.exp(-math.pi * y)
@@ -61,6 +72,9 @@ def _gamma_abs2_climb(a: float, y: np.ndarray) -> np.ndarray:
     while s < a:
         g *= s * s + y2
         s += 1.0
+    far = y > _CLIMB_FAR
+    if far.any():
+        g[far] = _gamma_abs2_log(a, y[far])
     return g
 
 
@@ -77,7 +91,7 @@ def gamma_abs2(a: float, xi):
     if a <= _CLIMB_MAX and (2.0 * a) % 1.0 == 0.0:
         out = _gamma_abs2_climb(a, y)
     else:
-        out = np.exp(2.0 * np.real(_loggamma(a + 1j * y)))
+        out = _gamma_abs2_log(a, y)
     if np.isscalar(xi):
         return float(out)
     return out

@@ -96,19 +96,39 @@ def test_gamma_abs2_no_overflow_large_xi():
     assert np.all(v >= 0)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.5, 20.0])
+def _mpmath_gamma_abs2(a, xi):
+    with mpmath.workdps(40):
+        return np.array([float(abs(mpmath.gamma(a + 1j * mpmath.mpf(float(v)))) ** 2)
+                         for v in xi])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.5, 8.0])
 def test_gamma_abs2_climb_matches_mpmath(a):
     # the closed forms' error grows as pi |xi| eps, the rounding of the
-    # argument of e^(-pi |xi|): about 8e-14 at |xi| = 200
+    # argument of e^(-pi |xi|): about 8e-14 at |xi| = 200; a = 8 is the
+    # longest climb
+    assert a <= specfun._CLIMB_MAX
     xi = np.concatenate((np.linspace(-200.0, 200.0, 161), [1e-9, 1e-3, 0.3]))
-    with mpmath.workdps(40):
-        ref = np.array([float(abs(mpmath.gamma(a + 1j * mpmath.mpf(float(v)))) ** 2)
-                        for v in xi])
+    ref = _mpmath_gamma_abs2(a, xi)
     got = specfun.gamma_abs2(a, xi)
     assert np.max(np.abs(got - ref) / ref) < 1e-13
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 7.5, 20.0])
+@pytest.mark.parametrize("a", [3.5, 8.0, 20.0])
+def test_gamma_abs2_matches_mpmath_to_xi_240(a):
+    # past pi |xi| = 700 e^(-pi |xi|) nears the subnormal range while
+    # |Gamma(a + i xi)|^2 is still a normal double; the climb hands those
+    # points to loggamma, whose error also grows as pi |xi| eps
+    xi = np.concatenate((np.linspace(-240.0, 240.0, 193), [1e-9, 0.3]))
+    ref = _mpmath_gamma_abs2(a, xi)
+    keep = ref > 1e-300
+    assert np.count_nonzero(keep & (np.abs(xi) > 700.0 / np.pi)) >= 4
+    got = specfun.gamma_abs2(a, xi)
+    rel = np.abs(got[keep] - ref[keep]) / ref[keep]
+    assert np.max(rel) < 2.0 * np.pi * 240.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 7.5, 8.0, 20.0])
 def test_gamma_abs2_climb_far_tail_underflows_cleanly(a):
     # the truncation scan reaches 1e9: e^(-pi |xi|) is 0 before any climbing
     # product can overflow, so there is no inf * 0 and no RuntimeWarning
