@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,25 +29,10 @@ from . import verify as verify_mod
 from .errors import AccuracyError, EigenError
 from .expr import ParseError, compile_function, evaluate, parse as expr_parse
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _FMT = "%.17g"
 _STDOUT_TOKENS = {None, "-", "csv", "json"}
-
-
-@dataclass
-class RunConfig:
-    """A fully validated subcommand invocation; executing it cannot half-fail
-    on malformed input because all parsing happens before construction."""
-
-    subcommand: str
-    family: str | None = None
-    N: int = 0
-    n_range: tuple[int, int] | None = None
-    grid: np.ndarray | None = None
-    out: str | None = None
-    method: str | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _eval_scalar(text: str, what: str) -> float:
@@ -121,56 +105,49 @@ def _resolve_family(family: str, N: int):
     return basis_mod.make_basis(family, N=max(N + 2, 8))
 
 
-def _cmd_basis(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    lo, hi = cfg.n_range
-    table = basis_mod.phi_grid(bas, hi, cfg.grid, method=cfg.method or "auto")
-    columns = _grid_columns(np.arange(lo, hi + 1), cfg.grid, table[lo:hi + 1])
-    _emit(cfg.out, _csv("n,x,re_phi,im_phi", columns))
+def _cmd_basis(bas, n_range, grid, method, out) -> int:
+    lo, hi = n_range
+    table = basis_mod.phi_grid(bas, hi, grid, method=method)
+    columns = _grid_columns(np.arange(lo, hi + 1), grid, table[lo:hi + 1])
+    _emit(out, _csv("n,x,re_phi,im_phi", columns))
     return 0
 
 
-def _cmd_quad(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    rule = quadrature.golub_welsch(bas.jacobi, cfg.N)
-    _emit(cfg.out, _csv("node,weight", [rule.nodes.tolist(), rule.weights.tolist()]))
+def _cmd_quad(bas, N, out) -> int:
+    rule = quadrature.golub_welsch(bas.jacobi, N)
+    _emit(out, _csv("node,weight", [rule.nodes.tolist(), rule.weights.tolist()]))
     return 0
 
 
-def _cmd_diffmat(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    D = diffop.build(bas.jacobi, cfg.N)
+def _cmd_diffmat(bas, N, out) -> int:
+    D = diffop.build(bas.jacobi, N)
     rows = []
-    for m in range(cfg.N):
+    for m in range(N):
         if m > 0:
             rows.append((m, m - 1, float(D.sub[m - 1]), 0.0))
         rows.append((m, m, 0.0, float(D.diag[m])))
-        if m + 1 < cfg.N:
+        if m + 1 < N:
             rows.append((m, m + 1, float(D.super[m]), 0.0))
-    _emit(cfg.out, _csv("row,col,re,im", list(zip(*rows))))
+    _emit(out, _csv("row,col,re,im", list(zip(*rows))))
     return 0
 
 
-def _cmd_coeffs(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    f = cfg.params["f"]
-    if cfg.method == "fft":
-        vec = coeffs_mod.mt_coeffs_fft(f, cfg.N, basis=bas)
-    elif cfg.method == "dct":
-        vec = coeffs_mod.tanh_chebyshev_coeffs(f, coeffs_mod.tanh_cheb_kind(bas), cfg.N,
-                                               basis=bas)
+def _cmd_coeffs(bas, f, N, method, window, out) -> int:
+    if method == "fft":
+        vec = coeffs_mod.mt_coeffs_fft(f, N, basis=bas)
+    elif method == "dct":
+        vec = coeffs_mod.tanh_chebyshev_coeffs(f, coeffs_mod.tanh_cheb_kind(bas), N, basis=bas)
     else:
-        vec = coeffs_mod.coeffs_xspace(f, bas, cfg.N, window=cfg.params["window"])
+        vec = coeffs_mod.coeffs_xspace(f, bas, N, window=window)
     re, im = vec.values.real, vec.values.imag
     # np.hypot rounds as abs() of a complex scalar does; np.abs on a complex
     # array may take a vector loop that differs in the last bit
     columns = [vec.indices.tolist(), re.tolist(), im.tolist(), np.hypot(re, im).tolist()]
-    _emit(cfg.out, _csv("n,re,im,abs", columns))
+    _emit(out, _csv("n,re,im,abs", columns))
     return 0
 
 
-def _cmd_decay(cfg: RunConfig) -> int:
-    source = cfg.params["infile"]
+def _cmd_decay(source, model, skip, out) -> int:
     if source == "-":
         text = sys.stdin.read()
     else:
@@ -189,7 +166,7 @@ def _cmd_decay(cfg: RunConfig) -> int:
     if not np.array_equal(ns, np.arange(n_start, n_start + len(ns))):
         raise ValueError("coefficient indices must be contiguous")
     vec = coeffs_mod.CoefficientVector(np.asarray(vals), n_start=n_start)
-    fit = coeffs_mod.decay_fit(vec, cfg.params["model"], skip=cfg.params["skip"])
+    fit = coeffs_mod.decay_fit(vec, model, skip=skip)
     payload = {
         "schema": "favard.decay/1",
         "model": fit.model,
@@ -200,35 +177,29 @@ def _cmd_decay(cfg: RunConfig) -> int:
     }
     if fit.p is not None:
         payload["p"] = fit.p
-    _emit(cfg.out, json.dumps(payload, indent=2) + "\n")
+    _emit(out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _cmd_periodic(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    ns = np.arange(cfg.n_range[0], cfg.n_range[1] + 1)
-    table = np.array([periodic_mod.periodic_phi(bas, int(n), cfg.grid) for n in ns])
-    _emit(cfg.out, _csv("n,x,re_phi,im_phi", _grid_columns(ns, cfg.grid, table)))
+def _cmd_periodic(bas, n_range, grid, out) -> int:
+    ns = np.arange(n_range[0], n_range[1] + 1)
+    table = np.array([periodic_mod.periodic_phi(bas, int(n), grid) for n in ns])
+    _emit(out, _csv("n,x,re_phi,im_phi", _grid_columns(ns, grid, table)))
     return 0
 
 
-def _cmd_schrodinger(cfg: RunConfig) -> int:
-    bas = cfg.params["basis"]
-    f0 = cfg.params["f0"]
-    V = cfg.params["potential"]
-    tau = cfg.params["tau"]
-    steps = cfg.params["steps"]
-    work = sch._StrangWork(bas, cfg.N, tau)
-    a = work.analyze(np.asarray(f0(work.nodes), dtype=complex))
-    table = basis_mod.phi_grid(bas, cfg.N - 1, cfg.grid)
+def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
+    path = sch._strang_setup(bas, N)
+    a = path.analyze(np.asarray(f0(path.nodes), dtype=complex))
+    table = basis_mod.phi_grid(bas, N - 1, grid)
     states = [a]
     for _ in range(steps):
-        states.append(work.step(states[-1], V))
+        states.append(sch._run(path, tau, states[-1], V, 1)[0])
     u = np.array([vec @ table for vec in states])
     norms = [float(np.linalg.norm(vec)) for vec in states]
-    columns = _grid_columns([k * tau for k in range(steps + 1)], cfg.grid, u)
-    columns.append(np.repeat(norms, cfg.grid.size).tolist())
-    _emit(cfg.out, _csv("t,x,re_u,im_u,norm", columns))
+    columns = _grid_columns([k * tau for k in range(steps + 1)], grid, u)
+    columns.append(np.repeat(norms, grid.size).tolist())
+    _emit(out, _csv("t,x,re_u,im_u,norm", columns))
     return 0
 
 
@@ -236,13 +207,9 @@ _CHECK_NAMES = ("gram", "recurrence", "cramer", "ramanujan",
                 "tanh-jacobi-identity", "pw-support")
 
 
-def _verify_reports(cfg: RunConfig) -> list:
-    family = cfg.family
+def _verify_reports(family, which, N, a, tanhjacobi, basis_at) -> list:
     head = family.partition(":")[0]
-    which = cfg.params["check"]
-    N = cfg.N
     reports = []
-    basis_at = cfg.params["basis_at"]
 
     def add(name):
         if name in ("gram", "recurrence"):
@@ -252,10 +219,9 @@ def _verify_reports(cfg: RunConfig) -> list:
         elif name == "cramer":
             reports.append(verify_mod.check_cramer(max(N, 50)))
         elif name == "ramanujan":
-            reports.append(verify_mod.check_ramanujan(cfg.params["a"]))
+            reports.append(verify_mod.check_ramanujan(a))
         elif name == "tanh-jacobi-identity":
-            a, b = cfg.params["tanhjacobi"]
-            reports.append(verify_mod.check_tanh_jacobi_identity(a, b, min(N, 6)))
+            reports.append(verify_mod.check_tanh_jacobi_identity(*tanhjacobi, min(N, 6)))
         elif name == "pw-support":
             bas = basis_at(max(N, 8))
             reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
@@ -268,8 +234,7 @@ def _verify_reports(cfg: RunConfig) -> list:
         if head == "hermite":
             add("cramer")
         if head == "tanhjacobi":
-            a, b = cfg.params["tanhjacobi"]
-            if a == b:
+            if tanhjacobi[0] == tanhjacobi[1]:
                 add("tanh-jacobi-identity")
             add("ramanujan")
         if head == "legendre":
@@ -279,10 +244,10 @@ def _verify_reports(cfg: RunConfig) -> list:
     return reports
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    reports = _verify_reports(cfg)
+def _cmd_verify(family, which, N, a, tanhjacobi, basis_at, out) -> int:
+    reports = _verify_reports(family, which, N, a, tanhjacobi, basis_at)
     payload = [r.as_dict() for r in reports]
-    _emit(cfg.out, json.dumps(payload, indent=2) + "\n")
+    _emit(out, json.dumps(payload, indent=2) + "\n")
     bad = [r for r in reports if not r.passed and not r.metadata.get("expected_fail")]
     return 1 if bad else 0
 
@@ -375,7 +340,8 @@ def _coeffs_method(bas, method: str, N: int) -> str:
     return method
 
 
-def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
+def _configure(args: argparse.Namespace) -> functools.partial:
+    """Validate the whole invocation; return its handler with every input bound."""
     sub = args.subcommand
     if sub == "basis":
         grid = _parse_grid(args.grid)
@@ -387,23 +353,17 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
             raise ValueError("use the periodic subcommand for charlier families")
         if args.method == "closed" and bas.closed_table is None:
             raise ValueError(f"family {args.family!r} has no closed form")
-        cfg = RunConfig(sub, family=args.family, n_range=n_range, grid=grid,
-                        out=args.out, method=args.method, params={"basis": bas})
-        return cfg, _cmd_basis
+        return functools.partial(_cmd_basis, bas, n_range, grid, args.method, args.out)
     if sub == "quad":
         if args.N < 1:
             raise ValueError("N must be positive")
         bas = _resolve_family(args.family, args.N)
-        cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        params={"basis": bas})
-        return cfg, _cmd_quad
+        return functools.partial(_cmd_quad, bas, args.N, args.out)
     if sub == "diffmat":
         if args.N < 1:
             raise ValueError("N must be positive")
         bas = _resolve_family(args.family, args.N)
-        cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        params={"basis": bas})
-        return cfg, _cmd_diffmat
+        return functools.partial(_cmd_diffmat, bas, args.N, args.out)
     if sub == "coeffs":
         if args.N < 1:
             raise ValueError("N must be positive")
@@ -414,19 +374,14 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         f = compile_function(args.f)
         window_grid = _parse_grid(args.window)
         window = (float(window_grid[0]), float(window_grid[-1]))
-        cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        method=method,
-                        params={"basis": bas, "f": f, "window": window})
-        return cfg, _cmd_coeffs
+        return functools.partial(_cmd_coeffs, bas, f, args.N, method, window, args.out)
     if sub == "decay":
         names = {"exp": "exponential", "alg": "algebraic"}
         model = names.get(args.model, args.model)
         coeffs_mod.parse_decay_model(model)
         if args.skip < 0:
             raise ValueError("skip must be nonnegative")
-        cfg = RunConfig(sub, out=args.out,
-                        params={"infile": args.infile, "model": model, "skip": args.skip})
-        return cfg, _cmd_decay
+        return functools.partial(_cmd_decay, args.infile, model, args.skip, args.out)
     if sub == "periodic":
         a = _eval_scalar(args.a, "charlier parameter")
         if a <= 0.0:
@@ -436,9 +391,7 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
             raise ValueError("periodic eval needs nonnegative indices")
         grid = _parse_grid(args.grid)
         bas = periodic_mod.charlier_basis(a, N=max(n_range[1] + 2, 8))
-        cfg = RunConfig(sub, n_range=n_range, grid=grid, out=args.out,
-                        params={"basis": bas})
-        return cfg, _cmd_periodic
+        return functools.partial(_cmd_periodic, bas, n_range, grid, args.out)
     if sub == "schrodinger":
         if args.N < 1:
             raise ValueError("N must be positive")
@@ -453,10 +406,9 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
         f0 = compile_function(args.f0)
         V = None if args.potential.strip().lower() == "none" else compile_function(args.potential)
         grid = _parse_grid(args.grid)
-        cfg = RunConfig(sub, family=args.basis, N=args.N, grid=grid, out=args.out,
-                        params={"basis": bas, "f0": f0, "potential": V,
-                                "tau": args.tau, "steps": int(round(steps))})
-        return cfg, _cmd_schrodinger
+        sch._grid_builder(bas.family)  # raises for a family without a Strang grid pair
+        return functools.partial(_cmd_schrodinger, bas, args.N, f0, V, args.tau,
+                                 int(round(steps)), grid, args.out)
     if sub == "verify":
         if args.check != "all" and args.check not in _CHECK_NAMES:
             raise ValueError(f"unknown check {args.check!r}; "
@@ -483,10 +435,8 @@ def _configure(args: argparse.Namespace) -> tuple[RunConfig, callable]:
             basis_at(max(args.N, 12))
         elif args.check == "pw-support":
             basis_at(max(args.N, 8))
-        cfg = RunConfig(sub, family=args.family, N=args.N, out=args.out,
-                        params={"check": args.check, "a": a, "basis_at": basis_at,
-                                "tanhjacobi": tanhjacobi})
-        return cfg, _cmd_verify
+        return functools.partial(_cmd_verify, args.family, args.check, args.N, a,
+                                 tanhjacobi, basis_at, args.out)
     raise ValueError(f"unknown subcommand {sub!r}")
 
 
@@ -526,12 +476,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, handler = _configure(args)
+        handler = _configure(args)
     except (ValueError, ParseError) as exc:
         print(f"favard: {exc}", file=sys.stderr)
         return 2
     try:
-        return handler(cfg)
+        return handler()
     except (ValueError, ParseError, OSError, AccuracyError, EigenError) as exc:
         print(f"favard: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -141,14 +142,11 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     This is the coefficient-side counterpart of free_propagate; the two
     agree up to basis truncation, with the gap shrinking as N grows.
     """
-    v = np.asarray(getattr(a, "values", a), dtype=complex)
+    v = diffop._vector_of(a)
     if len(v) != D.N:
         raise ValueError(f"coefficient length {len(v)} does not match operator size {D.N}")
     x = D.eigensystem.x
-    out = diffop._eigen_apply(D, np.exp(-1j * t * x * x), v)
-    if hasattr(a, "with_values"):
-        return a.with_values(out)
-    return out
+    return diffop._rewrap(a, diffop._eigen_apply(D, np.exp(-1j * t * x * x), v))
 
 
 def _hermite_grid(D: diffop.DiffMatrix):
@@ -178,7 +176,7 @@ def _hermite_grid(D: diffop.DiffMatrix):
     return eig.x, synthesize, analyze
 
 
-def _mt_grid(N: int):
+def _mt_grid(D: diffop.DiffMatrix):
     """Uniform theta-grid pair for the Malmquist-Takenaka basis.
 
     On theta_j = -pi + (j + 1/2) h, h = 2 pi / M with M = 4N, the basis
@@ -188,6 +186,7 @@ def _mt_grid(N: int):
     analysis one FFT; the round trip is exact for functions in
     span{phi_0..phi_{N-1}}.
     """
+    N = D.N
     M = 4 * N
     h = 2.0 * math.pi / M
     theta = -math.pi + (np.arange(M) + 0.5) * h
@@ -210,23 +209,26 @@ def _mt_grid(N: int):
     return nodes, synthesize, analyze
 
 
-def _grid_pair(basis: basis_mod.TransformedBasis, D: diffop.DiffMatrix):
-    """(nodes, synthesize, analyze) for the N = D.N leading basis functions."""
-    if basis.family == "hermite":
-        return _hermite_grid(D)
-    if basis.family == "mt":
-        return _mt_grid(D.N)
-    raise ValueError(
-        "Strang splitting needs a fast synthesis/analysis path; "
-        "supported bases: hermite, mt"
-    )
+# (nodes, synthesize, analyze) for the N = D.N leading basis functions, by family
+_GRIDS = {"hermite": _hermite_grid, "mt": _mt_grid}
+
+
+def _grid_builder(family: str):
+    """The grid-pair builder of a basis family; ValueError if it has none."""
+    build = _GRIDS.get(family)
+    if build is None:
+        raise ValueError(
+            "Strang splitting needs a fast synthesis/analysis path; "
+            "supported bases: hermite, mt"
+        )
+    return build
 
 
 class _EigenbasisPath:
     """Strang state in D's eigenbasis; the potential step goes through the grid pair."""
 
-    def __init__(self, D: diffop.DiffMatrix, synthesize, analyze):
-        self.D, self.synthesize, self.analyze = D, synthesize, analyze
+    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze):
+        self.D, self.nodes, self.synthesize, self.analyze = D, nodes, synthesize, analyze
         self.x = D.eigensystem.x
 
     def enter(self, v: np.ndarray) -> np.ndarray:
@@ -264,7 +266,8 @@ class _FoldedPath:
     the 2 x m x 2 real view of f.
     """
 
-    def __init__(self, D: diffop.DiffMatrix):
+    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze):
+        self.D, self.nodes, self.synthesize, self.analyze = D, nodes, synthesize, analyze
         eig = D.eigensystem
         self.eig, self.N, self.h, self.r = eig, D.N, eig.h, eig.r
         m = self.h + self.r
@@ -321,14 +324,15 @@ def _pairs(f: np.ndarray) -> np.ndarray:
 
 
 def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
-    """(D, nodes, synthesize, analyze, path) for size N, built once per basis and N.
+    """The Strang path for size N, built once per basis and N.
 
-    The path holds the Strang state: _FoldedPath for a folded Hermite
-    operator, _EigenbasisPath otherwise.  The entries live on the basis and
-    are built from ``basis.jacobi``; when that object is replaced (``ensure``
-    growing the table, whose leading coefficients need not be the old ones,
-    or a direct assignment) every entry is dropped before use.
+    _FoldedPath for a folded Hermite operator, _EigenbasisPath otherwise.
+    The paths live on the basis and are built from ``basis.jacobi``; when
+    that object is replaced (``ensure`` growing the table, whose leading
+    coefficients need not be the old ones, or a direct assignment) every
+    path is dropped before use.
     """
+    grid = _grid_builder(basis.family)
     basis.ensure(N - 1)
     cache = basis._strang
     if cache.get("jacobi") is not basis.jacobi:
@@ -336,97 +340,75 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
         cache["jacobi"] = basis.jacobi
     if N not in cache:
         D = diffop.build(basis.jacobi, N)
-        nodes, synthesize, analyze = _grid_pair(basis, D)
-        if basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem):
-            path = _FoldedPath(D)
-        else:
-            path = _EigenbasisPath(D, synthesize, analyze)
-        cache[N] = (D, nodes, synthesize, analyze, path)
+        folded = basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem)
+        cache[N] = (_FoldedPath if folded else _EigenbasisPath)(D, *grid(D))
     return cache[N]
 
 
-class _StrangWork:
-    """Strang machinery for one basis, size N and step tau.
+def _run(path, tau: float, v: np.ndarray, V, steps: int,
+         record: bool = False) -> tuple[np.ndarray, list[float] | None]:
+    """``steps`` Strang steps of size tau from v, with the norm after each when ``record``.
 
-    D, its eigensystem, the grid pair and the state's path come from the
-    per-basis, per-size cache (_strang_setup); only the half-step phase
-    depends on tau.
+    The state enters the path's coordinates once and leaves them once.
+    The free half-steps exp(i tau/2 D^2) are diagonal there, so the closing
+    half-step of one step and the opening half-step of the next need no
+    change of basis between them.
     """
-
-    def __init__(self, basis: basis_mod.TransformedBasis, N: int, tau: float):
-        self.D, self.nodes, self.synthesize, self.analyze, self.path = _strang_setup(basis, N)
-        x = self.path.x
-        self.half_flow = np.exp(-0.5j * tau * x * x)  # exp(i tau/2 D^2) in the path's coordinates
-        self.tau = tau
-
-    def run(self, v: np.ndarray, V, steps: int,
-            record: bool = False) -> tuple[np.ndarray, list[float] | None]:
-        """``steps`` Strang steps from v, with the norm after each when ``record``.
-
-        The state enters the path's coordinates once and leaves them once.
-        The free half-steps are diagonal there, so the closing half-step of
-        one step and the opening half-step of the next need no change of
-        basis between them.
-        """
-        kick = None
-        if V is not None:
-            kick = self.path.kick(np.exp(-1j * self.tau * np.asarray(V(self.nodes), dtype=float)))
-        z = self.path.enter(v)
-        norms = [] if record else None
-        for _ in range(steps):
-            np.multiply(self.half_flow, z, out=z)
-            if kick is not None:
-                z = kick(z)
-            np.multiply(self.half_flow, z, out=z)
-            if record:
-                norms.append(float(np.linalg.norm(z)))
-        return self.path.leave(z), norms
-
-    def step(self, v: np.ndarray, V) -> np.ndarray:
-        return self.run(v, V, 1)[0]
+    half_flow = np.exp(-0.5j * tau * path.x * path.x)
+    kick = None
+    if V is not None:
+        kick = path.kick(np.exp(-1j * tau * np.asarray(V(path.nodes), dtype=float)))
+    z = path.enter(v)
+    norms = [] if record else None
+    for _ in range(steps):
+        np.multiply(half_flow, z, out=z)
+        if kick is not None:
+            z = kick(z)
+        np.multiply(half_flow, z, out=z)
+        if record:
+            norms.append(float(np.linalg.norm(z)))
+    return path.leave(z), norms
 
 
 def _check_drift(before: float, after: float, where: str):
     if before > 0.0 and abs(after - before) > 1e-6 * before:
+        # the warning points at the first caller outside this module
+        level = 2
+        while sys._getframe(level).f_globals.get("__name__") == __name__:
+            level += 1
         warnings.warn(
             f"norm drift {abs(after - before) / before:.3e} in {where}: "
             "initial data or potential content left the resolved span",
             TruncationLossWarning,
-            stacklevel=3,
+            stacklevel=level + 1,
         )
 
 
 def strang_step(a, tau: float, V, basis: basis_mod.TransformedBasis) -> CoefficientVector:
-    """One Strang step for u_t = i u_xx - i V(x) u.
+    """One Strang step for u_t = i u_xx - i V(x) u: ``strang_propagate`` with one step.
 
     Half-step of the free flow exp(i tau/2 D_N^2) in coefficient space, a
     full potential step e^{-i tau V(x)} applied pointwise on the physical
     grid matched to the basis, then another free half-step.  ``V`` may be
-    None for a pure free step.  Warns when the step loses more than 1e-6
-    of the norm to analysis/synthesis truncation.
+    None for a pure free step.
     """
-    v = np.asarray(getattr(a, "values", a), dtype=complex)
-    work = _StrangWork(basis, len(v), tau)
-    out = work.step(v, V)
-    _check_drift(float(np.linalg.norm(v)), float(np.linalg.norm(out)), "strang_step")
-    if hasattr(a, "with_values"):
-        return a.with_values(out)
-    return CoefficientVector(out, basis=basis, meta={"method": "strang", "tau": tau})
+    return strang_propagate(a, tau, 1, V, basis)
 
 
 def strang_propagate(a, tau: float, steps: int, V,
                      basis: basis_mod.TransformedBasis,
                      record: bool = False):
-    """``steps`` Strang steps of size tau, reusing the precomputed flow.
+    """``steps`` Strang steps of size tau on the basis's cached path for the size of a.
 
     Returns the final CoefficientVector, or (vector, norms) with the norm
-    after every step when ``record`` is set.
+    after every step when ``record`` is set.  Warns when the run loses more
+    than 1e-6 of the norm to analysis/synthesis truncation.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    v = np.asarray(getattr(a, "values", a), dtype=complex)
+    v = diffop._vector_of(a)
     norm0 = float(np.linalg.norm(v))
-    v, norms = _StrangWork(basis, len(v), tau).run(v, V, steps, record)
+    v, norms = _run(_strang_setup(basis, len(v)), tau, v, V, steps, record)
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     out = a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})

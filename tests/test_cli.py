@@ -176,6 +176,8 @@ def test_exit_code_usage_errors(capsys):
         ["verify", "ramanujan", "--a", "-1"],
         ["verify", "all", "--family", "tanhjacobi:0.75,0.75", "--a", "0"],
         ["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "2"],
+        ["schrodinger", "--basis", "legendre", "--N", "32", "--f0", "exp(-x^2)",
+         "--T", "0.25", "--tau", "0.125"],
     ]
     for argv in cases:
         rc = cli.main(argv)
@@ -302,13 +304,13 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     from favard import schrodinger as sch
 
     calls = []
-    build = sch._grid_pair
+    build = sch._GRIDS["hermite"]
 
-    def counted(basis, D):
+    def counted(D):
         calls.append(D.N)
-        return build(basis, D)
+        return build(D)
 
-    monkeypatch.setattr(sch, "_grid_pair", counted)
+    monkeypatch.setitem(sch._GRIDS, "hermite", counted)
     rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", "64",
                        "--f0", "exp(-x^2)", "--potential", "x^2",
                        "--T", "0.5", "--tau", "0.0625"], capsys)

@@ -138,7 +138,8 @@ def test_strang_self_convergence_second_order():
 
 def test_hermite_grid_pair_roundtrip():
     basis = make_basis("hermite", N=32)
-    nodes, synthesize, analyze = sch._grid_pair(basis, diffop.build(basis.jacobi, 32))
+    path = sch._strang_setup(basis, 32)
+    nodes, synthesize, analyze = path.nodes, path.synthesize, path.analyze
     rng = np.random.default_rng(4)
     a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
@@ -152,7 +153,8 @@ def test_hermite_grid_pair_roundtrip():
 
 def test_mt_grid_pair_roundtrip():
     basis = make_basis("mt", N=32)
-    nodes, synthesize, analyze = sch._grid_pair(basis, diffop.build(basis.jacobi, 32))
+    path = sch._strang_setup(basis, 32)
+    nodes, synthesize, analyze = path.nodes, path.synthesize, path.analyze
     rng = np.random.default_rng(6)
     a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
@@ -162,14 +164,13 @@ def test_mt_grid_pair_roundtrip():
 
 @pytest.fixture
 def grids(monkeypatch):
-    """Every grid-pair build, by size."""
-    sizes, build = [], sch._grid_pair
-
-    def counted_build(basis, D):
-        sizes.append(D.N)
-        return build(basis, D)
-
-    monkeypatch.setattr(sch, "_grid_pair", counted_build)
+    """Every grid-pair build of a Strang path, by size."""
+    sizes = []
+    for family, build in list(sch._GRIDS.items()):
+        def counted_build(D, _build=build):
+            sizes.append(D.N)
+            return _build(D)
+        monkeypatch.setitem(sch._GRIDS, family, counted_build)
     return sizes
 
 
@@ -231,7 +232,7 @@ def test_strang_cached_entry_serves_every_tau():
     V = lambda x: x**2
     for tau in (0.1, -0.3, 0.7):
         got = sch.strang_propagate(a, tau, 4, V, basis).values
-        ref, _ = sch._StrangWork(make_basis("hermite", N=32), 32, tau).run(a, V, 4)
+        ref, _ = sch._run(sch._strang_setup(make_basis("hermite", N=32), 32), tau, a, V, 4)
         assert np.array_equal(got, ref)
 
 
@@ -251,24 +252,54 @@ def _table_route_strang(jacobi, N, a, tau, steps, V):
     return S * (vecs @ z)
 
 
+def _hermite_with_diag(N, diag):
+    exact = rec.build_jacobi(rec.hermite_coeffs, N)
+    return TransformedBasis("hermite", rec.hermite_measure(),
+                            rec.JacobiMatrix(exact.b, np.full(N, diag)),
+                            closed_form=hermite_function)
+
+
 @pytest.mark.parametrize("N,diag", [(512, 0.0), (63, 0.0), (64, 1e-300)])
 def test_strang_matches_table_route(N, diag):
     # a zero diagonal takes the folded step, any nonzero one (here far below
     # rounding) the grid-pair step; both reproduce the unfolded route, for an
     # even potential and for one that couples the even and odd rows
-    exact = rec.build_jacobi(rec.hermite_coeffs, N)
-    jacobi = rec.JacobiMatrix(exact.b, np.full(N, diag))
-    basis = TransformedBasis("hermite", rec.hermite_measure(), jacobi,
-                             closed_form=hermite_function)
+    basis = _hermite_with_diag(N, diag)
+    jacobi = basis.jacobi
     rng = np.random.default_rng(N)
     a = np.zeros(N, dtype=complex)
     a[:40] = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    D = sch._strang_setup(basis, N)[0]
+    D = sch._strang_setup(basis, N).D
     assert isinstance(D.eigensystem, diffop.FoldedEigensystem) == (diag == 0.0)
     for V in (lambda x: x * x, lambda x: x * x + x):
         got = sch.strang_propagate(a, 0.01, 100, V, basis).values
         ref = _table_route_strang(jacobi, N, a, 0.01, 100, V)
         assert np.max(np.abs(got - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("make,N", [
+    (lambda N: make_basis("hermite", N=N), 63),
+    (lambda N: make_basis("hermite", N=N), 64),
+    (lambda N: _hermite_with_diag(N, 1e-300), 64),
+    (lambda N: make_basis("mt", N=N), 32),
+], ids=["hermite-63", "hermite-64", "hermite-diag-64", "mt-32"])
+@pytest.mark.parametrize("V", [None, lambda x: x * x, lambda x: x * x + x],
+                         ids=["free", "x2", "x2+x"])
+def test_strang_step_is_one_propagate_step(make, N, V):
+    basis = make(N)
+    rng = np.random.default_rng(N)
+    values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    vec = co.CoefficientVector(values, basis=basis)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationLossWarning)
+        for a in (values, vec):
+            step = sch.strang_step(a, 0.05, V, basis)
+            ref = sch.strang_propagate(a, 0.05, 1, V, basis)
+            assert np.array_equal(step.values, ref.values)
+            assert step.meta == ref.meta
+        assert sch.strang_step(values, 0.05, V, basis).meta["steps"] == 1
+    # a drift warning names the caller's line, not the library's
+    assert all(w.filename == __file__ for w in caught)
 
 
 @pytest.mark.parametrize("N", [512, 63])
@@ -281,9 +312,9 @@ def test_folded_strang_stays_folded(monkeypatch, N):
     a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     a /= np.linalg.norm(a)
     tau, steps = 0.005, 100
-    D, nodes, synthesize, analyze, _ = sch._strang_setup(basis, N)
-    ref_path = sch._EigenbasisPath(D, synthesize, analyze)
-    half = np.exp(-0.5j * tau * D.eigensystem.x ** 2)
+    path = sch._strang_setup(basis, N)
+    ref_path = sch._EigenbasisPath(path.D, path.nodes, path.synthesize, path.analyze)
+    half = np.exp(-0.5j * tau * path.D.eigensystem.x ** 2)
     for V in (lambda x: x * x, lambda x: x * x + x):
         calls = {"fold": 0, "unfold": 0}
         for name in calls:
@@ -295,7 +326,7 @@ def test_folded_strang_stays_folded(monkeypatch, N):
         assert calls["fold"] <= 2 and calls["unfold"] <= 2
         monkeypatch.undo()
 
-        kick = ref_path.kick(np.exp(-1j * tau * V(nodes)))
+        kick = ref_path.kick(np.exp(-1j * tau * V(path.nodes)))
         z, ref = ref_path.enter(a), []
         for _ in range(steps):
             z = half * kick(half * z)
@@ -316,10 +347,10 @@ def test_results_independent_of_eigenvector_signs(monkeypatch):
     V = lambda x: x * x
 
     def run():
-        work = sch._StrangWork(make_basis("hermite", N=N), N, 0.05)
-        a = work.analyze(u)
+        path = sch._strang_setup(make_basis("hermite", N=N), N)
+        a = path.analyze(u)
         D = diffop.build(make_basis("legendre", N=N).jacobi, N)
-        return (a, work.synthesize(a[::-1]), work.run(a, V, 10)[0],
+        return (a, path.synthesize(a[::-1]), sch._run(path, 0.05, a, V, 10)[0],
                 diffop.expm_apply(D, 0.7, a))
 
     before = run()
