@@ -202,28 +202,42 @@ def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarra
 
 # Points per call of f on the Malmquist-Takenaka grid: a block's complex
 # temporaries (64 KiB) stay below glibc's default 128 KiB mmap threshold and
-# in cache, where grid-length ones (4 MiB at N = 2^16) grow and trim the heap
-# and fault their pages in again on every call.
+# in cache, where grid-length ones (2 MiB on the 2N points at N = 2^16) grow
+# and trim the heap and fault their pages in again on every call.
 _MT_BLOCK = 2**12
 
+# The 2N-point rule stands alone when every bin outside its window is at most
+# this fraction of the largest window bin (see mt_coeffs_fft).
+_MT_HALF_TOL = 1e-14
 
-def _mt_integrand(f, M: int) -> tuple[np.ndarray, float]:
-    """g = (1 - i t) f(t/2), t = tan(theta_j/2), on the M-point midpoint grid
-    theta_j = -pi + (j + 1/2) 2 pi / M, and max |g|.
 
-    The upper half grid is theta = (m + 1/2) 2 pi / M and the lower half its
-    mirror, t(-theta) = -t, so tan runs on M/2 points.  f is called on
-    blocks of _MT_BLOCK points and each block of g is written in place, so
-    g is the only complex array of grid length.
+def _mt_even_grid(N: int) -> np.ndarray:
+    """t = tan(theta/2) on the even points theta_{2k} = -pi + (2k + 1/2) h,
+    h = 2 pi / (4N), of the 4N-point midpoint grid.
+
+    The upper half is tan((m + 1/2) h/2) for even m and the lower half the
+    mirror of the odd m, t(-theta) = -t, so tan runs on 2N points and gives
+    the values of the 4N grid bit for bit.  The odd points are the mirror of
+    the even ones: t_odd = -t_even[::-1].
     """
-    t = np.empty(M)
-    upper = t[M // 2:]
-    np.multiply(np.arange(M // 2) + 0.5, math.pi / M, out=upper)
-    np.tan(upper, out=upper)
-    np.negative(upper[::-1], out=t[:M // 2])
-    g = np.empty(M, dtype=complex)
+    t = np.empty(2 * N)
+    upper, lower = t[N:], t[N - 1::-1]
+    np.multiply(np.arange(0.5, 2 * N, 2.0), math.pi / (4 * N), out=upper)
+    np.multiply(np.arange(1.5, 2 * N, 2.0), math.pi / (4 * N), out=lower)
+    np.tan(t, out=t)
+    np.negative(lower, out=lower)
+    return t
+
+
+def _mt_integrand(f, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """g = (1 - i t) f(t/2) at the points t, and max |g|.
+
+    f is called on blocks of _MT_BLOCK points and each block of g is written
+    in place, so g is the only complex array of grid length.
+    """
+    g = np.empty(t.size, dtype=complex)
     top = 0.0
-    for start in range(0, M, _MT_BLOCK):
+    for start in range(0, t.size, _MT_BLOCK):
         tb, gb = t[start:start + _MT_BLOCK], g[start:start + _MT_BLOCK]
         fx = np.asarray(f(0.5 * tb))
         re, im = gb.real, gb.imag
@@ -240,6 +254,29 @@ def _mt_integrand(f, M: int) -> tuple[np.ndarray, float]:
     return g, top
 
 
+def _mt_window(spectrum: np.ndarray, N: int) -> np.ndarray:
+    """Bins n = -N/2+1 .. N/2 of a 2N-point spectrum: -N/2+1..-1 sit at
+    2N+n, 0..N/2 at n; the bins N/2+1 .. 3N/2 between lie outside."""
+    return np.concatenate((spectrum[3 * N // 2 + 1:], spectrum[:N // 2 + 1]))
+
+
+def _half_step_phase(N: int, h: float) -> np.ndarray:
+    """e^{-i n h/2} for n = -N/2+1 .. N/2, bit for bit np.exp(-0.5j * n * h).
+
+    cos and sin run on n = 0 .. N/2 only; the entry at -n is the conjugate
+    of that at n.  A complex exp would cost three times as much.
+    """
+    k = np.arange(N // 2 + 1)
+    arg = k * (0.5 * h)
+    phase = np.empty(N, dtype=complex)
+    upper = phase[N // 2 - 1:]
+    np.cos(arg, out=upper.real)
+    np.sin(arg, out=arg)
+    np.negative(arg, out=upper.imag)
+    np.conjugate(upper[N // 2 - 1:0:-1], out=phase[:N // 2 - 1])
+    return phase
+
+
 def check_mt_fft_size(N: int) -> None:
     """Raise ValueError unless ``mt_coeffs_fft`` takes N: a power of two, N >= 4."""
     if N < 4 or (N & (N - 1)) != 0:
@@ -254,14 +291,30 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     sampled on a midpoint grid that avoids theta = +-pi (x = +-inf); cost
     O(N log N).  Requires N a power of two and x f(x) -> 0 at infinity.
     f must act elementwise: it is called on blocks of the grid.
+
+    The rule is the 4N-point midpoint rule, taken as its two interleaved
+    2N-point grids.  The even grid is sampled first, and its 2N FFT also
+    gives the N bins outside the window, which estimate the coefficients
+    for N/2 < |n| < 3N/2.  If the largest of them is at most 1e-14 of the
+    largest window bin, the even grid alone is returned (``samples`` 2N):
+    the 2N and 4N rules differ only by the aliases from |n| >= 3N/2, which
+    for a decaying spectrum lie below the bins just past the window, and
+    1e-14 (about 45 ulps) sits above the rounding noise of those bins
+    (about 1e-16 for converged f) but below any content worth keeping.
+    Otherwise the odd grid, the mirror of the even one, is sampled and the
+    two FFTs are joined on the window bins by a radix-2 butterfly, which is
+    the 4N rule (``samples`` 4N).  ``meta["out_of_window"]`` is the ratio
+    that decided.
+
+    Blind spot: content only beyond |n| = 3N/2, with an empty band
+    N/2 < |n| < 3N/2 between, passes the test and aliases into the window;
+    the 4N rule has the same blind spot beyond |n| = 7N/2.
     """
     check_mt_fft_size(N)
-    # Sample at 4N points but return N coefficients: the returned window is
-    # then four aliasing distances from the spectrum edge, so the edge
-    # indices +-N/2 are as accurate as the center ones.  Still O(N log N).
     M = 4 * N
     h = 2.0 * math.pi / M
-    g, top = _mt_integrand(f, M)
+    t = _mt_even_grid(N)
+    g, top = _mt_integrand(f, t)
     # The substituted integrand tends to -2i lim x f(x) at theta = +-pi.  A
     # mismatch between the two limits is a jump in the periodized integrand
     # and destroys the spectral accuracy of the midpoint rule; equal limits
@@ -279,12 +332,40 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
         raise ValueError("f decays too slowly for the Malmquist-Takenaka FFT path: "
                          "the substituted integrand jumps at theta = pi")
     spectrum = scipy.fft.fft(g, overwrite_x=True)
-    # bins n = -N/2+1..-1 sit at M+n, bins 0..N/2 at n; only they are kept
-    vals = np.concatenate((spectrum[M - N // 2 + 1:], spectrum[:N // 2 + 1]))
-    del g, spectrum
-    ns = np.arange(-N // 2 + 1, N // 2 + 1)
-    vals *= (h / (2.0 * _SQRT_2PI)) * _I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
-    return CoefficientVector(vals, int(ns[0]), basis, {"method": "mt-fft", "samples": M})
+    del g
+    lo, hi = N // 2 + 1, 3 * N // 2 + 1
+    inside = max(float(np.abs(spectrum[:lo]).max()), float(np.abs(spectrum[hi:]).max()))
+    outside = float(np.abs(spectrum[lo:hi]).max())
+    ratio = outside / inside if inside > 0.0 else (0.0 if outside == 0.0 else math.inf)
+    if ratio <= _MT_HALF_TOL:
+        del t  # the odd grid is not needed; free it before the window is copied
+        vals = _mt_window(spectrum, N)
+        del spectrum
+        phase = _half_step_phase(N, h)
+        samples, weight = 2 * N, 2.0 * h
+    else:
+        vals = _mt_window(spectrum, N)
+        del spectrum
+        np.negative(t[::-1], out=t)
+        g, _ = _mt_integrand(f, t)
+        del t
+        odd = _mt_window(scipy.fft.fft(g, overwrite_x=True), N)
+        del g
+        # the odd points are theta_{2k} + h, so the 4N bin n is the butterfly
+        # E_n + e^{-inh} O_n, with e^{-inh} the phase applied twice
+        phase = _half_step_phase(N, h)
+        odd *= phase
+        odd *= phase
+        vals += odd
+        del odd
+        samples, weight = M, h
+    vals *= phase
+    n0 = 1 - N // 2
+    by_four = vals.reshape(-1, 4)  # i^n has period 4, and 4 divides N
+    by_four *= _I_POWERS[np.arange(n0, n0 + 4) % 4]
+    vals *= weight / (2.0 * _SQRT_2PI)
+    return CoefficientVector(vals, n0, basis,
+                             {"method": "mt-fft", "samples": samples, "out_of_window": ratio})
 
 
 # (a, b) -> the midpoint transform and its type

@@ -204,17 +204,88 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("f, grids", [
-    (lambda x: 1.0 / (1.0 + x * x), 3.25),
-    (lambda x: (1.0 + 0.5j) / (1.0 + x * x), 3.5),
-])
-def test_mt_fft_memory(f, grids):
-    # the measured peak, in float arrays of the M = 4N samples: t, g (two)
-    # and the temporaries of f on one block; the N returned bins are formed
-    # after g is freed
+@pytest.mark.parametrize("f, samples, grids", [
+    (lambda x: 1.0 / (1.0 + x * x), 2, 1.75),
+    (lambda x: (1.0 + 0.5j) / (1.0 + x * x), 2, 2.0),
+    (lambda x: np.exp(-np.abs(x)), 4, 2.25),
+    (lambda x: (1.0 + 0.5j) * np.exp(-np.abs(x)), 4, 2.5),
+], ids=["2N-real", "2N-complex", "4N-real", "4N-complex"])
+def test_mt_fft_memory(f, samples, grids):
+    # the measured peak, in float arrays of M = 4N samples.  2N branch: the
+    # even grid t (one half), its g (one) and the temporaries of f on one
+    # block; t is freed before the window is copied out.  4N branch: t, the
+    # N even window bins (one half each) and the odd g; the even spectrum is
+    # freed before the odd grid is sampled
     N = 2**14
+    assert co.mt_coeffs_fft(f, N).meta["samples"] == samples * N
     peak = _peak_bytes(lambda: co.mt_coeffs_fft(f, N))
     assert peak <= 1.25 * grids * (4 * N) * 8
+
+
+def _mt_midpoint_4n(f, N):
+    """The 4N-point midpoint rule for <f, phi_n>, n = -N/2+1 .. N/2, in one
+    shot: with x = tan(theta/2)/2, <f, phi_n> = (-i)^n / (2 sqrt(2 pi))
+    Int_{-pi}^{pi} (1 - i tan(theta/2)) f(x) e^{-i n theta} d theta, on
+    theta_j = -pi + (j + 1/2) h."""
+    M = 4 * N
+    h = 2.0 * np.pi / M
+    # theta_{M/2+m} = (m + 1/2) h and theta_{M/2-1-m} = -theta_{M/2+m}: taking
+    # tan of the small angles keeps the points exact to rounding in theta,
+    # which a phi_n with n near N/2 needs
+    upper = np.tan((np.arange(M // 2) + 0.5) * (h / 2.0))
+    t = np.concatenate((-upper[::-1], upper))
+    g = (1.0 - 1j * t) * f(t / 2.0)
+    n = np.arange(-N // 2 + 1, N // 2 + 1)
+    # e^{-i n theta_j} = (-1)^n e^{-i n h/2} e^{-2 pi i j n / M}
+    sums = (-1.0) ** n * np.exp(-0.5j * n * h) * np.fft.fft(g)[n % M]
+    return h / (2.0 * np.sqrt(2.0 * np.pi)) * (-1j) ** (n % 4) * sums
+
+
+_SPAN_COEFFS = np.array([1.0, 1j]) @ np.random.default_rng(25).standard_normal((2, 13))
+_MT_TEST_FUNCTIONS = {
+    # sum of c_n phi_n for n = -6 .. 6
+    "span": lambda N: lambda x: sum(c * malmquist_takenaka(n, x)
+                                    for n, c in zip(range(-6, 7), _SPAN_COEFFS)),
+    "gauss": lambda N: lambda x: np.exp(-(x**2)),
+    "readme": lambda N: lambda x: 1.0 / (1.0 + (2.0 * x) ** 4),
+    "abs": lambda N: lambda x: np.exp(-np.abs(x)),
+    # phi_{N/2+1} sits just outside the window
+    "planted": lambda N: lambda x: (malmquist_takenaka(0, x)
+                                    + malmquist_takenaka(N // 2 + 1, x)),
+}
+
+
+@pytest.mark.parametrize("N", [16, 256, 4096])
+@pytest.mark.parametrize("name", sorted(_MT_TEST_FUNCTIONS))
+def test_mt_fft_matches_one_shot_midpoint_rule(name, N):
+    f = _MT_TEST_FUNCTIONS[name](N)
+    got = co.mt_coeffs_fft(f, N)
+    ref = _mt_midpoint_4n(f, N)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got.values - ref)) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("name, N, half", [
+    ("span", 16, True), ("span", 256, True), ("span", 4096, True),
+    ("gauss", 4096, True), ("readme", 256, True), ("readme", 4096, True),
+    ("gauss", 256, False), ("readme", 64, False),
+    ("abs", 16, False), ("abs", 256, False), ("abs", 4096, False),
+    ("planted", 16, False), ("planted", 256, False), ("planted", 4096, False),
+])
+def test_mt_fft_branch_rule(name, N, half):
+    # the even grid stands alone only when its out-of-window bins, which
+    # estimate |a_n| for N/2 < |n| < 3N/2, are at rounding level
+    meta = co.mt_coeffs_fft(_MT_TEST_FUNCTIONS[name](N), N).meta
+    assert meta["samples"] == (2 * N if half else 4 * N)
+    assert (meta["out_of_window"] <= 1e-14) == half
+    if name == "planted":
+        assert meta["out_of_window"] > 0.5
+
+
+def test_mt_fft_zero_function_takes_the_half_grid():
+    a = co.mt_coeffs_fft(lambda x: np.zeros_like(x), 64)
+    assert a.meta["samples"] == 128 and a.meta["out_of_window"] == 0.0
+    assert not np.any(a.values)
 
 
 def test_tanh_chebyshev_memory():
