@@ -8,7 +8,9 @@ polynomials p_n and represents
 which satisfies phi_n' = -b_{n-1} phi_{n-1} + i c_n phi_n + b_n phi_{n+1}
 with the recurrence coefficients of p_n.  Families with known closed forms
 (Hermite, Legendre, Malmquist-Takenaka, tanh-Jacobi) evaluate those
-directly; everything else goes through oscillatory quadrature.
+directly; everything else goes through oscillatory quadrature.  The
+continuous Hahn families conthahn:a,b and tanhjacobi:a,b are one measure
+at dilations 1 and 2, so both take the tanh-Jacobi table.
 
 A closed form comes in two entry points on one scan: ``*_table(nmax, x)``
 returns rows 0..nmax from a single sweep in n (a three-term recurrence for
@@ -213,9 +215,13 @@ def _tanh_jacobi_matrix(a: float, b: float, nmax: int) -> JacobiMatrix:
     return _tanh_jacobi_polys(float(a), float(b), size)
 
 
-def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool) -> np.ndarray:
-    """tanh-Jacobi rows: one polynomial scan in tanh x times one envelope.
+def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool,
+                      s: float = 2.0) -> np.ndarray:
+    """tanh-Jacobi rows at dilation s: one polynomial scan in tanh y times one envelope.
 
+    The rows are sqrt(s/2) phi_n(y) at y = s x / 2, the transform of
+    ``rec.conthahn_measure(a, b, s)``: s = 2 is ``tanh_jacobi`` itself, where
+    both factors are exactly 1.0, and s = 1 is conthahn:a,b.
     Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
     """
     if a <= 0 or b <= 0:
@@ -223,13 +229,13 @@ def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool) -> np.nda
     if nmax < 0:
         raise ValueError("index n must be >= 0")
     jac = _tanh_jacobi_matrix(a, b, nmax)
-    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    y = np.atleast_1d(np.asarray(x, dtype=float)).ravel() * (0.5 * s)
     with np.errstate(over="ignore"):
-        lo = 2.0 / (np.exp(2.0 * flat) + 1.0)   # 1 - tanh(x), no cancellation
-        hi = 2.0 / (np.exp(-2.0 * flat) + 1.0)  # 1 + tanh(x)
-    norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+        lo = 2.0 / (np.exp(2.0 * y) + 1.0)   # 1 - tanh(y), no cancellation
+        hi = 2.0 / (np.exp(-2.0 * y) + 1.0)  # 1 + tanh(y)
+    norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b) * (2.0 / s))
     envelope = lo**a * hi**b / norm
-    t = np.tanh(flat)
+    t = np.tanh(y)
     p = rec.eval_poly_table(jac, nmax, t) if collect else rec.eval_poly(jac, nmax, t)[None]
     rows = p * envelope
     rows[_scan_rows(nmax, collect) % 2 == 1] *= -1.0
@@ -268,6 +274,8 @@ class TransformedBasis:
     over all integers (Malmquist-Takenaka).  ``sigma`` is an optional real
     phase baked into the transform: the integrand carries e^{i sigma(xi)},
     which changes neither orthonormality nor the differentiation matrix.
+    ``tanh_jacobi`` is (a, b, s) for the tanh-Jacobi family at dilation s
+    (conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2), else None.
     """
 
     family: str
@@ -278,6 +286,7 @@ class TransformedBasis:
     closed_table: Callable | None = None
     sigma: Callable | None = None
     bilateral: bool = False
+    tanh_jacobi: tuple[float, float, float] | None = None
     # Strang set-up per size N, valid for the jacobi stored under "jacobi";
     # filled and emptied by schrodinger._strang_setup.
     _strang: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -416,7 +425,9 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     ``laguerre:<alpha>`` (or bare ``laguerre``), ``conthahn:<a>,<b>``,
     ``mt``, ``tanhjacobi:<a>,<b>``, ``custom-weight:<expr>`` (a weight
     expression in the variable x).  ``charlier:<a>`` is periodic and lives
-    in the periodic module.
+    in the periodic module.  conthahn and tanhjacobi are the continuous Hahn
+    measure at dilation s = 1 and 2; this is the only place that maps their
+    names to (a, b, s), which the basis carries as ``tanh_jacobi``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -469,25 +480,22 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         return TransformedBasis("mt", rec.laguerre_measure(0.0), source(N),
                                 coeff_source=source, closed_form=malmquist_takenaka,
                                 closed_table=_mt_table, bilateral=True)
-    if head == "conthahn":
+    if head in ("conthahn", "tanhjacobi"):
+        # one measure at two dilations, so one closed table: the conthahn
+        # row at x is 2^{-1/2} times the tanhjacobi row at x / 2
         a, b = _parse_params(family, tail, 2)
-        measure = rec.conthahn_measure(a, b)
-        source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n), M)
+        s = 1.0 if head == "conthahn" else 2.0
+        scan = lambda nmax, x, collect: _tanh_jacobi_scan(a, b, nmax, x, collect, s)
+        source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, s), M)
         # For a != b the real-valued system uses the complex square root
-        # Gamma(a+i xi) Gamma(b-i xi), i.e. the canonical transform with the
-        # phase of that product; for a = b the phase vanishes identically.
-        sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi))
-        return TransformedBasis(family, measure, source(N), coeff_source=source,
-                                sigma=sig)
-    if head == "tanhjacobi":
-        a, b = _parse_params(family, tail, 2)
-        measure = rec.conthahn_measure(a, b, dilation=2.0)
-        source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, 2.0), M)
-        sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / 2.0))
-        return TransformedBasis(family, measure, source(N), coeff_source=source,
-                                closed_form=lambda n, x: tanh_jacobi(a, b, n, x),
-                                closed_table=lambda nmax, x: tanh_jacobi_table(a, b, nmax, x),
-                                sigma=sig)
+        # Gamma(a+i xi/s) Gamma(b-i xi/s), i.e. the canonical transform with
+        # the phase of that product; for a = b the phase vanishes identically.
+        sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / s))
+        return TransformedBasis(family, rec.conthahn_measure(a, b, s), source(N),
+                                coeff_source=source,
+                                closed_form=lambda n, x: _row(scan(n, x, False)[0], x),
+                                closed_table=lambda nmax, x: scan(nmax, x, True),
+                                sigma=sig, tanh_jacobi=(a, b, s))
     if head == "custom-weight":
         if not tail:
             raise ValueError("custom-weight needs an expression")

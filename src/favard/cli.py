@@ -207,7 +207,7 @@ _CHECK_NAMES = ("gram", "recurrence", "cramer", "ramanujan",
                 "tanh-jacobi-identity", "pw-support")
 
 
-def _verify_reports(family, which, N, a, tanhjacobi, basis_at) -> list:
+def _verify_reports(family, which, N, a, basis_at) -> list:
     head = family.partition(":")[0]
     reports = []
 
@@ -221,7 +221,8 @@ def _verify_reports(family, which, N, a, tanhjacobi, basis_at) -> list:
         elif name == "ramanujan":
             reports.append(verify_mod.check_ramanujan(a))
         elif name == "tanh-jacobi-identity":
-            reports.append(verify_mod.check_tanh_jacobi_identity(*tanhjacobi, min(N, 6)))
+            tj_a, tj_b, _ = basis_at(max(N, 12)).tanh_jacobi
+            reports.append(verify_mod.check_tanh_jacobi_identity(tj_a, tj_b, min(N, 6)))
         elif name == "pw-support":
             bas = basis_at(max(N, 8))
             reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
@@ -234,8 +235,7 @@ def _verify_reports(family, which, N, a, tanhjacobi, basis_at) -> list:
         if head == "hermite":
             add("cramer")
         if head == "tanhjacobi":
-            if tanhjacobi[0] == tanhjacobi[1]:
-                add("tanh-jacobi-identity")
+            add("tanh-jacobi-identity")
             add("ramanujan")
         if head == "legendre":
             add("pw-support")
@@ -244,8 +244,8 @@ def _verify_reports(family, which, N, a, tanhjacobi, basis_at) -> list:
     return reports
 
 
-def _cmd_verify(family, which, N, a, tanhjacobi, basis_at, out) -> int:
-    reports = _verify_reports(family, which, N, a, tanhjacobi, basis_at)
+def _cmd_verify(family, which, N, a, basis_at, out) -> int:
+    reports = _verify_reports(family, which, N, a, basis_at)
     payload = [r.as_dict() for r in reports]
     _emit(out, json.dumps(payload, indent=2) + "\n")
     bad = [r for r in reports if not r.passed and not r.metadata.get("expected_fail")]
@@ -416,27 +416,22 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         if args.N < 1:
             raise ValueError("N must be positive")
         a = _eval_scalar(args.a, "ramanujan parameter")
-        head, _, tail = args.family.partition(":")
+        head = args.family.partition(":")[0]
         if a <= 0.0 and (args.check == "ramanujan"
                          or (args.check == "all" and head == "tanhjacobi")):
             raise ValueError("ramanujan parameter --a must be positive")
-        tanhjacobi = None
-        if head == "tanhjacobi":
-            tanhjacobi = basis_mod._parse_params(args.family, tail, 2)
-            if args.check == "tanh-jacobi-identity" and tanhjacobi[0] != tanhjacobi[1]:
-                raise ValueError("tanh-jacobi-identity runs only for a == b in "
-                                 "--family tanhjacobi:a,b; a != b is experimental")
-        elif args.check == "tanh-jacobi-identity":
+        if args.check == "tanh-jacobi-identity" and head != "tanhjacobi":
             raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
-        # gram, recurrence and pw-support share one basis per size; the
-        # first size a check asks for is built here, which checks the family
+        # gram, recurrence and pw-support share one basis per size, and the
+        # identity reads (a, b) from the gram size's; the first size a check
+        # asks for is built here, which checks the family
         basis_at = functools.cache(functools.partial(_resolve_family, args.family))
-        if args.check in ("all", "gram", "recurrence"):
+        if args.check in ("all", "gram", "recurrence", "tanh-jacobi-identity"):
             basis_at(max(args.N, 12))
         elif args.check == "pw-support":
             basis_at(max(args.N, 8))
         return functools.partial(_cmd_verify, args.family, args.check, args.N, a,
-                                 tanhjacobi, basis_at, args.out)
+                                 basis_at, args.out)
     raise ValueError(f"unknown subcommand {sub!r}")
 
 

@@ -374,16 +374,9 @@ _TANH_CHEB_KINDS = {(0.75, 0.75): (scipy.fft.dst, 2), (0.25, 0.25): (scipy.fft.d
 
 def tanh_cheb_kind(basis) -> tuple[float, float] | None:
     """The (a, b) pair when ``basis`` is one of the four tanh-Chebyshev
-    families with a fast transform, else None."""
-    head, _, tail = basis.family.partition(":")
-    if head != "tanhjacobi" or not tail:
-        return None
-    try:
-        a, b = (float(p) for p in tail.split(","))
-    except ValueError:
-        return None
-    return (a, b) if (a, b) in _TANH_CHEB_KINDS else None
-
+    families with a fast transform (tanhjacobi, dilation 2), else None."""
+    a, b, s = basis.tanh_jacobi or (0.0, 0.0, 0.0)
+    return (a, b) if s == 2.0 and (a, b) in _TANH_CHEB_KINDS else None
 
 
 def check_tanh_cheb_size(N: int) -> None:

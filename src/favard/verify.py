@@ -78,23 +78,25 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     integrates, so phi_m conj(phi_n) is band-limited to |k| <= hi - lo and
     the trapezoid rule with step h = 2 pi / (hi - lo) is exact over all of
     Z (Trefethen & Weideman, SIAM Review 56, 2014): only cutting the lattice
-    at the reach X errs.  X starts at 15 and doubles, up to 30, until the
-    tail estimate is at most tol / 10; the lattice nests, so a doubling
-    samples only the new points.  The estimate is per row, from the masses
-    q3 and q4 of h |phi_n|^2 on the outer two quarters of the lattice,
-    (X/2, 3X/4] and (3X/4, X]: under geometric decay r = q4 / q3 per
-    quarter, the mass beyond X is q4 r / (1 - r), and it is infinite when
-    r >= 1.  By Cauchy-Schwarz the largest row tail bounds every entry's.
-    Rows that decay only algebraically get an estimate that is low
-    (laguerre:1, by about 2) or infinite (jacobi:0.5,1.5), in both cases
-    far above tol, so the report names the tail as what fails.  Without a
+    at the reach X errs.  X starts at 15 and doubles, up to the cap
+    30 max(1, N / 32), until the tail estimate is at most tol / 10: the rows
+    spread as N grows, so the cap grows with them.  The lattice nests, so a
+    doubling samples only the new points.  The estimate is per row, from
+    the masses q3 and q4 of h |phi_n|^2 on the outer two quarters of the
+    lattice, (X/2, 3X/4] and (3X/4, X]: under geometric decay r = q4 / q3
+    per quarter, the mass beyond X is q4 r / (1 - r), and it is infinite
+    when r >= 1.  By Cauchy-Schwarz the largest row tail bounds every
+    entry's.  Rows that decay only algebraically get an estimate that is
+    low (laguerre:1, by about 2) or infinite (jacobi:0.5,1.5), in both
+    cases far above tol, so the report names the tail as what fails, after
+    doubling up to the cap.  Without a
     phase the lattice folds onto k >= 0 (``_mirrored``), for any measure.
     Returns G and the step, reach (the last sampled point) and tail.
     """
     lo, hi = basis_mod._band(basis, N - 1)
     h = 2.0 * math.pi / (hi - lo)
     fold = basis.sigma is None
-    X, cap = 15.0, 30.0
+    X, cap = 15.0, 30.0 * max(1.0, N / 32.0)
     K = math.ceil(X / h)
     k = np.arange(K + 1)
     G = np.zeros((N, N), dtype=complex)
@@ -127,13 +129,16 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
     classical weight.  mt and laguerre:0 take x = tan(theta/2)/2, where the
     integrand is (1/2pi) e^{i(m-n)theta}, on N uniform points in theta:
     |m - n| <= N - 1, so the trapezoid sum is exact.
-    hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi); tanhjacobi:a,b
-    rows are +-P_n(t) e(x), t = tanh x, e = (1-t)^a (1+t)^b / sqrt(S), and
-    e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t.  Each takes the
-    N-point Gauss rule of its polynomials, w_i = lambda_i / e(x_i)^2, formed
-    from log lambda_i: at the outer Hermite nodes lambda_i underflows and
-    1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2 is not small.  Returns x,
-    w and the report's metadata.
+    hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi).  The
+    tanh-Jacobi family at dilation s (``basis.tanh_jacobi`` = (a, b, s):
+    conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2) has rows +-P_n(t) e(x)
+    at t = tanh(s x / 2), e = sqrt(s/2) (1-t)^a (1+t)^b / sqrt(S) its row 0:
+    e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t (dx = (2/s) dy
+    cancels the s/2), so the nodes sit at x = (2/s) artanh t.  Each takes
+    the N-point Gauss rule of its polynomials, w_i = lambda_i / e(x_i)^2,
+    formed from log lambda_i: at the outer Hermite nodes lambda_i underflows
+    and 1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2 is not small.
+    Returns x, w and the report's metadata.
     """
     meta = {"family": basis.family, "N": N}
     if basis.closed_table is basis_mod._mt_table:
@@ -148,13 +153,10 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
         log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
         strategy = "gauss-hermite"
     else:
-        a, b = basis_mod._parse_params(basis.family, basis.family.partition(":")[2], 2)
+        a, b, s = basis.tanh_jacobi
         t, log_w = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
-        x = np.arctanh(t)
-        # 1 - t and 1 + t from x, as the table forms them
-        lo, hi = 2.0 / (np.exp(2.0 * x) + 1.0), 2.0 / (np.exp(-2.0 * x) + 1.0)
-        norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
-        log_e = np.log(lo**a * hi**b / norm)
+        x = (2.0 / s) * np.arctanh(t)
+        log_e = np.log(basis.closed_table(0, x)[0])  # p_0 = 1: row 0 is e
         strategy = "gauss-jacobi"
     return x, np.exp(log_w - 2.0 * log_e), {"strategy": strategy, **meta, "nodes": N}
 
@@ -323,21 +325,19 @@ def check_ramanujan(a: float, xs=(0.0, 1.0, 2.0)) -> CheckReport:
                        metadata={"a": a, "window": X, "relative_errors": details})
 
 
-def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None,
-                               experimental: bool = False) -> CheckReport:
+def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None) -> CheckReport:
     """Quadrature transform vs the tanh-Jacobi closed form, n <= N.
 
     The transform side integrates the continuous-Hahn orthonormal
     polynomials against the gamma-pair weight; a single unimodular constant
     per degree is fixed at the reference point x = 0 (or the nearest grid
     point where the closed form is not tiny, for odd degrees that vanish at
-    the origin).  For a != b the weight's square root carries a genuine
-    complex phase; that path is gated behind ``experimental``.
+    the origin).  For a != b the weight's square root carries the complex
+    phase of Gamma(a + i xi/2) Gamma(b - i xi/2), which the transform side
+    integrates.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("parameters must be positive")
-    if a != b and not experimental:
-        raise ValueError("a != b is experimental; pass experimental=True to run it")
     if xs is None:
         xs = np.linspace(-4.0, 4.0, 33)
     xs = np.asarray(xs, dtype=float)

@@ -4,6 +4,7 @@ quadrature transform against closed forms, phase freedom, validation.
 Frozen constants below were produced with mpmath at 40 digits.
 """
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from favard import basis as bas
 from favard import recurrence as rec
+from favard import specfun
 from favard.quadrature import _SQRT_2PI, _transform_nodes
 from favard.basis import (
     hermite_function,
@@ -246,7 +248,7 @@ def test_ultraspherical_zero_uses_the_legendre_table():
 
 @pytest.mark.parametrize("family", ["hermite", "legendre", "ultraspherical:0.0", "mt",
                                     "laguerre", "tanhjacobi:0.75,0.75",
-                                    "tanhjacobi:0.25,0.75"])
+                                    "tanhjacobi:0.25,0.75", "conthahn:1,0.5"])
 def test_phi_is_last_row_of_phi_grid(family):
     # one scan behind both: the single row is the table's last row bit for bit
     basis = make_basis(family, N=8)
@@ -289,6 +291,31 @@ def test_quadrature_path_matches_closed_forms():
             quad = phi_grid(basis, n, x, method="quadrature")[n]
             ref = closed(n, x)
             assert np.max(np.abs(quad - ref)) < 1e-9, (family, n)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 0.5), (1.0, 0.5), (0.75, 0.25)])
+def test_conthahn_rows_are_dilated_tanh_jacobi_rows(a, b):
+    # conthahn:a,b is tanhjacobi:a,b's measure at dilation 1, not 2: its
+    # closed table is 2^{-1/2} times the tanh-Jacobi rows at x / 2, and it
+    # matches the quadrature route, kept as the reference, phase included
+    basis = make_basis(f"conthahn:{a},{b}", N=64)
+    x = np.linspace(-30.0, 30.0, 121)
+    closed = phi_grid(basis, 63, x)
+    dilated = math.sqrt(0.5) * tanh_jacobi_table(a, b, 63, 0.5 * x)
+    assert np.max(np.abs(closed - dilated)) <= 1e-15
+    assert np.max(np.abs(closed - phi_grid(basis, 63, x, method="quadrature"))) <= 1e-13
+
+
+def test_tanh_jacobi_rows_are_the_undilated_scan():
+    # at dilation 2 both dilation factors are exactly 1.0, so the rows are
+    # the envelope times the polynomial scan in tanh x, bit for bit
+    a, b = 0.75, 0.25
+    x = np.linspace(-20.0, 20.0, 161)
+    lo, hi = 2.0 / (np.exp(2.0 * x) + 1.0), 2.0 / (np.exp(-2.0 * x) + 1.0)
+    norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+    p = rec.eval_poly_table(bas._tanh_jacobi_matrix(a, b, 30), 30, np.tanh(x))
+    want = p * (lo**a * hi**b / norm) * np.where(np.arange(31) % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(tanh_jacobi_table(a, b, 30, x), want)
 
 
 def test_phi_auto_equals_closed_form_path():
@@ -438,8 +465,9 @@ def test_half_rule_mirrors_the_whole_line_rule():
 @pytest.mark.parametrize("family", ["jacobi:0.5,1.5", "conthahn:1,0.5"])
 def test_quadrature_phi_and_phase_are_rows_of_phi_grid(family):
     # phi's and phi_with_phase's quadrature values are phi_grid's rows bit
-    # for bit, for a scalar and a 2-D x; conthahn:1,0.5 carries a phase
-    basis = make_basis(family, N=8)
+    # for bit, for a scalar and a 2-D x; conthahn:1,0.5 carries a phase, and
+    # without its closed table phi's auto route is the quadrature route too
+    basis = dataclasses.replace(make_basis(family, N=8), closed_form=None, closed_table=None)
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     sigma = lambda xi: 0.4 * xi
     extra = bas._sigma_freq(basis, bas._combine_sigma(basis, sigma), 3)

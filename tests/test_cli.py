@@ -172,7 +172,6 @@ def test_exit_code_usage_errors(capsys):
         ["decay", "--model", "stretched:-1", "--in", "whatever.csv"],
         ["verify", "gram", "--family", "nosuch"],
         ["verify", "tanh-jacobi-identity", "--family", "hermite"],
-        ["verify", "tanh-jacobi-identity", "--family", "tanhjacobi:0.75,0.5"],
         ["verify", "ramanujan", "--a", "-1"],
         ["verify", "all", "--family", "tanhjacobi:0.75,0.75", "--a", "0"],
         ["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "2"],
@@ -283,6 +282,41 @@ def test_verify_gram_laguerre0_takes_the_mt_route(capsys):
     assert report["metadata"]["strategy"] == "theta-substitution"
 
 
+def test_verify_gram_conthahn_n256_takes_the_gauss_jacobi_route(capsys):
+    # conthahn is tanhjacobi's measure at dilation 1, so its Gram takes the
+    # Gauss-Jacobi rule; the lattice's quadrature rows did not converge here
+    rc, out = run_cli(["verify", "gram", "--family", "conthahn:1,1", "--N", "256"], capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-12
+    assert report["metadata"]["strategy"] == "gauss-jacobi"
+
+
+@pytest.mark.parametrize("pair", ["1,1", "0.5,0.5", "1,0.5", "0.75,0.25"])
+def test_verify_all_conthahn_passes(pair, capsys):
+    rc, out = run_cli(["verify", "all", "--family", f"conthahn:{pair}"], capsys)
+    assert rc == 0
+    reports = json.loads(out)
+    assert [r["name"] for r in reports] == ["gram", "recurrence"]
+    assert all(r["pass"] for r in reports)
+
+
+def test_tanh_jacobi_identity_runs_for_unequal_parameters(capsys):
+    # a != b carries the gamma-pair phase and passes like a = b; verify all
+    # runs the identity for every tanhjacobi:a,b
+    rc, out = run_cli(["verify", "tanh-jacobi-identity", "--family", "tanhjacobi:0.75,0.5"],
+                      capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-12
+    rc, out = run_cli(["verify", "all", "--family", "tanhjacobi:1,0.5"], capsys)
+    assert rc == 0
+    reports = json.loads(out)
+    assert [r["name"] for r in reports] == ["gram", "recurrence", "tanh-jacobi-identity",
+                                           "ramanujan"]
+    assert all(r["pass"] for r in reports)
+
+
 def test_accuracy_error_exits_one_without_traceback(monkeypatch, capsys):
     # favard's own errors derive from RuntimeError; the handler stage turns
     # them into a one-line message, as it does a ValueError
@@ -293,7 +327,7 @@ def test_accuracy_error_exits_one_without_traceback(monkeypatch, capsys):
         raise AccuracyError("oscillatory transform did not reach tol", estimate=1e-4)
 
     monkeypatch.setattr(basis_mod, "oscillatory_transform", exhausted)
-    rc = cli.main(["verify", "gram", "--family", "conthahn:1,1", "--N", "256"])
+    rc = cli.main(["verify", "gram", "--family", "genhermite:1", "--N", "256"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "favard: oscillatory transform did not reach tol\n"

@@ -49,7 +49,8 @@ def test_gram_periodic_branch():
 def test_lattice_gram_steps_by_the_band_of_the_rows(family):
     # every family without a closed table takes the lattice of the band
     # its rows are integrated over; the smooth weights pass at 1e-8
-    basis = make_basis(family, N=8)
+    # (conthahn with its closed table removed, as a quadrature-route measure)
+    basis = dataclasses.replace(make_basis(family, N=8), closed_form=None, closed_table=None)
     rep = ver.check_gram(basis, 6)
     lo, hi = basis_mod._band(basis, 5)
     assert rep.metadata["strategy"] == "nyquist-lattice"
@@ -99,11 +100,14 @@ def test_gram_fails_a_planted_error(monkeypatch, family):
 @pytest.mark.parametrize("family, strategy", [("hermite", "gauss-hermite"),
                                               ("tanhjacobi:0.75,0.75", "gauss-jacobi"),
                                               ("tanhjacobi:0.25,0.75", "gauss-jacobi"),
-                                              ("tanhjacobi:0.5,0.5", "gauss-jacobi")])
+                                              ("tanhjacobi:0.5,0.5", "gauss-jacobi"),
+                                              ("conthahn:1,1", "gauss-jacobi"),
+                                              ("conthahn:1,0.5", "gauss-jacobi")])
 @pytest.mark.parametrize("N", [128, 256, 512])
 def test_closed_gram_is_exact_at_every_size(family, strategy, N):
     # the N-point Gauss rule of the rows' own polynomials has no window to
-    # outgrow: hermite rows pass |x| = 15 from n = 112 on
+    # outgrow: hermite rows pass |x| = 15 from n = 112 on; conthahn takes
+    # tanhjacobi's rule at x = 2 artanh t
     rep = ver.check_gram(make_basis(family, N=N), N)
     assert rep.passed and rep.max_abs_error <= 1e-12, (family, N)
     assert rep.metadata == {"strategy": strategy, "family": family, "N": N, "nodes": N}
@@ -116,6 +120,15 @@ def test_theta_gram_is_exact_on_n_points(family):
     assert rep.passed and rep.max_abs_error <= 1e-13
     assert rep.metadata == {"strategy": "theta-substitution", "family": family,
                             "N": 512, "nodes": 512}
+
+
+def test_lattice_reach_cap_grows_with_n():
+    # rows spread as N grows: exp(-x^4) row 63 still reaches 0.25 past
+    # |x| = 30, where a fixed cap of 30 stopped the sum (G read 0.51); the
+    # cap 30 N / 32 lets the reach double past 60
+    rep = ver.check_gram(make_basis("custom-weight:exp(-x^4)", N=66), 64)
+    assert rep.passed, rep.max_abs_error
+    assert 60.0 <= rep.metadata["reach"] and rep.metadata["tail"] <= 1e-9
 
 
 def test_lattice_gram_names_an_algebraic_tail():
@@ -249,11 +262,14 @@ def test_tanh_jacobi_identity_symmetric():
     assert rep.max_abs_error < 1e-10
 
 
-def test_tanh_jacobi_identity_asymmetric_gate():
-    with pytest.raises(ValueError):
-        ver.check_tanh_jacobi_identity(0.5, 1.0)
-    rep = ver.check_tanh_jacobi_identity(0.5, 1.0, N=3, experimental=True)
-    assert rep.passed
+def test_tanh_jacobi_identity_asymmetric():
+    # for a != b the transform integrates the gamma-pair phase, and the
+    # identity holds at rounding level, as for a = b
+    for a, b in ((1.0, 0.5), (0.75, 0.25), (0.5, 1.5), (2.0, 1.0), (0.5, 1.0)):
+        rep = ver.check_tanh_jacobi_identity(a, b)
+        assert rep.passed and rep.max_abs_error < 1e-12, (a, b)
+    with pytest.raises(TypeError):
+        ver.check_tanh_jacobi_identity(0.5, 1.0, experimental=True)
 
 
 def test_pw_support_legendre_inside_band():
