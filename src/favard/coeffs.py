@@ -206,9 +206,20 @@ def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarra
 # and trim the heap and fault their pages in again on every call.
 _MT_BLOCK = 2**12
 
-# The 2N-point rule stands alone when every bin outside its window is at most
-# this fraction of the largest window bin (see mt_coeffs_fft).
-_MT_HALF_TOL = 1e-14
+# A sampled transform keeps its cheaper rule when every bin outside the
+# returned window is at most this fraction of the largest window bin (see
+# mt_coeffs_fft and tanh_chebyshev_coeffs).
+_TAIL_TOL = 1e-14
+
+
+def _out_of_window(spectrum: np.ndarray, lo: int, hi: int) -> float:
+    """The largest |bin| in spectrum[lo:hi], the bins outside the returned
+    window, over the largest |bin| of the rest: 0 when both are 0, inf when
+    only the window is."""
+    inside = max(float(np.abs(spectrum[:lo]).max()),
+                 float(np.abs(spectrum[hi:]).max(initial=0.0)))
+    outside = float(np.abs(spectrum[lo:hi]).max())
+    return outside / inside if inside > 0.0 else (0.0 if outside == 0.0 else math.inf)
 
 
 def _mt_even_grid(N: int) -> np.ndarray:
@@ -333,11 +344,8 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
                          "the substituted integrand jumps at theta = pi")
     spectrum = scipy.fft.fft(g, overwrite_x=True)
     del g
-    lo, hi = N // 2 + 1, 3 * N // 2 + 1
-    inside = max(float(np.abs(spectrum[:lo]).max()), float(np.abs(spectrum[hi:]).max()))
-    outside = float(np.abs(spectrum[lo:hi]).max())
-    ratio = outside / inside if inside > 0.0 else (0.0 if outside == 0.0 else math.inf)
-    if ratio <= _MT_HALF_TOL:
+    ratio = _out_of_window(spectrum, N // 2 + 1, 3 * N // 2 + 1)
+    if ratio <= _TAIL_TOL:
         del t  # the odd grid is not needed; free it before the window is copied
         vals = _mt_window(spectrum, N)
         del spectrum
@@ -385,25 +393,9 @@ def check_tanh_cheb_size(N: int) -> None:
         raise ValueError("N must be at least 4")
 
 
-def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
-                          basis: TransformedBasis | None = None) -> CoefficientVector:
-    """tanh-Jacobi coefficients for the four Chebyshev kinds by fast transform.
-
-    Substituting tanh x = cos theta maps the inner products to integrals of
-    H(theta) = f(atanh(cos theta)) / sqrt(sin theta) against sin((n+1)theta),
-    cos(n theta), cos((n+1/2)theta) or sin((n+1/2)theta) for (a,b) = (3/4,3/4),
-    (1/4,1/4), (1/4,3/4), (3/4,1/4) respectively, so a midpoint DST-II,
-    DCT-II, DCT-IV or DST-IV computes N coefficients in O(N log N).
-    """
-    a, b = float(kind[0]), float(kind[1])
-    if (a, b) not in _TANH_CHEB_KINDS:
-        raise ValueError("kind must be one of (1/4,1/4), (1/4,3/4), (3/4,1/4), (3/4,3/4)")
-    check_tanh_cheb_size(N)
-    # Sample at 4N points (at least 1024) and keep N coefficients.  H keeps
-    # algebraic theta^{k-1/2} endpoint behavior when f ~ e^{-k|x|}, so the
-    # midpoint rule converges algebraically there; the floor keeps that
-    # regime at the 1e-9 level while staying O(N log N).
-    M = max(4 * N, 1024)
+def _tanh_cheb_samples(f, M: int) -> tuple[np.ndarray, float]:
+    """H(theta) = f(atanh(cos theta)) / sqrt(sin theta) on the M-point
+    midpoint grid theta_j = (j + 1/2) pi / M, and max |H|."""
     theta = (np.arange(M // 2) + 0.5) * (math.pi / M)
     # theta_{M-1-j} = pi - theta_j, where x(pi - theta) = -x(theta) and
     # sin(pi - theta) = sin(theta): the lower half of the grid gives both
@@ -414,6 +406,7 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     H = np.empty(M)
     np.sqrt(np.sin(theta), out=H[:M // 2])
     H[M // 2:] = H[M // 2 - 1::-1]
+    del theta  # before f makes its temporaries
     fx = np.asarray(f(x))
     if np.iscomplexobj(fx) and not np.any(fx.imag):
         fx = fx.real
@@ -421,26 +414,95 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
         H = fx / H
     else:
         np.divide(fx, H, out=H)
-    top = float(np.abs(H, out=x).max())
-    # H must stay bounded toward theta = 0, pi (x = +-inf).  Probe one point
-    # beyond each end of the grid: a value exceeding the on-grid maximum
-    # means f decays more slowly than e^{-|x|/2}, H blows up, and the fast
-    # path loses its accuracy.
-    for th in (0.25 * theta[0], math.pi - 0.25 * theta[0]):
+    return H, float(np.abs(H, out=x).max())
+
+
+def _tanh_cheb_probe(f, M: int) -> float:
+    """max |H| at theta_0 / 4 and pi - theta_0 / 4, just beyond each end of
+    the M-point grid (theta_0 = pi / 2M)."""
+    th0 = 0.25 * (0.5 * (math.pi / M))
+    largest = 0.0
+    for th in (th0, math.pi - th0):
         xq = -math.log(math.tan(0.5 * th))
         hq = complex(np.asarray(f(np.array([xq])), dtype=complex)[0]) / math.sqrt(math.sin(th))
-        if abs(hq) > 1.2 * max(top, 1e-300):
-            raise ValueError("f decays too slowly for the tanh-Chebyshev transform path")
-    root_s = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
-    scale = math.pi / (2.0 * M) / root_s
+        largest = max(largest, abs(hq))
+    return largest
+
+
+def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
+                          basis: TransformedBasis | None = None) -> CoefficientVector:
+    """tanh-Jacobi coefficients for the four Chebyshev kinds by fast transform.
+
+    Substituting tanh x = cos theta maps the inner products to integrals of
+    H(theta) = f(atanh(cos theta)) / sqrt(sin theta) against sin((n+1)theta),
+    cos(n theta), cos((n+1/2)theta) or sin((n+1/2)theta) for (a,b) = (3/4,3/4),
+    (1/4,1/4), (1/4,3/4), (3/4,1/4) respectively, so a midpoint DST-II,
+    DCT-II, DCT-IV or DST-IV computes N coefficients in O(N log N).
+
+    H keeps algebraic theta^{k-1/2} endpoint behavior when f ~ e^{-k|x|}, so
+    the midpoint rule converges only algebraically there; a floor of 1024
+    points keeps that regime at the 1e-9 level.  The rule is taken on
+    M = max(2N, 1024) points first.  Its transform also gives the M - N bins
+    past the window, which estimate the coefficients beyond it; if the
+    largest is at most 1e-14 of the largest window bin (the tolerance of
+    ``mt_coeffs_fft``), the M-point result is returned.  Otherwise f is
+    sampled afresh at M = max(4N, 1024) and that rule's result is returned.
+    The 2N midpoint grid is not part of the 4N one, so nothing is reused: a
+    fallback costs the 4N rule plus the 2N pass, about 1.5 times the 4N rule
+    alone.  For N <= 256 both sizes are 1024 and f is sampled once.
+    ``meta["samples"]`` is the M returned and ``meta["out_of_window"]`` its
+    ratio.
+
+    Blind spot.  On M midpoints, cos(n theta) takes the values of
+    -cos((2M - n) theta), so the DCT-II window (bins k < N) collects the
+    aliases of n >= 2M - N + 1, while bins N..M-1 see every n from N to
+    2M - N except n = M, which vanishes on the grid.  Content only from
+    n = 2M - N + 1 on, with the band N..2M - N empty, aliases into the
+    window unseen: beyond 3N for the 2N rule, 7N for the 4N rule.  The
+    DST-II rows sin((n+1) theta) shift this by two, to n >= 2M - N - 1.
+    DCT-IV and DST-IV (frequencies n + 1/2) alias n into bin 2M - 1 - n:
+    the tested band is N..2M - N - 1 and the blind spot starts at 2M - N
+    (3N and 7N).
+
+    The decay test probes H at a quarter of the first 4N-grid angle beyond
+    each end: a value above 1.2 times the on-grid maximum means f decays
+    more slowly than e^{-|x|/2}, H blows up, and the transform raises
+    ValueError.  A 2N pass whose probe fails falls back, and the 4N grid's
+    own maximum decides.  A 2N result that stands has H resolved to
+    rounding, so |H| at the probe is within a few percent of the 2N and 4N
+    grid maxima and the 4N test would pass too: the error is raised for
+    the same f as by the 4N rule alone, short of content in the blind spot.
+    """
+    a, b = float(kind[0]), float(kind[1])
+    if (a, b) not in _TANH_CHEB_KINDS:
+        raise ValueError("kind must be one of (1/4,1/4), (1/4,3/4), (3/4,1/4), (3/4,3/4)")
+    check_tanh_cheb_size(N)
     transform, order = _TANH_CHEB_KINDS[(a, b)]
-    vals = transform(H, type=order, overwrite_x=True)[:N]
+    M = max(4 * N, 1024)
+    probe = _tanh_cheb_probe(f, M)
+    # the 2N pass, then the 4N rule unless the 2N result stands; for
+    # N <= 256 the first size is already M and the loop ends after it
+    for size in (max(2 * N, 1024), M):
+        H, top = _tanh_cheb_samples(f, size)
+        blows_up = probe > 1.2 * max(top, 1e-300)
+        if size == M and blows_up:
+            raise ValueError("f decays too slowly for the tanh-Chebyshev transform path")
+        spectrum = transform(H, type=order, overwrite_x=True)
+        del H
+        ratio = _out_of_window(spectrum, N, size)
+        if size == M or (ratio <= _TAIL_TOL and not blows_up):
+            break
+        del spectrum  # freed before the 4N grid is sampled
+    root_s = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+    scale = math.pi / (2.0 * size) / root_s
+    vals = spectrum[:N].copy()
+    del spectrum
     vals *= scale if (a, b) == (0.75, 0.75) else scale * math.sqrt(2.0)
     if (a, b) == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)
     vals[1::2] *= -1.0
-    return CoefficientVector(vals, 0, basis,
-                             {"method": "tanh-chebyshev", "kind": (a, b), "samples": M})
+    return CoefficientVector(vals, 0, basis, {"method": "tanh-chebyshev", "kind": (a, b),
+                                              "samples": size, "out_of_window": ratio})
 
 
 @dataclass(frozen=True)

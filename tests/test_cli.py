@@ -453,6 +453,24 @@ def test_coeffs_abs_column_is_abs_of_the_complex_coefficient(capsys):
         assert mag == "%.17g" % abs(np.complex128(complex(float(re), float(im)))), n
 
 
+@pytest.mark.parametrize("method", ["dct", "auto"])
+def test_coeffs_dct_prints_the_library_values(method, capsys):
+    from favard import coeffs
+    from favard.basis import make_basis
+    from favard.expr import compile_function
+
+    rc, out = run_cli(["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)",
+                       "--N", "64", "--method", method], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,re,im,abs" and len(lines) == 65
+    bas = make_basis("tanhjacobi:0.75,0.75", N=64)
+    want = coeffs.tanh_chebyshev_coeffs(compile_function("exp(-x^2)"), (0.75, 0.75), 64, bas)
+    for k, line in enumerate(lines[1:]):
+        n, re, im, _ = line.split(",")
+        assert int(n) == k and complex(float(re), float(im)) == want.values[k]
+
+
 def test_basis_method_closed_needs_a_closed_form(capsys):
     # a family without a closed form is refused before anything is printed
     rc, out = run_cli(["basis", "eval", "--family", "jacobi:1,1", "--n", "0:1",

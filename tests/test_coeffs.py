@@ -6,10 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard import coeffs as co
+from favard import specfun
 from favard.basis import make_basis, malmquist_takenaka, phi, phi_grid
 
 
@@ -288,14 +290,180 @@ def test_mt_fft_zero_function_takes_the_half_grid():
     assert not np.any(a.values)
 
 
-def test_tanh_chebyshev_memory():
-    # measured 4.5 float arrays of the M = 4N samples: x, H (the sqrt(sin)
-    # buffer, divided in place and transformed in place), f's temporaries
-    # and half-grid theta
+# (a, b) -> (s, trig): phi_n = (-1)^n sqrt(2/pi) sqrt(sech x) trig((n + s) theta)
+# with cos theta = tanh x, and phi_0 of (1/4, 1/4) halved in square
+_TANH_KINDS = {(0.75, 0.75): (1.0, np.sin), (0.25, 0.25): (0.0, np.cos),
+               (0.25, 0.75): (0.5, np.cos), (0.75, 0.25): (0.5, np.sin)}
+
+
+def _tanh_phi(kind, n, x):
+    s, trig = _TANH_KINDS[kind]
+    theta = 2.0 * np.arctan(np.exp(-x))  # tan(theta/2) = e^{-x}
+    c = math.sqrt(0.5) if s == 0.0 and n == 0 else 1.0
+    return (-1.0) ** n * c * math.sqrt(2.0 / math.pi) * np.sqrt(np.sin(theta)) * trig((n + s) * theta)
+
+
+def _tanh_midpoint(f, kind, N, M):
+    """The M-point midpoint rule for <f, phi_n>, n < N, in one shot: with
+    tanh x = cos theta, <f, phi_n> = (-1)^n sqrt(2/pi) Int_0^pi H(theta)
+    trig((n + s) theta) d theta, H = f(x) / sqrt(sin theta), on
+    theta_j = (j + 1/2) h, h = pi / M; the sums are taken by FFT."""
+    s, trig = _TANH_KINDS[kind]
+    h = np.pi / M
+    # theta_{M-1-j} = pi - theta_j mirrors x; tan of the small angles keeps
+    # the points exact to rounding in theta
+    lower = (np.arange(M // 2) + 0.5) * h
+    xl = -np.log(np.tan(lower / 2.0))
+    x = np.concatenate((xl, -xl[::-1]))
+    sin = np.sqrt(np.sin(lower))
+    H = f(x) / np.concatenate((sin, sin[::-1]))
+    # e^{-+i (n+s) theta_j} = e^{-+i (n+s) h/2} e^{-+i s h j} e^{-+2 pi i n j / 2M}
+    j, n = np.arange(M), np.arange(N)
+    nu = n + s
+    minus = np.exp(-0.5j * nu * h) * np.fft.fft(H * np.exp(-1j * s * h * j), 2 * M)[:N]
+    plus = np.exp(0.5j * nu * h) * (2 * M) * np.fft.ifft(H * np.exp(1j * s * h * j), 2 * M)[:N]
+    sums = (plus + minus) / 2.0 if trig is np.cos else (plus - minus) / 2.0j
+    if s == 0.0:
+        sums[0] *= math.sqrt(0.5)
+    return (-1.0) ** n * math.sqrt(2.0 / math.pi) * h * sums
+
+
+def _tanh_one_grid(f, kind, N, M):
+    """The single-grid rule as the transform takes it on M points, operation
+    for operation: the values the N <= 256 and fallback branches must
+    return bit for bit."""
+    a, b = kind
+    theta = (np.arange(M // 2) + 0.5) * (math.pi / M)
+    x = np.empty(M)
+    x[:M // 2] = -np.log(np.tan(0.5 * theta))
+    x[M // 2:] = -x[M // 2 - 1::-1]
+    H = np.empty(M)
+    H[:M // 2] = np.sqrt(np.sin(theta))
+    H[M // 2:] = H[M // 2 - 1::-1]
+    fx = np.asarray(f(x))
+    if np.iscomplexobj(fx) and not np.any(fx.imag):
+        fx = fx.real
+    H = fx / H
+    transform = scipy.fft.dst if _TANH_KINDS[kind][1] is np.sin else scipy.fft.dct
+    vals = transform(H, type=2 if a == b else 4)[:N]
+    scale = math.pi / (2.0 * M) / math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
+    vals = vals * (scale if kind == (0.75, 0.75) else scale * math.sqrt(2.0))
+    if kind == (0.25, 0.25):
+        vals[0] /= math.sqrt(2.0)
+    vals[1::2] *= -1.0
+    return vals
+
+
+_TANH_SPAN = np.array([1.0, 1j]) @ np.random.default_rng(27).standard_normal((2, 3))
+_TANH_TEST_FUNCTIONS = {
+    # c_1 phi_1 + c_5 phi_5 + c_11 phi_11
+    "span": lambda kind, N: lambda x: sum(c * _tanh_phi(kind, n, x)
+                                          for n, c in zip((1, 5, 11), _TANH_SPAN)),
+    "gauss": lambda kind, N: lambda x: np.exp(-(x**2)),
+    "sech2": lambda kind, N: lambda x: 1.0 / np.cosh(x) ** 2,
+    "abs": lambda kind, N: lambda x: np.exp(-np.abs(x)),
+    # phi_N and phi_{N+1} sit just past the window n = 0 .. N-1
+    "edge": lambda kind, N: lambda x: _tanh_phi(kind, 0, x) + _tanh_phi(kind, N, x),
+    "planted": lambda kind, N: lambda x: _tanh_phi(kind, 0, x) + _tanh_phi(kind, N + 1, x),
+}
+_TANH_KIND_IDS = [f"{a},{b}" for a, b in _TANH_KINDS]
+
+
+@pytest.mark.parametrize("kind", list(_TANH_KINDS), ids=_TANH_KIND_IDS)
+@pytest.mark.parametrize("N", [16, 256, 4096])
+@pytest.mark.parametrize("name", sorted(_TANH_TEST_FUNCTIONS))
+def test_tanh_chebyshev_matches_one_shot_midpoint_rule(name, N, kind):
+    f = _TANH_TEST_FUNCTIONS[name](kind, N)
+    got = co.tanh_chebyshev_coeffs(f, kind, N)
+    ref = _tanh_midpoint(f, kind, N, max(4 * N, 1024))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got.values - ref)) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("kind", list(_TANH_KINDS), ids=_TANH_KIND_IDS)
+@pytest.mark.parametrize("name, N, half", [
+    ("span", 512, True), ("span", 4096, True), ("gauss", 1024, True), ("gauss", 4096, True),
+    ("sech2", 4096, False), ("abs", 512, False), ("abs", 4096, False),
+    ("edge", 512, False), ("edge", 4096, False), ("planted", 512, False), ("planted", 4096, False),
+])
+def test_tanh_chebyshev_branch_rule(name, N, half, kind):
+    # the 2N rule stands alone only when its bins past the window, which
+    # estimate |a_n| for N <= n < 2N, are at rounding level; a fallback is
+    # the 4N rule itself, bit for bit
+    f = _TANH_TEST_FUNCTIONS[name](kind, N)
+    got = co.tanh_chebyshev_coeffs(f, kind, N)
+    assert got.meta["samples"] == (2 * N if half else 4 * N)
+    assert (got.meta["out_of_window"] <= 1e-14) == half
+    if name in ("edge", "planted"):
+        assert got.meta["out_of_window"] > 0.5
+    if not half:
+        assert np.array_equal(got.values, _tanh_one_grid(f, kind, N, 4 * N))
+
+
+@pytest.mark.parametrize("kind", list(_TANH_KINDS), ids=_TANH_KIND_IDS)
+@pytest.mark.parametrize("N", [4, 256])
+@pytest.mark.parametrize("name", sorted(_TANH_TEST_FUNCTIONS))
+def test_tanh_chebyshev_small_n_samples_one_grid(name, N, kind):
+    # max(2N, 1024) = max(4N, 1024) = 1024: f is sampled once
+    f = _TANH_TEST_FUNCTIONS[name](kind, N)
+    got = co.tanh_chebyshev_coeffs(f, kind, N)
+    assert got.meta["samples"] == 1024
+    assert np.array_equal(got.values, _tanh_one_grid(f, kind, N, 1024))
+    if name in ("edge", "planted"):
+        assert got.meta["out_of_window"] > 0.5
+
+
+@pytest.mark.parametrize("kind", list(_TANH_KINDS), ids=_TANH_KIND_IDS)
+@pytest.mark.parametrize("f, N, raises", [
+    (lambda x: np.exp(-np.abs(x) / 4.0), 64, True),
+    (lambda x: np.exp(-np.abs(x) / 4.0), 4096, True),
+    # H = f / sqrt(sin theta) still peaks inside the 1024-point grid, so the
+    # probe passes below N = 2048 (it reads 0.69 of the grid maximum at
+    # N = 256 and 1.26 at N = 2048)
+    (lambda x: 1.0 / (1.0 + x * x), 64, False),
+    (lambda x: 1.0 / (1.0 + x * x), 4096, True),
+], ids=["exp(-|x|/4)-64", "exp(-|x|/4)-4096", "1/(1+x^2)-64", "1/(1+x^2)-4096"])
+def test_tanh_chebyshev_slow_decay_raises(f, N, raises, kind):
+    # H grows toward theta = 0, pi when f decays more slowly than
+    # e^{-|x|/2}; the probe beyond the 4N grid sees it on either branch
+    if raises:
+        with pytest.raises(ValueError, match="decays too slowly"):
+            co.tanh_chebyshev_coeffs(f, kind, N)
+    else:
+        assert co.tanh_chebyshev_coeffs(f, kind, N).meta["samples"] == 1024
+
+
+def test_tanh_chebyshev_probe_decides_when_the_2n_grid_sees_nothing():
+    # f is 0 on every point of the 2N grid and 1 past its outermost x: the
+    # 2N bins read 0 / 0, but H = f / sqrt(sin theta) blows up between the
+    # 4N grid's end and the probe, and the 4N rule raises as it does alone
+    N = 4096
+    reach = -math.log(math.tan(0.25 * math.pi / (2 * N)))  # x at theta_0 of 2N points
+    f = lambda x: (np.abs(x) > reach + 0.3).astype(float)
+    assert not np.any(f(-np.log(np.tan(0.5 * (np.arange(N) + 0.5) * (math.pi / (2 * N))))))
+    with pytest.raises(ValueError, match="decays too slowly"):
+        co.tanh_chebyshev_coeffs(f, (0.25, 0.75), N)
+
+
+def test_tanh_chebyshev_zero_function_takes_the_half_grid():
+    a = co.tanh_chebyshev_coeffs(lambda x: np.zeros_like(x), (0.25, 0.75), 512)
+    assert a.meta["samples"] == 1024 and a.meta["out_of_window"] == 0.0
+    assert not np.any(a.values)
+
+
+@pytest.mark.parametrize("f, samples, grids", [
+    (lambda x: np.exp(-(x**2)), 2, 2.25),
+    (lambda x: 1.0 / np.cosh(x), 4, 4.5),
+], ids=["2N", "4N"])
+def test_tanh_chebyshev_memory(f, samples, grids):
+    # the peak, in float arrays of M = 4N samples, measured at 2.0 (2N
+    # branch) and 4.0 (4N): x, H (divided in place and transformed in place)
+    # and f's two temporaries on the grid sampled last.  The 4N bound fails
+    # if a 2N-point array of the first pass (half a grid) outlives it
     N = 2**14
-    peak = _peak_bytes(lambda: co.tanh_chebyshev_coeffs(lambda x: 1.0 / np.cosh(x),
-                                                        (0.75, 0.75), N))
-    assert peak <= 1.25 * 4.5 * (4 * N) * 8
+    assert co.tanh_chebyshev_coeffs(f, (0.75, 0.75), N).meta["samples"] == samples * N
+    peak = _peak_bytes(lambda: co.tanh_chebyshev_coeffs(f, (0.75, 0.75), N))
+    assert peak <= grids * (4 * N) * 8
 
 
 def test_decay_fit_exponential_recovers_planted_rate():
