@@ -192,9 +192,7 @@ def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
     path = sch._strang_setup(bas, N)
     a = path.analyze(np.asarray(f0(path.nodes), dtype=complex))
     table = basis_mod.phi_grid(bas, N - 1, grid)
-    states = [a]
-    for _ in range(steps):
-        states.append(sch._run(path, tau, states[-1], V, 1)[0])
+    states = [a, *sch._run(path, tau, a, V, steps, path.leave)[1]]
     u = np.array([vec @ table for vec in states])
     norms = [float(np.linalg.norm(vec)) for vec in states]
     columns = _grid_columns([k * tau for k in range(steps + 1)], grid, u)

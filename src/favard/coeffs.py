@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from . import recurrence as rec
 from . import specfun
@@ -322,6 +321,8 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     the 4N rule has the same blind spot beyond |n| = 7N/2.
     """
     check_mt_fft_size(N)
+    import scipy.fft
+
     M = 4 * N
     h = 2.0 * math.pi / M
     t = _mt_even_grid(N)
@@ -376,9 +377,9 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
                              {"method": "mt-fft", "samples": samples, "out_of_window": ratio})
 
 
-# (a, b) -> the midpoint transform and its type
-_TANH_CHEB_KINDS = {(0.75, 0.75): (scipy.fft.dst, 2), (0.25, 0.25): (scipy.fft.dct, 2),
-                    (0.25, 0.75): (scipy.fft.dct, 4), (0.75, 0.25): (scipy.fft.dst, 4)}
+# (a, b) -> the midpoint transform (the name of a scipy.fft function) and its type
+_TANH_CHEB_KINDS = {(0.75, 0.75): ("dst", 2), (0.25, 0.25): ("dct", 2),
+                    (0.25, 0.75): ("dct", 4), (0.75, 0.25): ("dst", 4)}
 
 def tanh_cheb_kind(basis) -> tuple[float, float] | None:
     """The (a, b) pair when ``basis`` is one of the four tanh-Chebyshev
@@ -477,7 +478,10 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     if (a, b) not in _TANH_CHEB_KINDS:
         raise ValueError("kind must be one of (1/4,1/4), (1/4,3/4), (3/4,1/4), (3/4,3/4)")
     check_tanh_cheb_size(N)
-    transform, order = _TANH_CHEB_KINDS[(a, b)]
+    import scipy.fft
+
+    name, order = _TANH_CHEB_KINDS[(a, b)]
+    transform = getattr(scipy.fft, name)
     M = max(4 * N, 1024)
     probe = _tanh_cheb_probe(f, M)
     # the 2N pass, then the 4N rule unless the 2N result stands; for

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._lapack import singular_values, singular_vectors, split_bidiagonal
 from .errors import EigenError
@@ -93,6 +92,13 @@ class DiffMatrix:
         D[idx + 1, idx] = self.sub
         D[idx, idx + 1] = self.super
         return D
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh_tridiagonal``, with SciPy imported on first use."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(d, e, **kwargs)
 
 
 def build(J: JacobiMatrix, N: int) -> DiffMatrix:

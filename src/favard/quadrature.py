@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _panels
 from ._lapack import singular_values, split_bidiagonal
@@ -149,6 +148,8 @@ def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarra
         log_w = _christoffel_log_weights(half, jacobi, N)
         return (np.concatenate((-half[r:][::-1], half)),
                 np.concatenate((log_w[r:][::-1], log_w)))
+    from scipy.linalg import eigvalsh_tridiagonal
+
     try:
         # JacobiMatrix has already checked that its coefficients are finite
         nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from . import basis as basis_mod
 from . import diffop
@@ -186,6 +185,8 @@ def _mt_grid(D: diffop.DiffMatrix):
     analysis one FFT; the round trip is exact for functions in
     span{phi_0..phi_{N-1}}.
     """
+    import scipy.fft
+
     N = D.N
     M = 4 * N
     h = 2.0 * math.pi / M
@@ -346,10 +347,12 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
 
 
 def _run(path, tau: float, v: np.ndarray, V, steps: int,
-         record: bool = False) -> tuple[np.ndarray, list[float] | None]:
-    """``steps`` Strang steps of size tau from v, with the norm after each when ``record``.
+         each: Callable | None = None) -> tuple[np.ndarray, list | None]:
+    """``steps`` Strang steps of size tau from v, and ``each(z)`` of the state z
+    in the path's coordinates after every step when ``each`` is given.
 
-    The state enters the path's coordinates once and leaves them once.
+    The state enters the path's coordinates once and leaves them once
+    (``each=path.leave`` gives the coefficient vector after every step).
     The free half-steps exp(i tau/2 D^2) are diagonal there, so the closing
     half-step of one step and the opening half-step of the next need no
     change of basis between them.
@@ -359,15 +362,15 @@ def _run(path, tau: float, v: np.ndarray, V, steps: int,
     if V is not None:
         kick = path.kick(np.exp(-1j * tau * np.asarray(V(path.nodes), dtype=float)))
     z = path.enter(v)
-    norms = [] if record else None
+    seen = None if each is None else []
     for _ in range(steps):
         np.multiply(half_flow, z, out=z)
         if kick is not None:
             z = kick(z)
         np.multiply(half_flow, z, out=z)
-        if record:
-            norms.append(float(np.linalg.norm(z)))
-    return path.leave(z), norms
+        if seen is not None:
+            seen.append(each(z))
+    return path.leave(z), seen
 
 
 def _check_drift(before: float, after: float, where: str):
@@ -408,7 +411,8 @@ def strang_propagate(a, tau: float, steps: int, V,
         raise ValueError("steps must be nonnegative")
     v = diffop._vector_of(a)
     norm0 = float(np.linalg.norm(v))
-    v, norms = _run(_strang_setup(basis, len(v)), tau, v, V, steps, record)
+    v, norms = _run(_strang_setup(basis, len(v)), tau, v, V, steps,
+                    (lambda z: float(np.linalg.norm(z))) if record else None)
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     out = a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})
@@ -427,6 +431,8 @@ def fft_grid_reference(f0, t: float, window: tuple[float, float] = (-40.0, 40.0)
     lo, hi = window
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
+    import scipy.fft
+
     L = hi - lo
     x = lo + L * np.arange(M) / M
     k = 2.0 * math.pi * scipy.fft.fftfreq(M, d=L / M)

@@ -4,7 +4,6 @@ sweep behind the transformed Legendre system."""
 import math
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 __all__ = ["gamma", "log_gamma", "beta", "gamma_abs2", "bessel_j_half"]
 
@@ -43,7 +42,9 @@ _CLIMB_FAR = 700.0 / math.pi
 
 
 def _gamma_abs2_log(a: float, y: np.ndarray) -> np.ndarray:
-    return np.exp(2.0 * np.real(_loggamma(a + 1j * y)))
+    from scipy.special import loggamma
+
+    return np.exp(2.0 * np.real(loggamma(a + 1j * y)))
 
 
 def _gamma_abs2_climb(a: float, y: np.ndarray) -> np.ndarray:
@@ -101,8 +102,10 @@ def gamma_pair_phase(a: float, b: float, xi):
     """arg( Gamma(a + i xi) Gamma(b - i xi) ), vectorized in xi."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("gamma_pair_phase requires a > 0 and b > 0")
+    from scipy.special import loggamma
+
     z = np.asarray(xi, dtype=float)
-    ph = np.imag(_loggamma(a + 1j * z)) + np.imag(_loggamma(b - 1j * z))
+    ph = np.imag(loggamma(a + 1j * z)) + np.imag(loggamma(b - 1j * z))
     if np.isscalar(xi):
         return float(ph)
     return ph

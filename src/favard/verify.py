@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.special
 
 from . import _panels
 from . import basis as basis_mod
@@ -175,6 +173,8 @@ def _zeta_tail(N: int, J: int) -> np.ndarray:
     below about 2^p / p!, and the entries of H that underflow meet products
     far below rounding.
     """
+    import scipy.special
+
     e = math.floor(math.log2(J * math.pi))
     a = 2.0**e
     size = max(N, 2)
@@ -395,6 +395,8 @@ def pw_support_reports(basis, ns, delta: float = 0.05) -> list[CheckReport]:
     M = 1 << math.ceil(math.log2(18.0 * width / dx))
     x = (np.arange(M) - 0.5 * M + 0.5) * dx
     rows = basis_mod.phi_grid(basis, max(ns), x)[ns] * np.exp(-0.5 * (x / width) ** 2)
+    import scipy.fft
+
     energy = np.abs(scipy.fft.fft(rows, axis=1)) ** 2
     k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
     ratios = energy[:, k > (1.0 + delta) * band].sum(axis=1) / energy.sum(axis=1)

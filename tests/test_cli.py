@@ -353,6 +353,37 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     assert calls == [64]
 
 
+@pytest.mark.parametrize("family", ["hermite", "mt"])
+def test_schrodinger_runs_one_strang_pass(monkeypatch, capsys, family):
+    from favard import basis as basis_mod
+    from favard import schrodinger as sch
+
+    steps = []
+    run = sch._run
+
+    def counted(*args):
+        steps.append(args[4])
+        return run(*args)
+
+    monkeypatch.setattr(sch, "_run", counted)
+    rc, out = run_cli(["schrodinger", "--basis", family, "--N", "64", "--f0", "exp(-x^2)",
+                       "--potential", "x^2", "--T", "0.5", "--tau", "0.0625",
+                       "--grid", "-2:2:1"], capsys)
+    assert rc == 0 and steps == [8]
+    rows = np.array([[float(c) for c in line.split(",")] for line in out.splitlines()[1:]])
+    # the same states from eight one-step passes, each entering and leaving the path
+    bas = basis_mod.make_basis(family, N=64)
+    path = sch._strang_setup(bas, 64)
+    states = [path.analyze(np.exp(-path.nodes.astype(complex) ** 2))]
+    for _ in range(8):
+        states.append(run(path, 0.0625, states[-1], lambda x: x * x, 1)[0])
+    grid = np.arange(-2.0, 3.0)
+    u = np.array(states) @ basis_mod.phi_grid(bas, 63, grid)
+    assert np.allclose(rows[:, 2] + 1j * rows[:, 3], u.ravel(), rtol=0, atol=1e-13)
+    assert np.allclose(rows[:, 4], np.repeat(np.linalg.norm(states, axis=1), grid.size),
+                       rtol=0, atol=1e-13)
+
+
 def test_leading_dash_option_values(capsys):
     # "--grid -20:20:0.05" style must parse even though the value starts
     # with a minus sign
