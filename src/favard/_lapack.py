@@ -1,7 +1,9 @@
 """LAPACK's bidiagonal solvers, reached through SciPy's Cython LAPACK capsules.
 
 ``scipy.linalg.cython_lapack`` exports every routine as a C function pointer
-in ``__pyx_capi__``; ctypes calls it directly (the route numba takes).  Two
+in ``__pyx_capi__``; ctypes calls it directly (the route numba takes).
+The module is loaded from its file without running ``scipy/linalg/__init__``
+(``_capsules``).  Two
 routines are used: ``dlasq1`` (dqds, singular values to high relative
 accuracy; Fernando & Parlett, Numer. Math. 67, 1994) and ``dbdsdc``
 (divide and conquer, singular vectors; Gu & Eisenstat, SIAM J. Matrix Anal.
@@ -11,6 +13,10 @@ accuracy of small singular values.
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -25,10 +31,37 @@ _SIGNATURES = {
 
 
 @functools.cache
-def _routine(name: str):
-    from scipy.linalg.cython_lapack import __pyx_capi__
+def _capsules() -> dict:
+    """``__pyx_capi__`` of ``scipy.linalg.cython_lapack``, loaded on first use.
 
-    capsule = __pyx_capi__[name]
+    A plain import runs ``scipy/linalg/__init__`` first, which loads 85 SciPy
+    modules; the capsule module itself needs only the ``scipy`` package.  So
+    it is found in SciPy's ``linalg`` directory and executed on its own,
+    unless it is loaded already; a finder that returns nothing falls back to
+    the plain import.  Loading it registers it in ``sys.modules`` without
+    its package, so the entry is dropped again: a later ``import
+    scipy.linalg`` then loads it the usual way, gets this same extension
+    module back and binds it as the package's attribute.
+    """
+    name = "scipy.linalg.cython_lapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "linalg") for path in scipy.__path__])
+        if spec is None:
+            from scipy.linalg import cython_lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+    return module.__pyx_capi__
+
+
+@functools.cache
+def _routine(name: str):
+    capsule = _capsules()[name]
     api = ctypes.pythonapi
     api.PyCapsule_GetName.restype, api.PyCapsule_GetName.argtypes = ctypes.c_char_p, [ctypes.py_object]
     api.PyCapsule_GetPointer.restype = ctypes.c_void_p

@@ -101,16 +101,16 @@ def width_classes(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.add.reduceat(half[order], starts) / counts, mids, counts
 
 
-def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18,
-                     inner: float = 1e-2, outer: float = 1e9) -> float:
+def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18) -> float:
     """Radius beyond which ``fn(ξ) * max(1,|ξ|)**degree`` is negligible.
 
-    ``side`` is +1 or -1.  The returned radius R satisfies
+    ``side`` is +1 or -1; fn is sampled at side * r for the 1200 radii r
+    spaced geometrically from 1e-2 to 1e9.  The returned radius R satisfies
     fn(side*r)*r^degree <= rel * (scanned maximum) for every scanned r >= R.
-    Raises ValueError when no such radius exists within ``outer`` (the
-    integrand does not decay).
+    Raises ValueError when no such radius exists within 1e9 (the integrand
+    does not decay).
     """
-    rs = np.geomspace(inner, outer, 1200)
+    rs = np.geomspace(1e-2, 1e9, 1200)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.asarray(fn(side * rs), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -124,7 +124,7 @@ def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18,
     top = np.max(logs)
     above = np.nonzero(logs > top + np.log(rel))[0]
     if above.size == 0:
-        return inner
+        return float(rs[0])
     last = above[-1]
     if last >= rs.size - 1:
         raise ValueError("weight does not decay fast enough to truncate")

@@ -68,6 +68,12 @@ def _mirrored(G: np.ndarray) -> np.ndarray:
     return G + sign[:, None] * G.conj() * sign[None, :]
 
 
+# A doubling of the lattice reach that shrinks a finite tail estimate by
+# less than this factor, from rows that already held all but 1/_STALL of
+# their mass, ends the doubling (``_lattice_gram``).
+_STALL = 16.0
+
+
 def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     """Gram of quadrature-route rows from their samples on the Nyquist lattice.
 
@@ -86,8 +92,17 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     when r >= 1.  By Cauchy-Schwarz the largest row tail bounds every
     entry's.  Rows that decay only algebraically get an estimate that is
     low (laguerre:1, by about 2) or infinite (jacobi:0.5,1.5), in both
-    cases far above tol, so the report names the tail as what fails, after
-    doubling up to the cap.  Without a
+    cases far above tol, so the report names the tail as what fails.  Such
+    a tail shrinks by a bounded factor per doubling (2 to 7.2 for laguerre:1
+    and genhermite:1 at N = 32, 64 and 128).  A tail that decays at least
+    exponentially shrinks by about the inverse of the mass left outside:
+    once every row holds all but 1/16 of its mass (1 - G_nn <= 1/16), the
+    next doubling shrinks it by 16 or more.  So the doubling also stops,
+    before the cap, once a finite estimate shrinks by less than ``_STALL``
+    = 16 from a finite one taken at a reach that already held that much of
+    every row; the metadata then carries ``"stalled": True``.  Inside the
+    rows' bulk the estimate can be finite and still say nothing of the
+    tail; the guard keeps such an estimate out of the comparison.  Without a
     phase the lattice folds onto k >= 0 (``_mirrored``), for any measure.
     Returns G and the step, reach (the last sampled point) and tail.
     """
@@ -98,7 +113,7 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     K = math.ceil(X / h)
     k = np.arange(K + 1)
     G = np.zeros((N, N), dtype=complex)
-    ks, mass = [], []
+    ks, mass, prev, stop = [], [], math.inf, {}
     while True:
         k = k if fold else np.concatenate((k, -k[k > 0]))
         table = basis_mod.phi_grid(basis, N - 1, h * k)
@@ -116,8 +131,13 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
         tail = float(np.max(np.where(q4 == 0.0, 0.0, tails)))
         if tail <= 0.1 * tol or X >= cap:
             break
+        if prev / _STALL < tail < math.inf:
+            stop = {"stalled": True}
+            break
+        outside = float(np.max(1.0 - (2.0 if fold else 1.0) * G.diagonal().real))
+        prev = tail if outside <= 1.0 / _STALL else math.inf
         X, k, K = 2.0 * X, np.arange(K + 1, 2 * K + 1), 2 * K
-    return _mirrored(G) if fold else G, {"step": h, "reach": K * h, "tail": tail}
+    return _mirrored(G) if fold else G, {"step": h, "reach": K * h, "tail": tail, **stop}
 
 
 def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -95,3 +95,61 @@ def test_charlier_parameter_validation():
         per.charlier_basis(0.0, N=8)
     with pytest.raises(ValueError):
         per.charlier_basis(-1.0, N=8)
+
+
+# The cutoffs the lattice-by-lattice search (each K_0 + 4j built and tested
+# in turn) chose; None where the factorial-decay lattice K_0 already has
+# fewer than N points and the search raised
+PARENT_K = {
+    0.1: {8: 21, 14: 25, 32: None, 64: None},
+    0.5: {8: 27, 14: 31, 32: 47, 64: None},
+    1.0: {8: 31, 14: 39, 32: 55, 64: None},
+    2.0: {8: 37, 14: 45, 32: 65, 64: None},
+    5.0: {8: 51, 14: 59, 32: 83, 64: 115},
+}
+
+
+@pytest.mark.parametrize("a", sorted(PARENT_K))
+def test_cutoff_search_builds_at_most_twice(monkeypatch, a):
+    # one recurrence on the generous lattice tests every candidate cutoff;
+    # the basis is then built once at the chosen K: the same K as the
+    # lattice-by-lattice search, with the tail invariant on its own recurrence
+    lattices = []
+    stieltjes = per.rec.stieltjes
+
+    def counted(measure, N, M=None):
+        lattices.append(int(measure.support[1]))
+        return stieltjes(measure, N, M)
+
+    monkeypatch.setattr(per.rec, "stieltjes", counted)
+    for N, K in PARENT_K[a].items():
+        lattices.clear()
+        if K is None:
+            with pytest.raises(ValueError, match="supports at most"):
+                per.charlier_basis(a, N=N)
+            assert lattices == []
+            continue
+        basis = per.charlier_basis(a, N=N)
+        assert basis.K == K, (a, N)
+        assert len(lattices) <= 2 and lattices[-1] == K, (a, N, lattices)
+        assert per._tail_beyond(a, basis.jacobi, K, N - 1) < 1e-20
+
+
+def test_tails_equal_the_single_cutoff_tail_bitwise():
+    basis = per.charlier_basis(0.5, N=14)
+    cuts = [19, 23, 27, 31, 35]
+    tails = per._tails(0.5, basis.jacobi, cuts, 13)
+    assert list(tails) == [per._tail_beyond(0.5, basis.jacobi, K, 13) for K in cuts]
+    assert tails[-1] < 1e-20 <= tails[0]
+
+
+def test_cutoff_search_steps_on_when_its_own_recurrence_fails(monkeypatch):
+    # a cutoff the generous lattice passes is tested again on the recurrence
+    # built at it; when that fails the search steps on by 4, building each
+    # lattice: here the generous test passes K_0 = 19 itself, and the
+    # search still ends at 27
+    tails = per._tails
+    monkeypatch.setattr(per, "_tails", lambda a, jacobi, cuts, nmax:
+                        np.zeros(len(cuts)) if len(cuts) > 1
+                        else tails(a, jacobi, cuts, nmax))
+    assert per.charlier_basis(0.5, N=8).K == 27

@@ -195,3 +195,64 @@ def test_conthahn_coeffs_and_mass_match_mpmath_moments(dilation):
     got = [rec.conthahn_coeffs(1.0, 0.5, n, dilation)[0] for n in range(N)]
     assert np.max(np.abs(np.array(got) / want - 1.0)) < 1e-14
     assert abs(measure.weight(0.3) * mass / float(w(mpmath.mpf(0.3))) - 1.0) < 1e-14
+
+
+def _stieltjes_reorthogonalized(nodes, weights, N):
+    # the Lanczos iteration on diag(nodes) from the square-root weights with
+    # full reorthogonalization against every earlier q_k, repeated once:
+    # O(N^2 M), the stable reference for the O(N M) update
+    Q = np.empty((N + 1, nodes.size))
+    Q[0] = np.sqrt(weights) / np.linalg.norm(np.sqrt(weights))
+    b, c = np.empty(N), np.empty(N)
+    for k in range(N):
+        q = Q[k]
+        v = nodes * q
+        c[k] = q @ v
+        v -= c[k] * q + (b[k - 1] * Q[k - 1] if k else 0.0)
+        for _ in range(2):
+            v -= Q[:k + 1].T @ (Q[:k + 1] @ v)
+        b[k] = np.linalg.norm(v)
+        Q[k + 1] = v / b[k]
+    return b, c
+
+
+def _discretized(measure, N):
+    return rec._discretize(measure, max(360, 24 * N), degree=2 * N)
+
+
+@pytest.mark.parametrize("N", [12, 64, 256])
+@pytest.mark.parametrize("weight", [lambda x: np.exp(-x * x), lambda x: np.exp(-x ** 4),
+                                    lambda x: np.exp(-np.abs(x))],
+                         ids=["exp(-x^2)", "exp(-x^4)", "exp(-|x|)"])
+def test_stieltjes_matches_full_reorthogonalization(weight, N):
+    # on the same discretization: b to 1e-15 relative; c to 1e-13, or to
+    # 1e-15 of the largest node where the nodes reach beyond 100 (exp(-|x|)
+    # at N = 256 reaches 760, where both c are about 6e-13 off their exact 0)
+    measure = rec.custom_measure(weight)
+    nodes, weights = _discretized(measure, N)
+    b, c = _stieltjes_reorthogonalized(nodes, weights, N)
+    J = rec.stieltjes(measure, N)
+    assert np.max(np.abs(J.b - b) / b) <= 1e-15
+    assert np.max(np.abs(J.c - c)) <= max(1e-13, 1e-15 * np.max(np.abs(nodes)))
+
+
+@pytest.mark.parametrize("K", [6, 10, 20])
+def test_stieltjes_on_charlier_lattices_up_to_2k(K):
+    # the update holds to the last pair a lattice of 2K + 1 points has, and
+    # the next one, b_{2K} = 0, raises
+    measure = rec.charlier_bilateral(0.5, K)
+    points, masses = np.asarray(measure.points, float), np.asarray(measure.masses, float)
+    b, c = _stieltjes_reorthogonalized(points, masses, 2 * K)
+    for N in range(1, 2 * K + 1):
+        J = rec.stieltjes(measure, N)
+        assert np.max(np.abs(J.b - b[:N]) / b[:N]) <= 1e-15, N
+        assert np.max(np.abs(J.c - c[:N])) <= 1e-13, N
+    with pytest.raises(DegenerateMeasureError):
+        rec.stieltjes(measure, 2 * K + 1)
+
+
+def test_custom_gaussian_matches_the_hermite_recurrence():
+    J = rec.stieltjes(rec.custom_measure(lambda x: np.exp(-x * x)), 12)
+    want = rec.build_jacobi(rec.hermite_coeffs, 12)
+    assert np.max(np.abs(J.b - want.b) / want.b) <= 1e-15
+    assert np.max(np.abs(J.c)) <= 1e-15

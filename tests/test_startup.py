@@ -17,11 +17,16 @@ from favard import cli
 
 PACKAGE = Path(favard.__file__).resolve().parent
 
-# commands that call no SciPy function
+# commands that call no SciPy function, among them every command on a
+# measure given only by its density or lattice masses
 PLAIN = (
     ["basis", "eval", "--family", "legendre", "--n", "0:4", "--grid", "-2:2:0.5"],
     ["diffmat", "--family", "laguerre:0.0", "--N", "8"],
     ["periodic", "eval", "--a", "0.5", "--n", "0:3", "--grid", "-pi:pi:0.25"],
+    ["verify", "gram", "--family", "custom-weight:exp(-x^4)"],
+    ["verify", "recurrence", "--family", "custom-weight:exp(-x^4)"],
+    ["verify", "gram", "--family", "charlier:0.5"],
+    ["verify", "recurrence", "--family", "charlier:0.5"],
 )
 _PROPAGATE = ["--N", "64", "--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.5",
               "--tau", "0.0625"]
@@ -81,6 +86,16 @@ def test_import_loads_no_scipy(child):
 def test_plain_commands_load_no_scipy(child):
     for argv, run in zip(PLAIN, child["runs"]):
         assert (run["code"], run["scipy"]) == (0, []), argv
+
+
+def test_quad_reaches_lapack_without_scipy_linalg(child):
+    # the first SciPy use, a symmetric Gauss rule, loads the LAPACK capsule
+    # module on its own: the scipy package, not scipy.linalg
+    argv, _ = RUNS[len(PLAIN)]
+    run = child["runs"][len(PLAIN)]
+    assert argv[:3] == ["quad", "--family", "hermite"]
+    assert run["code"] == 0 and "scipy" in run["scipy"]
+    assert [m for m in run["scipy"] if m.startswith("scipy.linalg")] == []
 
 
 def test_fresh_interpreter_prints_the_in_process_bytes(child, monkeypatch, capsys):

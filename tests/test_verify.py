@@ -5,6 +5,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -125,10 +126,23 @@ def test_theta_gram_is_exact_on_n_points(family):
 def test_lattice_reach_cap_grows_with_n():
     # rows spread as N grows: exp(-x^4) row 63 still reaches 0.25 past
     # |x| = 30, where a fixed cap of 30 stopped the sum (G read 0.51); the
-    # cap 30 N / 32 lets the reach double past 60
+    # cap 30 N / 32 lets the reach double past 60; the estimates at reach 15
+    # and 30 are infinite, so no stall ends the doubling early
     rep = ver.check_gram(make_basis("custom-weight:exp(-x^4)", N=66), 64)
     assert rep.passed, rep.max_abs_error
     assert 60.0 <= rep.metadata["reach"] and rep.metadata["tail"] <= 1e-9
+    assert "stalled" not in rep.metadata
+
+
+@pytest.mark.parametrize("N", [33, 48])
+def test_lattice_gram_doubles_on_to_a_converging_reach(N):
+    # for 33 <= N < 64 the cap lets the reach double from 30 to 60; exp(-x^4)
+    # rows are still in their bulk at 15 (|G - I| reads 0.77 and 0.85), and at
+    # N = 33 the estimate at 30 is finite (1.3e-2) before it drops to 2.6e-30
+    # at 60: no stall may end the doubling of a row that converges
+    rep = ver.check_gram(make_basis("custom-weight:exp(-x^4)", N=N + 2), N)
+    assert rep.passed, rep.max_abs_error
+    assert rep.metadata["reach"] >= 60.0 and "stalled" not in rep.metadata
 
 
 def test_lattice_gram_names_an_algebraic_tail():
@@ -428,3 +442,37 @@ def test_pw_support_rejects_negative_index():
     for family in ("legendre", "hermite"):
         with pytest.raises(ValueError):
             ver.check_pw_support(make_basis(family, N=8), n=-1)
+
+
+def test_lattice_gram_stops_doubling_on_an_algebraic_tail():
+    # laguerre:1 rows decay algebraically from the xi^(1/2) endpoint: from
+    # reach 15 to 30 the tail estimate shrinks only by about 3.4, so the
+    # doubling stops there, short of the cap 60, and the report says so and
+    # still names the tail as what fails
+    rep = ver.check_gram(make_basis("laguerre:1", N=66), 64)
+    assert not rep.passed
+    assert rep.metadata["stalled"] is True
+    assert 30.0 <= rep.metadata["reach"] < 60.0
+    assert 1e-3 < rep.metadata["tail"] < 1e-2 and rep.max_abs_error > 1e-3
+
+
+
+def test_lattice_gram_counts_no_estimate_from_inside_the_bulk(monkeypatch):
+    # rows of density exp(-|x|/8) up to |x| = 30 and 0 beyond, on the step
+    # h = 1: at reach 15 they still hold 12% of their mass outside and the
+    # estimate reads 0.15, at 30 it reads 0.032 (a shrink of 4.6), and at
+    # 60 nothing is left; the estimate at 15 comes from inside the rows'
+    # bulk, so it must not end the doubling at 30
+    x = np.arange(-30.0, 31.0)
+    norm = math.sqrt(np.sum(np.exp(-np.abs(x) / 8.0)))
+
+    def rows(basis, nmax, x):
+        f = np.where(np.abs(x) <= 30.0, np.exp(-np.abs(x) / 16.0) / norm, 0.0)
+        return np.tile(f.astype(complex), (nmax + 1, 1))
+
+    monkeypatch.setattr(basis_mod, "_band", lambda basis, degree: (-math.pi, math.pi))
+    monkeypatch.setattr(basis_mod, "phi_grid", rows)
+    G, lattice = ver._lattice_gram(types.SimpleNamespace(sigma=None), 64, 1e-8)
+    assert "stalled" not in lattice
+    assert (lattice["reach"], lattice["tail"]) == (60.0, 0.0)
+    assert np.max(np.abs(G.diagonal() - 1.0)) < 1e-14
