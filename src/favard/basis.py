@@ -12,12 +12,12 @@ directly; everything else goes through oscillatory quadrature.  The
 continuous Hahn families conthahn:a,b and tanhjacobi:a,b are one measure
 at dilations 1 and 2, so both take the tanh-Jacobi table.
 
-A closed form comes in two entry points on one scan: ``*_table(nmax, x)``
-returns rows 0..nmax from a single sweep in n (a three-term recurrence for
-Hermite, Legendre and tanh-Jacobi, one broadcast expression for
-Malmquist-Takenaka), and the single-row function is that same sweep run
-without collecting rows.  Row n of a table with nmax = n is therefore the
-single-row value bit for bit; for nmax > n the two agree at rounding level.
+Each closed family has one table scan: ``*_table(nmax, x)`` returns rows
+0..nmax from a single sweep in n (a three-term recurrence for Hermite,
+Legendre and tanh-Jacobi, one broadcast expression for
+Malmquist-Takenaka).  A single row is row n of the table at nmax = n, so
+it holds (n+1) len(x) values while it runs; for nmax > n row n agrees with
+it at rounding level.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ _HERMITE_BUDGET = 960.0
 _MT_BIG = 2.0**26
 
 
-def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
-    """Run the Hermite-function recurrence in mantissa/exponent form.
+def _hermite_scan(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Rows 0..nmax of the Hermite-function recurrence in mantissa/exponent form.
 
     phi_{k+1} = -x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}, seeded by
     phi_0 = pi^{-1/4} e^{-x^2/2}.  Values are carried as m * 2^e with a
@@ -101,9 +101,8 @@ def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
         out *= 2.0**-1022
         return out
 
-    rows = np.empty((nmax + 1, x.size)) if collect else None
-    if collect:
-        emit(cur, lift, rows[0])
+    rows = np.empty((nmax + 1, x.size))
+    emit(cur, lift, rows[0])
     bits = 1.0  # the seed mantissa is below 2
     for k in range(nmax):
         s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
@@ -121,18 +120,15 @@ def _hermite_scan(nmax: int, x: np.ndarray, collect: bool):
         np.multiply(prev, r, out=term)
         nxt -= term
         prev, cur, nxt = cur, nxt, prev
-        if collect:
-            emit(cur, lift, rows[k + 1])
-    return rows if collect else emit(cur, lift, np.empty_like(cur))
+        emit(cur, lift, rows[k + 1])
+    return rows
 
 
 def hermite_function(n: int, x):
     """Hermite function (-1)^n (2^n n!)^{-1/2} pi^{-1/4} e^{-x^2/2} H_n(x)."""
     if n < 0:
         raise ValueError("index n must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    out = _hermite_scan(n, np.atleast_1d(xs).ravel(), collect=False)
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return _row(hermite_function_table(n, x)[n], x)
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
@@ -140,29 +136,27 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return _hermite_scan(nmax, xs.ravel(), collect=True)
+    return _hermite_scan(nmax, xs.ravel())
 
 
-def _scan_rows(nmax: int, collect: bool) -> np.ndarray:
-    """Indices of the rows a scan returns: 0..nmax, or nmax alone."""
-    return np.arange(nmax + 1) if collect else np.array([nmax])
+def _row(row: np.ndarray, x):
+    """A table row in the shape of x: a Python float or complex for a scalar x."""
+    xs = np.asarray(x)
+    return row[0].item() if xs.ndim == 0 else row.reshape(xs.shape)
 
 
-def _legendre_scan(nmax: int, x, collect: bool) -> np.ndarray:
-    """Transformed Legendre rows from one spherical Bessel sweep in |x|.
+def _legendre_scan(nmax: int, x) -> np.ndarray:
+    """Transformed Legendre rows 0..nmax from one spherical Bessel sweep in |x|.
 
     phi_n(x) = (-1)^n sqrt((2n+1)/pi) j_n(x), and phi_n(-x) = (-1)^n phi_n(x).
-    Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
     """
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    ns = _scan_rows(nmax, collect)
     # scaled and signed in place, with no second table-sized temporary
-    rows = specfun._sph_scan(nmax, np.abs(flat), collect).reshape(ns.size, flat.size)
-    rows *= np.sqrt((2.0 * ns + 1.0) / math.pi)[:, None]
+    rows = specfun._sph_scan(nmax, np.abs(flat))
+    rows *= np.sqrt((2.0 * np.arange(nmax + 1) + 1.0) / math.pi)[:, None]
     where = flat > 0.0
-    for n, row in zip(ns, rows):
-        if n % 2:
-            np.negative(row, out=row, where=where)
+    for row in rows[1::2]:
+        np.negative(row, out=row, where=where)
     return rows
 
 
@@ -170,16 +164,14 @@ def transformed_legendre(n: int, x):
     """Bandlimited Legendre system (-1)^n sqrt((n+1/2)/x) J_{n+1/2}(x)."""
     if n < 0:
         raise ValueError("index n must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    out = _legendre_scan(n, xs, collect=False)[0]
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return _row(transformed_legendre_table(n, x)[n], x)
 
 
 def transformed_legendre_table(nmax: int, x) -> np.ndarray:
     """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x))."""
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
-    return _legendre_scan(nmax, x, collect=True)
+    return _legendre_scan(nmax, x)
 
 
 def malmquist_takenaka(n, x):
@@ -215,14 +207,12 @@ def _tanh_jacobi_matrix(a: float, b: float, nmax: int) -> JacobiMatrix:
     return _tanh_jacobi_polys(float(a), float(b), size)
 
 
-def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool,
-                      s: float = 2.0) -> np.ndarray:
-    """tanh-Jacobi rows at dilation s: one polynomial scan in tanh y times one envelope.
+def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, s: float = 2.0) -> np.ndarray:
+    """tanh-Jacobi rows 0..nmax at dilation s: one polynomial scan in tanh y times one envelope.
 
     The rows are sqrt(s/2) phi_n(y) at y = s x / 2, the transform of
     ``rec.conthahn_measure(a, b, s)``: s = 2 is ``tanh_jacobi`` itself, where
     both factors are exactly 1.0, and s = 1 is conthahn:a,b.
-    Rows 0..nmax with ``collect``, else row nmax alone (shape (1, len(x))).
     """
     if a <= 0 or b <= 0:
         raise ValueError("tanh_jacobi requires a > 0 and b > 0")
@@ -236,9 +226,8 @@ def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, collect: bool,
     norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b) * (2.0 / s))
     envelope = lo**a * hi**b / norm
     t = np.tanh(y)
-    p = rec.eval_poly_table(jac, nmax, t) if collect else rec.eval_poly(jac, nmax, t)[None]
-    rows = p * envelope
-    rows[_scan_rows(nmax, collect) % 2 == 1] *= -1.0
+    rows = rec.eval_poly_table(jac, nmax, t) * envelope
+    rows[1::2] *= -1.0
     return rows
 
 
@@ -250,14 +239,12 @@ def tanh_jacobi(a: float, b: float, n: int, x):
     S = 2^{2a+2b-1} B(2a, 2b) making the L2 norm one.  Decays like
     e^{-2a x} as x -> +inf and e^{2b x} as x -> -inf.
     """
-    xs = np.asarray(x, dtype=float)
-    out = _tanh_jacobi_scan(a, b, n, xs, collect=False)[0]
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return _row(tanh_jacobi_table(a, b, n, x)[n], x)
 
 
 def tanh_jacobi_table(a: float, b: float, nmax: int, x) -> np.ndarray:
     """All tanh-Jacobi functions 0..nmax on a grid, shape (nmax+1, len(x))."""
-    return _tanh_jacobi_scan(a, b, nmax, x, collect=True)
+    return _tanh_jacobi_scan(a, b, nmax, x)
 
 
 @dataclass(eq=False)
@@ -265,15 +252,16 @@ class TransformedBasis:
     """A measure, its recurrence coefficients, and evaluation strategy.
 
     ``jacobi`` grows on demand through ``coeff_source`` when higher indices
-    are requested.  ``closed_form(n, x)`` short-circuits quadrature when the
-    family has an explicit formula, and ``closed_table(nmax, x)`` returns its
-    rows 0..nmax, shape (nmax+1, len(x)), from one sweep; ``closed_form`` is
-    the same sweep without collecting rows, so ``phi(basis, n, x)`` equals
-    ``phi_grid(basis, n, x)[n]`` bit for bit.  ``phi_grid`` takes the closed
-    route only through ``closed_table``.  ``bilateral`` marks families indexed
-    over all integers (Malmquist-Takenaka).  ``sigma`` is an optional real
-    phase baked into the transform: the integrand carries e^{i sigma(xi)},
-    which changes neither orthonormality nor the differentiation matrix.
+    are requested.  ``closed_table(nmax, x)`` short-circuits quadrature when
+    the family has an explicit formula: it returns rows 0..nmax, shape
+    (nmax+1, len(x)), from the family's one table scan, and ``phi(basis, n,
+    x)`` is row n of it at nmax = n, so it equals ``phi_grid(basis, n, x)[n]``
+    bit for bit at a transient cost of (n+1) len(x) values.  ``bilateral``
+    marks families indexed over all integers (Malmquist-Takenaka), whose
+    rows n < 0 ``phi`` takes from ``malmquist_takenaka``.  ``sigma`` is an
+    optional real phase baked into the transform: the integrand carries
+    e^{i sigma(xi)}, which changes neither orthonormality nor the
+    differentiation matrix.
     ``tanh_jacobi`` is (a, b, s) for the tanh-Jacobi family at dilation s
     (conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2), else None.
     """
@@ -282,7 +270,6 @@ class TransformedBasis:
     measure: MeasureSpec
     jacobi: JacobiMatrix
     coeff_source: Callable[[int], JacobiMatrix] | None = None
-    closed_form: Callable | None = None
     closed_table: Callable | None = None
     sigma: Callable | None = None
     bilateral: bool = False
@@ -326,25 +313,20 @@ def phi(basis: TransformedBasis, n: int, x, tol: float = 1e-10,
         method: str = "auto"):
     """Evaluate phi_n at scalar or array x; returns complex values.
 
-    ``method`` is as for ``phi_grid``.  The closed route runs the family's
-    single-row scan; the quadrature route returns row n of
-    ``phi_grid(basis, n, x, tol, method=method)``, one transform over all
-    of x.  Negative n is admitted only for bilateral families, and only on
-    the closed route.
+    ``method`` is as for ``phi_grid``, and the value is row n of
+    ``phi_grid(basis, n, x, tol, method=method)``: on the closed route the
+    last row of the family's table scan, on the quadrature route one
+    transform over all of x.  Negative n is admitted only for bilateral
+    families, and only on the closed route, where it is
+    ``malmquist_takenaka(n, x)``.
     """
-    if n < 0 and not basis.bilateral:
-        raise ValueError("negative index on a one-sided basis")
-    if _closed_route(basis, method, basis.closed_form is not None):
-        return np.asarray(basis.closed_form(n, x), dtype=complex)[()]
     if n < 0:
-        raise ValueError("quadrature path is defined for n >= 0 only")
+        if not basis.bilateral:
+            raise ValueError("negative index on a one-sided basis")
+        if not _closed_route(basis, method, basis.closed_table is not None):
+            raise ValueError("quadrature path is defined for n >= 0 only")
+        return malmquist_takenaka(n, x)
     return _row(phi_grid(basis, n, x, tol, method=method)[n], x)
-
-
-def _row(row: np.ndarray, x):
-    """A grid row in the shape of x: a Python complex for a scalar x."""
-    xs = np.asarray(x)
-    return complex(row[0]) if xs.ndim == 0 else row.reshape(xs.shape)
 
 
 def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
@@ -438,8 +420,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
             raise ValueError("hermite takes no parameters")
         source = lambda M: rec.build_jacobi(rec.hermite_coeffs, M)
         return TransformedBasis("hermite", rec.hermite_measure(), source(N),
-                                coeff_source=source, closed_form=hermite_function,
-                                closed_table=hermite_function_table)
+                                coeff_source=source, closed_table=hermite_function_table)
     if head == "genhermite":
         eta, = _parse_params(family, tail, 1)
         source = lambda M: rec.build_jacobi(lambda n: rec.generalized_hermite_coeffs(eta, n), M)
@@ -450,15 +431,13 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
             raise ValueError("legendre takes no parameters")
         source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(0.0, n), M)
         return TransformedBasis("legendre", rec.legendre_measure(), source(N),
-                                coeff_source=source, closed_form=transformed_legendre,
-                                closed_table=transformed_legendre_table)
+                                coeff_source=source, closed_table=transformed_legendre_table)
     if head == "ultraspherical":
         alpha, = _parse_params(family, tail, 1)
         source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(alpha, n), M)
         closed = alpha == 0.0  # the Legendre measure
         return TransformedBasis(family, rec.ultraspherical_measure(alpha), source(N),
                                 coeff_source=source,
-                                closed_form=transformed_legendre if closed else None,
                                 closed_table=transformed_legendre_table if closed else None)
     if head == "jacobi":
         alpha, beta = _parse_params(family, tail, 2)
@@ -471,21 +450,19 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         closed = alpha == 0.0  # the Malmquist-Takenaka measure
         return TransformedBasis(family, rec.laguerre_measure(alpha), source(N),
                                 coeff_source=source,
-                                closed_form=malmquist_takenaka if closed else None,
                                 closed_table=_mt_table if closed else None)
     if head == "mt":
         if tail:
             raise ValueError("mt takes no parameters")
         source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(0.0, n), M)
         return TransformedBasis("mt", rec.laguerre_measure(0.0), source(N),
-                                coeff_source=source, closed_form=malmquist_takenaka,
-                                closed_table=_mt_table, bilateral=True)
+                                coeff_source=source, closed_table=_mt_table,
+                                bilateral=True)
     if head in ("conthahn", "tanhjacobi"):
         # one measure at two dilations, so one closed table: the conthahn
         # row at x is 2^{-1/2} times the tanhjacobi row at x / 2
         a, b = _parse_params(family, tail, 2)
         s = 1.0 if head == "conthahn" else 2.0
-        scan = lambda nmax, x, collect: _tanh_jacobi_scan(a, b, nmax, x, collect, s)
         source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, s), M)
         # For a != b the real-valued system uses the complex square root
         # Gamma(a+i xi/s) Gamma(b-i xi/s), i.e. the canonical transform with
@@ -493,8 +470,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / s))
         return TransformedBasis(family, rec.conthahn_measure(a, b, s), source(N),
                                 coeff_source=source,
-                                closed_form=lambda n, x: _row(scan(n, x, False)[0], x),
-                                closed_table=lambda nmax, x: scan(nmax, x, True),
+                                closed_table=lambda nmax, x: _tanh_jacobi_scan(a, b, nmax, x, s),
                                 sigma=sig, tanh_jacobi=(a, b, s))
     if head == "custom-weight":
         if not tail:

@@ -45,27 +45,30 @@ __all__ = ["DiffMatrix", "Eigensystem", "FoldedEigensystem", "apply", "build", "
 class DiffMatrix:
     """Skew-Hermitian tridiagonal differentiation matrix, stored as bands.
 
-    ``sub[m-1]`` is the entry (m, m-1) = b_{m-1}, ``diag[m]`` the imaginary
-    part c_m of the entry (m, m) = i c_m, and ``super[m]`` the entry
-    (m, m+1) = -b_m; storage is O(N).
+    ``sub[m-1]`` is the entry (m, m-1) = b_{m-1} and ``diag[m]`` the
+    imaginary part c_m of the entry (m, m) = i c_m; skew-Hermitian symmetry
+    fixes the entry (m, m+1) = -b_m, read as ``super[m]``.  Storage is O(N).
     """
 
     sub: np.ndarray
     diag: np.ndarray
-    super: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "sub", np.asarray(self.sub, dtype=float))
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "super", np.asarray(self.super, dtype=float))
         if self.diag.ndim != 1 or self.diag.size < 1:
             raise ValueError("diag must hold at least one entry")
-        if self.sub.shape != (self.diag.size - 1,) or self.super.shape != self.sub.shape:
-            raise ValueError("band lengths must be N-1, N, N-1")
+        if self.sub.shape != (self.diag.size - 1,):
+            raise ValueError("band lengths must be N-1 and N")
 
     @property
     def N(self) -> int:
         return self.diag.size
+
+    @property
+    def super(self) -> np.ndarray:
+        """The superdiagonal -sub."""
+        return -self.sub
 
     @cached_property
     def eigensystem(self) -> Eigensystem | FoldedEigensystem:
@@ -108,7 +111,7 @@ def build(J: JacobiMatrix, N: int) -> DiffMatrix:
     if N > len(J):
         raise IndexError(f"need {N} coefficient pairs, have {len(J)}")
     b = np.asarray(J.b[: N - 1], dtype=float)
-    return DiffMatrix(b, np.asarray(J.c[:N], dtype=float), -b)
+    return DiffMatrix(b, np.asarray(J.c[:N], dtype=float))
 
 
 def _vector_of(a) -> np.ndarray:
@@ -132,7 +135,7 @@ def apply(D: DiffMatrix, a):
         raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
     out = 1j * D.diag * v
     out[1:] += D.sub * v[:-1]
-    out[:-1] += D.super * v[1:]
+    out[:-1] -= D.sub * v[1:]
     return _rewrap(a, out)
 
 

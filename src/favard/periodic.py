@@ -95,18 +95,20 @@ def charlier_basis(a: float, N: int = 32, K: int | None = None) -> PeriodicBasis
 
     ``N`` is the number of recurrence coefficients to prepare, which bounds
     the largest usable degree.  When ``K`` is not given, the cutoff is the
-    first of K_0, K_0 + 4, K_0 + 8, ... (K_0 from the factorial-decay rule
-    of the measure) at which the discarded tail sum_{|k|>K} sigma_k p_n(k)^2
-    stays below 1e-20 for every prepared degree; the mass-decay rule alone
+    first of K_1, K_1 + 4, K_1 + 8, ... at which the discarded tail
+    sum_{|k|>K} sigma_k p_n(k)^2 stays below 1e-20 for every prepared
+    degree; K_1 = max(K_0, ceil(N/2)) is the smallest K >= K_0 (K_0 from the
+    factorial-decay rule of the measure) whose lattice holds the N + 1
+    points that N recurrence coefficients need.  The mass-decay rule alone
     is not enough because p_n(k)^2 grows rapidly past the lattice edge.
-    Every candidate is tested against one recurrence, built on the generous
-    lattice K_0 + 4 ceil((3N/2 + 8) / 4) (the chosen K was at most
-    K_0 + 1.25 N for a from 0.1 to 5 and N up to 64).  It differs from a
-    passing candidate's only through masses that the test bounds, far below
-    rounding.  The basis is then built once at the first K that passes, and
-    its own recurrence is tested again.  Should that test fail, or no
-    candidate up to the generous lattice pass, the cutoff steps on by 4,
-    building each lattice, until one passes.
+    Every candidate is tested against one recurrence, built on the last
+    candidate up to the generous lattice K_0 + 4 ceil((3N/2 + 8) / 4) (the
+    chosen K was at most K_0 + 1.25 N for a from 0.1 to 5 and N up to 64).
+    It differs from a passing candidate's only through masses that the test
+    bounds, far below rounding.  The basis is then built once at the first
+    K that passes, and its own recurrence is tested again.  Should that
+    test fail, or no candidate up to the generous lattice pass, the cutoff
+    steps on by 4, building each lattice, until one passes.
     """
     def fits(lattice):
         count = 2 * lattice + 1
@@ -131,9 +133,8 @@ def charlier_basis(a: float, N: int = 32, K: int | None = None) -> PeriodicBasis
                 f"K = {K} violates the truncation-tail invariant for degrees below {N}"
             )
         return PeriodicBasis(measure=measure, jacobi=jacobi, K=lattice)
-    first = int(round(rec.charlier_bilateral(a).support[1]))
-    fits(first)
-    cuts = list(range(first, first + 4 * math.ceil((1.5 * N + 8) / 4) + 1, 4))
+    base = int(round(rec.charlier_bilateral(a).support[1]))
+    cuts = list(range(max(base, -(-N // 2)), base + 4 * math.ceil((1.5 * N + 8) / 4) + 1, 4))
     measure, jacobi, lattice = build(cuts[-1])
     passed = np.flatnonzero(_tails(a, jacobi, cuts, N - 1) < 1e-20)
     if passed.size and cuts[passed[0]] != lattice:

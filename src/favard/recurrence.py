@@ -347,40 +347,31 @@ def build_jacobi(coeff_fn: Callable[[int], tuple[float, float]], N: int) -> Jaco
     return JacobiMatrix(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
-def _poly_scan(jacobi: JacobiMatrix, nmax: int, xi: np.ndarray, collect: bool) -> np.ndarray:
-    """The forward three-term recurrence up to degree nmax.
-
-    With ``collect`` the result is p_0..p_nmax stacked on a leading axis;
-    without it it is p_nmax alone, computed by the same arithmetic.
-    """
-    p_prev = np.zeros_like(xi)
-    p = np.ones_like(xi)
-    table = np.empty((nmax + 1,) + xi.shape) if collect else None
-    if collect:
-        table[0] = p
-    for k in range(nmax):
-        p_prev, p = p, ((xi - jacobi.c[k]) * p - (jacobi.b[k - 1] if k else 0.0) * p_prev) / jacobi.b[k]
-        if collect:
-            table[k + 1] = p
-    return table if collect else p
-
-
 def eval_poly(jacobi: JacobiMatrix, n: int, xi):
-    """p_n(xi) by the forward three-term recurrence, vectorized in xi."""
-    if n < 0 or n >= len(jacobi):
-        raise IndexError(f"polynomial degree {n} outside 0..{len(jacobi) - 1}")
-    p = _poly_scan(jacobi, n, np.asarray(xi, dtype=float), collect=False)
-    return p if p.ndim else float(p)
+    """p_n(xi), vectorized in xi: row n of ``eval_poly_table(jacobi, n, xi)``.
+
+    The table holds (n+1) xi.size values while it runs.
+    """
+    xs = np.asarray(xi, dtype=float)
+    p = eval_poly_table(jacobi, n, xs)[n]
+    return p if xs.ndim else float(p[0])
 
 
 def eval_poly_table(jacobi: JacobiMatrix, nmax: int, xi) -> np.ndarray:
     """Stacked values p_0..p_nmax at xi; shape (nmax+1,) + xi.shape.
 
-    Row n equals ``eval_poly(jacobi, n, xi)`` bit for bit.
+    One sweep of the forward three-term recurrence; ``eval_poly`` is its row n.
     """
     if nmax < 0 or nmax >= len(jacobi):
-        raise IndexError(f"degree {nmax} outside 0..{len(jacobi) - 1}")
-    return _poly_scan(jacobi, nmax, np.atleast_1d(np.asarray(xi, dtype=float)), collect=True)
+        raise IndexError(f"polynomial degree {nmax} outside 0..{len(jacobi) - 1}")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    table = np.empty((nmax + 1,) + xi.shape)
+    table[0] = 1.0
+    p_prev, p = np.zeros_like(xi), table[0]
+    for k in range(nmax):
+        p_prev, p = p, ((xi - jacobi.c[k]) * p - (jacobi.b[k - 1] if k else 0.0) * p_prev) / jacobi.b[k]
+        table[k + 1] = p
+    return table
 
 
 def clenshaw(jacobi: JacobiMatrix, coeffs, xi):

@@ -154,8 +154,8 @@ def _hermite_grid(D: diffop.DiffMatrix):
     The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
     V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
     phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i).  The
-    last row gives c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|: one Hermite function
-    and no Hermite function table (|V[N-1, i]| >= 1.5e-2 for N <= 4096).
+    last row gives c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|: one Hermite function,
+    the last row of an N-row table (|V[N-1, i]| >= 1.5e-2 for N <= 4096).
     Synthesis is then c V^T P and analysis P V / c with P = diag((-1)^k):
     the Christoffel weights omega_i = c_i^2 cancel.  c is built on the first
     call, which a folded Strang step never makes.

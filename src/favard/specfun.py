@@ -135,36 +135,25 @@ def _sph_j01(x: np.ndarray, j0: np.ndarray, j1: np.ndarray | None):
 def _sph_series(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Leading terms x^n / (2n+1)!! for 0 < x < _SPH_TINY; they underflow to 0.
 
-    Like every sweep, it fills ``rows`` in place: j_0..j_nmax when it has
-    nmax+1 rows, j_nmax alone when it has one.
+    Like every sweep, it fills the rows j_0..j_nmax of ``rows`` in place.
     """
-    full = rows.shape[0] == nmax + 1
-    term = np.ones_like(x)
+    rows[0] = 1.0
     for k in range(1, nmax + 1):
-        if full:
-            rows[k - 1] = term
-        term = term * (x / (2 * k + 1))
-    rows[-1] = term
+        np.multiply(rows[k - 1], x / (2 * k + 1), out=rows[k])
 
 
 def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Forward recurrence from the closed forms of j_0, j_1; stable for x >= nmax.
 
     Each step is (2k+1)/x * j_k - j_{k-1}, as in-place ufuncs in that
-    order, written into the row it produces: the rows of ``rows`` when it
-    keeps every row, else three scratch rows taken in turn.
+    order, written into the row of ``rows`` it produces.
     """
-    full = rows.shape[0] == nmax + 1
-    period = nmax + 1 if full else 3
-    work = rows if full else np.empty((period, x.size))
-    _sph_j01(x, work[0], work[1] if nmax > 0 else None)
+    _sph_j01(x, rows[0], rows[1] if nmax > 0 else None)
     for k in range(1, nmax):
-        jn = work[(k + 1) % period]
+        jn = rows[k + 1]
         np.divide(2 * k + 1, x, out=jn)
-        jn *= work[k % period]
-        jn -= work[(k - 1) % period]
-    if not full:
-        rows[0] = work[nmax % period]
+        jn *= rows[k]
+        jn -= rows[k - 1]
 
 
 def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
@@ -180,20 +169,19 @@ def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     keeps the squares finite.
     """
     start = nmax + int(np.ceil(np.sqrt(40.0 * (nmax + 1)))) + 18
-    first = nmax + 1 - rows.shape[0]
     jp = np.zeros_like(x)
     jc = np.full_like(x, 2.0**-512)
     for k in range(start, 0, -1):
         n = k - 1
         jp, jc = jc, (2 * k + 1) / x * jc - jp
-        if first <= n <= nmax:
-            rows[n - first] = jc
+        if n <= nmax:
+            rows[n] = jc
         big = np.abs(jc) > _SPH_BIG
         if np.any(big):
             jp = np.where(big, jp / _SPH_BIG, jp)
             jc = np.where(big, jc / _SPH_BIG, jc)
             if n <= nmax:
-                rows[max(n - first, 0):, big] /= _SPH_BIG
+                rows[n:, big] /= _SPH_BIG
     _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
     jc = np.ldexp(jc, -e)
     jp = np.ldexp(jp, -e)
@@ -217,26 +205,18 @@ def _run(mask: np.ndarray):
     return mask
 
 
-def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
-    """Spherical Bessel j_0..j_nmax at x >= 0 in one sweep.
+def _sph_scan(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Spherical Bessel j_0..j_nmax at x >= 0 in one sweep, shape (nmax+1, len(x)).
 
     Forward recurrence where it is stable (x >= max(nmax, 1)), one Miller
     pass below that down to _SPH_TINY, the leading series term below it,
-    and the limits j_0(0) = 1, j_n(0) = 0 at zero.  With
-    ``collect`` the result is every row, shape (nmax+1, len(x)); without it
-    it is row nmax alone, computed by the same arithmetic, so it equals the
-    last row of the table bit for bit.  Every sweep is elementwise and
-    fills its rows in place: the points of a branch that form one run, as
-    they do on an ascending grid, are a slice of the result and are written
-    there directly; scattered points go through a block of their own.
+    and the limits j_0(0) = 1, j_n(0) = 0 at zero.  Every sweep is
+    elementwise and fills its rows in place: the points of a branch that
+    form one run, as they do on an ascending grid, are a slice of the
+    result and are written there directly; scattered points go through a
+    block of their own.
     """
-    shape = (nmax + 1 if collect else 1, x.size)
-    if x.size and x.min() >= max(nmax, 1):
-        # every point takes the forward branch: no masks and no zero fill
-        out = np.empty(shape)
-        _sph_up(nmax, x, out)
-        return out if collect else out[0]
-    out = np.zeros(shape)
+    out = np.zeros((nmax + 1, x.size))
     up = x >= max(nmax, 1)
     tiny = (x > 0.0) & (x < _SPH_TINY)
     down = (x >= _SPH_TINY) & ~up
@@ -247,19 +227,18 @@ def _sph_scan(nmax: int, x: np.ndarray, collect: bool) -> np.ndarray:
         if isinstance(sel, slice):
             sweep(nmax, x[sel], out[:, sel])
         else:
-            block = np.empty((out.shape[0], np.count_nonzero(sel)))
+            block = np.empty((nmax + 1, np.count_nonzero(sel)))
             sweep(nmax, x[sel], block)
             out[:, sel] = block
-    if collect or nmax == 0:
-        out[0, x == 0.0] = 1.0
-    return out if collect else out[0]
+    out[0, x == 0.0] = 1.0
+    return out
 
 
 def bessel_j_half(m: int, x):
     """Bessel function J_{m+1/2}(x) for integer m >= 0 and x > 0.
 
     sqrt(2x/pi) j_m(x), with j_m the last row of the spherical Bessel
-    sweep for nmax = m: forward recurrence from the closed forms of j_0 and
+    table for nmax = m, so it holds (m+1) len(x) values while it runs: forward recurrence from the closed forms of j_0 and
     j_1 where x >= max(m, 1), Miller's downward recurrence fitted to both
     below.  Against mpmath at 40 digits, rows 0..128 at x = k pi and
     k pi +- 1e-5 (|k| <= 9) and at nmax, nmax +- 0.25 are within 1.1e-15
@@ -272,5 +251,5 @@ def bessel_j_half(m: int, x):
     if np.any(xs <= 0.0):
         raise ValueError("bessel_j_half requires x > 0; use parity for x < 0")
     flat = np.atleast_1d(xs).ravel()
-    out = _sph_scan(m, flat, collect=False) * np.sqrt(2.0 * flat / np.pi)
+    out = _sph_scan(m, flat)[m] * np.sqrt(2.0 * flat / np.pi)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -155,7 +155,7 @@ def test_tanh_jacobi_table_matches_single_rows(a, b):
         assert np.array_equal(table[n], tanh_jacobi(a, b, n, x)), n
 
 
-def _hermite_scan_checked(nmax, x, collect):
+def _hermite_scan_checked(nmax, x):
     # the scan with a range check after every step: rescale by 2^-512 where
     # max(|m_k|, |m_{k-1}|) passes 2^500, by 2^512 where it drops below
     # 2^-500, and materialize each row with ldexp
@@ -164,9 +164,8 @@ def _hermite_scan_checked(nmax, x, collect):
     e = np.floor(t)
     cur = bas._PHI0_HERMITE * np.exp2(t - e)
     prev = np.zeros_like(cur)
-    rows = np.empty((nmax + 1, x.size)) if collect else None
-    if collect:
-        rows[0] = np.ldexp(cur, e.astype(np.int64))
+    rows = np.empty((nmax + 1, x.size))
+    rows[0] = np.ldexp(cur, e.astype(np.int64))
     for k in range(nmax):
         prev, cur = cur, -x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
         mag = np.maximum(np.abs(cur), np.abs(prev))
@@ -180,11 +179,8 @@ def _hermite_scan_checked(nmax, x, collect):
             cur = np.where(low, cur * 2.0**512, cur)
             prev = np.where(low, prev * 2.0**512, prev)
             e = np.where(low, e - 512, e)
-        if collect:
-            rows[k + 1] = np.ldexp(cur, e.astype(np.int64))
-    if collect:
-        return rows
-    return np.ldexp(cur, e.astype(np.int64))
+        rows[k + 1] = np.ldexp(cur, e.astype(np.int64))
+    return rows
 
 
 _HERMITE_POINTS = st.one_of(
@@ -197,15 +193,17 @@ _HERMITE_POINTS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(_HERMITE_POINTS, min_size=1, max_size=16), st.integers(0, 600), st.booleans())
-def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax, collect):
+@given(st.lists(_HERMITE_POINTS, min_size=1, max_size=16), st.integers(0, 600))
+def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax):
     # rescaling only when the summed growth bound demands it, by another
     # power of two, changes no bit of any row: zero, tiny and subnormal
-    # points, the clamp at 2^26 and points far past it included
+    # points, the clamp at 2^26 and points far past it included; the single
+    # Hermite function is the last row
     x = np.array(points)
-    got = bas._hermite_scan(nmax, x, collect)
-    want = _hermite_scan_checked(nmax, x, collect)
+    got = bas._hermite_scan(nmax, x)
+    want = _hermite_scan_checked(nmax, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(hermite_function(nmax, x).view(np.int64), want[-1].view(np.int64))
 
 
 def test_closed_tables_raise_no_runtime_warning():
@@ -248,13 +246,27 @@ def test_ultraspherical_zero_uses_the_legendre_table():
 
 @pytest.mark.parametrize("family", ["hermite", "legendre", "ultraspherical:0.0", "mt",
                                     "laguerre", "tanhjacobi:0.75,0.75",
-                                    "tanhjacobi:0.25,0.75", "conthahn:1,0.5"])
+                                    "tanhjacobi:0.25,0.75", "conthahn:1,0.5",
+                                    "tanhjacobi:0.75,0.25"])
 def test_phi_is_last_row_of_phi_grid(family):
-    # one scan behind both: the single row is the table's last row bit for bit
+    # one table scan behind both: phi is row n of phi_grid at nmax = n, bit
+    # for bit, for a grid, a 2-D x and a scalar x; on the bilateral MT basis
+    # the rows n < 0 are malmquist_takenaka, which only the closed route serves
     basis = make_basis(family, N=8)
     x = np.concatenate([np.linspace(-40.0, 40.0, 161), _PI_PROBES])
+    square = np.linspace(-12.0, 12.0, 24).reshape(4, 6)
     for n in (0, 1, 2, 9, 33):
         assert np.array_equal(phi(basis, n, x), phi_grid(basis, n, x)[n]), n
+        want = phi_grid(basis, n, square.ravel())[n].reshape(4, 6)
+        assert np.array_equal(phi(basis, n, square), want), n
+        one = phi(basis, n, 0.7)
+        assert type(one) is complex and one == phi_grid(basis, n, 0.7)[n][0], n
+    if basis.bilateral:
+        for n in (-1, -5):
+            assert np.array_equal(phi(basis, n, square), malmquist_takenaka(n, square))
+            assert phi(basis, n, 0.7) == malmquist_takenaka(n, 0.7)
+            with pytest.raises(ValueError, match="n >= 0"):
+                phi(basis, n, square, method="quadrature")
 
 
 def test_malmquist_takenaka_frozen_values():
@@ -467,7 +479,7 @@ def test_quadrature_phi_and_phase_are_rows_of_phi_grid(family):
     # phi's and phi_with_phase's quadrature values are phi_grid's rows bit
     # for bit, for a scalar and a 2-D x; conthahn:1,0.5 carries a phase, and
     # without its closed table phi's auto route is the quadrature route too
-    basis = dataclasses.replace(make_basis(family, N=8), closed_form=None, closed_table=None)
+    basis = dataclasses.replace(make_basis(family, N=8), closed_table=None)
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     sigma = lambda xi: 0.4 * xi
     extra = bas._sigma_freq(basis, bas._combine_sigma(basis, sigma), 3)

@@ -4,6 +4,7 @@ exit codes, option-value handling."""
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -131,8 +132,12 @@ def test_golden_verify_pw_support(capsys):
 def test_determinism_byte_identical():
     cmd = [sys.executable, "-m", "favard.cli", "coeffs", "--family", "hermite",
            "--f", "exp(-x^2)*sin(x)", "--N", "24"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports this package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).resolve().parents[1]),
+                                                      env.get("PYTHONPATH"))))
+    a = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert a.stdout == b.stdout
     assert len(a.stdout) > 0
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from favard import cli
 from favard import periodic as per
 
 
@@ -97,14 +98,15 @@ def test_charlier_parameter_validation():
         per.charlier_basis(-1.0, N=8)
 
 
-# The cutoffs the lattice-by-lattice search (each K_0 + 4j built and tested
-# in turn) chose; None where the factorial-decay lattice K_0 already has
-# fewer than N points and the search raised
+# The cutoffs the lattice-by-lattice search (each K_1 + 4j built and tested
+# in turn) chose.  K_1 = max(K_0, ceil(N/2)) is the first lattice with N + 1
+# points; the entries with K_1 > K_0 (0.1 at N = 32 and N = 64, N = 64 for
+# 0.5, 1 and 2) start there
 PARENT_K = {
-    0.1: {8: 21, 14: 25, 32: None, 64: None},
-    0.5: {8: 27, 14: 31, 32: 47, 64: None},
-    1.0: {8: 31, 14: 39, 32: 55, 64: None},
-    2.0: {8: 37, 14: 45, 32: 65, 64: None},
+    0.1: {8: 21, 14: 25, 32: 36, 64: 56},
+    0.5: {8: 27, 14: 31, 32: 47, 64: 68},
+    1.0: {8: 31, 14: 39, 32: 55, 64: 80},
+    2.0: {8: 37, 14: 45, 32: 65, 64: 92},
     5.0: {8: 51, 14: 59, 32: 83, 64: 115},
 }
 
@@ -124,15 +126,27 @@ def test_cutoff_search_builds_at_most_twice(monkeypatch, a):
     monkeypatch.setattr(per.rec, "stieltjes", counted)
     for N, K in PARENT_K[a].items():
         lattices.clear()
-        if K is None:
-            with pytest.raises(ValueError, match="supports at most"):
-                per.charlier_basis(a, N=N)
-            assert lattices == []
-            continue
         basis = per.charlier_basis(a, N=N)
         assert basis.K == K, (a, N)
         assert len(lattices) <= 2 and lattices[-1] == K, (a, N, lattices)
         assert per._tail_beyond(a, basis.jacobi, K, N - 1) < 1e-20
+
+
+@pytest.mark.parametrize("a,N", [(0.1, 32), (0.5, 64), (1.0, 64), (2.0, 64)])
+def test_cutoff_search_starts_at_a_lattice_with_room(a, N):
+    # the factorial-decay lattice K_0 holds fewer than N + 1 points here;
+    # the search starts at the first one that holds them, and the basis is
+    # orthonormal and satisfies its recurrence
+    basis = per.charlier_basis(a, N=N)
+    assert 2 * basis.K + 1 >= N + 1
+    gram = per.periodic_gram(basis, N, M=4 * basis.K)
+    assert np.max(np.abs(gram - np.eye(N))) < 1e-10
+    assert per.periodic_diff_check(basis, N - 1) < 1e-12
+
+
+def test_periodic_eval_builds_a_small_parameter_lattice(capsys):
+    assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:30"]) == 0
+    assert capsys.readouterr().out.count("\n") > 31
 
 
 def test_tails_equal_the_single_cutoff_tail_bitwise():

@@ -12,7 +12,7 @@ from favard import coeffs as co
 from favard import diffop
 from favard import recurrence as rec
 from favard import schrodinger as sch
-from favard.basis import (TransformedBasis, hermite_function, hermite_function_table,
+from favard.basis import (TransformedBasis, hermite_function_table,
                           make_basis, malmquist_takenaka, transformed_legendre)
 from favard.errors import TruncationLossWarning
 
@@ -194,7 +194,7 @@ def test_strang_setup_rebuilt_when_jacobi_is_replaced(solves, grids):
     measure = rec.hermite_measure()
     source = lambda M: rec.stieltjes(measure, M)
     basis = TransformedBasis("hermite", measure, source(16), coeff_source=source,
-                             closed_form=hermite_function)
+                             closed_table=hermite_function_table)
     rng = np.random.default_rng(11)
     a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     V = lambda x: x**2
@@ -202,7 +202,7 @@ def test_strang_setup_rebuilt_when_jacobi_is_replaced(solves, grids):
     basis.ensure(40)
     got = sch.strang_propagate(a, 0.1, 3, V, basis).values
     assert solves == ["stemr"] * 2 and grids == [16, 16]
-    fresh = TransformedBasis("hermite", measure, basis.jacobi, closed_form=hermite_function)
+    fresh = TransformedBasis("hermite", measure, basis.jacobi, closed_table=hermite_function_table)
     assert np.array_equal(got, sch.strang_propagate(a, 0.1, 3, V, fresh).values)
 
     basis.jacobi = rec.build_jacobi(rec.hermite_coeffs, 16)
@@ -256,7 +256,7 @@ def _hermite_with_diag(N, diag):
     exact = rec.build_jacobi(rec.hermite_coeffs, N)
     return TransformedBasis("hermite", rec.hermite_measure(),
                             rec.JacobiMatrix(exact.b, np.full(N, diag)),
-                            closed_form=hermite_function)
+                            closed_table=hermite_function_table)
 
 
 @pytest.mark.parametrize("N,diag", [(512, 0.0), (63, 0.0), (64, 1e-300)])

@@ -151,12 +151,11 @@ def test_sph_scan_runs_match_masks_bitwise(nmax):
     perm = np.random.default_rng(nmax).permutation
     for x in grids:
         shuffle = perm(x.size)
-        for collect in (True, False):
-            got = specfun._sph_scan(nmax, x, collect)
-            mixed = specfun._sph_scan(nmax, x[shuffle], collect)
-            want = np.empty_like(mixed)
-            want[..., shuffle] = mixed
-            assert np.array_equal(got, want)
+        got = specfun._sph_scan(nmax, x)
+        mixed = specfun._sph_scan(nmax, x[shuffle])
+        want = np.empty_like(mixed)
+        want[:, shuffle] = mixed
+        assert np.array_equal(got, want)
 
 
 def _forward_reference(nmax, x):
@@ -189,9 +188,9 @@ def _sph_grids(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_sph_grids())
 def test_sph_sweep_in_place_matches_single_rows(grid):
-    # the table fills its rows in place and the single row cycles through
-    # scratch rows; both run the same arithmetic, so the last row agrees
-    # everywhere, and every row agrees on the points that take the same
+    # the table fills its rows in place and a single row is the last row of
+    # the table at nmax = n, so the last row agrees everywhere, and every
+    # row agrees on the points that take the same
     # branch for every index (forward, series, zero); the forward rows are
     # the out-of-place recurrence bit for bit
     nmax, x = grid

@@ -51,7 +51,7 @@ def test_lattice_gram_steps_by_the_band_of_the_rows(family):
     # every family without a closed table takes the lattice of the band
     # its rows are integrated over; the smooth weights pass at 1e-8
     # (conthahn with its closed table removed, as a quadrature-route measure)
-    basis = dataclasses.replace(make_basis(family, N=8), closed_form=None, closed_table=None)
+    basis = dataclasses.replace(make_basis(family, N=8), closed_table=None)
     rep = ver.check_gram(basis, 6)
     lo, hi = basis_mod._band(basis, 5)
     assert rep.metadata["strategy"] == "nyquist-lattice"
@@ -217,9 +217,9 @@ def test_legendre_gram_fails_a_planted_gaussian(monkeypatch):
     assert ver.check_gram(basis, 24).passed
     scan = basis_mod._legendre_scan
 
-    def planted(nmax, x, collect):
-        rows = scan(nmax, x, collect)
-        if collect and nmax >= 3:
+    def planted(nmax, x):
+        rows = scan(nmax, x)
+        if nmax >= 3:
             rows[3] += 1e-6 * np.exp(-np.asarray(x, dtype=float) ** 2)
         return rows
 
