@@ -15,9 +15,9 @@ at dilations 1 and 2, so both take the tanh-Jacobi table.
 Each closed family has one table scan: ``*_table(nmax, x)`` returns rows
 0..nmax from a single sweep in n (a three-term recurrence for Hermite,
 Legendre and tanh-Jacobi, one broadcast expression for
-Malmquist-Takenaka).  A single row is row n of the table at nmax = n, so
-it holds (n+1) len(x) values while it runs; for nmax > n row n agrees with
-it at rounding level.
+Malmquist-Takenaka).  A single row is a copy of row n of the table at
+nmax = n, so it holds (n+1) len(x) values while it runs; for nmax > n row
+n agrees with it at rounding level.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ _HERMITE_BUDGET = 960.0
 _MT_BIG = 2.0**26
 
 
-def _hermite_scan(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..nmax of the Hermite-function recurrence in mantissa/exponent form.
+def hermite_function_table(nmax: int, x) -> np.ndarray:
+    """All Hermite functions 0..nmax on a grid, shape (nmax+1, len(x)).
 
+    One sweep of the Hermite-function recurrence in mantissa/exponent form:
     phi_{k+1} = -x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}, seeded by
     phi_0 = pi^{-1/4} e^{-x^2/2}.  Values are carried as m * 2^e with a
     shared per-point exponent so the seed never underflows the recurrence;
@@ -85,7 +86,9 @@ def _hermite_scan(nmax: int, x: np.ndarray) -> np.ndarray:
     cannot overflow and is exact unless the row is below 2^-2044, and the
     second rounds once, as ldexp does; a row that small is 0.0 either way.
     """
-    x = np.clip(x, -_HERMITE_CLAMP, _HERMITE_CLAMP)
+    if nmax < 0:
+        raise ValueError("index nmax must be >= 0")
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)).ravel(), -_HERMITE_CLAMP, _HERMITE_CLAMP)
     t = -x * x / (2.0 * math.log(2.0))
     e = np.floor(t)
     cur = _PHI0_HERMITE * np.exp2(t - e)
@@ -131,25 +134,21 @@ def hermite_function(n: int, x):
     return _row(hermite_function_table(n, x)[n], x)
 
 
-def hermite_function_table(nmax: int, x) -> np.ndarray:
-    """All Hermite functions 0..nmax on a grid, shape (nmax+1, len(x))."""
+def _row(row: np.ndarray, x):
+    """A copy of a table row in the shape of x, so the table is freed on
+    return; a Python float or complex for a scalar x."""
+    xs = np.asarray(x)
+    return row[0].item() if xs.ndim == 0 else row.reshape(xs.shape).copy()
+
+
+def transformed_legendre_table(nmax: int, x) -> np.ndarray:
+    """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x)).
+
+    One spherical Bessel sweep in |x|: phi_n(x) = (-1)^n sqrt((2n+1)/pi) j_n(x),
+    and phi_n(-x) = (-1)^n phi_n(x).
+    """
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return _hermite_scan(nmax, xs.ravel())
-
-
-def _row(row: np.ndarray, x):
-    """A table row in the shape of x: a Python float or complex for a scalar x."""
-    xs = np.asarray(x)
-    return row[0].item() if xs.ndim == 0 else row.reshape(xs.shape)
-
-
-def _legendre_scan(nmax: int, x) -> np.ndarray:
-    """Transformed Legendre rows 0..nmax from one spherical Bessel sweep in |x|.
-
-    phi_n(x) = (-1)^n sqrt((2n+1)/pi) j_n(x), and phi_n(-x) = (-1)^n phi_n(x).
-    """
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     # scaled and signed in place, with no second table-sized temporary
     rows = specfun._sph_scan(nmax, np.abs(flat))
@@ -165,13 +164,6 @@ def transformed_legendre(n: int, x):
     if n < 0:
         raise ValueError("index n must be >= 0")
     return _row(transformed_legendre_table(n, x)[n], x)
-
-
-def transformed_legendre_table(nmax: int, x) -> np.ndarray:
-    """All transformed Legendre functions 0..nmax on a grid, shape (nmax+1, len(x))."""
-    if nmax < 0:
-        raise ValueError("index nmax must be >= 0")
-    return _legendre_scan(nmax, x)
 
 
 def malmquist_takenaka(n, x):

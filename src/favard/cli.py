@@ -127,7 +127,7 @@ def _cmd_diffmat(bas, N, out) -> int:
             rows.append((m, m - 1, float(D.sub[m - 1]), 0.0))
         rows.append((m, m, 0.0, float(D.diag[m])))
         if m + 1 < N:
-            rows.append((m, m + 1, float(D.super[m]), 0.0))
+            rows.append((m, m + 1, -float(D.sub[m]), 0.0))
     _emit(out, _csv("row,col,re,im", list(zip(*rows))))
     return 0
 

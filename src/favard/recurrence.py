@@ -350,11 +350,12 @@ def build_jacobi(coeff_fn: Callable[[int], tuple[float, float]], N: int) -> Jaco
 def eval_poly(jacobi: JacobiMatrix, n: int, xi):
     """p_n(xi), vectorized in xi: row n of ``eval_poly_table(jacobi, n, xi)``.
 
-    The table holds (n+1) xi.size values while it runs.
+    The table holds (n+1) xi.size values while it runs; the row is copied
+    out of it, so it is freed on return.
     """
     xs = np.asarray(xi, dtype=float)
     p = eval_poly_table(jacobi, n, xs)[n]
-    return p if xs.ndim else float(p[0])
+    return p.copy() if xs.ndim else float(p[0])
 
 
 def eval_poly_table(jacobi: JacobiMatrix, nmax: int, xi) -> np.ndarray:

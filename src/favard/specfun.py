@@ -238,12 +238,13 @@ def bessel_j_half(m: int, x):
     """Bessel function J_{m+1/2}(x) for integer m >= 0 and x > 0.
 
     sqrt(2x/pi) j_m(x), with j_m the last row of the spherical Bessel
-    table for nmax = m, so it holds (m+1) len(x) values while it runs: forward recurrence from the closed forms of j_0 and
-    j_1 where x >= max(m, 1), Miller's downward recurrence fitted to both
-    below.  Against mpmath at 40 digits, rows 0..128 at x = k pi and
-    k pi +- 1e-5 (|k| <= 9) and at nmax, nmax +- 0.25 are within 1.1e-15
-    absolute, the largest just above the split (m = 128 at x = 128.25);
-    the sweeps with nmax <= 64 are within 2.2e-16.
+    table for nmax = m, so it holds (m+1) len(x) values while it runs:
+    forward recurrence from the closed forms of j_0 and j_1 where
+    x >= max(m, 1), Miller's downward recurrence fitted to both below.
+    Against mpmath at 40 digits, rows 0..128 at x = k pi and k pi +- 1e-5
+    (|k| <= 9) and at nmax, nmax +- 0.25 are within 1.1e-15 absolute, the
+    largest just above the split (m = 128 at x = 128.25); the sweeps with
+    nmax <= 64 are within 2.2e-16.
     """
     if m < 0:
         raise ValueError("order index m must be >= 0")

@@ -200,7 +200,7 @@ def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax):
     # points, the clamp at 2^26 and points far past it included; the single
     # Hermite function is the last row
     x = np.array(points)
-    got = bas._hermite_scan(nmax, x)
+    got = bas.hermite_function_table(nmax, x)
     want = _hermite_scan_checked(nmax, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(hermite_function(nmax, x).view(np.int64), want[-1].view(np.int64))
@@ -267,6 +267,17 @@ def test_phi_is_last_row_of_phi_grid(family):
             assert phi(basis, n, 0.7) == malmquist_takenaka(n, 0.7)
             with pytest.raises(ValueError, match="n >= 0"):
                 phi(basis, n, square, method="quadrature")
+
+
+def test_single_rows_do_not_keep_their_table():
+    # a single row is copied out of its (n+1) len(x) table, so the table is
+    # freed when the call returns
+    x = np.linspace(-3.0, 3.0, 7)
+    rows = [hermite_function(9, x), transformed_legendre(9, x), tanh_jacobi(0.5, 0.5, 9, x),
+            phi(make_basis("hermite", N=8), 9, x), phi(make_basis("conthahn:1,0.5", N=8), 9, x),
+            rec.eval_poly(make_basis("legendre", N=12).jacobi, 9, x)]
+    for row in rows:
+        assert row.shape == x.shape and row.base is None
 
 
 def test_malmquist_takenaka_frozen_values():

@@ -98,15 +98,17 @@ def test_charlier_parameter_validation():
         per.charlier_basis(-1.0, N=8)
 
 
-# The cutoffs the lattice-by-lattice search (each K_1 + 4j built and tested
-# in turn) chose.  K_1 = max(K_0, ceil(N/2)) is the first lattice with N + 1
-# points; the entries with K_1 > K_0 (0.1 at N = 32 and N = 64, N = 64 for
-# 0.5, 1 and 2) start there
+# The cutoffs the lattice-by-lattice search (each K_0 + 4j built and tested
+# in turn) chose.  Where the factorial-decay lattice K_0 holds fewer than the
+# N + 1 points that N coefficients need (0.1 at N = 32, N = 64 for 0.5, 1
+# and 2) the candidates start at the first K_0 + 4j that holds them; at
+# N = 2 K_0 + 1 (0.1 at N = 27, K_0 = 13) that is K_0 + 4, and the cutoff is
+# the one the search from K_0 chose
 PARENT_K = {
-    0.1: {8: 21, 14: 25, 32: 36, 64: 56},
-    0.5: {8: 27, 14: 31, 32: 47, 64: 68},
-    1.0: {8: 31, 14: 39, 32: 55, 64: 80},
-    2.0: {8: 37, 14: 45, 32: 65, 64: 92},
+    0.1: {8: 21, 14: 25, 27: 33, 32: 37},
+    0.5: {8: 27, 14: 31, 32: 47, 64: 71},
+    1.0: {8: 31, 14: 39, 32: 55, 64: 79},
+    2.0: {8: 37, 14: 45, 32: 65, 64: 89},
     5.0: {8: 51, 14: 59, 32: 83, 64: 115},
 }
 
@@ -132,7 +134,7 @@ def test_cutoff_search_builds_at_most_twice(monkeypatch, a):
         assert per._tail_beyond(a, basis.jacobi, K, N - 1) < 1e-20
 
 
-@pytest.mark.parametrize("a,N", [(0.1, 32), (0.5, 64), (1.0, 64), (2.0, 64)])
+@pytest.mark.parametrize("a,N", [(0.1, 32), (0.1, 37), (0.5, 64), (1.0, 64), (2.0, 64)])
 def test_cutoff_search_starts_at_a_lattice_with_room(a, N):
     # the factorial-decay lattice K_0 holds fewer than N + 1 points here;
     # the search starts at the first one that holds them, and the basis is
@@ -144,9 +146,20 @@ def test_cutoff_search_starts_at_a_lattice_with_room(a, N):
     assert per.periodic_diff_check(basis, N - 1) < 1e-12
 
 
+@pytest.mark.parametrize("a,N,K", [(0.1, 40, None), (0.1, 48, None), (0.1, 64, None),
+                                   (0.2, 64, None), (0.1, 64, 80)])
+def test_charlier_refuses_degrees_it_cannot_resolve(a, N, K):
+    # the recurrence's polynomials are orthonormal on their lattice only to
+    # 7e-10 (0.1, 40), 2e-7 (0.1, 48; 0.2, 64) and 1e-2 (0.1, 64, at any K)
+    with pytest.raises(ValueError, match="orthonormal on their"):
+        per.charlier_basis(a, N=N, K=K)
+
+
 def test_periodic_eval_builds_a_small_parameter_lattice(capsys):
     assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:30"]) == 0
     assert capsys.readouterr().out.count("\n") > 31
+    assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:62"]) == 2
+    assert "orthonormal on their" in capsys.readouterr().err
 
 
 def test_tails_equal_the_single_cutoff_tail_bitwise():

@@ -213,9 +213,8 @@ def test_legendre_gram_at_rounding(family, N):
 def test_legendre_gram_fails_a_planted_gaussian(monkeypatch):
     # the clean table reads at rounding; 1e-6 exp(-x^2) added to row 3 of
     # every closed table moves G by about 1e-7, past the 1e-8 tolerance
-    basis = make_basis("legendre", N=24)
-    assert ver.check_gram(basis, 24).passed
-    scan = basis_mod._legendre_scan
+    assert ver.check_gram(make_basis("legendre", N=24), 24).passed
+    scan = basis_mod.transformed_legendre_table
 
     def planted(nmax, x):
         rows = scan(nmax, x)
@@ -223,8 +222,8 @@ def test_legendre_gram_fails_a_planted_gaussian(monkeypatch):
             rows[3] += 1e-6 * np.exp(-np.asarray(x, dtype=float) ** 2)
         return rows
 
-    monkeypatch.setattr(basis_mod, "_legendre_scan", planted)
-    rep = ver.check_gram(basis, 24)
+    monkeypatch.setattr(basis_mod, "transformed_legendre_table", planted)
+    rep = ver.check_gram(make_basis("legendre", N=24), 24)
     assert not rep.passed
     assert 1e-8 < rep.max_abs_error < 1e-6
 
