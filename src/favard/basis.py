@@ -81,31 +81,33 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     Every other mantissa stays normal, so the rows equal those of any other
     power-of-two rescaling bit for bit.
 
-    A row m 2^e is formed as (m 2^(e+1022)) 2^-1022, not by ldexp, which
+    Each step writes its mantissa row straight into the table, and a row m
+    2^e is formed there as (m 2^(e+1022)) 2^-1022, not by ldexp, which
     costs about ten multiplications: |m 2^e| <= 1, so the first product
     cannot overflow and is exact unless the row is below 2^-2044, and the
     second rounds once, as ldexp does; a row that small is 0.0 either way.
+    The exponents change only at a rescale, so the lift runs once per
+    segment of rows between two rescales, on the whole segment.
     """
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)).ravel(), -_HERMITE_CLAMP, _HERMITE_CLAMP)
     t = -x * x / (2.0 * math.log(2.0))
     e = np.floor(t)
-    cur = _PHI0_HERMITE * np.exp2(t - e)
+    rows = np.empty((nmax + 1, x.size))
+    cur = np.multiply(_PHI0_HERMITE, np.exp2(t - e), out=rows[0])
     exps = e.astype(np.int64)
     prev = np.zeros_like(cur)
-    nxt, term = np.empty_like(cur), np.empty_like(cur)
+    term = np.empty_like(cur)
     neg_x = np.negative(x, out=t)
     reach = float(np.max(np.abs(x), initial=0.0))
-    lift = np.ldexp(1.0, exps + 1022)
 
-    def emit(m, lift, out):
-        np.multiply(m, lift, out=out)
-        out *= 2.0**-1022
-        return out
+    def lift(segment):
+        """m 2^e in place on the rows of one segment."""
+        segment *= np.ldexp(1.0, exps + 1022)
+        segment *= 2.0**-1022
 
-    rows = np.empty((nmax + 1, x.size))
-    emit(cur, lift, rows[0])
+    first = 0  # the first row of the current segment
     bits = 1.0  # the seed mantissa is below 2
     for k in range(nmax):
         s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
@@ -114,16 +116,17 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
             mag = np.maximum(np.abs(cur), np.abs(prev))
             shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
             cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+            lift(rows[first:k + 1])
             exps += shift
-            lift = np.ldexp(1.0, exps + 1022)
+            first = k + 1
             bits = 0.0
         bits += step
-        np.multiply(neg_x, s, out=nxt)
+        nxt = np.multiply(neg_x, s, out=rows[k + 1])
         nxt *= cur
         np.multiply(prev, r, out=term)
         nxt -= term
-        prev, cur, nxt = cur, nxt, prev
-        emit(cur, lift, rows[k + 1])
+        prev, cur = cur, nxt
+    lift(rows[first:])
     return rows
 
 
@@ -218,7 +221,8 @@ def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, s: float = 2.0) -> np.nd
     norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b) * (2.0 / s))
     envelope = lo**a * hi**b / norm
     t = np.tanh(y)
-    rows = rec.eval_poly_table(jac, nmax, t) * envelope
+    rows = rec.eval_poly_table(jac, nmax, t)
+    rows *= envelope
     rows[1::2] *= -1.0
     return rows
 

@@ -239,17 +239,24 @@ def _mt_even_grid(N: int) -> np.ndarray:
     return t
 
 
-def _mt_integrand(f, t: np.ndarray) -> tuple[np.ndarray, float]:
-    """g = (1 - i t) f(t/2) at the points t, and max |g|.
+def _mt_integrand(f, t: np.ndarray, probes: np.ndarray | None = None):
+    """g = (1 - i t) f(t/2) at the points t, max |g|, and f at ``probes``.
 
     f is called on blocks of _MT_BLOCK points and each block of g is written
-    in place, so g is the only complex array of grid length.
+    in place, so g is the only complex array of grid length.  The points
+    ``probes`` ride at the end of the first block, so f runs once per block;
+    without them the third value is None.
     """
     g = np.empty(t.size, dtype=complex)
-    top = 0.0
+    top, at_probes = 0.0, None
     for start in range(0, t.size, _MT_BLOCK):
         tb, gb = t[start:start + _MT_BLOCK], g[start:start + _MT_BLOCK]
-        fx = np.asarray(f(0.5 * tb))
+        xb = 0.5 * tb
+        if start == 0 and probes is not None:
+            fx = np.asarray(f(np.concatenate((xb, probes))))
+            fx, at_probes = fx[:tb.size], fx[tb.size:].copy()
+        else:
+            fx = np.asarray(f(xb))
         re, im = gb.real, gb.imag
         if np.iscomplexobj(fx):
             np.multiply(tb, fx.imag, out=re)
@@ -261,7 +268,7 @@ def _mt_integrand(f, t: np.ndarray) -> tuple[np.ndarray, float]:
             np.multiply(tb, fx, out=im)
             np.negative(im, out=im)
         top = max(top, float(np.abs(gb).max()))
-    return g, top
+    return g, top, at_probes
 
 
 def _mt_window(spectrum: np.ndarray, N: int) -> np.ndarray:
@@ -300,7 +307,13 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     Fourier coefficients of g(theta) = (1 - i tan(theta/2)) f(tan(theta/2)/2),
     sampled on a midpoint grid that avoids theta = +-pi (x = +-inf); cost
     O(N log N).  Requires N a power of two and x f(x) -> 0 at infinity.
-    f must act elementwise: it is called on blocks of the grid.
+
+    f must act elementwise: it is called once per block of 4096 grid points,
+    with the four points of the decay probe appended to the first block, so
+    f runs once per sampled grid for N <= 2048 and 2N/4096 times above.
+    The probe extrapolates the limits of x f(x) at x = +-inf from the
+    points +-r and +-2r, r = 4 / tan(h/4) with h = 2 pi / 4N; limits that
+    differ by more than 1e-2 of max |g| raise ValueError.
 
     The rule is the 4N-point midpoint rule, taken as its two interleaved
     2N-point grids.  The even grid is sampled first, and its 2N FFT also
@@ -326,21 +339,19 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     M = 4 * N
     h = 2.0 * math.pi / M
     t = _mt_even_grid(N)
-    g, top = _mt_integrand(f, t)
     # The substituted integrand tends to -2i lim x f(x) at theta = +-pi.  A
     # mismatch between the two limits is a jump in the periodized integrand
     # and destroys the spectral accuracy of the midpoint rule; equal limits
     # (for instance every basis function phi_n itself) are fine.  The limits
     # are estimated by Richardson extrapolation of x f(x) over two probe
-    # radii beyond the grid, which cancels the O(1/x) correction.
+    # radii r and 2r beyond the grid, 2 m(2r) - m(r) with m = x f(x), which
+    # cancels the O(1/x) correction; f is taken at the four probe points in
+    # the call for the first block of the grid.
     probe = 4.0 / math.tan(0.25 * h)
-
-    def tail_limit(sign: float) -> complex:
-        m1 = sign * probe * complex(np.asarray(f(np.array([sign * probe])), dtype=complex)[0])
-        m2 = 2.0 * sign * probe * complex(np.asarray(f(np.array([2.0 * sign * probe])), dtype=complex)[0])
-        return 2.0 * m2 - m1
-
-    if abs(tail_limit(1.0) - tail_limit(-1.0)) > 1e-2 * max(top, 1e-300):
+    points = [probe, 2.0 * probe, -probe, -2.0 * probe]
+    g, top, at = _mt_integrand(f, t, np.array(points))
+    m = [x * complex(v) for x, v in zip(points, at)]
+    if abs((2.0 * m[1] - m[0]) - (2.0 * m[3] - m[2])) > 1e-2 * max(top, 1e-300):
         raise ValueError("f decays too slowly for the Malmquist-Takenaka FFT path: "
                          "the substituted integrand jumps at theta = pi")
     spectrum = scipy.fft.fft(g, overwrite_x=True)
@@ -356,7 +367,7 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
         vals = _mt_window(spectrum, N)
         del spectrum
         np.negative(t[::-1], out=t)
-        g, _ = _mt_integrand(f, t)
+        g, _, _ = _mt_integrand(f, t)
         del t
         odd = _mt_window(scipy.fft.fft(g, overwrite_x=True), N)
         del g
@@ -394,40 +405,40 @@ def check_tanh_cheb_size(N: int) -> None:
         raise ValueError("N must be at least 4")
 
 
-def _tanh_cheb_samples(f, M: int) -> tuple[np.ndarray, float]:
+def _tanh_cheb_samples(f, M: int, probes: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """H(theta) = f(atanh(cos theta)) / sqrt(sin theta) on the M-point
-    midpoint grid theta_j = (j + 1/2) pi / M, and max |H|."""
+    midpoint grid theta_j = (j + 1/2) pi / M, max |H|, and f at ``probes``:
+    the points ride at the end of the grid in the one call of f."""
     theta = (np.arange(M // 2) + 0.5) * (math.pi / M)
     # theta_{M-1-j} = pi - theta_j, where x(pi - theta) = -x(theta) and
     # sin(pi - theta) = sin(theta): the lower half of the grid gives both
-    x = np.empty(M)
+    x = np.empty(M + probes.size)
     np.log(np.tan(0.5 * theta), out=x[:M // 2])
     np.negative(x[:M // 2], out=x[:M // 2])
-    np.negative(x[M // 2 - 1::-1], out=x[M // 2:])
+    np.negative(x[M // 2 - 1::-1], out=x[M // 2:M])
+    x[M:] = probes
     H = np.empty(M)
     np.sqrt(np.sin(theta), out=H[:M // 2])
     H[M // 2:] = H[M // 2 - 1::-1]
     del theta  # before f makes its temporaries
     fx = np.asarray(f(x))
+    fx, at_probes = fx[:M], fx[M:].copy()  # a view would keep fx alive
     if np.iscomplexobj(fx) and not np.any(fx.imag):
         fx = fx.real
     if np.iscomplexobj(fx):
         H = fx / H
     else:
         np.divide(fx, H, out=H)
-    return H, float(np.abs(H, out=x).max())
+    return H, float(np.abs(H, out=x[:M]).max()), at_probes
 
 
-def _tanh_cheb_probe(f, M: int) -> float:
-    """max |H| at theta_0 / 4 and pi - theta_0 / 4, just beyond each end of
-    the M-point grid (theta_0 = pi / 2M)."""
+def _tanh_cheb_probe(M: int) -> tuple[tuple[float, float], np.ndarray]:
+    """The angles theta_0 / 4 and pi - theta_0 / 4, just beyond each end of
+    the M-point grid (theta_0 = pi / 2M), and the points x = atanh(cos theta)
+    at them."""
     th0 = 0.25 * (0.5 * (math.pi / M))
-    largest = 0.0
-    for th in (th0, math.pi - th0):
-        xq = -math.log(math.tan(0.5 * th))
-        hq = complex(np.asarray(f(np.array([xq])), dtype=complex)[0]) / math.sqrt(math.sin(th))
-        largest = max(largest, abs(hq))
-    return largest
+    angles = (th0, math.pi - th0)
+    return angles, np.array([-math.log(math.tan(0.5 * th)) for th in angles])
 
 
 def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
@@ -450,7 +461,10 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     sampled afresh at M = max(4N, 1024) and that rule's result is returned.
     The 2N midpoint grid is not part of the 4N one, so nothing is reused: a
     fallback costs the 4N rule plus the 2N pass, about 1.5 times the 4N rule
-    alone.  For N <= 256 both sizes are 1024 and f is sampled once.
+    alone.  For N <= 256 both sizes are 1024 and f is sampled once.  f must
+    act elementwise: it is called once per sampled grid, and the first call
+    carries the two points of the decay test (below) appended to its grid,
+    so an accepted pass calls f once and a fallback twice.
     ``meta["samples"]`` is the M returned and ``meta["out_of_window"]`` its
     ratio.
 
@@ -483,11 +497,17 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     name, order = _TANH_CHEB_KINDS[(a, b)]
     transform = getattr(scipy.fft, name)
     M = max(4 * N, 1024)
-    probe = _tanh_cheb_probe(f, M)
+    angles, probes = _tanh_cheb_probe(M)
     # the 2N pass, then the 4N rule unless the 2N result stands; for
-    # N <= 256 the first size is already M and the loop ends after it
+    # N <= 256 the first size is already M and the loop ends after it.  The
+    # probe points ride in the first pass's call of f.
     for size in (max(2 * N, 1024), M):
-        H, top = _tanh_cheb_samples(f, size)
+        H, top, at_probes = _tanh_cheb_samples(f, size, probes)
+        if probes.size:  # the first pass: the largest |H| at the probe points
+            probe = 0.0
+            for th, v in zip(angles, at_probes):
+                probe = max(probe, abs(complex(v) / math.sqrt(math.sin(th))))
+            probes = probes[:0]
         blows_up = probe > 1.2 * max(top, 1e-300)
         if size == M and blows_up:
             raise ValueError("f decays too slowly for the tanh-Chebyshev transform path")
@@ -565,7 +585,10 @@ def decay_fit(coeffs: CoefficientVector, model: str,
     or below ``floor`` are noise, and the fit runs on per-bin envelope maxima
     (log-spaced bins) so oscillatory or sparse coefficient patterns do not
     bias the slope.  ``model`` is "exponential", "algebraic", or
-    "stretched:<p>".
+    "stretched:<p>".  The line log m = slope t + intercept is the centred
+    closed form of least squares: with dt and dl the deviations of t and
+    log m from their means, slope = sum dt dl / sum dt^2, and the line
+    passes through the means.
     """
     model, p = parse_decay_model(model)
     mags = np.abs(coeffs.values)
@@ -592,10 +615,14 @@ def decay_fit(coeffs: CoefficientVector, model: str,
         t = np.log(ks)
     else:
         t = ks**p
-    slope, intercept = np.polyfit(t, logs, 1)
+    # the least-squares line about the centroid: slope = sum dt dl / sum dt^2
+    t_mean, l_mean = float(np.mean(t)), float(np.mean(logs))
+    dt, dl = t - t_mean, logs - l_mean
+    slope = float(dt @ dl) / float(dt @ dt)
+    intercept = l_mean - slope * t_mean
     fitted = slope * t + intercept
     ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
+    ss_tot = float(np.sum(dl ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     if model == "exponential":
         param = math.exp(-slope)

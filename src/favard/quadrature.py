@@ -194,13 +194,6 @@ def _transform_edges(support, breakpoints, interval, degree, freq, refine, half=
     )
 
 
-def _transform_nodes(support, breakpoints, interval, degree, freq, refine, half=False):
-    """Panel rule on ``_transform_edges``; with ``half`` the weights are doubled."""
-    edges = _transform_edges(support, breakpoints, interval, degree, freq, refine, half)
-    xs, ws = _panels.panel_rule(edges)
-    return (xs, 2.0 * ws) if half else (xs, ws)
-
-
 def _unit_phase(arg: np.ndarray) -> np.ndarray:
     """e^{i arg} from one cosine and one sine per entry."""
     out = np.empty(arg.shape, dtype=complex)

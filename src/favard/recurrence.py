@@ -10,9 +10,8 @@ coefficient container, closed-form coefficient families, polynomial
 evaluation, and the discretized Stieltjes procedure for arbitrary measures.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "MeasureSpec",
     "build_jacobi",
     "charlier_bilateral",
-    "clenshaw",
     "conthahn_coeffs",
     "conthahn_measure",
     "custom_measure",
@@ -70,14 +68,6 @@ class JacobiMatrix:
 
     def __len__(self) -> int:
         return self.b.size
-
-    def to_json(self) -> str:
-        return json.dumps({"b": self.b.tolist(), "c": self.c.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "JacobiMatrix":
-        data = json.loads(text)
-        return cls(np.asarray(data["b"], float), np.asarray(data["c"], float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,36 +351,26 @@ def eval_poly(jacobi: JacobiMatrix, n: int, xi):
 def eval_poly_table(jacobi: JacobiMatrix, nmax: int, xi) -> np.ndarray:
     """Stacked values p_0..p_nmax at xi; shape (nmax+1,) + xi.shape.
 
-    One sweep of the forward three-term recurrence; ``eval_poly`` is its row n.
+    One sweep of the forward three-term recurrence
+    p_{k+1} = ((xi - c_k) p_k - b_{k-1} p_{k-1}) / b_k, each step written
+    straight into its row by in-place ufuncs in that order of operations;
+    ``eval_poly`` is its row n.
     """
     if nmax < 0 or nmax >= len(jacobi):
         raise IndexError(f"polynomial degree {nmax} outside 0..{len(jacobi) - 1}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     table = np.empty((nmax + 1,) + xi.shape)
     table[0] = 1.0
-    p_prev, p = np.zeros_like(xi), table[0]
+    term = np.empty_like(xi)
+    b, c = jacobi.b[:nmax].tolist(), jacobi.c[:nmax].tolist()
     for k in range(nmax):
-        p_prev, p = p, ((xi - jacobi.c[k]) * p - (jacobi.b[k - 1] if k else 0.0) * p_prev) / jacobi.b[k]
-        table[k + 1] = p
+        p = np.subtract(xi, c[k], out=table[k + 1])
+        p *= table[k]
+        if k:  # p_{-1} = 0, and t - 0.0 is t bit for bit
+            np.multiply(table[k - 1], b[k - 1], out=term)
+            p -= term
+        p /= b[k]
     return table
-
-
-def clenshaw(jacobi: JacobiMatrix, coeffs, xi):
-    """sum_k coeffs[k] p_k(xi) by backward (Clenshaw) recurrence."""
-    coeffs = np.asarray(coeffs)
-    N = coeffs.size
-    if N == 0:
-        raise ValueError("empty coefficient vector")
-    if N > len(jacobi):
-        raise IndexError("coefficient vector longer than recurrence data")
-    xi = np.asarray(xi, dtype=float)
-    u_next = np.zeros(xi.shape, dtype=coeffs.dtype)
-    u = np.full(xi.shape, coeffs[-1], dtype=np.result_type(coeffs.dtype, float))
-    for k in range(N - 2, -1, -1):
-        alpha = (xi - jacobi.c[k]) / jacobi.b[k]
-        beta_next = -jacobi.b[k] / jacobi.b[k + 1] if k + 2 < N else 0.0
-        u, u_next = coeffs[k] + alpha * u + (beta_next * u_next if k + 2 < N else 0.0), u
-    return u if u.ndim else complex(u) if np.iscomplexobj(u) else float(u)
 
 
 def _discretize(measure: MeasureSpec, M: int, degree: int):

@@ -30,7 +30,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "TruncationLossWarning",
     "PropagatedState",
     "free_multiplier",
-    "printed_multiplier",
     "free_psi",
     "free_propagate",
     "free_coeff_step",
@@ -59,28 +58,18 @@ def free_multiplier(xi, t: float):
     return -t * np.asarray(xi, dtype=float) ** 2
 
 
-def printed_multiplier(xi, t: float):
-    """Phase sigma = t^2 xi, a pure translation of the basis by t^2.
-
-    Kept only for comparison; it is not the free Schroedinger flow (the
-    equation u_t = i u_xx forces the -i xi^2 t phase).
-    """
-    return t * t * np.asarray(xi, dtype=float)
-
-
 @dataclass(frozen=True)
 class PropagatedState:
-    """Coefficients of u(x, 0) together with the Fourier-side phase rule.
+    """Coefficients of u(x, 0) in a basis.
 
     The coefficients never change under free flow; time enters only through
-    ``multiplier``, a callable (xi, t) -> real phase sigma(xi; t) applied
-    inside the transform defining each basis function.
+    the phase ``free_multiplier`` applied inside the transform defining each
+    basis function.
     """
 
     coeffs: CoefficientVector
     basis: basis_mod.TransformedBasis
     t: float = 0.0
-    multiplier: Callable = field(default=free_multiplier)
 
     def __post_init__(self):
         if self.coeffs.n_start != 0:
@@ -94,21 +83,17 @@ def _require_quadrature(basis: basis_mod.TransformedBasis):
         raise ValueError("free propagation needs a basis with a continuous-measure quadrature path")
 
 
-def free_psi(basis: basis_mod.TransformedBasis, n: int, x, t: float,
-             printed_form: bool = False):
+def free_psi(basis: basis_mod.TransformedBasis, n: int, x, t: float):
     """psi_n(x, t): the basis function propagated under u_t = i u_xx.
 
     At t = 0 this is ``phi(basis, n, x)``; otherwise it is
-    ``phi_with_phase`` with the multiplier phase, row n of one quadrature
-    transform over all of x.  ``printed_form`` switches the multiplier phase
-    from -xi^2 t to xi t^2 for side-by-side comparison; only the default
-    solves the free equation.
+    ``phi_with_phase`` with the phase ``free_multiplier``, row n of one
+    quadrature transform over all of x.
     """
     _require_quadrature(basis)
     if t == 0.0:
         return basis_mod.phi(basis, n, x)
-    rule = printed_multiplier if printed_form else free_multiplier
-    return basis_mod.phi_with_phase(basis, lambda xi: rule(xi, t), n, x)
+    return basis_mod.phi_with_phase(basis, lambda xi: free_multiplier(xi, t), n, x)
 
 
 def free_propagate(state: PropagatedState, t: float):
@@ -116,7 +101,6 @@ def free_propagate(state: PropagatedState, t: float):
     _require_quadrature(state.basis)
     values = state.coeffs.values
     nmax = len(values) - 1
-    rule = state.multiplier
 
     def u(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -124,7 +108,7 @@ def free_propagate(state: PropagatedState, t: float):
             table = basis_mod.phi_grid(state.basis, nmax, xs)
         else:
             table = basis_mod.phi_grid(state.basis, nmax, xs,
-                                       sigma=lambda xi: rule(xi, t),
+                                       sigma=lambda xi: free_multiplier(xi, t),
                                        method="quadrature")
         out = values @ table
         return out if np.ndim(x) else complex(out)

@@ -159,29 +159,36 @@ def _sph_up(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
 def _sph_down(nmax: int, x: np.ndarray, rows: np.ndarray) -> None:
     """Miller's downward recurrence from an index past nmax, for x < nmax.
 
-    Rows are kept as they are reached, on the scale of the running values.
-    When a point's values pass 2^830 they are scaled down by that power of
-    two, and so are the rows already kept at that point: one scale per
-    point, none per entry.  The recurrence ends on values proportional to
-    (j_0, j_1); the common factor is their least-squares fit to the closed
-    forms of both, so it stays exact where j_0 = sin(x)/x vanishes
-    (x = k pi).  The fit runs on copies scaled by a power of two, which
-    keeps the squares finite.
+    Each step is (2k+1)/x * j_k - j_{k+1}, in-place ufuncs in that order,
+    written into its row of ``rows`` once it reaches n <= nmax and into a
+    scratch buffer before.  Rows are kept on the scale of the running
+    values.  When a point's values pass 2^830 they are scaled down by that
+    power of two, and so are the rows already kept at that point: one scale
+    per point, none per entry.  One max per step tests for this, and the
+    mask of the points is built only when it fires.  The recurrence ends on
+    values proportional to (j_0, j_1); the common factor is their
+    least-squares fit to the closed forms of both, so it stays exact where
+    j_0 = sin(x)/x vanishes (x = k pi).  The fit runs on copies scaled by a
+    power of two, which keeps the squares finite.
     """
     start = nmax + int(np.ceil(np.sqrt(40.0 * (nmax + 1)))) + 18
     jp = np.zeros_like(x)
     jc = np.full_like(x, 2.0**-512)
+    spare, mag = np.empty_like(x), np.empty_like(x)
     for k in range(start, 0, -1):
         n = k - 1
-        jp, jc = jc, (2 * k + 1) / x * jc - jp
-        if n <= nmax:
-            rows[n] = jc
-        big = np.abs(jc) > _SPH_BIG
-        if np.any(big):
-            jp = np.where(big, jp / _SPH_BIG, jp)
-            jc = np.where(big, jc / _SPH_BIG, jc)
-            if n <= nmax:
-                rows[n:, big] /= _SPH_BIG
+        jn = rows[n] if n <= nmax else spare
+        np.divide(2 * k + 1, x, out=jn)
+        jn *= jc
+        jn -= jp
+        # j_{k+1}'s buffer is free for the next step past nmax
+        spare, jp, jc = jp, jc, jn
+        if np.abs(jc, out=mag).max(initial=0.0) > _SPH_BIG:
+            big = mag > _SPH_BIG
+            np.divide(jc, _SPH_BIG, out=jc, where=big)
+            np.divide(jp, _SPH_BIG, out=jp, where=big)
+            if n + 2 <= nmax:
+                rows[n + 2:, big] /= _SPH_BIG
     _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
     jc = np.ldexp(jc, -e)
     jp = np.ldexp(jp, -e)

@@ -18,6 +18,7 @@ from . import basis as basis_mod
 from . import periodic as periodic_mod
 from . import quadrature
 from . import specfun
+from .errors import AccuracyError
 
 __all__ = [
     "SCHEMA",
@@ -236,8 +237,20 @@ def _legendre_gram(N: int) -> tuple[np.ndarray, float]:
     return G, float(x[-1])
 
 
+def _gave_up(name: str, tol: float, meta: dict, exc: AccuracyError) -> CheckReport:
+    """A failing report for a check whose quadrature route raised ``exc``:
+    its error is inf, and the metadata carries the route's estimate and
+    message."""
+    return CheckReport(name, math.inf, tol,
+                       metadata={**meta, "error": str(exc), "estimate": exc.estimate})
+
+
 def check_gram(basis, N: int = 12) -> CheckReport:
-    """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature."""
+    """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature.
+
+    A quadrature route that gives up (``AccuracyError``) yields a failing
+    report, as in ``_gave_up``.
+    """
     if isinstance(basis, periodic_mod.PeriodicBasis):
         M = 4 * basis.K
         G = periodic_mod.periodic_gram(basis, N, M)
@@ -252,8 +265,12 @@ def check_gram(basis, N: int = 12) -> CheckReport:
         meta = {"strategy": "nyquist-lattice+zeta-tail", "family": family, "N": N,
                 "step": 0.5 * math.pi, "reach": reach}
     elif basis.closed_table is None:
-        G, lattice = _lattice_gram(basis, N, tol)
-        meta = {"strategy": "nyquist-lattice", "family": family, "N": N, **lattice}
+        meta = {"strategy": "nyquist-lattice", "family": family, "N": N}
+        try:
+            G, lattice = _lattice_gram(basis, N, tol)
+        except AccuracyError as exc:
+            return _gave_up("gram", tol, meta, exc)
+        meta.update(lattice)
     else:
         x, w, meta = _substitution_rule(basis, N)
         table = basis_mod.phi_grid(basis, N - 1, x)
@@ -271,7 +288,8 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
     difference divides the rounding of phi by h, so a transformed basis's
     report carries that floor, eps max|phi| / h, as ``rounding_floor``: a
     residual within a small multiple of it is rounding, not a recurrence
-    that fails to hold.
+    that fails to hold.  A quadrature route that gives up
+    (``AccuracyError``) yields a failing report, as in ``_gave_up``.
     """
     if isinstance(basis, periodic_mod.PeriodicBasis):
         err = periodic_mod.periodic_diff_check(basis, N)
@@ -282,7 +300,11 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
     basis.ensure(N)
     shifts = np.array([-2 * h, -h, -0.5 * h, 0.0, 0.5 * h, h, 2 * h])
     pts = (xs[None, :] + shifts[:, None]).ravel()
-    table = basis_mod.phi_grid(basis, N, pts).reshape(N + 1, len(shifts), len(xs))
+    meta = {"family": basis.family, "N": N, "h": h, "strategy": "fd-richardson"}
+    try:
+        table = basis_mod.phi_grid(basis, N, pts).reshape(N + 1, len(shifts), len(xs))
+    except AccuracyError as exc:
+        return _gave_up("recurrence", 1e-6, meta, exc)
     m2, m1, mh, at, ph, p1, p2 = (table[:, j, :] for j in range(7))
     d4_h = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
     d4_half = (8.0 * (ph - mh) - (p1 - m1)) / (6.0 * h)
@@ -296,9 +318,7 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
             rhs = rhs - b[n - 1] * at[n - 1]
         worst = max(worst, float(np.max(np.abs(deriv[n] - rhs))))
     floor = np.finfo(float).eps * float(np.max(np.abs(table))) / h
-    return CheckReport("recurrence", worst, 1e-6,
-                       metadata={"family": basis.family, "N": N, "h": h,
-                                 "strategy": "fd-richardson", "rounding_floor": floor})
+    return CheckReport("recurrence", worst, 1e-6, metadata={**meta, "rounding_floor": floor})
 
 
 def check_cramer(N: int = 50, lo: float = -10.0, hi: float = 10.0,

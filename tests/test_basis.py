@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favard import _panels
 from favard import basis as bas
 from favard import recurrence as rec
 from favard import specfun
-from favard.quadrature import _SQRT_2PI, _transform_nodes
+from favard.quadrature import _SQRT_2PI, _transform_edges
 from favard.basis import (
     hermite_function,
     hermite_function_table,
@@ -204,6 +205,52 @@ def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax):
     want = _hermite_scan_checked(nmax, x)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(hermite_function(nmax, x).view(np.int64), want[-1].view(np.int64))
+
+
+def _hermite_table_row_by_row(nmax, x):
+    # the scan with the mantissas in temporaries and each row lifted into
+    # the table by its own two products as soon as it is formed
+    x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)).ravel(),
+                -bas._HERMITE_CLAMP, bas._HERMITE_CLAMP)
+    t = -x * x / (2.0 * math.log(2.0))
+    e = np.floor(t)
+    cur = bas._PHI0_HERMITE * np.exp2(t - e)
+    exps = e.astype(np.int64)
+    prev = np.zeros_like(cur)
+    reach = float(np.max(np.abs(x), initial=0.0))
+    lift = np.ldexp(1.0, exps + 1022)
+    rows = np.empty((nmax + 1, x.size))
+    rows[0] = cur * lift * 2.0**-1022
+    bits = 1.0
+    for k in range(nmax):
+        s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
+        step = math.log2(reach * s + r + 1.0)
+        if bits + step > bas._HERMITE_BUDGET:
+            mag = np.maximum(np.abs(cur), np.abs(prev))
+            shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
+            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
+            exps += shift
+            lift = np.ldexp(1.0, exps + 1022)
+            bits = 0.0
+        bits += step
+        prev, cur = cur, -x * s * cur - prev * r
+        rows[k + 1] = cur * lift * 2.0**-1022
+    return rows
+
+
+@pytest.mark.parametrize("reach, nmax", [
+    (0.5, 3), (8.0, 1500), (60.0, 700), (2.0**13, 300), (2.0**26, 0), (2.0**26, 1),
+    (2.0**26, 40), (2.0**26, 400), (2.0**40, 200),
+])
+def test_hermite_table_in_place_matches_row_by_row_bitwise(reach, nmax):
+    # rows written in place and lifted once per rescale segment are the
+    # row-by-row lift; the reaches cover a rescale every 37 steps (2^26, the
+    # clamp) down to none at all
+    rng = np.random.default_rng(nmax)
+    x = np.concatenate([rng.uniform(-reach, reach, 200),
+                        [0.0, -0.0, 5e-324, -1e-310, reach, -reach, math.inf]])
+    got = hermite_function_table(nmax, x)
+    assert np.array_equal(got, _hermite_table_row_by_row(nmax, x))
 
 
 def test_closed_tables_raise_no_runtime_warning():
@@ -412,7 +459,8 @@ def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
     phases = 1j ** (np.arange(nmax + 1) % 4)
     prev = None
     for refine in range(5):
-        xi, w = _transform_nodes(meas.support, meas.breakpoints, interval, nmax, freq, refine)
+        xi, w = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
+                                                    nmax, freq, refine))
         table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
         out = np.empty((nmax + 1, xs.size), dtype=complex)
         step = max(16, (1 << 21) // max(xi.size, 1))
@@ -467,20 +515,22 @@ def test_quadrature_phase_matches_direct_kernel(family, t):
 
 def test_half_rule_mirrors_the_whole_line_rule():
     # with 0 as a breakpoint (genhermite) the whole-line rule is the half
-    # rule and its mirror image; weights of the half rule count twice
+    # rule and its mirror image, with the same weights (the fold doubles them)
     meas = make_basis("genhermite:1", N=8).measure
 
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
     interval = rec._truncated_interval(sqrtw, meas.support, 7)
-    xi, w = _transform_nodes(meas.support, meas.breakpoints, interval, 7, 4.0, 1)
-    hx, hw = _transform_nodes(meas.support, meas.breakpoints, interval, 7, 4.0, 1, half=True)
+    xi, w = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
+                                                7, 4.0, 1))
+    hx, hw = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
+                                                 7, 4.0, 1, half=True))
     order = np.argsort(hx)
     assert hx.min() > 0.0
     upper = np.argsort(xi[xi > 0.0])
     assert np.array_equal(xi[xi > 0.0][upper], hx[order])
-    assert np.array_equal(2.0 * w[xi > 0.0][upper], hw[order])
+    assert np.array_equal(w[xi > 0.0][upper], hw[order])
     # no zero-width panel below 0 either, so the halves have equal node counts
     assert np.allclose(np.sort(-xi[xi < 0.0]), hx[order], rtol=1e-14, atol=0.0)
 

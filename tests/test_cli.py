@@ -332,11 +332,36 @@ def test_accuracy_error_exits_one_without_traceback(monkeypatch, capsys):
         raise AccuracyError("oscillatory transform did not reach tol", estimate=1e-4)
 
     monkeypatch.setattr(basis_mod, "oscillatory_transform", exhausted)
-    rc = cli.main(["verify", "gram", "--family", "genhermite:1", "--N", "256"])
+    rc = cli.main(["basis", "eval", "--family", "genhermite:1", "--n", "0:3",
+                   "--grid", "-1:1:0.5"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "favard: oscillatory transform did not reach tol\n"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("check", ["gram", "recurrence", "all"])
+def test_verify_reports_a_quadrature_route_that_gives_up(monkeypatch, capsys, check):
+    # verify turns the error into a failing report: every report prints,
+    # and the exit code is 1
+    from favard import basis as basis_mod
+    from favard.errors import AccuracyError
+
+    def exhausted(*args, **kwargs):
+        raise AccuracyError("oscillatory transform did not reach tol=1e-10; estimate 1.65e-08",
+                            estimate=1.65e-8)
+
+    monkeypatch.setattr(basis_mod, "oscillatory_transform", exhausted)
+    rc = cli.main(["verify", check, "--family", "custom-weight:exp(-abs(x))"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    reports = json.loads(captured.out)
+    assert [r["name"] for r in reports] == (["gram", "recurrence"] if check == "all" else [check])
+    for r in reports:
+        assert r["pass"] is False and r["max_abs_error"] == math.inf
+        assert r["metadata"]["estimate"] == 1.65e-8
+        assert r["metadata"]["error"].startswith("oscillatory transform did not reach")
+        assert r["metadata"]["family"] == "custom-weight:exp(-abs(x))"
 
 
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):

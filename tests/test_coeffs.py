@@ -290,6 +290,130 @@ def test_mt_fft_zero_function_takes_the_half_grid():
     assert not np.any(a.values)
 
 
+def _mt_blocks(f, t):
+    """g = (1 - i t) f(t/2) and max |g|, f called on each block of 4096
+    points alone, each block formed as the transform forms it."""
+    g = np.empty(t.size, dtype=complex)
+    for start in range(0, t.size, 4096):
+        tb, gb = t[start:start + 4096], g[start:start + 4096]
+        fx = np.asarray(f(0.5 * tb))
+        if np.iscomplexobj(fx):
+            gb.real = tb * fx.imag + fx.real
+            gb.imag = fx.imag - tb * fx.real
+        else:
+            gb.real = fx
+            gb.imag = -(tb * fx)
+    return g, float(np.abs(g).max())
+
+
+def _mt_with_probe_calls(f, N):
+    """mt_coeffs_fft with f called once for each of the four probe points
+    and once per block of each grid, the grids, FFTs and branch rule as the
+    transform takes them: a CoefficientVector, or ValueError on a jump."""
+    from favard.diffop import _I_POWERS
+    from favard.quadrature import _SQRT_2PI
+
+    M = 4 * N
+    h = 2.0 * math.pi / M
+    t = co._mt_even_grid(N)
+    g, top = _mt_blocks(f, t)
+    probe = 4.0 / math.tan(0.25 * h)
+
+    def tail_limit(sign):
+        m1 = sign * probe * complex(np.asarray(f(np.array([sign * probe])), dtype=complex)[0])
+        m2 = 2.0 * sign * probe * complex(
+            np.asarray(f(np.array([2.0 * sign * probe])), dtype=complex)[0])
+        return 2.0 * m2 - m1
+
+    if abs(tail_limit(1.0) - tail_limit(-1.0)) > 1e-2 * max(top, 1e-300):
+        raise ValueError("f decays too slowly for the Malmquist-Takenaka FFT path: "
+                         "the substituted integrand jumps at theta = pi")
+    spectrum = scipy.fft.fft(g)
+    ratio = co._out_of_window(spectrum, N // 2 + 1, 3 * N // 2 + 1)
+    vals = co._mt_window(spectrum, N)
+    phase = co._half_step_phase(N, h)
+    samples, weight = 2 * N, 2.0 * h
+    if ratio > 1e-14:
+        odd = co._mt_window(scipy.fft.fft(_mt_blocks(f, -t[::-1])[0]), N)
+        odd *= phase
+        odd *= phase
+        vals += odd
+        samples, weight = M, h
+    vals *= phase
+    n0 = 1 - N // 2
+    vals *= np.tile(_I_POWERS[np.arange(n0, n0 + 4) % 4], N // 4)
+    vals *= weight / (2.0 * _SQRT_2PI)
+    return co.CoefficientVector(vals, n0, None, {"method": "mt-fft", "samples": samples,
+                                                 "out_of_window": ratio})
+
+
+def _counted(f):
+    """f, and the sizes of the arrays it was called on, in order."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return counted, sizes
+
+
+_MT_SLOW = {
+    # x f(x) -> +1 and -1 at +-inf: the substituted integrand jumps at pi
+    "reciprocal": lambda x: 1.0 / (1.0 + np.abs(x)),
+    # x f(x) -> 1 and 0: a jump too
+    "one-sided": lambda x: np.where(x > 0.0, 1.0 / (1.0 + np.abs(x)), 0.0),
+    # x f(x) -> 1 at both ends: no jump, the transform goes ahead
+    "even-limit": lambda x: x / (1.0 + x * x),
+    "lorentz": lambda x: 1.0 / (1.0 + x * x),
+}
+
+
+@pytest.mark.parametrize("name, N", [
+    ("span", 16), ("span", 256), ("gauss", 4096), ("readme", 64), ("readme", 4096),
+    ("abs", 16), ("abs", 256), ("abs", 4096), ("planted", 16), ("planted", 4096),
+    ("gauss", 8192), ("abs", 8192),
+])
+def test_mt_fft_probe_in_the_first_block_keeps_every_bit(name, N):
+    # the probe points ride in the first block's call of f: on either
+    # branch the values and meta are those of separate calls, bit for bit
+    f = _MT_TEST_FUNCTIONS[name](N)
+    got = co.mt_coeffs_fft(f, N)
+    want = _mt_with_probe_calls(f, N)
+    assert got.n_start == want.n_start and got.meta == want.meta
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("N", [16, 1024, 8192])
+@pytest.mark.parametrize("name", sorted(_MT_SLOW))
+def test_mt_fft_slow_decay_raises_for_the_same_f(name, N):
+    f = _MT_SLOW[name]
+    try:
+        want = _mt_with_probe_calls(f, N)
+    except ValueError:
+        with pytest.raises(ValueError, match="jumps at theta = pi"):
+            co.mt_coeffs_fft(f, N)
+        assert name in ("reciprocal", "one-sided")
+        return
+    got = co.mt_coeffs_fft(f, N)
+    assert got.meta == want.meta and np.array_equal(got.values, want.values)
+    assert name in ("even-limit", "lorentz")
+
+
+@pytest.mark.parametrize("name, N, calls", [
+    ("span", 16, [2 * 16 + 4]), ("span", 256, [2 * 256 + 4]), ("gauss", 2048, [4096 + 4]),
+    ("span", 4, [2 * 4 + 4, 2 * 4]),
+    ("abs", 256, [2 * 256 + 4, 2 * 256]), ("abs", 2048, [4096 + 4, 4096]),
+    ("gauss", 8192, [4096 + 4, 4096, 4096, 4096]),
+])
+def test_mt_fft_calls_f_once_per_block(name, N, calls):
+    # for N <= 2048 each grid is one block: one call on the 2N branch, one
+    # more for the odd grid on the 4N branch
+    f, sizes = _counted(_MT_TEST_FUNCTIONS[name](N))
+    co.mt_coeffs_fft(f, N)
+    assert sizes == calls
+
+
 # (a, b) -> (s, trig): phi_n = (-1)^n sqrt(2/pi) sqrt(sech x) trig((n + s) theta)
 # with cos theta = tanh x, and phi_0 of (1/4, 1/4) halved in square
 _TANH_KINDS = {(0.75, 0.75): (1.0, np.sin), (0.25, 0.25): (0.0, np.cos),
@@ -328,10 +452,9 @@ def _tanh_midpoint(f, kind, N, M):
     return (-1.0) ** n * math.sqrt(2.0 / math.pi) * h * sums
 
 
-def _tanh_one_grid(f, kind, N, M):
-    """The single-grid rule as the transform takes it on M points, operation
-    for operation: the values the N <= 256 and fallback branches must
-    return bit for bit."""
+def _tanh_grid(f, kind, M):
+    """max |H| and the whole spectrum of the single-grid rule on M points,
+    operation for operation as the transform takes them."""
     a, b = kind
     theta = (np.arange(M // 2) + 0.5) * (math.pi / M)
     x = np.empty(M)
@@ -345,13 +468,48 @@ def _tanh_one_grid(f, kind, N, M):
         fx = fx.real
     H = fx / H
     transform = scipy.fft.dst if _TANH_KINDS[kind][1] is np.sin else scipy.fft.dct
-    vals = transform(H, type=2 if a == b else 4)[:N]
+    return float(np.abs(H).max()), transform(H, type=2 if a == b else 4)
+
+
+def _tanh_one_grid(f, kind, N, M):
+    """The single-grid rule as the transform takes it on M points, operation
+    for operation: the values the N <= 256 and fallback branches must
+    return bit for bit."""
+    return _tanh_scaled(_tanh_grid(f, kind, M)[1], kind, N, M)
+
+
+def _tanh_scaled(spectrum, kind, N, M):
+    a, b = kind
+    vals = spectrum[:N]
     scale = math.pi / (2.0 * M) / math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b))
     vals = vals * (scale if kind == (0.75, 0.75) else scale * math.sqrt(2.0))
     if kind == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)
     vals[1::2] *= -1.0
     return vals
+
+
+def _tanh_with_probe_calls(f, kind, N):
+    """The transform with f called once for each probe point and once per
+    grid, the grids and the branch rule as the transform takes them:
+    (values, meta), or ValueError when H blows up."""
+    M = max(4 * N, 1024)
+    th0 = 0.25 * (0.5 * (math.pi / M))
+    probe = 0.0
+    for th in (th0, math.pi - th0):
+        xq = -math.log(math.tan(0.5 * th))
+        hq = complex(np.asarray(f(np.array([xq])), dtype=complex)[0]) / math.sqrt(math.sin(th))
+        probe = max(probe, abs(hq))
+    for size in (max(2 * N, 1024), M):
+        top, spectrum = _tanh_grid(f, kind, size)
+        blows_up = probe > 1.2 * max(top, 1e-300)
+        if size == M and blows_up:
+            raise ValueError("f decays too slowly for the tanh-Chebyshev transform path")
+        ratio = co._out_of_window(spectrum, N, size)
+        if size == M or (ratio <= 1e-14 and not blows_up):
+            break
+    return _tanh_scaled(spectrum, kind, N, size), {
+        "method": "tanh-chebyshev", "kind": kind, "samples": size, "out_of_window": ratio}
 
 
 _TANH_SPAN = np.array([1.0, 1j]) @ np.random.default_rng(27).standard_normal((2, 3))
@@ -449,6 +607,58 @@ def test_tanh_chebyshev_zero_function_takes_the_half_grid():
     a = co.tanh_chebyshev_coeffs(lambda x: np.zeros_like(x), (0.25, 0.75), 512)
     assert a.meta["samples"] == 1024 and a.meta["out_of_window"] == 0.0
     assert not np.any(a.values)
+
+
+@pytest.mark.parametrize("kind", list(_TANH_KINDS), ids=_TANH_KIND_IDS)
+@pytest.mark.parametrize("name, N", [
+    ("span", 16), ("span", 512), ("gauss", 256), ("gauss", 4096),
+    ("sech2", 512), ("sech2", 4096), ("abs", 512), ("abs", 4096),
+    ("planted", 512), ("planted", 4096), ("edge", 512),
+])
+def test_tanh_chebyshev_probe_in_the_first_grid_keeps_every_bit(name, N, kind):
+    # the two probe points ride in the first grid's call of f: the accepted
+    # 2N pass, the 4N fallback (sech^2, exp(-|x|), phi_0 + phi_{N+1}) and
+    # the one 1024-point grid of N <= 256 keep the values and meta of
+    # separate calls, bit for bit
+    f = _TANH_TEST_FUNCTIONS[name](kind, N)
+    got = co.tanh_chebyshev_coeffs(f, kind, N)
+    want, meta = _tanh_with_probe_calls(f, kind, N)
+    assert got.meta == meta
+    assert np.array_equal(got.values, want)
+
+
+_TANH_SLOW = {
+    "exp(-|x|/4)": lambda x: np.exp(-np.abs(x) / 4.0),
+    "1/(1+x^2)": lambda x: 1.0 / (1.0 + x * x),
+    "exp(-|x|/2)": lambda x: np.exp(-np.abs(x) / 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", [(0.25, 0.75), (0.75, 0.75)], ids=["0.25,0.75", "0.75,0.75"])
+@pytest.mark.parametrize("N", [64, 512, 4096])
+@pytest.mark.parametrize("name", sorted(_TANH_SLOW))
+def test_tanh_chebyshev_slow_decay_raises_for_the_same_f(name, N, kind):
+    f = _TANH_SLOW[name]
+    try:
+        want, meta = _tanh_with_probe_calls(f, kind, N)
+    except ValueError:
+        with pytest.raises(ValueError, match="decays too slowly"):
+            co.tanh_chebyshev_coeffs(f, kind, N)
+        return
+    got = co.tanh_chebyshev_coeffs(f, kind, N)
+    assert got.meta == meta and np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("name, N, calls", [
+    ("gauss", 4, [1024 + 2]), ("abs", 256, [1024 + 2]), ("span", 512, [1024 + 2]),
+    ("gauss", 4096, [8192 + 2]), ("sech2", 4096, [8192 + 2, 16384]),
+    ("abs", 512, [1024 + 2, 2048]),
+])
+def test_tanh_chebyshev_calls_f_once_per_grid(name, N, calls):
+    # one call for a result on the first grid, two for a fallback
+    f, sizes = _counted(_TANH_TEST_FUNCTIONS[name]((0.75, 0.25), N))
+    co.tanh_chebyshev_coeffs(f, (0.75, 0.25), N)
+    assert sizes == calls
 
 
 @pytest.mark.parametrize("f, samples, grids", [

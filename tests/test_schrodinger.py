@@ -37,17 +37,6 @@ def test_free_psi_t_zero_is_phi():
     assert np.max(np.abs(got - transformed_legendre(2, x))) < 1e-12
 
 
-def test_free_psi_printed_form_is_translation():
-    # the alternative multiplier e^{i xi t^2} only translates by t^2; the
-    # free flow is the e^{-i xi^2 t} path
-    basis = make_basis("hermite", N=8)
-    t = 0.8
-    x = np.linspace(-2.0, 2.0, 9)
-    alt = sch.free_psi(basis, 1, x, t, printed_form=True)
-    ref = sch.free_psi(basis, 1, x + t * t, 0.0)
-    assert np.max(np.abs(alt - ref)) < 1e-9
-
-
 def test_free_psi_unitarity_in_time():
     # |psi_n(.,t)| keeps unit L2 norm
     leg = make_basis("legendre", N=6)

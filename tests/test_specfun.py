@@ -208,3 +208,53 @@ def test_sph_sweep_in_place_matches_single_rows(grid):
     scale = np.sqrt((2 * np.arange(nmax + 1) + 1) / np.pi)[:, None]
     sign = np.where((np.arange(nmax + 1) % 2 == 1)[:, None] & (x[forward] > 0), -1.0, 1.0)
     assert np.array_equal(table[:, forward], sign * (reference * scale))
+
+
+def _sph_down_out_of_place(nmax, x, rows, fired):
+    # the Miller sweep with each value formed in temporaries and copied into
+    # its row, and the overflow mask built at every step
+    start = nmax + int(np.ceil(np.sqrt(40.0 * (nmax + 1)))) + 18
+    jp = np.zeros_like(x)
+    jc = np.full_like(x, 2.0**-512)
+    for k in range(start, 0, -1):
+        n = k - 1
+        jp, jc = jc, (2 * k + 1) / x * jc - jp
+        if n <= nmax:
+            rows[n] = jc
+        big = np.abs(jc) > specfun._SPH_BIG
+        if np.any(big):
+            fired.append(n)
+            jp = np.where(big, jp / specfun._SPH_BIG, jp)
+            jc = np.where(big, jc / specfun._SPH_BIG, jc)
+            if n <= nmax:
+                rows[n:, big] /= specfun._SPH_BIG
+    _, e = np.frexp(np.maximum(np.abs(jc), np.abs(jp)))
+    jc = np.ldexp(jc, -e)
+    jp = np.ldexp(jp, -e)
+    j0, j1 = specfun._sph_j01(x, np.empty_like(x), np.empty_like(x))
+    scale = (j0 * jc + j1 * jp) / (jc * jc + jp * jp)
+    rows *= np.ldexp(scale, -e)
+
+
+@pytest.mark.parametrize("nmax", [4, 5, 9, 16, 63, 100, 128, 255])
+def test_sph_scan_in_place_matches_out_of_place_bitwise(monkeypatch, nmax):
+    # every branch (forward, Miller, series, zero), as slices on the sorted
+    # grid and through masks on the shuffled one; from nmax = 9 on, the
+    # points x = 2^-26 .. 1 send the Miller values past 2^830
+    rng = np.random.default_rng(nmax)
+    x = np.sort(np.concatenate([
+        [0.0, 2.0**-40, 2.0**-28], 2.0 ** -np.arange(0.0, 26.5, 0.5),
+        rng.uniform(0.0, 1.5 * nmax + 2.0, 300), np.pi * np.arange(1, 9),
+        [nmax - 0.25, nmax, nmax + 0.25]]))
+    grids = (x, rng.permutation(x))
+    got = [specfun._sph_scan(nmax, g) for g in grids]
+    fired = []
+    monkeypatch.setattr(specfun, "_sph_down",
+                        lambda n, xs, rows: _sph_down_out_of_place(n, xs, rows, fired))
+    want = [specfun._sph_scan(nmax, g) for g in grids]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # the rescale runs on rows already kept from nmax = 9 on, and before
+    # the first kept row too from nmax = 16 on
+    assert (min(fired, default=nmax + 1) <= nmax) == (nmax >= 9)
+    assert (max(fired, default=-1) > nmax) == (nmax >= 16)
