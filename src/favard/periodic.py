@@ -41,15 +41,19 @@ class PeriodicBasis:
 
     ``measure`` holds the point masses sigma_k on the integers |k| <= K,
     ``jacobi`` the recurrence coefficients of its orthonormal polynomials,
-    and ``K`` the lattice cutoff.  The cutoff is chosen when the measure is
-    constructed so that the discarded tail sum_{|k|>K} sigma_k p_n(k)^2 is
-    below 1e-20 for every degree n the recurrence table covers.
+    ``K`` the lattice cutoff, and ``amplitudes`` the (N + 1) x (2K + 1)
+    Fourier coefficients A[n, k] = sqrt(sigma_k) p_n(k) of phi_0..phi_N,
+    N = len(jacobi).  They are the Lanczos vectors of diag(k) from the
+    start vector sqrt(sigma) that ``jacobi`` comes from, so they never pass
+    through the three-term recurrence.  The cutoff is chosen when the
+    basis is built so that the discarded tail sum_{|k|>K} A[n, k]^2 is
+    below 1e-20 for every degree n < N.
     """
 
     measure: rec.MeasureSpec
     jacobi: rec.JacobiMatrix
     K: int
-    _roots: np.ndarray = field(repr=False, compare=False, default=None)
+    amplitudes: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.measure.kind != "discrete":
@@ -57,37 +61,12 @@ class PeriodicBasis:
         points = np.asarray(self.measure.points, dtype=float)
         if not np.allclose(points, np.round(points)):
             raise ValueError("measure points must sit on the integer lattice")
-        object.__setattr__(self, "_roots", np.sqrt(np.asarray(self.measure.masses, dtype=float)))
+        if np.shape(self.amplitudes) != (len(self.jacobi) + 1, points.size):
+            raise ValueError("amplitudes need one row per degree 0..N and one column per point")
 
     @property
     def length(self) -> int:
         return len(self.jacobi)
-
-
-def _tails(a: float, jacobi: rec.JacobiMatrix, cuts, nmax: int) -> np.ndarray:
-    """``_tail_beyond`` at each cutoff in the increasing ``cuts``, from one
-    polynomial table over k = cuts[0] + 1 .. cuts[-1] + 60.
-
-    Each entry equals the call with its cutoff alone bit for bit: the table
-    and the masses are elementwise, and each sum runs over its own 60
-    contiguous terms.
-    """
-    first, last = cuts[0] + 1, cuts[-1] + 60
-    kk = np.arange(first, last + 1, dtype=float)
-    logm = kk * math.log(a) - np.array([math.lgamma(v + 1.0) for v in range(first, last + 1)])
-    masses = 2.0 * np.exp(logm) / (2.0 * math.exp(a) - 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = masses * rec.eval_poly_table(jacobi, nmax, kk) ** 2
-    out = np.empty(len(cuts))
-    for i, K in enumerate(cuts):
-        sums = terms[:, K + 1 - first:K + 61 - first].sum(axis=1)
-        out[i] = np.max(sums) if np.all(np.isfinite(sums)) else np.inf
-    return out
-
-
-def _tail_beyond(a: float, jacobi: rec.JacobiMatrix, K: int, nmax: int) -> float:
-    """max_n sum_{|k|>K} sigma_k p_n(k)^2 with the exact bilateral masses."""
-    return float(_tails(a, jacobi, [K], nmax)[0])
 
 
 def charlier_basis(a: float, N: int = 32, K: int | None = None) -> PeriodicBasis:
@@ -96,67 +75,72 @@ def charlier_basis(a: float, N: int = 32, K: int | None = None) -> PeriodicBasis
     ``N`` is the number of recurrence coefficients to prepare, which bounds
     the largest usable degree.  When ``K`` is not given, the cutoff is the
     first of K_1, K_1 + 4, K_1 + 8, ... at which the discarded tail
-    sum_{|k|>K} sigma_k p_n(k)^2 stays below 1e-20 for every prepared
-    degree; K_1 is the first of K_0, K_0 + 4, ... (K_0 from the
-    factorial-decay rule of the measure) whose lattice holds the N + 1
-    points that N recurrence coefficients need.  The mass-decay rule alone
-    is not enough because p_n(k)^2 grows rapidly past the lattice edge.
-    Every candidate is tested against one recurrence, built on the last
-    candidate up to the generous lattice K_0 + 4 ceil((3N/2 + 8) / 4) (the
-    chosen K was at most K_0 + 1.25 N for a from 0.1 to 5 and N up to 64).
-    It differs from a passing candidate's only through masses that the test
-    bounds, far below rounding.  The basis is then built once at the first
-    K that passes, and its own recurrence is tested again.  Should that
-    test fail, or no candidate up to the generous lattice pass, the cutoff
-    steps on by 4, building each lattice, until one passes.
+    sum_{|k|>K} A[n, k]^2 stays below 1e-20 for every degree n < N; K_1 is
+    the first of K_0, K_0 + 4, ... (K_0 from the factorial-decay rule of
+    the measure) whose lattice holds the N + 1 points that N recurrence
+    coefficients need.  The mass-decay rule alone is not enough because
+    p_n(k)^2 grows rapidly past the lattice edge.  Every candidate's tail is
+    read off one Lanczos run on the generous lattice
+    K_0 + 4 ceil((3N/2 + 8) / 4), by one reversed cumulative sum of its
+    squared vectors; the candidates stop short of that lattice, and the
+    chosen K lay at least 12 points inside it for a from 0.1 to 5 and N up
+    to 128.  An explicit ``K`` reads its tail on the lattice K + 60.  The
+    basis is then built once at the first K that passes; ValueError if
+    none does.
 
-    The basis is returned only if p_0..p_{N-1} are orthonormal on their
-    lattice to 1e-10, else ValueError: for small ``a`` the masses outrun
-    double precision as N nears the lattice size (at a = 0.1, 7e-10 at
-    N = 40 and 1e-2 at N = 64, on any lattice).
+    The basis is returned only if its amplitude rows 0..N-1 are orthonormal
+    to 1e-10, else ValueError.  Being reorthogonalized Lanczos vectors they
+    are so to rounding (at most 1.0e-15 for a from 0.1 to 5 and N = 2..69,
+    96 and 128), so this is a check.
     """
-    def build(cut):
-        measure = rec.charlier_bilateral(a, K=cut)
-        return measure, rec.stieltjes(measure, N), int(round(measure.support[1]))
-
-    def passes(jacobi, lattice):
-        return _tail_beyond(a, jacobi, lattice, N - 1) < 1e-20
-
-    if K is not None:
-        measure, jacobi, lattice = build(K)
-        if not passes(jacobi, lattice):
-            raise ValueError(
-                f"K = {K} violates the truncation-tail invariant for degrees below {N}"
-            )
-    else:
+    if K is None:
         base = int(round(rec.charlier_bilateral(a).support[1]))
         room = -(-N // 2)  # the first lattice 2K + 1 with N + 1 points
         first = base + 4 * max(0, math.ceil((room - base) / 4))
-        cuts = list(range(first, base + 4 * math.ceil((1.5 * N + 8) / 4) + 1, 4))
-        measure, jacobi, lattice = build(cuts[-1])
-        passed = np.flatnonzero(_tails(a, jacobi, cuts, N - 1) < 1e-20)
-        if passed.size and cuts[passed[0]] != lattice:
-            measure, jacobi, lattice = build(cuts[passed[0]])
-        while not passes(jacobi, lattice):
-            measure, jacobi, lattice = build(lattice + 4)
-    basis = PeriodicBasis(measure=measure, jacobi=jacobi, K=lattice)
-    table = _poly_table(basis, N - 1)
-    err = float(np.max(np.abs((table * measure.masses) @ table.T - np.eye(N))))
+        probe = base + 4 * math.ceil((1.5 * N + 8) / 4)
+        cuts = np.arange(first, probe, 4)
+    else:
+        probe, cuts = K + 60, np.array([K])
+    _, vectors = rec._lanczos(rec.charlier_bilateral(a, K=probe), N)
+    squares = vectors[:N] ** 2
+    # beyond[n, j] = sum over |k| > j of A[n, k]^2 on the probe lattice
+    folded = squares[:, probe + 1:] + squares[:, probe - 1::-1]
+    beyond = np.cumsum(folded[:, ::-1], axis=1)[:, ::-1]
+    passed = cuts[np.max(beyond[:, cuts], axis=0) < 1e-20]
+    if not passed.size:
+        raise ValueError(
+            f"no cutoff K <= {cuts[-1]} holds the truncation tail below 1e-20 "
+            f"for degrees below {N}"
+        )
+    lattice = int(passed[0])
+    measure = rec.charlier_bilateral(a, K=lattice)
+    jacobi, amplitudes = rec._lanczos(measure, N)
+    err = float(np.max(np.abs(amplitudes[:N] @ amplitudes[:N].T - np.eye(N))))
     if not err <= 1e-10:
         raise ValueError(
             f"degrees below {N} of the Charlier measure a = {a} are orthonormal on "
             f"their {2 * lattice + 1}-point lattice only to {err:.1e} in double precision"
         )
-    return basis
+    return PeriodicBasis(measure=measure, jacobi=jacobi, K=lattice, amplitudes=amplitudes)
 
 
-def _poly_table(basis: PeriodicBasis, nmax: int) -> np.ndarray:
-    """Rows p_0..p_nmax evaluated at the lattice points."""
-    if nmax + 1 > basis.length:
+def _rows(basis: PeriodicBasis, x, start: int, stop: int, weights=1.0) -> np.ndarray:
+    """phi_start..phi_{stop-1} at ``x``, shape (stop - start,) + x.shape.
+
+    One product of the amplitude rows, each mode scaled by ``weights``
+    (``1j * k`` differentiates), with the modes e^{ikx}, times i^n; a stack
+    of weights gives a leading axis with one block of rows per weight.
+    """
+    if stop > basis.length + 1:
         raise ValueError(
-            f"degree {nmax} needs {nmax + 1} recurrence coefficients, basis has {basis.length}"
+            f"degree {stop - 1} needs {stop - 1} recurrence coefficients, basis has {basis.length}"
         )
-    return rec.eval_poly_table(basis.jacobi, nmax, np.asarray(basis.measure.points, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    k = np.asarray(basis.measure.points, dtype=float)
+    modes = np.exp(1j * np.multiply.outer(k, xs.ravel()))  # (lattice, points)
+    powers = _I_POWERS[np.arange(start, stop) % 4][:, None]
+    rows = powers * ((basis.amplitudes[start:stop] * weights) @ modes)
+    return rows.reshape(rows.shape[:-1] + xs.shape)
 
 
 def periodic_phi(basis: PeriodicBasis, n: int, x):
@@ -168,12 +152,8 @@ def periodic_phi(basis: PeriodicBasis, n: int, x):
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    table = _poly_table(basis, n)
-    amps = basis._roots * table[n]
-    xs = np.asarray(x, dtype=float)
-    k = np.asarray(basis.measure.points, dtype=float)
-    vals = (1j**n) * np.exp(1j * np.multiply.outer(xs, k)) @ amps
-    return vals if xs.ndim else complex(vals)
+    vals = _rows(basis, x, n, n + 1)[0]
+    return vals if vals.ndim else complex(vals)
 
 
 def periodic_gram(basis: PeriodicBasis, N: int, M: int = 4096) -> np.ndarray:
@@ -191,11 +171,7 @@ def periodic_gram(basis: PeriodicBasis, N: int, M: int = 4096) -> np.ndarray:
             f"M = {M} breaks trapezoid exactness: need M >= 4K = {4 * basis.K}"
         )
     x = 2.0 * np.pi * np.arange(M) / M - np.pi
-    table = _poly_table(basis, N - 1)
-    amps = basis._roots * table  # (N, lattice)
-    k = np.asarray(basis.measure.points, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(k, x))  # (lattice, M)
-    rows = _I_POWERS[np.arange(N) % 4][:, None] * (amps @ phases)  # (N, M)
+    rows = _rows(basis, x, 0, N)  # (N, M)
     return (rows @ rows.conj().T) / M
 
 
@@ -209,14 +185,10 @@ def periodic_diff_check(basis: PeriodicBasis, N: int, M: int = 257) -> float:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    table = _poly_table(basis, N)  # rows 0..N, so phi_N is available
-    k = np.asarray(basis.measure.points, dtype=float)
-    amps = basis._roots * table
     x = 2.0 * np.pi * np.arange(M) / M - np.pi
-    modes = np.exp(1j * np.multiply.outer(k, x))  # (lattice, M)
-    powers = _I_POWERS[np.arange(N + 1) % 4][:, None]
-    phi = powers * (amps @ modes)
-    dphi = powers * ((amps * k) @ modes) * 1j
+    k = np.asarray(basis.measure.points, dtype=float)
+    # rows 0..N, so phi_N is available, and their derivatives
+    phi, dphi = _rows(basis, x, 0, N + 1, np.stack([np.ones_like(k), 1j * k])[:, None])
     b = basis.jacobi.b
     c = basis.jacobi.c
     worst = 0.0

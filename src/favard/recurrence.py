@@ -412,18 +412,31 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
     the Euclidean norm (Gautschi, *Orthogonal Polynomials: Computation and
     Approximation*, 2004, ch. 2): c_k = q_k . (xi q_k), and
     b_k = |xi q_k - c_k q_k - b_{k-1} q_{k-1}| normalizes q_{k+1}.  This is
-    the Lanczos iteration on diag(xi) without reorthogonalization, O(N M).  It
-    agrees with the same iteration under full reorthogonalization, repeated
-    once (O(N^2 M)), to 7e-16 relative in b_n and to 1e-15 of max |xi_j| in
-    c_n, on exp(-xi^2), exp(-xi^4) and exp(-|xi|) up to N = 256 and on
-    bilateral Charlier lattices of 2K + 1 points up to N = 2K.  Gautschi
-    cautions that the procedure can lose accuracy on a discrete measure as
-    N nears its number of support points, where Lanczos-type updates (RKPW;
-    Gragg & Harrod, Numer. Math. 44, 1984) stay stable; the lattices above
-    show no such loss, and a continuous measure is discretized on M >= 2N
-    points (24 N by default).  A discrete measure with P positive masses has
-    b_{P-1} = 0 exactly, so N >= P raises ``DegenerateMeasureError`` before
-    the iteration, as does a b_k below 1e-14 of the node scale inside it.
+    the Lanczos iteration on diag(xi), ``_lanczos``.  A continuous measure,
+    discretized on M >= 2N points (24 N by default), takes the plain update,
+    O(N M): it agrees with full reorthogonalization to 7e-16 relative in
+    b_n and to 1e-15 of max |xi_j| in c_n on exp(-xi^2), exp(-xi^4) and
+    exp(-|xi|) up to N = 256.  A discrete measure is where Gautschi
+    cautions that the plain update loses accuracy as N nears the number of
+    support points (the stable Lanczos-type updates are RKPW; Gragg &
+    Harrod, Numer. Math. 44, 1984): on the 161-point Charlier lattice
+    a = 0.1, K = 80 it is off by 1.7e-4 relative in b_n at N = 64.  So a
+    discrete measure reorthogonalizes every new vector against all kept
+    ones, O(N^2 M), and matches a 50-digit run to rounding there.  A
+    discrete measure with P positive masses has b_{P-1} = 0 exactly, so
+    N >= P raises ``DegenerateMeasureError`` before the iteration, as does
+    a b_k below 1e-14 of the node scale inside it.
+    """
+    return _lanczos(measure, N, M)[0]
+
+
+def _lanczos(measure: MeasureSpec, N: int, M: int | None = None):
+    """``stieltjes`` with its Lanczos vectors: (JacobiMatrix, Q).
+
+    On a discrete measure Q holds q_0..q_N as its N + 1 rows, each new
+    vector reorthogonalized against the kept ones by classical Gram-Schmidt
+    applied twice; Q[n, j] = sqrt(w_j) p_n(xi_j).  A continuous measure
+    keeps only the last two vectors, and Q is None.
     """
     if N <= 0:
         raise ValueError("N must be positive")
@@ -439,6 +452,7 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
             f"and {N} coefficient pairs need {N + 1}"
         )
     scale = max(1.0, float(np.max(np.abs(nodes))))
+    Q = np.empty((N + 1, nodes.size)) if measure.kind == "discrete" else None
     q = np.sqrt(np.maximum(weights, 0.0))
     q /= np.linalg.norm(q)
     b = np.empty(N)
@@ -449,6 +463,10 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
         v = nodes * q
         c[k] = q @ v
         v -= c[k] * q + b_prev * q_prev
+        if Q is not None:
+            Q[k] = q
+            for _ in range(2):
+                v -= Q[:k + 1].T @ (Q[:k + 1] @ v)
         b[k] = np.linalg.norm(v)
         if b[k] <= 1e-14 * scale:
             raise DegenerateMeasureError(
@@ -457,7 +475,9 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
             )
         q_prev, q = q, v / b[k]
         b_prev = b[k]
-    return JacobiMatrix(b, c)
+    if Q is not None:
+        Q[N] = q
+    return JacobiMatrix(b, c), Q
 
 
 def jacobi_poly_coeffs(alpha: float, beta: float, N: int) -> JacobiMatrix:

@@ -257,7 +257,7 @@ def check_gram(basis, N: int = 12) -> CheckReport:
         err = float(np.max(np.abs(G - np.eye(N))))
         return CheckReport("gram", err, 1e-10,
                            metadata={"strategy": "trapezoid", "family": "periodic-charlier",
-                                     "N": N, "M": M})
+                                     "N": N, "M": M, "K": basis.K})
     tol = 1e-8
     family = basis.family
     if basis.closed_table is basis_mod.transformed_legendre_table:
@@ -295,7 +295,7 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
         err = periodic_mod.periodic_diff_check(basis, N)
         return CheckReport("recurrence", err, 1e-8,
                            metadata={"family": "periodic-charlier", "N": N,
-                                     "strategy": "fourier-exact"})
+                                     "strategy": "fourier-exact", "K": basis.K})
     xs = np.linspace(-3.3, 3.3, 23) if grid is None else np.asarray(grid, dtype=float)
     basis.ensure(N)
     shifts = np.array([-2 * h, -h, -0.5 * h, 0.0, 0.5 * h, h, 2 * h])

@@ -1,6 +1,7 @@
 """Periodic systems from the bilateral Charlier measure: lattice sums,
 orthonormality on the circle, exact differential recurrence."""
 
+import json
 import math
 
 import numpy as np
@@ -8,18 +9,31 @@ import pytest
 
 from favard import cli
 from favard import periodic as per
+from favard import recurrence as rec
+
+
+def bilateral_masses(a, ks):
+    # a^|k|/|k|! over the full lattice sum 2e^a - 1, recomputed from scratch
+    logm = np.array([abs(k) * math.log(a) - math.lgamma(abs(k) + 1.0) for k in ks])
+    return np.exp(logm) / (2.0 * math.exp(a) - 1.0)
 
 
 def direct_lattice_sum(basis, n, x):
-    # independent assembly: i^n sum_k sqrt(sigma_k) p_n(k) e^{ikx} with the
-    # bilateral masses recomputed from scratch (a^|k|/|k|!, total 2e^a - 1)
-    a = basis.measure.name.split(":")[1]
-    a = float(a)
+    # independent assembly: i^n sum_k sqrt(sigma_k) p_n(k) e^{ikx}, with p_n
+    # from the three-term recurrence rather than the amplitudes it checks
+    a = float(basis.measure.name.split(":")[1])
     ks = basis.measure.points
-    logm = np.array([abs(k) * math.log(a) - math.lgamma(abs(k) + 1.0) for k in ks])
-    masses = np.exp(logm) / (2.0 * math.exp(a) - 1.0)
-    table = per._poly_table(basis, n)
-    return (1j ** n) * np.sum(np.sqrt(masses) * table[n] * np.exp(1j * ks * x))
+    table = rec.eval_poly_table(basis.jacobi, n, ks)
+    return (1j ** n) * np.sum(np.sqrt(bilateral_masses(a, ks)) * table[n] * np.exp(1j * ks * x))
+
+
+def tail_beyond(a, basis, N):
+    # max_n sum_{|k|>K} sigma_k p_n(k)^2 for n < N over the 60 points past
+    # each edge, with p_n from the recurrence evaluated past the lattice
+    ks = np.arange(basis.K + 1, basis.K + 61, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = 2.0 * bilateral_masses(a, ks) * rec.eval_poly_table(basis.jacobi, N - 1, ks) ** 2
+    return float(np.max(terms.sum(axis=1)))
 
 
 def test_phi0_frozen_value():
@@ -44,12 +58,17 @@ def test_lattice_grows_until_tail_invariant():
     for a, N, K in ((0.5, 8, 27), (0.5, 16, 35), (0.5, 32, 47), (1.0, 16, 39)):
         basis = per.charlier_basis(a, N=N)
         assert basis.K == K, (a, N)
-        assert per._tail_beyond(a, basis.jacobi, basis.K, N - 1) < 1e-20
+        assert tail_beyond(a, basis, N) < 1e-20
 
 
 def test_explicit_small_K_rejected():
     with pytest.raises(ValueError):
         per.charlier_basis(0.5, N=16, K=12)
+    # an explicit K reads its tail on the lattice K + 60: one point short of
+    # the cutoff the search chooses at N = 14 fails, and that cutoff builds
+    with pytest.raises(ValueError, match="truncation tail"):
+        per.charlier_basis(0.5, N=14, K=30)
+    assert per.charlier_basis(0.5, N=14).K == per.charlier_basis(0.5, N=14, K=31).K == 31
 
 
 def test_two_pi_periodicity_and_realness():
@@ -98,40 +117,43 @@ def test_charlier_parameter_validation():
         per.charlier_basis(-1.0, N=8)
 
 
-# The cutoffs the lattice-by-lattice search (each K_0 + 4j built and tested
-# in turn) chose.  Where the factorial-decay lattice K_0 holds fewer than the
-# N + 1 points that N coefficients need (0.1 at N = 32, N = 64 for 0.5, 1
-# and 2) the candidates start at the first K_0 + 4j that holds them; at
-# N = 2 K_0 + 1 (0.1 at N = 27, K_0 = 13) that is K_0 + 4, and the cutoff is
-# the one the search from K_0 chose
+# The cutoffs an earlier search chose, which built and tested each K_0 + 4j
+# in turn on the three-term recurrence evaluated past the lattice; the
+# Lanczos tails keep every one.  Where the factorial-decay lattice K_0 holds
+# fewer than the N + 1 points that N coefficients need (0.1 at N = 32, N = 64
+# for 0.5, 1 and 2) the candidates start at the first K_0 + 4j that holds
+# them; at N = 2 K_0 + 1 (0.1 at N = 27, K_0 = 13) that is K_0 + 4, and the
+# cutoff is the one the search from K_0 chose.  Sizes that search refused
+# (0.1 from N = 38, 0.2 from N = 64) are absent
 PARENT_K = {
     0.1: {8: 21, 14: 25, 27: 33, 32: 37},
-    0.5: {8: 27, 14: 31, 32: 47, 64: 71},
-    1.0: {8: 31, 14: 39, 32: 55, 64: 79},
-    2.0: {8: 37, 14: 45, 32: 65, 64: 89},
-    5.0: {8: 51, 14: 59, 32: 83, 64: 115},
+    0.2: {8: 23, 14: 27, 32: 39, 40: 47, 48: 51},
+    0.5: {8: 27, 14: 31, 32: 47, 40: 51, 48: 59, 64: 71, 69: 71},
+    1.0: {8: 31, 14: 39, 32: 55, 40: 59, 48: 67, 64: 79, 69: 83, 96: 103},
+    2.0: {8: 37, 14: 45, 32: 65, 40: 69, 48: 77, 64: 89, 69: 93, 96: 117, 128: 137},
+    5.0: {8: 51, 14: 59, 32: 83, 40: 91, 48: 99, 64: 115, 69: 119, 96: 143, 128: 171},
 }
 
 
 @pytest.mark.parametrize("a", sorted(PARENT_K))
 def test_cutoff_search_builds_at_most_twice(monkeypatch, a):
-    # one recurrence on the generous lattice tests every candidate cutoff;
-    # the basis is then built once at the chosen K: the same K as the
-    # lattice-by-lattice search, with the tail invariant on its own recurrence
+    # one Lanczos run on the generous lattice gives every candidate's tail;
+    # the basis is then built once at the chosen K, whose tail under the
+    # recurrence evaluated past the lattice is below 1e-20 too
     lattices = []
-    stieltjes = per.rec.stieltjes
+    lanczos = per.rec._lanczos
 
     def counted(measure, N, M=None):
         lattices.append(int(measure.support[1]))
-        return stieltjes(measure, N, M)
+        return lanczos(measure, N, M)
 
-    monkeypatch.setattr(per.rec, "stieltjes", counted)
+    monkeypatch.setattr(per.rec, "_lanczos", counted)
     for N, K in PARENT_K[a].items():
         lattices.clear()
         basis = per.charlier_basis(a, N=N)
         assert basis.K == K, (a, N)
         assert len(lattices) <= 2 and lattices[-1] == K, (a, N, lattices)
-        assert per._tail_beyond(a, basis.jacobi, K, N - 1) < 1e-20
+        assert tail_beyond(a, basis, N) < 1e-20
 
 
 @pytest.mark.parametrize("a,N", [(0.1, 32), (0.1, 37), (0.5, 64), (1.0, 64), (2.0, 64)])
@@ -149,34 +171,26 @@ def test_cutoff_search_starts_at_a_lattice_with_room(a, N):
 @pytest.mark.parametrize("a,N,K", [(0.1, 40, None), (0.1, 48, None), (0.1, 64, None),
                                    (0.2, 64, None), (0.1, 64, 80)])
 def test_charlier_refuses_degrees_it_cannot_resolve(a, N, K):
-    # the recurrence's polynomials are orthonormal on their lattice only to
-    # 7e-10 (0.1, 40), 2e-7 (0.1, 48; 0.2, 64) and 1e-2 (0.1, 64, at any K)
-    with pytest.raises(ValueError, match="orthonormal on their"):
-        per.charlier_basis(a, N=N, K=K)
+    # the amplitudes are Lanczos vectors, so degrees near the lattice size
+    # resolve to rounding, where the three-term recurrence evaluated on the
+    # lattice lost 7e-10 (0.1, 40) to 1e-2 (0.1, 64) of orthonormality; what
+    # is refused is a lattice too short to hold the tail below 1e-20, here
+    # the first one with the N + 1 points that N coefficients need
+    basis = per.charlier_basis(a, N=N, K=K)
+    gram = per.periodic_gram(basis, N, M=4 * basis.K)
+    assert np.max(np.abs(gram - np.eye(N))) <= 1e-14
+    assert per.periodic_diff_check(basis, N - 1) <= 1e-13
+    with pytest.raises(ValueError, match="truncation tail"):
+        per.charlier_basis(a, N=N, K=-(-N // 2))
 
 
 def test_periodic_eval_builds_a_small_parameter_lattice(capsys):
     assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:30"]) == 0
     assert capsys.readouterr().out.count("\n") > 31
-    assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:62"]) == 2
-    assert "orthonormal on their" in capsys.readouterr().err
+    assert cli.main(["periodic", "eval", "--a", "0.1", "--n", "0:62"]) == 0
+    assert capsys.readouterr().out.count("\n") > 63
+    assert cli.main(["verify", "gram", "--family", "charlier:0.1", "--N", "62"]) == 0
+    report, = json.loads(capsys.readouterr().out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-14
+    assert report["metadata"]["K"] == per.charlier_basis(0.1, N=64).K
 
-
-def test_tails_equal_the_single_cutoff_tail_bitwise():
-    basis = per.charlier_basis(0.5, N=14)
-    cuts = [19, 23, 27, 31, 35]
-    tails = per._tails(0.5, basis.jacobi, cuts, 13)
-    assert list(tails) == [per._tail_beyond(0.5, basis.jacobi, K, 13) for K in cuts]
-    assert tails[-1] < 1e-20 <= tails[0]
-
-
-def test_cutoff_search_steps_on_when_its_own_recurrence_fails(monkeypatch):
-    # a cutoff the generous lattice passes is tested again on the recurrence
-    # built at it; when that fails the search steps on by 4, building each
-    # lattice: here the generous test passes K_0 = 19 itself, and the
-    # search still ends at 27
-    tails = per._tails
-    monkeypatch.setattr(per, "_tails", lambda a, jacobi, cuts, nmax:
-                        np.zeros(len(cuts)) if len(cuts) > 1
-                        else tails(a, jacobi, cuts, nmax))
-    assert per.charlier_basis(0.5, N=8).K == 27

@@ -251,8 +251,8 @@ def test_stieltjes_matches_full_reorthogonalization(weight, N):
 
 @pytest.mark.parametrize("K", [6, 10, 20])
 def test_stieltjes_on_charlier_lattices_up_to_2k(K):
-    # the update holds to the last pair a lattice of 2K + 1 points has, and
-    # the next one, b_{2K} = 0, raises
+    # the discrete iteration holds to the last pair a lattice of 2K + 1
+    # points has, and the next one, b_{2K} = 0, raises
     measure = rec.charlier_bilateral(0.5, K)
     points, masses = np.asarray(measure.points, float), np.asarray(measure.masses, float)
     b, c = _stieltjes_reorthogonalized(points, masses, 2 * K)
@@ -262,6 +262,34 @@ def test_stieltjes_on_charlier_lattices_up_to_2k(K):
         assert np.max(np.abs(J.c - c[:N])) <= 1e-13, N
     with pytest.raises(DegenerateMeasureError):
         rec.stieltjes(measure, 2 * K + 1)
+
+
+def test_stieltjes_holds_on_a_lattice_near_its_size():
+    # N = 64 pairs on the 161-point Charlier lattice a = 0.1, K = 80, against
+    # the same iteration run at 50 digits on the same double masses; the
+    # plain update without reorthogonalization was off by 1.7e-4 relative
+    # in b_n and 1.4e-4 in c_n here
+    mpmath = pytest.importorskip("mpmath")
+    measure = rec.charlier_bilateral(0.1, 80)
+    N = 64
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(x)) for x in measure.points]
+        ws = [mpmath.mpf(float(w)) for w in measure.masses]
+        total = mpmath.fsum(ws)
+        q = [mpmath.sqrt(w / total) for w in ws]
+        q_prev, b_prev = [mpmath.mpf(0)] * len(q), mpmath.mpf(0)
+        want_b, want_c = [], []
+        for _ in range(N):
+            v = [x * y for x, y in zip(xs, q)]
+            c = mpmath.fdot(q, v)
+            v = [vi - c * qi - b_prev * pi for vi, qi, pi in zip(v, q, q_prev)]
+            b = mpmath.sqrt(mpmath.fdot(v, v))
+            want_b.append(float(b))
+            want_c.append(float(c))
+            q_prev, q, b_prev = q, [vi / b for vi in v], b
+    J = rec.stieltjes(measure, N)
+    assert np.max(np.abs(J.b / np.array(want_b) - 1.0)) <= 2e-15
+    assert np.max(np.abs(J.c - np.array(want_c))) <= 1e-15 * 80
 
 
 def test_custom_gaussian_matches_the_hermite_recurrence():

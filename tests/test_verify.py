@@ -41,7 +41,7 @@ def test_gram_periodic_branch():
     rep = ver.check_gram(basis, N=8)
     assert rep.passed
     assert rep.metadata["strategy"] == "trapezoid"
-    assert rep.metadata["M"] == 4 * basis.K
+    assert rep.metadata["M"] == 4 * basis.K and rep.metadata["K"] == basis.K
     assert rep.max_abs_error < 1e-12
 
 
@@ -180,9 +180,10 @@ def test_recurrence_reports_its_rounding_floor():
 
 
 def test_recurrence_periodic_branch():
-    rep = ver.check_recurrence(charlier_basis(0.5, N=12), N=10)
+    basis = charlier_basis(0.5, N=12)
+    rep = ver.check_recurrence(basis, N=10)
     assert rep.passed
-    assert rep.metadata["strategy"] == "fourier-exact"
+    assert rep.metadata["strategy"] == "fourier-exact" and rep.metadata["K"] == basis.K
     assert rep.max_abs_error < 1e-12
 
 
