@@ -101,12 +101,12 @@ def width_classes(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.add.reduceat(half[order], starts) / counts, mids, counts
 
 
-def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18) -> float:
+def truncation_point(fn, side: int, degree: int = 0) -> float:
     """Radius beyond which ``fn(ξ) * max(1,|ξ|)**degree`` is negligible.
 
     ``side`` is +1 or -1; fn is sampled at side * r for the 1200 radii r
     spaced geometrically from 1e-2 to 1e9.  The returned radius R satisfies
-    fn(side*r)*r^degree <= rel * (scanned maximum) for every scanned r >= R.
+    fn(side*r)*r^degree <= 1e-18 * (scanned maximum) for every scanned r >= R.
     Raises ValueError when no such radius exists within 1e9 (the integrand
     does not decay).
     """
@@ -122,7 +122,7 @@ def truncation_point(fn, side: int, degree: int = 0, rel: float = 1e-18) -> floa
     pos = vals > 0.0
     logs[pos] = np.log(vals[pos]) + degree * np.log(np.maximum(rs[pos], 1.0))
     top = np.max(logs)
-    above = np.nonzero(logs > top + np.log(rel))[0]
+    above = np.nonzero(logs > top + np.log(1e-18))[0]
     if above.size == 0:
         return float(rs[0])
     last = above[-1]

@@ -305,12 +305,11 @@ def _closed_route(basis: TransformedBasis, method: str, available: bool) -> bool
     return available and method != "quadrature"
 
 
-def phi(basis: TransformedBasis, n: int, x, tol: float = 1e-10,
-        method: str = "auto"):
+def phi(basis: TransformedBasis, n: int, x, method: str = "auto"):
     """Evaluate phi_n at scalar or array x; returns complex values.
 
     ``method`` is as for ``phi_grid``, and the value is row n of
-    ``phi_grid(basis, n, x, tol, method=method)``: on the closed route the
+    ``phi_grid(basis, n, x, method=method)``: on the closed route the
     last row of the family's table scan, on the quadrature route one
     transform over all of x.  Negative n is admitted only for bilateral
     families, and only on the closed route, where it is
@@ -322,7 +321,7 @@ def phi(basis: TransformedBasis, n: int, x, tol: float = 1e-10,
         if not _closed_route(basis, method, basis.closed_table is not None):
             raise ValueError("quadrature path is defined for n >= 0 only")
         return malmquist_takenaka(n, x)
-    return _row(phi_grid(basis, n, x, tol, method=method)[n], x)
+    return _row(phi_grid(basis, n, x, method=method)[n], x)
 
 
 def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
@@ -369,19 +368,19 @@ def _sigma_freq(basis: TransformedBasis, sigma, degree: int) -> float:
     return float(np.max(np.abs(np.gradient(vals, grid))))
 
 
-def phi_with_phase(basis: TransformedBasis, sigma, n: int, x, tol: float = 1e-10):
+def phi_with_phase(basis: TransformedBasis, sigma, n: int, x):
     """phi_n with an extra unimodular factor e^{i sigma(xi)} in the integrand.
 
     Any real sigma preserves orthonormality and the differential-recurrence
     coefficients; sigma(xi) = xi*s translates the basis, sigma(xi) = -xi^2*t
     performs free Schroedinger evolution.  The value is row n of
-    ``phi_grid(basis, n, x, tol, sigma=sigma, method="quadrature")``, its
+    ``phi_grid(basis, n, x, sigma=sigma, method="quadrature")``, its
     phase bounded by sampling sigma combined with the basis's own phase.
     """
     if n < 0:
         raise ValueError("index n must be >= 0")
     extra = _sigma_freq(basis, _combine_sigma(basis, sigma), n)
-    return _row(phi_grid(basis, n, x, tol, sigma=sigma, extra_freq=extra,
+    return _row(phi_grid(basis, n, x, sigma=sigma, extra_freq=extra,
                          method="quadrature")[n], x)
 
 
@@ -472,7 +471,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         if not tail:
             raise ValueError("custom-weight needs an expression")
         from . import expr as _expr
-        weight_fn = _expr.compile_function(tail, "x")
+        weight_fn = _expr.compile_function(tail)
         measure = rec.custom_measure(weight_fn, name=family)
         source = lambda M: rec.stieltjes(measure, M)
         return TransformedBasis(family, measure, source(N), coeff_source=source)

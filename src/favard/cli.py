@@ -38,7 +38,7 @@ _STDOUT_TOKENS = {None, "-", "csv", "json"}
 def _eval_scalar(text: str, what: str) -> float:
     """Numeric CLI field; accepts expressions like 'pi' or '-pi/2'."""
     try:
-        return float(evaluate(expr_parse(text.strip(), varname="x"), 0.0))
+        return float(evaluate(expr_parse(text.strip()), 0.0))
     except (ParseError, ValueError) as exc:
         raise ValueError(f"invalid {what} {text!r}: {exc}") from None
 
@@ -54,6 +54,17 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid needs hi > lo and step > 0, got {spec!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
+
+
+def _parse_window(spec: str) -> tuple[float, float]:
+    parts = spec.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"window must be lo:hi, got {spec!r}")
+    lo = _eval_scalar(parts[0], "window start")
+    hi = _eval_scalar(parts[1], "window end")
+    if not hi > lo:
+        raise ValueError(f"window needs hi > lo, got {spec!r}")
+    return lo, hi
 
 
 def _parse_n_range(spec: str) -> tuple[int, int]:
@@ -283,7 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="expression in x")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--method", choices=["auto", "fft", "dct", "xspace"], default="auto")
-    p.add_argument("--window", default="-30:30:0.01", help="xspace window lo:hi:step")
+    p.add_argument("--window", default="-30:30",
+                   help="xspace window lo:hi (fields may use pi)")
     p.add_argument("--out", default=None)
 
     p = subs.add_parser("decay", help="fit a decay model to coefficients CSV")
@@ -370,8 +382,7 @@ def _configure(args: argparse.Namespace) -> functools.partial:
             raise ValueError("coeffs supports continuous families only")
         method = _coeffs_method(bas, args.method, args.N)
         f = compile_function(args.f)
-        window_grid = _parse_grid(args.window)
-        window = (float(window_grid[0]), float(window_grid[-1]))
+        window = _parse_window(args.window)
         return functools.partial(_cmd_coeffs, bas, f, args.N, method, window, args.out)
     if sub == "decay":
         names = {"exp": "exponential", "alg": "algebraic"}

@@ -60,30 +60,21 @@ class CoefficientVector:
     def indices(self) -> np.ndarray:
         return np.arange(self.n_start, self.n_start + self.values.size)
 
-    @property
-    def norm(self) -> float:
-        """Cached l2 norm; equals ||f||_L2 up to truncation (Parseval)."""
-        cached = getattr(self, "_norm", None)
-        if cached is None:
-            cached = float(np.linalg.norm(self.values))
-            self._norm = cached
-        return cached
-
     def with_values(self, values) -> "CoefficientVector":
         return CoefficientVector(np.asarray(values, dtype=complex),
                                  self.n_start, self.basis, dict(self.meta))
 
 
-def coeffs_fourier_side(F, basis: TransformedBasis, N: int,
-                        M: int | None = None) -> CoefficientVector:
+def coeffs_fourier_side(F, basis: TransformedBasis, N: int) -> CoefficientVector:
     """Coefficients from the Fourier transform F of f.
 
     f_hat_n = (-i)^n integral F(xi) p_n(xi) sqrt(w(xi)) dxi, evaluated with
-    an M-point Gauss rule for the basis measure (the sqrt(w) is folded into
-    the measure, leaving F p_n / sqrt(w) as the Gauss integrand).  F must be
-    the unitary-convention transform, F(xi) = (2 pi)^{-1/2} integral f(x)
-    e^{-i xi x} dx.  A bilateral basis is refused: rows n >= 0 alone span
-    only the functions whose transform vanishes for xi < 0.
+    the (2N + 32)-point Gauss rule for the basis measure (the sqrt(w) is
+    folded into the measure, leaving F p_n / sqrt(w) as the Gauss
+    integrand).  F must be the unitary-convention transform, F(xi) =
+    (2 pi)^{-1/2} integral f(x) e^{-i xi x} dx.  A bilateral basis is
+    refused: rows n >= 0 alone span only the functions whose transform
+    vanishes for xi < 0.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -92,12 +83,9 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int,
     if basis.bilateral:
         raise ValueError(f"fourier-side coefficients cover n >= 0 only; the bilateral "
                          f"{basis.family!r} basis needs mt_coeffs_fft")
-    if M is None:
-        M = 2 * N + 32
-    if M < N:
-        raise ValueError("rule size M must be at least N")
+    M = 2 * N + 32
     basis.ensure(M)
-    rule = golub_welsch(basis.jacobi, M, basis.measure)
+    rule = golub_welsch(basis.jacobi, M)
     nodes = rule.nodes
     sqw = np.sqrt(basis.measure.weight(nodes))
     # A Gauss weight is 0.0 only where its true value is below the smallest

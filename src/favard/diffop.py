@@ -289,3 +289,16 @@ def spectral_radius(D: DiffMatrix) -> float:
     this is the largest-magnitude Gauss node of the underlying N-point rule.
     """
     return float(np.max(np.abs(D.eigensystem.x)))
+
+
+def _recurrence_residual(J: JacobiMatrix, phi: np.ndarray, dphi: np.ndarray, N: int) -> float:
+    """max over n < N of |phi_n' + b_{n-1} phi_{n-1} - i c_n phi_n - b_n phi_{n+1}|.
+
+    ``phi`` holds rows phi_0..phi_N and ``dphi`` the derivatives of at
+    least the first N, each row on the same points: the differential
+    recurrence that D_N truncates, read off sampled rows.
+    """
+    b, c = J.b[:N, None], J.c[:N, None]
+    rhs = 1j * c * phi[:N] + b * phi[1:N + 1]
+    rhs[1:] -= b[:-1] * phi[:N - 1]
+    return float(np.max(np.abs(dphi[:N] - rhs)))

@@ -131,9 +131,8 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, src: str, varname: str = "x"):
+    def __init__(self, src: str):
         self.src = src
-        self.varname = varname
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -199,10 +198,10 @@ class _Parser:
                 return Call(value, arg)
             if value in CONSTANTS:
                 return Const(value)
-            if value == self.varname:
+            if value == "x":
                 return Var(value)
             raise ParseError(f"unknown identifier {value!r}", pos,
-                             expected=(self.varname, *sorted(FUNCTIONS), *sorted(CONSTANTS)))
+                             expected=("x", *sorted(FUNCTIONS), *sorted(CONSTANTS)))
         if value == "(":
             node = self.expr()
             self.expect(")")
@@ -212,9 +211,9 @@ class _Parser:
                          expected=("number", "name", "'('", "'-'"))
 
 
-def parse(src: str, varname: str = "x"):
+def parse(src: str):
     """Parse ``src`` into an expression tree; raises ParseError with position."""
-    return _Parser(src, varname).parse()
+    return _Parser(src).parse()
 
 
 def _prec(node) -> int:
@@ -316,9 +315,9 @@ def _int_power(base, k: int):
     return np.ones_like(base) if out is None else out
 
 
-def compile_function(src: str, varname: str = "x"):
-    """Parse once and return a vectorized numeric function of ``varname``."""
-    tree = parse(src, varname)
+def compile_function(src: str):
+    """Parse once and return a vectorized numeric function of x."""
+    tree = parse(src)
     def fn(x):
         return evaluate(tree, x)
     fn.expression = src

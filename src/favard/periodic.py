@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import recurrence as rec
-from .diffop import _I_POWERS
+from .diffop import _I_POWERS, _recurrence_residual
 
 __all__ = [
     "PeriodicBasis",
@@ -44,10 +44,11 @@ class PeriodicBasis:
     ``K`` the lattice cutoff, and ``amplitudes`` the (N + 1) x (2K + 1)
     Fourier coefficients A[n, k] = sqrt(sigma_k) p_n(k) of phi_0..phi_N,
     N = len(jacobi).  They are the Lanczos vectors of diag(k) from the
-    start vector sqrt(sigma) that ``jacobi`` comes from, so they never pass
-    through the three-term recurrence.  The cutoff is chosen when the
-    basis is built so that the discarded tail sum_{|k|>K} A[n, k]^2 is
-    below 1e-20 for every degree n < N.
+    start vector sqrt(sigma) that ``jacobi`` comes from, run on a longer
+    lattice and restricted to |k| <= K, so they never pass through the
+    three-term recurrence.  The cutoff is chosen when the basis is built
+    so that the discarded tail sum_{|k|>K} A[n, k]^2 is below 1e-20 for
+    every degree n < N.
     """
 
     measure: rec.MeasureSpec
@@ -69,59 +70,62 @@ class PeriodicBasis:
         return len(self.jacobi)
 
 
-def charlier_basis(a: float, N: int = 32, K: int | None = None) -> PeriodicBasis:
+# The largest share sum_{|k|>K} A[n, k]^2 of a degree n < N that a cutoff
+# K may leave off its lattice.
+_TAIL_BOUND = 1e-20
+
+
+def charlier_basis(a: float, N: int = 32) -> PeriodicBasis:
     """Periodic basis of the bilateral Charlier measure with parameter ``a``.
 
     ``N`` is the number of recurrence coefficients to prepare, which bounds
-    the largest usable degree.  When ``K`` is not given, the cutoff is the
-    first of K_1, K_1 + 4, K_1 + 8, ... at which the discarded tail
-    sum_{|k|>K} A[n, k]^2 stays below 1e-20 for every degree n < N; K_1 is
-    the first of K_0, K_0 + 4, ... (K_0 from the factorial-decay rule of
-    the measure) whose lattice holds the N + 1 points that N recurrence
-    coefficients need.  The mass-decay rule alone is not enough because
-    p_n(k)^2 grows rapidly past the lattice edge.  Every candidate's tail is
-    read off one Lanczos run on the generous lattice
-    K_0 + 4 ceil((3N/2 + 8) / 4), by one reversed cumulative sum of its
-    squared vectors; the candidates stop short of that lattice, and the
-    chosen K lay at least 12 points inside it for a from 0.1 to 5 and N up
-    to 128.  An explicit ``K`` reads its tail on the lattice K + 60.  The
-    basis is then built once at the first K that passes; ValueError if
-    none does.
+    the largest usable degree.  The cutoff is the first of K_1, K_1 + 4,
+    K_1 + 8, ... at which the discarded tail sum_{|k|>K} A[n, k]^2 stays
+    below ``_TAIL_BOUND`` = 1e-20 for every degree n < N; K_1 is the first
+    of K_0, K_0 + 4, ... (K_0 from the factorial-decay rule of the measure)
+    whose lattice holds the N + 1 points that N recurrence coefficients
+    need.  The mass-decay rule alone is not enough because p_n(k)^2 grows
+    rapidly past the lattice edge.  One Lanczos run on the generous lattice
+    K_0 + 4 ceil((3N/2 + 8) / 4) gives every candidate's tail, by one
+    reversed cumulative sum of its squared vectors; the candidates stop
+    short of that lattice, and the chosen K lay at least 12 points inside
+    it for a from 0.1 to 5 and N up to 128.  The basis keeps that run's
+    recurrence coefficients and its vectors restricted to |k| <= K, which
+    differ from a second run at K only through the discarded tail, below
+    1e-20.  ValueError if no candidate holds the tail.
 
     The basis is returned only if its amplitude rows 0..N-1 are orthonormal
-    to 1e-10, else ValueError.  Being reorthogonalized Lanczos vectors they
-    are so to rounding (at most 1.0e-15 for a from 0.1 to 5 and N = 2..69,
-    96 and 128), so this is a check.
+    on the chosen lattice to 1e-10, else ValueError.  Being reorthogonalized
+    Lanczos vectors cut where their tails are below 1e-20, they are so to
+    rounding (at most 1.1e-15 for a from 0.1 to 5 and N = 2..69, 96 and
+    128), so this is a check.
     """
-    if K is None:
-        base = int(round(rec.charlier_bilateral(a).support[1]))
-        room = -(-N // 2)  # the first lattice 2K + 1 with N + 1 points
-        first = base + 4 * max(0, math.ceil((room - base) / 4))
-        probe = base + 4 * math.ceil((1.5 * N + 8) / 4)
-        cuts = np.arange(first, probe, 4)
-    else:
-        probe, cuts = K + 60, np.array([K])
-    _, vectors = rec._lanczos(rec.charlier_bilateral(a, K=probe), N)
+    base = int(round(rec.charlier_bilateral(a).support[1]))
+    room = -(-N // 2)  # the first lattice 2K + 1 with N + 1 points
+    first = base + 4 * max(0, math.ceil((room - base) / 4))
+    probe = base + 4 * math.ceil((1.5 * N + 8) / 4)
+    cuts = np.arange(first, probe, 4)
+    jacobi, vectors = rec._lanczos(rec.charlier_bilateral(a, K=probe), N)
     squares = vectors[:N] ** 2
     # beyond[n, j] = sum over |k| > j of A[n, k]^2 on the probe lattice
     folded = squares[:, probe + 1:] + squares[:, probe - 1::-1]
     beyond = np.cumsum(folded[:, ::-1], axis=1)[:, ::-1]
-    passed = cuts[np.max(beyond[:, cuts], axis=0) < 1e-20]
+    passed = cuts[np.max(beyond[:, cuts], axis=0) < _TAIL_BOUND]
     if not passed.size:
         raise ValueError(
-            f"no cutoff K <= {cuts[-1]} holds the truncation tail below 1e-20 "
+            f"no cutoff K <= {cuts[-1]} holds the truncation tail below {_TAIL_BOUND:g} "
             f"for degrees below {N}"
         )
-    lattice = int(passed[0])
-    measure = rec.charlier_bilateral(a, K=lattice)
-    jacobi, amplitudes = rec._lanczos(measure, N)
+    K = int(passed[0])
+    amplitudes = vectors[:, probe - K:probe + K + 1]
     err = float(np.max(np.abs(amplitudes[:N] @ amplitudes[:N].T - np.eye(N))))
     if not err <= 1e-10:
         raise ValueError(
             f"degrees below {N} of the Charlier measure a = {a} are orthonormal on "
-            f"their {2 * lattice + 1}-point lattice only to {err:.1e} in double precision"
+            f"their {2 * K + 1}-point lattice only to {err:.1e} in double precision"
         )
-    return PeriodicBasis(measure=measure, jacobi=jacobi, K=lattice, amplitudes=amplitudes)
+    return PeriodicBasis(measure=rec.charlier_bilateral(a, K=K), jacobi=jacobi, K=K,
+                         amplitudes=amplitudes)
 
 
 def _rows(basis: PeriodicBasis, x, start: int, stop: int, weights=1.0) -> np.ndarray:
@@ -156,45 +160,33 @@ def periodic_phi(basis: PeriodicBasis, n: int, x):
     return vals if vals.ndim else complex(vals)
 
 
-def periodic_gram(basis: PeriodicBasis, N: int, M: int = 4096) -> np.ndarray:
-    """Gram matrix of phi_0..phi_{N-1} by the M-point trapezoid rule.
+def periodic_gram(basis: PeriodicBasis, N: int) -> np.ndarray:
+    """Gram matrix of phi_0..phi_{N-1} by the 4K-point trapezoid rule.
 
     G[m, n] = (1/(2*pi)) * integral phi_m conj(phi_n) over one period.  The
     integrand is a trigonometric polynomial of degree at most 2K, so the
-    uniform rule is exact once M exceeds that; ``M >= 4K`` is required as a
-    safety margin and anything smaller raises.
+    uniform rule on M = 4K points, which exceeds 2K, is exact.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if M < 4 * basis.K:
-        raise ValueError(
-            f"M = {M} breaks trapezoid exactness: need M >= 4K = {4 * basis.K}"
-        )
+    M = 4 * basis.K
     x = 2.0 * np.pi * np.arange(M) / M - np.pi
     rows = _rows(basis, x, 0, N)  # (N, M)
     return (rows @ rows.conj().T) / M
 
 
-def periodic_diff_check(basis: PeriodicBasis, N: int, M: int = 257) -> float:
+def periodic_diff_check(basis: PeriodicBasis, N: int) -> float:
     """Largest residual of the differential recurrence for n < N.
 
     phi_n' is formed term by term (each lattice mode differentiates to ik
     times itself) and compared against -b_{n-1} phi_{n-1} + i c_n phi_n +
-    b_n phi_{n+1} on an M-point grid over one period.  Both sides are exact
+    b_n phi_{n+1} on 257 points over one period.  Both sides are exact
     finite sums, so the residual is pure roundoff.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    x = 2.0 * np.pi * np.arange(M) / M - np.pi
+    x = 2.0 * np.pi * np.arange(257) / 257 - np.pi
     k = np.asarray(basis.measure.points, dtype=float)
     # rows 0..N, so phi_N is available, and their derivatives
     phi, dphi = _rows(basis, x, 0, N + 1, np.stack([np.ones_like(k), 1j * k])[:, None])
-    b = basis.jacobi.b
-    c = basis.jacobi.c
-    worst = 0.0
-    for n in range(N):
-        rhs = 1j * c[n] * phi[n] + b[n] * phi[n + 1]
-        if n > 0:
-            rhs = rhs - b[n - 1] * phi[n - 1]
-        worst = max(worst, float(np.max(np.abs(dphi[n] - rhs))))
-    return worst
+    return _recurrence_residual(basis.jacobi, phi, dphi, N)

@@ -11,7 +11,7 @@ import numpy as np
 from . import _panels
 from ._lapack import singular_values, split_bidiagonal
 from .errors import AccuracyError, EigenError
-from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval, eval_poly_table
+from .recurrence import JacobiMatrix, _truncated_interval, eval_poly_table
 
 __all__ = ["QuadratureRule", "golub_welsch", "integrate", "oscillatory_transform"]
 
@@ -28,7 +28,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
-    measure: MeasureSpec | None = None
 
 
 # Bound, in bits, on the growth of max(|p_k|, |p_{k-1}|) between two
@@ -101,7 +100,7 @@ def _unit_weights(log_w: np.ndarray) -> np.ndarray:
     return weights
 
 
-def golub_welsch(jacobi: JacobiMatrix, N: int, measure: MeasureSpec | None = None) -> QuadratureRule:
+def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     """N-point Gauss rule from the leading N x N block of the Jacobi matrix.
 
     With a zero diagonal (every symmetric family) the block is, after the
@@ -121,12 +120,12 @@ def golub_welsch(jacobi: JacobiMatrix, N: int, measure: MeasureSpec | None = Non
     are mirrored, so they too are exactly symmetric.  Weights are
     normalized to unit sum; a weight whose true value is below
     ``np.finfo(float).tiny`` is returned as 0.0, since a subnormal cannot
-    carry relative accuracy.  The rule integrates polynomials of degree
-    <= 2N - 1 exactly against the measure underlying ``jacobi``.
+    carry relative accuracy.  The rule depends on ``jacobi`` and N alone
+    and integrates polynomials of degree <= 2N - 1 exactly against the
+    measure ``jacobi`` comes from.
     """
     nodes, log_w = _gauss_log_rule(jacobi, N)
-    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1,
-                          measure=measure)
+    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1)
 
 
 def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -391,7 +391,7 @@ def _discretize(measure: MeasureSpec, M: int, degree: int):
     return x, w * measure.weight(x)
 
 
-def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatrix:
+def stieltjes(measure: MeasureSpec, N: int) -> JacobiMatrix:
     """Recurrence coefficients of ``measure`` by the discretized Stieltjes procedure.
 
     Parameters
@@ -400,10 +400,6 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
         Unit-mass measure with at least N points of increase.
     N : int
         Number of coefficient pairs (b_n, c_n), n < N, to compute.
-    M : int, optional
-        Approximate size of the quadrature discretization (continuous
-        measures only; discrete measures use their own point masses).
-        Must be at least 2N.
 
     Notes
     -----
@@ -413,10 +409,11 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
     Approximation*, 2004, ch. 2): c_k = q_k . (xi q_k), and
     b_k = |xi q_k - c_k q_k - b_{k-1} q_{k-1}| normalizes q_{k+1}.  This is
     the Lanczos iteration on diag(xi), ``_lanczos``.  A continuous measure,
-    discretized on M >= 2N points (24 N by default), takes the plain update,
-    O(N M): it agrees with full reorthogonalization to 7e-16 relative in
-    b_n and to 1e-15 of max |xi_j| in c_n on exp(-xi^2), exp(-xi^4) and
-    exp(-|xi|) up to N = 256.  A discrete measure is where Gautschi
+    discretized on about M = max(360, 24 N) points (a discrete one keeps
+    its own point masses), takes the plain update, O(N M): it agrees with
+    full reorthogonalization to 7e-16 relative in b_n and to 1e-15 of
+    max |xi_j| in c_n on exp(-xi^2), exp(-xi^4) and exp(-|xi|) up to
+    N = 256.  A discrete measure is where Gautschi
     cautions that the plain update loses accuracy as N nears the number of
     support points (the stable Lanczos-type updates are RKPW; Gragg &
     Harrod, Numer. Math. 44, 1984): on the 161-point Charlier lattice
@@ -427,10 +424,10 @@ def stieltjes(measure: MeasureSpec, N: int, M: int | None = None) -> JacobiMatri
     N >= P raises ``DegenerateMeasureError`` before the iteration, as does
     a b_k below 1e-14 of the node scale inside it.
     """
-    return _lanczos(measure, N, M)[0]
+    return _lanczos(measure, N)[0]
 
 
-def _lanczos(measure: MeasureSpec, N: int, M: int | None = None):
+def _lanczos(measure: MeasureSpec, N: int):
     """``stieltjes`` with its Lanczos vectors: (JacobiMatrix, Q).
 
     On a discrete measure Q holds q_0..q_N as its N + 1 rows, each new
@@ -440,11 +437,7 @@ def _lanczos(measure: MeasureSpec, N: int, M: int | None = None):
     """
     if N <= 0:
         raise ValueError("N must be positive")
-    if M is None:
-        M = max(360, 24 * N)
-    if measure.kind == "continuous" and M < 2 * N:
-        raise ValueError("discretization size M must be at least 2N")
-    nodes, weights = _discretize(measure, M, degree=2 * N)
+    nodes, weights = _discretize(measure, max(360, 24 * N), degree=2 * N)
     count = np.count_nonzero(weights > 0.0)
     if count <= N:
         raise DegenerateMeasureError(

@@ -62,14 +62,13 @@ def free_multiplier(xi, t: float):
 class PropagatedState:
     """Coefficients of u(x, 0) in a basis.
 
-    The coefficients never change under free flow; time enters only through
-    the phase ``free_multiplier`` applied inside the transform defining each
-    basis function.
+    The coefficients never change under free flow; time enters only as the
+    argument of ``free_propagate``, through the phase ``free_multiplier``
+    applied inside the transform defining each basis function.
     """
 
     coeffs: CoefficientVector
     basis: basis_mod.TransformedBasis
-    t: float = 0.0
 
     def __post_init__(self):
         if self.coeffs.n_start != 0:
@@ -383,26 +382,22 @@ def strang_step(a, tau: float, V, basis: basis_mod.TransformedBasis) -> Coeffici
 
 
 def strang_propagate(a, tau: float, steps: int, V,
-                     basis: basis_mod.TransformedBasis,
-                     record: bool = False):
+                     basis: basis_mod.TransformedBasis):
     """``steps`` Strang steps of size tau on the basis's cached path for the size of a.
 
-    Returns the final CoefficientVector, or (vector, norms) with the norm
-    after every step when ``record`` is set.  Warns when the run loses more
-    than 1e-6 of the norm to analysis/synthesis truncation.
+    Returns the final CoefficientVector.  Warns when the run loses more
+    than 1e-6 of the norm to analysis/synthesis truncation.  The state
+    after every step is ``_run``'s to give, as the ``schrodinger`` command
+    takes it.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     v = diffop._vector_of(a)
     norm0 = float(np.linalg.norm(v))
-    v, norms = _run(_strang_setup(basis, len(v)), tau, v, V, steps,
-                    (lambda z: float(np.linalg.norm(z))) if record else None)
+    v = _run(_strang_setup(basis, len(v)), tau, v, V, steps)[0]
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
-    out = a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
+    return a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})
-    if record:
-        return out, np.asarray(norms)
-    return out
 
 
 def fft_grid_reference(f0, t: float, window: tuple[float, float] = (-40.0, 40.0),

@@ -5,21 +5,7 @@ import math
 
 import numpy as np
 
-__all__ = ["gamma", "log_gamma", "beta", "gamma_abs2", "bessel_j_half"]
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive half line."""
-    if x <= 0.0:
-        raise ValueError("gamma requires x > 0")
-    return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
+__all__ = ["beta", "gamma_abs2", "bessel_j_half"]
 
 
 def beta(a: float, b: float) -> float:

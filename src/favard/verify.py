@@ -18,6 +18,7 @@ from . import basis as basis_mod
 from . import periodic as periodic_mod
 from . import quadrature
 from . import specfun
+from .diffop import _recurrence_residual
 from .errors import AccuracyError
 
 __all__ = [
@@ -252,12 +253,11 @@ def check_gram(basis, N: int = 12) -> CheckReport:
     report, as in ``_gave_up``.
     """
     if isinstance(basis, periodic_mod.PeriodicBasis):
-        M = 4 * basis.K
-        G = periodic_mod.periodic_gram(basis, N, M)
+        G = periodic_mod.periodic_gram(basis, N)
         err = float(np.max(np.abs(G - np.eye(N))))
         return CheckReport("gram", err, 1e-10,
                            metadata={"strategy": "trapezoid", "family": "periodic-charlier",
-                                     "N": N, "M": M, "K": basis.K})
+                                     "N": N, "M": 4 * basis.K, "K": basis.K})
     tol = 1e-8
     family = basis.family
     if basis.closed_table is basis_mod.transformed_legendre_table:
@@ -279,11 +279,12 @@ def check_gram(basis, N: int = 12) -> CheckReport:
     return CheckReport("gram", err, tol, metadata=meta)
 
 
-def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckReport:
+def check_recurrence(basis, N: int = 10) -> CheckReport:
     """Residual of phi_n' = -b_{n-1} phi_{n-1} + i c_n phi_n + b_n phi_{n+1}.
 
     For transformed bases the derivative is a Richardson-extrapolated
-    fourth-order central difference; for periodic bases differentiation is
+    fourth-order central difference of step h = 1e-3 at 23 points of
+    [-3.3, 3.3]; for periodic bases differentiation is
     exact on the Fourier side and the residual is pure roundoff.  The
     difference divides the rounding of phi by h, so a transformed basis's
     report carries that floor, eps max|phi| / h, as ``rounding_floor``: a
@@ -296,7 +297,7 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
         return CheckReport("recurrence", err, 1e-8,
                            metadata={"family": "periodic-charlier", "N": N,
                                      "strategy": "fourier-exact", "K": basis.K})
-    xs = np.linspace(-3.3, 3.3, 23) if grid is None else np.asarray(grid, dtype=float)
+    xs, h = np.linspace(-3.3, 3.3, 23), 1e-3
     basis.ensure(N)
     shifts = np.array([-2 * h, -h, -0.5 * h, 0.0, 0.5 * h, h, 2 * h])
     pts = (xs[None, :] + shifts[:, None]).ravel()
@@ -309,14 +310,7 @@ def check_recurrence(basis, N: int = 10, grid=None, h: float = 1e-3) -> CheckRep
     d4_h = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
     d4_half = (8.0 * (ph - mh) - (p1 - m1)) / (6.0 * h)
     deriv = (16.0 * d4_half - d4_h) / 15.0
-    b = basis.jacobi.b
-    c = basis.jacobi.c
-    worst = 0.0
-    for n in range(N):
-        rhs = 1j * c[n] * at[n] + b[n] * at[n + 1]
-        if n > 0:
-            rhs = rhs - b[n - 1] * at[n - 1]
-        worst = max(worst, float(np.max(np.abs(deriv[n] - rhs))))
+    worst = _recurrence_residual(basis.jacobi, at, deriv, N)
     floor = np.finfo(float).eps * float(np.max(np.abs(table))) / h
     return CheckReport("recurrence", worst, 1e-6, metadata={**meta, "rounding_floor": floor})
 
@@ -365,8 +359,8 @@ def check_ramanujan(a: float, xs=(0.0, 1.0, 2.0)) -> CheckReport:
                        metadata={"a": a, "window": X, "relative_errors": details})
 
 
-def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None) -> CheckReport:
-    """Quadrature transform vs the tanh-Jacobi closed form, n <= N.
+def check_tanh_jacobi_identity(a: float, b: float, N: int = 5) -> CheckReport:
+    """Quadrature transform vs the tanh-Jacobi closed form, n <= N, at 33 points of [-4, 4].
 
     The transform side integrates the continuous-Hahn orthonormal
     polynomials against the gamma-pair weight; a single unimodular constant
@@ -378,9 +372,7 @@ def check_tanh_jacobi_identity(a: float, b: float, N: int = 5, xs=None) -> Check
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("parameters must be positive")
-    if xs is None:
-        xs = np.linspace(-4.0, 4.0, 33)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.linspace(-4.0, 4.0, 33)
     bas = basis_mod.make_basis(f"tanhjacobi:{a},{b}", N=N + 1)
     quad = basis_mod.phi_grid(bas, N, xs, method="quadrature")
     closed = basis_mod.tanh_jacobi_table(a, b, N, xs)

@@ -514,6 +514,27 @@ def test_coeffs_abs_column_is_abs_of_the_complex_coefficient(capsys):
         assert mag == "%.17g" % abs(np.complex128(complex(float(re), float(im)))), n
 
 
+def test_coeffs_window_is_the_xspace_interval(capsys):
+    # --window lo:hi is the interval of the x-space rule, endpoints as given;
+    # a third field (a step the rule never took) is refused before output
+    from favard import coeffs
+    from favard.basis import make_basis
+    from favard.expr import compile_function
+
+    argv = ["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "8"]
+    rc, out = run_cli(argv + ["--window", "-20:20"], capsys)
+    assert rc == 0
+    vec = coeffs.coeffs_xspace(compile_function("exp(-x^2)"), make_basis("hermite", N=10), 8,
+                               window=(-20.0, 20.0))
+    want = "".join("%d,%.17g,%.17g,%.17g\n" % (n, v.real, v.imag, abs(v))
+                   for n, v in zip(vec.indices, vec.values))
+    assert out == "n,re,im,abs\n" + want
+    assert vec.values[1] == 0.0  # the symmetric window folds: odd rows of an even f
+    rc = cli.main(argv + ["--window", "-20:20:0.3"])
+    got = capsys.readouterr()
+    assert rc == 2 and got.out == "" and "window must be lo:hi" in got.err
+
+
 @pytest.mark.parametrize("method", ["dct", "auto"])
 def test_coeffs_dct_prints_the_library_values(method, capsys):
     from favard import coeffs

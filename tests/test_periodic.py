@@ -61,14 +61,16 @@ def test_lattice_grows_until_tail_invariant():
         assert tail_beyond(a, basis, N) < 1e-20
 
 
-def test_explicit_small_K_rejected():
-    with pytest.raises(ValueError):
-        per.charlier_basis(0.5, N=16, K=12)
-    # an explicit K reads its tail on the lattice K + 60: one point short of
-    # the cutoff the search chooses at N = 14 fails, and that cutoff builds
-    with pytest.raises(ValueError, match="truncation tail"):
-        per.charlier_basis(0.5, N=14, K=30)
-    assert per.charlier_basis(0.5, N=14).K == per.charlier_basis(0.5, N=14, K=31).K == 31
+def test_charlier_refuses_when_no_cutoff_holds_the_tail(monkeypatch):
+    # a tighter tail bound moves the cutoff out along K_1 + 4j; a bound that
+    # no candidate short of the probe lattice meets is refused
+    assert per.charlier_basis(0.5, N=14).K == 31
+    monkeypatch.setattr(per, "_TAIL_BOUND", 1e-30)
+    basis = per.charlier_basis(0.5, N=14)
+    assert basis.K == 39 and tail_beyond(0.5, basis, 14) < 1e-30
+    monkeypatch.setattr(per, "_TAIL_BOUND", 1e-60)
+    with pytest.raises(ValueError, match="no cutoff K <= 47 holds the truncation tail below 1e-60"):
+        per.charlier_basis(0.5, N=14)
 
 
 def test_two_pi_periodicity_and_realness():
@@ -83,15 +85,13 @@ def test_two_pi_periodicity_and_realness():
 
 
 def test_gram_identity_trapezoid():
+    # the 4K-point rule is exact: it matches a 4096-point one on phi_n
     basis = per.charlier_basis(0.5, N=8)
-    G = per.periodic_gram(basis, 8, M=4096)
+    G = per.periodic_gram(basis, 8)
     assert np.max(np.abs(G - np.eye(8))) < 1e-12
-
-
-def test_gram_rejects_coarse_trapezoid():
-    basis = per.charlier_basis(0.5, N=8)
-    with pytest.raises(ValueError):
-        per.periodic_gram(basis, 8, M=basis.K)  # < 4K breaks exactness
+    x = 2.0 * np.pi * np.arange(4096) / 4096 - np.pi
+    rows = np.array([per.periodic_phi(basis, n, x) for n in range(8)])
+    assert np.max(np.abs(G - rows @ rows.conj().T / 4096)) < 1e-14
 
 
 def test_differential_recurrence_exact():
@@ -137,51 +137,38 @@ PARENT_K = {
 
 @pytest.mark.parametrize("a", sorted(PARENT_K))
 def test_cutoff_search_builds_at_most_twice(monkeypatch, a):
-    # one Lanczos run on the generous lattice gives every candidate's tail;
-    # the basis is then built once at the chosen K, whose tail under the
+    # one Lanczos run, on a lattice longer than the chosen K, gives every
+    # candidate's tail and the basis itself; the chosen K's tail under the
     # recurrence evaluated past the lattice is below 1e-20 too
     lattices = []
     lanczos = per.rec._lanczos
 
-    def counted(measure, N, M=None):
+    def counted(measure, N):
         lattices.append(int(measure.support[1]))
-        return lanczos(measure, N, M)
+        return lanczos(measure, N)
 
     monkeypatch.setattr(per.rec, "_lanczos", counted)
     for N, K in PARENT_K[a].items():
         lattices.clear()
         basis = per.charlier_basis(a, N=N)
         assert basis.K == K, (a, N)
-        assert len(lattices) <= 2 and lattices[-1] == K, (a, N, lattices)
+        assert len(lattices) == 1 and lattices[0] >= K + 12, (a, N, lattices)
         assert tail_beyond(a, basis, N) < 1e-20
 
 
-@pytest.mark.parametrize("a,N", [(0.1, 32), (0.1, 37), (0.5, 64), (1.0, 64), (2.0, 64)])
+@pytest.mark.parametrize("a,N", [(0.1, 32), (0.1, 37), (0.1, 40), (0.1, 48), (0.1, 64),
+                                 (0.2, 64), (0.5, 64), (1.0, 64), (2.0, 64)])
 def test_cutoff_search_starts_at_a_lattice_with_room(a, N):
     # the factorial-decay lattice K_0 holds fewer than N + 1 points here;
-    # the search starts at the first one that holds them, and the basis is
-    # orthonormal and satisfies its recurrence
+    # the search starts at the first one that holds them.  The amplitudes
+    # are Lanczos vectors, so degrees near the lattice size resolve to
+    # rounding, where the three-term recurrence evaluated on the lattice
+    # lost 7e-10 (0.1, 40) to 1e-2 (0.1, 64) of orthonormality
     basis = per.charlier_basis(a, N=N)
     assert 2 * basis.K + 1 >= N + 1
-    gram = per.periodic_gram(basis, N, M=4 * basis.K)
-    assert np.max(np.abs(gram - np.eye(N))) < 1e-10
-    assert per.periodic_diff_check(basis, N - 1) < 1e-12
-
-
-@pytest.mark.parametrize("a,N,K", [(0.1, 40, None), (0.1, 48, None), (0.1, 64, None),
-                                   (0.2, 64, None), (0.1, 64, 80)])
-def test_charlier_refuses_degrees_it_cannot_resolve(a, N, K):
-    # the amplitudes are Lanczos vectors, so degrees near the lattice size
-    # resolve to rounding, where the three-term recurrence evaluated on the
-    # lattice lost 7e-10 (0.1, 40) to 1e-2 (0.1, 64) of orthonormality; what
-    # is refused is a lattice too short to hold the tail below 1e-20, here
-    # the first one with the N + 1 points that N coefficients need
-    basis = per.charlier_basis(a, N=N, K=K)
-    gram = per.periodic_gram(basis, N, M=4 * basis.K)
+    gram = per.periodic_gram(basis, N)
     assert np.max(np.abs(gram - np.eye(N))) <= 1e-14
     assert per.periodic_diff_check(basis, N - 1) <= 1e-13
-    with pytest.raises(ValueError, match="truncation tail"):
-        per.charlier_basis(a, N=N, K=-(-N // 2))
 
 
 def test_periodic_eval_builds_a_small_parameter_lattice(capsys):

@@ -77,7 +77,7 @@ def test_eval_poly_table_orthonormal_under_quadrature():
     from favard.quadrature import golub_welsch
     m = rec.hermite_measure()
     J = rec.stieltjes(m, 24)
-    rule = golub_welsch(J, 24, m)
+    rule = golub_welsch(J, 24)
     table = rec.eval_poly_table(J, 11, rule.nodes)
     G = (table * rule.weights) @ table.T
     assert np.max(np.abs(G - np.eye(12))) < 1e-12
@@ -249,29 +249,11 @@ def test_stieltjes_matches_full_reorthogonalization(weight, N):
     assert np.max(np.abs(J.c - c)) <= max(1e-13, 1e-15 * np.max(np.abs(nodes)))
 
 
-@pytest.mark.parametrize("K", [6, 10, 20])
-def test_stieltjes_on_charlier_lattices_up_to_2k(K):
-    # the discrete iteration holds to the last pair a lattice of 2K + 1
-    # points has, and the next one, b_{2K} = 0, raises
-    measure = rec.charlier_bilateral(0.5, K)
-    points, masses = np.asarray(measure.points, float), np.asarray(measure.masses, float)
-    b, c = _stieltjes_reorthogonalized(points, masses, 2 * K)
-    for N in range(1, 2 * K + 1):
-        J = rec.stieltjes(measure, N)
-        assert np.max(np.abs(J.b - b[:N]) / b[:N]) <= 1e-15, N
-        assert np.max(np.abs(J.c - c[:N])) <= 1e-13, N
-    with pytest.raises(DegenerateMeasureError):
-        rec.stieltjes(measure, 2 * K + 1)
-
-
-def test_stieltjes_holds_on_a_lattice_near_its_size():
-    # N = 64 pairs on the 161-point Charlier lattice a = 0.1, K = 80, against
-    # the same iteration run at 50 digits on the same double masses; the
-    # plain update without reorthogonalization was off by 1.7e-4 relative
-    # in b_n and 1.4e-4 in c_n here
+def _stieltjes_50_digits(measure, N):
+    # the plain Stieltjes update run at 50 digits on the measure's double
+    # points and masses: (b, c) as doubles; an independent reference for
+    # the discrete route, which reorthogonalizes in double precision
     mpmath = pytest.importorskip("mpmath")
-    measure = rec.charlier_bilateral(0.1, 80)
-    N = 64
     with mpmath.workdps(50):
         xs = [mpmath.mpf(float(x)) for x in measure.points]
         ws = [mpmath.mpf(float(w)) for w in measure.masses]
@@ -287,9 +269,34 @@ def test_stieltjes_holds_on_a_lattice_near_its_size():
             want_b.append(float(b))
             want_c.append(float(c))
             q_prev, q, b_prev = q, [vi / b for vi in v], b
-    J = rec.stieltjes(measure, N)
-    assert np.max(np.abs(J.b / np.array(want_b) - 1.0)) <= 2e-15
-    assert np.max(np.abs(J.c - np.array(want_c))) <= 1e-15 * 80
+    return np.array(want_b), np.array(want_c)
+
+
+@pytest.mark.parametrize("K", [6, 10, 20, 50])
+def test_stieltjes_on_charlier_lattices_up_to_2k(K):
+    # the discrete iteration holds to the last pair a lattice of 2K + 1
+    # points has, and the next one, b_{2K} = 0, raises.  Up to K = 20 the
+    # plain update would hold too; at K = 50 it is off by 2e-5 relative in
+    # b_n, and only the reorthogonalized one holds
+    measure = rec.charlier_bilateral(0.5, K)
+    b, c = _stieltjes_50_digits(measure, 2 * K)
+    for N in range(1, 2 * K + 1):
+        J = rec.stieltjes(measure, N)
+        assert np.max(np.abs(J.b - b[:N]) / b[:N]) <= 1e-15, N
+        assert np.max(np.abs(J.c - c[:N])) <= 1e-13, N
+    with pytest.raises(DegenerateMeasureError):
+        rec.stieltjes(measure, 2 * K + 1)
+
+
+def test_stieltjes_holds_on_a_lattice_near_its_size():
+    # N = 64 pairs on the 161-point Charlier lattice a = 0.1, K = 80, against
+    # the 50-digit run; the plain update without reorthogonalization was off
+    # by 1.7e-4 relative in b_n and 1.4e-4 in c_n here
+    measure = rec.charlier_bilateral(0.1, 80)
+    want_b, want_c = _stieltjes_50_digits(measure, 64)
+    J = rec.stieltjes(measure, 64)
+    assert np.max(np.abs(J.b / want_b - 1.0)) <= 2e-15
+    assert np.max(np.abs(J.c - want_c)) <= 1e-15 * 80
 
 
 def test_custom_gaussian_matches_the_hermite_recurrence():

@@ -100,9 +100,11 @@ def test_strang_zero_potential_degenerates_to_free_flow():
 def test_strang_harmonic_norm_conserved():
     basis = make_basis("hermite", N=48)
     a = co.coeffs_fourier_side(F_gaussian, basis, 48)
-    out, norms = sch.strang_propagate(
-        a, 0.05, 40, lambda x: x**2, basis, record=True)
-    norms = np.asarray(norms)
+    out = sch.strang_propagate(a, 0.05, 40, lambda x: x**2, basis)
+    # the norm after every step, read as the schrodinger command reads it
+    path = sch._strang_setup(basis, 48)
+    norms = np.asarray(sch._run(path, 0.05, a.values, lambda x: x**2, 40, np.linalg.norm)[1])
+    assert len(norms) == 40
     assert np.max(np.abs(norms - norms[0])) < 1e-12
     assert abs(np.linalg.norm(out.values) - np.linalg.norm(a.values)) < 1e-12
 
@@ -169,7 +171,7 @@ def test_strang_setup_built_once_per_basis_and_size(solves, grids):
     V = lambda x: x**2
     sch.strang_propagate(a, 0.1, 3, V, basis)
     sch.strang_step(a, 0.2, V, basis)
-    sch.strang_propagate(a, -0.05, 2, None, basis, record=True)
+    sch.strang_propagate(a, -0.05, 2, None, basis)
     assert solves == ["dbdsdc"] and grids == [32]
     b = co.coeffs_fourier_side(F_gaussian, basis, 16)
     sch.strang_step(b, 0.2, V, basis)
@@ -311,7 +313,7 @@ def test_folded_strang_stays_folded(monkeypatch, N):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(diffop.FoldedEigensystem, name, counted)
-        out, norms = sch.strang_propagate(a, tau, steps, V, basis, record=True)
+        out, norms = sch._run(path, tau, a, V, steps, np.linalg.norm)
         assert calls["fold"] <= 2 and calls["unfold"] <= 2
         monkeypatch.undo()
 
@@ -321,8 +323,8 @@ def test_folded_strang_stays_folded(monkeypatch, N):
             z = half * kick(half * z)
             ref.append(np.linalg.norm(z))
         assert len(norms) == steps
-        assert np.max(np.abs(norms - np.array(ref))) < 1e-14  # relative: |a| = 1
-        assert np.max(np.abs(out.values - ref_path.leave(z))) < 1e-13
+        assert np.max(np.abs(np.array(norms) - np.array(ref))) < 1e-14  # relative: |a| = 1
+        assert np.max(np.abs(out - ref_path.leave(z))) < 1e-13
 
 
 def test_results_independent_of_eigenvector_signs(monkeypatch):

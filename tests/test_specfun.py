@@ -83,10 +83,14 @@ def test_bessel_j_half_at_and_near_multiples_of_pi(m):
 
 
 def test_gamma_and_beta_consistency():
-    assert abs(specfun.gamma(0.5) - np.sqrt(np.pi)) < 1e-15
-    assert abs(specfun.gamma(5.0) - 24.0) < 1e-13
+    # B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), against 40 digits
     assert abs(specfun.beta(2.0, 3.0) - 1.0 / 12.0) < 1e-16
-    assert abs(specfun.log_gamma(101.0) - np.sum(np.log(np.arange(1.0, 101.0)))) < 1e-10
+    mpmath.mp.dps = 40
+    for a, b in ((0.5, 0.5), (1.5, 4.25), (0.1, 7.0), (40.0, 55.5)):
+        ref = float(mpmath.beta(a, b))
+        assert abs(specfun.beta(a, b) - ref) < 1e-13 * ref, (a, b)
+    with pytest.raises(ValueError):
+        specfun.beta(0.0, 1.0)
 
 
 def test_gamma_abs2_no_overflow_large_xi():
