@@ -81,6 +81,9 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     Every other mantissa stays normal, so the rows equal those of any other
     power-of-two rescaling bit for bit.
 
+    The per-degree scalars and growth bounds are arrays made before the
+    sweep, and row k + 1 of the table is seeded there with
+    -x sqrt(2/(k+1)), so a step is three in-place products on its row.
     Each step writes its mantissa row straight into the table, and a row m
     2^e is formed there as (m 2^(e+1022)) 2^-1022, not by ldexp, which
     costs about ten multiplications: |m 2^e| <= 1, so the first product
@@ -99,8 +102,12 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     exps = e.astype(np.int64)
     prev = np.zeros_like(cur)
     term = np.empty_like(cur)
-    neg_x = np.negative(x, out=t)
+    deg = np.arange(nmax, dtype=float)
+    s, r = np.sqrt(2.0 / (deg + 1.0)), np.sqrt(deg / (deg + 1.0))
     reach = float(np.max(np.abs(x), initial=0.0))
+    steps = np.log2(reach * s + r + 1.0).tolist()
+    r = r.tolist()
+    np.multiply(s[:, None], np.negative(x, out=t), out=rows[1:])
 
     def lift(segment):
         """m 2^e in place on the rows of one segment."""
@@ -110,8 +117,7 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
     first = 0  # the first row of the current segment
     bits = 1.0  # the seed mantissa is below 2
     for k in range(nmax):
-        s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
-        step = math.log2(reach * s + r + 1.0)
+        step = steps[k]
         if bits + step > _HERMITE_BUDGET:
             mag = np.maximum(np.abs(cur), np.abs(prev))
             shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
@@ -121,9 +127,9 @@ def hermite_function_table(nmax: int, x) -> np.ndarray:
             first = k + 1
             bits = 0.0
         bits += step
-        nxt = np.multiply(neg_x, s, out=rows[k + 1])
+        nxt = rows[k + 1]
         nxt *= cur
-        np.multiply(prev, r, out=term)
+        np.multiply(prev, r[k], out=term)
         nxt -= term
         prev, cur = cur, nxt
     lift(rows[first:])

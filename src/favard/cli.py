@@ -201,8 +201,9 @@ def _cmd_periodic(bas, n_range, grid, out) -> int:
 
 def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
     path = sch._strang_setup(bas, N)
+    # rows first: a Hermite grid pair builds its scale in the same table sweep
+    table = np.asarray(path.rows(grid), dtype=complex)
     a = path.analyze(np.asarray(f0(path.nodes), dtype=complex))
-    table = basis_mod.phi_grid(bas, N - 1, grid)
     states = [a, *sch._run(path, tau, a, V, steps, path.leave)[1]]
     u = np.array([vec @ table for vec in states])
     norms = [float(np.linalg.norm(vec)) for vec in states]
@@ -415,7 +416,7 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         f0 = compile_function(args.f0)
         V = None if args.potential.strip().lower() == "none" else compile_function(args.potential)
         grid = _parse_grid(args.grid)
-        sch._grid_builder(bas.family)  # raises for a family without a Strang grid pair
+        sch._grid_builder(bas.family, args.N)  # raises where there is no Strang grid pair
         return functools.partial(_cmd_schrodinger, bas, args.N, f0, V, args.tau,
                                  int(round(steps)), grid, args.out)
     if sub == "verify":

@@ -113,9 +113,12 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     ``malmquist_takenaka`` call, each row equal to ``phi`` bit for bit; the
     others take rows 0..N-1 from ``phi_grid``.
 
-    The rule is folded by parity when the measure is symmetric, the basis
-    has no phase sigma and the grid is its own mirror (M odd and
-    x[::-1] == -x exactly, as for the default window).  Then phi_n is real
+    The grid of an odd-M window with lo = -hi is its nonnegative half,
+    ``np.linspace(0, hi, M // 2 + 1)``, mirrored, so x[::-1] == -x exactly
+    (for the default window these are the points of ``np.linspace(lo, hi,
+    M)``); any other window takes ``np.linspace(lo, hi, M)``.  The rule is
+    folded by parity on a mirrored grid when the measure is symmetric and
+    the basis has no phase sigma.  Then phi_n is real
     with phi_n(-x) = (-1)^n phi_n(x), so rows 0..N-1 are taken on x >= 0
     only (``closed_table`` when the family has one, else ``phi_grid``) and
     even rows are integrated against f(x) + f(-x), odd rows against
@@ -134,11 +137,15 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
         raise ValueError("window must satisfy lo < hi")
     if M < 8:
         raise ValueError("M must be at least 8")
-    x = np.linspace(lo, hi, M)
+    mirrored = M % 2 == 1 and lo == -hi
+    if mirrored:  # built from its nonnegative half, so x[::-1] == -x exactly
+        half = np.linspace(0.0, hi, M // 2 + 1)
+        x = np.concatenate((-half[:0:-1], half))
+    else:
+        x = np.linspace(lo, hi, M)
     fx = np.asarray(f(x), dtype=complex)
     n_start = 0
-    if (M % 2 and basis.measure.symmetric and basis.sigma is None and not basis.bilateral
-            and np.array_equal(x[::-1], -x)):
+    if mirrored and basis.measure.symmetric and basis.sigma is None and not basis.bilateral:
         vals, edge, peak = _xspace_folded(basis, N, x, fx)
     else:
         w = np.full(M, x[1] - x[0])

@@ -28,6 +28,7 @@ full V from LAPACK's ``stemr``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,13 +141,15 @@ def apply(D: DiffMatrix, a):
 
 
 def _real_times(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """M @ z for a real matrix M and a complex vector z.
+    """M @ z for a real matrix M and a complex vector or matrix z.
 
-    M acts on the N x 2 view of z as real and imaginary parts: a
-    real-times-complex product would copy M to complex on every call.
+    M acts on the real view of z, real and imaginary parts side by side
+    (N x 2 for a vector): a real-times-complex product would copy M to
+    complex on every call.
     """
-    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
-    return (M @ pairs).view(complex).ravel()
+    z = np.ascontiguousarray(z, dtype=complex)
+    pairs = z.view(float).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
+    return (M @ pairs).view(complex).reshape(M.shape[0], *z.shape[1:])
 
 
 def _sign_columns(V: np.ndarray) -> np.ndarray:
@@ -176,11 +179,11 @@ class Eigensystem:
         self._V = V
 
     def times(self, z: np.ndarray) -> np.ndarray:
-        """V z for a complex vector z."""
+        """V z for a complex vector, or matrix of columns, z."""
         return _real_times(self._V, z)
 
     def t_times(self, w: np.ndarray) -> np.ndarray:
-        """V^T w for a complex vector w."""
+        """V^T w for a complex vector, or matrix of columns, w."""
         return _real_times(self._V.T, w)
 
 

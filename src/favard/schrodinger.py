@@ -19,14 +19,20 @@ On the Gauss-Hermite grid the potential step needs no grid pair at all when
 D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
 is z -> conj(K) Phi K z with K = V^T diag(i^k) V, and K is fixed by two real
 half-size blocks.  A Strang run then keeps its state in half-size even/odd
-coordinates from the first step to the last (``_FoldedPath``).  Every other
-case (MT, a Hermite table with numerically computed, nonzero c) keeps the
-state in D's eigenbasis and synthesizes on the grid and analyzes back.
+coordinates from the first step to the last (``_FoldedPath``).
+
+Malmquist-Takenaka (MT) Strang is bilateral, on the window
+n = -N/2..N/2-1: phi_n for n >= 0 alone span only the functions whose
+Fourier transform vanishes for xi < 0, and the mirror phi_{-n-1} =
+-i conj(phi_n) makes D two conjugate blocks of one N/2-point Laguerre
+eigensystem (``_BilateralPath``), stepped through the square N-point
+theta-grid FFT pair.  A Hermite table with numerically computed, nonzero c
+keeps the state in D's eigenbasis and synthesizes on the grid and analyzes
+back (``_EigenbasisPath``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -139,80 +145,100 @@ def _hermite_grid(D: diffop.DiffMatrix):
     phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i).  The
     last row gives c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|: one Hermite function,
     the last row of an N-row table (|V[N-1, i]| >= 1.5e-2 for N <= 4096).
+    |phi_{N-1}| is even in x bit for bit, so the row is taken at the
+    distinct |x_i| only: the nonnegative half when D folds.
     Synthesis is then c V^T P and analysis P V / c with P = diag((-1)^k):
-    the Christoffel weights omega_i = c_i^2 cancel.  c is built on the first
-    call, which a folded Strang step never makes.
+    the Christoffel weights omega_i = c_i^2 cancel.  c is built on first
+    use, which a folded Strang step never makes.  ``rows(grid)`` is
+    phi_0..phi_{N-1} on grid; until c is built it sweeps the nodes with the
+    grid and keeps c, so a caller that prints rows sweeps the table once.
     """
     eig = D.eigensystem
-    parity = (-1.0) ** np.arange(D.N)
+    N = D.N
+    parity = (-1.0) ** np.arange(N)
+    made = []  # c, once built
 
-    @functools.cache
-    def scale():
-        unit = np.zeros(D.N)
+    def rows(grid):
+        if made:
+            return basis_mod.hermite_function_table(N - 1, grid)
+        mags, where = np.unique(np.abs(eig.x), return_inverse=True)
+        table = basis_mod.hermite_function_table(N - 1, np.concatenate((mags, grid)))
+        unit = np.zeros(N)
         unit[-1] = 1.0
         last = eig.t_times(unit).real  # V[N-1, :]
-        return np.abs(basis_mod.hermite_function(D.N - 1, eig.x)) / np.abs(last)
+        made.append(np.abs(table[-1, :mags.size])[where] / np.abs(last))
+        return table[:, mags.size:]
+
+    def scale():
+        if not made:
+            rows(np.empty(0))
+        return made[0]
 
     synthesize = lambda a: scale() * eig.t_times(parity * a)
     analyze = lambda u: parity * eig.times(u / scale())
-    return eig.x, synthesize, analyze
+    return eig.x, synthesize, analyze, rows
 
 
 def _mt_grid(D: diffop.DiffMatrix):
-    """Uniform theta-grid pair for the Malmquist-Takenaka basis.
+    """Square theta-grid pair for the Malmquist-Takenaka window n = -K..K-1, K = D.N.
 
-    On theta_j = -pi + (j + 1/2) h, h = 2 pi / M with M = 4N, the basis
-    is a pure Fourier mode times a common factor,
-    phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) i^n e^{i (n + 1/2) theta_j}, so
-    synthesis is one zero-padded inverse FFT of (-i)^n e^{i n h/2} a_n and
-    analysis one FFT; the round trip is exact for functions in
-    span{phi_0..phi_{N-1}}.
+    On the N = 2K points theta_j = -pi + (j + 1/2) h, h = 2 pi / N, with
+    x_j = tan(theta_j / 2) / 2, the basis is a pure Fourier mode times a
+    common factor,
+    phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) e^{i theta_j/2} i^n e^{i n theta_j},
+    so synthesis over the N consecutive n is one inverse FFT of
+    (-i)^n e^{i n h/2} a_n (the window's start -K puts (-1)^j in the common
+    factor) and analysis one FFT.  |phi_n(x_j)|^2 dx/dtheta = 1 / (2 pi) at
+    every node, so with the weights h dx/dtheta the pair is exactly unitary:
+    the potential step keeps the norm to rounding.  ``rows(grid)`` is
+    phi_n on grid for the window's n.
     """
     import scipy.fft
 
-    N = D.N
-    M = 4 * N
-    h = 2.0 * math.pi / M
-    theta = -math.pi + (np.arange(M) + 0.5) * h
+    K = D.N
+    N = 2 * K
+    h = 2.0 * math.pi / N
+    theta = -math.pi + (np.arange(N) + 0.5) * h
     tan_half = np.tan(0.5 * theta)
     nodes = 0.5 * tan_half
-    ns = np.arange(N)
-    common = M * math.sqrt(2.0 / math.pi) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
+    ns = np.arange(-K, K)
+    alternate = (-1.0) ** np.arange(N)
+    common = alternate * (N * math.sqrt(2.0 / math.pi)) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
     shift = diffop._I_POWERS[-ns % 4] * np.exp(0.5j * ns * h)
-
-    def synthesize(a):
-        return common * scipy.fft.ifft(shift * a, n=M)
-
     pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * diffop._I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
-    factor = 1.0 - 1j * tan_half
+    factor = alternate * (1.0 - 1j * tan_half)
 
-    def analyze(u):
-        spectrum = scipy.fft.fft(factor * u)
-        return pref * spectrum[ns]
+    synthesize = lambda a: common * scipy.fft.ifft(shift * a)
+    analyze = lambda u: pref * scipy.fft.fft(factor * u)
+    rows = lambda grid: basis_mod.malmquist_takenaka(ns[:, None], grid)
+    return nodes, synthesize, analyze, rows
 
-    return nodes, synthesize, analyze
 
-
-# (nodes, synthesize, analyze) for the N = D.N leading basis functions, by family
+# (nodes, synthesize, analyze, rows) of a family's grid pair, built from D:
+# for the D.N leading basis functions, for mt for the window n = -D.N..D.N-1
 _GRIDS = {"hermite": _hermite_grid, "mt": _mt_grid}
 
 
-def _grid_builder(family: str):
-    """The grid-pair builder of a basis family; ValueError if it has none."""
+def _grid_builder(family: str, N: int):
+    """The grid-pair builder of a basis family for size N; ValueError if it has none."""
     build = _GRIDS.get(family)
     if build is None:
         raise ValueError(
             "Strang splitting needs a fast synthesis/analysis path; "
             "supported bases: hermite, mt"
         )
+    if family == "mt" and N % 2:
+        raise ValueError(f"mt Strang splitting takes the window n = -N/2..N/2-1 and needs "
+                         f"an even N, got {N}")
     return build
 
 
 class _EigenbasisPath:
     """Strang state in D's eigenbasis; the potential step goes through the grid pair."""
 
-    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze):
-        self.D, self.nodes, self.synthesize, self.analyze = D, nodes, synthesize, analyze
+    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze, rows):
+        self.D, self.nodes, self.synthesize, self.analyze, self.rows = (
+            D, nodes, synthesize, analyze, rows)
         self.x = D.eigensystem.x
 
     def enter(self, v: np.ndarray) -> np.ndarray:
@@ -222,8 +248,43 @@ class _EigenbasisPath:
         return diffop._from_spectral(self.D, z)
 
     def kick(self, phase: np.ndarray):
-        D, synthesize, analyze = self.D, self.synthesize, self.analyze
-        return lambda z: diffop._to_spectral(D, analyze(synthesize(diffop._from_spectral(D, z)) * phase))
+        enter, leave, synthesize, analyze = self.enter, self.leave, self.synthesize, self.analyze
+        return lambda z: enter(analyze(synthesize(leave(z)) * phase))
+
+
+class _BilateralPath(_EigenbasisPath):
+    """Strang state of the Malmquist-Takenaka window n = -K..K-1 in the eigenbasis of D's blocks.
+
+    phi_{-m-1} = -i conj(phi_m), and D couples n = -1 and n = 0 by zero
+    (b_{-1} = 0), so D is block diagonal: the n >= 0 block is the K x K
+    section D+ = S (iJ) S^-1 of the Laguerre(0) matrix J = V diag(x) V^T,
+    and in the mirrored index m = -n-1 the n < 0 block is
+    conj(D+) = conj(S) (-iJ) conj(S)^-1.  Both square to -x^2 on the same
+    V, so the free half-step is one phase e^{-i tau x^2 / 2} on both.  The
+    state is the K x 2 array [V^T S^-1 a+, V^T S a-] with a+ = a_{0..K-1}
+    and a- = a_{-1..-K}: one real product with V^T, or V, for both columns.
+    """
+
+    def __init__(self, D: diffop.DiffMatrix, *grid):
+        super().__init__(D, *grid)
+        self.x = self.x[:, None]
+        m = np.arange(D.N)
+        self.i_m, self.minus_i_m = diffop._I_POWERS[m % 4], diffop._I_POWERS[-m % 4]
+
+    def enter(self, v: np.ndarray) -> np.ndarray:
+        K = self.D.N
+        w = np.empty((K, 2), dtype=complex)
+        np.multiply(self.i_m, v[K:], out=w[:, 0])
+        np.multiply(self.minus_i_m, v[K - 1::-1], out=w[:, 1])
+        return self.D.eigensystem.t_times(w)
+
+    def leave(self, z: np.ndarray) -> np.ndarray:
+        K = self.D.N
+        y = self.D.eigensystem.times(z)
+        out = np.empty(2 * K, dtype=complex)
+        np.multiply(self.minus_i_m, y[:, 0], out=out[K:])
+        np.multiply(self.i_m, y[:, 1], out=out[K - 1::-1])
+        return out
 
 
 class _FoldedPath:
@@ -250,26 +311,33 @@ class _FoldedPath:
     the 2 x m x 2 real view of f.
     """
 
-    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze):
-        self.D, self.nodes, self.synthesize, self.analyze = D, nodes, synthesize, analyze
+    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze, rows):
+        self.D, self.nodes, self.synthesize, self.analyze, self.rows = (
+            D, nodes, synthesize, analyze, rows)
         eig = D.eigensystem
         self.eig, self.N, self.h, self.r = eig, D.N, eig.h, eig.r
         m = self.h + self.r
         self.x = eig.x[self.h:]
         self.scale = np.full(m, math.sqrt(2.0))
         self.scale[:self.r] = 1.0
-        signs = (-1.0) ** np.arange(m)
-        self.blocks = np.zeros((2, m, m))
-        np.matmul(eig.U.T, eig.U * signs[:, None], out=self.blocks[0])
-        np.matmul(eig.W.T, eig.W * signs[:self.h, None], out=self.blocks[1, self.r:, self.r:])
-        # c A c and 2 B by exact factors where they exist: sqrt2^2 = 2 + 4e-16
+        # U c and sqrt2 W are orthogonal, so with Y and Z the odd-j rows of U
+        # and W, c A c = I - 2 (Y c)^T (Y c) and 2 B = I - 4 Z^T Z: one
+        # symmetric product of half the rows each.  The factors c_i c_j go
+        # in as 4, then exact halvings at the centre: sqrt2^2 = 2 + 4e-16
         # on every entry would drift the norm by about 4e-16 a product
-        self.blocks *= 2.0
+        Y, Z = eig.U[1::2], eig.W[1::2]
+        self.blocks = np.zeros((2, m, m))
+        np.matmul(Y.T, Y, out=self.blocks[0])
+        self.blocks[1, self.r:, self.r:] = Z.T @ Z
+        self.blocks *= -4.0
         if self.r:
             A = self.blocks[0]
             A[0, 1:] *= math.sqrt(0.5)
             A[1:, 0] *= math.sqrt(0.5)
             A[0, 0] *= 0.5
+        diag = np.arange(m)
+        self.blocks[0, diag, diag] += 1.0
+        self.blocks[1, diag[self.r:], diag[self.r:]] += 1.0  # not at the padded centre
 
     def enter(self, v: np.ndarray) -> np.ndarray:
         w = diffop._I_POWERS[np.arange(self.N) % 4] * v
@@ -310,22 +378,29 @@ def _pairs(f: np.ndarray) -> np.ndarray:
 def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
     """The Strang path for size N, built once per basis and N.
 
-    _FoldedPath for a folded Hermite operator, _EigenbasisPath otherwise.
-    The paths live on the basis and are built from ``basis.jacobi``; when
-    that object is replaced (``ensure`` growing the table, whose leading
-    coefficients need not be the old ones, or a direct assignment) every
-    path is dropped before use.
+    _BilateralPath for mt, on D's N/2 x N/2 section; _FoldedPath for a
+    folded Hermite operator, _EigenbasisPath otherwise.  The paths live on
+    the basis and are built from ``basis.jacobi``; when that object is
+    replaced (``ensure`` growing the table, whose leading coefficients need
+    not be the old ones, or a direct assignment) every path is dropped
+    before use.
     """
-    grid = _grid_builder(basis.family)
-    basis.ensure(N - 1)
+    grid = _grid_builder(basis.family, N)
+    size = N // 2 if basis.bilateral else N
+    basis.ensure(size - 1)
     cache = basis._strang
     if cache.get("jacobi") is not basis.jacobi:
         cache.clear()
         cache["jacobi"] = basis.jacobi
     if N not in cache:
-        D = diffop.build(basis.jacobi, N)
-        folded = basis.family == "hermite" and isinstance(D.eigensystem, diffop.FoldedEigensystem)
-        cache[N] = (_FoldedPath if folded else _EigenbasisPath)(D, *grid(D))
+        D = diffop.build(basis.jacobi, size)
+        if basis.bilateral:
+            path = _BilateralPath
+        elif isinstance(D.eigensystem, diffop.FoldedEigensystem):
+            path = _FoldedPath
+        else:
+            path = _EigenbasisPath
+        cache[N] = path(D, *grid(D))
     return cache[N]
 
 
@@ -385,7 +460,8 @@ def strang_propagate(a, tau: float, steps: int, V,
                      basis: basis_mod.TransformedBasis):
     """``steps`` Strang steps of size tau on the basis's cached path for the size of a.
 
-    Returns the final CoefficientVector.  Warns when the run loses more
+    For mt the N values of a are the coefficients of n = -N/2..N/2-1, N
+    even.  Returns the final CoefficientVector.  Warns when the run loses more
     than 1e-6 of the norm to analysis/synthesis truncation.  The state
     after every step is ``_run``'s to give, as the ``schrodinger`` command
     takes it.
@@ -397,7 +473,8 @@ def strang_propagate(a, tau: float, steps: int, V,
     v = _run(_strang_setup(basis, len(v)), tau, v, V, steps)[0]
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     return a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
-        v, basis=basis, meta={"method": "strang", "tau": tau, "steps": steps})
+        v, -(len(v) // 2) if basis.bilateral else 0, basis,
+        {"method": "strang", "tau": tau, "steps": steps})
 
 
 def fft_grid_reference(f0, t: float, window: tuple[float, float] = (-40.0, 40.0),

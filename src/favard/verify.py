@@ -74,6 +74,9 @@ def _mirrored(G: np.ndarray) -> np.ndarray:
 # less than this factor, from rows that already held all but 1/_STALL of
 # their mass, ends the doubling (``_lattice_gram``).
 _STALL = 16.0
+# The share of a row's mass below which its outer half is rounding noise
+# (``_lattice_gram``).
+_FLOOR = float(np.finfo(float).eps)
 
 
 def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
@@ -91,8 +94,10 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     the masses q3 and q4 of h |phi_n|^2 on the outer two quarters of the
     lattice, (X/2, 3X/4] and (3X/4, X]: under geometric decay r = q4 / q3
     per quarter, the mass beyond X is q4 r / (1 - r), and it is infinite
-    when r >= 1.  By Cauchy-Schwarz the largest row tail bounds every
-    entry's.  Rows that decay only algebraically get an estimate that is
+    when r >= 1.  A row whose outer half holds at most eps (``_FLOOR``) of
+    its mass is at its rounding floor there, where q4 >= q3 is noise: its
+    estimate is at most that outer mass, so it counts as converged.  By
+    Cauchy-Schwarz the largest row tail bounds every entry's.  Rows that decay only algebraically get an estimate that is
     low (laguerre:1, by about 2) or infinite (jacobi:0.5,1.5), in both
     cases far above tol, so the report names the tail as what fails.  Such
     a tail shrinks by a bounded factor per doubling (2 to 7.2 for laguerre:1
@@ -130,6 +135,8 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = q4 / q3
             tails = np.where(r < 1.0, q4 * r / (1.0 - r), np.inf)
+        outer = q3 + q4
+        tails = np.where(outer <= _FLOOR * m.sum(axis=1), np.minimum(tails, outer), tails)
         tail = float(np.max(np.where(q4 == 0.0, 0.0, tails)))
         if tail <= 0.1 * tol or X >= cap:
             break

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from favard import cli
+from favard.errors import TruncationLossWarning
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -383,6 +385,65 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     assert calls == [64]
 
 
+def test_schrodinger_hermite_sweeps_the_table_once(monkeypatch, capsys):
+    # the grid pair's scale row and the printed rows come from one sweep
+    from favard import basis as basis_mod
+
+    calls = []
+    table = basis_mod.hermite_function_table
+
+    def counted(nmax, x):
+        calls.append(nmax)
+        return table(nmax, x)
+
+    monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
+    for N in (64, 63):
+        rc, _ = run_cli(["schrodinger", "--basis", "hermite", "--N", str(N), "--f0", "exp(-x^2)",
+                         "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"], capsys)
+        assert rc == 0
+    assert calls == [63, 62]
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
+    # bit for bit a = analyze(f0 at the nodes) times the closed table on the
+    # grid, each built on its own
+    from favard import basis as basis_mod
+    from favard import schrodinger as sch
+    from favard.expr import compile_function
+
+    rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", str(N), "--f0", "exp(-x^2)",
+                       "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"], capsys)
+    assert rc == 0
+    grid = np.arange(-8.0, 8.5, 0.5)
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in out.splitlines()[1:1 + grid.size]])
+    path = sch._strang_setup(basis_mod.make_basis("hermite", N=N + 2), N)
+    a = path.analyze(np.asarray(compile_function("exp(-x^2)")(path.nodes), dtype=complex))
+    u = a @ basis_mod.phi_grid(basis_mod.make_basis("hermite", N=N + 2), N - 1, grid)
+    assert np.array_equal(rows[:, 0], np.zeros(grid.size)) and np.array_equal(rows[:, 1], grid)
+    assert np.array_equal(rows[:, 2], u.real) and np.array_equal(rows[:, 3], u.imag)
+    assert np.array_equal(rows[:, 4], np.full(grid.size, np.linalg.norm(a)))
+
+
+def test_schrodinger_mt_keeps_the_whole_line(capsys):
+    # the bilateral window holds exp(-x^2): its norm (pi/2)^(1/4) and u(0) = 1
+    argv = ["schrodinger", "--basis", "mt", "--f0", "exp(-x^2)", "--potential", "x^2",
+            "--T", "0.5", "--tau", "0.0625"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationLossWarning)
+        for N, at_zero in ((256, 1e-10), (512, 1e-12)):
+            rc, out = run_cli(argv + ["--N", str(N)], capsys)
+            assert rc == 0
+            rows = np.array([[float(c) for c in line.split(",")] for line in out.splitlines()[1:]])
+            assert abs(rows[0, 4] / (math.pi / 2.0) ** 0.25 - 1.0) < 1e-15
+            zero = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0]
+            assert abs(zero[2] - 1.0) < at_zero and abs(zero[3]) < at_zero
+            assert np.max(np.abs(rows[:, 4] - rows[0, 4])) < 1e-12
+    assert cli.main(argv + ["--N", "255"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("family", ["hermite", "mt"])
 def test_schrodinger_runs_one_strang_pass(monkeypatch, capsys, family):
     from favard import basis as basis_mod
@@ -408,7 +469,11 @@ def test_schrodinger_runs_one_strang_pass(monkeypatch, capsys, family):
     for _ in range(8):
         states.append(run(path, 0.0625, states[-1], lambda x: x * x, 1)[0])
     grid = np.arange(-2.0, 3.0)
-    u = np.array(states) @ basis_mod.phi_grid(bas, 63, grid)
+    if family == "mt":  # the bilateral window n = -32..31
+        table = basis_mod.malmquist_takenaka(np.arange(-32, 32)[:, None], grid)
+    else:
+        table = basis_mod.phi_grid(bas, 63, grid)
+    u = np.array(states) @ table
     assert np.allclose(rows[:, 2] + 1j * rows[:, 3], u.ravel(), rtol=0, atol=1e-13)
     assert np.allclose(rows[:, 4], np.repeat(np.linalg.norm(states, axis=1), grid.size),
                        rtol=0, atol=1e-13)
@@ -533,6 +598,26 @@ def test_coeffs_window_is_the_xspace_interval(capsys):
     rc = cli.main(argv + ["--window", "-20:20:0.3"])
     got = capsys.readouterr()
     assert rc == 2 and got.out == "" and "window must be lo:hi" in got.err
+
+
+@pytest.mark.parametrize("window", ["-pi:pi", "-0.3:0.3"])
+def test_coeffs_symmetric_window_folds_whatever_its_ends(capsys, window):
+    # np.linspace does not mirror these windows bit for bit; the grid built
+    # from its nonnegative half does, so the odd coefficients of an even f are 0
+    rc, out = run_cli(["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "2",
+                       "--window", window], capsys)
+    assert rc == 0
+    assert out.splitlines()[2] == "1,0,0,0"
+
+
+def test_coeffs_default_window_keeps_its_points():
+    from favard import coeffs
+    from favard.basis import make_basis
+
+    seen = []
+    coeffs.coeffs_xspace(lambda x: seen.append(x.copy()) or np.exp(-x * x),
+                         make_basis("hermite", N=10), 8)
+    assert np.array_equal(seen[0], np.linspace(-30.0, 30.0, 8193))
 
 
 @pytest.mark.parametrize("method", ["dct", "auto"])

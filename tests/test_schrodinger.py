@@ -142,15 +142,101 @@ def test_hermite_grid_pair_roundtrip():
     assert abs(np.sum(omega * np.abs(u) ** 2) - np.sum(np.abs(a) ** 2)) < 1e-10
 
 
+def test_hermite_scale_row_on_the_nonnegative_nodes_is_bitwise_the_full_one():
+    # |phi_{N-1}| is even in x bit for bit, so taking it on the distinct |x_i|
+    # changes no bit of the grid pair's scale c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|
+    for N in (32, 63, 512, 1024):
+        path = sch._strang_setup(make_basis("hermite", N=N), N)
+        eig = path.D.eigensystem
+        unit = np.zeros(N)
+        unit[-1] = 1.0
+        scale = (np.abs(basis_mod.hermite_function(N - 1, eig.x))
+                 / np.abs(eig.t_times(unit).real))
+        parity = (-1.0) ** np.arange(N)
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        assert np.array_equal(path.synthesize(a), scale * eig.t_times(parity * a))
+        assert np.array_equal(path.analyze(a), parity * eig.times(a / scale))
+
+
+def test_hermite_pair_rows_share_the_scale_sweep(monkeypatch):
+    # rows on a grid come from the sweep that also builds the scale, and are
+    # the closed table's rows bit for bit
+    grid = np.arange(-8.0, 8.5, 0.5)
+    for N in (64, 512):
+        ref = hermite_function_table(N - 1, grid)
+        calls = []
+        table = basis_mod.hermite_function_table
+
+        def counted(nmax, x):
+            calls.append(np.size(x))
+            return table(nmax, x)
+
+        monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
+        path = sch._strang_setup(make_basis("hermite", N=N), N)
+        assert np.array_equal(path.rows(grid), ref)
+        path.analyze(np.ones(N, dtype=complex))
+        assert calls == [N // 2 + grid.size]
+        assert np.array_equal(path.rows(grid), ref)  # the scale is built: grid only
+        assert calls == [N // 2 + grid.size, grid.size]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("N", [512, 63])
+def test_folded_blocks_keep_the_norm_over_100_steps(N):
+    # the kick blocks I - 2 (Y c)^T (Y c) are orthogonal to rounding
+    basis = make_basis("hermite", N=N)
+    rng = np.random.default_rng(21)
+    a = np.zeros(N, dtype=complex)
+    a[:40] = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    a /= np.linalg.norm(a)
+    path = sch._strang_setup(basis, N)
+    for V in (lambda x: x * x, lambda x: x * x + x):
+        norms = np.asarray(sch._run(path, 0.01, a, V, 100, np.linalg.norm)[1])
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
 def test_mt_grid_pair_roundtrip():
-    basis = make_basis("mt", N=32)
-    path = sch._strang_setup(basis, 32)
-    nodes, synthesize, analyze = path.nodes, path.synthesize, path.analyze
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-12
-    table = np.stack([malmquist_takenaka(n, nodes) for n in range(32)])
-    assert np.max(np.abs(synthesize(a) - a @ table)) < 1e-12
+    # the square N-point theta pair on the window n = -N/2..N/2-1: synthesis
+    # is the closed form, analysis inverts it, and the pair is unitary
+    for N in (64, 256, 1024):
+        path = sch._strang_setup(make_basis("mt", N=N), N)
+        nodes, synthesize, analyze = path.nodes, path.synthesize, path.analyze
+        assert nodes.size == N
+        table = malmquist_takenaka(np.arange(-N // 2, N // 2)[:, None], nodes)
+        each = np.stack([synthesize(e) for e in np.eye(N, dtype=complex)])
+        assert np.max(np.abs(each - table)) < 1e-15 * N
+        rng = np.random.default_rng(N)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        assert np.max(np.abs(analyze(synthesize(a)) - a)) < 1e-14
+        h = 2.0 * np.pi / N
+        weights = 0.25 * h / np.cos(np.arctan(2.0 * nodes)) ** 2  # h dx/dtheta
+        energy = np.sum(weights * np.abs(synthesize(a)) ** 2)
+        assert abs(energy / np.sum(np.abs(a) ** 2) - 1.0) < 1e-13
+
+
+def test_mt_strang_setup_needs_an_even_size():
+    with pytest.raises(ValueError, match="even N"):
+        sch._strang_setup(make_basis("mt", N=33), 33)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+def test_mt_strang_harmonic_phases(N):
+    # e^{-x^2/2} and x e^{-x^2/2} are eigenstates of -d^2/dx^2 + x^2 with
+    # energies 1 and 3; the bilateral window holds both halves of their spectra
+    basis = make_basis("mt", N=N)
+    path = sch._strang_setup(basis, N)
+    T = 0.5
+    for f0, energy in ((lambda x: np.exp(-0.5 * x * x), 1.0),
+                       (lambda x: x * np.exp(-0.5 * x * x), 3.0)):
+        a = path.analyze(f0(path.nodes).astype(complex))
+        a /= np.linalg.norm(a)
+        for tau in (1 / 16, 1 / 64):
+            steps = round(T / tau)
+            out, norms = sch._run(path, tau, a, lambda x: x * x, steps, np.linalg.norm)
+            # perfbench's Strang bound 2 (1 + s^2) T tau^2 at s = 0
+            assert np.max(np.abs(out - np.exp(-1j * energy * T) * a)) < 2.0 * T * tau * tau
+            assert np.max(np.abs(np.asarray(norms) - 1.0)) < 1e-12
 
 
 @pytest.fixture
@@ -304,7 +390,7 @@ def test_folded_strang_stays_folded(monkeypatch, N):
     a /= np.linalg.norm(a)
     tau, steps = 0.005, 100
     path = sch._strang_setup(basis, N)
-    ref_path = sch._EigenbasisPath(path.D, path.nodes, path.synthesize, path.analyze)
+    ref_path = sch._EigenbasisPath(path.D, path.nodes, path.synthesize, path.analyze, path.rows)
     half = np.exp(-0.5j * tau * path.D.eigensystem.x ** 2)
     for V in (lambda x: x * x, lambda x: x * x + x):
         calls = {"fold": 0, "unfold": 0}
@@ -323,7 +409,10 @@ def test_folded_strang_stays_folded(monkeypatch, N):
             z = half * kick(half * z)
             ref.append(np.linalg.norm(z))
         assert len(norms) == steps
-        assert np.max(np.abs(np.array(norms) - np.array(ref))) < 1e-14  # relative: |a| = 1
+        # relative, |a| = 1: each path drifts 3e-14 to 5e-14 from 1 over the run
+        # at rounding, the folded blocks from the rows of U and W and the
+        # reference from the columns of V, so their drifts differ at that level
+        assert np.max(np.abs(np.array(norms) - np.array(ref))) < 5e-14
         assert np.max(np.abs(out - ref_path.leave(z))) < 1e-13
 
 
@@ -371,13 +460,16 @@ def test_hermite_strang_never_warns():
         sch.strang_propagate(a, 0.5, 4, lambda x: 8.0 * x**2, basis)
 
 
-def test_mt_strang_warns_on_truncation_loss():
-    # rectangular MT analysis drops out-of-span energy created by a strong
-    # potential, and the norm drift check must report it
+def test_mt_strang_never_warns():
+    # the square MT pair is unitary on the bilateral window, so a strong
+    # potential loses no norm to analysis
     basis = make_basis("mt", N=32)
-    a = co.mt_coeffs_fft(lambda x: np.exp(-(x**2)), 32, basis)
-    with pytest.warns(TruncationLossWarning):
-        sch.strang_propagate(a, 0.5, 2, lambda x: 8.0 * x**2, basis)
+    path = sch._strang_setup(basis, 32)
+    a = path.analyze(np.exp(-path.nodes.astype(complex) ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationLossWarning)
+        out = sch.strang_propagate(a, 0.5, 2, lambda x: 8.0 * x**2, basis)
+    assert abs(np.linalg.norm(out.values) - np.linalg.norm(a)) < 1e-13
 
 
 def test_fft_grid_reference_self_consistency():

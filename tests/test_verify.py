@@ -145,6 +145,19 @@ def test_lattice_gram_doubles_on_to_a_converging_reach(N):
     assert rep.metadata["reach"] >= 60.0 and "stalled" not in rep.metadata
 
 
+@pytest.mark.parametrize("N", [40, 48])
+def test_lattice_gram_stops_on_rows_at_their_rounding_floor(N):
+    # exp(-x^2/8) rows hold about 1e-28 of their mass beyond |x| = 7.5, where
+    # the geometric estimate reads noise (q4 >= q3, an infinite tail); rows at
+    # that floor count as converged, so the first reach ends the doubling
+    # with a finite tail instead of doubling on to 60 and passing with tail
+    # Infinity
+    rep = ver.check_gram(make_basis("custom-weight:exp(-x^2/8)", N=N), N)
+    assert rep.passed and rep.max_abs_error < 1e-11
+    assert 15.0 <= rep.metadata["reach"] < 30.0
+    assert rep.metadata["tail"] < 1e-20 and "stalled" not in rep.metadata
+
+
 def test_lattice_gram_names_an_algebraic_tail():
     # jacobi rows decay only algebraically: the reach stops at its cap and
     # the tail estimate, not the basis, is what the report shows failing
