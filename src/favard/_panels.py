@@ -8,11 +8,15 @@ singularities of a weight do not degrade convergence.
 
 import numpy as np
 
-__all__ = ["GL_ORDER", "GL_NODES", "GL_WEIGHTS", "build_edges", "panel_rule",
-           "truncation_point", "width_classes"]
+__all__ = ["GL_ORDER", "GL_NODES", "GL_WEIGHTS", "SCAN_RADII", "build_edges", "panel_rule",
+           "scan", "truncation_point", "width_classes"]
 
 GL_ORDER = 32
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+
+# The radii at which a weight's tail is read to truncate an infinite side:
+# 1200 of them, spaced geometrically from 1e-2 to 1e9.
+SCAN_RADII = np.geomspace(1e-2, 1e9, 1200)
 
 # Geometric grading: 42 levels of ratio 1/4 put the innermost edge at
 # 4^-42 ~ 5e-26 of the graded width from the endpoint, enough for exponents
@@ -101,23 +105,31 @@ def width_classes(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.add.reduceat(half[order], starts) / counts, mids, counts
 
 
-def truncation_point(fn, side: int, degree: int = 0) -> float:
-    """Radius beyond which ``fn(ξ) * max(1,|ξ|)**degree`` is negligible.
+def scan(fn, side: int) -> np.ndarray:
+    """fn at side * SCAN_RADII, the samples ``truncation_point`` cuts from.
 
-    ``side`` is +1 or -1; fn is sampled at side * r for the 1200 radii r
-    spaced geometrically from 1e-2 to 1e9.  The returned radius R satisfies
-    fn(side*r)*r^degree <= 1e-18 * (scanned maximum) for every scanned r >= R.
-    Raises ValueError when no such radius exists within 1e9 (the integrand
-    does not decay).
+    ``side`` is +1 or -1.  The samples depend on the weight alone, not on
+    the degree, so a measure keeps them (``MeasureSpec.tails``).
     """
-    rs = np.geomspace(1e-2, 1e9, 1200)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.asarray(fn(side * rs), dtype=float)
+        return np.asarray(fn(side * SCAN_RADII), dtype=float)
+
+
+def truncation_point(vals: np.ndarray, degree: int = 0) -> float:
+    """Radius beyond which a weight times ``max(1,|ξ|)**degree`` is negligible.
+
+    ``vals`` is the weight on one side at the radii r of SCAN_RADII
+    (``scan``).  The returned radius R satisfies
+    w(r) r^degree <= 1e-18 * (scanned maximum) for every scanned r >= R.
+    Raises ValueError when a sample is not finite, or when no such radius
+    exists within 1e9 (the integrand does not decay).
+    """
     if not np.all(np.isfinite(vals)):
         raise ValueError("weight evaluation produced non-finite values")
     # Points where the weight has underflowed to zero are negligible no
     # matter the polynomial factor; flooring them instead would make the
     # r^degree term dominate the scan for large degree.
+    rs = SCAN_RADII
     logs = np.full(rs.shape, -np.inf)
     pos = vals > 0.0
     logs[pos] = np.log(vals[pos]) + degree * np.log(np.maximum(rs[pos], 1.0))

@@ -32,7 +32,7 @@ import numpy as np
 from . import recurrence as rec
 from . import specfun
 from .diffop import _I_POWERS
-from .quadrature import oscillatory_transform
+from .quadrature import _transform_interval, oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -352,18 +352,15 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
     sigma = _combine_sigma(basis, sigma)
     if basis.sigma is not None:
         extra_freq = extra_freq + _sigma_freq(basis, basis.sigma, nmax)
-    meas = basis.measure
-    rows = oscillatory_transform(basis.jacobi, nmax, lambda xi: np.sqrt(meas.weight(xi)),
-                                 meas.support, meas.breakpoints, xs, tol, phase=sigma,
-                                 phase_freq=extra_freq, fold=meas.symmetric and sigma is None)
+    rows = oscillatory_transform(basis.jacobi, nmax, basis.measure, xs, tol, phase=sigma,
+                                 phase_freq=extra_freq)
     rows *= _I_POWERS[np.arange(nmax + 1) % 4][:, None]
     return rows
 
 
 def _band(basis: TransformedBasis, degree: int) -> tuple[float, float]:
     """The truncated support [lo, hi] the quadrature route integrates rows 0..degree over."""
-    meas = basis.measure
-    return rec._truncated_interval(lambda xi: np.sqrt(meas.weight(xi)), meas.support, degree)
+    return _transform_interval(basis.measure, degree)
 
 
 def _sigma_freq(basis: TransformedBasis, sigma, degree: int) -> float:

@@ -204,7 +204,9 @@ def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
     # rows first: a Hermite grid pair builds its scale in the same table sweep
     table = np.asarray(path.rows(grid), dtype=complex)
     a = path.analyze(np.asarray(f0(path.nodes), dtype=complex))
-    states = [a, *sch._run(path, tau, a, V, steps, path.leave)[1]]
+    # the states after each step leave the path's coordinates in one product
+    stepped = sch._run(path, tau, a, V, steps, np.copy)[1]
+    states = [a, *(path.leave(np.stack(stepped)) if stepped else [])]
     u = np.array([vec @ table for vec in states])
     norms = [float(np.linalg.norm(vec)) for vec in states]
     columns = _grid_columns([k * tau for k in range(steps + 1)], grid, u)

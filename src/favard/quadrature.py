@@ -11,7 +11,7 @@ import numpy as np
 from . import _panels
 from ._lapack import singular_values, split_bidiagonal
 from .errors import AccuracyError, EigenError
-from .recurrence import JacobiMatrix, _truncated_interval, eval_poly_table
+from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval, eval_poly_table
 
 __all__ = ["QuadratureRule", "golub_welsch", "integrate", "oscillatory_transform"]
 
@@ -171,18 +171,32 @@ def integrate(f, rule: QuadratureRule) -> float | complex:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _transform_edges(support, breakpoints, interval, degree, freq, refine, half=False):
-    """Panel edges on the truncated support ``interval``, panels at most
-    pi/(1 + freq) wide.
+def _transform_interval(measure: MeasureSpec, degree: int) -> tuple[float, float]:
+    """The truncated support [lo, hi] the transform of rows 0..degree integrates over.
 
-    ``interval`` is ``recurrence._truncated_interval`` of sqrt(w) at
-    ``degree``.  With ``half`` the edges cover [0, hi] only, with the panel
-    width of the whole rule, grading toward 0 when 0 is a breakpoint: for a
-    symmetric measure the rule on them, with doubled weights, stands for the
-    whole line.
+    An infinite side is cut where sqrt(w) max(1, |xi|)^degree falls below
+    1e-18 of its scanned maximum (``_panels.truncation_point``), from the
+    square roots of the measure's one weight scan (``MeasureSpec.tails``).
+    """
+    with np.errstate(invalid="ignore"):
+        roots = {side: np.sqrt(vals) for side, vals in measure.tails().items()}
+    return _truncated_interval(measure.support, roots, degree)
+
+
+def _transform_edges(measure, interval, degree, freq, refine, half=False):
+    """Panel edges on the truncated support ``interval`` at refinement level ``refine``.
+
+    ``interval`` is ``_transform_interval(measure, degree)``.  Level 0 takes
+    panels at most min(4 pi / (1 + freq), 4 (hi - lo) / max(8, degree))
+    wide, about 16 Gauss nodes per wavelength of e^{i x xi} at the largest
+    |x|; each level halves the width.  With ``half`` the edges cover
+    [0, hi] only, with the panel width of the whole rule, grading toward 0
+    when 0 is a breakpoint: for a symmetric measure the rule on them, with
+    doubled weights, stands for the whole line.
     """
     lo, hi = interval
-    width = min((hi - lo) / max(8, degree), math.pi / (1.0 + freq)) / 2.0**refine
+    support, breakpoints = measure.support, measure.breakpoints
+    width = 4.0 * min((hi - lo) / max(8, degree), math.pi / (1.0 + freq)) / 2.0**refine
     return _panels.build_edges(
         0.0 if half else lo,
         hi,
@@ -209,19 +223,25 @@ def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
         np.matmul(table, factor.view(float), out=out.view(float))
 
 
-def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support, breakpoints,
-                          x, tol: float = 1e-10, *, phase=None, phase_freq: float = 0.0,
-                          fold: bool = False) -> np.ndarray:
-    """Rows (1/sqrt(2 pi)) integral e^{i x xi} p_n(xi) sqrt_weight(xi) d xi, n = 0..nmax.
+def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec, x,
+                          tol: float = 1e-10, *, phase=None,
+                          phase_freq: float = 0.0) -> np.ndarray:
+    """Rows (1/sqrt(2 pi)) integral e^{i x xi} p_n(xi) sqrt(w(xi)) d xi, n = 0..nmax.
 
-    ``p_n`` are the orthonormal polynomials of ``jacobi``; for the points of
-    the flat array ``x`` the result has shape (nmax+1, len(x)).  One rule of
-    Gauss panels on the truncated support (``_transform_edges``, panels at
-    most pi/(1 + max|x| + phase_freq) wide) serves every row and point, and its
-    panel count is doubled until two levels agree to ``tol`` everywhere;
-    failure within four doublings raises AccuracyError carrying the
-    estimate.  ``phase`` adds a real sigma(xi) inside the kernel, and
-    ``phase_freq`` should then bound max |sigma'|.
+    ``p_n`` are the orthonormal polynomials of ``jacobi`` and w is the
+    weight of the continuous ``measure``; for the points of the flat array
+    ``x`` the result has shape (nmax+1, len(x)).  One rule of Gauss panels
+    on the truncated support (``_transform_interval``, cut from the
+    measure's one weight scan) serves every row and point.  Its first level
+    (``_transform_edges``) takes panels at most
+    4 pi / (1 + max|x| + phase_freq) wide, about 16 nodes per wavelength of
+    the kernel, where a Gauss rule already converges
+    (Trefethen, SIAM Review 50, 2008); the panel count is doubled until two
+    levels agree to ``tol`` everywhere, and the finer of the two is
+    returned.  Six doublings reach panels 1/64 of the first level's width;
+    failure there raises AccuracyError carrying the estimate.  ``phase``
+    adds a real sigma(xi) inside the kernel, and ``phase_freq`` should then
+    bound max |sigma'|.
 
     The Fourier kernel is built per panel, not per node.  The panels of a
     level are grouped by width (``_panels.width_classes``): every node is
@@ -229,17 +249,17 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support,
     one of the GL_ORDER Gauss offsets t_k, so e^{i x xi} is the panel factor
     e^{i x m_q} times the offset factor e^{i x h t_k}: 2 (panels +
     GL_ORDER * classes) trigonometric calls per point where a kernel per
-    node takes 2 per node.  The table p_n(xi) w sqrt_weight(xi), times
-    e^{i sigma(xi)} with a phase, meets the factors in whichever order costs
-    less: a class of more panels than rows goes through one matrix product
-    with its panel factors and is then summed against its offset factors;
-    the kernel entries of the other classes (graded panels, mostly alone in
-    their class) are formed as products of the two factors and go through
-    one matrix product together.  Intermediates are chunked over x to about
-    2^21 entries.
+    node takes 2 per node.  The table of p_n(xi) sqrt(w(xi)) times the
+    Gauss weights, and times e^{i sigma(xi)} with a phase, meets the
+    factors in whichever order costs less: a class of more panels than
+    rows goes through one matrix product with its panel factors and is
+    then summed against its offset factors; the kernel entries of the
+    other classes (graded panels, mostly alone in their class) are formed
+    as products of the two factors and go through one matrix product
+    together.  Intermediates are chunked over x to about 2^21 entries.
 
-    ``fold`` asserts a symmetric measure and no phase: p_n has the parity of
-    n and sqrt_weight is even, so the integral is twice that over [0, hi] of
+    A symmetric measure without a phase folds: p_n has the parity of n and
+    sqrt(w) is even, so the integral is twice that over [0, hi] of
     cos(x xi) (even n) or i sin(x xi) (odd n).  The rule is then the
     mirrored half rule (same panel width, doubled weights), and only the
     real parts of the even rows and the imaginary parts of the odd rows are
@@ -249,12 +269,15 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support,
     rows = nmax + 1
     order = _panels.GL_ORDER
     freq = float(np.max(np.abs(xs), initial=0.0)) + phase_freq
+    fold = measure.symmetric and phase is None
     # every refinement level shares the one truncated interval
-    interval = _truncated_interval(sqrt_weight, support, nmax)
+    interval = _transform_interval(measure, nmax)
+
+    def sqrt_weight(xi):
+        return np.sqrt(measure.weight(xi))
 
     def evaluate(refine: int) -> np.ndarray:
-        edges = _transform_edges(support, breakpoints, interval, nmax, freq, refine,
-                                 half=fold)
+        edges = _transform_edges(measure, interval, nmax, freq, refine, half=fold)
         half, mids, counts = _panels.width_classes(edges)
         hq = np.repeat(half, counts)
         # node (k, q) is m_q + h t_k; a class is a block of panels q
@@ -299,7 +322,7 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, sqrt_weight, support,
 
     prev = evaluate(0)
     est = np.inf
-    for refine in range(1, 5):
+    for refine in range(1, 7):
         cur = evaluate(refine)
         est = float(np.max(np.abs(cur - prev), initial=0.0))
         if est <= tol:

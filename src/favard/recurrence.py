@@ -11,7 +11,7 @@ evaluation, and the discretized Stieltjes procedure for arbitrary measures.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -88,6 +88,8 @@ class MeasureSpec:
     breakpoints: tuple = ()
     name: str = ""
     symmetric: bool = False
+    # ``tails``: the weight on each infinite side at the scan radii
+    _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("continuous", "discrete"):
@@ -97,9 +99,25 @@ class MeasureSpec:
         if self.kind == "discrete" and (self.points is None or self.masses is None):
             raise ValueError("discrete measure needs points and masses")
 
+    def tails(self) -> dict:
+        """{side: w(side * SCAN_RADII)} for each infinite side (-1, +1) of the support.
 
-def _measure_mass(raw_weight, support, breakpoints) -> float:
-    lo, hi = _truncated_interval(raw_weight, support, degree=0)
+        The scan is taken once per measure, on first use, and every
+        truncated interval of the measure is cut from it
+        (``_truncated_interval``): the samples do not depend on the degree.
+        """
+        for side in _infinite_sides(self.support):
+            if side not in self._tails:
+                self._tails[side] = _panels.scan(self.weight, side)
+        return self._tails
+
+
+def _infinite_sides(support) -> tuple:
+    return tuple(side for side, end in zip((-1, 1), support) if not np.isfinite(end))
+
+
+def _measure_mass(raw_weight, support, breakpoints, tails) -> float:
+    lo, hi = _truncated_interval(support, tails, degree=0)
     edges = _panels.build_edges(
         lo,
         hi,
@@ -112,28 +130,39 @@ def _measure_mass(raw_weight, support, breakpoints) -> float:
     return float(np.sum(w * raw_weight(x)))
 
 
-def _truncated_interval(weight, support, degree):
-    """Finite interval outside of which weight * |xi|^degree is negligible."""
+def _truncated_interval(support, tails, degree):
+    """Finite interval outside of which a weight times |xi|^degree is negligible.
+
+    ``tails`` maps each infinite side of ``support`` to the weight's samples
+    there (``MeasureSpec.tails``); a finite end is kept.
+    """
     lo, hi = support
     if not np.isfinite(lo):
-        lo = -_panels.truncation_point(weight, side=-1, degree=degree)
+        lo = -_panels.truncation_point(tails[-1], degree)
     if not np.isfinite(hi):
-        hi = _panels.truncation_point(weight, side=+1, degree=degree)
+        hi = _panels.truncation_point(tails[1], degree)
     return lo, hi
 
 
 def continuous_measure(raw_weight, support, *, breakpoints=(), name="",
                        mass=None, symmetric=False) -> MeasureSpec:
-    """Wrap a nonnegative integrable density as a unit-mass MeasureSpec."""
+    """Wrap a nonnegative integrable density as a unit-mass MeasureSpec.
+
+    Without a given ``mass`` the mass is integrated on the interval cut
+    from the raw weight's tail scan, and the measure keeps that scan times
+    1/mass as its own ``tails``, so the weight is scanned once either way.
+    """
     lo, hi = support
     if not hi > lo:
         raise ValueError("empty support")
+    raw_tails = {}
     if mass is None:
-        mass = _measure_mass(raw_weight, support, breakpoints)
+        raw_tails = {side: _panels.scan(raw_weight, side) for side in _infinite_sides(support)}
+        mass = _measure_mass(raw_weight, support, breakpoints, raw_tails)
     if not (np.isfinite(mass) and mass > 0.0):
         raise DegenerateMeasureError("measure has non-positive or infinite mass")
     inv = 1.0 / mass
-    return MeasureSpec(
+    spec = MeasureSpec(
         kind="continuous",
         support=(float(lo), float(hi)),
         weight=lambda xi: raw_weight(xi) * inv,
@@ -141,6 +170,10 @@ def continuous_measure(raw_weight, support, *, breakpoints=(), name="",
         name=name,
         symmetric=symmetric,
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # bit for bit what ``weight`` gives at the scan radii
+        spec._tails.update((side, vals * inv) for side, vals in raw_tails.items())
+    return spec
 
 
 def hermite_measure() -> MeasureSpec:
@@ -377,7 +410,7 @@ def _discretize(measure: MeasureSpec, M: int, degree: int):
     """Point-mass discretization (nodes, weights) resolving moments to ``degree``."""
     if measure.kind == "discrete":
         return np.asarray(measure.points, float), np.asarray(measure.masses, float)
-    lo, hi = _truncated_interval(measure.weight, measure.support, degree)
+    lo, hi = _truncated_interval(measure.support, measure.tails(), degree)
     panels = max(8, int(np.ceil(M / _panels.GL_ORDER)))
     edges = _panels.build_edges(
         lo,

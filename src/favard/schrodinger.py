@@ -245,7 +245,8 @@ class _EigenbasisPath:
         return diffop._to_spectral(self.D, v)
 
     def leave(self, z: np.ndarray) -> np.ndarray:
-        return diffop._from_spectral(self.D, z)
+        """S V z; a stack of states z[s] leaves in one product, as rows."""
+        return diffop._I_POWERS[-np.arange(self.D.N) % 4] * self.D.eigensystem.times(z.T).T
 
     def kick(self, phase: np.ndarray):
         enter, leave, synthesize, analyze = self.enter, self.leave, self.synthesize, self.analyze
@@ -279,11 +280,12 @@ class _BilateralPath(_EigenbasisPath):
         return self.D.eigensystem.t_times(w)
 
     def leave(self, z: np.ndarray) -> np.ndarray:
+        """The window's coefficients; a stack of states z[s] leaves in one product, as rows."""
         K = self.D.N
-        y = self.D.eigensystem.times(z)
-        out = np.empty(2 * K, dtype=complex)
-        np.multiply(self.minus_i_m, y[:, 0], out=out[K:])
-        np.multiply(self.i_m, y[:, 1], out=out[K - 1::-1])
+        y = np.moveaxis(self.D.eigensystem.times(np.moveaxis(z, -2, 0)), 0, -2)
+        out = np.empty(z.shape[:-2] + (2 * K,), dtype=complex)
+        np.multiply(self.minus_i_m, y[..., 0], out=out[..., K:])
+        np.multiply(self.i_m, y[..., 1], out=out[..., K - 1::-1])
         return out
 
 
@@ -347,9 +349,11 @@ class _FoldedPath:
         return f
 
     def leave(self, f: np.ndarray) -> np.ndarray:
-        out = np.empty(self.N, dtype=complex)
-        out[0::2] = diffop._real_times(self.eig.U, self.scale * f[0])
-        out[1::2] = diffop._real_times(self.eig.W, 1j * math.sqrt(2.0) * f[1, self.r:])
+        """The coefficients of f; a stack of states f[s] leaves in one product, as rows."""
+        out = np.empty(f.shape[:-2] + (self.N,), dtype=complex)
+        out[..., 0::2] = diffop._real_times(self.eig.U, (self.scale * f[..., 0, :]).T).T
+        out[..., 1::2] = diffop._real_times(self.eig.W,
+                                            (1j * math.sqrt(2.0) * f[..., 1, self.r:]).T).T
         return diffop._I_POWERS[-np.arange(self.N) % 4] * out
 
     def kick(self, phase: np.ndarray):
@@ -410,7 +414,8 @@ def _run(path, tau: float, v: np.ndarray, V, steps: int,
     in the path's coordinates after every step when ``each`` is given.
 
     The state enters the path's coordinates once and leaves them once
-    (``each=path.leave`` gives the coefficient vector after every step).
+    (``each=np.copy`` keeps the state after every step, whose stack
+    ``path.leave`` takes to coefficients in one product).
     The free half-steps exp(i tau/2 D^2) are diagonal there, so the closing
     half-step of one step and the opening half-step of the next need no
     change of basis between them.
@@ -461,7 +466,9 @@ def strang_propagate(a, tau: float, steps: int, V,
     """``steps`` Strang steps of size tau on the basis's cached path for the size of a.
 
     For mt the N values of a are the coefficients of n = -N/2..N/2-1, N
-    even.  Returns the final CoefficientVector.  Warns when the run loses more
+    even; a CoefficientVector on another window (``mt_coeffs_fft`` gives
+    n = -N/2+1..N/2) raises ValueError rather than being read shifted.
+    Returns the final CoefficientVector.  Warns when the run loses more
     than 1e-6 of the norm to analysis/synthesis truncation.  The state
     after every step is ``_run``'s to give, as the ``schrodinger`` command
     takes it.
@@ -469,8 +476,14 @@ def strang_propagate(a, tau: float, steps: int, V,
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     v = diffop._vector_of(a)
+    path = _strang_setup(basis, len(v))  # refuses an odd mt size
+    K = len(v) // 2
+    start = getattr(a, "n_start", None)
+    if basis.bilateral and start is not None and start != -K:
+        raise ValueError(f"mt Strang splitting takes the window n = {-K}..{K - 1}, "
+                         f"but the coefficients are indexed n = {start}..{start + 2 * K - 1}")
     norm0 = float(np.linalg.norm(v))
-    v = _run(_strang_setup(basis, len(v)), tau, v, V, steps)[0]
+    v = _run(path, tau, v, V, steps)[0]
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     return a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
         v, -(len(v) // 2) if basis.bilateral else 0, basis,

@@ -327,10 +327,19 @@ def check_cramer(N: int = 50, lo: float = -10.0, hi: float = 10.0,
     """max_n max_x |phi_n(x)| - pi^{-1/4} over the Hermite family, n <= N.
 
     The table is reduced in place: its moduli overwrite it, and one argmax
-    gives both the peak and where it lies.
+    gives both the peak and where it lies.  |phi_n| is even in x bit for
+    bit, so an odd-``samples`` window with lo = -hi, built from its
+    nonnegative half and mirrored as ``coeffs.coeffs_xspace`` builds it,
+    sweeps only its points x <= 0: the argmax there is the whole grid's
+    first one.  Any other window takes ``np.linspace(lo, hi, samples)``.
     """
-    x = np.linspace(lo, hi, samples)
-    table = basis_mod.hermite_function_table(N, x)
+    if samples % 2 == 1 and lo == -hi:
+        half = np.linspace(0.0, hi, samples // 2 + 1)
+        x = np.concatenate((-half[:0:-1], half))
+        table = basis_mod.hermite_function_table(N, half[::-1])  # |x| on x <= 0
+    else:
+        x = np.linspace(lo, hi, samples)
+        table = basis_mod.hermite_function_table(N, x)
     np.abs(table, out=table)
     idx = np.unravel_index(np.argmax(table), table.shape)
     peak = float(table[idx])

@@ -19,7 +19,8 @@ from favard import _panels
 from favard import basis as bas
 from favard import recurrence as rec
 from favard import specfun
-from favard.quadrature import _SQRT_2PI, _transform_edges
+from favard.errors import AccuracyError
+from favard.quadrature import _SQRT_2PI, _transform_edges, _transform_interval
 from favard.basis import (
     hermite_function,
     hermite_function_table,
@@ -363,6 +364,58 @@ def test_quadrature_path_matches_closed_forms():
             assert np.max(np.abs(quad - ref)) < 1e-9, (family, n)
 
 
+@pytest.mark.parametrize("nmax", [31, 63])
+@pytest.mark.parametrize("family", ["hermite", "legendre", "tanhjacobi:0.75,0.75",
+                                    "tanhjacobi:0.25,0.75", "conthahn:1,1"])
+def test_quadrature_rows_match_closed_tables(family, nmax):
+    # the first level's panels are 4 pi / (1 + max|x|) wide, about 16 nodes
+    # per wavelength of the kernel: the rows it accepts are the closed
+    # table's at rounding level (tanhjacobi:0.25,0.75 with its gamma phase)
+    basis = make_basis(family, N=nmax + 1)
+    x = np.linspace(-40.0, 40.0, 33)
+    quad = phi_grid(basis, nmax, x, method="quadrature")
+    assert np.max(np.abs(quad - phi_grid(basis, nmax, x))) <= 1e-13
+
+
+def _fixed_mesh_rows(basis, nmax, x):
+    # rows i^n (1/sqrt(2 pi)) sum_j w_j p_n(xi_j) sqrt(w(xi_j)) e^{i x xi_j}
+    # on one fixed whole-line mesh of panels pi / (8 (1 + max|x|)) wide,
+    # a kernel entry per node: a level finer than the route ever needs
+    meas = basis.measure
+    basis.ensure(nmax)
+    lo, hi = _transform_interval(meas, nmax)
+    width = math.pi / (8.0 * (1.0 + float(np.max(np.abs(x)))))
+    edges = _panels.build_edges(lo, hi, width, grade_lo=np.isfinite(meas.support[0]),
+                                grade_hi=np.isfinite(meas.support[1]),
+                                interior=meas.breakpoints)
+    xi, w = _panels.panel_rule(edges)
+    table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * np.sqrt(meas.weight(xi)))
+    arg = np.outer(xi, x)
+    rows = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
+    return (1j ** (np.arange(nmax + 1) % 4))[:, None] * rows / _SQRT_2PI
+
+
+@pytest.mark.parametrize("family", ["jacobi:0.5,1.5", "jacobi:-0.5,0.5", "genhermite:1",
+                                    "laguerre:1", "custom-weight:exp(-x^4)"])
+def test_quadrature_rows_match_a_fixed_fine_mesh(family):
+    # families without a closed table: the adaptive route's accepted level
+    # against a mesh 32 times finer than its first level
+    basis = make_basis(family, N=16)
+    x = np.linspace(-12.0, 12.0, 25)
+    got = phi_grid(basis, 15, x, method="quadrature")
+    assert np.max(np.abs(got - _fixed_mesh_rows(basis, 15, x))) <= 1e-12
+
+
+def test_kinked_custom_weight_still_gives_up():
+    # the kink of e^{-|x - 0.3|} is no breakpoint of the measure: the
+    # levels never agree to 1e-10, and the two finest ones (panels 1/64 of
+    # the first level's) carry the estimate
+    basis = make_basis("custom-weight:exp(-abs(x-0.3))", N=8)
+    with pytest.raises(AccuracyError) as info:
+        phi_grid(basis, 6, np.linspace(-3.0, 3.0, 13), method="quadrature")
+    assert 1.8e-7 < info.value.estimate < 2.0e-7
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 0.5), (1.0, 0.5), (0.75, 0.25)])
 def test_conthahn_rows_are_dilated_tanh_jacobi_rows(a, b):
     # conthahn:a,b is tanhjacobi:a,b's measure at dilation 1, not 2: its
@@ -455,12 +508,11 @@ def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
         return np.sqrt(meas.weight(xi))
 
     freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
-    interval = rec._truncated_interval(sqrtw, meas.support, nmax)
+    interval = _transform_interval(meas, nmax)
     phases = 1j ** (np.arange(nmax + 1) % 4)
     prev = None
-    for refine in range(5):
-        xi, w = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
-                                                    nmax, freq, refine))
+    for refine in range(7):
+        xi, w = _panels.panel_rule(_transform_edges(meas, interval, nmax, freq, refine))
         table = rec.eval_poly_table(basis.jacobi, nmax, xi) * (w * sqrtw(xi))
         out = np.empty((nmax + 1, xs.size), dtype=complex)
         step = max(16, (1 << 21) // max(xi.size, 1))
@@ -517,15 +569,9 @@ def test_half_rule_mirrors_the_whole_line_rule():
     # with 0 as a breakpoint (genhermite) the whole-line rule is the half
     # rule and its mirror image, with the same weights (the fold doubles them)
     meas = make_basis("genhermite:1", N=8).measure
-
-    def sqrtw(xi):
-        return np.sqrt(meas.weight(xi))
-
-    interval = rec._truncated_interval(sqrtw, meas.support, 7)
-    xi, w = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
-                                                7, 4.0, 1))
-    hx, hw = _panels.panel_rule(_transform_edges(meas.support, meas.breakpoints, interval,
-                                                 7, 4.0, 1, half=True))
+    interval = _transform_interval(meas, 7)
+    xi, w = _panels.panel_rule(_transform_edges(meas, interval, 7, 4.0, 1))
+    hx, hw = _panels.panel_rule(_transform_edges(meas, interval, 7, 4.0, 1, half=True))
     order = np.argsort(hx)
     assert hx.min() > 0.0
     upper = np.argsort(xi[xi > 0.0])

@@ -404,6 +404,29 @@ def test_schrodinger_hermite_sweeps_the_table_once(monkeypatch, capsys):
     assert calls == [63, 62]
 
 
+@pytest.mark.parametrize("basis", ["hermite", "mt"])
+def test_schrodinger_leaves_the_path_coordinates_once(monkeypatch, capsys, basis):
+    # the states after the 8 steps leave as one stack, after the final
+    # state's own leave (mt's kicks leave one state each, as before)
+    from favard import schrodinger as sch
+
+    shapes = []
+    setup = sch._strang_setup
+
+    def counted(bas, N):
+        path = setup(bas, N)
+        leave = type(path).leave
+        monkeypatch.setattr(path, "leave", lambda z: shapes.append(z.shape) or leave(path, z))
+        return path
+
+    monkeypatch.setattr(sch, "_strang_setup", counted)
+    rc, out = run_cli(["schrodinger", "--basis", basis, "--N", "64", "--f0", "exp(-x^2)",
+                       "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"], capsys)
+    assert rc == 0
+    assert shapes[-1] == (8,) + shapes[-2]
+    assert sum(len(shape) == len(shapes[-1]) for shape in shapes) == 1
+
+
 @pytest.mark.parametrize("N", [64, 512])
 def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
     # bit for bit a = analyze(f0 at the nodes) times the closed table on the

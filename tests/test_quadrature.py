@@ -9,7 +9,7 @@ import scipy.special
 from favard import _panels
 from favard import basis as bas
 from favard import recurrence as rec
-from favard.quadrature import _transform_edges, golub_welsch, integrate
+from favard.quadrature import _transform_edges, _transform_interval, golub_welsch, integrate
 
 
 def test_gauss_hermite_matches_scipy():
@@ -128,32 +128,77 @@ def test_large_n_weights_finite_nonnegative_normalized():
 
 def _transform_edges_of(family, degree, freq, refine, half):
     meas = bas.make_basis(family, N=8).measure
-
-    def sqrtw(xi):
-        return np.sqrt(meas.weight(xi))
-
-    interval = rec._truncated_interval(sqrtw, meas.support, degree)
-    return _transform_edges(meas.support, meas.breakpoints, interval, degree, freq, refine,
+    return _transform_edges(meas, _transform_interval(meas, degree), degree, freq, refine,
                             half=half)
 
 
-def test_oscillatory_transform_truncates_once(monkeypatch):
-    # the truncated interval is scanned once per call, not once per
-    # refinement level; the rows stay the same: one scan per infinite side
-    basis = bas.make_basis("conthahn:1,1", N=10)
-    x = np.linspace(-4.0, 4.0, 17)
-    want = bas.phi_grid(basis, 7, x, method="quadrature")
+def test_custom_weight_checks_scan_the_weight_once_per_side(monkeypatch, capsys):
+    # the mass, the Stieltjes discretization, the Gram band and every
+    # transform's interval are cut from one scan of the weight per side
+    # (parent: 10 scans for verify gram, 6 for verify recurrence)
+    from favard import cli, expr
+    from favard import verify as ver
+
+    compile_function = expr.compile_function
     scans = []
-    scan = _panels.truncation_point
 
-    def counted(*args, **kwargs):
-        scans.append(args)
-        return scan(*args, **kwargs)
+    def counted(text):
+        fn = compile_function(text)
 
-    monkeypatch.setattr(_panels, "truncation_point", counted)
-    got = bas.phi_grid(basis, 7, x, method="quadrature")
-    assert len(scans) == 2
-    assert np.array_equal(got, want)
+        def weight(x):
+            if np.shape(x) == _panels.SCAN_RADII.shape and np.array_equal(
+                    np.abs(x), _panels.SCAN_RADII):
+                scans.append(int(np.sign(x[0])))
+            return fn(x)
+
+        return weight
+
+    monkeypatch.setattr(expr, "compile_function", counted)
+    basis = bas.make_basis("custom-weight:exp(-x^4)", N=12)
+    assert ver.check_gram(basis, 12).passed
+    assert ver.check_recurrence(basis, 10).passed
+    assert sorted(scans) == [-1, 1]
+    for check in ("gram", "recurrence"):
+        scans.clear()
+        assert cli.main(["verify", check, "--family", "custom-weight:exp(-x^4)"]) == 0
+        assert sorted(scans) == [-1, 1]
+    capsys.readouterr()
+
+
+def _scanned_truncation_point(fn, side, degree):
+    # the per-call scan the measure's tails replace, kept as the reference
+    rs = np.geomspace(1e-2, 1e9, 1200)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(fn(side * rs), dtype=float)
+    assert np.all(np.isfinite(vals))
+    logs = np.full(rs.shape, -np.inf)
+    pos = vals > 0.0
+    logs[pos] = np.log(vals[pos]) + degree * np.log(np.maximum(rs[pos], 1.0))
+    above = np.nonzero(logs > np.max(logs) + np.log(1e-18))[0]
+    return float(rs[0]) if above.size == 0 else float(rs[above[-1] + 1])
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre:1", "custom-weight:exp(-x^4)",
+                                    "conthahn:1,1"])
+def test_cut_points_are_the_per_call_scans_bit_for_bit(family):
+    meas = bas.make_basis(family, N=8).measure
+
+    def root(xi):
+        return np.sqrt(meas.weight(xi))
+
+    def scanned(fn, degree):
+        lo, hi = meas.support
+        return (lo if np.isfinite(lo) else -_scanned_truncation_point(fn, -1, degree),
+                hi if np.isfinite(hi) else _scanned_truncation_point(fn, 1, degree))
+
+    # a custom weight's tails are its mass scan times 1/mass: what the
+    # normalized weight gives at the scan radii
+    for side, vals in meas.tails().items():
+        assert np.array_equal(vals, meas.weight(side * _panels.SCAN_RADII))
+    for degree in (0, 11, 63):
+        assert rec._truncated_interval(meas.support, meas.tails(), degree) == scanned(
+            meas.weight, degree)
+        assert _transform_interval(meas, degree) == scanned(root, degree)
 
 
 @pytest.mark.parametrize("edges", [

@@ -336,6 +336,27 @@ def _hermite_with_diag(N, diag):
                             closed_table=hermite_function_table)
 
 
+@pytest.mark.parametrize("make,N", [
+    (lambda N: make_basis("hermite", N=N), 63),
+    (lambda N: _hermite_with_diag(N, 1e-300), 64),
+    (lambda N: make_basis("mt", N=N), 64),
+], ids=["folded-63", "eigenbasis-64", "bilateral-64"])
+def test_a_stack_of_states_leaves_as_its_rows(make, N):
+    # every path's leave takes a stack of states to the stack of their
+    # coefficient vectors in one product
+    basis = make(N)
+    path = sch._strang_setup(basis, N)
+    rng = np.random.default_rng(7)
+    states = []
+    for _ in range(3):
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        states.append(path.enter(v))
+    stack = path.leave(np.stack(states))
+    assert stack.shape == (3, N)
+    for z, row in zip(states, stack):
+        assert np.max(np.abs(row - path.leave(z))) <= 1e-14
+
+
 @pytest.mark.parametrize("N,diag", [(512, 0.0), (63, 0.0), (64, 1e-300)])
 def test_strang_matches_table_route(N, diag):
     # a zero diagonal takes the folded step, any nonzero one (here far below
@@ -366,7 +387,7 @@ def test_strang_step_is_one_propagate_step(make, N, V):
     basis = make(N)
     rng = np.random.default_rng(N)
     values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    vec = co.CoefficientVector(values, basis=basis)
+    vec = co.CoefficientVector(values, -(N // 2) if basis.bilateral else 0, basis)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationLossWarning)
         for a in (values, vec):
@@ -470,6 +491,22 @@ def test_mt_strang_never_warns():
         warnings.simplefilter("error", TruncationLossWarning)
         out = sch.strang_propagate(a, 0.5, 2, lambda x: 8.0 * x**2, basis)
     assert abs(np.linalg.norm(out.values) - np.linalg.norm(a)) < 1e-13
+
+
+def test_mt_strang_refuses_the_coefficient_window():
+    # mt_coeffs_fft indexes n = -N/2+1..N/2, Strang n = -N/2..N/2-1: a vector
+    # on the first window would be read shifted by one index
+    basis = make_basis("mt", N=32)
+    a = co.mt_coeffs_fft(lambda x: np.exp(-x * x), 32)
+    assert a.n_start == -15
+    with pytest.raises(ValueError, match=r"n = -16\.\.15.*n = -15\.\.16"):
+        sch.strang_propagate(a, 0.1, 2, lambda x: x * x, basis)
+    # the Strang window itself, and a plain array, keep their meaning
+    on_window = co.CoefficientVector(a.values, -16, basis)
+    out = sch.strang_propagate(on_window, 0.1, 2, lambda x: x * x, basis)
+    assert out.n_start == -16
+    plain = sch.strang_propagate(a.values, 0.1, 2, lambda x: x * x, basis)
+    assert np.array_equal(plain.values, out.values)
 
 
 def test_fft_grid_reference_self_consistency():

@@ -256,6 +256,30 @@ def test_cramer_report_frozen():
     assert rep.metadata == {"N": 50, "samples": 10001, "argmax_n": 0, "argmax_x": 0.0}
 
 
+def test_cramer_sweeps_the_nonpositive_half_of_a_symmetric_window(monkeypatch):
+    # |phi_n| is even bit for bit: a mirrored window sweeps its points x <= 0,
+    # and the report is the whole mirrored grid's, argmax included
+    sizes = []
+    table = basis_mod.hermite_function_table
+
+    def counted(nmax, x):
+        sizes.append(np.size(x))
+        return table(nmax, x)
+
+    monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
+    for lo, hi, samples in ((-10.0, 10.0, 10001), (-math.pi, math.pi, 101), (-2.5, 2.5, 11)):
+        rep = ver.check_cramer(7, lo, hi, samples)
+        half = np.linspace(0.0, hi, samples // 2 + 1)
+        x = np.concatenate((-half[:0:-1], half))
+        full = np.abs(table(7, x))
+        n, j = np.unravel_index(np.argmax(full), full.shape)
+        assert rep.max_abs_error == full[n, j] - math.pi ** -0.25
+        assert (rep.metadata["argmax_n"], rep.metadata["argmax_x"]) == (n, x[j])
+        assert sizes.pop() == samples // 2 + 1
+    ver.check_cramer(7, -1.0, 2.0, 101)
+    assert sizes == [101]
+
+
 def test_cramer_memory_is_one_table():
     # the moduli overwrite the table and one argmax reads the peak: no
     # table-sized copy besides the table itself (two np.abs copies read 2.02x)
