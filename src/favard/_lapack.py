@@ -8,7 +8,10 @@ routines are used: ``dlasq1`` (dqds, singular values to high relative
 accuracy; Fernando & Parlett, Numer. Math. 67, 1994) and ``dbdsdc``
 (divide and conquer, singular vectors; Gu & Eisenstat, SIAM J. Matrix Anal.
 Appl. 16, 1995).  Neither forms B^T B, so neither squares away the relative
-accuracy of small singular values.
+accuracy of small singular values.  dbdsdc's merges call the OpenBLAS
+behind ``cython_lapack``, whose threaded dgemm sums in an order that depends
+on the thread count; each call runs on one thread (``_call``), so the
+vectors are the same bits on any machine setting.
 """
 
 import ctypes
@@ -70,9 +73,42 @@ def _routine(name: str):
     return ctypes.CFUNCTYPE(None, *_SIGNATURES[name])(pointer)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of SciPy's bundled OpenBLAS, or None.
+
+    The library sits in the ``scipy.libs`` directory next to the package (the
+    wheel layout); a SciPy built against another BLAS has no such file or
+    symbol, and then nothing is pinned.
+    """
+    import glob
+
+    import scipy
+
+    for folder in scipy.__path__:
+        pattern = os.path.join(os.path.dirname(folder), "scipy.libs", "libscipy_openblas*.so*")
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+                get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            return get, put
+    return None
+
+
 def _call(name: str, n: int, *args) -> None:
-    info = ctypes.c_int(0)
-    _routine(name)(*args, ctypes.byref(info))
+    """Call a LAPACK routine with SciPy's OpenBLAS on one thread, then restore its count."""
+    info, routine = ctypes.c_int(0), _routine(name)
+    get, put = _blas_threads() or (lambda: None, lambda count: None)
+    saved = get()
+    put(1)
+    try:
+        routine(*args, ctypes.byref(info))
+    finally:
+        put(saved)
     if info.value != 0:
         raise EigenError(f"LAPACK {name} failed for a bidiagonal of order {n}: info={info.value}")
 

@@ -207,7 +207,8 @@ def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
     # the states after each step leave the path's coordinates in one product
     stepped = sch._run(path, tau, a, V, steps, np.copy)[1]
     states = [a, *(path.leave(np.stack(stepped)) if stepped else [])]
-    u = np.array([vec @ table for vec in states])
+    # einsum sums in a fixed order: a BLAS product's order follows its thread count
+    u = np.einsum("si,ij->sj", np.array(states), table)
     norms = [float(np.linalg.norm(vec)) for vec in states]
     columns = _grid_columns([k * tau for k in range(steps + 1)], grid, u)
     columns.append(np.repeat(norms, grid.size).tolist())

@@ -12,18 +12,21 @@ max |x|.
 
 When the diagonal c is exactly zero (every symmetric family: Hermite,
 Legendre, ultraspherical, generalized Hermite, continuous Hahn and
-tanh-Jacobi), the even/odd split of the rows turns J into the Golub-Kahan
-form [[0, B], [B^T, 0]] with B an (N+1)//2-square lower bidiagonal
-(``_lapack.split_bidiagonal``).  Its nodes are +-sigma for the singular
-values sigma of B, and with B = Q diag(sigma) P^T the eigenvector of
-+-sigma_i is [q_i; +-p_i] / sqrt2 (the centre node 0 of odd N has
-[q_0; 0]).  So the operator is solved at half size and never squared: dqds
-gives sigma to high relative accuracy, the same nodes as the Gauss rule,
-and divide and conquer gives Q and P.  The eigensystem stays folded: only
-the columns of the nodes x >= 0 are kept, as two real blocks of about
-N/2 x N/2, and every product with V becomes two half-size products.
+tanh-Jacobi), D is real skew-symmetric and the eigensystem is its real
+Schur form (Ward & Gray, ACM TOMS 4, 1978).  The even/odd split of the rows
+turns J into the Golub-Kahan form [[0, B], [B^T, 0]] with B an
+(N+1)//2-square lower bidiagonal (``_lapack.split_bidiagonal``); its nodes
+are +-sigma for the singular values sigma of B = Q diag(sigma) P^T (the
+centre node 0 of odd N has q_0 alone).  dqds gives sigma to high relative
+accuracy, the same nodes as the Gauss rule, and divide and conquer gives Q
+and P.  With the signs of S folded into their rows, Q and P are the two
+blocks of D's orthogonal real Schur vectors, in which D is
+diag([[0, -sigma_i], [sigma_i, 0]]): in the coordinates
+(a, b) = (Q^T v_even, P^T v_odd), e^{tau D} turns each pair
+(a_i, b_i) by the angle tau sigma_i, and an even function such as the free
+flow is one phase on both.  Every product is half size and real.
 Operators with any nonzero c_n (Laguerre, MT, custom weights) keep the
-full V from LAPACK's ``stemr``.
+full V from LAPACK's ``stemr``, its rows signed the same way.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ class DiffMatrix:
         """J = V diag(x) V^T for the Jacobi section J (diagonal c, off-diagonal b).
 
         x are the Gauss nodes of the N-point rule.  Computed on first use,
-        then cached; a zero diagonal is solved at half size and kept folded
-        (``_folded_eigensystem``), any other one by ``stemr``, pinned so no
-        library default picks the driver.
+        then cached; a zero diagonal is solved at half size into the real
+        Schur form (``_folded_eigensystem``), any other one by ``stemr``,
+        pinned so no library default picks the driver.
         """
         if not np.any(self.diag):
             return _folded_eigensystem(self.sub)
@@ -149,7 +152,26 @@ def _real_times(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     z = np.ascontiguousarray(z, dtype=complex)
     pairs = z.view(float).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
-    return (M @ pairs).view(complex).reshape(M.shape[0], *z.shape[1:])
+    return np.matmul(M, pairs).view(complex).reshape(M.shape[0], *z.shape[1:])
+
+
+def _pairs(z: np.ndarray) -> np.ndarray:
+    """The real (..., 2) view of a contiguous complex array: real and imaginary parts."""
+    return z.view(float).reshape(*z.shape, 2)
+
+
+def _occupied(v: np.ndarray) -> int:
+    """1 + the index of the last nonzero entry along the last axis of v, in
+    any vector of a stack; 0 when v holds zeros only."""
+    if v[..., -1].any():
+        return v.shape[-1]
+    nonzero = np.flatnonzero(v.any(axis=tuple(range(v.ndim - 1))) if v.ndim > 1 else v)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _row_signs(N: int) -> np.ndarray:
+    """(-1)^(k//2) for k < N: S = diag((-i)^k) is this sign times -i on the odd rows."""
+    return np.where(np.arange(N) % 4 < 2, 1.0, -1.0)
 
 
 def _sign_columns(V: np.ndarray) -> np.ndarray:
@@ -168,76 +190,91 @@ def _sign_columns(V: np.ndarray) -> np.ndarray:
 
 
 class Eigensystem:
-    """Ascending nodes x and products with the eigenvectors V of J = V diag(x) V^T.
+    """D's coordinates z = V^T S^-1 v over the ascending nodes x of J = V diag(x) V^T.
 
     Each column of V is signed so that V[k, i] = p_k(x_i) sqrt(lambda_i)
-    (see _sign_columns).
+    (see _sign_columns).  S's row sign is folded into the stored rows,
+    R = diag((-1)^(k//2)) V, so S^-1 leaves only a factor i on the odd rows.
     """
 
     def __init__(self, x: np.ndarray, V: np.ndarray):
-        self.x = x
-        self._V = V
+        self.x = self.coord_nodes = x
+        self.R = _row_signs(x.size)[:, None] * V
+        self._i_odd = np.where(np.arange(x.size) % 2, 1j, 1.0)
 
-    def times(self, z: np.ndarray) -> np.ndarray:
-        """V z for a complex vector, or matrix of columns, z."""
-        return _real_times(self._V, z)
+    def enter(self, v: np.ndarray) -> np.ndarray:
+        """V^T S^-1 v, reading the rows up to the last nonzero coefficient only."""
+        n = _occupied(v)
+        return _real_times(self.R[:n].T, (v[..., :n] * self._i_odd[:n]).T).T
 
-    def t_times(self, w: np.ndarray) -> np.ndarray:
-        """V^T w for a complex vector, or matrix of columns, w."""
-        return _real_times(self._V.T, w)
+    def leave(self, z: np.ndarray) -> np.ndarray:
+        """S V z: the inverse of enter."""
+        v = _real_times(self.R, z.T).T
+        v[..., 1::2] *= -1j
+        return v
+
+    def translate(self, tau: float, z: np.ndarray) -> np.ndarray:
+        """e^{tau D} in these coordinates: the phase e^{i tau x}."""
+        return np.exp(1j * tau * self.x) * z
 
 
 class FoldedEigensystem:
-    """Eigensystem's products for a Jacobi section with zero diagonal, folded by parity.
+    """The real Schur form of D for a zero diagonal: orthogonal blocks Q, P by row parity.
 
-    With N = 2h + r (r = N mod 2, the centre node 0) the node of column
-    N-1-i is -x_i and V[k, N-1-i] = (-1)^k V[k, i].  Only the columns of the
-    r + h nodes x >= 0 are kept, by row parity: U = V[0::2, h:] and
-    W = V[1::2, h+r:] (the odd rows vanish at the centre); x holds all N
-    ascending nodes, mirrored exactly.  A vector z over the nodes folds into
-    e = (z(0), z(x) + z(-x)) and d = z(x) - z(-x), and
-
-        V z = [U e; W d]  (even rows; odd rows),
-        (V^T w)(+-x) = (U^T w_even)(x) +- (W^T w_odd)(x).
+    With N = 2h + r (r = N mod 2, the centre node 0), x holds all N
+    ascending nodes, mirrored exactly, and coord_nodes the m = h + r nodes
+    x >= 0.  Q (m columns) acts on the even rows of a coefficient vector and
+    P (h columns, no centre) on the odd rows, S's row sign (-1)^(k//2)
+    folded into both.  Each vector v of a stack has the coordinates
+    f = [Q^T v_even; P^T v_odd], 2 x m with 0 in the odd row's centre slot,
+    and v = [Q f_0; P f_1] by rows.  For z = V^T S^-1 v over the nodes,
+    f_0 = (z(x) + z(-x)) / sqrt2 (z(0) at the centre) and
+    f_1 = -i (z(x) - z(-x)) / sqrt2.
     """
 
-    def __init__(self, x: np.ndarray, U: np.ndarray, W: np.ndarray):
-        self.x, self.U, self.W = x, U, W
+    def __init__(self, x: np.ndarray, Q: np.ndarray, P: np.ndarray):
+        self.x, self.Q, self.P, self._turn = x, Q, P, (None,)
         self.h, self.r = x.size // 2, x.size % 2
+        self.coord_nodes = x[self.h:]
 
-    def fold(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(e, d) for z over the ascending nodes."""
-        h, r = self.h, self.r
-        lo, hi = z[:h][::-1], z[h + r:]
-        return np.concatenate((z[h:h + r], hi + lo)), hi - lo
+    def enter(self, v: np.ndarray) -> np.ndarray:
+        """f for v: two real products reading the rows up to the last nonzero coefficient only."""
+        n = _occupied(v)
+        f = np.zeros(v.shape[:-1] + (2, self.h + self.r), dtype=complex)
+        pairs, out = _pairs(np.ascontiguousarray(v, dtype=complex)), _pairs(f)
+        np.matmul(self.Q[:(n + 1) // 2].T, pairs[..., 0:n:2, :], out=out[..., 0, :, :])
+        np.matmul(self.P[:n // 2].T, pairs[..., 1:n:2, :], out=out[..., 1, self.r:, :])
+        return f
 
-    def unfold(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The vector over the ascending nodes that is a + b at x, a - b at -x, a at 0."""
-        r = self.r
-        return np.concatenate(((a[r:] - b)[::-1], a[:r], a[r:] + b))
+    def leave(self, f: np.ndarray) -> np.ndarray:
+        """The coefficients [Q f_0; P f_1] of f: the inverse of enter."""
+        v = np.empty(f.shape[:-2] + (self.x.size,), dtype=complex)
+        pairs, out = _pairs(np.ascontiguousarray(f)), _pairs(v)
+        np.matmul(self.Q, pairs[..., 0, :, :], out=out[..., 0::2, :])
+        np.matmul(self.P, pairs[..., 1, self.r:, :], out=out[..., 1::2, :])
+        return v
 
-    def times(self, z: np.ndarray) -> np.ndarray:
-        """V z for a complex vector z."""
-        e, d = self.fold(z)
-        out = np.empty(self.x.size, dtype=complex)
-        out[0::2] = _real_times(self.U, e)
-        out[1::2] = _real_times(self.W, d)
-        return out
+    def translate(self, tau: float, f: np.ndarray) -> np.ndarray:
+        """e^{tau D} in these coordinates: each pair (f_0, f_1) turned by the angle
+        tau x.  The cosines and signed sines of the last tau serve the next call."""
+        turn, theta = self._turn, tau * self.coord_nodes
+        if turn[0] != tau:
+            turn = self._turn = tau, np.cos(theta), _TURN * np.sin(theta)
+        return f * turn[1] + f[::-1] * turn[2]
 
-    def t_times(self, w: np.ndarray) -> np.ndarray:
-        """V^T w for a complex vector w."""
-        return self.unfold(_real_times(self.U.T, w[0::2]), _real_times(self.W.T, w[1::2]))
+
+_TURN = np.array([[-1.0], [1.0]])  # (f_0, f_1) -> (-f_1, f_0), a quarter turn, with f[::-1]
 
 
 def _folded_eigensystem(b: np.ndarray) -> FoldedEigensystem:
-    """The folded eigensystem of the Jacobi section with zero diagonal and off-diagonal b.
+    """The real Schur form of the Jacobi section with zero diagonal and off-diagonal b.
 
     With B = Q diag(sigma) P^T (``_lapack.split_bidiagonal``; sigma from dqds,
-    Q and P from divide and conquer), U holds the columns q_i / sqrt2 and W
-    the columns p_i / sqrt2, ascending in sigma; the centre column q_0 of odd
-    N is kept whole and its padded p_0 dropped.  Each pair (q_i, p_i) is
-    signed together by _sign_columns' last-row rule, read from the block that
-    holds row N-1.
+    Q and P from divide and conquer), the columns are put in ascending sigma;
+    the centre column q_0 of odd N has no partner in P, whose padded row and
+    column are dropped.  Each pair (q_i, p_i) is signed together by
+    _sign_columns' last-row rule, read from the block that holds row N-1;
+    then the rows take S's sign.
     """
     N = b.size + 1
     h, r = N // 2, N % 2
@@ -246,11 +283,10 @@ def _folded_eigensystem(b: np.ndarray) -> FoldedEigensystem:
     Q, P = singular_vectors(d, e)
     Q, P = Q[:, ::-1], P[:h, ::-1][:, r:]
     last = Q[-1] if r else P[-1]
-    want = (-1.0) ** (N - 1 - h - np.arange(h + r))
-    scale = np.full(h + r, np.sqrt(0.5))
-    scale[:r] = 1.0
-    scale[last * want < 0.0] *= -1.0
-    return FoldedEigensystem(np.concatenate((-sigma[r:][::-1], sigma)), Q * scale, P * scale[r:])
+    flip = np.where(last * (-1.0) ** (N - 1 - h - np.arange(h + r)) < 0.0, -1.0, 1.0)
+    rows = _row_signs(N)[:, None]
+    return FoldedEigensystem(np.concatenate((-sigma[r:][::-1], sigma)),
+                             rows[0::2] * Q * flip, rows[1::2] * P * flip[r:])
 
 
 # i^n by n mod 4, and (-i)^n = _I_POWERS[-n % 4]; bit for bit the values
@@ -258,31 +294,18 @@ def _folded_eigensystem(b: np.ndarray) -> FoldedEigensystem:
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-def _to_spectral(D: DiffMatrix, v: np.ndarray) -> np.ndarray:
-    """V^T S^-1 v with S = diag((-i)^n): coefficients in D's eigenbasis."""
-    return D.eigensystem.t_times(_I_POWERS[np.arange(D.N) % 4] * v)
-
-
-def _from_spectral(D: DiffMatrix, z: np.ndarray) -> np.ndarray:
-    """S V z: the inverse of _to_spectral."""
-    return _I_POWERS[-np.arange(D.N) % 4] * D.eigensystem.times(z)
-
-
-def _eigen_apply(D: DiffMatrix, factor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """f(D) v = S V diag(factor) V^T S^-1 v, factor holding f at D's eigenvalues i x."""
-    return _from_spectral(D, factor * _to_spectral(D, v))
-
-
 def expm_apply(D: DiffMatrix, tau: float, a):
     """e^{tau D} a, unitary to rounding.
 
-    e^{tau D} = S V diag(e^{i tau x}) V^T S^-1 from the cached eigensystem:
-    translation by tau is a phase on the Gauss nodes x.
+    Translation by tau, in the coordinates of the cached eigensystem: the
+    phase e^{i tau x} on the Gauss nodes x, or for a zero diagonal the
+    rotation by tau x of each pair of the real Schur form.
     """
     v = _vector_of(a)
     if v.shape != (D.N,):
         raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
-    return _rewrap(a, _eigen_apply(D, np.exp(1j * tau * D.eigensystem.x), v))
+    eig = D.eigensystem
+    return _rewrap(a, eig.leave(eig.translate(tau, eig.enter(v))))
 
 
 def spectral_radius(D: DiffMatrix) -> float:

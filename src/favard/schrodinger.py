@@ -18,7 +18,7 @@ on the basis, so repeated Strang calls pay only for their steps.
 On the Gauss-Hermite grid the potential step needs no grid pair at all when
 D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
 is z -> conj(K) Phi K z with K = V^T diag(i^k) V, and K is fixed by two real
-half-size blocks.  A Strang run then keeps its state in half-size even/odd
+half-size blocks.  A Strang run then keeps its state in D's real Schur
 coordinates from the first step to the last (``_FoldedPath``).
 
 Malmquist-Takenaka (MT) Strang is bilateral, on the window
@@ -28,7 +28,8 @@ Fourier transform vanishes for xi < 0, and the mirror phi_{-n-1} =
 eigensystem (``_BilateralPath``), stepped through the square N-point
 theta-grid FFT pair.  A Hermite table with numerically computed, nonzero c
 keeps the state in D's eigenbasis and synthesizes on the grid and analyzes
-back (``_EigenbasisPath``).
+back (``_EigenbasisPath``).  Every path enters and leaves through the maps
+of D's eigensystem.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def free_propagate(state: PropagatedState, t: float):
 def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     """exp(i t D_N^2) applied to coefficients: the truncated free flow.
 
-    D_N^2 = -S J^2 S^-1, so the flow is the phase -t x^2 on the Gauss nodes x
-    of D's cached eigensystem.
+    D_N^2 = -S J^2 S^-1, so the flow is the phase -t x^2 on each coordinate
+    of D's cached eigensystem: on both of a pair +-x when D folds.
 
     This is the coefficient-side counterpart of free_propagate; the two
     agree up to basis truncation, with the gap shrinking as N grows.
@@ -133,8 +134,9 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     v = diffop._vector_of(a)
     if len(v) != D.N:
         raise ValueError(f"coefficient length {len(v)} does not match operator size {D.N}")
-    x = D.eigensystem.x
-    return diffop._rewrap(a, diffop._eigen_apply(D, np.exp(-1j * t * x * x), v))
+    eig = D.eigensystem
+    x = eig.coord_nodes
+    return diffop._rewrap(a, eig.leave(np.exp(-1j * t * x * x) * eig.enter(v)))
 
 
 def _hermite_grid(D: diffop.DiffMatrix):
@@ -142,31 +144,44 @@ def _hermite_grid(D: diffop.DiffMatrix):
 
     The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
     V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
-    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i).  The
-    last row gives c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|: one Hermite function,
-    the last row of an N-row table (|V[N-1, i]| >= 1.5e-2 for N <= 4096).
-    |phi_{N-1}| is even in x bit for bit, so the row is taken at the
-    distinct |x_i| only: the nonnegative half when D folds.
-    Synthesis is then c V^T P and analysis P V / c with P = diag((-1)^k):
-    the Christoffel weights omega_i = c_i^2 cancel.  c is built on first
-    use, which a folded Strang step never makes.  ``rows(grid)`` is
-    phi_0..phi_{N-1} on grid; until c is built it sweeps the nodes with the
-    grid and keeps c, so a caller that prints rows sweeps the table once.
+    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i), and
+    the grid values c V^T P a (P = diag((-1)^k)) are c times D's coordinates
+    of S^-1 a.  The last row gives c = |phi_{N-1}| / |V[N-1, :]|: one Hermite
+    function, the last row of an N-row table (|V[N-1, i]| >= 1.5e-2 for
+    N <= 4096), even in x bit for bit and so taken at the distinct |x_i|.
+    When D folds, z(+-x) = (f_0 +- i f_1) / sqrt2 for the pair coordinates f
+    of S^-1 a, and f = [E; iO] for [E; O] = enter(sign * a), S's real row
+    sign: the grid holds E -+ O at +-x, scaled by |phi_{N-1}| / |Q[N-1]|.
+    Analysis inverts synthesis; the Christoffel weights c_i^2 cancel.  The
+    scale is built on first use, which a folded Strang step never makes.
+    ``rows(grid)`` is phi_0..phi_{N-1} on grid; until the scale is built it
+    sweeps the nodes with the grid and keeps it: a caller that prints rows
+    sweeps the table once.
     """
-    eig = D.eigensystem
-    N = D.N
-    parity = (-1.0) ** np.arange(N)
-    made = []  # c, once built
+    eig, N = D.eigensystem, D.N
+    if isinstance(eig, diffop.FoldedEigensystem):
+        sign, h, r = diffop._row_signs(N), eig.h, eig.r
+        # f_0 - f_1 at x >= 0 and f_0 + f_1 at -x, and back (the centre is its own mirror)
+        nodes = lambda f: np.concatenate(((f[0] + f[1])[r:][::-1], f[0] - f[1]))
+
+        def pairs(u):
+            plus, minus = u[h:], np.concatenate((u[h:h + r], u[:h][::-1]))
+            return np.stack((0.5 * (plus + minus), 0.5 * (minus - plus)))
+    else:
+        sign = diffop._I_POWERS[np.arange(N) % 4]
+        nodes = pairs = lambda z: z
+    made = []  # the scale, once built
 
     def rows(grid):
         if made:
             return basis_mod.hermite_function_table(N - 1, grid)
-        mags, where = np.unique(np.abs(eig.x), return_inverse=True)
+        mags, where = np.unique(np.abs(eig.coord_nodes), return_inverse=True)
         table = basis_mod.hermite_function_table(N - 1, np.concatenate((mags, grid)))
         unit = np.zeros(N)
         unit[-1] = 1.0
-        last = eig.t_times(unit).real  # V[N-1, :]
-        made.append(np.abs(table[-1, :mags.size])[where] / np.abs(last))
+        # |V[N-1, :]|, or |Q[N-1, :]| from whichever row of the pairs holds it
+        last = np.abs(eig.enter(unit)).reshape(-1, eig.coord_nodes.size).sum(axis=0)
+        made.append(np.abs(table[-1, :mags.size])[where] / last)
         return table[:, mags.size:]
 
     def scale():
@@ -174,8 +189,8 @@ def _hermite_grid(D: diffop.DiffMatrix):
             rows(np.empty(0))
         return made[0]
 
-    synthesize = lambda a: scale() * eig.t_times(parity * a)
-    analyze = lambda u: parity * eig.times(u / scale())
+    synthesize = lambda a: nodes(scale() * eig.enter(sign * a))
+    analyze = lambda u: sign.conj() * eig.leave(pairs(u) / scale())
     return eig.x, synthesize, analyze, rows
 
 
@@ -234,19 +249,19 @@ def _grid_builder(family: str, N: int):
 
 
 class _EigenbasisPath:
-    """Strang state in D's eigenbasis; the potential step goes through the grid pair."""
+    """Strang state in D's coordinates; the potential step goes through the grid pair."""
 
     def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze, rows):
         self.D, self.nodes, self.synthesize, self.analyze, self.rows = (
             D, nodes, synthesize, analyze, rows)
-        self.x = D.eigensystem.x
+        self.eig = D.eigensystem
+        self.x = self.eig.coord_nodes
 
     def enter(self, v: np.ndarray) -> np.ndarray:
-        return diffop._to_spectral(self.D, v)
+        return self.eig.enter(v)
 
-    def leave(self, z: np.ndarray) -> np.ndarray:
-        """S V z; a stack of states z[s] leaves in one product, as rows."""
-        return diffop._I_POWERS[-np.arange(self.D.N) % 4] * self.D.eigensystem.times(z.T).T
+    def leave(self, z: np.ndarray) -> np.ndarray:  # a stack of states z[s] leaves as rows
+        return self.eig.leave(z)
 
     def kick(self, phase: np.ndarray):
         enter, leave, synthesize, analyze = self.enter, self.leave, self.synthesize, self.analyze
@@ -262,121 +277,82 @@ class _BilateralPath(_EigenbasisPath):
     and in the mirrored index m = -n-1 the n < 0 block is
     conj(D+) = conj(S) (-iJ) conj(S)^-1.  Both square to -x^2 on the same
     V, so the free half-step is one phase e^{-i tau x^2 / 2} on both.  The
-    state is the K x 2 array [V^T S^-1 a+, V^T S a-] with a+ = a_{0..K-1}
-    and a- = a_{-1..-K}: one real product with V^T, or V, for both columns.
+    state is the 2 x K array [V^T S^-1 a+; V^T S a-] with a+ = a_{0..K-1}
+    and a- = a_{-1..-K}; S = S^-1 diag((-1)^m), so both rows enter through
+    D's map, in one real product with V^T (and leave in one with V).
     """
 
     def __init__(self, D: diffop.DiffMatrix, *grid):
         super().__init__(D, *grid)
-        self.x = self.x[:, None]
-        m = np.arange(D.N)
-        self.i_m, self.minus_i_m = diffop._I_POWERS[m % 4], diffop._I_POWERS[-m % 4]
+        self.parity = (-1.0) ** np.arange(D.N)
 
     def enter(self, v: np.ndarray) -> np.ndarray:
         K = self.D.N
-        w = np.empty((K, 2), dtype=complex)
-        np.multiply(self.i_m, v[K:], out=w[:, 0])
-        np.multiply(self.minus_i_m, v[K - 1::-1], out=w[:, 1])
-        return self.D.eigensystem.t_times(w)
+        return self.eig.enter(np.stack((v[K:], self.parity * v[K - 1::-1])))
 
     def leave(self, z: np.ndarray) -> np.ndarray:
         """The window's coefficients; a stack of states z[s] leaves in one product, as rows."""
         K = self.D.N
-        y = np.moveaxis(self.D.eigensystem.times(np.moveaxis(z, -2, 0)), 0, -2)
+        y = self.eig.leave(z)
         out = np.empty(z.shape[:-2] + (2 * K,), dtype=complex)
-        np.multiply(self.minus_i_m, y[..., 0], out=out[..., K:])
-        np.multiply(self.i_m, y[..., 1], out=out[..., K - 1::-1])
+        out[..., K:] = y[..., 0, :]
+        np.multiply(self.parity, y[..., 1, :], out=out[..., K - 1::-1])
         return out
 
 
-class _FoldedPath:
-    """Strang state of a folded Hermite operator in unitary even/odd coordinates.
+class _FoldedPath(_EigenbasisPath):
+    """Strang state of a folded Hermite operator in D's real Schur coordinates.
 
-    With m = h + r node pairs (x >= 0, the centre first when N is odd), a
-    state z over the nodes is kept as the 2 x m array
-    f = [(z(x) + z(-x)) / sqrt2; -i (z(x) - z(-x)) / sqrt2], with z(0) itself
-    in the centre slot of the first row and 0 in that of the second.  The map
-    is unitary, so norms carry over, and the free half-step
+    The state is the 2 x m array f of ``FoldedEigensystem`` over the
+    m = h + r node pairs (x >= 0, the centre first when N is odd).  The map
+    is orthogonal, so norms carry over, and the free half-step
     e^{-i tau x^2 / 2} is even in x: one phase per pair.  On the
     Gauss-Hermite grid the potential step is z -> conj(K) Phi K z with
-    K = V^T diag(i^k) V (the c of the grid pair cancels).  In these
-    coordinates K = diag(1, i) G for the stack G of the real symmetric blocks
-    c A c and 2 B, where A = U^T diag((-1)^j) U, B = W^T diag((-1)^j) W
-    (padded by a zero row and column at the centre) and c is 1 at the centre
-    and sqrt2 elsewhere.  With the phases P at x and Q at -x,
-    p = (P + Q) / 2 and q = (P - Q) / 2, the step is
+    K = V^T diag(i^k) V (the scale of the grid pair cancels).  In these
+    coordinates K = diag(1, i) G for the stack G of the real symmetric
+    blocks Q^T diag((-1)^j) Q and P^T diag((-1)^j) P, the second padded by a
+    zero row and column at the centre.  With the phases Phi at x and at -x,
+    p = (Phi(x) + Phi(-x)) / 2 and q = (Phi(x) - Phi(-x)) / 2, the step is
 
         g = G f,   f <- G (p g - q [g_1; g_0]),
 
-    and an even potential (P = Q bit for bit on the mirrored nodes) leaves
-    the rows uncoupled.  Each product is one batched matmul of the blocks on
-    the 2 x m x 2 real view of f.
+    and an even potential (equal phases on the mirrored nodes, bit for bit)
+    leaves the rows uncoupled.  Each product is one batched matmul of the
+    blocks on the 2 x m x 2 real view of f.
     """
 
-    def __init__(self, D: diffop.DiffMatrix, nodes, synthesize, analyze, rows):
-        self.D, self.nodes, self.synthesize, self.analyze, self.rows = (
-            D, nodes, synthesize, analyze, rows)
-        eig = D.eigensystem
-        self.eig, self.N, self.h, self.r = eig, D.N, eig.h, eig.r
-        m = self.h + self.r
-        self.x = eig.x[self.h:]
-        self.scale = np.full(m, math.sqrt(2.0))
-        self.scale[:self.r] = 1.0
-        # U c and sqrt2 W are orthogonal, so with Y and Z the odd-j rows of U
-        # and W, c A c = I - 2 (Y c)^T (Y c) and 2 B = I - 4 Z^T Z: one
-        # symmetric product of half the rows each.  The factors c_i c_j go
-        # in as 4, then exact halvings at the centre: sqrt2^2 = 2 + 4e-16
-        # on every entry would drift the norm by about 4e-16 a product
-        Y, Z = eig.U[1::2], eig.W[1::2]
+    def __init__(self, D: diffop.DiffMatrix, *grid):
+        super().__init__(D, *grid)
+        r, m = self.eig.r, self.x.size
+        # Q and P are orthogonal, so with Y and Z their odd-j rows the blocks
+        # are I - 2 Y^T Y and I - 2 Z^T Z: one symmetric product of half the
+        # rows each, with no sqrt2 to drift the norm
+        Y, Z = self.eig.Q[1::2], self.eig.P[1::2]
         self.blocks = np.zeros((2, m, m))
         np.matmul(Y.T, Y, out=self.blocks[0])
-        self.blocks[1, self.r:, self.r:] = Z.T @ Z
-        self.blocks *= -4.0
-        if self.r:
-            A = self.blocks[0]
-            A[0, 1:] *= math.sqrt(0.5)
-            A[1:, 0] *= math.sqrt(0.5)
-            A[0, 0] *= 0.5
+        self.blocks[1, r:, r:] = Z.T @ Z
+        self.blocks *= -2.0
         diag = np.arange(m)
         self.blocks[0, diag, diag] += 1.0
-        self.blocks[1, diag[self.r:], diag[self.r:]] += 1.0  # not at the padded centre
-
-    def enter(self, v: np.ndarray) -> np.ndarray:
-        w = diffop._I_POWERS[np.arange(self.N) % 4] * v
-        f = np.zeros((2, self.h + self.r), dtype=complex)
-        f[0] = self.scale * diffop._real_times(self.eig.U.T, w[0::2])
-        f[1, self.r:] = -1j * math.sqrt(2.0) * diffop._real_times(self.eig.W.T, w[1::2])
-        return f
-
-    def leave(self, f: np.ndarray) -> np.ndarray:
-        """The coefficients of f; a stack of states f[s] leaves in one product, as rows."""
-        out = np.empty(f.shape[:-2] + (self.N,), dtype=complex)
-        out[..., 0::2] = diffop._real_times(self.eig.U, (self.scale * f[..., 0, :]).T).T
-        out[..., 1::2] = diffop._real_times(self.eig.W,
-                                            (1j * math.sqrt(2.0) * f[..., 1, self.r:]).T).T
-        return diffop._I_POWERS[-np.arange(self.N) % 4] * out
+        self.blocks[1, diag[r:], diag[r:]] += 1.0  # not at the padded centre
 
     def kick(self, phase: np.ndarray):
-        P, Q = phase[self.h:], phase[:self.h + self.r][::-1]
-        p, q = 0.5 * (P + Q), 0.5 * (P - Q)
+        h, m = self.eig.h, self.x.size
+        plus, minus = phase[h:], phase[:m][::-1]
+        p, q = 0.5 * (plus + minus), 0.5 * (plus - minus)
         coupled = np.any(q)
-        g = np.empty((2, self.h + self.r), dtype=complex)
+        g = np.empty((2, m), dtype=complex)
 
         def kick(f):  # overwrites f
-            np.matmul(self.blocks, _pairs(f), out=_pairs(g))
+            np.matmul(self.blocks, diffop._pairs(f), out=diffop._pairs(g))
             if coupled:
                 g[:] = p * g - q * g[::-1]
             else:
                 np.multiply(p, g, out=g)
-            np.matmul(self.blocks, _pairs(g), out=_pairs(f))
+            np.matmul(self.blocks, diffop._pairs(g), out=diffop._pairs(f))
             return f
 
         return kick
-
-
-def _pairs(f: np.ndarray) -> np.ndarray:
-    """The real (..., 2) view of a contiguous complex array: real and imaginary parts."""
-    return f.view(float).reshape(*f.shape, 2)
 
 
 def _strang_setup(basis: basis_mod.TransformedBasis, N: int):

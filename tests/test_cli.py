@@ -144,6 +144,22 @@ def test_determinism_byte_identical():
     assert len(a.stdout) > 0
 
 
+@pytest.mark.parametrize("basis,N", [("hermite", "512"), ("mt", "256")])
+def test_schrodinger_bytes_do_not_depend_on_blas_threads(basis, N):
+    # the eigenvectors come from one-thread LAPACK calls and the printed
+    # synthesis sums in a fixed order, so the BLAS thread count moves no byte
+    cmd = [sys.executable, "-m", "favard.cli", "schrodinger", "--basis", basis, "--N", N,
+           "--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).resolve().parents[1]),
+                                                      env.get("PYTHONPATH"))))
+    outs = [subprocess.run(cmd, capture_output=True, check=True,
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1]
+    assert len(outs[0]) > 0
+
+
 def test_out_file_writing(tmp_path, capsys):
     target = tmp_path / "quad.csv"
     rc, out = run_cli(["quad", "--family", "legendre", "--N", "3",
@@ -430,7 +446,7 @@ def test_schrodinger_leaves_the_path_coordinates_once(monkeypatch, capsys, basis
 @pytest.mark.parametrize("N", [64, 512])
 def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
     # bit for bit a = analyze(f0 at the nodes) times the closed table on the
-    # grid, each built on its own
+    # grid, each built on its own, summed in einsum's fixed order
     from favard import basis as basis_mod
     from favard import schrodinger as sch
     from favard.expr import compile_function
@@ -443,7 +459,8 @@ def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
                      for line in out.splitlines()[1:1 + grid.size]])
     path = sch._strang_setup(basis_mod.make_basis("hermite", N=N + 2), N)
     a = path.analyze(np.asarray(compile_function("exp(-x^2)")(path.nodes), dtype=complex))
-    u = a @ basis_mod.phi_grid(basis_mod.make_basis("hermite", N=N + 2), N - 1, grid)
+    u = np.einsum("i,ij->j", a, basis_mod.phi_grid(basis_mod.make_basis("hermite", N=N + 2),
+                                                   N - 1, grid))
     assert np.array_equal(rows[:, 0], np.zeros(grid.size)) and np.array_equal(rows[:, 1], grid)
     assert np.array_equal(rows[:, 2], u.real) and np.array_equal(rows[:, 3], u.imag)
     assert np.array_equal(rows[:, 4], np.full(grid.size, np.linalg.norm(a)))

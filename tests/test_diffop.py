@@ -182,6 +182,82 @@ def test_folded_operators_match_dense_expm(family, N):
     assert np.max(np.abs(free_coeff_step(D, 0.3, a) - ref)) < tol
 
 
+def _dense_pair(family, N):
+    """D for the family at size N, and the dense e^{0.7 D} and e^{0.3 i D^2}."""
+    import scipy.linalg
+    from favard.basis import make_basis
+    D = diffop.build(make_basis(family, N=N).jacobi, N)
+    dense = D.dense()
+    return D, scipy.linalg.expm(0.7 * dense), scipy.linalg.expm(0.3j * (dense @ dense))
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "mt"])
+@pytest.mark.parametrize("N", [1, 2, 5, 6, 63, 64])
+def test_functions_of_d_match_dense_expm_for_every_occupancy(family, N):
+    # the real Schur rotation (hermite, legendre; odd N has the centre node)
+    # and the stemr phase (mt), on vectors with 0, 1, 2, N/3 and N leading
+    # nonzero coefficients, which enter reads and no further
+    from favard.schrodinger import free_coeff_step
+    D, translate, flow = _dense_pair(family, N)
+    radius = diffop.spectral_radius(D)
+    rng = np.random.default_rng(N)
+    for k in sorted({0, 1, 2, N // 3, N} & set(range(N + 1))):
+        a = np.zeros(N, dtype=complex)
+        a[:k] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        got = diffop.expm_apply(D, 0.7, a)
+        assert np.max(np.abs(got - translate @ a)) < 1e-13 * max(10.0, 0.7 * radius)
+        # the phase 0.3 x^2 turns a node's rounding into about 0.6 x^2 eps
+        got = free_coeff_step(D, 0.3, a)
+        assert np.max(np.abs(got - flow @ a)) < 1e-14 * max(100.0, 0.3 * radius ** 2)
+        if k == 0:
+            assert not np.any(diffop.expm_apply(D, 0.7, a))
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "mt"])
+def test_translation_group_law_and_unitarity_large_n(family):
+    # e^{tau D} e^{sigma D} = e^{(tau + sigma) D}; tau, sigma and their sum
+    # scale the nodes exactly, so only the products and cos, sin round
+    from favard.basis import make_basis
+    N = 1024
+    D = diffop.build(make_basis(family, N=N).jacobi, N)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    a /= np.linalg.norm(a)
+    once = diffop.expm_apply(D, 0.25, a)
+    twice = diffop.expm_apply(D, -0.25, diffop.expm_apply(D, 0.5, a))
+    assert np.max(np.abs(twice - once)) < 1e-13
+    assert abs(np.linalg.norm(once) - 1.0) < 1e-13
+    assert abs(np.linalg.norm(diffop.expm_apply(D, 1.3, a)) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_coordinate_maps_take_one_product_per_block(monkeypatch, family):
+    # a dense vector costs one product per block each way; a zero-padded one
+    # enters through its leading rows only
+    N = 64
+    D = build_for(FAMILIES[family], N)
+    eig = D.eigensystem
+    folded = isinstance(eig, diffop.FoldedEigensystem)
+    shapes, matmul = [], np.matmul
+
+    def counted(A, B, *args, **kwargs):
+        shapes.append(A.shape)
+        return matmul(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rng = np.random.default_rng(4)
+    for k in (N, 21, 2, 1, 0):
+        a = np.zeros(N, dtype=complex)
+        a[:k] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        shapes.clear()
+        f = eig.enter(a)
+        assert shapes == ([(N // 2, (k + 1) // 2), (N // 2, k // 2)] if folded else [(N, k)])
+        shapes.clear()
+        back = eig.leave(f)
+        assert shapes == ([(N // 2, N // 2)] * 2 if folded else [(N, N)])
+        assert np.max(np.abs(back - a)) < 1e-13
+
+
 @pytest.mark.parametrize("family", ["laguerre", "mt", "custom-weight:exp(-x^4)"])
 def test_nonzero_diagonal_does_not_fold(family):
     # the symmetric custom weight's Stieltjes-built c is about 2e-16, not 0:
@@ -203,11 +279,15 @@ def test_i_powers_table_is_the_complex_powers_bitwise():
 
 
 def _stemr_blocks(b, N):
-    """The folded blocks cut from stemr's full eigenvectors, signed by the last row."""
+    """The real Schur blocks cut from stemr's full eigenvectors, signed by the
+    last row: the columns of x >= 0 by row parity, scaled to unit norm (sqrt2,
+    1 at the centre), with the row sign (-1)^(k//2) of S."""
     import scipy.linalg
     x, V = scipy.linalg.eigh_tridiagonal(np.zeros(N), b[:N - 1], lapack_driver="stemr")
-    V = diffop._sign_columns(V)
     h, r = N // 2, N % 2
+    scale = np.full(N, np.sqrt(2.0))
+    scale[h:h + r] = 1.0
+    V = diffop._row_signs(N)[:, None] * diffop._sign_columns(V) * scale
     return x, V[0::2, h:], V[1::2, h + r:]
 
 
@@ -218,10 +298,10 @@ def test_folded_blocks_match_stemr(family, N):
     # Gauss rule's nodes bit for bit
     J = rec.build_jacobi(FAMILIES[family], N + 1)
     eig = diffop.build(J, N).eigensystem
-    x, U, W = _stemr_blocks(J.b, N)
-    assert U.shape == eig.U.shape and W.shape == eig.W.shape
-    assert np.max(np.abs(eig.U - U), initial=0.0) < 1e-12
-    assert np.max(np.abs(eig.W - W), initial=0.0) < 1e-12
+    x, Q, P = _stemr_blocks(J.b, N)
+    assert Q.shape == eig.Q.shape and P.shape == eig.P.shape
+    assert np.max(np.abs(eig.Q - Q), initial=0.0) < 2e-12
+    assert np.max(np.abs(eig.P - P), initial=0.0) < 2e-12
     assert np.max(np.abs(eig.x - x)) < 1e-12 * max(1.0, x[-1])
     assert np.array_equal(eig.x, golub_welsch(J, N).nodes)
     if N % 2:
@@ -229,16 +309,13 @@ def test_folded_blocks_match_stemr(family, N):
 
 
 def test_folded_blocks_are_orthogonal():
-    # U^T U = W^T W = I/2 (the centre column of odd N has norm 1); stemr's
-    # blocks miss this by about 1e-13 at N = 1024
+    # Q^T Q = P^T P = I, the real Schur vectors; stemr's blocks miss this by
+    # about 1e-13 at N = 1024
     for N in (1023, 1024):
         eig = diffop.build(rec.build_jacobi(rec.hermite_coeffs, N), N).eigensystem
         h, r = N // 2, N % 2
-        half = np.full(h + r, 0.5)
-        half[:r] = 1.0
-        assert np.max(np.abs(eig.U.T @ eig.U - np.diag(half))) < 1e-14
-        assert np.max(np.abs(eig.W.T @ eig.W - 0.5 * np.eye(h))) < 1e-14
-        assert np.max(np.abs(eig.U[:, r:].T @ eig.U[:, r:] - eig.W.T @ eig.W)) < 1e-14
+        assert np.max(np.abs(eig.Q.T @ eig.Q - np.eye(h + r))) < 2e-14
+        assert np.max(np.abs(eig.P.T @ eig.P - np.eye(h))) < 2e-14
 
 
 @pytest.mark.parametrize("name", ["dlasq1", "dbdsdc"])

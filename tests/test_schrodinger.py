@@ -144,19 +144,20 @@ def test_hermite_grid_pair_roundtrip():
 
 def test_hermite_scale_row_on_the_nonnegative_nodes_is_bitwise_the_full_one():
     # |phi_{N-1}| is even in x bit for bit, so taking it on the distinct |x_i|
-    # changes no bit of the grid pair's scale c_i = |phi_{N-1}(x_i)| / |V[N-1, i]|
+    # changes no bit of the grid pair's scale |phi_{N-1}(x_i)| / |Q[N-1, i]|
     for N in (32, 63, 512, 1024):
         path = sch._strang_setup(make_basis("hermite", N=N), N)
         eig = path.D.eigensystem
-        unit = np.zeros(N)
-        unit[-1] = 1.0
-        scale = (np.abs(basis_mod.hermite_function(N - 1, eig.x))
-                 / np.abs(eig.t_times(unit).real))
-        parity = (-1.0) ** np.arange(N)
+        h, r = N // 2, N % 2
+        full = np.abs(basis_mod.hermite_function(N - 1, eig.x))
+        assert np.array_equal(full[:h][::-1], full[h + r:])
+        scale = full[h:] / np.abs((eig.Q if r else eig.P)[-1])
         rng = np.random.default_rng(N)
         a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        assert np.array_equal(path.synthesize(a), scale * eig.t_times(parity * a))
-        assert np.array_equal(path.analyze(a), parity * eig.times(a / scale))
+        f = scale * eig.enter(diffop._row_signs(N) * a)
+        u = path.synthesize(a)
+        assert np.array_equal(u[h:], f[0] - f[1])
+        assert np.array_equal(u[:h][::-1], (f[0] + f[1])[r:])
 
 
 def test_hermite_pair_rows_share_the_scale_sweep(monkeypatch):
@@ -402,9 +403,9 @@ def test_strang_step_is_one_propagate_step(make, N, V):
 
 @pytest.mark.parametrize("N", [512, 63])
 def test_folded_strang_stays_folded(monkeypatch, N):
-    # a folded run changes coordinates on entry and exit only (the per-step
-    # fold/unfold kick made 2 of each per step), and its recorded norms are
-    # those of the eigenbasis state stepped through the grid pair
+    # a folded run changes coordinates on entry and exit only (its kick is two
+    # products with the blocks), and its recorded norms are those of the same
+    # coordinates stepped through the grid pair
     basis = make_basis("hermite", N=N)
     rng = np.random.default_rng(15)
     a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -412,16 +413,16 @@ def test_folded_strang_stays_folded(monkeypatch, N):
     tau, steps = 0.005, 100
     path = sch._strang_setup(basis, N)
     ref_path = sch._EigenbasisPath(path.D, path.nodes, path.synthesize, path.analyze, path.rows)
-    half = np.exp(-0.5j * tau * path.D.eigensystem.x ** 2)
+    half = np.exp(-0.5j * tau * ref_path.x ** 2)
     for V in (lambda x: x * x, lambda x: x * x + x):
-        calls = {"fold": 0, "unfold": 0}
+        calls = {"enter": 0, "leave": 0}
         for name in calls:
             def counted(self, *args, _name=name, _method=getattr(diffop.FoldedEigensystem, name)):
                 calls[_name] += 1
                 return _method(self, *args)
             monkeypatch.setattr(diffop.FoldedEigensystem, name, counted)
         out, norms = sch._run(path, tau, a, V, steps, np.linalg.norm)
-        assert calls["fold"] <= 2 and calls["unfold"] <= 2
+        assert calls == {"enter": 1, "leave": 1}
         monkeypatch.undo()
 
         kick = ref_path.kick(np.exp(-1j * tau * V(path.nodes)))
@@ -431,8 +432,8 @@ def test_folded_strang_stays_folded(monkeypatch, N):
             ref.append(np.linalg.norm(z))
         assert len(norms) == steps
         # relative, |a| = 1: each path drifts 3e-14 to 5e-14 from 1 over the run
-        # at rounding, the folded blocks from the rows of U and W and the
-        # reference from the columns of V, so their drifts differ at that level
+        # at rounding, the blocks from the rows of Q and P and the reference
+        # from the grid pair, so their drifts differ at that level
         assert np.max(np.abs(np.array(norms) - np.array(ref))) < 5e-14
         assert np.max(np.abs(out - ref_path.leave(z))) < 1e-13
 
