@@ -32,7 +32,7 @@ import numpy as np
 from . import recurrence as rec
 from . import specfun
 from .diffop import _I_POWERS
-from .quadrature import _transform_interval, oscillatory_transform
+from .quadrature import oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -330,45 +330,29 @@ def phi(basis: TransformedBasis, n: int, x, method: str = "auto"):
     return _row(phi_grid(basis, n, x, method=method)[n], x)
 
 
-def phi_grid(basis: TransformedBasis, nmax: int, x, tol: float = 1e-10,
-             sigma=None, extra_freq: float = 0.0,
+def phi_grid(basis: TransformedBasis, nmax: int, x, sigma=None,
              method: str = "auto") -> np.ndarray:
     """Evaluate phi_0..phi_nmax on a grid at once; shape (nmax+1, len(x)).
 
     ``method`` is "auto" (the closed form when the family has one),
     "closed" or "quadrature"; "closed" raises for a family without a closed
-    form or with a phase ``sigma``, which only quadrature carries.  The
-    closed route returns ``basis.closed_table(nmax, x)``.  The quadrature
-    route is one call of ``quadrature.oscillatory_transform`` with the
-    basis's phase and ``sigma`` combined; ``extra_freq`` bounds max |sigma'|
-    and the basis's own phase is bounded here.  When the measure is
-    symmetric and no phase is combined in, the transform folds onto the half
-    rule [0, hi].  Row n is multiplied by i^n.
+    form or with a phase ``sigma``, which only quadrature carries, so "auto"
+    takes quadrature under any phase.  The closed route returns
+    ``basis.closed_table(nmax, x)``.  The quadrature route is one call of
+    ``quadrature.oscillatory_transform`` with the basis's phase and
+    ``sigma`` combined, which sizes its rule itself and resolves any phase
+    by refinement.  When the measure is symmetric and no phase is combined
+    in, the transform folds onto the half rule [0, hi].  Row n is
+    multiplied by i^n.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if _closed_route(basis, method, basis.closed_table is not None and sigma is None):
         return np.asarray(basis.closed_table(nmax, xs), dtype=complex)
     basis.ensure(nmax)
-    sigma = _combine_sigma(basis, sigma)
-    if basis.sigma is not None:
-        extra_freq = extra_freq + _sigma_freq(basis, basis.sigma, nmax)
-    rows = oscillatory_transform(basis.jacobi, nmax, basis.measure, xs, tol, phase=sigma,
-                                 phase_freq=extra_freq)
+    rows = oscillatory_transform(basis.jacobi, nmax, basis.measure, xs,
+                                 phase=_combine_sigma(basis, sigma))
     rows *= _I_POWERS[np.arange(nmax + 1) % 4][:, None]
     return rows
-
-
-def _band(basis: TransformedBasis, degree: int) -> tuple[float, float]:
-    """The truncated support [lo, hi] the quadrature route integrates rows 0..degree over."""
-    return _transform_interval(basis.measure, degree)
-
-
-def _sigma_freq(basis: TransformedBasis, sigma, degree: int) -> float:
-    """Bound max |sigma'| on the truncated support by dense sampling."""
-    lo, hi = _band(basis, degree)
-    grid = np.linspace(lo, hi, 4097)
-    vals = np.asarray(sigma(grid), dtype=float)
-    return float(np.max(np.abs(np.gradient(vals, grid))))
 
 
 def phi_with_phase(basis: TransformedBasis, sigma, n: int, x):
@@ -377,14 +361,12 @@ def phi_with_phase(basis: TransformedBasis, sigma, n: int, x):
     Any real sigma preserves orthonormality and the differential-recurrence
     coefficients; sigma(xi) = xi*s translates the basis, sigma(xi) = -xi^2*t
     performs free Schroedinger evolution.  The value is row n of
-    ``phi_grid(basis, n, x, sigma=sigma, method="quadrature")``, its
-    phase bounded by sampling sigma combined with the basis's own phase.
+    ``phi_grid(basis, n, x, sigma=sigma)``: quadrature under a phase, and
+    the closed table, where the family has one, for sigma None.
     """
     if n < 0:
         raise ValueError("index n must be >= 0")
-    extra = _sigma_freq(basis, _combine_sigma(basis, sigma), n)
-    return _row(phi_grid(basis, n, x, sigma=sigma, extra_freq=extra,
-                         method="quadrature")[n], x)
+    return _row(phi_grid(basis, n, x, sigma=sigma)[n], x)
 
 
 def _parse_params(family: str, text: str, count: int) -> list[float]:

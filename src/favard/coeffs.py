@@ -572,18 +572,21 @@ def _log_bin_envelope(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndar
     return k[at_peak[np.searchsorted(at_peak, starts)]], np.array([math.log(v) for v in peaks.tolist()])
 
 
-def decay_fit(coeffs: CoefficientVector, model: str,
-              skip: int = 8, floor: float = 1e-13) -> DecayFit:
+# Coefficient magnitudes at or below this are noise to ``decay_fit``.
+_DECAY_FLOOR = 1e-13
+
+
+def decay_fit(coeffs: CoefficientVector, model: str, skip: int = 8) -> DecayFit:
     """Least-squares fit of the coefficient decay envelope.
 
     The first ``skip`` indices are pre-asymptotic and dropped, magnitudes at
-    or below ``floor`` are noise, and the fit runs on per-bin envelope maxima
-    (log-spaced bins) so oscillatory or sparse coefficient patterns do not
-    bias the slope.  ``model`` is "exponential", "algebraic", or
-    "stretched:<p>".  The line log m = slope t + intercept is the centred
-    closed form of least squares: with dt and dl the deviations of t and
-    log m from their means, slope = sum dt dl / sum dt^2, and the line
-    passes through the means.
+    or below 1e-13 (``_DECAY_FLOOR``) are noise, and the fit runs on
+    per-bin envelope maxima (log-spaced bins) so oscillatory or sparse
+    coefficient patterns do not bias the slope.  ``model`` is
+    "exponential", "algebraic", or "stretched:<p>".  The line
+    log m = slope t + intercept is the centred closed form of least
+    squares: with dt and dl the deviations of t and log m from their means,
+    slope = sum dt dl / sum dt^2, and the line passes through the means.
     """
     model, p = parse_decay_model(model)
     mags = np.abs(coeffs.values)
@@ -596,7 +599,7 @@ def decay_fit(coeffs: CoefficientVector, model: str,
         np.maximum(folded[1:neg.size + 1], neg, out=folded[1:neg.size + 1])
         mags, idx = folded, np.arange(folded.size)
 
-    keep = (idx >= skip) & (mags > floor)
+    keep = (idx >= skip) & (mags > _DECAY_FLOOR)
     if int(np.count_nonzero(keep)) < 16:
         raise ValueError("insufficient coefficients above the noise floor for a decay fit")
     k = idx[keep].astype(float)

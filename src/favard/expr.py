@@ -34,7 +34,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "unparse",
     "evaluate",
     "compile_function",
     "FUNCTIONS",
@@ -214,47 +213,6 @@ class _Parser:
 def parse(src: str):
     """Parse ``src`` into an expression tree; raises ParseError with position."""
     return _Parser(src).parse()
-
-
-def _prec(node) -> int:
-    if isinstance(node, Bin):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
-    if isinstance(node, Unary):
-        return 3
-    return 9
-
-
-def unparse(node) -> str:
-    """Render a tree back to source; parse(unparse(t)) reproduces t."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({unparse(node.arg)})"
-    if isinstance(node, Unary):
-        arg = unparse(node.arg)
-        if _prec(node.arg) < 4:
-            arg = f"({arg})"
-        return f"-{arg}"
-    if isinstance(node, Bin):
-        lhs, rhs = unparse(node.lhs), unparse(node.rhs)
-        p = _prec(node)
-        # Parenthesize so that reparsing rebuilds the identical tree: the
-        # left-associative operators own their left subtree at equal
-        # precedence, ^ owns its right subtree (and unary minus above it).
-        if node.op == "^":
-            if _prec(node.lhs) <= p:
-                lhs = f"({lhs})"
-            if _prec(node.rhs) < 3:
-                rhs = f"({rhs})"
-        else:
-            if _prec(node.lhs) < p:
-                lhs = f"({lhs})"
-            if _prec(node.rhs) <= p:
-                rhs = f"({rhs})"
-        return f"{lhs} {node.op} {rhs}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _check(values, what: str):

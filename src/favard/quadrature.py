@@ -169,6 +169,9 @@ def integrate(f, rule: QuadratureRule) -> float | complex:
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# The largest gap between two refinement levels at which the transform
+# accepts the finer one (``oscillatory_transform``).
+_TOL = 1e-10
 
 
 def _transform_interval(measure: MeasureSpec, degree: int) -> tuple[float, float]:
@@ -223,25 +226,25 @@ def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
         np.matmul(table, factor.view(float), out=out.view(float))
 
 
-def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec, x,
-                          tol: float = 1e-10, *, phase=None,
-                          phase_freq: float = 0.0) -> np.ndarray:
+def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec, x, *,
+                          phase=None) -> np.ndarray:
     """Rows (1/sqrt(2 pi)) integral e^{i x xi} p_n(xi) sqrt(w(xi)) d xi, n = 0..nmax.
 
     ``p_n`` are the orthonormal polynomials of ``jacobi`` and w is the
     weight of the continuous ``measure``; for the points of the flat array
     ``x`` the result has shape (nmax+1, len(x)).  One rule of Gauss panels
     on the truncated support (``_transform_interval``, cut from the
-    measure's one weight scan) serves every row and point.  Its first level
-    (``_transform_edges``) takes panels at most
-    4 pi / (1 + max|x| + phase_freq) wide, about 16 nodes per wavelength of
-    the kernel, where a Gauss rule already converges
-    (Trefethen, SIAM Review 50, 2008); the panel count is doubled until two
-    levels agree to ``tol`` everywhere, and the finer of the two is
-    returned.  Six doublings reach panels 1/64 of the first level's width;
-    failure there raises AccuracyError carrying the estimate.  ``phase``
-    adds a real sigma(xi) inside the kernel, and ``phase_freq`` should then
-    bound max |sigma'|.
+    measure's one weight scan) serves every row and point.  This is the one
+    place that sizes the rule.  Its first level (``_transform_edges``) takes
+    panels at most 4 pi / (1 + max|x|) wide, about 16 nodes per wavelength
+    of e^{i x xi}; the panel count is doubled until two levels agree to
+    ``_TOL`` everywhere, and the finer of the two is returned.  A Gauss
+    panel converges once it resolves its integrand (Trefethen, SIAM Review
+    50, 2008), so the doublings also resolve a real phase sigma(xi), which
+    ``phase`` adds inside the kernel, whatever its frequency: no bound on
+    sigma' is needed.  Six doublings reach panels 1/64 of the first level's
+    width; failure there, as under a phase too steep for them, raises
+    AccuracyError carrying the estimate.
 
     The Fourier kernel is built per panel, not per node.  The panels of a
     level are grouped by width (``_panels.width_classes``): every node is
@@ -268,7 +271,7 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec,
     xs = np.asarray(x, dtype=float)
     rows = nmax + 1
     order = _panels.GL_ORDER
-    freq = float(np.max(np.abs(xs), initial=0.0)) + phase_freq
+    freq = float(np.max(np.abs(xs), initial=0.0))
     fold = measure.symmetric and phase is None
     # every refinement level shares the one truncated interval
     interval = _transform_interval(measure, nmax)
@@ -325,10 +328,10 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec,
     for refine in range(1, 7):
         cur = evaluate(refine)
         est = float(np.max(np.abs(cur - prev), initial=0.0))
-        if est <= tol:
+        if est <= _TOL:
             return cur
         prev = cur
     raise AccuracyError(
-        f"oscillatory transform did not reach tol={tol:g}; estimate {est:g}",
+        f"oscillatory transform did not reach tol={_TOL:g}; estimate {est:g}",
         estimate=est,
     )

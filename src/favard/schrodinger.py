@@ -89,35 +89,38 @@ def _require_quadrature(basis: basis_mod.TransformedBasis):
         raise ValueError("free propagation needs a basis with a continuous-measure quadrature path")
 
 
+def _free_phase(t: float):
+    """The phase ``free_multiplier`` at time t, or None at t = 0."""
+    return None if t == 0.0 else (lambda xi: free_multiplier(xi, t))
+
+
 def free_psi(basis: basis_mod.TransformedBasis, n: int, x, t: float):
     """psi_n(x, t): the basis function propagated under u_t = i u_xx.
 
-    At t = 0 this is ``phi(basis, n, x)``; otherwise it is
-    ``phi_with_phase`` with the phase ``free_multiplier``, row n of one
-    quadrature transform over all of x.
+    The value is ``phi_with_phase`` with the phase ``free_multiplier``,
+    row n of ``phi_grid(basis, n, x, sigma=...)``: at t = 0 no phase is
+    passed, so the family's closed table serves where it has one, and at
+    any other t the rows are one quadrature transform over all of x.
     """
     _require_quadrature(basis)
-    if t == 0.0:
-        return basis_mod.phi(basis, n, x)
-    return basis_mod.phi_with_phase(basis, lambda xi: free_multiplier(xi, t), n, x)
+    return basis_mod.phi_with_phase(basis, _free_phase(t), n, x)
 
 
 def free_propagate(state: PropagatedState, t: float):
-    """Evaluator of u(., t) = sum_n u_hat_n psi_n(., t); linear in the coefficients."""
+    """Evaluator of u(., t) = sum_n u_hat_n psi_n(., t); linear in the coefficients.
+
+    u(x) is the coefficients times the rows of one ``phi_grid`` call with
+    the phase of ``free_psi``, in the shape of x (a Python complex for a
+    scalar x).
+    """
     _require_quadrature(state.basis)
     values = state.coeffs.values
     nmax = len(values) - 1
+    sigma = _free_phase(t)
 
     def u(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if t == 0.0:
-            table = basis_mod.phi_grid(state.basis, nmax, xs)
-        else:
-            table = basis_mod.phi_grid(state.basis, nmax, xs,
-                                       sigma=lambda xi: free_multiplier(xi, t),
-                                       method="quadrature")
-        out = values @ table
-        return out if np.ndim(x) else complex(out)
+        table = basis_mod.phi_grid(state.basis, nmax, x, sigma=sigma)
+        return basis_mod._row(values @ table, x)
 
     return u
 

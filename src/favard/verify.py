@@ -83,10 +83,12 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     """Gram of quadrature-route rows from their samples on the Nyquist lattice.
 
     phi_n is the Fourier integral of p_n sqrt(w) over the truncated band
-    [lo, hi] = ``basis._band(basis, N - 1)`` that ``oscillatory_transform``
-    integrates, so phi_m conj(phi_n) is band-limited to |k| <= hi - lo and
-    the trapezoid rule with step h = 2 pi / (hi - lo) is exact over all of
-    Z (Trefethen & Weideman, SIAM Review 56, 2014): only cutting the lattice
+    [lo, hi] = ``quadrature._transform_interval(basis.measure, N - 1)``
+    that ``oscillatory_transform`` integrates, with or without a phase (the
+    transform sizes its rule itself; a phase changes its panels, not its
+    band), so phi_m conj(phi_n) is band-limited to |k| <= hi - lo and the
+    trapezoid rule with step h = 2 pi / (hi - lo) is exact over all of Z
+    (Trefethen & Weideman, SIAM Review 56, 2014): only cutting the lattice
     at the reach X errs.  X starts at 15 and doubles, up to the cap
     30 max(1, N / 32), until the tail estimate is at most tol / 10: the rows
     spread as N grows, so the cap grows with them.  The lattice nests, so a
@@ -113,7 +115,7 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     phase the lattice folds onto k >= 0 (``_mirrored``), for any measure.
     Returns G and the step, reach (the last sampled point) and tail.
     """
-    lo, hi = basis_mod._band(basis, N - 1)
+    lo, hi = quadrature._transform_interval(basis.measure, N - 1)
     h = 2.0 * math.pi / (hi - lo)
     fold = basis.sigma is None
     X, cap = 15.0, 30.0 * max(1.0, N / 32.0)
@@ -322,39 +324,35 @@ def check_recurrence(basis, N: int = 10) -> CheckReport:
     return CheckReport("recurrence", worst, 1e-6, metadata={**meta, "rounding_floor": floor})
 
 
-def check_cramer(N: int = 50, lo: float = -10.0, hi: float = 10.0,
-                 samples: int = 10001) -> CheckReport:
+def check_cramer(N: int = 50) -> CheckReport:
     """max_n max_x |phi_n(x)| - pi^{-1/4} over the Hermite family, n <= N.
 
-    The table is reduced in place: its moduli overwrite it, and one argmax
-    gives both the peak and where it lies.  |phi_n| is even in x bit for
-    bit, so an odd-``samples`` window with lo = -hi, built from its
-    nonnegative half and mirrored as ``coeffs.coeffs_xspace`` builds it,
-    sweeps only its points x <= 0: the argmax there is the whole grid's
-    first one.  Any other window takes ``np.linspace(lo, hi, samples)``.
+    The window is 10001 points of [-10, 10], built from its nonnegative
+    half and mirrored as ``coeffs.coeffs_xspace`` builds it.  |phi_n| is
+    even in x bit for bit, so only the points x <= 0 are swept: the argmax
+    there is the whole grid's first one.  The table is reduced in place:
+    its moduli overwrite it, and one argmax gives both the peak and where
+    it lies.
     """
-    if samples % 2 == 1 and lo == -hi:
-        half = np.linspace(0.0, hi, samples // 2 + 1)
-        x = np.concatenate((-half[:0:-1], half))
-        table = basis_mod.hermite_function_table(N, half[::-1])  # |x| on x <= 0
-    else:
-        x = np.linspace(lo, hi, samples)
-        table = basis_mod.hermite_function_table(N, x)
+    half = np.linspace(0.0, 10.0, 5001)
+    x = np.concatenate((-half[:0:-1], half))
+    table = basis_mod.hermite_function_table(N, half[::-1])  # |x| on x <= 0
     np.abs(table, out=table)
     idx = np.unravel_index(np.argmax(table), table.shape)
     peak = float(table[idx])
     bound = math.pi ** -0.25
     return CheckReport("cramer", peak - bound, 1e-12,
-                       metadata={"N": N, "samples": samples,
+                       metadata={"N": N, "samples": x.size,
                                  "argmax_n": int(idx[0]), "argmax_x": float(x[idx[1]])})
 
 
-def check_ramanujan(a: float, xs=(0.0, 1.0, 2.0)) -> CheckReport:
+def check_ramanujan(a: float) -> CheckReport:
     """Relative error in int |Gamma(a+i xi)|^2 e^{ix xi} d xi against the closed form.
 
-    The closed form is sqrt(pi) Gamma(a) Gamma(a+1/2) / cosh^{2a}(x/2); the
-    left side is quadrature of the exact modulus-squared weight, truncated
-    where e^{-pi|xi|} has decayed past double precision.
+    The error is the largest over x = 0, 1 and 2.  The closed form is
+    sqrt(pi) Gamma(a) Gamma(a+1/2) / cosh^{2a}(x/2); the left side is
+    quadrature of the exact modulus-squared weight, truncated where
+    e^{-pi|xi|} has decayed past double precision.
     """
     if a <= 0.0:
         raise ValueError("parameter a must be positive")
@@ -365,7 +363,7 @@ def check_ramanujan(a: float, xs=(0.0, 1.0, 2.0)) -> CheckReport:
     rhs_const = math.sqrt(math.pi) * math.gamma(a) * math.gamma(a + 0.5)
     worst = 0.0
     details = {}
-    for x in np.atleast_1d(np.asarray(xs, dtype=float)):
+    for x in (0.0, 1.0, 2.0):
         lhs = float(np.real(np.sum(w * weight * np.exp(1j * x * xi))))
         rhs = rhs_const / math.cosh(0.5 * x) ** (2.0 * a)
         rel = abs(lhs - rhs) / abs(rhs)
@@ -405,40 +403,43 @@ def check_tanh_jacobi_identity(a: float, b: float, N: int = 5) -> CheckReport:
                        metadata={"a": a, "b": b, "N": N})
 
 
-def pw_support_reports(basis, ns, delta: float = 0.05) -> list[CheckReport]:
+# The guard band of the Paley-Wiener check, as a share of the band B.
+_PW_DELTA = 0.05
+
+
+def pw_support_reports(basis, ns) -> list[CheckReport]:
     """Fraction of each phi_n's Fourier energy beyond a guard band past the support.
 
     phi_n is the Fourier transform of p_n sqrt(w), so for a measure on
     [lo, hi] its spectrum lies in |k| <= B = max(|lo|, |hi|) (Paley-Wiener).
-    The rows n in ``ns`` are sampled at dx = pi / (2B), so the Nyquist
-    frequency is 2B, on M points covering |x| <= 9W, M the next power of
-    two; each row is tapered by exp(-(x / W)^2 / 2) with W = 9 / (delta B)
-    and transformed by one length-M FFT.  The ratio is the energy at
-    |k| > (1 + delta) B over the total.  The taper smears the spectrum's
-    jump at +-B by about 1/W, so past the guard band its leak is about
-    e^-81 and the ratio of a band-limited row sits at rounding, near 1e-30;
-    content inside the band (B, (1 + delta) B) is not seen.  At delta =
-    0.05 and B = 1, M = 4096.  For measures supported on all of R all of
-    the energy lies outside the support: the ratio 1.0 is returned at once,
-    without sampling, and the report is tagged expected_fail.
+    The guard band is fixed at delta = 0.05 (``_PW_DELTA``).  The rows n in
+    ``ns`` are sampled at dx = pi / (2B), so the Nyquist frequency is 2B,
+    on M points covering |x| <= 9W, M the next power of two; each row is
+    tapered by exp(-(x / W)^2 / 2) with W = 9 / (delta B) and transformed
+    by one length-M FFT.  The ratio is the energy at |k| > (1 + delta) B
+    over the total.  The taper smears the spectrum's jump at +-B by about
+    1/W, so past the guard band its leak is about e^-81 and the ratio of a
+    band-limited row sits at rounding, near 1e-30; content inside the band
+    (B, (1 + delta) B) is not seen.  At B = 1, M = 4096.  For measures
+    supported on all of R all of the energy lies outside the support: the
+    ratio 1.0 is returned at once, without sampling, and the report is
+    tagged expected_fail.
     """
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
         raise ValueError("index n must be >= 0")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("guard band delta must be in (0, 1]")
     if not ns:
         return []
     lo, hi = basis.measure.support
     # at least four orders above the floor of a band-limited row (about 1e-30)
     tol = 1e-24
-    metas = [{"family": basis.family, "n": n, "support": (lo, hi), "delta": delta}
+    metas = [{"family": basis.family, "n": n, "support": (lo, hi), "delta": _PW_DELTA}
              for n in ns]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [CheckReport("pw-support", 1.0, tol, metadata={**meta, "expected_fail": True})
                 for meta in metas]
     band = max(abs(lo), abs(hi))
-    width = 9.0 / (delta * band)
+    width = 9.0 / (_PW_DELTA * band)
     dx = 0.5 * math.pi / band
     M = 1 << math.ceil(math.log2(18.0 * width / dx))
     x = (np.arange(M) - 0.5 * M + 0.5) * dx
@@ -447,12 +448,12 @@ def pw_support_reports(basis, ns, delta: float = 0.05) -> list[CheckReport]:
 
     energy = np.abs(scipy.fft.fft(rows, axis=1)) ** 2
     k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
-    ratios = energy[:, k > (1.0 + delta) * band].sum(axis=1) / energy.sum(axis=1)
+    ratios = energy[:, k > (1.0 + _PW_DELTA) * band].sum(axis=1) / energy.sum(axis=1)
     return [CheckReport("pw-support", float(r), tol,
                         metadata={**meta, "width": width, "M": M, "dx": dx})
             for meta, r in zip(metas, ratios)]
 
 
-def check_pw_support(basis, n: int = 0, delta: float = 0.05) -> CheckReport:
+def check_pw_support(basis, n: int = 0) -> CheckReport:
     """``pw_support_reports`` for the single row n."""
-    return pw_support_reports(basis, (n,), delta)[0]
+    return pw_support_reports(basis, (n,))[0]

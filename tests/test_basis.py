@@ -496,7 +496,7 @@ def test_generalized_hermite_quadrature_orthonormal():
     assert np.max(np.abs(G - np.eye(6))) < 1e-6
 
 
-def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
+def _unfolded_phi_grid(basis, nmax, x, sigma=None):
     # the quadrature route with one kernel entry e^{i (x xi + sigma(xi))} per
     # node and grid point, cos and sin for every row, over the whole-line
     # rule: phi_grid's kernel before it was factored by panel
@@ -507,7 +507,7 @@ def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
     def sqrtw(xi):
         return np.sqrt(meas.weight(xi))
 
-    freq = float(np.max(np.abs(xs), initial=0.0)) + extra_freq
+    freq = float(np.max(np.abs(xs), initial=0.0))
     interval = _transform_interval(meas, nmax)
     phases = 1j ** (np.arange(nmax + 1) % 4)
     prev = None
@@ -522,7 +522,7 @@ def _unfolded_phi_grid(basis, nmax, x, sigma=None, extra_freq=0.0, tol=1e-10):
                 arg += sigma(xi)[:, None]
             out[:, start:start + step] = table @ np.cos(arg) + 1j * (table @ np.sin(arg))
         cur = phases[:, None] * out / _SQRT_2PI
-        if prev is not None and np.max(np.abs(cur - prev)) <= tol:
+        if prev is not None and np.max(np.abs(cur - prev)) <= 1e-10:
             return cur
         prev = cur
     raise AssertionError("reference kernel did not converge")
@@ -558,9 +558,7 @@ def test_quadrature_phase_matches_direct_kernel(family, t):
     x = np.concatenate([np.linspace(-5.0, 5.0, 21), [1e-3, 9.5]])
     sigma = (lambda xi: -xi * xi * t) if t else None
     got = phi_grid(basis, 5, x, sigma=sigma, method="quadrature")
-    total = bas._combine_sigma(basis, sigma)
-    extra = 0.0 if basis.sigma is None else bas._sigma_freq(basis, basis.sigma, 5)
-    want = _unfolded_phi_grid(basis, 5, x, sigma=total, extra_freq=extra)
+    want = _unfolded_phi_grid(basis, 5, x, sigma=bas._combine_sigma(basis, sigma))
     assert np.max(np.abs(want)) > 0.1
     assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -589,7 +587,6 @@ def test_quadrature_phi_and_phase_are_rows_of_phi_grid(family):
     basis = dataclasses.replace(make_basis(family, N=8), closed_table=None)
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     sigma = lambda xi: 0.4 * xi
-    extra = bas._sigma_freq(basis, bas._combine_sigma(basis, sigma), 3)
     for n in (0, 3):
         row = phi_grid(basis, n, x.ravel(), method="quadrature")[n]
         assert np.array_equal(phi(basis, n, x, method="quadrature"), row.reshape(3, 4))
@@ -597,10 +594,23 @@ def test_quadrature_phi_and_phase_are_rows_of_phi_grid(family):
         one = phi(basis, n, 0.7, method="quadrature")
         assert type(one) is complex
         assert one == phi_grid(basis, n, 0.7, method="quadrature")[n][0]
-    moved = phi_grid(basis, 3, x.ravel(), sigma=sigma, extra_freq=extra, method="quadrature")[3]
+    moved = phi_grid(basis, 3, x.ravel(), sigma=sigma, method="quadrature")[3]
     assert np.array_equal(phi_with_phase(basis, sigma, 3, x), moved.reshape(3, 4))
-    one = phi_grid(basis, 3, 0.7, sigma=sigma, extra_freq=extra, method="quadrature")[3][0]
+    one = phi_grid(basis, 3, 0.7, sigma=sigma, method="quadrature")[3][0]
     assert phi_with_phase(basis, sigma, 3, 0.7) == one
+
+
+@pytest.mark.parametrize("family", ["conthahn:1,0.5", "jacobi:0.5,1.5"])
+def test_phi_with_phase_is_a_row_of_phi_grid(family):
+    # the transform sizes its rule from max|x| alone, so phi_with_phase is
+    # row n of phi_grid under the same phase bit for bit, whatever the
+    # phase and with conthahn's own gamma-pair phase combined in
+    basis = make_basis(family, N=16)
+    x = np.linspace(-4.0, 4.0, 17)
+    for sigma in (lambda xi: 0.3 * xi, lambda xi: -2.0 * xi * xi):
+        for n in (3, 12):
+            want = phi_grid(basis, n, x, sigma=sigma)[n]
+            assert np.array_equal(phi_with_phase(basis, sigma, n, x), want)
 
 
 @pytest.mark.parametrize("size", [1, 7, 40])

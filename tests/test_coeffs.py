@@ -721,7 +721,7 @@ def test_decay_fit_floor_excludes_noise():
     vals = 2.0 ** (-n.astype(float))
     vals = np.maximum(vals, 1e-15) + 1e-16 * rng.random(200)
     a = co.CoefficientVector(values=vals, n_start=0, basis=None, meta={})
-    fit = co.decay_fit(a, "exponential", skip=2, floor=1e-13)
+    fit = co.decay_fit(a, "exponential", skip=2)
     assert abs(fit.param - 2.0) < 1e-3
     assert fit.n_used < 60
 

@@ -178,14 +178,6 @@ def test_differential_vs_shunting_yard():
         checked += 1
 
 
-def test_unparse_parse_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        src = random_expr(rng)
-        tree = ex.parse(src)
-        assert ex.parse(ex.unparse(tree)) == tree
-
-
 def test_parse_error_reports_position():
     with pytest.raises(ex.ParseError) as err:
         ex.parse("1 + @")

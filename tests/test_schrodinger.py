@@ -14,7 +14,7 @@ from favard import recurrence as rec
 from favard import schrodinger as sch
 from favard.basis import (TransformedBasis, hermite_function_table,
                           make_basis, malmquist_takenaka, transformed_legendre)
-from favard.errors import TruncationLossWarning
+from favard.errors import AccuracyError, TruncationLossWarning
 
 
 def F_gaussian(xi):
@@ -523,15 +523,50 @@ def test_fft_grid_reference_self_consistency():
 
 @pytest.mark.parametrize("family", ["jacobi:0.5,1.5", "conthahn:1,0.5"])
 def test_free_psi_is_a_row_of_phi_grid(family):
-    # t != 0: row n of one phase-carrying transform, bit for bit
-    basis = make_basis(family, N=8)
+    # t != 0: row n of one phase-carrying transform, bit for bit, its rule
+    # sized by max|x| alone (conthahn:1,0.5 with its own gamma-pair phase);
+    # t = 0: row n of phi_grid without a phase, conthahn's closed table
+    basis = make_basis(family, N=16)
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     t = 0.3
     sigma = lambda xi: sch.free_multiplier(xi, t)
-    extra = basis_mod._sigma_freq(basis, basis_mod._combine_sigma(basis, sigma), 2)
-    for point in (x, 0.7):
-        row = basis_mod.phi_grid(basis, 2, point, sigma=sigma, extra_freq=extra,
-                                 method="quadrature")[2]
-        got = sch.free_psi(basis, 2, point, t)
-        assert np.array_equal(got, row.reshape(np.shape(point)))
-    assert type(got) is complex
+    for n in (2, 12):
+        for point in (x, 0.7):
+            row = basis_mod.phi_grid(basis, n, point, sigma=sigma)[n]
+            got = sch.free_psi(basis, n, point, t)
+            assert np.array_equal(got, row.reshape(np.shape(point)))
+        assert type(got) is complex
+        still = basis_mod.phi_grid(basis, n, x.ravel())[n]
+        assert np.array_equal(sch.free_psi(basis, n, x, 0.0), still.reshape(3, 4))
+
+
+@pytest.mark.parametrize("family", ["hermite", "jacobi:0.5,1.5", "conthahn:1,0.5"])
+def test_free_propagate_sums_the_rows_of_one_phi_grid_call(family):
+    # u(x) = values @ phi_grid(basis, nmax, x, sigma=...), with no phase at
+    # t = 0, where hermite and conthahn take their closed tables; a scalar
+    # x gives a Python complex
+    basis = make_basis(family, N=8)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    state = sch.PropagatedState(co.CoefficientVector(values, 0, basis, {}), basis)
+    x = np.linspace(-4.0, 4.0, 9)
+    for t in (0.0, 0.25, 1.0):
+        sigma = None if t == 0.0 else (lambda xi, t=t: sch.free_multiplier(xi, t))
+        want = values @ basis_mod.phi_grid(basis, 5, x, sigma=sigma)
+        assert np.array_equal(sch.free_propagate(state, t)(x), want)
+        one = sch.free_propagate(state, t)(0.5)
+        assert type(one) is complex
+        assert one == (values @ basis_mod.phi_grid(basis, 5, 0.5, sigma=sigma))[0]
+
+
+def test_free_psi_past_the_phase_reach_raises():
+    # the free-flow phase -t xi^2 is resolved by the transform's six
+    # doublings alone: hermite row 23 on |x| <= 12 is reached at t = 64,
+    # while at t = 256 the two finest levels still differ by about 2e-4,
+    # so the route raises rather than return a value it cannot vouch for
+    basis = make_basis("hermite", N=32)
+    x = np.linspace(-12.0, 12.0, 49)
+    assert np.all(np.isfinite(sch.free_psi(basis, 23, x, 64.0)))
+    with pytest.raises(AccuracyError) as info:
+        sch.free_psi(basis, 23, x, 256.0)
+    assert info.value.estimate > 1e-10

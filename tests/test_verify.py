@@ -14,13 +14,14 @@ import scipy.fft
 import scipy.special
 
 from favard import basis as basis_mod
+from favard import quadrature
 from favard import verify as ver
 from favard.basis import make_basis
 from favard.periodic import charlier_basis
 
 
 def test_report_shape_and_schema():
-    rep = ver.check_cramer(N=10, samples=501)
+    rep = ver.check_cramer(N=10)
     assert rep.passed
     d = rep.as_dict()
     assert d["schema"] == "favard.report/1"
@@ -53,7 +54,7 @@ def test_lattice_gram_steps_by_the_band_of_the_rows(family):
     # (conthahn with its closed table removed, as a quadrature-route measure)
     basis = dataclasses.replace(make_basis(family, N=8), closed_table=None)
     rep = ver.check_gram(basis, 6)
-    lo, hi = basis_mod._band(basis, 5)
+    lo, hi = quadrature._transform_interval(basis.measure, 5)
     assert rep.metadata["strategy"] == "nyquist-lattice"
     assert rep.metadata["step"] == 2.0 * math.pi / (hi - lo)
     assert 15.0 <= rep.metadata["reach"] < 30.0 + rep.metadata["step"]
@@ -257,8 +258,9 @@ def test_cramer_report_frozen():
 
 
 def test_cramer_sweeps_the_nonpositive_half_of_a_symmetric_window(monkeypatch):
-    # |phi_n| is even bit for bit: a mirrored window sweeps its points x <= 0,
-    # and the report is the whole mirrored grid's, argmax included
+    # |phi_n| is even bit for bit: the mirrored window of 10001 points of
+    # [-10, 10] sweeps its points x <= 0, and the report is the whole
+    # mirrored grid's, argmax included
     sizes = []
     table = basis_mod.hermite_function_table
 
@@ -267,23 +269,22 @@ def test_cramer_sweeps_the_nonpositive_half_of_a_symmetric_window(monkeypatch):
         return table(nmax, x)
 
     monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
-    for lo, hi, samples in ((-10.0, 10.0, 10001), (-math.pi, math.pi, 101), (-2.5, 2.5, 11)):
-        rep = ver.check_cramer(7, lo, hi, samples)
-        half = np.linspace(0.0, hi, samples // 2 + 1)
+    for N in (7, 50):
+        rep = ver.check_cramer(N)
+        half = np.linspace(0.0, 10.0, 5001)
         x = np.concatenate((-half[:0:-1], half))
-        full = np.abs(table(7, x))
+        full = np.abs(table(N, x))
         n, j = np.unravel_index(np.argmax(full), full.shape)
         assert rep.max_abs_error == full[n, j] - math.pi ** -0.25
         assert (rep.metadata["argmax_n"], rep.metadata["argmax_x"]) == (n, x[j])
-        assert sizes.pop() == samples // 2 + 1
-    ver.check_cramer(7, -1.0, 2.0, 101)
-    assert sizes == [101]
+        assert sizes == [5001]
+        sizes.clear()
 
 
 def test_cramer_memory_is_one_table():
     # the moduli overwrite the table and one argmax reads the peak: no
     # table-sized copy besides the table itself (two np.abs copies read 2.02x)
-    ver.check_cramer(N=2, samples=11)
+    ver.check_cramer(N=2)
     tracemalloc.start()
     try:
         ver.check_cramer()
@@ -347,36 +348,33 @@ def test_pw_support_hermite_expected_fail(monkeypatch):
     assert list(rep.metadata) == ["family", "n", "support", "delta", "expected_fail"]
 
 
-def _pw_ratio(basis, n, delta=0.05):
-    # the guard-band ratio of row n, written out with numpy's own FFT
-    meta = ver.check_pw_support(basis, n, delta).metadata
+def _pw_ratio(basis, n):
+    # the guard-band ratio of row n, at delta = 0.05 on [-1, 1], written
+    # out with numpy's own FFT
+    meta = ver.check_pw_support(basis, n).metadata
     M, dx, W = meta["M"], meta["dx"], meta["width"]
     x = (np.arange(M) - M / 2 + 0.5) * dx
     g = basis_mod.phi_grid(basis, n, x)[n] * np.exp(-0.5 * (x / W) ** 2)
     energy = np.abs(np.fft.fft(g)) ** 2
     k = np.abs(2.0 * math.pi * np.fft.fftfreq(M, d=dx))
-    return float(energy[k > 1.0 + delta].sum() / energy.sum())
+    return float(energy[k > 1.05].sum() / energy.sum())
 
 
 @pytest.mark.parametrize("family", ["legendre", "ultraspherical:0"])
 def test_pw_support_guard_band_grid(family):
     # delta = 0.05 on [-1, 1]: W = 9 / delta = 180, dx = pi / 2, and the
-    # grid covers |x| <= 9W = 1620 in the next power of two, 4096 points;
-    # delta = 0.01 takes 16384.  Every row reads at rounding level
+    # grid covers |x| <= 9W = 1620 in the next power of two, 4096 points.
+    # Every row reads at rounding level
     basis = make_basis(family, N=8)
-    for delta, M in ((0.05, 2**12), (0.01, 2**14)):
-        reps = ver.pw_support_reports(basis, range(6), delta=delta)
-        assert [r.metadata["n"] for r in reps] == list(range(6))
-        assert all(r.passed and r.max_abs_error <= 1e-28 for r in reps), delta
-        assert reps[0].metadata == {"family": family, "n": 0, "support": (-1.0, 1.0),
-                                    "delta": delta, "width": 9.0 / delta, "M": M,
-                                    "dx": math.pi / 2}
-        assert reps[0].tolerance == 1e-24
+    reps = ver.pw_support_reports(basis, range(6))
+    assert [r.metadata["n"] for r in reps] == list(range(6))
+    assert all(r.passed and r.max_abs_error <= 1e-28 for r in reps)
+    assert reps[0].metadata == {"family": family, "n": 0, "support": (-1.0, 1.0),
+                                "delta": 0.05, "width": 180.0, "M": 2**12,
+                                "dx": math.pi / 2}
+    assert reps[0].tolerance == 1e-24
     for n in (0, 3, 5):
         assert abs(ver.check_pw_support(basis, n).max_abs_error - _pw_ratio(basis, n)) < 1e-30
-    for delta in (0.0, -0.05, 1.5, math.nan):
-        with pytest.raises(ValueError):
-            ver.check_pw_support(basis, 0, delta)
 
 
 def test_pw_support_sees_planted_error(monkeypatch):
@@ -507,9 +505,10 @@ def test_lattice_gram_counts_no_estimate_from_inside_the_bulk(monkeypatch):
         f = np.where(np.abs(x) <= 30.0, np.exp(-np.abs(x) / 16.0) / norm, 0.0)
         return np.tile(f.astype(complex), (nmax + 1, 1))
 
-    monkeypatch.setattr(basis_mod, "_band", lambda basis, degree: (-math.pi, math.pi))
+    monkeypatch.setattr(quadrature, "_transform_interval",
+                        lambda measure, degree: (-math.pi, math.pi))
     monkeypatch.setattr(basis_mod, "phi_grid", rows)
-    G, lattice = ver._lattice_gram(types.SimpleNamespace(sigma=None), 64, 1e-8)
+    G, lattice = ver._lattice_gram(types.SimpleNamespace(sigma=None, measure=None), 64, 1e-8)
     assert "stalled" not in lattice
     assert (lattice["reach"], lattice["tail"]) == (60.0, 0.0)
     assert np.max(np.abs(G.diagonal() - 1.0)) < 1e-14
