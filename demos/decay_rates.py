@@ -14,7 +14,6 @@ Run: python3 demos/decay_rates.py
 
 import numpy as np
 
-from favard.basis import make_basis
 from favard.coeffs import decay_fit, mt_coeffs_fft
 
 N = 4096
@@ -26,7 +25,6 @@ def sech(t):
 
 
 def main():
-    basis = make_basis("mt", N=N)
     cases = [
         ("1/(1+x^4)", lambda x: 1.0 / (1.0 + (2 * x) ** 4),
          "exponential", 1.0 + np.sqrt(2.0), "rho = 1+sqrt(2)"),
@@ -40,7 +38,7 @@ def main():
     print(f"MT coefficients via FFT, N = {N}; least-squares decay fits")
     print()
     for label, f, model, expected, note in cases:
-        a = mt_coeffs_fft(f, N, basis)
+        a = mt_coeffs_fft(f, N)
         fit = decay_fit(a, model, skip=8)
         kind = model.split(":")[0]
         print(f"  f(x) = {label:16s} {kind:12s} fitted {fit.param:8.5f}   "

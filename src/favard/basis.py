@@ -195,6 +195,19 @@ def _mt_table(nmax: int, x) -> np.ndarray:
     return malmquist_takenaka(np.arange(nmax + 1)[:, None], x)
 
 
+def _mt_theta_grid(N: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The N-point midpoint grid of the substitution x = tan(theta/2)/2.
+
+    Returns the step h = 2 pi / N, the angles theta_j = -pi + (j + 1/2) h
+    and the points x_j = tan(theta_j / 2) / 2: the grid avoids theta = +-pi,
+    where x is infinite.  On it every phi_n is e^{i n theta_j} times a
+    factor common to all n.
+    """
+    h = 2.0 * math.pi / N
+    theta = -math.pi + (np.arange(N) + 0.5) * h
+    return h, theta, 0.5 * np.tan(0.5 * theta)
+
+
 @lru_cache(maxsize=32)
 def _tanh_jacobi_polys(a: float, b: float, N: int) -> JacobiMatrix:
     return rec.jacobi_poly_coeffs(2.0 * a - 1.0, 2.0 * b - 1.0, N)
@@ -457,7 +470,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
             raise ValueError("custom-weight needs an expression")
         from . import expr as _expr
         weight_fn = _expr.compile_function(tail)
-        measure = rec.custom_measure(weight_fn, name=family)
+        measure = rec.custom_measure(weight_fn)
         source = lambda M: rec.stieltjes(measure, M)
         return TransformedBasis(family, measure, source(N), coeff_source=source)
     if head == "charlier":

@@ -145,9 +145,9 @@ def _cmd_diffmat(bas, N, out) -> int:
 
 def _cmd_coeffs(bas, f, N, method, window, out) -> int:
     if method == "fft":
-        vec = coeffs_mod.mt_coeffs_fft(f, N, basis=bas)
+        vec = coeffs_mod.mt_coeffs_fft(f, N)
     elif method == "dct":
-        vec = coeffs_mod.tanh_chebyshev_coeffs(f, coeffs_mod.tanh_cheb_kind(bas), N, basis=bas)
+        vec = coeffs_mod.tanh_chebyshev_coeffs(f, coeffs_mod.tanh_cheb_kind(bas), N)
     else:
         vec = coeffs_mod.coeffs_xspace(f, bas, N, window=window)
     re, im = vec.values.real, vec.values.imag
@@ -220,13 +220,12 @@ _CHECK_NAMES = ("gram", "recurrence", "cramer", "ramanujan",
                 "tanh-jacobi-identity", "pw-support")
 
 
-def _verify_reports(family, which, N, a, basis_at) -> list:
+def _verify_reports(family, bas, which, N, a) -> list:
     head = family.partition(":")[0]
     reports = []
 
     def add(name):
         if name in ("gram", "recurrence"):
-            bas = basis_at(max(N, 12))
             fn = verify_mod.check_gram if name == "gram" else verify_mod.check_recurrence
             reports.append(fn(bas, N))
         elif name == "cramer":
@@ -234,10 +233,9 @@ def _verify_reports(family, which, N, a, basis_at) -> list:
         elif name == "ramanujan":
             reports.append(verify_mod.check_ramanujan(a))
         elif name == "tanh-jacobi-identity":
-            tj_a, tj_b, _ = basis_at(max(N, 12)).tanh_jacobi
+            tj_a, tj_b, _ = bas.tanh_jacobi
             reports.append(verify_mod.check_tanh_jacobi_identity(tj_a, tj_b, min(N, 6)))
         elif name == "pw-support":
-            bas = basis_at(max(N, 8))
             reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
         else:
             raise ValueError(f"unknown check {name!r}")
@@ -257,8 +255,8 @@ def _verify_reports(family, which, N, a, basis_at) -> list:
     return reports
 
 
-def _cmd_verify(family, which, N, a, basis_at, out) -> int:
-    reports = _verify_reports(family, which, N, a, basis_at)
+def _cmd_verify(family, bas, which, N, a, out) -> int:
+    reports = _verify_reports(family, bas, which, N, a)
     payload = [r.as_dict() for r in reports]
     _emit(out, json.dumps(payload, indent=2) + "\n")
     bad = [r for r in reports if not r.passed and not r.metadata.get("expected_fail")]
@@ -435,16 +433,15 @@ def _configure(args: argparse.Namespace) -> functools.partial:
             raise ValueError("ramanujan parameter --a must be positive")
         if args.check == "tanh-jacobi-identity" and head != "tanhjacobi":
             raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
-        # gram, recurrence and pw-support share one basis per size, and the
-        # identity reads (a, b) from the gram size's; the first size a check
-        # asks for is built here, which checks the family
-        basis_at = functools.cache(functools.partial(_resolve_family, args.family))
-        if args.check in ("all", "gram", "recurrence", "tanh-jacobi-identity"):
-            basis_at(max(args.N, 12))
-        elif args.check == "pw-support":
-            basis_at(max(args.N, 8))
-        return functools.partial(_cmd_verify, args.family, args.check, args.N, a,
-                                 basis_at, args.out)
+        # every check but cramer and ramanujan reads one basis, built here,
+        # which checks the family; the identity reads (a, b) from it
+        bas = None
+        if args.check not in ("cramer", "ramanujan"):
+            bas = _resolve_family(args.family, max(args.N, 12))
+            if args.check == "pw-support" and isinstance(bas, periodic_mod.PeriodicBasis):
+                raise ValueError("pw-support needs a continuous family, not charlier")
+        return functools.partial(_cmd_verify, args.family, bas, args.check, args.N, a,
+                                 args.out)
     raise ValueError(f"unknown subcommand {sub!r}")
 
 

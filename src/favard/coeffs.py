@@ -39,14 +39,13 @@ class CoefficientVector:
     """Coefficients f_hat_n for n = n_start .. n_start + len(values) - 1.
 
     ``n_start`` is 0 for one-sided families and -N/2+1 for the bilateral
-    Malmquist-Takenaka window.  ``meta`` records how the values were
-    computed, including tail estimates for windowed rules.
+    Malmquist-Takenaka window.  ``meta``, keyword-only, records how the
+    values were computed, including tail estimates for windowed rules.
     """
 
     values: np.ndarray
     n_start: int = 0
-    basis: TransformedBasis | None = None
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict, kw_only=True)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -61,8 +60,8 @@ class CoefficientVector:
         return np.arange(self.n_start, self.n_start + self.values.size)
 
     def with_values(self, values) -> "CoefficientVector":
-        return CoefficientVector(np.asarray(values, dtype=complex),
-                                 self.n_start, self.basis, dict(self.meta))
+        return CoefficientVector(np.asarray(values, dtype=complex), self.n_start,
+                                 meta=dict(self.meta))
 
 
 def coeffs_fourier_side(F, basis: TransformedBasis, N: int) -> CoefficientVector:
@@ -100,7 +99,7 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int) -> CoefficientVector
     table = rec.eval_poly_table(basis.jacobi, N - 1, nodes[live])
     vals = table @ (rule.weights[live] * samples / sqw[live])
     vals = _I_POWERS[-np.arange(N) % 4] * vals
-    return CoefficientVector(vals, 0, basis, {"method": "fourier-side", "points": M})
+    return CoefficientVector(vals, 0, meta={"method": "fourier-side", "points": M})
 
 
 def coeffs_xspace(f, basis: TransformedBasis, N: int,
@@ -165,7 +164,7 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
             "tail_estimate": edge}
     if edge > 1e-10 * max(peak, 1e-300):
         meta["warning"] = "integrand not negligible at the window edges"
-    return CoefficientVector(vals, n_start, basis, meta)
+    return CoefficientVector(vals, n_start, meta=meta)
 
 
 def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarray):
@@ -295,7 +294,7 @@ def check_mt_fft_size(N: int) -> None:
         raise ValueError("N must be a power of two, N >= 4")
 
 
-def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> CoefficientVector:
+def mt_coeffs_fft(f, N: int) -> CoefficientVector:
     """Malmquist-Takenaka coefficients for n = -N/2+1 .. N/2 by FFT.
 
     Substituting e^{i theta} = (1+2ix)/(1-2ix) turns the inner products into
@@ -379,8 +378,8 @@ def mt_coeffs_fft(f, N: int, basis: TransformedBasis | None = None) -> Coefficie
     by_four = vals.reshape(-1, 4)  # i^n has period 4, and 4 divides N
     by_four *= _I_POWERS[np.arange(n0, n0 + 4) % 4]
     vals *= weight / (2.0 * _SQRT_2PI)
-    return CoefficientVector(vals, n0, basis,
-                             {"method": "mt-fft", "samples": samples, "out_of_window": ratio})
+    return CoefficientVector(vals, n0, meta={"method": "mt-fft", "samples": samples,
+                                             "out_of_window": ratio})
 
 
 # (a, b) -> the midpoint transform (the name of a scipy.fft function) and its type
@@ -436,8 +435,7 @@ def _tanh_cheb_probe(M: int) -> tuple[tuple[float, float], np.ndarray]:
     return angles, np.array([-math.log(math.tan(0.5 * th)) for th in angles])
 
 
-def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
-                          basis: TransformedBasis | None = None) -> CoefficientVector:
+def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int) -> CoefficientVector:
     """tanh-Jacobi coefficients for the four Chebyshev kinds by fast transform.
 
     Substituting tanh x = cos theta maps the inner products to integrals of
@@ -520,8 +518,8 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int,
     if (a, b) == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)
     vals[1::2] *= -1.0
-    return CoefficientVector(vals, 0, basis, {"method": "tanh-chebyshev", "kind": (a, b),
-                                              "samples": size, "out_of_window": ratio})
+    return CoefficientVector(vals, 0, meta={"method": "tanh-chebyshev", "kind": (a, b),
+                                            "samples": size, "out_of_window": ratio})
 
 
 @dataclass(frozen=True)

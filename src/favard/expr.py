@@ -276,7 +276,4 @@ def _int_power(base, k: int):
 def compile_function(src: str):
     """Parse once and return a vectorized numeric function of x."""
     tree = parse(src)
-    def fn(x):
-        return evaluate(tree, x)
-    fn.expression = src
-    return fn
+    return lambda x: evaluate(tree, x)

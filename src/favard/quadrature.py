@@ -27,7 +27,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 # Bound, in bits, on the growth of max(|p_k|, |p_{k-1}|) between two
@@ -125,7 +124,7 @@ def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     measure ``jacobi`` comes from.
     """
     nodes, log_w = _gauss_log_rule(jacobi, N)
-    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w), exactness=2 * N - 1)
+    return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w))
 
 
 def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -86,7 +86,6 @@ class MeasureSpec:
     points: np.ndarray | None = None
     masses: np.ndarray | None = None
     breakpoints: tuple = ()
-    name: str = ""
     symmetric: bool = False
     # ``tails``: the weight on each infinite side at the scan radii
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -144,8 +143,8 @@ def _truncated_interval(support, tails, degree):
     return lo, hi
 
 
-def continuous_measure(raw_weight, support, *, breakpoints=(), name="",
-                       mass=None, symmetric=False) -> MeasureSpec:
+def continuous_measure(raw_weight, support, *, breakpoints=(), mass=None,
+                       symmetric=False) -> MeasureSpec:
     """Wrap a nonnegative integrable density as a unit-mass MeasureSpec.
 
     Without a given ``mass`` the mass is integrated on the interval cut
@@ -167,7 +166,6 @@ def continuous_measure(raw_weight, support, *, breakpoints=(), name="",
         support=(float(lo), float(hi)),
         weight=lambda xi: raw_weight(xi) * inv,
         breakpoints=tuple(breakpoints),
-        name=name,
         symmetric=symmetric,
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,7 +179,6 @@ def hermite_measure() -> MeasureSpec:
         lambda xi: np.exp(-np.asarray(xi, float) ** 2),
         (-np.inf, np.inf),
         mass=math.sqrt(math.pi),
-        name="hermite",
         symmetric=True,
     )
 
@@ -212,10 +209,7 @@ def jacobi_measure(alpha: float, beta: float) -> MeasureSpec:
         return out
 
     mass = 2.0 ** (alpha + beta + 1.0) * _beta(alpha + 1.0, beta + 1.0)
-    name = "legendre" if alpha == beta == 0.0 else f"jacobi:{alpha},{beta}"
-    return continuous_measure(
-        w, (-1.0, 1.0), mass=mass, name=name, symmetric=(alpha == beta)
-    )
+    return continuous_measure(w, (-1.0, 1.0), mass=mass, symmetric=(alpha == beta))
 
 
 def laguerre_measure(alpha: float = 0.0) -> MeasureSpec:
@@ -231,10 +225,7 @@ def laguerre_measure(alpha: float = 0.0) -> MeasureSpec:
                 out = np.where(xi == 0.0, 1.0, out)
         return out
 
-    return continuous_measure(
-        w, (0.0, np.inf), mass=math.gamma(1.0 + alpha),
-        name=f"laguerre:{alpha}", symmetric=False,
-    )
+    return continuous_measure(w, (0.0, np.inf), mass=math.gamma(1.0 + alpha))
 
 
 def generalized_hermite_measure(eta: float) -> MeasureSpec:
@@ -247,7 +238,7 @@ def generalized_hermite_measure(eta: float) -> MeasureSpec:
 
     return continuous_measure(
         w, (-np.inf, np.inf), breakpoints=(0.0,),
-        mass=math.gamma(eta + 0.5), name=f"genhermite:{eta}", symmetric=True,
+        mass=math.gamma(eta + 0.5), symmetric=True,
     )
 
 
@@ -270,14 +261,12 @@ def conthahn_measure(a: float, b: float, dilation: float = 1.0) -> MeasureSpec:
     lg = math.lgamma
     mass = s * 2.0 * math.pi * math.exp(lg(2.0 * a) + lg(2.0 * b) + 2.0 * lg(a + b)
                                         - lg(2.0 * a + 2.0 * b))
-    return continuous_measure(
-        w, (-np.inf, np.inf), mass=mass, name=f"conthahn:{a},{b}", symmetric=True,
-    )
+    return continuous_measure(w, (-np.inf, np.inf), mass=mass, symmetric=True)
 
 
-def custom_measure(weight_fn, support=(-np.inf, np.inf), *, name="custom") -> MeasureSpec:
+def custom_measure(weight_fn, support=(-np.inf, np.inf)) -> MeasureSpec:
     """Unit-mass measure from an arbitrary nonnegative decaying density."""
-    return continuous_measure(weight_fn, support, name=name)
+    return continuous_measure(weight_fn, support)
 
 
 def hermite_coeffs(n: int) -> tuple[float, float]:
@@ -536,6 +525,5 @@ def charlier_bilateral(a: float, K: int | None = None) -> MeasureSpec:
         support=(float(-K), float(K)),
         points=k.astype(float),
         masses=masses,
-        name=f"charlier:{a}",
         symmetric=True,
     )

@@ -201,8 +201,8 @@ def _mt_grid(D: diffop.DiffMatrix):
     """Square theta-grid pair for the Malmquist-Takenaka window n = -K..K-1, K = D.N.
 
     On the N = 2K points theta_j = -pi + (j + 1/2) h, h = 2 pi / N, with
-    x_j = tan(theta_j / 2) / 2, the basis is a pure Fourier mode times a
-    common factor,
+    x_j = tan(theta_j / 2) / 2 (``basis._mt_theta_grid``), the basis is a
+    pure Fourier mode times a common factor,
     phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) e^{i theta_j/2} i^n e^{i n theta_j},
     so synthesis over the N consecutive n is one inverse FFT of
     (-i)^n e^{i n h/2} a_n (the window's start -K puts (-1)^j in the common
@@ -215,16 +215,13 @@ def _mt_grid(D: diffop.DiffMatrix):
 
     K = D.N
     N = 2 * K
-    h = 2.0 * math.pi / N
-    theta = -math.pi + (np.arange(N) + 0.5) * h
-    tan_half = np.tan(0.5 * theta)
-    nodes = 0.5 * tan_half
+    h, theta, nodes = basis_mod._mt_theta_grid(N)
     ns = np.arange(-K, K)
     alternate = (-1.0) ** np.arange(N)
     common = alternate * (N * math.sqrt(2.0 / math.pi)) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
     shift = diffop._I_POWERS[-ns % 4] * np.exp(0.5j * ns * h)
     pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * diffop._I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
-    factor = alternate * (1.0 - 1j * tan_half)
+    factor = alternate * (1.0 - 2j * nodes)
 
     synthesize = lambda a: common * scipy.fft.ifft(shift * a)
     analyze = lambda u: pref * scipy.fft.fft(factor * u)
@@ -465,8 +462,8 @@ def strang_propagate(a, tau: float, steps: int, V,
     v = _run(path, tau, v, V, steps)[0]
     _check_drift(norm0, float(np.linalg.norm(v)), "strang_propagate")
     return a.with_values(v) if hasattr(a, "with_values") else CoefficientVector(
-        v, -(len(v) // 2) if basis.bilateral else 0, basis,
-        {"method": "strang", "tau": tau, "steps": steps})
+        v, -(len(v) // 2) if basis.bilateral else 0,
+        meta={"method": "strang", "tau": tau, "steps": steps})
 
 
 def fft_grid_reference(f0, t: float, window: tuple[float, float] = (-40.0, 40.0),

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-__all__ = ["beta", "gamma_abs2", "bessel_j_half"]
+__all__ = ["beta", "gamma_abs2"]
 
 
 def beta(a: float, b: float) -> float:
@@ -225,25 +225,3 @@ def _sph_scan(nmax: int, x: np.ndarray) -> np.ndarray:
             out[:, sel] = block
     out[0, x == 0.0] = 1.0
     return out
-
-
-def bessel_j_half(m: int, x):
-    """Bessel function J_{m+1/2}(x) for integer m >= 0 and x > 0.
-
-    sqrt(2x/pi) j_m(x), with j_m the last row of the spherical Bessel
-    table for nmax = m, so it holds (m+1) len(x) values while it runs:
-    forward recurrence from the closed forms of j_0 and j_1 where
-    x >= max(m, 1), Miller's downward recurrence fitted to both below.
-    Against mpmath at 40 digits, rows 0..128 at x = k pi and k pi +- 1e-5
-    (|k| <= 9) and at nmax, nmax +- 0.25 are within 1.1e-15 absolute, the
-    largest just above the split (m = 128 at x = 128.25); the sweeps with
-    nmax <= 64 are within 2.2e-16.
-    """
-    if m < 0:
-        raise ValueError("order index m must be >= 0")
-    xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("bessel_j_half requires x > 0; use parity for x < 0")
-    flat = np.atleast_1d(xs).ravel()
-    out = _sph_scan(m, flat)[m] * np.sqrt(2.0 * flat / np.pi)
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

@@ -76,7 +76,7 @@ def test_criterion_04_differential_recurrence_fd():
 def test_criterion_05_mt_fast_transform():
     basis = make_basis("mt", N=64)
     f = lambda x: np.exp(-(x**2))
-    fast = co.mt_coeffs_fft(f, 64, basis)
+    fast = co.mt_coeffs_fft(f, 64)
     slow = co.coeffs_xspace(f, basis, 64, window=(-60.0, 60.0), M=32769)
     err = float(np.max(np.abs(fast.values - slow.values)))
 
@@ -103,10 +103,9 @@ def test_criterion_06_weideman_decay_rates():
     # function is evaluated as f(2x), which maps the singularity geometry,
     # and hence the decay rates, onto the quoted ones.
     N = 4096
-    basis = make_basis("mt", N=N)
 
     def fit(f, model):
-        a = co.mt_coeffs_fft(f, N, basis)
+        a = co.mt_coeffs_fft(f, N)
         return co.decay_fit(a, model, skip=8)
 
     rho = fit(lambda x: 1.0 / (1.0 + (2 * x) ** 4), "exponential").param

@@ -232,8 +232,9 @@ def test_file_errors_exit_one_with_one_line(tmp_path, capsys):
 
 
 def test_verify_builds_each_basis_size_once(monkeypatch, capsys):
-    # the family is resolved while the command is configured, and every
-    # check of one command that asks for that size shares the basis
+    # the family is resolved while the command is configured, at one size,
+    # and every check of the command shares that basis; cramer and
+    # ramanujan read none
     sizes = []
     resolve = cli._resolve_family
 
@@ -244,11 +245,64 @@ def test_verify_builds_each_basis_size_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_resolve_family", counted)
     for argv, want in ((["verify", "all", "--family", "tanhjacobi:0.75,0.75"], [12]),
                        (["verify", "gram", "--family", "conthahn:1,1"], [12]),
-                       (["verify", "all", "--family", "legendre", "--N", "5"], [12, 8])):
+                       (["verify", "all", "--family", "legendre", "--N", "5"], [12]),
+                       (["verify", "pw-support", "--family", "legendre", "--N", "5"], [12]),
+                       (["verify", "cramer", "--family", "legendre"], []),
+                       (["verify", "ramanujan", "--family", "legendre"], [])):
         sizes.clear()
         rc, out = run_cli(argv, capsys)
         assert rc == 0 and json.loads(out), argv
         assert sizes == want, argv
+
+
+def test_verify_pw_support_refuses_charlier(capsys):
+    # a periodic family has no Fourier support to test: a configuration
+    # error, found before any check runs
+    rc = cli.main(["verify", "pw-support", "--family", "charlier:0.5", "--N", "4"])
+    got = capsys.readouterr()
+    assert rc == 2
+    assert got.out == ""
+    assert got.err.startswith("favard: pw-support") and got.err.count("\n") == 1, got.err
+
+
+def _sweep_commands(family: str, coeffs_csv: str) -> list:
+    """Every subcommand at small sizes; decay reads coeffs_csv, and
+    periodic takes no family."""
+    grid = ["--grid", "-1:1:0.5"]
+    cmds = [
+        ["basis", "eval", "--family", family, "--n", "0:2", *grid],
+        ["quad", "--family", family, "--N", "4"],
+        ["diffmat", "--family", family, "--N", "4"],
+        ["coeffs", "--family", family, "--f", "exp(-x^2)", "--N", "8"],
+        ["decay", "--model", "exp", "--skip", "0", "--in", coeffs_csv],
+        ["periodic", "eval", "--a", "0.5", "--n", "0:2", *grid],
+        ["schrodinger", "--basis", family, "--N", "8", "--f0", "exp(-x^2)",
+         "--T", "0.2", "--tau", "0.1", *grid],
+    ]
+    return cmds + [["verify", check, "--family", family, "--N", "4"]
+                   for check in ("all", *cli._CHECK_NAMES)]
+
+
+@pytest.mark.parametrize("family", ["hermite", "mt", "charlier:0.5", "nosuch"])
+def test_every_command_keeps_the_exit_contract(family, tmp_path, capsys):
+    # exit 0, 1 or 2; nothing on stdout for a configuration error; stderr
+    # empty or one "favard:" line, never an exception out of main; decay
+    # reads what coeffs printed, or an empty file where coeffs failed
+    coeffs_csv = tmp_path / "coeffs.csv"
+    coeffs_csv.write_text("")
+    for argv in _sweep_commands(family, str(coeffs_csv)):
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # a traceback on the command line
+            pytest.fail(f"{argv} raised {exc!r}")
+        got = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert got.out == "", argv
+        assert got.err == "" or (got.err.startswith("favard: ")
+                                 and got.err.count("\n") == 1), (argv, got.err)
+        if argv[0] == "coeffs" and rc == 0:
+            coeffs_csv.write_text(got.out)
 
 
 def test_verify_expected_fail_keeps_exit_zero(capsys):
@@ -663,7 +717,6 @@ def test_coeffs_default_window_keeps_its_points():
 @pytest.mark.parametrize("method", ["dct", "auto"])
 def test_coeffs_dct_prints_the_library_values(method, capsys):
     from favard import coeffs
-    from favard.basis import make_basis
     from favard.expr import compile_function
 
     rc, out = run_cli(["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)",
@@ -671,8 +724,7 @@ def test_coeffs_dct_prints_the_library_values(method, capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "n,re,im,abs" and len(lines) == 65
-    bas = make_basis("tanhjacobi:0.75,0.75", N=64)
-    want = coeffs.tanh_chebyshev_coeffs(compile_function("exp(-x^2)"), (0.75, 0.75), 64, bas)
+    want = coeffs.tanh_chebyshev_coeffs(compile_function("exp(-x^2)"), (0.75, 0.75), 64)
     for k, line in enumerate(lines[1:]):
         n, re, im, _ = line.split(",")
         assert int(n) == k and complex(float(re), float(im)) == want.values[k]

@@ -129,10 +129,16 @@ def test_xspace_unfolded_inputs_keep_general_rule(family, window, M):
     assert ("warning" in got.meta) == (edge > 1e-10 * max(peak, 1e-300))
 
 
+def test_coefficient_vector_meta_is_keyword_only():
+    # a third positional argument is refused rather than taken as meta
+    with pytest.raises(TypeError):
+        co.CoefficientVector(np.ones(4), 0, make_basis("hermite", N=4))
+    assert co.CoefficientVector(np.ones(4), 0, meta={"method": "x"}).meta == {"method": "x"}
+
+
 def test_mt_fft_matches_direct_projection():
-    basis = make_basis("mt", N=64)
     f = lambda x: np.exp(-(x**2))
-    fast = co.mt_coeffs_fft(f, 64, basis)
+    fast = co.mt_coeffs_fft(f, 64)
     assert fast.n_start == -31  # window is n in {-(N/2-1), ..., N/2}
     # direct projection oracle: <f, phi_n> by wide high-order quadrature
     import scipy.integrate
@@ -145,9 +151,8 @@ def test_mt_fft_matches_direct_projection():
 
 
 def test_mt_fft_bilateral_indexing():
-    basis = make_basis("mt", N=16)
     f = lambda x: 1.0 / (1.0 + 4.0 * x**2)
-    a = co.mt_coeffs_fft(f, 16, basis)
+    a = co.mt_coeffs_fft(f, 16)
     assert a.values.shape == (16,)
     assert a.n_start == -7
     # partial fractions: f = (sqrt(2 pi)/4) (phi_0 + i phi_{-1}) exactly
@@ -164,7 +169,7 @@ def test_tanh_chebyshev_fast_matches_xspace():
     kind = (0.75, 0.75)
     basis = make_basis("tanhjacobi:0.75,0.75", N=24)
     f = lambda x: 1.0 / np.cosh(2.0 * x)
-    fast = co.tanh_chebyshev_coeffs(f, kind, 24, basis)
+    fast = co.tanh_chebyshev_coeffs(f, kind, 24)
     slow = co.coeffs_xspace(f, basis, 24, window=(-20.0, 20.0), M=16385)
     # f ~ e^{-2|x|} puts a theta^{3/2} endpoint factor in the transform
     # integrand, so the fast path is algebraically, not spectrally, accurate
@@ -180,16 +185,14 @@ def test_tanh_cheb_kind_detection():
 
 def test_parseval_for_decaying_function():
     # sum |f_hat_n|^2 -> ||f||^2 = sqrt(pi/2) for f = e^{-x^2}
-    basis = make_basis("mt", N=256)
-    a = co.mt_coeffs_fft(lambda x: np.exp(-(x**2)), 256, basis)
+    a = co.mt_coeffs_fft(lambda x: np.exp(-(x**2)), 256)
     assert abs(np.sum(np.abs(a.values) ** 2) - np.sqrt(np.pi / 2.0)) < 1e-6
 
 
 def test_mt_real_function_conjugation_symmetry():
     # phi_{-n-1} = -i conj(phi_n) on the real line, so real f has
     # a_{-n-1} = i conj(a_n)
-    basis = make_basis("mt", N=64)
-    a = co.mt_coeffs_fft(lambda x: np.exp(-(x**2)) * (1 + x), 64, basis)
+    a = co.mt_coeffs_fft(lambda x: np.exp(-(x**2)) * (1 + x), 64)
     for n in range(0, 20):
         lhs = a.values[(-n - 1) - a.n_start]
         rhs = 1j * np.conj(a.values[n - a.n_start])
@@ -343,8 +346,8 @@ def _mt_with_probe_calls(f, N):
     n0 = 1 - N // 2
     vals *= np.tile(_I_POWERS[np.arange(n0, n0 + 4) % 4], N // 4)
     vals *= weight / (2.0 * _SQRT_2PI)
-    return co.CoefficientVector(vals, n0, None, {"method": "mt-fft", "samples": samples,
-                                                 "out_of_window": ratio})
+    return co.CoefficientVector(vals, n0, meta={"method": "mt-fft", "samples": samples,
+                                                "out_of_window": ratio})
 
 
 def _counted(f):
@@ -681,7 +684,7 @@ def test_decay_fit_exponential_recovers_planted_rate():
     rho = 2.5
     n = np.arange(64)
     vals = 3.0 * rho ** (-n.astype(float))
-    a = co.CoefficientVector(values=vals, n_start=0, basis=None, meta={})
+    a = co.CoefficientVector(values=vals, n_start=0)
     fit = co.decay_fit(a, "exponential", skip=4)
     assert fit.model == "exponential"
     assert abs(fit.param - rho) < 1e-10
@@ -692,7 +695,7 @@ def test_decay_fit_exponential_recovers_planted_rate():
 def test_decay_fit_algebraic_recovers_planted_exponent():
     n = np.arange(1, 400)
     vals = 2.0 * n.astype(float) ** (-2.25)
-    a = co.CoefficientVector(values=vals, n_start=1, basis=None, meta={})
+    a = co.CoefficientVector(values=vals, n_start=1)
     fit = co.decay_fit(a, "algebraic", skip=8)
     assert abs(fit.param - 2.25) < 1e-8
 
@@ -700,7 +703,7 @@ def test_decay_fit_algebraic_recovers_planted_exponent():
 def test_decay_fit_stretched_recovers_planted_coefficient():
     n = np.arange(128)
     vals = 1.7 * np.exp(-1.5 * n.astype(float) ** (2.0 / 3.0))
-    a = co.CoefficientVector(values=vals, n_start=0, basis=None, meta={})
+    a = co.CoefficientVector(values=vals, n_start=0)
     fit = co.decay_fit(a, "stretched:0.6666666666666666", skip=4)
     assert abs(fit.param - 1.5) < 1e-8
     assert abs(fit.p - 2.0 / 3.0) < 1e-15
@@ -710,7 +713,7 @@ def test_decay_fit_bilateral_folds_sides():
     rho = 3.0
     n = np.arange(-32, 32)
     vals = rho ** (-np.abs(n).astype(float))
-    a = co.CoefficientVector(values=vals, n_start=-32, basis=None, meta={})
+    a = co.CoefficientVector(values=vals, n_start=-32)
     fit = co.decay_fit(a, "exponential", skip=4)
     assert abs(fit.param - rho) < 1e-8
 
@@ -720,7 +723,7 @@ def test_decay_fit_floor_excludes_noise():
     n = np.arange(200)
     vals = 2.0 ** (-n.astype(float))
     vals = np.maximum(vals, 1e-15) + 1e-16 * rng.random(200)
-    a = co.CoefficientVector(values=vals, n_start=0, basis=None, meta={})
+    a = co.CoefficientVector(values=vals, n_start=0)
     fit = co.decay_fit(a, "exponential", skip=2)
     assert abs(fit.param - 2.0) < 1e-3
     assert fit.n_used < 60
@@ -761,12 +764,12 @@ def test_decay_fit_bilateral_fold_keeps_the_larger_side(left, right):
     vals = (1.0 + rng.random(n.size)) * 1.3 ** (-np.abs(n).astype(float))
     folded = np.zeros(np.max(np.abs(n)) + 1)
     np.maximum.at(folded, np.abs(n), np.abs(vals))
-    two = co.CoefficientVector(values=vals, n_start=-left, basis=None, meta={})
-    one = co.CoefficientVector(values=folded, n_start=0, basis=None, meta={})
+    two = co.CoefficientVector(values=vals, n_start=-left)
+    one = co.CoefficientVector(values=folded, n_start=0)
     assert co.decay_fit(two, "exponential", skip=2) == co.decay_fit(one, "exponential", skip=2)
 
 
 def test_decay_fit_unknown_model():
-    a = co.CoefficientVector(values=np.ones(8), n_start=0, basis=None, meta={})
+    a = co.CoefficientVector(values=np.ones(8), n_start=0)
     with pytest.raises(ValueError):
         co.decay_fit(a, "cubic")

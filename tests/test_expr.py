@@ -157,7 +157,6 @@ def test_vectorized_evaluation():
     f = ex.compile_function("x*exp(-x^2)")
     x = np.linspace(-2.0, 2.0, 9)
     assert np.max(np.abs(f(x) - x * np.exp(-(x**2)))) < 1e-16
-    assert f.expression == "x*exp(-x^2)"
 
 
 def test_differential_vs_shunting_yard():

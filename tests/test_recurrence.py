@@ -59,18 +59,19 @@ def test_ultraspherical_is_jacobi_aa():
 
 def test_stieltjes_reproduces_closed_forms():
     cases = [
-        (rec.hermite_measure(), lambda n: rec.hermite_coeffs(n)),
-        (rec.legendre_measure(), lambda n: rec.jacobi_coeffs(0.0, 0.0, n)),
-        (rec.ultraspherical_measure(1.0), lambda n: rec.ultraspherical_coeffs(1.0, n)),
-        (rec.laguerre_measure(0.0), lambda n: rec.laguerre_coeffs(0.0, n)),
-        (rec.laguerre_measure(1.0), lambda n: rec.laguerre_coeffs(1.0, n)),
+        ("hermite", rec.hermite_measure(), lambda n: rec.hermite_coeffs(n)),
+        ("legendre", rec.legendre_measure(), lambda n: rec.jacobi_coeffs(0.0, 0.0, n)),
+        ("ultraspherical:1", rec.ultraspherical_measure(1.0),
+         lambda n: rec.ultraspherical_coeffs(1.0, n)),
+        ("laguerre:0", rec.laguerre_measure(0.0), lambda n: rec.laguerre_coeffs(0.0, n)),
+        ("laguerre:1", rec.laguerre_measure(1.0), lambda n: rec.laguerre_coeffs(1.0, n)),
     ]
-    for measure, coeff in cases:
+    for name, measure, coeff in cases:
         J = rec.stieltjes(measure, 11)
         for n in range(11):
             b, c = coeff(n)
-            assert abs(J.b[n] - b) < 1e-10, (measure.name, n)
-            assert abs(J.c[n] - c) < 1e-10, (measure.name, n)
+            assert abs(J.b[n] - b) < 1e-10, (name, n)
+            assert abs(J.c[n] - c) < 1e-10, (name, n)
 
 
 def test_eval_poly_table_orthonormal_under_quadrature():

@@ -53,7 +53,7 @@ def test_free_coeff_step_unitary_and_reversible():
     basis = make_basis("hermite", N=64)
     D = diffop.build(basis.jacobi, 64)
     a = co.CoefficientVector(
-        rng.standard_normal(64) + 1j * rng.standard_normal(64), 0, basis, {})
+        rng.standard_normal(64) + 1j * rng.standard_normal(64), 0)
     b = sch.free_coeff_step(D, 0.9, a)
     assert abs(np.linalg.norm(b.values) - np.linalg.norm(a.values)) < 1e-12
     back = sch.free_coeff_step(D, -0.9, b)
@@ -388,7 +388,7 @@ def test_strang_step_is_one_propagate_step(make, N, V):
     basis = make(N)
     rng = np.random.default_rng(N)
     values = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    vec = co.CoefficientVector(values, -(N // 2) if basis.bilateral else 0, basis)
+    vec = co.CoefficientVector(values, -(N // 2) if basis.bilateral else 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationLossWarning)
         for a in (values, vec):
@@ -503,7 +503,7 @@ def test_mt_strang_refuses_the_coefficient_window():
     with pytest.raises(ValueError, match=r"n = -16\.\.15.*n = -15\.\.16"):
         sch.strang_propagate(a, 0.1, 2, lambda x: x * x, basis)
     # the Strang window itself, and a plain array, keep their meaning
-    on_window = co.CoefficientVector(a.values, -16, basis)
+    on_window = co.CoefficientVector(a.values, -16)
     out = sch.strang_propagate(on_window, 0.1, 2, lambda x: x * x, basis)
     assert out.n_start == -16
     plain = sch.strang_propagate(a.values, 0.1, 2, lambda x: x * x, basis)
@@ -548,7 +548,7 @@ def test_free_propagate_sums_the_rows_of_one_phi_grid_call(family):
     basis = make_basis(family, N=8)
     rng = np.random.default_rng(5)
     values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    state = sch.PropagatedState(co.CoefficientVector(values, 0, basis, {}), basis)
+    state = sch.PropagatedState(co.CoefficientVector(values, 0), basis)
     x = np.linspace(-4.0, 4.0, 9)
     for t in (0.0, 0.25, 1.0):
         sigma = None if t == 0.0 else (lambda xi, t=t: sch.free_multiplier(xi, t))

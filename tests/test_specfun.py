@@ -24,12 +24,17 @@ GAMMA_ABS2 = [
     (0.5, 3.0, 0.00050705001979210004),
 ]
 
-# J_{m+1/2}(x), mpmath oracle
-BESSEL_J_HALF = [
-    (0, 0.7, 0.61436106679126507),
-    (3, 2.2, 0.091081316093538333),
-    (7, 15.0, -0.081212945103300846),
+# spherical Bessel j_m(x) = sqrt(pi / 2x) J_{m+1/2}(x), mpmath oracle
+SPHERICAL_J = [
+    (0, 0.7, 0.9203109817681301),
+    (3, 2.2, 0.07696227474491332),
+    (7, 15.0, -0.026280859774588737),
 ]
+
+
+def _legendre_scale(m):
+    # transformed Legendre row m is (-1)^m sqrt((2m+1)/pi) j_m(x)
+    return (-1) ** m * np.sqrt((2 * m + 1) / np.pi)
 
 
 def test_gamma_abs2_frozen_values():
@@ -55,31 +60,37 @@ def test_gamma_abs2_half_integer_closed_forms():
     assert np.max(np.abs(specfun.gamma_abs2(1.0, xi) / ref_one - 1.0)) < 1e-13
 
 
-def test_bessel_j_half_frozen_values():
-    for m, x, ref in BESSEL_J_HALF:
-        assert abs(specfun.bessel_j_half(m, x) - ref) < 1e-14, (m, x)
+def test_legendre_table_frozen_values():
+    for m, x, ref in SPHERICAL_J:
+        got = transformed_legendre_table(m, np.array([x, -x]))[m]
+        want = _legendre_scale(m) * ref * np.array([1.0, (-1.0) ** m])
+        assert np.max(np.abs(got - want)) < 1e-15, (m, x)
 
 
-def test_bessel_j_half_spherical_identity():
-    # J_{n+1/2}(x) = sqrt(2x/pi) j_n(x)
+def test_legendre_table_matches_scipy_spherical_jn():
     import scipy.special
     x = np.linspace(0.1, 30.0, 50)
+    table = transformed_legendre_table(5, x)
     for n in (0, 2, 5):
-        lhs = specfun.bessel_j_half(n, x)
-        rhs = np.sqrt(2 * x / np.pi) * scipy.special.spherical_jn(n, x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-14
+        ref = _legendre_scale(n) * scipy.special.spherical_jn(n, x)
+        assert np.max(np.abs(table[n] - ref)) < 1e-15, n
 
 
 @pytest.mark.parametrize("m", [5, 16, 32, 64])
-def test_bessel_j_half_at_and_near_multiples_of_pi(m):
-    # j_0 = sin(x)/x vanishes at k pi, so the downward recurrence (x < m)
-    # must not be normalized by j_0 alone; k runs past m to cover the
-    # forward branch as well
-    mpmath.mp.dps = 40
+def test_legendre_table_at_and_near_multiples_of_pi(m):
+    # the sweep phi_grid runs for the transformed Legendre family: j_0 =
+    # sin(x)/x vanishes at k pi, so the downward recurrence (x < m) must
+    # not be normalized by j_0 alone; k runs past m to cover the forward
+    # branch as well, and -x the parity
     x = np.array([k * np.pi + d for k in range(1, 26) for d in (-1e-5, 0.0, 1e-5)])
-    got = specfun.bessel_j_half(m, x)
-    ref = np.array([float(mpmath.besselj(m + 0.5, mpmath.mpf(float(v)))) for v in x])
-    assert np.max(np.abs(got - ref)) < 1e-14
+    x = np.concatenate((x, -x))
+    got = transformed_legendre_table(m, x)[m]
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.sqrt(mpmath.pi / (2 * abs(mpmath.mpf(float(v)))))
+                              * mpmath.besselj(m + 0.5, abs(mpmath.mpf(float(v)))))
+                        for v in x])
+    ref *= _legendre_scale(m) * np.sign(x) ** m
+    assert np.max(np.abs(got - ref)) < 1e-15
 
 
 def test_gamma_and_beta_consistency():

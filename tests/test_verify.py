@@ -324,6 +324,24 @@ def test_tanh_jacobi_identity_asymmetric():
         ver.check_tanh_jacobi_identity(0.5, 1.0, experimental=True)
 
 
+@pytest.mark.parametrize("factor", [-1.0, 1j])
+@pytest.mark.parametrize("row", [0, 3])
+def test_tanh_jacobi_identity_sees_a_per_degree_phase(monkeypatch, row, factor):
+    # the check compares the tables entry by entry, so a closed row off by a
+    # sign or a unit phase fails it; a constant fitted per degree hid both
+    table = basis_mod.tanh_jacobi_table
+
+    def planted(a, b, nmax, x):
+        out = table(a, b, nmax, x).astype(complex)
+        out[row] *= factor
+        return out
+
+    monkeypatch.setattr(basis_mod, "tanh_jacobi_table", planted)
+    for a, b in ((0.75, 0.75), (0.75, 0.25)):
+        rep = ver.check_tanh_jacobi_identity(a, b)
+        assert not rep.passed and rep.max_abs_error > 1e-3, (a, b)
+
+
 def test_pw_support_legendre_inside_band():
     rep = ver.check_pw_support(make_basis("legendre", N=8), n=0)
     assert rep.passed
