@@ -54,9 +54,6 @@ _PHI0_HERMITE = math.pi ** -0.25
 # e^{-x^2/2} < 2^{-3e15} beyond this, far below anything the recurrence's
 # growth of at most 27 bits per step can lift back into range.
 _HERMITE_CLAMP = 2.0**26
-# Bound, in bits, on the growth of the carried mantissas between two
-# rescalings: they stay below 2^960, so no product of a step overflows.
-_HERMITE_BUDGET = 960.0
 # Past this 1 + 4 x^2 rounds to 4 x^2, whose square root is 2|x| exactly.
 _MT_BIG = 2.0**26
 
@@ -64,76 +61,24 @@ _MT_BIG = 2.0**26
 def hermite_function_table(nmax: int, x) -> np.ndarray:
     """All Hermite functions 0..nmax on a grid, shape (nmax+1, len(x)).
 
-    One sweep of the Hermite-function recurrence in mantissa/exponent form:
-    phi_{k+1} = -x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}, seeded by
-    phi_0 = pi^{-1/4} e^{-x^2/2}.  Values are carried as m * 2^e with a
-    shared per-point exponent so the seed never underflows the recurrence;
-    a materialized row is m 2^e rounded once (true subnormals may round to 0).
-    |x| is clamped to _HERMITE_CLAMP first: every row is 0.0 beyond it, and
-    the clamp keeps x^2 finite and the exponent inside int64.
-
-    Step k grows max(|m_{k+1}|, |m_k|) by at most the factor
-    max|x| sqrt(2/(k+1)) + sqrt(k/(k+1)) + 1, so the mantissas are rescaled
-    only when those bounds, summed since the last rescale, would pass
-    _HERMITE_BUDGET.  A rescale divides each point by the power of two that
-    brings max(|m_k|, |m_{k-1}|) below 1 and never multiplies: points near
-    x = 0, whose odd rows are subnormal for subnormal x, keep their scale.
-    Every other mantissa stays normal, so the rows equal those of any other
-    power-of-two rescaling bit for bit.
-
-    The per-degree scalars and growth bounds are arrays made before the
-    sweep, and row k + 1 of the table is seeded there with
-    -x sqrt(2/(k+1)), so a step is three in-place products on its row.
-    Each step writes its mantissa row straight into the table, and a row m
-    2^e is formed there as (m 2^(e+1022)) 2^-1022, not by ldexp, which
-    costs about ten multiplications: |m 2^e| <= 1, so the first product
-    cannot overflow and is exact unless the row is below 2^-2044, and the
-    second rounds once, as ldexp does; a row that small is 0.0 either way.
-    The exponents change only at a rescale, so the lift runs once per
-    segment of rows between two rescales, on the whole segment.
+    phi_k = (-1)^k p_k sqrt(w) for the orthonormal p_k of w = e^{-x^2} /
+    sqrt(pi): one ``rec._scaled_sweep`` with alternating sign, seeded by phi_0
+    = pi^{-1/4} e^{-x^2/2} as the mantissa pi^{-1/4} 2^(t - e) and exponent
+    e = floor(t), t = -x^2 / (2 ln 2).  |x| is clamped to _HERMITE_CLAMP
+    first: every row is 0.0 beyond it, and x^2 and e stay in range.
     """
     if nmax < 0:
         raise ValueError("index nmax must be >= 0")
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)).ravel(), -_HERMITE_CLAMP, _HERMITE_CLAMP)
     t = -x * x / (2.0 * math.log(2.0))
     e = np.floor(t)
-    rows = np.empty((nmax + 1, x.size))
-    cur = np.multiply(_PHI0_HERMITE, np.exp2(t - e), out=rows[0])
-    exps = e.astype(np.int64)
-    prev = np.zeros_like(cur)
-    term = np.empty_like(cur)
-    deg = np.arange(nmax, dtype=float)
-    s, r = np.sqrt(2.0 / (deg + 1.0)), np.sqrt(deg / (deg + 1.0))
-    reach = float(np.max(np.abs(x), initial=0.0))
-    steps = np.log2(reach * s + r + 1.0).tolist()
-    r = r.tolist()
-    np.multiply(s[:, None], np.negative(x, out=t), out=rows[1:])
+    seed = (_PHI0_HERMITE * np.exp2(t - e), e.astype(np.int64))
+    return rec._sweep_table(_hermite_matrix(1 << nmax.bit_length()), nmax, x, seed, alternate=True)
 
-    def lift(segment):
-        """m 2^e in place on the rows of one segment."""
-        segment *= np.ldexp(1.0, exps + 1022)
-        segment *= 2.0**-1022
 
-    first = 0  # the first row of the current segment
-    bits = 1.0  # the seed mantissa is below 2
-    for k in range(nmax):
-        step = steps[k]
-        if bits + step > _HERMITE_BUDGET:
-            mag = np.maximum(np.abs(cur), np.abs(prev))
-            shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
-            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-            lift(rows[first:k + 1])
-            exps += shift
-            first = k + 1
-            bits = 0.0
-        bits += step
-        nxt = rows[k + 1]
-        nxt *= cur
-        np.multiply(prev, r[k], out=term)
-        nxt -= term
-        prev, cur = cur, nxt
-    lift(rows[first:])
-    return rows
+# b_k = sqrt((k+1)/2), c_k = 0 for k below a power of two, built once per size
+_hermite_matrix = lru_cache(maxsize=16)(
+    lambda size: JacobiMatrix(np.sqrt(np.arange(1.0, size + 1.0) * 0.5), np.zeros(size)))
 
 
 def hermite_function(n: int, x):
@@ -239,10 +184,8 @@ def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, s: float = 2.0) -> np.nd
         hi = 2.0 / (np.exp(-2.0 * y) + 1.0)  # 1 + tanh(y)
     norm = math.sqrt(2.0 ** (2 * a + 2 * b - 1) * specfun.beta(2 * a, 2 * b) * (2.0 / s))
     envelope = lo**a * hi**b / norm
-    t = np.tanh(y)
-    rows = rec.eval_poly_table(jac, nmax, t)
+    rows = rec._sweep_table(jac, nmax, np.tanh(y), alternate=True)
     rows *= envelope
-    rows[1::2] *= -1.0
     return rows
 
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import recurrence as rec
 from . import specfun
 from .basis import TransformedBasis, malmquist_takenaka, phi_grid
 from .diffop import _I_POWERS, _real_times
-from .quadrature import _SQRT_2PI, golub_welsch
+from .quadrature import _SQRT_2PI, _gauss_log_rule
 
 __all__ = [
     "CoefficientVector",
@@ -74,6 +73,12 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int) -> CoefficientVector
     (2 pi)^{-1/2} integral f(x) e^{-i xi x} dx.  A bilateral basis is
     refused: rows n >= 0 alone span only the functions whose transform
     vanishes for xi < 0.
+
+    The rows p_n(x_i) sqrt(lambda_i), n < N, which never overflow, come from
+    the sweep that sums the Christoffel weights lambda_i (``_gauss_log_rule``).
+    A node where sqrt(w) underflows to 0.0 (contributing below 1e-150 for
+    any square-integrable f) is dropped.  A symmetric measure folds: rows at
+    x_i > 0 meet the integrand at x_i plus (even n) or minus (odd n) -x_i's.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -84,20 +89,21 @@ def coeffs_fourier_side(F, basis: TransformedBasis, N: int) -> CoefficientVector
                          f"{basis.family!r} basis needs mt_coeffs_fft")
     M = 2 * N + 32
     basis.ensure(M)
-    rule = golub_welsch(basis.jacobi, M)
-    nodes = rule.nodes
+    nodes, log_w, V = _gauss_log_rule(basis.jacobi, M, N)
     sqw = np.sqrt(basis.measure.weight(nodes))
-    # A Gauss weight is 0.0 only where its true value is below the smallest
-    # normal double, and sqrt(w) underflows further out still.  Such nodes
-    # contribute w_i F p_n / sqrt(w) ~ sqrt(w) |F|, below 1e-150 for any
-    # square-integrable f; drop them instead of dividing 0/0.  Every kept
-    # node has |p_n(x_i)| <= w_i^{-1/2}, so the table cannot overflow.
-    live = (rule.weights > 0.0) & (sqw > 0.0)
+    live = sqw > 0.0
     samples = np.asarray(F(nodes[live]), dtype=complex)
     if basis.sigma is not None:
         samples = samples * np.exp(-1j * np.asarray(basis.sigma(nodes[live])))
-    table = rec.eval_poly_table(basis.jacobi, N - 1, nodes[live])
-    vals = table @ (rule.weights[live] * samples / sqw[live])
+    g = np.zeros(M, dtype=complex)
+    g[live] = samples * (np.exp(0.5 * log_w[live]) / sqw[live])
+    h = V.shape[1]
+    if h < M:  # V holds the last h = M/2 nodes, x > 0 (M is even); g[h-1::-1] is g at -x
+        vals = np.empty(N, dtype=complex)
+        vals[0::2] = _real_times(V[0::2], g[h:] + g[h - 1::-1])
+        vals[1::2] = _real_times(V[1::2], g[h:] - g[h - 1::-1])
+    else:
+        vals = _real_times(V, g)
     vals = _I_POWERS[-np.arange(N) % 4] * vals
     return CoefficientVector(vals, 0, meta={"method": "fourier-side", "points": M})
 
@@ -517,7 +523,8 @@ def tanh_chebyshev_coeffs(f, kind: tuple[float, float], N: int) -> CoefficientVe
     vals *= scale if (a, b) == (0.75, 0.75) else scale * math.sqrt(2.0)
     if (a, b) == (0.25, 0.25):
         vals[0] /= math.sqrt(2.0)
-    vals[1::2] *= -1.0
+    # 0 - v, not -v: an exactly zero coefficient stays +0.0
+    np.subtract(0.0, vals[1::2], out=vals[1::2])
     return CoefficientVector(vals, 0, meta={"method": "tanh-chebyshev", "kind": (a, b),
                                             "samples": size, "out_of_window": ratio})
 

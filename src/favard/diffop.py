@@ -144,12 +144,14 @@ def apply(D: DiffMatrix, a):
 
 
 def _real_times(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """M @ z for a real matrix M and a complex vector or matrix z.
+    """M @ z for a complex vector or matrix z.
 
-    M acts on the real view of z, real and imaginary parts side by side
-    (N x 2 for a vector): a real-times-complex product would copy M to
+    A real M acts on the real view of z, real and imaginary parts side by
+    side (N x 2 for a vector): a real-times-complex product would copy M to
     complex on every call.
     """
+    if np.iscomplexobj(M):
+        return M @ z
     z = np.ascontiguousarray(z, dtype=complex)
     pairs = z.view(float).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
     return np.matmul(M, pairs).view(complex).reshape(M.shape[0], *z.shape[1:])

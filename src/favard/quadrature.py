@@ -10,8 +10,10 @@ import numpy as np
 
 from . import _panels
 from ._lapack import singular_values, split_bidiagonal
+from .diffop import _real_times
 from .errors import AccuracyError, EigenError
-from .recurrence import JacobiMatrix, MeasureSpec, _truncated_interval, eval_poly_table
+from .recurrence import (JacobiMatrix, MeasureSpec, _scaled_sweep, _truncated_interval,
+                         eval_poly_table)
 
 __all__ = ["QuadratureRule", "golub_welsch", "integrate", "oscillatory_transform"]
 
@@ -29,16 +31,8 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-# Bound, in bits, on the growth of max(|p_k|, |p_{k-1}|) between two
-# rescalings of the Christoffel sum: squares stay below 2^960, so a sum of
-# up to 2^60 of them cannot overflow.
-_GROWTH_BITS = 480.0
-# Recurrence steps per block; the squares of a block are summed at once.
-_BLOCK = 32
-
-
-def _christoffel_log_weights(nodes: np.ndarray, jacobi: JacobiMatrix, N: int) -> np.ndarray:
-    """log(1 / sum_{k<N} p_k(x_i)^2) at nodes x_i of the N-point rule.
+def _christoffel_log_weights(nodes: np.ndarray, jacobi: JacobiMatrix, N: int, rows: int = 0):
+    """log(1 / sum_{k<N} p_k(x_i)^2) at nodes x_i of the N-point rule, and a weighted table.
 
     The nodes may be all N of them or, for a zero diagonal, the nonnegative
     ones: the sum is even in x there, so the weights mirror exactly.
@@ -46,49 +40,27 @@ def _christoffel_log_weights(nodes: np.ndarray, jacobi: JacobiMatrix, N: int) ->
     Every term of the sum is positive and each p_k(x_i) comes from the
     orthonormal recurrence, so the weights carry relative accuracy however
     small they are (Gautschi, Orthogonal Polynomials: Computation and
-    Approximation, 2004, sec. 3.1).  A per-node power-of-two scale keeps the
-    values in range for any N: a rescale happens only when a precomputed
-    bound on the growth since the last one would exceed ``_GROWTH_BITS``.
+    Approximation, 2004, sec. 3.1).  It is summed over the blocks of one
+    ``_scaled_sweep`` in units of 4^e for its exponents e, in range for any
+    N.  The table is p_k(x_i) sqrt(lambda_i), k < ``rows``: at most 1.
     """
-    n, m = N - 1, nodes.size
-    b, c = jacobi.b[:n], jacobi.c[:n]
-    inv_b = 1.0 / b
-    b_prev = np.concatenate(([0.0], b[:-1]))
-    # p_{k+1} = (x - c_k) / b_k * p_k - b_{k-1} / b_k * p_{k-1}; at every
-    # node |p_{k+1}| <= growth_k * max(|p_k|, |p_{k-1}|).
-    reach = np.maximum(np.abs(nodes[-1] - c), np.abs(nodes[0] - c))
-    growth = np.log2(np.maximum((reach + b_prev) * inv_b, 1.0)).tolist()
-    ratio = (b_prev * inv_b).tolist()
-    prev, cur = np.zeros(m), np.ones(m)
-    total = np.ones(m)  # sum of p_k^2 so far, in units of 4^exps
-    exps = np.zeros(m)
-    rows = np.empty((_BLOCK, m))
-    k0, bits = 0, 0.0
-    while k0 < n:
-        if bits + growth[k0] > _GROWTH_BITS:
-            e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
-            cur, prev, total = np.ldexp(cur, -e), np.ldexp(prev, -e), np.ldexp(total, -2 * e)
-            exps += e
-            bits = 0.0
-        k1 = k0
-        # a block takes at least one step, so a single step's bound above
-        # _GROWTH_BITS cannot stall the loop
-        while k1 < n and k1 - k0 < _BLOCK and (k1 == k0 or bits + growth[k1] <= _GROWTH_BITS):
-            bits += growth[k1]
-            k1 += 1
-        block = rows[: k1 - k0]
-        scaled = np.subtract(nodes, c[k0:k1, None])
-        scaled *= inv_b[k0:k1, None]
-        for j, row in enumerate(block):
-            np.multiply(scaled[j], cur, out=row)
-            row -= ratio[k0 + j] * prev
-            prev, cur = cur, row
-        # keep the last two rows before the block buffer is reused
-        prev, cur = prev.copy(), cur.copy()
+    total = np.zeros(nodes.size)  # sum of p_k^2 so far, in units of 4^last
+    last = np.zeros(nodes.size, dtype=np.int64)
+    table = np.empty((rows, nodes.size))
+    kept = []  # (k0, k1, exponents) of the rows in the table
+    for k0, block, exps in _scaled_sweep(jacobi, N - 1, nodes):
+        if exps is not last:  # a rescale
+            total, last = np.ldexp(total, 2 * (last - exps)), exps
+        if k0 < rows:
+            k1 = min(k0 + block.shape[0], rows)
+            table[k0:k1] = block[:k1 - k0]
+            kept.append((k0, k1, exps))
         np.square(block, out=block)
         total += block.sum(axis=0)
-        k0 = k1
-    return -np.log(total) - (2.0 * math.log(2.0)) * exps
+    # p_k sqrt(lambda) = m 2^e / sqrt(total 4^last) for a row kept at exponent e
+    for k0, k1, exps in kept:
+        table[k0:k1] *= np.ldexp(1.0, exps - last) / np.sqrt(total)
+    return -np.log(total) - (2.0 * math.log(2.0)) * last, table
 
 
 def _unit_weights(log_w: np.ndarray) -> np.ndarray:
@@ -123,29 +95,29 @@ def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     and integrates polynomials of degree <= 2N - 1 exactly against the
     measure ``jacobi`` comes from.
     """
-    nodes, log_w = _gauss_log_rule(jacobi, N)
+    nodes, log_w, _ = _gauss_log_rule(jacobi, N)
     return QuadratureRule(nodes=nodes, weights=_unit_weights(log_w))
 
 
-def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and log Christoffel weights of ``golub_welsch``'s N-point rule.
+def _gauss_log_rule(jacobi: JacobiMatrix, N: int, rows: int = 0):
+    """Nodes and log Christoffel weights of ``golub_welsch``'s N-point rule, and a weighted table.
 
     The weights are log(1 / sum_{k<N} p_k(x_i)^2), unnormalized and never
     clipped, so a caller that divides them by a tiny function value keeps
-    their relative accuracy where the unit weights are 0.0.
+    their relative accuracy where the unit weights are 0.0.  The table
+    (``rows`` <= N) is at the nodes the sum ran on: all N, or for a zero
+    diagonal the last (N+1)//2, which are >= 0.
     """
     if N <= 0:
         raise ValueError("N must be positive")
     if N > len(jacobi):
         raise IndexError(f"need {N} coefficient pairs, have {len(jacobi)}")
-    if N == 1:
-        return np.array([jacobi.c[0]]), np.zeros(1)
-    if not np.any(jacobi.c[:N]):
+    if N > 1 and not np.any(jacobi.c[:N]):
         r = N % 2
         half = singular_values(*split_bidiagonal(jacobi.b, N))[::-1]
-        log_w = _christoffel_log_weights(half, jacobi, N)
+        log_w, table = _christoffel_log_weights(half, jacobi, N, rows)
         return (np.concatenate((-half[r:][::-1], half)),
-                np.concatenate((log_w[r:][::-1], log_w)))
+                np.concatenate((log_w[r:][::-1], log_w)), table)
     from scipy.linalg import eigvalsh_tridiagonal
 
     try:
@@ -154,7 +126,7 @@ def _gauss_log_rule(jacobi: JacobiMatrix, N: int) -> tuple[np.ndarray, np.ndarra
                                      lapack_driver="sterf")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
-    return nodes, _christoffel_log_weights(nodes, jacobi, N)
+    return (nodes, *_christoffel_log_weights(nodes, jacobi, N, rows))
 
 
 def integrate(f, rule: QuadratureRule) -> float | complex:
@@ -215,14 +187,6 @@ def _unit_phase(arg: np.ndarray) -> np.ndarray:
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
     return out
-
-
-def _times(table: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
-    """out = table @ factor for a complex factor; a real table takes one real product."""
-    if np.iscomplexobj(table):
-        np.matmul(table, factor, out=out)
-    else:
-        np.matmul(table, factor.view(float), out=out.view(float))
 
 
 def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec, x, *,
@@ -310,11 +274,10 @@ def oscillatory_transform(jacobi: JacobiMatrix, nmax: int, measure: MeasureSpec,
                             out=kernel[:, j:j + counts[c], :])
                 j += counts[c]
             acc = out[:, start:start + step]
-            _times(t_narrow, kernel.reshape(order * n_narrow, xc.size), acc)
-            part = np.empty((rows * order, xc.size), dtype=complex)
+            acc[...] = _real_times(t_narrow, kernel.reshape(order * n_narrow, xc.size))
             for c in np.flatnonzero(wide):
                 q = panels[c]
-                _times(table[:, :, q].reshape(rows * order, counts[c]), panel[q], part)
+                part = _real_times(table[:, :, q].reshape(rows * order, counts[c]), panel[q])
                 acc += np.einsum("nkx,kx->nx", part.reshape(rows, order, xc.size), offset[c])
         if fold:
             out[0::2].imag = 0.0

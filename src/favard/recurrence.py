@@ -373,25 +373,109 @@ def eval_poly(jacobi: JacobiMatrix, n: int, xi):
 def eval_poly_table(jacobi: JacobiMatrix, nmax: int, xi) -> np.ndarray:
     """Stacked values p_0..p_nmax at xi; shape (nmax+1,) + xi.shape.
 
-    One sweep of the forward three-term recurrence
-    p_{k+1} = ((xi - c_k) p_k - b_{k-1} p_{k-1}) / b_k, each step written
-    straight into its row by in-place ufuncs in that order of operations;
-    ``eval_poly`` is its row n.
+    One ``_scaled_sweep`` of p_{k+1} = ((xi - c_k) / b_k) p_k - (b_{k-1} /
+    b_k) p_{k-1}; a value past the double range is +-inf.  ``eval_poly`` is row n.
     """
     if nmax < 0 or nmax >= len(jacobi):
         raise IndexError(f"polynomial degree {nmax} outside 0..{len(jacobi) - 1}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = np.empty((nmax + 1,) + xi.shape)
-    table[0] = 1.0
-    term = np.empty_like(xi)
-    b, c = jacobi.b[:nmax].tolist(), jacobi.c[:nmax].tolist()
-    for k in range(nmax):
-        p = np.subtract(xi, c[k], out=table[k + 1])
-        p *= table[k]
-        if k:  # p_{-1} = 0, and t - 0.0 is t bit for bit
-            np.multiply(table[k - 1], b[k - 1], out=term)
-            p -= term
-        p /= b[k]
+    return _sweep_table(jacobi, nmax, xi.ravel()).reshape((nmax + 1,) + xi.shape)
+
+
+# Bound, in bits, on the growth of the mantissas of ``_scaled_sweep`` between two
+# rescalings: squares stay below 2^960, so a sum of up to 2^60 cannot overflow.
+_GROWTH_BITS = 480.0
+
+
+def _scaled_sweep(jacobi: JacobiMatrix, nmax: int, x: np.ndarray, seed=None,
+                  alternate: bool = False, out=None):
+    """Blocks (k0, rows, exps) of the three-term recurrence over degrees 0..nmax.
+
+    At the flat points x, rows[j] 2^exps is s^k p_k(x) g(x) for k = k0 + j:
+    p_k are the orthonormal polynomials of ``jacobi``, s = -1 with
+    ``alternate`` (else 1), and g = m 2^e for a ``seed`` (m, e) of mantissas
+    and int64 exponents (g = 1 without one), so a seed that underflows, such
+    as a Gaussian, keeps every digit.  The first block is row 0.
+
+    Rows k+1 of a block are seeded with (x - c_k) (1/b_k), or (c_k - x)
+    (1/b_k), by one broadcast, and each degree then takes three in-place
+    ufuncs: row *= m_k, row -= (b_{k-1} (1/b_k)) m_{k-1}.  A block runs while
+    the bounds log2 max((max|x - c_k| + b_{k-1}) / b_k, 1) on the growth of
+    max(|m_{k+1}|, |m_k|), summed, stay within ``_GROWTH_BITS``.  A rescale
+    then brings each point's max(|m_k|, |m_{k-1}|) into [1/2, 1) by a power
+    of two, in a new exps array; a point with a mantissa in (0, 2^-511)
+    keeps its scale, as its products could round as subnormals at one scale
+    and not at another.  So any such rescaling gives the same bits.
+
+    The rows are out[k0:k1] of an (nmax+1, x.size) ``out``, which the sweep
+    reads until its next block, or else a buffer that the next block reuses.
+    """
+    b, c = jacobi.b[:nmax], jacobi.c[:nmax]
+    inv_b = 1.0 / b
+    b_prev = np.concatenate(([0.0], b[:-1]))
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    reach = np.maximum(hi - c, c - lo)  # max |x - c_k|
+    growth = np.log2(np.maximum((reach + b_prev) * inv_b, 1.0)).tolist()
+    ratio = (b_prev * inv_b).tolist()
+    # with a zero diagonal (a symmetric family) every x - c_k is one row
+    shifted = None if c.any() else (np.subtract(0.0, x) if alternate else x)
+    inv_b, c = inv_b[:, None], c[:, None]
+    cur, exps = (np.ones(x.size), np.zeros(x.size, dtype=np.int64)) if seed is None else seed
+    bits = 0.0 if seed is None else float(np.log2(np.max(np.abs(cur), initial=1.0)))
+    prev, term = np.zeros(x.size), np.empty(x.size)
+    rows = np.empty((1, x.size)) if out is None else out
+    rows[0] = cur
+    yield 0, rows[:1], exps
+    k0 = 0
+    while k0 < nmax:
+        if bits + growth[k0] > _GROWTH_BITS:
+            shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
+            shift[np.minimum(np.frexp(cur)[1], np.frexp(prev)[1]) < -510] = 0
+            cur, prev, exps = np.ldexp(cur, -shift), np.ldexp(prev, -shift), exps + shift
+            bits = 0.0
+        k1, bits = k0 + 1, bits + growth[k0]  # one step at least, however large
+        while k1 < nmax and bits + growth[k1] <= _GROWTH_BITS:
+            bits += growth[k1]
+            k1 += 1
+        if out is None and rows.shape[0] < k1 - k0:
+            rows = np.empty((k1 - k0, x.size))
+        block = rows[:k1 - k0] if out is None else out[k0 + 1:k1 + 1]
+        if shifted is None:
+            np.subtract(*((c[k0:k1], x) if alternate else (x, c[k0:k1])), out=block)
+            block *= inv_b[k0:k1]
+        else:
+            np.multiply(shifted, inv_b[k0:k1], out=block)
+        for k, row in enumerate(block, k0):
+            row *= cur
+            np.multiply(prev, ratio[k], out=term)
+            row -= term
+            prev, cur = cur, row
+        if out is None:  # the next block reuses the buffer
+            prev, cur = prev.copy(), cur.copy()
+        yield k0 + 1, block, exps
+        k0 = k1
+
+
+def _sweep_table(jacobi: JacobiMatrix, nmax: int, x: np.ndarray, seed=None,
+                 alternate: bool = False) -> np.ndarray:
+    """Rows 0..nmax of ``_scaled_sweep``, each value m 2^e rounded once: beyond
+    e in [-1022, 1023], m first takes the exact 2^(e - s) for the clipped s
+    (capped at 2^1023); a product that leaves the normal range below is a
+    value under 2^-2044, above one that overflows unless m is 0 or subnormal.
+    """
+    table = np.empty((nmax + 1, x.size))
+    starts = [(k0, exps) for k0, _, exps in _scaled_sweep(jacobi, nmax, x, seed, alternate, table)]
+    # the rows between two rescales share one exponent array, and one lift
+    runs = [run for i, run in enumerate(starts) if i == 0 or run[1] is not starts[i - 1][1]]
+    for (k0, exps), (k1, _) in zip(runs, runs[1:] + [(nmax + 1, None)]):
+        rows = table[k0:k1]
+        if not exps.any():
+            continue
+        if exps.min() < -1022 or exps.max() > 1023:
+            s = np.clip(exps, -1022, 1023)
+            rows *= np.ldexp(1.0, np.minimum(exps - s, 1023))
+            exps = s
+        rows *= np.ldexp(1.0, exps)
     return table
 
 

@@ -176,12 +176,12 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
                 {"strategy": "theta-substitution", **meta, "nodes": N})
     if basis.closed_table is basis_mod.hermite_function_table:
         basis.ensure(N - 1)
-        x, log_w = quadrature._gauss_log_rule(basis.jacobi, N)
+        x, log_w, _ = quadrature._gauss_log_rule(basis.jacobi, N)
         log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
         strategy = "gauss-hermite"
     else:
         a, b, s = basis.tanh_jacobi
-        t, log_w = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
+        t, log_w, _ = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
         x = (2.0 / s) * np.arctanh(t)
         log_e = np.log(basis.closed_table(0, x)[0])  # p_0 = 1: row 0 is e
         strategy = "gauss-jacobi"

@@ -34,6 +34,7 @@ from favard.basis import (
     transformed_legendre,
     transformed_legendre_table,
 )
+from test_recurrence import sweep_per_step
 
 # phi_n = (-1)^n H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)); the (-1)^n is
 # forced by the i^n e^{+ix xi} transform and gives the recurrence signs
@@ -70,6 +71,21 @@ TANH_JACOBI_REF = [
 def test_hermite_function_frozen_values():
     for n, x, ref in HERMITE_REF:
         assert abs(hermite_function(n, x) - ref) < 1e-14, (n, x)
+
+
+def test_hermite_function_table_matches_mpmath():
+    # (-1)^n H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) at 30 digits, from
+    # mpmath's Hermite polynomial rather than a recurrence; relative
+    # accuracy down to the smallest normal double, one subnormal step below
+    xs = [0.0, 1e-3, 7.5, 38.0, 45.0]
+    table = hermite_function_table(1500, np.array(xs))
+    for n in (0, 1, 511, 1500):
+        for j, x in enumerate(xs):
+            with mpmath.workdps(30):
+                X = mpmath.mpf(x)
+                norm = mpmath.sqrt(2 ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+                ref = float((-1) ** n * mpmath.hermite(n, X) * mpmath.exp(-X * X / 2) / norm)
+            assert abs(table[n, j] - ref) <= 2e-13 * abs(ref) + 5e-324, (n, x)
 
 
 def test_hermite_function_table_consistent():
@@ -157,19 +173,27 @@ def test_tanh_jacobi_table_matches_single_rows(a, b):
         assert np.array_equal(table[n], tanh_jacobi(a, b, n, x)), n
 
 
+def _hermite_seed(x):
+    # phi_0 as mantissa pi^{-1/4} 2^(t - floor t) and exponent floor t, t = -x^2 / (2 ln 2)
+    t = -x * x / (2.0 * math.log(2.0))
+    e = np.floor(t)
+    return bas._PHI0_HERMITE * np.exp2(t - e), e.astype(np.int64)
+
+
 def _hermite_scan_checked(nmax, x):
     # the scan with a range check after every step: rescale by 2^-512 where
     # max(|m_k|, |m_{k-1}|) passes 2^500, by 2^512 where it drops below
-    # 2^-500, and materialize each row with ldexp
+    # 2^-500, and materialize each row with ldexp; the step is the sweep's,
+    # phi_{k+1} = ((0 - x) (1/b_k)) phi_k - (b_{k-1} (1/b_k)) phi_{k-1}
     x = np.clip(x, -bas._HERMITE_CLAMP, bas._HERMITE_CLAMP)
-    t = -x * x / (2.0 * math.log(2.0))
-    e = np.floor(t)
-    cur = bas._PHI0_HERMITE * np.exp2(t - e)
+    cur, e = _hermite_seed(x)
     prev = np.zeros_like(cur)
     rows = np.empty((nmax + 1, x.size))
-    rows[0] = np.ldexp(cur, e.astype(np.int64))
+    rows[0] = np.ldexp(cur, e)
     for k in range(nmax):
-        prev, cur = cur, -x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        inv_b = 1.0 / math.sqrt((k + 1) * 0.5)
+        ratio = math.sqrt(k * 0.5) * inv_b
+        prev, cur = cur, (0.0 - x) * inv_b * cur - ratio * prev
         mag = np.maximum(np.abs(cur), np.abs(prev))
         high = mag > 2.0**500
         low = (mag < 2.0**-500) & (mag > 0)
@@ -181,7 +205,7 @@ def _hermite_scan_checked(nmax, x):
             cur = np.where(low, cur * 2.0**512, cur)
             prev = np.where(low, prev * 2.0**512, prev)
             e = np.where(low, e - 512, e)
-        rows[k + 1] = np.ldexp(cur, e.astype(np.int64))
+        rows[k + 1] = np.ldexp(cur, e)
     return rows
 
 
@@ -209,34 +233,11 @@ def test_hermite_scan_matches_per_step_checks_bitwise(points, nmax):
 
 
 def _hermite_table_row_by_row(nmax, x):
-    # the scan with the mantissas in temporaries and each row lifted into
-    # the table by its own two products as soon as it is formed
+    # the sweep one degree at a time, each row lifted by ldexp on its own
     x = np.clip(np.atleast_1d(np.asarray(x, dtype=float)).ravel(),
                 -bas._HERMITE_CLAMP, bas._HERMITE_CLAMP)
-    t = -x * x / (2.0 * math.log(2.0))
-    e = np.floor(t)
-    cur = bas._PHI0_HERMITE * np.exp2(t - e)
-    exps = e.astype(np.int64)
-    prev = np.zeros_like(cur)
-    reach = float(np.max(np.abs(x), initial=0.0))
-    lift = np.ldexp(1.0, exps + 1022)
-    rows = np.empty((nmax + 1, x.size))
-    rows[0] = cur * lift * 2.0**-1022
-    bits = 1.0
-    for k in range(nmax):
-        s, r = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))
-        step = math.log2(reach * s + r + 1.0)
-        if bits + step > bas._HERMITE_BUDGET:
-            mag = np.maximum(np.abs(cur), np.abs(prev))
-            shift = np.maximum(np.frexp(mag)[1], 0).astype(np.int64)
-            cur, prev = np.ldexp(cur, -shift), np.ldexp(prev, -shift)
-            exps += shift
-            lift = np.ldexp(1.0, exps + 1022)
-            bits = 0.0
-        bits += step
-        prev, cur = cur, -x * s * cur - prev * r
-        rows[k + 1] = cur * lift * 2.0**-1022
-    return rows
+    hermite = rec.JacobiMatrix(np.sqrt(np.arange(1.0, nmax + 1.0) * 0.5), np.zeros(nmax))
+    return sweep_per_step(hermite, nmax, x, _hermite_seed(x), alternate=True)
 
 
 @pytest.mark.parametrize("reach, nmax", [
@@ -244,9 +245,9 @@ def _hermite_table_row_by_row(nmax, x):
     (2.0**26, 40), (2.0**26, 400), (2.0**40, 200),
 ])
 def test_hermite_table_in_place_matches_row_by_row_bitwise(reach, nmax):
-    # rows written in place and lifted once per rescale segment are the
-    # row-by-row lift; the reaches cover a rescale every 37 steps (2^26, the
-    # clamp) down to none at all
+    # rows swept in place and lifted block by block are the row-by-row
+    # lift; the reaches cover a rescale every 18 steps (2^26, the clamp)
+    # down to none at all
     rng = np.random.default_rng(nmax)
     x = np.concatenate([rng.uniform(-reach, reach, 200),
                         [0.0, -0.0, 5e-324, -1e-310, reach, -reach, math.inf]])

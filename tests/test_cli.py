@@ -730,6 +730,25 @@ def test_coeffs_dct_prints_the_library_values(method, capsys):
         assert int(n) == k and complex(float(re), float(im)) == want.values[k]
 
 
+@pytest.mark.parametrize("kind", ["0.25,0.25", "0.75,0.75"])
+def test_coeffs_dct_prints_zero_odd_coefficients_as_xspace_does(kind, capsys):
+    # the odd coefficients of an even f are exactly zero, and +0.0: the sign
+    # flip of the odd bins must not print them as -0
+    from favard import coeffs
+    from favard.expr import compile_function
+
+    argv = ["coeffs", "--family", f"tanhjacobi:{kind}", "--f", "exp(-x^2)", "--N", "4"]
+    rc, dct = run_cli(argv + ["--method", "dct"], capsys)
+    assert rc == 0
+    rc, xspace = run_cli(argv + ["--method", "xspace"], capsys)
+    assert rc == 0
+    for out in (dct, xspace):
+        assert out.splitlines()[2] == "1,0,0,0" and out.splitlines()[4] == "3,0,0,0"
+    a, b = (float(t) for t in kind.split(","))
+    odd = coeffs.tanh_chebyshev_coeffs(compile_function("exp(-x^2)"), (a, b), 4).values[1::2]
+    assert np.all(odd == 0.0) and not np.any(np.signbit(odd.real))
+
+
 def test_basis_method_closed_needs_a_closed_form(capsys):
     # a family without a closed form is refused before anything is printed
     rc, out = run_cli(["basis", "eval", "--family", "jacobi:1,1", "--n", "0:1",

@@ -29,6 +29,31 @@ def test_xspace_vs_fourier_side_hermite():
     assert np.max(np.abs(a.values - b.values)) < 1e-9
 
 
+@pytest.mark.parametrize("family", ["hermite", "legendre", "tanhjacobi:0.75,0.75",
+                                    "laguerre:1", "conthahn:1,0.5"])
+def test_fourier_side_is_the_gauss_sum_over_its_rows(family):
+    # the rows from the rule's own sweep, folded by parity on a symmetric
+    # measure, give the plain Gauss sum of F e^{-i sigma} p_n / sqrt(w) over
+    # the same rule (conthahn:1,0.5 has a phase sigma)
+    from favard import recurrence as rec
+    from favard.quadrature import golub_welsch
+
+    N = 48
+    basis = make_basis(family, N=8)
+    F = lambda xi: F_gaussian(xi) * (1.0 + 0.3j * xi)
+    got = co.coeffs_fourier_side(F, basis, N).values
+    rule = golub_welsch(basis.jacobi, 2 * N + 32)
+    sqw = np.sqrt(basis.measure.weight(rule.nodes))
+    live = (rule.weights > 0.0) & (sqw > 0.0)
+    table = rec.eval_poly_table(basis.jacobi, N - 1, rule.nodes[live])
+    samples = F(rule.nodes[live])
+    if basis.sigma is not None:
+        samples = samples * np.exp(-1j * basis.sigma(rule.nodes[live]))
+    want = table @ (rule.weights[live] * samples / sqw[live])
+    want *= (-1j) ** np.arange(N)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 def test_fourier_side_refuses_bilateral_basis():
     # rows n >= 0 of the MT system capture half a Gaussian's energy; the
     # bilateral window is mt_coeffs_fft's, and the message names it

@@ -320,6 +320,26 @@ def test_zero_diagonal_rule_matches_full_eigensolve(N):
     J = rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(1.5, n), N)
     rule = golub_welsch(J, N)
     nodes = scipy.linalg.eigvalsh_tridiagonal(np.zeros(N), J.b[:N - 1], lapack_driver="sterf")
-    weights = _unit_weights(_christoffel_log_weights(nodes, J, N))
+    weights = _unit_weights(_christoffel_log_weights(nodes, J, N)[0])
     assert np.max(np.abs(rule.nodes - nodes)) < 1e-14
     assert np.max(np.abs(rule.weights / weights - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("family, N", [
+    *[(family, N) for family in ("hermite", "legendre", "laguerre:1", "jacobi:0.5,1.5",
+                                 "genhermite:1", "conthahn:1,1")
+      for N in (1, 2, 3, 63, 64, 512)],
+    ("hermite", 4096), ("legendre", 4096)])
+def test_gauss_rules_have_unit_nonnegative_weights_without_warnings(family, N):
+    # one scaled sweep sums the Christoffel weights at any N: nothing
+    # overflows or warns, and the weights are a probability vector
+    import warnings
+
+    basis = bas.make_basis(family, N=8)
+    basis.ensure(N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = golub_welsch(basis.jacobi, N)
+    assert rule.nodes.size == N and np.all(np.diff(rule.nodes) > 0.0)
+    assert np.all(rule.weights >= 0.0)
+    assert abs(np.sum(rule.weights) - 1.0) < 1e-14

@@ -92,17 +92,36 @@ def test_eval_poly_scalar_matches_table():
         assert abs(rec.eval_poly(J, n, xi) - table[n, 0]) < 1e-14
 
 
-def _poly_table_out_of_place(jacobi, nmax, xi):
-    # the forward recurrence with each row formed in temporaries and copied in
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = np.empty((nmax + 1,) + xi.shape)
-    table[0] = 1.0
-    p_prev, p = np.zeros_like(xi), table[0]
+def sweep_per_step(jacobi, nmax, x, seed=None, alternate=False):
+    # rec._scaled_sweep one degree at a time in temporaries: the same
+    # arithmetic, p_{k+1} = ((x - c_k) (1/b_k)) p_k - (b_{k-1} (1/b_k)) p_{k-1}
+    # with (c_k - x) for alternating signs, and a rescale to [1/2, 1) (none
+    # at a point with a mantissa below 2^-511) before every step whose growth
+    # bound would pass the budget; each row is lifted by ldexp on its own
+    b, c = jacobi.b[:nmax], jacobi.c[:nmax]
+    inv_b = 1.0 / b
+    b_prev = np.concatenate(([0.0], b[:-1]))
+    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    with np.errstate(invalid="ignore"):
+        reach = np.maximum(np.abs(hi - c), np.abs(lo - c))
+        growth = np.log2(np.maximum((reach + b_prev) * inv_b, 1.0))
+    cur, e = (np.ones(x.size), np.zeros(x.size, dtype=np.int64)) if seed is None else seed
+    prev = np.zeros(x.size)
+    rows = np.empty((nmax + 1, x.size))
+    rows[0] = np.ldexp(cur, e)
+    bits = float(np.log2(np.max(np.abs(cur), initial=1.0)))
     for k in range(nmax):
-        b_prev = jacobi.b[k - 1] if k else 0.0
-        p_prev, p = p, ((xi - jacobi.c[k]) * p - b_prev * p_prev) / jacobi.b[k]
-        table[k + 1] = p
-    return table
+        if bits + growth[k] > rec._GROWTH_BITS:
+            shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
+            tiny = [(m != 0.0) & (np.abs(m) < 2.0**-511) for m in (cur, prev)]
+            shift[tiny[0] | tiny[1]] = 0
+            cur, prev, e = np.ldexp(cur, -shift), np.ldexp(prev, -shift), e + shift
+            bits = 0.0
+        bits += growth[k]
+        seed_k = (c[k] - x if alternate else x - c[k]) * inv_b[k]
+        prev, cur = cur, seed_k * cur - (b_prev[k] * inv_b[k]) * prev
+        rows[k + 1] = np.ldexp(cur, e)
+    return rows
 
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre", "jacobi", "custom"])
@@ -112,15 +131,18 @@ def test_eval_poly_table_in_place_matches_out_of_place_bitwise(family, nmax):
          "laguerre": lambda: rec.build_jacobi(lambda n: rec.laguerre_coeffs(0.5, n), 200),
          "jacobi": lambda: rec.jacobi_poly_coeffs(0.3, -0.4, 200),
          "custom": lambda: rec.stieltjes(rec.custom_measure(lambda x: np.exp(-x**4)), 200)}[family]()
+    # blocked, in place and lifted once per block, the sweep is the
+    # per-step one bit for bit: signed and subnormal points, and -1e200,
+    # whose rows pass the double range, included
     rng = np.random.default_rng(nmax)
     grids = [np.concatenate([rng.uniform(-3.0, 3.0, 101), [0.0, -0.0, 1e-310, 40.0, -1e200]]),
              rng.uniform(-2.0, 2.0, (6, 5))]
     for xi in grids:
         with np.errstate(over="ignore", invalid="ignore"):
             got = rec.eval_poly_table(J, nmax, xi)
-            want = _poly_table_out_of_place(J, nmax, xi)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True)
+            want = sweep_per_step(J, nmax, xi.ravel()).reshape(got.shape)
+        assert got.shape == (nmax + 1,) + xi.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_charlier_bilateral_masses():
