@@ -65,13 +65,7 @@ from .coeffs import (
     mt_coeffs_fft,
     tanh_chebyshev_coeffs,
 )
-from .periodic import (
-    PeriodicBasis,
-    charlier_basis,
-    periodic_diff_check,
-    periodic_gram,
-    periodic_phi,
-)
+from .periodic import charlier_basis, periodic_gram, periodic_phi
 from .schrodinger import (
     PropagatedState,
     fft_grid_reference,
@@ -142,9 +136,7 @@ __all__ = [
     "decay_fit",
     "mt_coeffs_fft",
     "tanh_chebyshev_coeffs",
-    "PeriodicBasis",
     "charlier_basis",
-    "periodic_diff_check",
     "periodic_gram",
     "periodic_phi",
     "PropagatedState",

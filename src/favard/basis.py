@@ -299,11 +299,15 @@ def phi_grid(basis: TransformedBasis, nmax: int, x, sigma=None,
     ``sigma`` combined, which sizes its rule itself and resolves any phase
     by refinement.  When the measure is symmetric and no phase is combined
     in, the transform folds onto the half rule [0, hi].  Row n is
-    multiplied by i^n.
+    multiplied by i^n.  A discrete measure (``charlier:<a>``) has no
+    quadrature route: ValueError.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     if _closed_route(basis, method, basis.closed_table is not None and sigma is None):
         return np.asarray(basis.closed_table(nmax, xs), dtype=complex)
+    if basis.measure.kind == "discrete":
+        raise ValueError(f"basis {basis.family!r} sits on a lattice: its rows take the "
+                         f"closed route only, without a phase")
     basis.ensure(nmax)
     rows = oscillatory_transform(basis.jacobi, nmax, basis.measure, xs,
                                  phase=_combine_sigma(basis, sigma))
@@ -342,10 +346,12 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     ``ultraspherical:<alpha>``, ``jacobi:<alpha>,<beta>``,
     ``laguerre:<alpha>`` (or bare ``laguerre``), ``conthahn:<a>,<b>``,
     ``mt``, ``tanhjacobi:<a>,<b>``, ``custom-weight:<expr>`` (a weight
-    expression in the variable x).  ``charlier:<a>`` is periodic and lives
-    in the periodic module.  conthahn and tanhjacobi are the continuous Hahn
-    measure at dilation s = 1 and 2; this is the only place that maps their
-    names to (a, b, s), which the basis carries as ``tanh_jacobi``.
+    expression in the variable x) and ``charlier:<a>``, the periodic system
+    of the bilateral Charlier lattice (``periodic.charlier_basis``), whose
+    coefficients do not grow past N.  conthahn and tanhjacobi are the
+    continuous Hahn measure at dilation s = 1 and 2; this is the only place
+    that maps their names to (a, b, s), which the basis carries as
+    ``tanh_jacobi``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -417,5 +423,7 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         source = lambda M: rec.stieltjes(measure, M)
         return TransformedBasis(family, measure, source(N), coeff_source=source)
     if head == "charlier":
-        raise ValueError("charlier generates a periodic system; use the periodic module")
+        a, = _parse_params(family, tail, 1)
+        from .periodic import charlier_basis
+        return charlier_basis(a, N)
     raise ValueError(f"unknown family {family!r}")

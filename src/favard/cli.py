@@ -22,7 +22,6 @@ import numpy as np
 from . import basis as basis_mod
 from . import coeffs as coeffs_mod
 from . import diffop
-from . import periodic as periodic_mod
 from . import quadrature
 from . import schrodinger as sch
 from . import verify as verify_mod
@@ -108,12 +107,15 @@ def _grid_columns(labels, grid: np.ndarray, rows: np.ndarray) -> list:
 
 
 def _resolve_family(family: str, N: int):
-    """TransformedBasis for continuous families, PeriodicBasis for charlier."""
-    head, _, tail = family.partition(":")
-    if head == "charlier":
-        a = _eval_scalar(tail or "0.5", "charlier parameter")
-        return periodic_mod.charlier_basis(a, N=max(N + 2, 8))
+    """The basis of ``family`` with recurrence coefficients past index N."""
     return basis_mod.make_basis(family, N=max(N + 2, 8))
+
+
+def _on_the_line(bas, what: str):
+    """``bas``; ValueError naming ``what`` if its measure is a lattice."""
+    if bas.measure.kind == "discrete":
+        raise ValueError(f"{what} needs a measure on the line, not the lattice of {bas.family}")
+    return bas
 
 
 def _cmd_basis(bas, n_range, grid, method, out) -> int:
@@ -189,13 +191,6 @@ def _cmd_decay(source, model, skip, out) -> int:
     if fit.p is not None:
         payload["p"] = fit.p
     _emit(out, json.dumps(payload, indent=2) + "\n")
-    return 0
-
-
-def _cmd_periodic(bas, n_range, grid, out) -> int:
-    ns = np.arange(n_range[0], n_range[1] + 1)
-    table = np.array([periodic_mod.periodic_phi(bas, int(n), grid) for n in ns])
-    _emit(out, _csv("n,x,re_phi,im_phi", _grid_columns(ns, grid, table)))
     return 0
 
 
@@ -307,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip", type=int, default=8)
     p.add_argument("--out", default=None)
 
-    p = subs.add_parser("periodic", help="periodic Charlier system")
+    p = subs.add_parser("periodic", help="periodic Charlier system: basis eval of charlier:<a>")
     p.add_argument("action", choices=["eval"])
     p.add_argument("--a", default="0.5")
     p.add_argument("--n", default="0:3")
@@ -355,16 +350,19 @@ def _coeffs_method(bas, method: str, N: int) -> str:
 def _configure(args: argparse.Namespace) -> functools.partial:
     """Validate the whole invocation; return its handler with every input bound."""
     sub = args.subcommand
-    if sub == "basis":
+    if sub == "periodic":  # basis eval --family charlier:<a>
+        a = _eval_scalar(args.a, "charlier parameter")
+        args = argparse.Namespace(**vars(args), family=f"charlier:{a!r}", method="auto")
+    if sub in ("basis", "periodic"):
         grid = _parse_grid(args.grid)
         n_range = _parse_n_range(args.n)
         if n_range[0] < 0:
-            raise ValueError("basis eval needs nonnegative indices")
+            raise ValueError(f"{sub} eval needs nonnegative indices")
         bas = _resolve_family(args.family, n_range[1])
-        if isinstance(bas, periodic_mod.PeriodicBasis):
-            raise ValueError("use the periodic subcommand for charlier families")
         if args.method == "closed" and bas.closed_table is None:
             raise ValueError(f"family {args.family!r} has no closed form")
+        if args.method == "quadrature":
+            _on_the_line(bas, "--method quadrature")
         return functools.partial(_cmd_basis, bas, n_range, grid, args.method, args.out)
     if sub == "quad":
         if args.N < 1:
@@ -379,9 +377,7 @@ def _configure(args: argparse.Namespace) -> functools.partial:
     if sub == "coeffs":
         if args.N < 1:
             raise ValueError("N must be positive")
-        bas = _resolve_family(args.family, min(args.N, 256))
-        if isinstance(bas, periodic_mod.PeriodicBasis):
-            raise ValueError("coeffs supports continuous families only")
+        bas = _on_the_line(_resolve_family(args.family, min(args.N, 256)), "coeffs")
         method = _coeffs_method(bas, args.method, args.N)
         f = compile_function(args.f)
         window = _parse_window(args.window)
@@ -393,16 +389,6 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         if args.skip < 0:
             raise ValueError("skip must be nonnegative")
         return functools.partial(_cmd_decay, args.infile, model, args.skip, args.out)
-    if sub == "periodic":
-        a = _eval_scalar(args.a, "charlier parameter")
-        if a <= 0.0:
-            raise ValueError("charlier parameter must be positive")
-        n_range = _parse_n_range(args.n)
-        if n_range[0] < 0:
-            raise ValueError("periodic eval needs nonnegative indices")
-        grid = _parse_grid(args.grid)
-        bas = periodic_mod.charlier_basis(a, N=max(n_range[1] + 2, 8))
-        return functools.partial(_cmd_periodic, bas, n_range, grid, args.out)
     if sub == "schrodinger":
         if args.N < 1:
             raise ValueError("N must be positive")
@@ -412,8 +398,6 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("T must be an integer multiple of tau")
         bas = _resolve_family(args.basis, args.N)
-        if isinstance(bas, periodic_mod.PeriodicBasis):
-            raise ValueError("schrodinger supports hermite and mt bases")
         f0 = compile_function(args.f0)
         V = None if args.potential.strip().lower() == "none" else compile_function(args.potential)
         grid = _parse_grid(args.grid)
@@ -438,8 +422,8 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         bas = None
         if args.check not in ("cramer", "ramanujan"):
             bas = _resolve_family(args.family, max(args.N, 12))
-            if args.check == "pw-support" and isinstance(bas, periodic_mod.PeriodicBasis):
-                raise ValueError("pw-support needs a continuous family, not charlier")
+            if args.check == "pw-support":
+                _on_the_line(bas, "pw-support")
         return functools.partial(_cmd_verify, args.family, bas, args.check, args.N, a,
                                  args.out)
     raise ValueError(f"unknown subcommand {sub!r}")

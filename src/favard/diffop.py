@@ -11,8 +11,8 @@ Schroedinger flow e^{i t D^2} the phase -t x^2, and the spectral radius is
 max |x|.
 
 When the diagonal c is exactly zero (every symmetric family: Hermite,
-Legendre, ultraspherical, generalized Hermite, continuous Hahn and
-tanh-Jacobi), D is real skew-symmetric and the eigensystem is its real
+Legendre, ultraspherical, generalized Hermite, continuous Hahn,
+tanh-Jacobi and the Charlier lattice), D is real skew-symmetric and the eigensystem is its real
 Schur form (Ward & Gray, ACM TOMS 4, 1978).  The even/odd split of the rows
 turns J into the Golub-Kahan form [[0, B], [B^T, 0]] with B an
 (N+1)//2-square lower bidiagonal (``_lapack.split_bidiagonal``); its nodes

@@ -13,61 +13,66 @@ same tridiagonal differential recurrence as the continuous transforms:
 
 The concrete family built here uses the bilateral Charlier measure, whose
 masses decay factorially, so a modest lattice cutoff K already resolves the
-sums to full double precision.
+sums to full double precision.  ``charlier_basis`` is what
+``make_basis("charlier:<a>", N)`` returns: a ``TransformedBasis`` on the
+lattice measure whose closed table is a ``LatticeTable``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import basis as basis_mod
 from . import recurrence as rec
-from .diffop import _I_POWERS, _recurrence_residual
+from .diffop import _I_POWERS
 
 __all__ = [
-    "PeriodicBasis",
+    "LatticeTable",
     "charlier_basis",
     "periodic_phi",
     "periodic_gram",
-    "periodic_diff_check",
 ]
 
 
-@dataclass(frozen=True)
-class PeriodicBasis:
-    """A periodic orthonormal system built from a discrete lattice measure.
+@dataclass(frozen=True, eq=False)
+class LatticeTable:
+    """The closed table of a lattice system: phi_n(x) = i^n sum_k A[n, k] e^{ikx}.
 
-    ``measure`` holds the point masses sigma_k on the integers |k| <= K,
-    ``jacobi`` the recurrence coefficients of its orthonormal polynomials,
-    ``K`` the lattice cutoff, and ``amplitudes`` the (N + 1) x (2K + 1)
-    Fourier coefficients A[n, k] = sqrt(sigma_k) p_n(k) of phi_0..phi_N,
-    N = len(jacobi).  They are the Lanczos vectors of diag(k) from the
-    start vector sqrt(sigma) that ``jacobi`` comes from, run on a longer
-    lattice and restricted to |k| <= K, so they never pass through the
-    three-term recurrence.  The cutoff is chosen when the basis is built
-    so that the discarded tail sum_{|k|>K} A[n, k]^2 is below 1e-20 for
-    every degree n < N.
+    ``amplitudes`` holds the (N + 1) x (2K + 1) Fourier coefficients
+    A[n, k] = sqrt(sigma_k) p_n(k) of phi_0..phi_N on the lattice
+    |k| <= K.  Called as ``closed_table(nmax, x)`` it returns rows
+    0..nmax, shape (nmax + 1, len(x)); ``with_derivative`` also returns
+    their derivatives, exact on the Fourier side.
     """
 
-    measure: rec.MeasureSpec
-    jacobi: rec.JacobiMatrix
-    K: int
-    amplitudes: np.ndarray = field(repr=False, compare=False)
+    amplitudes: np.ndarray
 
-    def __post_init__(self):
-        if self.measure.kind != "discrete":
-            raise ValueError("periodic bases require a discrete measure")
-        points = np.asarray(self.measure.points, dtype=float)
-        if not np.allclose(points, np.round(points)):
-            raise ValueError("measure points must sit on the integer lattice")
-        if np.shape(self.amplitudes) != (len(self.jacobi) + 1, points.size):
-            raise ValueError("amplitudes need one row per degree 0..N and one column per point")
+    def __call__(self, nmax: int, x) -> np.ndarray:
+        return self._sums(nmax, x, np.ones((1, self.amplitudes.shape[1])))[0]
 
-    @property
-    def length(self) -> int:
-        return len(self.jacobi)
+    def with_derivative(self, nmax: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """Rows 0..nmax and their derivatives: e^{ikx} differentiates to ik e^{ikx}."""
+        k = self._lattice()
+        return tuple(self._sums(nmax, x, np.stack([np.ones_like(k), 1j * k])))
+
+    def _lattice(self) -> np.ndarray:
+        K = self.amplitudes.shape[1] // 2
+        return np.arange(-K, K + 1.0)
+
+    def _sums(self, nmax: int, x, weights: np.ndarray) -> np.ndarray:
+        """i^n sum_k w_k A[n, k] e^{ikx} for n <= nmax and each row w of
+        ``weights``, shape (len(weights), nmax + 1, len(x)): one product of
+        the weighted amplitude rows with the modes."""
+        if nmax >= len(self.amplitudes):
+            raise ValueError(f"degree {nmax} needs {nmax} recurrence coefficients, "
+                             f"basis has {len(self.amplitudes) - 1}")
+        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+        modes = np.exp(1j * np.multiply.outer(self._lattice(), xs))  # (lattice, points)
+        sums = (self.amplitudes[:nmax + 1] * weights[:, None, :]) @ modes
+        return _I_POWERS[np.arange(nmax + 1) % 4][:, None] * sums
 
 
 # The largest share sum_{|k|>K} A[n, k]^2 of a degree n < N that a cutoff
@@ -75,8 +80,8 @@ class PeriodicBasis:
 _TAIL_BOUND = 1e-20
 
 
-def charlier_basis(a: float, N: int = 32) -> PeriodicBasis:
-    """Periodic basis of the bilateral Charlier measure with parameter ``a``.
+def charlier_basis(a: float, N: int = 32) -> basis_mod.TransformedBasis:
+    """``charlier:<a>``: the periodic basis of the bilateral Charlier measure.
 
     ``N`` is the number of recurrence coefficients to prepare, which bounds
     the largest usable degree.  The cutoff is the first of K_1, K_1 + 4,
@@ -124,69 +129,17 @@ def charlier_basis(a: float, N: int = 32) -> PeriodicBasis:
             f"degrees below {N} of the Charlier measure a = {a} are orthonormal on "
             f"their {2 * K + 1}-point lattice only to {err:.1e} in double precision"
         )
-    return PeriodicBasis(measure=rec.charlier_bilateral(a, K=K), jacobi=jacobi, K=K,
-                         amplitudes=amplitudes)
+    return basis_mod.TransformedBasis(f"charlier:{a!r}", rec.charlier_bilateral(a, K=K), jacobi,
+                                      closed_table=LatticeTable(amplitudes))
 
 
-def _rows(basis: PeriodicBasis, x, start: int, stop: int, weights=1.0) -> np.ndarray:
-    """phi_start..phi_{stop-1} at ``x``, shape (stop - start,) + x.shape.
-
-    One product of the amplitude rows, each mode scaled by ``weights``
-    (``1j * k`` differentiates), with the modes e^{ikx}, times i^n; a stack
-    of weights gives a leading axis with one block of rows per weight.
-    """
-    if stop > basis.length + 1:
-        raise ValueError(
-            f"degree {stop - 1} needs {stop - 1} recurrence coefficients, basis has {basis.length}"
-        )
-    xs = np.asarray(x, dtype=float)
-    k = np.asarray(basis.measure.points, dtype=float)
-    modes = np.exp(1j * np.multiply.outer(k, xs.ravel()))  # (lattice, points)
-    powers = _I_POWERS[np.arange(start, stop) % 4][:, None]
-    rows = powers * ((basis.amplitudes[start:stop] * weights) @ modes)
-    return rows.reshape(rows.shape[:-1] + xs.shape)
+def periodic_phi(basis: basis_mod.TransformedBasis, n: int, x):
+    """phi_n(x) of a lattice basis: ``basis.phi``."""
+    return basis_mod.phi(basis, n, x)
 
 
-def periodic_phi(basis: PeriodicBasis, n: int, x):
-    """Evaluate phi_n(x) = i^n sum_k sqrt(sigma_k) p_n(k) e^{ikx}.
+def periodic_gram(basis: basis_mod.TransformedBasis, N: int) -> np.ndarray:
+    """Gram matrix of phi_0..phi_{N-1} by the 4K-point trapezoid rule of ``verify.check_gram``."""
+    from . import verify
 
-    ``x`` may be a scalar or an array; the result matches its shape.  The
-    lattice sum runs over |k| <= K, which resolves the series to roundoff
-    by construction of the measure.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    vals = _rows(basis, x, n, n + 1)[0]
-    return vals if vals.ndim else complex(vals)
-
-
-def periodic_gram(basis: PeriodicBasis, N: int) -> np.ndarray:
-    """Gram matrix of phi_0..phi_{N-1} by the 4K-point trapezoid rule.
-
-    G[m, n] = (1/(2*pi)) * integral phi_m conj(phi_n) over one period.  The
-    integrand is a trigonometric polynomial of degree at most 2K, so the
-    uniform rule on M = 4K points, which exceeds 2K, is exact.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    M = 4 * basis.K
-    x = 2.0 * np.pi * np.arange(M) / M - np.pi
-    rows = _rows(basis, x, 0, N)  # (N, M)
-    return (rows @ rows.conj().T) / M
-
-
-def periodic_diff_check(basis: PeriodicBasis, N: int) -> float:
-    """Largest residual of the differential recurrence for n < N.
-
-    phi_n' is formed term by term (each lattice mode differentiates to ik
-    times itself) and compared against -b_{n-1} phi_{n-1} + i c_n phi_n +
-    b_n phi_{n+1} on 257 points over one period.  Both sides are exact
-    finite sums, so the residual is pure roundoff.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    x = 2.0 * np.pi * np.arange(257) / 257 - np.pi
-    k = np.asarray(basis.measure.points, dtype=float)
-    # rows 0..N, so phi_N is available, and their derivatives
-    phi, dphi = _rows(basis, x, 0, N + 1, np.stack([np.ones_like(k), 1j * k])[:, None])
-    return _recurrence_residual(basis.jacobi, phi, dphi, N)
+    return verify._rule_gram(basis, N)[0]

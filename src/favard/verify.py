@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _panels
 from . import basis as basis_mod
-from . import periodic as periodic_mod
 from . import quadrature
 from . import specfun
 from .diffop import _recurrence_residual
@@ -154,10 +153,15 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
 def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Points x and weights w at which a closed family's Gram sum is exact.
 
-    A change of variable makes phi_m conj(phi_n) dx a polynomial against a
-    classical weight.  mt and laguerre:0 take x = tan(theta/2)/2, where the
-    integrand is (1/2pi) e^{i(m-n)theta}, on N uniform points in theta:
-    |m - n| <= N - 1, so the trapezoid sum is exact.
+    A lattice system (a discrete measure, ``charlier:<a>``) is 2 pi periodic
+    and orthonormal under (1/2pi) dx over one period: phi_m conj(phi_n) is
+    a trigonometric polynomial of degree at most 2K on the lattice |k| <= K,
+    so the uniform rule on M = 4K > 2K points of [-pi, pi), weights 1/M, is
+    exact.  On the line a change of variable makes phi_m conj(phi_n) dx a
+    polynomial against a classical weight.  mt and laguerre:0 take
+    x = tan(theta/2)/2, where the integrand is (1/2pi) e^{i(m-n)theta}, on
+    N uniform points in theta: |m - n| <= N - 1, so the trapezoid sum is
+    exact.
     hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi).  The
     tanh-Jacobi family at dilation s (``basis.tanh_jacobi`` = (a, b, s):
     conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2) has rows +-P_n(t) e(x)
@@ -170,6 +174,11 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
     Returns x, w and the report's metadata.
     """
     meta = {"family": basis.family, "N": N}
+    if basis.measure.kind == "discrete":
+        K = int(basis.measure.support[1])
+        M = 4 * K
+        return (2.0 * math.pi * np.arange(M) / M - math.pi, np.full(M, 1.0 / M),
+                {"strategy": "trapezoid", **meta, "M": M, "K": K})
     if basis.closed_table is basis_mod._mt_table:
         h, theta, x = basis_mod._mt_theta_grid(N)
         return (x, h * 0.25 / np.cos(0.5 * theta) ** 2,
@@ -253,19 +262,21 @@ def _gave_up(name: str, tol: float, meta: dict, exc: AccuracyError) -> CheckRepo
                        metadata={**meta, "error": str(exc), "estimate": exc.estimate})
 
 
+def _rule_gram(basis, N: int) -> tuple[np.ndarray, dict]:
+    """Gram of phi_0..phi_{N-1} under ``_substitution_rule``, and its metadata."""
+    x, w, meta = _substitution_rule(basis, N)
+    table = basis_mod.phi_grid(basis, N - 1, x)
+    return (table * w) @ table.conj().T, meta
+
+
 def check_gram(basis, N: int = 12) -> CheckReport:
     """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature.
 
+    The tolerance is 1e-8, and 1e-10 on a lattice, where the rule is exact.
     A quadrature route that gives up (``AccuracyError``) yields a failing
     report, as in ``_gave_up``.
     """
-    if isinstance(basis, periodic_mod.PeriodicBasis):
-        G = periodic_mod.periodic_gram(basis, N)
-        err = float(np.max(np.abs(G - np.eye(N))))
-        return CheckReport("gram", err, 1e-10,
-                           metadata={"strategy": "trapezoid", "family": "periodic-charlier",
-                                     "N": N, "M": 4 * basis.K, "K": basis.K})
-    tol = 1e-8
+    tol = 1e-10 if basis.measure.kind == "discrete" else 1e-8
     family = basis.family
     if basis.closed_table is basis_mod.transformed_legendre_table:
         G, reach = _legendre_gram(N)
@@ -279,9 +290,7 @@ def check_gram(basis, N: int = 12) -> CheckReport:
             return _gave_up("gram", tol, meta, exc)
         meta.update(lattice)
     else:
-        x, w, meta = _substitution_rule(basis, N)
-        table = basis_mod.phi_grid(basis, N - 1, x)
-        G = (table * w) @ table.conj().T
+        G, meta = _rule_gram(basis, N)
     err = float(np.max(np.abs(G - np.eye(N))))
     return CheckReport("gram", err, tol, metadata=meta)
 
@@ -289,21 +298,24 @@ def check_gram(basis, N: int = 12) -> CheckReport:
 def check_recurrence(basis, N: int = 10) -> CheckReport:
     """Residual of phi_n' = -b_{n-1} phi_{n-1} + i c_n phi_n + b_n phi_{n+1}.
 
-    For transformed bases the derivative is a Richardson-extrapolated
-    fourth-order central difference of step h = 1e-3 at 23 points of
-    [-3.3, 3.3]; for periodic bases differentiation is
-    exact on the Fourier side and the residual is pure roundoff.  The
-    difference divides the rounding of phi by h, so a transformed basis's
-    report carries that floor, eps max|phi| / h, as ``rounding_floor``: a
-    residual within a small multiple of it is rounding, not a recurrence
-    that fails to hold.  A quadrature route that gives up
-    (``AccuracyError``) yields a failing report, as in ``_gave_up``.
+    On a lattice (a discrete measure, ``charlier:<a>``) both sides are
+    exact finite Fourier sums: the closed table differentiates each mode
+    e^{ikx} to ik e^{ikx} (``LatticeTable.with_derivative``) on 257 points
+    of one period, and the residual is pure roundoff, held to 1e-8.  On the
+    line the derivative is a Richardson-extrapolated fourth-order central
+    difference of step h = 1e-3 at 23 points of [-3.3, 3.3].  The
+    difference divides the rounding of phi by h, so its report carries that
+    floor, eps max|phi| / h, as ``rounding_floor``: a residual within a
+    small multiple of it is rounding, not a recurrence that fails to hold.
+    A quadrature route that gives up (``AccuracyError``) yields a failing
+    report, as in ``_gave_up``.
     """
-    if isinstance(basis, periodic_mod.PeriodicBasis):
-        err = periodic_mod.periodic_diff_check(basis, N)
+    if basis.measure.kind == "discrete":
+        x = 2.0 * np.pi * np.arange(257) / 257 - np.pi
+        err = _recurrence_residual(basis.jacobi, *basis.closed_table.with_derivative(N, x), N)
         return CheckReport("recurrence", err, 1e-8,
-                           metadata={"family": "periodic-charlier", "N": N,
-                                     "strategy": "fourier-exact", "K": basis.K})
+                           metadata={"family": basis.family, "N": N, "strategy": "fourier-exact",
+                                     "K": int(basis.measure.support[1])})
     xs, h = np.linspace(-3.3, 3.3, 23), 1e-3
     basis.ensure(N)
     shifts = np.array([-2 * h, -h, -0.5 * h, 0.0, 0.5 * h, h, 2 * h])

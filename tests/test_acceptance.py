@@ -15,7 +15,6 @@ from favard import recurrence as rec
 from favard import schrodinger as sch
 from favard import verify as ver
 from favard.basis import hermite_function, make_basis, phi_grid
-from favard.periodic import charlier_basis, periodic_diff_check, periodic_gram
 from favard.quadrature import golub_welsch
 
 
@@ -219,9 +218,9 @@ def test_criterion_12_free_schrodinger_and_strang():
 
 
 def test_criterion_13_periodic_charlier():
-    basis = charlier_basis(0.5, N=10)
-    gram_err = float(np.max(np.abs(periodic_gram(basis, 8) - np.eye(8))))
-    rec_err = periodic_diff_check(basis, 8)
+    basis = make_basis("charlier:0.5", N=10)
+    gram_err = ver.check_gram(basis, 8).max_abs_error
+    rec_err = ver.check_recurrence(basis, 8).max_abs_error
     ok = gram_err <= 1e-10 and rec_err <= 1e-8
     report(13, "periodic Charlier system", ok,
            f"gram err {gram_err:.3e} <= 1e-10, recurrence err {rec_err:.3e} <= 1e-8")

@@ -2,6 +2,8 @@
 weights in relative error, and polynomial exactness; composite panel edges
 and their width classes."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -115,6 +117,33 @@ def test_smallest_hermite_weight_matches_mpmath_christoffel():
     assert 7e-76 < exact < 8e-76
     assert abs(rule.weights[-1] - exact) < 1e-10 * exact
     assert abs(rule.weights[0] - exact) < 1e-10 * exact
+
+
+def test_smallest_normal_hermite_weights_to_a_few_ulps():
+    # the ten smallest normal weights at N = 4096, near 1e-305, against the
+    # Christoffel sum at the rule's own nodes in 200-bit fixed point: exact
+    # integer arithmetic on p_k 2^200, b_k = sqrt((k+1)/2) rounded to 2^-200.
+    # A weight formed as e^{log w} rounds log w ~ -700 first and was off by
+    # up to 7.9e-14 here
+    from fractions import Fraction
+
+    N, F = 4096, 200
+    rule = golub_welsch(rec.build_jacobi(rec.hermite_coeffs, N), N)
+    smallest = np.argsort(np.where(rule.weights > 0.0, rule.weights, np.inf))[:10]
+    b = [math.isqrt((k + 1) << (2 * F - 1)) for k in range(N - 1)]
+    inv_b = [(1 << 2 * F) // bk for bk in b]
+    worst = 0.0
+    for i in smallest:
+        x = int(Fraction(rule.nodes[i]) * (1 << F))
+        p_prev, p = 1 << F, (x * inv_b[0]) >> F
+        total = p_prev * p_prev + p * p
+        for k in range(1, N - 1):
+            p_prev, p = p, ((x * p - b[k - 1] * p_prev) >> F) * inv_b[k] >> F
+            total += p * p
+        exact = Fraction(1 << 2 * F, total)
+        worst = max(worst, abs(float(Fraction(rule.weights[i]) / exact) - 1.0))
+    assert 1e-308 < rule.weights[smallest].min() and rule.weights[smallest].max() < 1e-300
+    assert worst < 3e-14
 
 
 def test_large_n_weights_finite_nonnegative_normalized():
@@ -316,11 +345,11 @@ def test_zero_diagonal_rule_matches_full_eigensolve(N):
     # +-1 move by about 2e-11 of themselves per ulp of their node at N = 512)
     import scipy.linalg
 
-    from favard.quadrature import _christoffel_log_weights, _unit_weights
+    from favard.quadrature import _christoffel_sums, _unit_weights
     J = rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(1.5, n), N)
     rule = golub_welsch(J, N)
     nodes = scipy.linalg.eigvalsh_tridiagonal(np.zeros(N), J.b[:N - 1], lapack_driver="sterf")
-    weights = _unit_weights(_christoffel_log_weights(nodes, J, N)[0])
+    weights = _unit_weights(*_christoffel_sums(nodes, J, N)[:2])
     assert np.max(np.abs(rule.nodes - nodes)) < 1e-14
     assert np.max(np.abs(rule.weights / weights - 1.0)) < 1e-10
 

@@ -23,6 +23,7 @@ PLAIN = (
     ["basis", "eval", "--family", "legendre", "--n", "0:4", "--grid", "-2:2:0.5"],
     ["diffmat", "--family", "laguerre:0.0", "--N", "8"],
     ["periodic", "eval", "--a", "0.5", "--n", "0:3", "--grid", "-pi:pi:0.25"],
+    ["basis", "eval", "--family", "charlier:0.5", "--n", "0:3", "--grid", "-pi:pi:0.25"],
     ["verify", "gram", "--family", "custom-weight:exp(-x^4)"],
     ["verify", "recurrence", "--family", "custom-weight:exp(-x^4)"],
     ["verify", "gram", "--family", "charlier:0.5"],
@@ -34,6 +35,7 @@ _PROPAGATE = ["--N", "64", "--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.
 # commands that import SciPy on first use
 FIRST_USE = (
     (["quad", "--family", "hermite", "--N", "12"], False),
+    (["quad", "--family", "charlier:0.5", "--N", "12"], False),
     (["coeffs", "--family", "mt", "--f", "1/(1+(2*x)^4)", "--N", "256", "--method", "fft"], False),
     (["decay", "--model", "exp", "--skip", "8"], True),
     (["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "64",
@@ -95,6 +97,15 @@ def test_quad_reaches_lapack_without_scipy_linalg(child):
     run = child["runs"][len(PLAIN)]
     assert argv[:3] == ["quad", "--family", "hermite"]
     assert run["code"] == 0 and "scipy" in run["scipy"]
+    assert [m for m in run["scipy"] if m.startswith("scipy.linalg")] == []
+
+
+def test_charlier_quad_folds_without_scipy_linalg(child):
+    # the lattice's diagonal is exactly zero, so its rule takes dqds through
+    # the LAPACK capsule, not scipy.linalg's sterf
+    index = RUNS.index((["quad", "--family", "charlier:0.5", "--N", "12"], False))
+    run = child["runs"][index]
+    assert run["code"] == 0 and run["stdout"].count("\n") == 13
     assert [m for m in run["scipy"] if m.startswith("scipy.linalg")] == []
 
 

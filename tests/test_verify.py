@@ -17,7 +17,6 @@ from favard import basis as basis_mod
 from favard import quadrature
 from favard import verify as ver
 from favard.basis import make_basis
-from favard.periodic import charlier_basis
 
 
 def test_report_shape_and_schema():
@@ -37,13 +36,14 @@ def test_gram_all_closed_form_families():
 
 
 def test_gram_periodic_branch():
-    # M = 4K is the exactness bound periodic_gram states
-    basis = charlier_basis(0.5, N=10)
+    # M = 4K is the exactness bound of the lattice's trapezoid rule
+    basis = make_basis("charlier:0.5", N=10)
+    K = int(basis.measure.support[1])
     rep = ver.check_gram(basis, N=8)
-    assert rep.passed
+    assert rep.passed and rep.tolerance == 1e-10
     assert rep.metadata["strategy"] == "trapezoid"
-    assert rep.metadata["M"] == 4 * basis.K and rep.metadata["K"] == basis.K
-    assert rep.max_abs_error < 1e-12
+    assert rep.metadata["M"] == 4 * K and rep.metadata["K"] == K
+    assert rep.max_abs_error < 1e-14
 
 
 @pytest.mark.parametrize("family", ["custom-weight:exp(-x^4)", "conthahn:1,1",
@@ -194,11 +194,13 @@ def test_recurrence_reports_its_rounding_floor():
 
 
 def test_recurrence_periodic_branch():
-    basis = charlier_basis(0.5, N=12)
+    # chosen by the discrete measure, not by the basis's type
+    basis = make_basis("charlier:0.5", N=12)
     rep = ver.check_recurrence(basis, N=10)
-    assert rep.passed
-    assert rep.metadata["strategy"] == "fourier-exact" and rep.metadata["K"] == basis.K
-    assert rep.max_abs_error < 1e-12
+    assert rep.passed and rep.tolerance == 1e-8
+    assert rep.metadata["strategy"] == "fourier-exact"
+    assert rep.metadata["K"] == int(basis.measure.support[1])
+    assert rep.max_abs_error < 1e-13
 
 
 def test_legendre_zeta_tail_strip_identity():
