@@ -1,14 +1,15 @@
-"""LAPACK's bidiagonal solvers, reached through SciPy's Cython LAPACK capsules.
+"""LAPACK's tridiagonal and bidiagonal solvers, reached through SciPy's Cython LAPACK capsules.
 
 ``scipy.linalg.cython_lapack`` exports every routine as a C function pointer
 in ``__pyx_capi__``; ctypes calls it directly (the route numba takes).
 The module is loaded from its file without running ``scipy/linalg/__init__``
-(``_capsules``).  Two
-routines are used: ``dlasq1`` (dqds, singular values to high relative
-accuracy; Fernando & Parlett, Numer. Math. 67, 1994) and ``dbdsdc``
-(divide and conquer, singular vectors; Gu & Eisenstat, SIAM J. Matrix Anal.
-Appl. 16, 1995).  Neither forms B^T B, so neither squares away the relative
-accuracy of small singular values.  dbdsdc's merges call the OpenBLAS
+(``_capsules``).  A Jacobi section with zero diagonal is split into a
+bidiagonal B and solved by ``dlasq1`` (dqds, singular values to high
+relative accuracy; Fernando & Parlett, Numer. Math. 67, 1994) and
+``dbdsdc`` (divide and conquer, singular vectors; Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 1995), neither of which forms B^T B.  Any other
+section takes ``dsterf`` (eigenvalues) and ``dstemr`` (eigenvectors).
+``gauss_nodes`` is the one node solve.  dbdsdc's merges call the OpenBLAS
 behind ``cython_lapack``, whose threaded dgemm sums in an order that depends
 on the thread count; each call runs on one thread (``_call``), so the
 vectors are the same bits on any machine setting.
@@ -30,6 +31,9 @@ _SIGNATURES = {
     "dlasq1": (_INT, _PTR, _PTR, _PTR, _INT),
     "dbdsdc": (ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT,
                _PTR, _PTR, _PTR, _PTR, _INT),
+    "dsterf": (_INT, _PTR, _PTR, _INT),
+    "dstemr": (ctypes.c_char_p, ctypes.c_char_p, _INT, _PTR, _PTR, _PTR, _PTR, _INT, _INT, _INT,
+               _PTR, _PTR, _INT, _INT, _PTR, _INT, _PTR, _INT, _PTR, _INT, _INT),
 }
 
 
@@ -110,7 +114,7 @@ def _call(name: str, n: int, *args) -> None:
     finally:
         put(saved)
     if info.value != 0:
-        raise EigenError(f"LAPACK {name} failed for a bidiagonal of order {n}: info={info.value}")
+        raise EigenError(f"LAPACK {name} failed for a matrix of order {n}: info={info.value}")
 
 
 def split_bidiagonal(b: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,3 +157,40 @@ def singular_vectors(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     _call("dbdsdc", n, b"L", b"I", size, s.ctypes.data, off.ctypes.data, U.ctypes.data, size,
           Vt.ctypes.data, size, None, None, work.ctypes.data, iwork.ctypes.data)
     return U, Vt.T
+
+
+def gauss_nodes(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Jacobi section with diagonal c and off-diagonal b:
+    the nodes of the N-point Gauss rule, N = c.size.
+
+    A zero diagonal takes +-sigma for the singular values sigma of
+    ``split_bidiagonal``'s B (dqds), mirrored exactly; any other ``dsterf``.
+    """
+    N = c.size
+    if not np.any(c):
+        half = singular_values(*split_bidiagonal(b, N))[::-1]
+        return np.concatenate((-half[N % 2:][::-1], half))
+    x, e = np.array(c, dtype=float), np.zeros(max(N - 1, 1))
+    e[:N - 1] = b[:N - 1]
+    _call("dsterf", N, ctypes.byref(ctypes.c_int(N)), x.ctypes.data, e.ctypes.data)
+    return x
+
+
+def eigenvectors(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the Jacobi section with diagonal c and off-diagonal b, by ``dstemr``.
+
+    TRYRAC is set, as SciPy sets it.  The columns follow ascending
+    eigenvalues, the order of ``gauss_nodes``; dstemr's own are dropped.
+    """
+    N = c.size
+    d, e = np.array(c, dtype=float), np.zeros(N)
+    e[:N - 1] = b[:N - 1]
+    w, Z, isuppz = np.empty(N), np.empty((N, N), order="F"), np.empty(2 * N, dtype=np.intc)
+    work, iwork = np.empty(18 * N), np.empty(10 * N, dtype=np.intc)
+    size, found, by = ctypes.c_int(N), ctypes.c_int(), ctypes.byref
+    bound, index = ctypes.c_double(), ctypes.c_int()  # the range bounds, unread for range "A"
+    _call("dstemr", N, b"V", b"A", by(size), d.ctypes.data, e.ctypes.data, by(bound), by(bound),
+          by(index), by(index), by(found), w.ctypes.data, Z.ctypes.data, by(size), by(size),
+          isuppz.ctypes.data, by(ctypes.c_int(1)), work.ctypes.data, by(ctypes.c_int(18 * N)),
+          iwork.ctypes.data, by(ctypes.c_int(10 * N)))
+    return Z

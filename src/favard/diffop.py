@@ -26,7 +26,12 @@ diag([[0, -sigma_i], [sigma_i, 0]]): in the coordinates
 (a_i, b_i) by the angle tau sigma_i, and an even function such as the free
 flow is one phase on both.  Every product is half size and real.
 Operators with any nonzero c_n (Laguerre, MT, custom weights) keep the
-full V from LAPACK's ``stemr``, its rows signed the same way.
+full V from LAPACK's ``dstemr``, its rows signed the same way.
+
+Either way the nodes x are ``DiffMatrix.nodes``, from the one node solve
+``_lapack.gauss_nodes`` that ``quadrature.golub_welsch`` reads too, so D's
+spectrum is the Gauss rule's nodes bit for bit, and the spectral radius
+needs no vectors.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import singular_values, singular_vectors, split_bidiagonal
-from .errors import EigenError
+from ._lapack import eigenvectors, gauss_nodes, singular_vectors, split_bidiagonal
 from .recurrence import JacobiMatrix
 
 __all__ = ["DiffMatrix", "Eigensystem", "FoldedEigensystem", "apply", "build", "expm_apply",
@@ -64,6 +68,8 @@ class DiffMatrix:
             raise ValueError("diag must hold at least one entry")
         if self.sub.shape != (self.diag.size - 1,):
             raise ValueError("band lengths must be N-1 and N")
+        if not (np.isfinite(self.sub).all() and np.isfinite(self.diag).all()):
+            raise ValueError("bands must be finite")
 
     @property
     def N(self) -> int:
@@ -75,21 +81,24 @@ class DiffMatrix:
         return -self.sub
 
     @cached_property
-    def eigensystem(self) -> Eigensystem | FoldedEigensystem:
-        """J = V diag(x) V^T for the Jacobi section J (diagonal c, off-diagonal b).
+    def nodes(self) -> np.ndarray:
+        """The ascending eigenvalues x of the Jacobi section J (diagonal c,
+        off-diagonal b): the Gauss nodes of the N-point rule, from
+        ``_lapack.gauss_nodes``.  Computed on first use, then cached."""
+        return gauss_nodes(self.diag, self.sub)
 
-        x are the Gauss nodes of the N-point rule.  Computed on first use,
-        then cached; a zero diagonal is solved at half size into the real
-        Schur form (``_folded_eigensystem``), any other one by ``stemr``,
-        pinned so no library default picks the driver.
+    @cached_property
+    def eigensystem(self) -> Eigensystem | FoldedEigensystem:
+        """J = V diag(x) V^T over ``nodes`` x.
+
+        Computed on first use, then cached; a zero diagonal is solved at half
+        size into the real Schur form (``_folded_eigensystem``), any other one
+        by ``dstemr``, whose vectors are paired with the nodes in ascending
+        order.
         """
         if not np.any(self.diag):
-            return _folded_eigensystem(self.sub)
-        try:
-            x, V = eigh_tridiagonal(self.diag, self.sub, lapack_driver="stemr")
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise EigenError(f"tridiagonal eigensolve failed for N={self.N}: {exc}") from exc
-        return Eigensystem(x, _sign_columns(V))
+            return _folded_eigensystem(self.nodes, self.sub)
+        return Eigensystem(self.nodes, _sign_columns(eigenvectors(self.diag, self.sub)))
 
     def dense(self) -> np.ndarray:
         """The full complex N x N matrix; for small-N checks only."""
@@ -99,13 +108,6 @@ class DiffMatrix:
         D[idx + 1, idx] = self.sub
         D[idx, idx + 1] = self.super
         return D
-
-
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eigh_tridiagonal``, with SciPy imported on first use."""
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(d, e, **kwargs)
 
 
 def build(J: JacobiMatrix, N: int) -> DiffMatrix:
@@ -182,7 +184,7 @@ def _sign_columns(V: np.ndarray) -> np.ndarray:
     The sign is read off the last row: for ascending nodes the zeros of
     p_{N-1} interlace those of p_N, so p_{N-1}(x_i) has the sign
     (-1)^{N-1-i}, and the last entry of an eigenvector of an unreduced
-    tridiagonal matrix never vanishes.  The first row cannot serve: stemr
+    tridiagonal matrix never vanishes.  The first row cannot serve: dstemr
     returns V[0, i] = 0.0 exactly at tail nodes where lambda_i underflows.
     """
     N = V.shape[0]
@@ -268,27 +270,24 @@ class FoldedEigensystem:
 _TURN = np.array([[-1.0], [1.0]])  # (f_0, f_1) -> (-f_1, f_0), a quarter turn, with f[::-1]
 
 
-def _folded_eigensystem(b: np.ndarray) -> FoldedEigensystem:
-    """The real Schur form of the Jacobi section with zero diagonal and off-diagonal b.
+def _folded_eigensystem(x: np.ndarray, b: np.ndarray) -> FoldedEigensystem:
+    """The real Schur form of the Jacobi section with zero diagonal, off-diagonal b and nodes x.
 
-    With B = Q diag(sigma) P^T (``_lapack.split_bidiagonal``; sigma from dqds,
-    Q and P from divide and conquer), the columns are put in ascending sigma;
-    the centre column q_0 of odd N has no partner in P, whose padded row and
-    column are dropped.  Each pair (q_i, p_i) is signed together by
-    _sign_columns' last-row rule, read from the block that holds row N-1;
-    then the rows take S's sign.
+    The nodes x >= 0 are the singular values sigma of B = Q diag(sigma) P^T
+    (``_lapack.split_bidiagonal``), and Q and P come from divide and
+    conquer; the columns are put in ascending sigma.  The centre column q_0
+    of odd N has no partner in P, whose padded row and column are dropped.
+    Each pair (q_i, p_i) is signed together by _sign_columns' last-row rule,
+    read from the block that holds row N-1; then the rows take S's sign.
     """
     N = b.size + 1
     h, r = N // 2, N % 2
-    d, e = split_bidiagonal(b, N)
-    sigma = singular_values(d, e)[::-1]
-    Q, P = singular_vectors(d, e)
+    Q, P = singular_vectors(*split_bidiagonal(b, N))
     Q, P = Q[:, ::-1], P[:h, ::-1][:, r:]
     last = Q[-1] if r else P[-1]
     flip = np.where(last * (-1.0) ** (N - 1 - h - np.arange(h + r)) < 0.0, -1.0, 1.0)
     rows = _row_signs(N)[:, None]
-    return FoldedEigensystem(np.concatenate((-sigma[r:][::-1], sigma)),
-                             rows[0::2] * Q * flip, rows[1::2] * P * flip[r:])
+    return FoldedEigensystem(x, rows[0::2] * Q * flip, rows[1::2] * P * flip[r:])
 
 
 # i^n by n mod 4, and (-i)^n = _I_POWERS[-n % 4]; bit for bit the values
@@ -314,9 +313,10 @@ def spectral_radius(D: DiffMatrix) -> float:
     """max |eigenvalue| of D.
 
     The eigenvalues of D are i times those of the Jacobi truncation J, so
-    this is the largest-magnitude Gauss node of the underlying N-point rule.
+    this is the largest-magnitude Gauss node of the underlying N-point rule;
+    it reads ``D.nodes`` and solves for no eigenvector.
     """
-    return float(np.max(np.abs(D.eigensystem.x)))
+    return float(np.max(np.abs(D.nodes)))
 
 
 def _recurrence_residual(J: JacobiMatrix, phi: np.ndarray, dphi: np.ndarray, N: int) -> float:

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _panels
-from ._lapack import singular_values, split_bidiagonal
+from ._lapack import gauss_nodes
 from .diffop import _real_times
-from .errors import AccuracyError, EigenError
+from .errors import AccuracyError
 from .recurrence import (JacobiMatrix, MeasureSpec, _scaled_sweep, _truncated_interval,
                          eval_poly_table)
 
@@ -87,18 +87,17 @@ def _unit_weights(total: np.ndarray, last: np.ndarray) -> np.ndarray:
 def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     """N-point Gauss rule from the leading N x N block of the Jacobi matrix.
 
-    With a zero diagonal (every symmetric family) the block is, after the
-    even/odd split of its rows, [[0, B], [B^T, 0]] for an (N+1)//2-square
-    lower bidiagonal B (``_lapack.split_bidiagonal``), and the nodes are
-    +-sigma for the singular values sigma of B.  These come from dqds
-    (LAPACK ``dlasq1``), which works on B itself and gives every sigma,
-    the smallest included, to high relative accuracy; the centre node of
-    odd N is exactly 0 and the nodes mirror exactly.  Any other diagonal
-    takes the eigenvalues of the block from LAPACK ``sterf``.  Both drivers
-    are pinned, so no library default decides them.  Weights come from the
-    Christoffel sum w_i = 1 / sum_{k<N} p_k(x_i)^2 over the normalized
-    recurrence rather than from squared eigenvector entries: they carry
-    relative accuracy, so tail weights far below 1e-16 are right to about
+    The nodes are the block's eigenvalues from ``_lapack.gauss_nodes``, the
+    one node solve, which ``DiffMatrix.nodes`` reads too: for a zero
+    diagonal (every symmetric family) +-sigma for the singular values sigma
+    of the split bidiagonal (``_lapack.split_bidiagonal``), from dqds, each
+    to high relative accuracy, mirrored exactly about the centre node 0 of
+    odd N; for any other diagonal LAPACK ``dsterf``.  Both run through
+    SciPy's LAPACK capsules without ``scipy.linalg``, and no library default
+    picks the driver.  Weights come from the Christoffel sum
+    w_i = 1 / sum_{k<N} p_k(x_i)^2 over the normalized recurrence rather
+    than from squared eigenvector entries: they carry relative accuracy,
+    so tail weights far below 1e-16 are right to about
     1e-11 of their own size (Hermite, N up to 4096), not merely small; at
     the rule's own nodes the ten smallest normal Hermite weights of N =
     4096 match the exact Christoffel sum to 1.6e-14 (``_unit_weights``).  On
@@ -134,21 +133,13 @@ def _gauss_sums(jacobi: JacobiMatrix, N: int, rows: int = 0):
         raise ValueError("N must be positive")
     if N > len(jacobi):
         raise IndexError(f"need {N} coefficient pairs, have {len(jacobi)}")
-    if N > 1 and not np.any(jacobi.c[:N]):
-        r = N % 2
-        half = singular_values(*split_bidiagonal(jacobi.b, N))[::-1]
-        total, last, table = _christoffel_sums(half, jacobi, N, rows)
-        mirror = lambda v: np.concatenate((v[r:][::-1], v))
-        return np.concatenate((-half[r:][::-1], half)), mirror(total), mirror(last), table
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    try:
-        # JacobiMatrix has already checked that its coefficients are finite
-        nodes = eigvalsh_tridiagonal(jacobi.c[:N], jacobi.b[: N - 1], check_finite=False,
-                                     lapack_driver="sterf")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenError(f"tridiagonal eigensolve failed for N={N}: {exc}") from exc
-    return (nodes, *_christoffel_sums(nodes, jacobi, N, rows))
+    nodes = gauss_nodes(jacobi.c[:N], jacobi.b)
+    if np.any(jacobi.c[:N]):
+        return (nodes, *_christoffel_sums(nodes, jacobi, N, rows))
+    r = N % 2
+    total, last, table = _christoffel_sums(nodes[N // 2:], jacobi, N, rows)
+    mirror = lambda v: np.concatenate((v[r:][::-1], v))
+    return nodes, mirror(total), mirror(last), table
 
 
 def integrate(f, rule: QuadratureRule) -> float | complex:

@@ -78,6 +78,12 @@ _STALL = 16.0
 _FLOOR = float(np.finfo(float).eps)
 
 
+def _weighted_gram(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k table[m, k] conj(table[n, k]), summed in a fixed order by einsum:
+    a BLAS product's order, and so its last bits, follows its thread count."""
+    return np.einsum("mk,nk->mn", table * w, table.conj())
+
+
 def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     """Gram of quadrature-route rows from their samples on the Nyquist lattice.
 
@@ -126,7 +132,7 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
         k = k if fold else np.concatenate((k, -k[k > 0]))
         table = basis_mod.phi_grid(basis, N - 1, h * k)
         w = np.where(k == 0, 0.5 * h if fold else h, h)
-        G += (table * w) @ table.conj().T
+        G += _weighted_gram(table, w)
         ks.append(np.abs(k))
         mass.append((2.0 if fold else 1.0) * w * np.abs(table) ** 2)
         a = np.concatenate(ks)
@@ -248,7 +254,7 @@ def _legendre_gram(N: int) -> tuple[np.ndarray, float]:
     table = basis_mod.transformed_legendre_table(N - 1, x)
     w = np.full(2 * J, math.pi)
     w[0] = 0.5 * math.pi
-    G = (table * w) @ table.T + _zeta_tail(N, J)
+    G = _weighted_gram(table, w) + _zeta_tail(N, J)
     n = np.arange(N)
     G[np.add.outer(n, n) % 2 == 1] = 0.0
     return G, float(x[-1])
@@ -266,7 +272,7 @@ def _rule_gram(basis, N: int) -> tuple[np.ndarray, dict]:
     """Gram of phi_0..phi_{N-1} under ``_substitution_rule``, and its metadata."""
     x, w, meta = _substitution_rule(basis, N)
     table = basis_mod.phi_grid(basis, N - 1, x)
-    return (table * w) @ table.conj().T, meta
+    return _weighted_gram(table, w), meta
 
 
 def check_gram(basis, N: int = 12) -> CheckReport:

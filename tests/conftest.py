@@ -2,24 +2,21 @@
 
 import pytest
 
-from favard import diffop
+from favard import _lapack
 
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every eigensolve a DiffMatrix makes, by driver: "stemr", or "dbdsdc" for
-    the half-size solve of a zero diagonal."""
+    """Every eigenvector solve LAPACK is asked for, by routine: "dstemr", or
+    "dbdsdc" for the half-size solve of a zero diagonal.  Node solves
+    ("dsterf", "dlasq1") are not counted."""
     calls = []
-    stemr, dbdsdc = diffop.eigh_tridiagonal, diffop.singular_vectors
+    call = _lapack._call
 
-    def counted_stemr(*args, **kwargs):
-        calls.append(kwargs.get("lapack_driver"))
-        return stemr(*args, **kwargs)
+    def counted(name, *args):
+        if name in ("dstemr", "dbdsdc"):
+            calls.append(name)
+        return call(name, *args)
 
-    def counted_dbdsdc(*args):
-        calls.append("dbdsdc")
-        return dbdsdc(*args)
-
-    monkeypatch.setattr(diffop, "eigh_tridiagonal", counted_stemr)
-    monkeypatch.setattr(diffop, "singular_vectors", counted_dbdsdc)
+    monkeypatch.setattr(_lapack, "_call", counted)
     return calls

@@ -144,18 +144,32 @@ def test_determinism_byte_identical():
     assert len(a.stdout) > 0
 
 
+def _stdout_on_one_and_two_blas_threads(argv: list[str]) -> list[bytes]:
+    cmd = [sys.executable, "-m", "favard.cli", *argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).resolve().parents[1]),
+                                                      env.get("PYTHONPATH"))))
+    return [subprocess.run(cmd, capture_output=True, check=True,
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+
+
 @pytest.mark.parametrize("basis,N", [("hermite", "512"), ("mt", "256")])
 def test_schrodinger_bytes_do_not_depend_on_blas_threads(basis, N):
     # the eigenvectors come from one-thread LAPACK calls and the printed
     # synthesis sums in a fixed order, so the BLAS thread count moves no byte
-    cmd = [sys.executable, "-m", "favard.cli", "schrodinger", "--basis", basis, "--N", N,
-           "--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).resolve().parents[1]),
-                                                      env.get("PYTHONPATH"))))
-    outs = [subprocess.run(cmd, capture_output=True, check=True,
-                           env={**env, "OPENBLAS_NUM_THREADS": threads}).stdout
-            for threads in ("1", "2")]
+    outs = _stdout_on_one_and_two_blas_threads(
+        ["schrodinger", "--basis", basis, "--N", N, "--f0", "exp(-x^2)", "--potential", "x^2",
+         "--T", "0.5", "--tau", "0.0625"])
+    assert outs[0] == outs[1]
+    assert len(outs[0]) > 0
+
+
+def test_gram_bytes_do_not_depend_on_blas_threads():
+    # the Gram sums its weighted products in a fixed order; at N = 60 a BLAS
+    # product would cross OpenBLAS's threading threshold
+    outs = _stdout_on_one_and_two_blas_threads(
+        ["verify", "gram", "--family", "charlier:0.5", "--N", "60"])
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
 

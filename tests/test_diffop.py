@@ -30,6 +30,16 @@ def test_bands_follow_recurrence_coefficients():
     assert np.max(np.abs(D.diag)) == 0.0
 
 
+@pytest.mark.parametrize("diag", [[0.0, 0.0, 0.0], [0.5, 1.0, 2.0]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_bands_are_rejected(diag, bad):
+    # LAPACK is never handed a band it would turn into nodes without an error
+    with pytest.raises(ValueError, match="finite"):
+        diffop.DiffMatrix(np.array([1.0, bad]), np.array(diag))
+    with pytest.raises(ValueError, match="finite"):
+        diffop.DiffMatrix(np.array([1.0, 1.0]), np.array(diag[:2] + [bad]))
+
+
 def test_dense_is_skew_hermitian():
     for coeff in (rec.hermite_coeffs, lambda n: rec.laguerre_coeffs(1.0, n)):
         M = build_for(coeff, 12).dense()
@@ -141,11 +151,43 @@ def test_spectral_radius_hermite_value():
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_spectral_radius_is_largest_gauss_node(family):
+def test_spectral_radius_is_largest_gauss_node(family, solves):
+    # the radius reads the rule's nodes alone: a cold D solves for no vector
     J = rec.build_jacobi(FAMILIES[family], 513)
     nodes = golub_welsch(J, 512).nodes
-    ref = float(np.max(np.abs(nodes)))
-    assert abs(diffop.spectral_radius(diffop.build(J, 512)) - ref) < 1e-12 * ref
+    assert diffop.spectral_radius(diffop.build(J, 512)) == float(np.max(np.abs(nodes)))
+    assert solves == []
+
+
+@pytest.mark.parametrize("family,N", [("hermite", 63), ("hermite", 64), ("legendre", 64),
+                                      ("mt", 64), ("laguerre:1", 64), ("jacobi:0.5,1.5", 64),
+                                      ("custom-weight:exp(-abs(x-0.3))", 64)])
+def test_operator_spectrum_is_the_gauss_rule_bitwise(family, N):
+    # one node solve serves the rule, D's nodes, its eigensystem and its
+    # spectral radius, whichever LAPACK route the diagonal takes
+    from favard.basis import make_basis
+    J = make_basis(family, N=N).jacobi
+    nodes = golub_welsch(J, N).nodes
+    D = diffop.build(J, N)
+    assert np.array_equal(D.nodes, nodes)
+    assert np.array_equal(D.eigensystem.x, nodes)
+    assert diffop.spectral_radius(diffop.build(J, N)) == float(np.max(np.abs(nodes)))
+
+
+@pytest.mark.parametrize("family,N", [("mt", 128), ("mt", 256), ("laguerre:1", 128),
+                                      ("jacobi:0.5,1.5", 128), ("laguerre:1", 1)])
+def test_lapack_tridiagonal_routines_match_scipy(family, N):
+    # dsterf and dstemr through the capsule route give SciPy's sterf and
+    # stemr bits: the same LAPACK, called with the same arguments
+    import scipy.linalg
+    from favard import _lapack
+    from favard.basis import make_basis
+    J = make_basis(family, N=N).jacobi
+    c, b = np.asarray(J.c[:N]), np.asarray(J.b[:N - 1])
+    x = scipy.linalg.eigvalsh_tridiagonal(c, b, lapack_driver="sterf")
+    _, V = scipy.linalg.eigh_tridiagonal(c, b, lapack_driver="stemr")
+    assert np.array_equal(_lapack.gauss_nodes(c, b), x)
+    assert np.array_equal(_lapack.eigenvectors(c, b), V)
 
 
 def test_spectral_radius_single_mode():
@@ -318,9 +360,11 @@ def test_folded_blocks_are_orthogonal():
         assert np.max(np.abs(eig.P.T @ eig.P - np.eye(h))) < 2e-14
 
 
-@pytest.mark.parametrize("name", ["dlasq1", "dbdsdc"])
+@pytest.mark.parametrize("name", ["dlasq1", "dbdsdc", "dsterf", "dstemr"])
 def test_lapack_failure_raises_eigen_error(monkeypatch, name):
-    # a nonzero info from either routine surfaces as EigenError at the solve
+    # a nonzero info from any routine surfaces as EigenError at the solve:
+    # the bidiagonal of order 4 for a zero diagonal, the section of order 8
+    # for any other
     from favard import _lapack
     from favard.errors import EigenError
     routine = _lapack._routine
@@ -329,8 +373,10 @@ def test_lapack_failure_raises_eigen_error(monkeypatch, name):
         args[-1]._obj.value = 3  # info
 
     monkeypatch.setattr(_lapack, "_routine", lambda n: failing if n == name else routine(n))
-    with pytest.raises(EigenError, match=f"{name} failed .* order 4: info=3"):
-        diffop.build(rec.build_jacobi(rec.hermite_coeffs, 9), 8).eigensystem
-    if name == "dlasq1":
-        with pytest.raises(EigenError, match="dlasq1"):
-            golub_welsch(rec.build_jacobi(rec.hermite_coeffs, 8), 8)
+    coeffs, order = ((rec.hermite_coeffs, 4) if name in ("dlasq1", "dbdsdc")
+                     else (FAMILIES["laguerre"], 8))
+    with pytest.raises(EigenError, match=f"{name} failed .* order {order}: info=3"):
+        diffop.build(rec.build_jacobi(coeffs, 9), 8).eigensystem
+    if name in ("dlasq1", "dsterf"):
+        with pytest.raises(EigenError, match=name):
+            golub_welsch(rec.build_jacobi(coeffs, 8), 8)

@@ -36,6 +36,8 @@ _PROPAGATE = ["--N", "64", "--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.
 FIRST_USE = (
     (["quad", "--family", "hermite", "--N", "12"], False),
     (["quad", "--family", "charlier:0.5", "--N", "12"], False),
+    (["quad", "--family", "laguerre:0", "--N", "12"], False),
+    (["quad", "--family", "jacobi:0.5,1.5", "--N", "12"], False),
     (["coeffs", "--family", "mt", "--f", "1/(1+(2*x)^4)", "--N", "256", "--method", "fft"], False),
     (["decay", "--model", "exp", "--skip", "8"], True),
     (["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "64",
@@ -109,6 +111,13 @@ def test_charlier_quad_folds_without_scipy_linalg(child):
     assert [m for m in run["scipy"] if m.startswith("scipy.linalg")] == []
 
 
+def test_no_command_loads_scipy_linalg(child):
+    # every LAPACK routine, the node solves of a non-symmetric section
+    # included, is reached through the capsule module alone
+    for (argv, _), run in zip(RUNS, child["runs"]):
+        assert [m for m in run["scipy"] if m.startswith("scipy.linalg")] == [], argv
+
+
 def test_fresh_interpreter_prints_the_in_process_bytes(child, monkeypatch, capsys):
     assert len(child["runs"]) == len(RUNS)
     stdout = ""
@@ -146,3 +155,30 @@ def test_no_module_level_scipy_import():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 found.append(f"{path.relative_to(PACKAGE.parent)}:{node.lineno}")
     assert not found, "SciPy imported at module level: " + ", ".join(sorted(found))
+
+
+def _names_scipy_linalg(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.linalg") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        module = node.module or ""
+        return module.startswith("scipy.linalg") or (
+            module == "scipy" and any(alias.name == "linalg" for alias in node.names))
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id == "scipy")
+
+
+def test_only_the_capsule_fallback_names_scipy_linalg():
+    # the one import of scipy.linalg is _lapack._capsules' fallback, for a
+    # SciPy whose capsule module cannot be found on its own
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), None)]  # (node, enclosing function)
+        while stack:
+            node, func = stack.pop()
+            if _names_scipy_linalg(node):
+                found.append((path.name, func))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found == [("_lapack.py", "_capsules")]
