@@ -93,8 +93,8 @@ def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     of the split bidiagonal (``_lapack.split_bidiagonal``), from dqds, each
     to high relative accuracy, mirrored exactly about the centre node 0 of
     odd N; for any other diagonal LAPACK ``dsterf``.  Both run through
-    SciPy's LAPACK capsules without ``scipy.linalg``, and no library default
-    picks the driver.  Weights come from the Christoffel sum
+    SciPy's LAPACK capsules (``_lapack``), and no library default picks the
+    driver.  Weights come from the Christoffel sum
     w_i = 1 / sum_{k<N} p_k(x_i)^2 over the normalized recurrence rather
     than from squared eigenvector entries: they carry relative accuracy,
     so tail weights far below 1e-16 are right to about
