@@ -196,7 +196,6 @@ def _cmd_decay(source, model, skip, out) -> int:
 
 def _cmd_schrodinger(bas, N, f0, V, tau, steps, grid, out) -> int:
     path = sch._strang_setup(bas, N)
-    # rows first: a Hermite grid pair builds its scale in the same table sweep
     table = np.asarray(path.rows(grid), dtype=complex)
     a = path.analyze(np.asarray(f0(path.nodes), dtype=complex))
     # the states after each step leave the path's coordinates in one product

@@ -34,6 +34,7 @@ of D's eigensystem.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -43,9 +44,10 @@ from typing import Callable
 import numpy as np
 
 from . import basis as basis_mod
-from . import diffop
+from . import diffop, quadrature
 from .coeffs import CoefficientVector
 from .errors import TruncationLossWarning
+from .recurrence import JacobiMatrix
 
 __all__ = [
     "TruncationLossWarning",
@@ -142,28 +144,41 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     return diffop._rewrap(a, eig.leave(np.exp(-1j * t * x * x) * eig.enter(v)))
 
 
+def _hermite_scale(D: diffop.DiffMatrix) -> np.ndarray:
+    """c_i = sqrt(w(x_i) / lambda_i) at D's coordinate nodes x_i, for the Hermite weight w.
+
+    lambda_i are the Christoffel weights of the N-point Gauss rule:
+    1 / lambda_i = sum_{k<N} p_k(x_i)^2 = total_i 4^last_i from one
+    ``_christoffel_sums`` sweep over D's own bands, so c carries their
+    relative accuracy at every node (Gautschi 2004, sec. 3.1) and is formed
+    from logarithms, in range for any N.
+    """
+    x = D.eigensystem.coord_nodes
+    total, last, _ = quadrature._christoffel_sums(x, JacobiMatrix(D.sub, D.diag[:-1]), D.N)
+    return np.exp(0.5 * np.log(total) + math.log(2.0) * last - 0.5 * x * x
+                  - 0.25 * math.log(math.pi))
+
+
 def _hermite_grid(D: diffop.DiffMatrix):
     """Gauss-Hermite synthesis/analysis pair exact on span{phi_0..phi_{N-1}}.
 
     The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
     V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
-    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i), and
-    the grid values c V^T P a (P = diag((-1)^k)) are c times D's coordinates
-    of S^-1 a.  The last row gives c = |phi_{N-1}| / |V[N-1, :]|: one Hermite
-    function, the last row of an N-row table (|V[N-1, i]| >= 1.5e-2 for
-    N <= 4096), even in x bit for bit and so taken at the distinct |x_i|.
-    When D folds, z(+-x) = (f_0 +- i f_1) / sqrt2 for the pair coordinates f
-    of S^-1 a, and f = [E; iO] for [E; O] = enter(sign * a), S's real row
-    sign: the grid holds E -+ O at +-x, scaled by |phi_{N-1}| / |Q[N-1]|.
-    Analysis inverts synthesis; the Christoffel weights c_i^2 cancel.  The
-    scale is built on first use, which a folded Strang step never makes.
-    ``rows(grid)`` is phi_0..phi_{N-1} on grid; until the scale is built it
-    sweeps the nodes with the grid and keeps it: a caller that prints rows
-    sweeps the table once.
+    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i)
+    (``_hermite_scale``, from the Gauss rule's Christoffel sums), and the
+    grid values c V^T P a (P = diag((-1)^k)) are c times D's coordinates of
+    S^-1 a.  When D folds, z(+-x) = (f_0 +- i f_1) / sqrt2 for the pair
+    coordinates f of S^-1 a, and f = [E; iO] for [E; O] = enter(sign * a),
+    S's real row sign: the grid holds E -+ O at +-x, scaled by c / sqrt2 (by
+    c at the centre node of odd N, which is f_0 alone).  Analysis inverts
+    synthesis; the Christoffel weights c_i^2 cancel.  The scale is built on
+    first use, which a folded Strang step never makes.  ``rows(grid)`` is
+    phi_0..phi_{N-1} on grid.
     """
     eig, N = D.eigensystem, D.N
     if isinstance(eig, diffop.FoldedEigensystem):
         sign, h, r = diffop._row_signs(N), eig.h, eig.r
+        fold = np.where(np.arange(h + r) < r, 1.0, math.sqrt(0.5))
         # f_0 - f_1 at x >= 0 and f_0 + f_1 at -x, and back (the centre is its own mirror)
         nodes = lambda f: np.concatenate(((f[0] + f[1])[r:][::-1], f[0] - f[1]))
 
@@ -171,29 +186,12 @@ def _hermite_grid(D: diffop.DiffMatrix):
             plus, minus = u[h:], np.concatenate((u[h:h + r], u[:h][::-1]))
             return np.stack((0.5 * (plus + minus), 0.5 * (minus - plus)))
     else:
-        sign = diffop._I_POWERS[np.arange(N) % 4]
+        sign, fold = diffop._I_POWERS[np.arange(N) % 4], 1.0
         nodes = pairs = lambda z: z
-    made = []  # the scale, once built
-
-    def rows(grid):
-        if made:
-            return basis_mod.hermite_function_table(N - 1, grid)
-        mags, where = np.unique(np.abs(eig.coord_nodes), return_inverse=True)
-        table = basis_mod.hermite_function_table(N - 1, np.concatenate((mags, grid)))
-        unit = np.zeros(N)
-        unit[-1] = 1.0
-        # |V[N-1, :]|, or |Q[N-1, :]| from whichever row of the pairs holds it
-        last = np.abs(eig.enter(unit)).reshape(-1, eig.coord_nodes.size).sum(axis=0)
-        made.append(np.abs(table[-1, :mags.size])[where] / last)
-        return table[:, mags.size:]
-
-    def scale():
-        if not made:
-            rows(np.empty(0))
-        return made[0]
-
+    scale = functools.cache(lambda: fold * _hermite_scale(D))
     synthesize = lambda a: nodes(scale() * eig.enter(sign * a))
     analyze = lambda u: sign.conj() * eig.leave(pairs(u) / scale())
+    rows = lambda grid: basis_mod.hermite_function_table(N - 1, grid)
     return eig.x, synthesize, analyze, rows
 
 

@@ -470,7 +470,7 @@ def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
 
 
 def test_schrodinger_hermite_sweeps_the_table_once(monkeypatch, capsys):
-    # the grid pair's scale row and the printed rows come from one sweep
+    # the printed rows are the one Hermite-function table a command sweeps
     from favard import basis as basis_mod
 
     calls = []
@@ -511,10 +511,11 @@ def test_schrodinger_leaves_the_path_coordinates_once(monkeypatch, capsys, basis
     assert sum(len(shape) == len(shapes[-1]) for shape in shapes) == 1
 
 
-@pytest.mark.parametrize("N", [64, 512])
+@pytest.mark.parametrize("N", [63, 64, 512])
 def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
     # bit for bit a = analyze(f0 at the nodes) times the closed table on the
-    # grid, each built on its own, summed in einsum's fixed order
+    # grid, each built on its own, summed in einsum's fixed order; and that
+    # is f0 itself (odd N has the centre node 0)
     from favard import basis as basis_mod
     from favard import schrodinger as sch
     from favard.expr import compile_function
@@ -532,6 +533,7 @@ def test_schrodinger_hermite_t0_rows_are_analysis_times_closed_table(capsys, N):
     assert np.array_equal(rows[:, 0], np.zeros(grid.size)) and np.array_equal(rows[:, 1], grid)
     assert np.array_equal(rows[:, 2], u.real) and np.array_equal(rows[:, 3], u.imag)
     assert np.array_equal(rows[:, 4], np.full(grid.size, np.linalg.norm(a)))
+    assert np.max(np.abs(u - np.exp(-grid * grid))) < 1e-13
 
 
 def test_schrodinger_mt_keeps_the_whole_line(capsys):

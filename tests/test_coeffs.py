@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from favard import coeffs as co
 from favard import specfun
 from favard.basis import make_basis, malmquist_takenaka, phi, phi_grid
+from favard.errors import AccuracyError
 
 
 def F_gaussian(xi):
@@ -617,6 +618,20 @@ def test_tanh_chebyshev_slow_decay_raises(f, N, raises, kind):
             co.tanh_chebyshev_coeffs(f, kind, N)
     else:
         assert co.tanh_chebyshev_coeffs(f, kind, N).meta["samples"] == 1024
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: a 1/x^2 tail at N = 64 returns "
+                   "2.0e-5 off with out_of_window 6.7e-3 and no error")
+def test_tanh_chebyshev_slow_tail_raises_or_matches_xspace():
+    # the x-space rule on [-40, 40] agrees with [-80, 80] to 2e-15
+    f = lambda x: 1.0 / (1.0 + x * x)
+    try:
+        got = co.tanh_chebyshev_coeffs(f, (0.75, 0.75), 64)
+    except AccuracyError:
+        return
+    ref = co.coeffs_xspace(f, make_basis("tanhjacobi:0.75,0.75", N=64), 64,
+                           window=(-40.0, 40.0), M=16385)
+    assert np.max(np.abs(got.values - ref.values)) < 1e-9
 
 
 def test_tanh_chebyshev_probe_decides_when_the_2n_grid_sees_nothing():

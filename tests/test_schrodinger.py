@@ -142,45 +142,65 @@ def test_hermite_grid_pair_roundtrip():
     assert abs(np.sum(omega * np.abs(u) ** 2) - np.sum(np.abs(a) ** 2)) < 1e-10
 
 
-def test_hermite_scale_row_on_the_nonnegative_nodes_is_bitwise_the_full_one():
-    # |phi_{N-1}| is even in x bit for bit, so taking it on the distinct |x_i|
-    # changes no bit of the grid pair's scale |phi_{N-1}(x_i)| / |Q[N-1, i]|
-    for N in (32, 63, 512, 1024):
-        path = sch._strang_setup(make_basis("hermite", N=N), N)
-        eig = path.D.eigensystem
-        h, r = N // 2, N % 2
-        full = np.abs(basis_mod.hermite_function(N - 1, eig.x))
-        assert np.array_equal(full[:h][::-1], full[h + r:])
-        scale = full[h:] / np.abs((eig.Q if r else eig.P)[-1])
-        rng = np.random.default_rng(N)
+def _mp_hermite_scale(x, N):
+    """sqrt(sum_{k<N} phi_k(x)^2) = sqrt(w(x) / lambda) at each double x, in 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        up = [mpmath.sqrt(mpmath.mpf(2) / (k + 1)) for k in range(N)]
+        down = [mpmath.sqrt(mpmath.mpf(k) / (k + 1)) for k in range(N)]
+        out = []
+        for xv in x:
+            xm = mpmath.mpf(float(xv))
+            prev, cur = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xm * xm / 2)
+            total = cur * cur
+            for k in range(N - 1):
+                prev, cur = cur, up[k] * xm * cur - down[k] * prev
+                total += cur * cur
+            out.append(float(mpmath.sqrt(total)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N,outer,tol", [(63, None, 2e-13), (64, None, 2e-13),
+                                         (512, None, 2e-13), (2048, 16, 5e-13)])
+def test_hermite_scale_matches_50_digits(N, outer, tol):
+    # c = sqrt(w / lambda) from the Gauss rule's Christoffel sums, at every
+    # nonnegative node (the scale is even) or at the outermost ones
+    D = sch._strang_setup(make_basis("hermite", N=N), N).D
+    x = D.eigensystem.coord_nodes
+    pick = slice(-outer if outer else None, None)
+    c = sch._hermite_scale(D)[pick]
+    assert np.max(np.abs(c / _mp_hermite_scale(x[pick], N) - 1.0)) < tol
+
+
+@pytest.mark.parametrize("N", [63, 64, 511, 512, 1023, 2048])
+def test_hermite_pair_synthesizes_the_closed_table(N):
+    # odd N puts the centre node 0 alone in its pair slot, scaled by c, not c / sqrt2
+    path = sch._strang_setup(make_basis("hermite", N=N), N)
+    table = hermite_function_table(N - 1, path.nodes)
+    rng = np.random.default_rng(N)
+    for _ in range(5):
         a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        f = scale * eig.enter(diffop._row_signs(N) * a)
+        a /= np.linalg.norm(a)
         u = path.synthesize(a)
-        assert np.array_equal(u[h:], f[0] - f[1])
-        assert np.array_equal(u[:h][::-1], (f[0] + f[1])[r:])
+        assert np.max(np.abs(u - a @ table)) < (1e-13 if N <= 1023 else 5e-13)
+        assert np.max(np.abs(path.analyze(u) - a)) < 1e-14
 
 
-def test_hermite_pair_rows_share_the_scale_sweep(monkeypatch):
-    # rows on a grid come from the sweep that also builds the scale, and are
-    # the closed table's rows bit for bit
+def test_hermite_pair_sweeps_the_table_on_the_print_grid_only(monkeypatch):
+    calls = []
+    table = basis_mod.hermite_function_table
+
+    def counted(nmax, x):
+        calls.append(np.size(x))
+        return table(nmax, x)
+
+    monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
     grid = np.arange(-8.0, 8.5, 0.5)
-    for N in (64, 512):
-        ref = hermite_function_table(N - 1, grid)
-        calls = []
-        table = basis_mod.hermite_function_table
-
-        def counted(nmax, x):
-            calls.append(np.size(x))
-            return table(nmax, x)
-
-        monkeypatch.setattr(basis_mod, "hermite_function_table", counted)
+    for N in (63, 512):
         path = sch._strang_setup(make_basis("hermite", N=N), N)
-        assert np.array_equal(path.rows(grid), ref)
-        path.analyze(np.ones(N, dtype=complex))
-        assert calls == [N // 2 + grid.size]
-        assert np.array_equal(path.rows(grid), ref)  # the scale is built: grid only
-        assert calls == [N // 2 + grid.size, grid.size]
-        monkeypatch.undo()
+        path.analyze(path.synthesize(np.ones(N, dtype=complex)))
+        assert np.array_equal(path.rows(grid), table(N - 1, grid))
+    assert calls == [grid.size, grid.size]
 
 
 @pytest.mark.parametrize("N", [512, 63])

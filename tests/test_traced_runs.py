@@ -1,0 +1,65 @@
+"""The benchmark's tracer changes no result: each traced layer returns the same
+bits with and without ``perfbench/tracer.py``'s wrappers installed, and no
+traced call raises."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from favard import basis, coeffs, diffop, quadrature, recurrence, schrodinger
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _results():
+    """One small call of each layer, each from a fresh basis, read through the
+    module attributes that the tracer replaces."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    out = {}
+    for family, N in (("hermite", 32), ("hermite", 31), ("mt", 32)):
+        bas = basis.make_basis(family, N=N)
+        out[f"strang {family} {N}"] = schrodinger.strang_propagate(
+            a[:N], 0.05, 4, lambda x: x * x, bas).values
+    J = recurrence.build_jacobi(recurrence.hermite_coeffs, 32)
+    D = diffop.build(J, 32)
+    out["free_coeff_step"] = schrodinger.free_coeff_step(D, 0.3, a)
+    out["expm_apply"] = diffop.expm_apply(D, 0.7, a)
+    out["apply"] = diffop.apply(D, a)
+    out["spectral_radius"] = diffop.spectral_radius(D)
+    rule = quadrature.golub_welsch(J, 24)
+    out["golub_welsch"] = np.concatenate((rule.nodes, rule.weights))
+    x = np.linspace(-4.0, 4.0, 9)
+    out["phi_grid"] = basis.phi_grid(basis.make_basis("legendre", N=8), 7, x)
+    out["mt_coeffs_fft"] = coeffs.mt_coeffs_fft(lambda t: 1.0 / (1.0 + 4.0 * t * t), 32).values
+    out["tanh_chebyshev_coeffs"] = coeffs.tanh_chebyshev_coeffs(
+        lambda t: 1.0 / np.cosh(t), (0.25, 0.25), 16).values
+    out["coeffs_fourier_side"] = coeffs.coeffs_fourier_side(
+        lambda xi: np.exp(-xi * xi / 4.0) / np.sqrt(2.0), basis.make_basis("hermite", N=16),
+        16).values
+    return out
+
+
+def test_traced_layers_return_the_same_bits():
+    plain = _results()
+    tracer = _tracer_module().Tracer()
+    with tracer:
+        traced = _results()
+    assert traced.keys() == plain.keys()
+    for name, value in plain.items():
+        assert np.array_equal(traced[name], value, equal_nan=True), name
+    assert not any(tracer.errors.values())
+    for name in ("schrodinger.strang_propagate", "schrodinger.free_coeff_step",
+                 "diffop.expm_apply", "diffop.apply", "diffop.spectral_radius",
+                 "quadrature.golub_welsch", "basis.phi_grid", "coeffs.mt_coeffs_fft",
+                 "coeffs.tanh_chebyshev_coeffs", "coeffs.coeffs_fourier_side"):
+        assert tracer.calls[name] >= 1, name
+    assert not hasattr(schrodinger.strang_propagate, "__wrapped__")  # uninstalled
