@@ -9,30 +9,24 @@ minus):
     power := atom ('^' unary)?
     atom  := NUMBER | 'x' | 'pi' | 'e' | FUNC '(' expr ')' | '(' expr ')'
 
-Functions: sin cos tan exp log tanh cosh sinh sqrt abs.  Evaluation follows
-IEEE double semantics elementwise on numpy arrays; x^k with a non-negative
-integer literal k is formed by repeated squaring, so that it has the parity
-of k bit for bit.  Genuine domain errors (log of a non-positive value,
-division by zero, sqrt of a negative) raise EvalError rather than
-propagating non-finite values.
+Functions: sin cos tan exp log tanh cosh sinh sqrt abs.  Parsing builds NumPy
+closures, one ufunc call per operation, with IEEE double semantics elementwise;
+x^k with a non-negative integer literal k is formed by repeated squaring, so
+that it has the parity of k bit for bit.  A step may overflow on the way
+(1/cosh(x) is 0 where cosh does): only the value is checked, once, and where it
+is not finite (log of a non-positive value, division by zero, a literal past
+the double range) EvalError names the expression and the x.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ParseError",
     "EvalError",
-    "Num",
-    "Var",
-    "Const",
-    "Unary",
-    "Bin",
-    "Call",
     "parse",
     "evaluate",
     "compile_function",
@@ -67,41 +61,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Domain error during evaluation (log of non-positive, division by zero)."""
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
+    """An expression whose value is not finite at some x."""
 
 
 _TOKEN = re.compile(
@@ -131,7 +91,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -162,43 +121,44 @@ class _Parser:
         node = self.term()
         while self.peek()[1] in ("+", "-"):
             op = self.take()[1]
-            node = Bin(op, node, self.term())
+            node = _arithmetic(op, node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[1] in ("*", "/"):
             op = self.take()[1]
-            node = Bin(op, node, self.unary())
+            node = _arithmetic(op, node, self.unary())
         return node
 
     def unary(self):
         if self.peek()[1] == "-":
             self.take()
-            return Unary("-", self.unary())
+            arg = _closure(self.unary())
+            return lambda x: np.negative(arg(x))
         return self.power()
 
     def power(self):
         node = self.atom()
         if self.peek()[1] == "^":
             self.take()
-            return Bin("^", node, self.unary())
+            return _power(node, self.unary())
         return node
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return Num(float(value))
+            return float(value)
         if kind == "name":
             if value in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                fn, arg = FUNCTIONS[value], _closure(self.expr())
                 self.expect(")")
-                return Call(value, arg)
+                return lambda x: fn(arg(x))
             if value in CONSTANTS:
-                return Const(value)
+                return CONSTANTS[value]
             if value == "x":
-                return Var(value)
+                return lambda x: x
             raise ParseError(f"unknown identifier {value!r}", pos,
                              expected=("x", *sorted(FUNCTIONS), *sorted(CONSTANTS)))
         if value == "(":
@@ -210,54 +170,55 @@ class _Parser:
                          expected=("number", "name", "'('", "'-'"))
 
 
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _closure(node):
+    """A parsed node as a function of x: a number is itself at every x."""
+    if callable(node):
+        return node
+    return lambda x: np.full_like(x, node) if x.ndim else node
+
+
+def _arithmetic(op: str, lhs, rhs):
+    """lhs op rhs; a number on either side enters the ufunc as a scalar, which
+    + - * / round as they would the number at every x."""
+    ufunc = _ARITHMETIC[op]
+    if not callable(rhs):
+        lhs = _closure(lhs)
+        return lambda x: ufunc(lhs(x), rhs)
+    if not callable(lhs):
+        return lambda x: ufunc(lhs, rhs(x))
+    return lambda x: ufunc(lhs(x), rhs(x))
+
+
+def _power(base, exponent):
+    """base^exponent: repeated squaring for an integer literal >= 0, else np.power with
+    the exponent at every x (a scalar one takes shortcuts that round differently)."""
+    base = _closure(base)
+    if not callable(exponent) and exponent >= 0 and exponent.is_integer():
+        k = int(exponent)
+        return lambda x: _int_power(base(x), k)
+    exponent = _closure(exponent)
+    return lambda x: np.power(base(x), exponent(x))
+
+
 def parse(src: str):
-    """Parse ``src`` into an expression tree; raises ParseError with position."""
-    return _Parser(src).parse()
-
-
-def _check(values, what: str):
-    if not np.all(np.isfinite(values)):
-        raise EvalError(f"{what} produced a non-finite value")
-    return values
+    """Parse ``src`` into a NumPy function of x; raises ParseError with position."""
+    node = _closure(_Parser(src).parse())
+    node.source = src
+    return node
 
 
 def evaluate(node, x):
-    """Evaluate a tree at ``x`` (scalar or array), IEEE double semantics."""
+    """The parsed ``node`` at ``x`` (scalar or array), IEEE double semantics;
+    EvalError names the expression and the first x where it is not finite."""
     xs = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(node, xs)
-    out = np.asarray(out, dtype=float)
+        out = node(xs)
+    if not np.isfinite(out).all():
+        raise EvalError(f"{node.source!r} is not finite at x = {xs[~np.isfinite(out)][0]:.17g}")
     return out if xs.ndim else float(out)
-
-
-def _eval(node, x):
-    if isinstance(node, Num):
-        return np.full_like(x, node.value) if x.ndim else node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return np.full_like(x, CONSTANTS[node.name]) if x.ndim else CONSTANTS[node.name]
-    if isinstance(node, Unary):
-        return -_eval(node.arg, x)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, x)
-        return _check(FUNCTIONS[node.fn](arg), node.fn)
-    if isinstance(node, Bin):
-        lhs = _eval(node.lhs, x)
-        if (node.op == "^" and isinstance(node.rhs, Num) and node.rhs.value >= 0
-                and float(node.rhs.value).is_integer()):
-            return _check(_int_power(lhs, int(node.rhs.value)), "power")
-        rhs = _eval(node.rhs, x)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            return _check(lhs / rhs, "division")
-        return _check(np.power(lhs, rhs), "power")
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _int_power(base, k: int):
@@ -275,5 +236,5 @@ def _int_power(base, k: int):
 
 def compile_function(src: str):
     """Parse once and return a vectorized numeric function of x."""
-    tree = parse(src)
-    return lambda x: evaluate(tree, x)
+    node = parse(src)
+    return lambda x: evaluate(node, x)

@@ -189,17 +189,17 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
         h, theta, x = basis_mod._mt_theta_grid(N)
         return (x, h * 0.25 / np.cos(0.5 * theta) ** 2,
                 {"strategy": "theta-substitution", **meta, "nodes": N})
-    if basis.closed_table is basis_mod.hermite_function_table:
-        basis.ensure(N - 1)
-        x, log_w, _ = quadrature._gauss_log_rule(basis.jacobi, N)
-        log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
-        strategy = "gauss-hermite"
-    else:
+    if basis.tanh_jacobi is not None:
         a, b, s = basis.tanh_jacobi
         t, log_w, _ = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
         x = (2.0 / s) * np.arctanh(t)
         log_e = np.log(basis.closed_table(0, x)[0])  # p_0 = 1: row 0 is e
         strategy = "gauss-jacobi"
+    else:  # hermite, told by its data: a wrapper may replace hermite_function_table
+        basis.ensure(N - 1)
+        x, log_w, _ = quadrature._gauss_log_rule(basis.jacobi, N)
+        log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
+        strategy = "gauss-hermite"
     return x, np.exp(log_w - 2.0 * log_e), {"strategy": strategy, **meta, "nodes": N}
 
 

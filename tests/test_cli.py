@@ -214,12 +214,33 @@ def test_exit_code_usage_errors(capsys):
         ["coeffs", "--family", "tanhjacobi:0.75,0.75", "--f", "exp(-x^2)", "--N", "2"],
         ["schrodinger", "--basis", "legendre", "--N", "32", "--f0", "exp(-x^2)",
          "--T", "0.25", "--tau", "0.125"],
+        ["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1/0:0.5"],
+        ["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1e400:0.5"],
+        ["verify", "ramanujan", "--a", "1/0"],
     ]
     for argv in cases:
         rc = cli.main(argv)
         out = capsys.readouterr().out
         assert rc == 2, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1/0:0.5"], 2),
+    (["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1e400:0.5"], 2),
+    (["verify", "ramanujan", "--a", "1/0"], 2),
+    (["coeffs", "--family", "hermite", "--f", "1e400", "--N", "4"], 1),
+])
+def test_a_non_finite_number_field_is_one_line(argv, code, capsys):
+    # a numeric field or function whose value is not finite (1/0 between
+    # literals, a literal past the double range) is one "favard:" line
+    # naming the expression, never a traceback or NaN rows
+    rc = cli.main(argv)
+    got = capsys.readouterr()
+    assert rc == code, argv
+    assert got.out == ""
+    assert got.err.startswith("favard: ") and got.err.count("\n") == 1, got.err
+    assert "is not finite" in got.err
 
 
 def test_exit_code_runtime_failure(tmp_path, capsys):
@@ -361,6 +382,16 @@ def test_verify_gram_custom_weight_passes(capsys):
     report, = json.loads(out)
     assert report["pass"] and report["tolerance"] == 1e-8
     assert report["metadata"]["strategy"] == "nyquist-lattice"
+
+
+def test_verify_gram_sech_weight_passes(capsys):
+    # cosh overflows at the weight's tail scan, where 1/cosh is 0: only the
+    # weight's value is checked, so the sech weight builds
+    rc, out = run_cli(["verify", "gram", "--family", "custom-weight:1/cosh(x)"], capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-10
+    assert report["metadata"]["N"] == 12 and report["metadata"]["strategy"] == "nyquist-lattice"
 
 
 def test_verify_gram_laguerre0_takes_the_mt_route(capsys):

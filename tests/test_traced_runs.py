@@ -1,13 +1,15 @@
 """The benchmark's tracer changes no result: each traced layer returns the same
 bits with and without ``perfbench/tracer.py``'s wrappers installed, and no
-traced call raises."""
+traced call raises, also on bases and operators built before the tracer
+installs or used after it is gone."""
 
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
 
-from favard import basis, coeffs, diffop, quadrature, recurrence, schrodinger
+from favard import basis, coeffs, diffop, quadrature, recurrence, schrodinger, verify
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,3 +65,58 @@ def test_traced_layers_return_the_same_bits():
                  "coeffs.tanh_chebyshev_coeffs", "coeffs.coeffs_fourier_side"):
         assert tracer.calls[name] >= 1, name
     assert not hasattr(schrodinger.strang_propagate, "__wrapped__")  # uninstalled
+
+
+CHECKED = ("hermite", "mt", "legendre", "laguerre:0", "tanhjacobi:0.75,0.75", "conthahn:1,1",
+           "charlier:0.5")
+
+
+def _built():
+    """Bases and D operators for ``_reused``, built under whatever tracer state
+    the caller is in."""
+    J = recurrence.build_jacobi(recurrence.hermite_coeffs, 32)
+    objs = {family: basis.make_basis(family, N=12) for family in CHECKED}
+    objs.update({"strang hermite": basis.make_basis("hermite", N=32),
+                 "strang mt": basis.make_basis("mt", N=32),
+                 "D": diffop.build(J, 32),
+                 "D mt": diffop.build(basis.make_basis("mt", N=16).jacobi, 16)})
+    return objs
+
+
+def _reused(objs):
+    """Every layer call on the objects of ``_built``; a check report as its
+    JSON text, so that a changed strategy or metadata shows too."""
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    out = {}
+    for name in ("strang hermite", "strang mt"):
+        out[name] = schrodinger.strang_propagate(a, 0.05, 4, lambda x: x * x, objs[name]).values
+    for name in ("D", "D mt"):
+        D, v = objs[name], a[:objs[name].N]
+        out[f"expm_apply {name}"] = diffop.expm_apply(D, 0.7, v)
+        out[f"free_coeff_step {name}"] = schrodinger.free_coeff_step(D, 0.3, v)
+    for family in CHECKED:
+        for check in (verify.check_gram, verify.check_recurrence):
+            out[f"{check.__name__} {family}"] = json.dumps(check(objs[family]).as_dict())
+    return out
+
+
+def test_objects_built_outside_the_tracer_give_the_same_bits():
+    # the traced half of a benchmark run reuses bases and operators built
+    # before the tracer replaced the module attributes they may hold, and a
+    # run checks after uninstalling what it built inside
+    tracer = _tracer_module().Tracer()
+    before = _built()
+    plain = _reused(before)
+    with tracer:
+        traced = _reused(before)
+        inside = _built()
+    after = _reused(inside)
+    assert traced.keys() == plain.keys() == after.keys()
+    for name, value in plain.items():
+        assert np.array_equal(traced[name], value), name
+        assert np.array_equal(after[name], value), name
+    assert not any(tracer.errors.values()), tracer.errors
+    for name in ("schrodinger.strang_propagate", "schrodinger.free_coeff_step",
+                 "diffop.expm_apply", "verify.check_gram", "verify.check_recurrence"):
+        assert tracer.calls[name] >= 1, name
