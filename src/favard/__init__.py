@@ -55,7 +55,7 @@ from .basis import (
     transformed_legendre,
     transformed_legendre_table,
 )
-from .diffop import DiffMatrix, apply, build, expm_apply, spectral_radius
+from .diffop import DiffMatrix, apply, build, expm_apply, flow, spectral_radius
 from .coeffs import (
     CoefficientVector,
     DecayFit,
@@ -128,6 +128,7 @@ __all__ = [
     "apply",
     "build",
     "expm_apply",
+    "flow",
     "spectral_radius",
     "CoefficientVector",
     "DecayFit",

@@ -8,6 +8,8 @@ singularities of a weight do not degrade convergence.
 
 import numpy as np
 
+from .expr import EvalError
+
 __all__ = ["GL_ORDER", "GL_NODES", "GL_WEIGHTS", "SCAN_RADII", "build_edges", "panel_rule",
            "scan", "truncation_point", "width_classes"]
 
@@ -17,6 +19,7 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 # The radii at which a weight's tail is read to truncate an infinite side:
 # 1200 of them, spaced geometrically from 1e-2 to 1e9.
 SCAN_RADII = np.geomspace(1e-2, 1e9, 1200)
+_CUT = 1e-18  # the share of a weight's scanned maximum below which its tail is cut
 
 # Geometric grading: 42 levels of ratio 1/4 put the innermost edge at
 # 4^-42 ~ 5e-26 of the graded width from the endpoint, enough for exponents
@@ -109,10 +112,19 @@ def scan(fn, side: int) -> np.ndarray:
     """fn at side * SCAN_RADII, the samples ``truncation_point`` cuts from.
 
     ``side`` is +1 or -1.  The samples depend on the weight alone, not on
-    the degree, so a measure keeps them (``MeasureSpec.tails``).
+    the degree, so a measure keeps them (``MeasureSpec.tails``).  Where an
+    expression is not finite (cosh overflowing in exp(-x^2) cosh(x)) its tail
+    is 0 if the finite sample before is below _CUT of the finite maximum.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.asarray(fn(side * SCAN_RADII), dtype=float)
+        try:
+            return np.asarray(fn(side * SCAN_RADII), dtype=float)
+        except EvalError as err:
+            vals, bad = err.values, ~np.isfinite(err.values)
+            before = np.maximum.accumulate(np.where(bad, -1, np.arange(bad.size)))[bad]
+            if np.any(before < 0) or np.any(vals[before] > _CUT * vals[~bad].max()):
+                raise
+            return np.where(bad, 0.0, vals)
 
 
 def truncation_point(vals: np.ndarray, degree: int = 0) -> float:
@@ -120,7 +132,7 @@ def truncation_point(vals: np.ndarray, degree: int = 0) -> float:
 
     ``vals`` is the weight on one side at the radii r of SCAN_RADII
     (``scan``).  The returned radius R satisfies
-    w(r) r^degree <= 1e-18 * (scanned maximum) for every scanned r >= R.
+    w(r) r^degree <= _CUT * (scanned maximum) for every scanned r >= R.
     Raises ValueError when a sample is not finite, or when no such radius
     exists within 1e9 (the integrand does not decay).
     """
@@ -134,7 +146,7 @@ def truncation_point(vals: np.ndarray, degree: int = 0) -> float:
     pos = vals > 0.0
     logs[pos] = np.log(vals[pos]) + degree * np.log(np.maximum(rs[pos], 1.0))
     top = np.max(logs)
-    above = np.nonzero(logs > top + np.log(1e-18))[0]
+    above = np.nonzero(logs > top + np.log(_CUT))[0]
     if above.size == 0:
         return float(rs[0])
     last = above[-1]

@@ -160,10 +160,7 @@ def _tanh_jacobi_polys(a: float, b: float, N: int) -> JacobiMatrix:
 
 def _tanh_jacobi_matrix(a: float, b: float, nmax: int) -> JacobiMatrix:
     """The cached Jacobi(2a-1, 2b-1) matrix covering degree nmax, its size a power of two."""
-    size = 8
-    while size < nmax + 1:
-        size *= 2
-    return _tanh_jacobi_polys(float(a), float(b), size)
+    return _tanh_jacobi_polys(float(a), float(b), max(8, 1 << int(nmax).bit_length()))
 
 
 def _tanh_jacobi_scan(a: float, b: float, nmax: int, x, s: float = 2.0) -> np.ndarray:

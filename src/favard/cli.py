@@ -42,28 +42,27 @@ def _eval_scalar(text: str, what: str) -> float:
         raise ValueError(f"invalid {what} {text!r}: {exc}") from None
 
 
+def _parse_fields(spec: str, what: str, form: str) -> list[float]:
+    """The numeric fields of a ``what`` given as ``form`` (lo:hi or lo:hi:step);
+    ValueError unless it has that many and hi > lo."""
+    parts = spec.split(":")
+    if len(parts) != form.count(":") + 1:
+        raise ValueError(f"{what} must be {form}, got {spec!r}")
+    fields = [_eval_scalar(p, f"{what} {name}") for p, name in zip(parts, ("start", "end", "step"))]
+    if not fields[1] > fields[0]:
+        raise ValueError(f"{what} needs hi > lo, got {spec!r}")
+    return fields
+
+
 def _parse_grid(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:step, got {spec!r}")
-    lo = _eval_scalar(parts[0], "grid start")
-    hi = _eval_scalar(parts[1], "grid end")
-    step = _eval_scalar(parts[2], "grid step")
-    if step <= 0.0 or hi <= lo:
-        raise ValueError(f"grid needs hi > lo and step > 0, got {spec!r}")
+    lo, hi, step = _parse_fields(spec, "grid", "lo:hi:step")
+    if step <= 0.0:
+        raise ValueError(f"grid needs step > 0, got {spec!r}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
-
-
-def _parse_window(spec: str) -> tuple[float, float]:
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"window must be lo:hi, got {spec!r}")
-    lo = _eval_scalar(parts[0], "window start")
-    hi = _eval_scalar(parts[1], "window end")
-    if not hi > lo:
-        raise ValueError(f"window needs hi > lo, got {spec!r}")
-    return lo, hi
+    try:
+        return lo + step * np.arange(count)
+    except MemoryError:
+        raise ValueError(f"grid {spec!r} has {count} points, more than can be allocated") from None
 
 
 def _parse_n_range(spec: str) -> tuple[int, int]:
@@ -349,6 +348,8 @@ def _coeffs_method(bas, method: str, N: int) -> str:
 def _configure(args: argparse.Namespace) -> functools.partial:
     """Validate the whole invocation; return its handler with every input bound."""
     sub = args.subcommand
+    if getattr(args, "N", 1) < 1:  # quad, diffmat, coeffs, schrodinger and verify take --N
+        raise ValueError("N must be positive")
     if sub == "periodic":  # basis eval --family charlier:<a>
         a = _eval_scalar(args.a, "charlier parameter")
         args = argparse.Namespace(**vars(args), family=f"charlier:{a!r}", method="auto")
@@ -363,23 +364,14 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         if args.method == "quadrature":
             _on_the_line(bas, "--method quadrature")
         return functools.partial(_cmd_basis, bas, n_range, grid, args.method, args.out)
-    if sub == "quad":
-        if args.N < 1:
-            raise ValueError("N must be positive")
-        bas = _resolve_family(args.family, args.N)
-        return functools.partial(_cmd_quad, bas, args.N, args.out)
-    if sub == "diffmat":
-        if args.N < 1:
-            raise ValueError("N must be positive")
-        bas = _resolve_family(args.family, args.N)
-        return functools.partial(_cmd_diffmat, bas, args.N, args.out)
+    if sub in ("quad", "diffmat"):
+        handler = _cmd_quad if sub == "quad" else _cmd_diffmat
+        return functools.partial(handler, _resolve_family(args.family, args.N), args.N, args.out)
     if sub == "coeffs":
-        if args.N < 1:
-            raise ValueError("N must be positive")
         bas = _on_the_line(_resolve_family(args.family, min(args.N, 256)), "coeffs")
         method = _coeffs_method(bas, args.method, args.N)
         f = compile_function(args.f)
-        window = _parse_window(args.window)
+        window = tuple(_parse_fields(args.window, "window", "lo:hi"))
         return functools.partial(_cmd_coeffs, bas, f, args.N, method, window, args.out)
     if sub == "decay":
         names = {"exp": "exponential", "alg": "algebraic"}
@@ -389,8 +381,6 @@ def _configure(args: argparse.Namespace) -> functools.partial:
             raise ValueError("skip must be nonnegative")
         return functools.partial(_cmd_decay, args.infile, model, args.skip, args.out)
     if sub == "schrodinger":
-        if args.N < 1:
-            raise ValueError("N must be positive")
         if args.tau <= 0.0 or args.T < 0.0:
             raise ValueError("need T >= 0 and tau > 0")
         steps = args.T / args.tau
@@ -407,8 +397,6 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         if args.check != "all" and args.check not in _CHECK_NAMES:
             raise ValueError(f"unknown check {args.check!r}; "
                              f"expected all or one of {', '.join(_CHECK_NAMES)}")
-        if args.N < 1:
-            raise ValueError("N must be positive")
         a = _eval_scalar(args.a, "ramanujan parameter")
         head = args.family.partition(":")[0]
         if a <= 0.0 and (args.check == "ramanujan"
@@ -440,18 +428,12 @@ def _value_flags() -> frozenset[str]:
 def _join_negative_values(argv):
     """Fold '--grid -20:20:0.05' into '--grid=-20:20:0.05' so argparse does
     not mistake a leading-minus value for an option."""
-    value_flags = _value_flags()
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in value_flags and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and argv[i + 1] != "-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    value_flags, out = _value_flags(), []
+    for tok in argv:
+        if out and out[-1] in value_flags and tok.startswith("-") and tok != "-":
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

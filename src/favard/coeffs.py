@@ -37,9 +37,10 @@ __all__ = [
 class CoefficientVector:
     """Coefficients f_hat_n for n = n_start .. n_start + len(values) - 1.
 
-    ``n_start`` is 0 for one-sided families and -N/2+1 for the bilateral
-    Malmquist-Takenaka window.  ``meta``, keyword-only, records how the
-    values were computed, including tail estimates for windowed rules.
+    ``n_start`` is 0 for one-sided families.  A bilateral Malmquist-Takenaka
+    window is -N/2+1..N/2 from ``mt_coeffs_fft`` and ``coeffs_xspace`` and
+    -N/2..N/2-1 from ``strang_propagate`` on a plain array.  ``meta``,
+    keyword-only, records how the values were computed, tail estimates too.
     """
 
     values: np.ndarray

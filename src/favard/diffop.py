@@ -6,9 +6,9 @@ D_{m,m+1} = -b_m, the principal N x N section of the differential recurrence.
 With S = diag((-i)^n) and J the N x N Jacobi matrix (diagonal c,
 off-diagonal b), D = S (i J) S^-1.  One real eigensystem J = V diag(x) V^T,
 computed once per DiffMatrix and cached, therefore diagonalizes every
-function of D: e^{tau D} is the phase tau x on the Gauss nodes x, the free
-Schroedinger flow e^{i t D^2} the phase -t x^2, and the spectral radius is
-max |x|.
+function of D: e^{t P(D)} for a polynomial P is the factor e^{t P(i x)}
+on the Gauss nodes x (translation is P(z) = z, the free Schroedinger flow
+i z^2, heat z^2), and the spectral radius is max |x|.
 
 When the diagonal c is exactly zero (every symmetric family: Hermite,
 Legendre, ultraspherical, generalized Hermite, continuous Hahn,
@@ -24,7 +24,7 @@ blocks of D's orthogonal real Schur vectors, in which D is
 diag([[0, -sigma_i], [sigma_i, 0]]): in the coordinates
 (a, b) = (Q^T v_even, P^T v_odd), e^{tau D} turns each pair
 (a_i, b_i) by the angle tau sigma_i, and an even function such as the free
-flow is one phase on both.  Every product is half size and real.
+flow is one factor on both.  Every product is half size and real.
 Operators with any nonzero c_n (Laguerre, MT, custom weights) keep the
 full V from LAPACK's ``dstemr``, its rows signed the same way.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from ._lapack import eigenvectors, gauss_nodes, singular_vectors, split_bidiagon
 from .recurrence import JacobiMatrix
 
 __all__ = ["DiffMatrix", "Eigensystem", "FoldedEigensystem", "apply", "build", "expm_apply",
-           "spectral_radius"]
+           "flow", "spectral_radius"]
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,15 @@ def build(J: JacobiMatrix, N: int) -> DiffMatrix:
         raise ValueError("N must be >= 1")
     if N > len(J):
         raise IndexError(f"need {N} coefficient pairs, have {len(J)}")
-    b = np.asarray(J.b[: N - 1], dtype=float)
-    return DiffMatrix(b, np.asarray(J.c[:N], dtype=float))
+    return DiffMatrix(J.b[:N - 1], J.c[:N])
 
 
-def _vector_of(a) -> np.ndarray:
-    values = getattr(a, "values", a)
-    return np.asarray(values, dtype=complex)
+def _vector_of(a, N: int | None = None) -> np.ndarray:
+    """The values of a as a complex vector; ValueError unless it has N of them, when N is given."""
+    v = np.asarray(getattr(a, "values", a), dtype=complex)
+    if N is not None and v.shape != (N,):
+        raise ValueError(f"coefficient length {v.shape} does not match N={N}")
+    return v
 
 
 def _rewrap(a, values: np.ndarray):
@@ -136,9 +138,7 @@ def apply(D: DiffMatrix, a):
     Accepts a plain complex vector or a CoefficientVector and returns the
     same kind.
     """
-    v = _vector_of(a)
-    if v.shape != (D.N,):
-        raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
+    v = _vector_of(a, D.N)
     out = 1j * D.diag * v
     out[1:] += D.sub * v[:-1]
     out[:-1] -= D.sub * v[1:]
@@ -204,7 +204,7 @@ class Eigensystem:
     def __init__(self, x: np.ndarray, V: np.ndarray):
         self.x = self.coord_nodes = x
         self.R = _row_signs(x.size)[:, None] * V
-        self._i_odd = np.where(np.arange(x.size) % 2, 1j, 1.0)
+        self._i_odd, self._flow = np.where(np.arange(x.size) % 2, 1j, 1.0), (None,)
 
     def enter(self, v: np.ndarray) -> np.ndarray:
         """V^T S^-1 v, reading the rows up to the last nonzero coefficient only."""
@@ -216,10 +216,6 @@ class Eigensystem:
         v = _real_times(self.R, z.T).T
         v[..., 1::2] *= -1j
         return v
-
-    def translate(self, tau: float, z: np.ndarray) -> np.ndarray:
-        """e^{tau D} in these coordinates: the phase e^{i tau x}."""
-        return np.exp(1j * tau * self.x) * z
 
 
 class FoldedEigensystem:
@@ -237,7 +233,7 @@ class FoldedEigensystem:
     """
 
     def __init__(self, x: np.ndarray, Q: np.ndarray, P: np.ndarray):
-        self.x, self.Q, self.P, self._turn = x, Q, P, (None,)
+        self.x, self.Q, self.P, self._flow = x, Q, P, (None,)
         self.h, self.r = x.size // 2, x.size % 2
         self.coord_nodes = x[self.h:]
 
@@ -257,14 +253,6 @@ class FoldedEigensystem:
         np.matmul(self.Q, pairs[..., 0, :, :], out=out[..., 0::2, :])
         np.matmul(self.P, pairs[..., 1, self.r:, :], out=out[..., 1::2, :])
         return v
-
-    def translate(self, tau: float, f: np.ndarray) -> np.ndarray:
-        """e^{tau D} in these coordinates: each pair (f_0, f_1) turned by the angle
-        tau x.  The cosines and signed sines of the last tau serve the next call."""
-        turn, theta = self._turn, tau * self.coord_nodes
-        if turn[0] != tau:
-            turn = self._turn = tau, np.cos(theta), _TURN * np.sin(theta)
-        return f * turn[1] + f[::-1] * turn[2]
 
 
 _TURN = np.array([[-1.0], [1.0]])  # (f_0, f_1) -> (-f_1, f_0), a quarter turn, with f[::-1]
@@ -293,29 +281,68 @@ def _folded_eigensystem(x: np.ndarray, b: np.ndarray) -> FoldedEigensystem:
 # i^n by n mod 4, and (-i)^n = _I_POWERS[-n % 4]; bit for bit the values
 # of 1j ** (n % 4) and (-1j) ** (n % 4), signed zeros included
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+_LOG_MAX = math.log(np.finfo(float).max)  # e^y overflows past it
+
+
+def _horner(t: float, c: list, x: np.ndarray) -> np.ndarray:
+    """sum_k (t c[k]) x^k by Horner's rule in x, skipping zero c[k]: ((t c[2]) x) x for c[2] x^2."""
+    y = t * c[-1]
+    for ck in c[-2::-1]:
+        y = y * x + t * ck if ck else y * x
+    return y
+
+
+@lru_cache(maxsize=64)
+def _terms(P: tuple, folds: bool) -> tuple:
+    """P(i x) = sum_k q_k x^k, q_k = P[k] i^k: the q_k, or when D folds the even q_k and
+    the angles Im q_k of the odd ones, None for none; ValueError for a complex odd P[k]."""
+    k, P = np.arange(len(P)), np.asarray(P, dtype=complex)
+    if np.any(P[1::2].imag):
+        raise ValueError(f"P's odd coefficients must be real, got P = {tuple(P.tolist())}")
+    q, odd = P * _I_POWERS[k % 4], (k % 2 == 1) & folds
+    return tuple(c.tolist() if c.any() else None
+                 for c in (np.where(odd, 0, q), np.where(odd, q.imag, 0)))
+
+
+def _factors(eig, t: float, P) -> tuple:
+    """(m, cos, sin) of e^{t P(D)} in eig's coordinates (see ``flow``), None for a
+    part that P lacks; those of the last (t, P) stay in eig._flow for the next call."""
+    if eig._flow[0] != (key := (t, tuple(P))):
+        even, odd = _terms(key[1], isinstance(eig, FoldedEigensystem))
+        y = None if even is None else _horner(t, even, eig.coord_nodes)
+        if y is not None and any(ck.real for ck in even) and np.max(y.real) > _LOG_MAX:
+            raise ValueError(f"e^(t P(D)) overflows at t = {t}")
+        theta = None if odd is None else _horner(t, odd, eig.coord_nodes)
+        turn = (None, None) if odd is None else (np.cos(theta), _TURN * np.sin(theta))
+        eig._flow = key, (None if y is None else np.exp(y), *turn)
+    return eig._flow[1]
+
+
+def flow(D: DiffMatrix, t: float, P, a):
+    """e^{t P(D)} a for the polynomial P(z) = sum_k P[k] z^k, its odd coefficients real.
+
+    In the cached eigensystem's coordinates it is the factor e^{t P(i x)} at
+    the Gauss nodes x, by Horner's rule on t P[k] i^k; for a zero diagonal
+    P's even part is one factor on both rows and its odd part turns each
+    pair.  ValueError when a factor overflows.
+    """
+    v = _vector_of(a, D.N)
+    eig = D.eigensystem
+    m, cos, sin = _factors(eig, t, P)
+    z = eig.enter(v) if m is None else m * eig.enter(v)
+    if cos is not None:
+        z = z * cos + z[::-1] * sin
+    return _rewrap(a, eig.leave(z))
 
 
 def expm_apply(D: DiffMatrix, tau: float, a):
-    """e^{tau D} a, unitary to rounding.
-
-    Translation by tau, in the coordinates of the cached eigensystem: the
-    phase e^{i tau x} on the Gauss nodes x, or for a zero diagonal the
-    rotation by tau x of each pair of the real Schur form.
-    """
-    v = _vector_of(a)
-    if v.shape != (D.N,):
-        raise ValueError(f"coefficient length {v.shape} does not match N={D.N}")
-    eig = D.eigensystem
-    return _rewrap(a, eig.leave(eig.translate(tau, eig.enter(v))))
+    """e^{tau D} a, translation by tau: ``flow`` with P(z) = z, unitary to rounding."""
+    return flow(D, tau, (0, 1), a)
 
 
 def spectral_radius(D: DiffMatrix) -> float:
-    """max |eigenvalue| of D.
-
-    The eigenvalues of D are i times those of the Jacobi truncation J, so
-    this is the largest-magnitude Gauss node of the underlying N-point rule;
-    it reads ``D.nodes`` and solves for no eigenvector.
-    """
+    """max |eigenvalue| of D: D's eigenvalues are i times the Gauss nodes ``D.nodes``
+    of the N-point rule, so this is the largest |node|, with no eigenvector solved for."""
     return float(np.max(np.abs(D.nodes)))
 
 

@@ -61,7 +61,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """An expression whose value is not finite at some x."""
+    """An expression whose value is not finite at some x; ``values`` holds it at every x."""
 
 
 _TOKEN = re.compile(
@@ -217,7 +217,9 @@ def evaluate(node, x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = node(xs)
     if not np.isfinite(out).all():
-        raise EvalError(f"{node.source!r} is not finite at x = {xs[~np.isfinite(out)][0]:.17g}")
+        error = EvalError(f"{node.source!r} is not finite at x = {xs[~np.isfinite(out)][0]:.17g}")
+        error.values = out
+        raise error
     return out if xs.ndim else float(out)
 
 

@@ -8,12 +8,13 @@ transform that defines phi_n yields propagated basis functions
                   sqrt(w(xi)) d xi,
 
 which stay orthonormal for every t, so u(x, t) = sum_n u_hat_n psi_n(x, t)
-with time-independent coefficients.  With a potential, Strang splitting
-alternates this free flow (a coefficient-space exponential of the squared
-differentiation matrix) with pointwise phase multiplication on a physical
-grid matched to the basis.  That set-up (D with its eigensystem, the grid
-and its synthesis/analysis pair) is built once per basis and size and kept
-on the basis, so repeated Strang calls pay only for their steps.
+with time-independent coefficients.  On coefficients the free flow is
+e^{i t D^2}, ``diffop.flow`` with P(z) = i z^2; with a potential, Strang
+splitting alternates its half-steps (its factor at tau/2) with pointwise
+phase multiplication on a grid matched to the basis.  That set-up (D with
+its eigensystem, the grid and its synthesis/analysis pair) is built once
+per basis and size and kept on the basis, so repeated Strang calls pay
+only for their steps.
 
 On the Gauss-Hermite grid the potential step needs no grid pair at all when
 D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
@@ -128,20 +129,12 @@ def free_propagate(state: PropagatedState, t: float):
 
 
 def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
-    """exp(i t D_N^2) applied to coefficients: the truncated free flow.
+    """exp(i t D_N^2) a, the truncated free flow: ``diffop.flow`` with P(z) = i z^2.
 
-    D_N^2 = -S J^2 S^-1, so the flow is the phase -t x^2 on each coordinate
-    of D's cached eigensystem: on both of a pair +-x when D folds.
-
-    This is the coefficient-side counterpart of free_propagate; the two
-    agree up to basis truncation, with the gap shrinking as N grows.
+    The coefficient-side counterpart of free_propagate; the two agree up to
+    basis truncation, with the gap shrinking as N grows.
     """
-    v = diffop._vector_of(a)
-    if len(v) != D.N:
-        raise ValueError(f"coefficient length {len(v)} does not match operator size {D.N}")
-    eig = D.eigensystem
-    x = eig.coord_nodes
-    return diffop._rewrap(a, eig.leave(np.exp(-1j * t * x * x) * eig.enter(v)))
+    return diffop.flow(D, t, (0, 0, 1j), a)
 
 
 def _hermite_scale(D: diffop.DiffMatrix) -> np.ndarray:
@@ -390,11 +383,11 @@ def _run(path, tau: float, v: np.ndarray, V, steps: int,
     The state enters the path's coordinates once and leaves them once
     (``each=np.copy`` keeps the state after every step, whose stack
     ``path.leave`` takes to coefficients in one product).
-    The free half-steps exp(i tau/2 D^2) are diagonal there, so the closing
-    half-step of one step and the opening half-step of the next need no
-    change of basis between them.
+    The free half-steps exp(i tau/2 D^2) are diagonal there, the factor of
+    ``free_coeff_step`` at tau/2, so the closing half-step of one step and the
+    opening half-step of the next need no change of basis between them.
     """
-    half_flow = np.exp(-0.5j * tau * path.x * path.x)
+    half_flow = diffop._factors(path.eig, 0.5 * tau, (0, 0, 1j))[0]
     kick = None
     if V is not None:
         kick = path.kick(np.exp(-1j * tau * np.asarray(V(path.nodes), dtype=float)))

@@ -217,6 +217,8 @@ def test_exit_code_usage_errors(capsys):
         ["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1/0:0.5"],
         ["basis", "eval", "--family", "legendre", "--n", "0:1", "--grid", "0:1e400:0.5"],
         ["verify", "ramanujan", "--a", "1/0"],
+        # 1e18 points: the 6.94 EiB allocation fails at once, so nothing is allocated
+        ["basis", "eval", "--family", "hermite", "--grid", "0:1e9:1e-9"],
     ]
     for argv in cases:
         rc = cli.main(argv)
@@ -392,6 +394,33 @@ def test_verify_gram_sech_weight_passes(capsys):
     report, = json.loads(out)
     assert report["pass"] and report["max_abs_error"] <= 1e-10
     assert report["metadata"]["N"] == 12 and report["metadata"]["strategy"] == "nyquist-lattice"
+
+
+def test_verify_gram_weight_not_finite_past_its_decay_passes(capsys):
+    # cosh overflows at |x| = 713.2 of the tail scan, where exp(-x^2) cosh(x)
+    # has long decayed: those samples count as a decayed tail
+    argv = ["verify", "gram", "--family", "custom-weight:exp(-x^2)*cosh(x)", "--N", "12"]
+    rc, out = run_cli(argv, capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-10
+
+
+def test_weight_not_finite_in_its_bulk_is_refused(capsys):
+    # log(x) is not finite at the first scanned radius of the left side, where
+    # no decayed sample comes before it
+    rc = cli.main(["verify", "gram", "--family", "custom-weight:log(x)", "--N", "12"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "favard: 'log(x)' is not finite at x = -0.01\n"
+
+
+def test_grid_past_memory_is_a_usage_error(capsys):
+    # one favard: line naming the point count, not NumPy's allocation traceback
+    rc = cli.main(["basis", "eval", "--family", "hermite", "--grid", "0:1e9:1e-9"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "1000000000000000001 points" in captured.err
 
 
 def test_verify_gram_laguerre0_takes_the_mt_route(capsys):

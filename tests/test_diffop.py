@@ -380,3 +380,76 @@ def test_lapack_failure_raises_eigen_error(monkeypatch, name):
     if name in ("dlasq1", "dsterf"):
         with pytest.raises(EigenError, match=name):
             golub_welsch(rec.build_jacobi(coeffs, 8), 8)
+
+
+# P(z) by its coefficients: translation, the free flow, heat, Airy and a mixed
+# symbol whose even part damps and whose odd part turns
+SYMBOLS = {"translation": (0, 1), "free": (0, 0, 1j), "heat": (0, 0, 1), "airy": (0, 0, 0, -1),
+           "mixed": (0, 1, 0.5, -0.25)}
+
+
+@pytest.mark.parametrize("symbol", sorted(SYMBOLS))
+@pytest.mark.parametrize("family", ["hermite", "legendre", "laguerre:0", "jacobi:0.5,1.5", "mt"])
+@pytest.mark.parametrize("N", [1, 2, 15, 16])
+def test_flow_matches_dense_expm(symbol, family, N):
+    # e^{t P(D)} on the eigensystem against scipy's expm of t P(D.dense()):
+    # the factor's phase t P(i x) rounds to about t |x|^deg(P) eps (3.7 times
+    # that at worst, on jacobi:0.5,1.5)
+    import scipy.linalg
+    from favard.basis import make_basis
+    P, t = SYMBOLS[symbol], 0.3
+    D = diffop.build(make_basis(family, N=N).jacobi, N)
+    dense = D.dense()
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    ref = scipy.linalg.expm(t * sum(c * np.linalg.matrix_power(dense, k)
+                                    for k, c in enumerate(P))) @ a
+    scale = max(1.0, t * diffop.spectral_radius(D) ** (len(P) - 1)) * np.finfo(float).eps
+    assert np.max(np.abs(diffop.flow(D, t, P, a) - ref)) <= 16.0 * scale * np.linalg.norm(a)
+
+
+def test_expm_apply_and_free_coeff_step_are_flows():
+    # the two named flows are flow's symbols z and i z^2, bit for bit
+    from favard.basis import make_basis
+    from favard.schrodinger import free_coeff_step
+    rng = np.random.default_rng(4)
+    for family, N in (("hermite", 63), ("hermite", 64), ("laguerre:0", 64)):
+        D = diffop.build(make_basis(family, N=N).jacobi, N)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        assert np.array_equal(diffop.expm_apply(D, -0.7, a), diffop.flow(D, -0.7, (0, 1), a))
+        assert np.array_equal(free_coeff_step(D, 0.25, a), diffop.flow(D, 0.25, (0, 0, 1j), a))
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_heat_flow_matches_the_exact_solution(N):
+    # u_t = u_xx from e^{-x^2}: u(x, T) = (1 + 4T)^{-1/2} e^{-x^2 / (1 + 4T)},
+    # compared as coefficients in the Hermite basis
+    from favard.basis import make_basis
+    from favard.coeffs import coeffs_xspace
+    T = 0.5
+    basis = make_basis("hermite", N=N)
+    D = diffop.build(basis.jacobi, N)
+    a = coeffs_xspace(lambda x: np.exp(-x * x), basis, N)
+    exact = coeffs_xspace(lambda x: np.exp(-x * x / (1 + 4 * T)) / np.sqrt(1 + 4 * T), basis, N)
+    out = diffop.flow(D, T, (0, 0, 1), a)
+    assert out.n_start == 0
+    assert np.max(np.abs(out.values - exact.values)) <= 1e-14
+    assert np.linalg.norm(out.values) <= np.linalg.norm(a.values)
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre:0"])
+def test_flow_refuses_an_overflowing_factor_and_a_complex_odd_coefficient(family):
+    # backward heat grows as e^{x^2}: past exp's range it raises, with no warning
+    import warnings
+    from favard.basis import make_basis
+    N = 512
+    D = diffop.build(make_basis(family, N=N).jacobi, N)
+    a = np.ones(N, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            diffop.flow(D, -1.0, (0, 0, 1), a)
+        with pytest.raises(ValueError, match="odd coefficients must be real"):
+            diffop.flow(D, 0.5, (0, 1j), a)
+    # a refused (t, P) leaves no factors behind for the next call
+    assert np.array_equal(diffop.flow(D, 0.5, (0, 1), a), diffop.expm_apply(D, 0.5, a))

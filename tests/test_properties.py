@@ -1,8 +1,10 @@
-"""Properties every family keeps at any size: D is skew-Hermitian, e^{tau D}
-is unitary, the Gauss weights are a probability vector, and nothing warns.
+"""Properties every family keeps at any size: D is skew-Hermitian, the flows
+e^{tau P(D)} of translation, the free flow and Airy are unitary and heat
+contracts, the Gauss weights are a probability vector, and nothing warns.
 
-Hypothesis draws the family, its parameters and N up to 1024 (64 for the
-Charlier lattice, whose cutoff search refuses much larger sizes at small a).
+Hypothesis draws the family, its parameters, N up to 1024 (64 for the
+Charlier lattice, whose cutoff search refuses much larger sizes at small a)
+and the symbol P.
 """
 
 import warnings
@@ -36,6 +38,12 @@ FAMILIES = {
 }
 
 
+# P(z) by its coefficients, and whether e^{tau P(D)} is unitary; heat runs
+# forward only (tau >= 0), where it contracts
+SYMBOLS = {"translation": ((0, 1), True), "free": ((0, 0, 1j), True),
+           "heat": ((0, 0, 1), False), "airy": ((0, 0, 0, -1), True)}
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILIES))
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -44,6 +52,9 @@ def test_operators_and_rules_of_any_family(kind, data):
     family = data.draw(names)
     N = data.draw(st.integers(1, largest))
     tau = data.draw(st.floats(-2.0, 2.0))
+    symbol = data.draw(st.sampled_from(sorted(SYMBOLS)))
+    P, unitary = SYMBOLS[symbol]
+    tau = tau if unitary else abs(tau)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     v /= np.linalg.norm(v)
@@ -51,10 +62,13 @@ def test_operators_and_rules_of_any_family(kind, data):
         warnings.simplefilter("error", RuntimeWarning)
         basis = make_basis(family, N=N)
         D = diffop.build(basis.jacobi, N)
-        moved = diffop.expm_apply(D, tau, v)
+        moved = diffop.flow(D, tau, P, v)
         rule = golub_welsch(basis.jacobi, N)
     dense = D.dense()
     assert np.array_equal(dense, -dense.conj().T), family
-    assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12, (family, N, tau)
+    if unitary:
+        assert abs(np.linalg.norm(moved) - 1.0) <= 1e-12, (family, N, symbol, tau)
+    else:
+        assert np.linalg.norm(moved) <= 1.0 + 1e-12, (family, N, symbol, tau)
     assert np.all(rule.weights >= 0.0), (family, N)
     assert abs(np.sum(rule.weights) - 1.0) <= 1e-13, (family, N)

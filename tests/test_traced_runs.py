@@ -95,6 +95,10 @@ def _reused(objs):
         D, v = objs[name], a[:objs[name].N]
         out[f"expm_apply {name}"] = diffop.expm_apply(D, 0.7, v)
         out[f"free_coeff_step {name}"] = schrodinger.free_coeff_step(D, 0.3, v)
+        # flow is reached through no traced name: heat and Airy run on the
+        # eigensystem that the traced expm_apply and free_coeff_step share
+        out[f"heat {name}"] = diffop.flow(D, 0.3, (0, 0, 1), v)
+        out[f"airy {name}"] = diffop.flow(D, 0.2, (0, 0, 0, -1), v)
     for family in CHECKED:
         for check in (verify.check_gram, verify.check_recurrence):
             out[f"{check.__name__} {family}"] = json.dumps(check(objs[family]).as_dict())
