@@ -112,19 +112,25 @@ def scan(fn, side: int) -> np.ndarray:
     """fn at side * SCAN_RADII, the samples ``truncation_point`` cuts from.
 
     ``side`` is +1 or -1.  The samples depend on the weight alone, not on
-    the degree, so a measure keeps them (``MeasureSpec.tails``).  Where an
-    expression is not finite (cosh overflowing in exp(-x^2) cosh(x)) its tail
-    is 0 if the finite sample before is below _CUT of the finite maximum.
+    the degree, so a measure keeps them (``MeasureSpec.tails``).  Where fn is
+    not finite (cosh overflowing in exp(-x^2) cosh(x)) its tail is 0 if the
+    finite sample before is below _CUT of the finite maximum; any other
+    non-finite sample raises an expression's EvalError, or stays for
+    ``truncation_point`` to refuse.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
-            return np.asarray(fn(side * SCAN_RADII), dtype=float)
+            vals, error = np.asarray(fn(side * SCAN_RADII), dtype=float), None
         except EvalError as err:
-            vals, bad = err.values, ~np.isfinite(err.values)
-            before = np.maximum.accumulate(np.where(bad, -1, np.arange(bad.size)))[bad]
-            if np.any(before < 0) or np.any(vals[before] > _CUT * vals[~bad].max()):
-                raise
+            vals, error = err.values, err
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        before = np.maximum.accumulate(np.where(bad, -1, np.arange(bad.size)))[bad]
+        if before[0] >= 0 and np.all(vals[before] <= _CUT * vals[~bad].max()):
             return np.where(bad, 0.0, vals)
+        if error is not None:
+            raise error
+    return vals
 
 
 def truncation_point(vals: np.ndarray, degree: int = 0) -> float:

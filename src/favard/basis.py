@@ -32,7 +32,7 @@ import numpy as np
 from . import recurrence as rec
 from . import specfun
 from .diffop import _I_POWERS
-from .quadrature import oscillatory_transform
+from .quadrature import _SQRT_2PI, oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -151,6 +151,37 @@ def _mt_theta_grid(N: int) -> tuple[float, np.ndarray, np.ndarray]:
     h = 2.0 * math.pi / N
     theta = -math.pi + (np.arange(N) + 0.5) * h
     return h, theta, 0.5 * np.tan(0.5 * theta)
+
+
+def _mt_coefficients(spectrum: np.ndarray, offset: float, n0: int, count: int) -> np.ndarray:
+    """<f, phi_n> for n = n0 .. n0 + count - 1 (n0 < 0 < n0 + count <= n0 + M) by the
+    M-point midpoint rule on theta_j = -pi + (j + offset) h, h = 2 pi / M, from the FFT
+    ``spectrum`` of g = (1 - 2ix) f there: i^n e^{-i n offset h} (h / (2 sqrt(2 pi)))
+    spectrum[n mod M], as f conj(phi_n) dx = (-i)^n g e^{-i n theta} d theta / (2 sqrt(2 pi)).
+
+    cos and sin run on |n| over the longer side of n = 0 only, the other side takes
+    their conjugates, and the window's two slices multiply that phase in place.
+    """
+    M, stop = spectrum.size, n0 + count
+    h = 2.0 * math.pi / M
+    out = np.empty(count, dtype=complex)
+    arg = np.arange(max(-n0, stop - 1) + 1) * (offset * h)
+    # side[k] and mirror[k - 1] hold n = d k and -d k
+    d, side, mirror = ((1, out[-n0:], out[-n0 - 1::-1]) if stop > -n0
+                       else (-1, out[-n0::-1], out[1 - n0:]))
+    np.cos(arg, out=side.real)
+    np.sin(arg, out=arg)
+    np.multiply(arg, -d, out=side.imag)
+    del arg  # before i^n, whose broadcast product buffers a temporary
+    np.conjugate(side[1:mirror.size + 1], out=mirror)
+    np.multiply(spectrum[M + n0:], out[:-n0], out=out[:-n0])
+    np.multiply(spectrum[:stop], out[-n0:], out=out[-n0:])
+    if count % 4:
+        out *= _I_POWERS[np.arange(n0, stop) % 4]
+    else:  # by fours: i^n has period 4
+        out.reshape(-1, 4)[...] *= _I_POWERS[np.arange(n0, n0 + 4) % 4]
+    out *= h / (2.0 * _SQRT_2PI)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .basis import TransformedBasis, malmquist_takenaka, phi_grid
+from .basis import TransformedBasis, _mt_coefficients, malmquist_takenaka, phi_grid
 from .diffop import _I_POWERS, _real_times
-from .quadrature import _SQRT_2PI, _gauss_log_rule
+from .quadrature import _gauss_log_rule
 
 __all__ = [
     "CoefficientVector",
@@ -272,29 +272,6 @@ def _mt_integrand(f, t: np.ndarray, probes: np.ndarray | None = None):
     return g, top, at_probes
 
 
-def _mt_window(spectrum: np.ndarray, N: int) -> np.ndarray:
-    """Bins n = -N/2+1 .. N/2 of a 2N-point spectrum: -N/2+1..-1 sit at
-    2N+n, 0..N/2 at n; the bins N/2+1 .. 3N/2 between lie outside."""
-    return np.concatenate((spectrum[3 * N // 2 + 1:], spectrum[:N // 2 + 1]))
-
-
-def _half_step_phase(N: int, h: float) -> np.ndarray:
-    """e^{-i n h/2} for n = -N/2+1 .. N/2, bit for bit np.exp(-0.5j * n * h).
-
-    cos and sin run on n = 0 .. N/2 only; the entry at -n is the conjugate
-    of that at n.  A complex exp would cost three times as much.
-    """
-    k = np.arange(N // 2 + 1)
-    arg = k * (0.5 * h)
-    phase = np.empty(N, dtype=complex)
-    upper = phase[N // 2 - 1:]
-    np.cos(arg, out=upper.real)
-    np.sin(arg, out=arg)
-    np.negative(arg, out=upper.imag)
-    np.conjugate(upper[N // 2 - 1:0:-1], out=phase[:N // 2 - 1])
-    return phase
-
-
 def check_mt_fft_size(N: int) -> None:
     """Raise ValueError unless ``mt_coeffs_fft`` takes N: a power of two, N >= 4."""
     if N < 4 or (N & (N - 1)) != 0:
@@ -325,10 +302,10 @@ def mt_coeffs_fft(f, N: int) -> CoefficientVector:
     for a decaying spectrum lie below the bins just past the window, and
     1e-14 (about 45 ulps) sits above the rounding noise of those bins
     (about 1e-16 for converged f) but below any content worth keeping.
-    Otherwise the odd grid, the mirror of the even one, is sampled and the
-    two FFTs are joined on the window bins by a radix-2 butterfly, which is
-    the 4N rule (``samples`` 4N).  ``meta["out_of_window"]`` is the ratio
-    that decided.
+    Otherwise the odd grid, the mirror of the even one, is sampled, and the
+    mean of the two grids' rules (``basis._mt_coefficients`` at offsets 1/4
+    and 3/4; the Strang pair reads it at 1/2) is the 4N rule (``samples``
+    4N).  ``meta["out_of_window"]`` is the ratio that decided.
 
     Blind spot: content only beyond |n| = 3N/2, with an empty band
     N/2 < |n| < 3N/2 between, passes the test and aliases into the window;
@@ -337,8 +314,7 @@ def mt_coeffs_fft(f, N: int) -> CoefficientVector:
     check_mt_fft_size(N)
     import scipy.fft
 
-    M = 4 * N
-    h = 2.0 * math.pi / M
+    h = 2.0 * math.pi / (4 * N)
     t = _mt_even_grid(N)
     # The substituted integrand tends to -2i lim x f(x) at theta = +-pi.  A
     # mismatch between the two limits is a jump in the periodized integrand
@@ -359,32 +335,18 @@ def mt_coeffs_fft(f, N: int) -> CoefficientVector:
     del g
     ratio = _out_of_window(spectrum, N // 2 + 1, 3 * N // 2 + 1)
     if ratio <= _TAIL_TOL:
-        del t  # the odd grid is not needed; free it before the window is copied
-        vals = _mt_window(spectrum, N)
-        del spectrum
-        phase = _half_step_phase(N, h)
-        samples, weight = 2 * N, 2.0 * h
-    else:
-        vals = _mt_window(spectrum, N)
-        del spectrum
+        del t  # the odd grid is not needed; free it before the coefficients are formed
+    n0 = 1 - N // 2
+    vals = _mt_coefficients(spectrum, 0.25, n0, N)
+    del spectrum
+    samples = 2 * N
+    if ratio > _TAIL_TOL:
         np.negative(t[::-1], out=t)
         g, _, _ = _mt_integrand(f, t)
         del t
-        odd = _mt_window(scipy.fft.fft(g, overwrite_x=True), N)
-        del g
-        # the odd points are theta_{2k} + h, so the 4N bin n is the butterfly
-        # E_n + e^{-inh} O_n, with e^{-inh} the phase applied twice
-        phase = _half_step_phase(N, h)
-        odd *= phase
-        odd *= phase
-        vals += odd
-        del odd
-        samples, weight = M, h
-    vals *= phase
-    n0 = 1 - N // 2
-    by_four = vals.reshape(-1, 4)  # i^n has period 4, and 4 divides N
-    by_four *= _I_POWERS[np.arange(n0, n0 + 4) % 4]
-    vals *= weight / (2.0 * _SQRT_2PI)
+        vals += _mt_coefficients(scipy.fft.fft(g, overwrite_x=True), 0.75, n0, N)
+        vals *= 0.5
+        samples = 4 * N
     return CoefficientVector(vals, n0, meta={"method": "mt-fft", "samples": samples,
                                              "out_of_window": ratio})
 

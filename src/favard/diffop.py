@@ -178,18 +178,21 @@ def _row_signs(N: int) -> np.ndarray:
     return np.where(np.arange(N) % 4 < 2, 1.0, -1.0)
 
 
-def _sign_columns(V: np.ndarray) -> np.ndarray:
-    """V with each column signed so that V[k, i] = p_k(x_i) sqrt(lambda_i).
+def _last_row_signs(last: np.ndarray) -> np.ndarray:
+    """+-1 per column, so that V[k, i] = p_k(x_i) sqrt(lambda_i), from ``last``, the
+    last row (k = N-1) of the columns of the len(last) largest nodes, ascending.
 
-    The sign is read off the last row: for ascending nodes the zeros of
-    p_{N-1} interlace those of p_N, so p_{N-1}(x_i) has the sign
+    The zeros of p_{N-1} interlace those of p_N, so p_{N-1}(x_i) has the sign
     (-1)^{N-1-i}, and the last entry of an eigenvector of an unreduced
     tridiagonal matrix never vanishes.  The first row cannot serve: dstemr
     returns V[0, i] = 0.0 exactly at tail nodes where lambda_i underflows.
     """
-    N = V.shape[0]
-    want = (-1.0) ** (N - 1 - np.arange(N))
-    V *= np.where(V[-1] * want < 0.0, -1.0, 1.0)
+    return np.where(last * (-1.0) ** np.arange(last.size - 1, -1, -1) < 0.0, -1.0, 1.0)
+
+
+def _sign_columns(V: np.ndarray) -> np.ndarray:
+    """V, the eigenvectors of all N nodes, each column signed in place by ``_last_row_signs``."""
+    V *= _last_row_signs(V[-1])
     return V
 
 
@@ -265,15 +268,14 @@ def _folded_eigensystem(x: np.ndarray, b: np.ndarray) -> FoldedEigensystem:
     (``_lapack.split_bidiagonal``), and Q and P come from divide and
     conquer; the columns are put in ascending sigma.  The centre column q_0
     of odd N has no partner in P, whose padded row and column are dropped.
-    Each pair (q_i, p_i) is signed together by _sign_columns' last-row rule,
-    read from the block that holds row N-1; then the rows take S's sign.
+    Each pair (q_i, p_i) is signed together by ``_last_row_signs``, read from
+    the block that holds row N-1; then the rows take S's sign.
     """
     N = b.size + 1
     h, r = N // 2, N % 2
     Q, P = singular_vectors(*split_bidiagonal(b, N))
     Q, P = Q[:, ::-1], P[:h, ::-1][:, r:]
-    last = Q[-1] if r else P[-1]
-    flip = np.where(last * (-1.0) ** (N - 1 - h - np.arange(h + r)) < 0.0, -1.0, 1.0)
+    flip = _last_row_signs(Q[-1] if r else P[-1])
     rows = _row_signs(N)[:, None]
     return FoldedEigensystem(x, rows[0::2] * Q * flip, rows[1::2] * P * flip[r:])
 
@@ -309,10 +311,14 @@ def _factors(eig, t: float, P) -> tuple:
     part that P lacks; those of the last (t, P) stay in eig._flow for the next call."""
     if eig._flow[0] != (key := (t, tuple(P))):
         even, odd = _terms(key[1], isinstance(eig, FoldedEigensystem))
-        y = None if even is None else _horner(t, even, eig.coord_nodes)
-        if y is not None and any(ck.real for ck in even) and np.max(y.real) > _LOG_MAX:
+        x, bound = eig.coord_nodes, 0.0
+        for ck in key[1][::-1]:  # |t P(i x)| and each Horner partial sum stay below bound
+            bound = bound * max(1.0, -float(x[0]), float(x[-1])) + abs(float(t) * complex(ck))
+        y = None if even is None or not bound < 1e300 else _horner(t, even, x)
+        if not bound < 1e300 or (y is not None and any(ck.real for ck in even)
+                                 and np.max(y.real) > _LOG_MAX):
             raise ValueError(f"e^(t P(D)) overflows at t = {t}")
-        theta = None if odd is None else _horner(t, odd, eig.coord_nodes)
+        theta = None if odd is None else _horner(t, odd, x)
         turn = (None, None) if odd is None else (np.cos(theta), _TURN * np.sin(theta))
         eig._flow = key, (None if y is None else np.exp(y), *turn)
     return eig._flow[1]
@@ -324,7 +330,7 @@ def flow(D: DiffMatrix, t: float, P, a):
     In the cached eigensystem's coordinates it is the factor e^{t P(i x)} at
     the Gauss nodes x, by Horner's rule on t P[k] i^k; for a zero diagonal
     P's even part is one factor on both rows and its odd part turns each
-    pair.  ValueError when a factor overflows.
+    pair.  ValueError when a factor overflows or |t P(i x)| could pass 1e300.
     """
     v = _vector_of(a, D.N)
     eig = D.eigensystem

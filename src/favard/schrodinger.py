@@ -191,32 +191,26 @@ def _hermite_grid(D: diffop.DiffMatrix):
 def _mt_grid(D: diffop.DiffMatrix):
     """Square theta-grid pair for the Malmquist-Takenaka window n = -K..K-1, K = D.N.
 
-    On the N = 2K points theta_j = -pi + (j + 1/2) h, h = 2 pi / N, with
-    x_j = tan(theta_j / 2) / 2 (``basis._mt_theta_grid``), the basis is a
-    pure Fourier mode times a common factor,
-    phi_n(x_j) = sqrt(2/pi) cos(theta_j/2) e^{i theta_j/2} i^n e^{i n theta_j},
-    so synthesis over the N consecutive n is one inverse FFT of
-    (-i)^n e^{i n h/2} a_n (the window's start -K puts (-1)^j in the common
-    factor) and analysis one FFT.  |phi_n(x_j)|^2 dx/dtheta = 1 / (2 pi) at
-    every node, so with the weights h dx/dtheta the pair is exactly unitary:
-    the potential step keeps the norm to rounding.  ``rows(grid)`` is
-    phi_n on grid for the window's n.
+    On the N = 2K points x_j of ``basis._mt_theta_grid`` every phi_n is one
+    Fourier mode e^{i n theta_j} times a factor common to all n: analysis is
+    the window of one FFT of (1 - 2ix) u times the per-n factor of the map
+    ``mt_coeffs_fft`` reads (``basis._mt_coefficients`` at offset 1/2, taken
+    once), and synthesis divides by it before one inverse FFT and by (1 - 2ix) after.
+    |phi_n(x_j)|^2 dx/dtheta = 1 / (2 pi) at every node, so with the weights
+    h dx/dtheta the pair is exactly unitary: the potential step keeps the
+    norm to rounding.  ``rows(grid)`` is phi_n on grid for the window's n.
     """
     import scipy.fft
 
     K = D.N
     N = 2 * K
-    h, theta, nodes = basis_mod._mt_theta_grid(N)
-    ns = np.arange(-K, K)
-    alternate = (-1.0) ** np.arange(N)
-    common = alternate * (N * math.sqrt(2.0 / math.pi)) * np.cos(0.5 * theta) * np.exp(0.5j * theta)
-    shift = diffop._I_POWERS[-ns % 4] * np.exp(0.5j * ns * h)
-    pref = (h / (2.0 * math.sqrt(2.0 * math.pi))) * diffop._I_POWERS[ns % 4] * np.exp(-0.5j * ns * h)
-    factor = alternate * (1.0 - 2j * nodes)
-
-    synthesize = lambda a: common * scipy.fft.ifft(shift * a)
-    analyze = lambda u: pref * scipy.fft.fft(factor * u)
-    rows = lambda grid: basis_mod.malmquist_takenaka(ns[:, None], grid)
+    nodes = basis_mod._mt_theta_grid(N)[2]
+    factor = 1.0 - 2j * nodes
+    per_n = basis_mod._mt_coefficients(np.ones(N, dtype=complex), 0.5, -K, N)
+    bins = (np.arange(N) + K) % N  # bin n mod N of the window's n, and back
+    synthesize = lambda a: scipy.fft.ifft((a / per_n)[bins]) / factor
+    analyze = lambda u: per_n * scipy.fft.fft(factor * u)[bins]
+    rows = lambda grid: basis_mod.malmquist_takenaka(np.arange(-K, K)[:, None], grid)
     return nodes, synthesize, analyze, rows
 
 

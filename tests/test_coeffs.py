@@ -337,10 +337,10 @@ def _mt_blocks(f, t):
 
 def _mt_with_probe_calls(f, N):
     """mt_coeffs_fft with f called once for each of the four probe points
-    and once per block of each grid, the grids, FFTs and branch rule as the
-    transform takes them: a CoefficientVector, or ValueError on a jump."""
-    from favard.diffop import _I_POWERS
-    from favard.quadrature import _SQRT_2PI
+    and once per block of each grid, the grids, FFTs, branch rule and
+    coefficient map as the transform takes them: a CoefficientVector, or
+    ValueError on a jump."""
+    from favard.basis import _mt_coefficients
 
     M = 4 * N
     h = 2.0 * math.pi / M
@@ -359,19 +359,14 @@ def _mt_with_probe_calls(f, N):
                          "the substituted integrand jumps at theta = pi")
     spectrum = scipy.fft.fft(g)
     ratio = co._out_of_window(spectrum, N // 2 + 1, 3 * N // 2 + 1)
-    vals = co._mt_window(spectrum, N)
-    phase = co._half_step_phase(N, h)
-    samples, weight = 2 * N, 2.0 * h
-    if ratio > 1e-14:
-        odd = co._mt_window(scipy.fft.fft(_mt_blocks(f, -t[::-1])[0]), N)
-        odd *= phase
-        odd *= phase
-        vals += odd
-        samples, weight = M, h
-    vals *= phase
     n0 = 1 - N // 2
-    vals *= np.tile(_I_POWERS[np.arange(n0, n0 + 4) % 4], N // 4)
-    vals *= weight / (2.0 * _SQRT_2PI)
+    vals = _mt_coefficients(spectrum, 0.25, n0, N)
+    samples = 2 * N
+    if ratio > 1e-14:
+        odd = scipy.fft.fft(_mt_blocks(f, -t[::-1])[0])
+        vals += _mt_coefficients(odd, 0.75, n0, N)
+        vals *= 0.5
+        samples = M
     return co.CoefficientVector(vals, n0, meta={"method": "mt-fft", "samples": samples,
                                                 "out_of_window": ratio})
 

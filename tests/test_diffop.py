@@ -439,7 +439,9 @@ def test_heat_flow_matches_the_exact_solution(N):
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre:0"])
 def test_flow_refuses_an_overflowing_factor_and_a_complex_odd_coefficient(family):
-    # backward heat grows as e^{x^2}: past exp's range it raises, with no warning
+    # backward heat grows as e^{x^2}: past exp's range it raises, with no
+    # warning, and so does an angle t P[k] x^k that overflows, in the odd
+    # part (translation) or the even one (the free flow)
     import warnings
     from favard.basis import make_basis
     N = 512
@@ -447,8 +449,9 @@ def test_flow_refuses_an_overflowing_factor_and_a_complex_odd_coefficient(family
     a = np.ones(N, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
-            diffop.flow(D, -1.0, (0, 0, 1), a)
+        for t, P in ((-1.0, (0, 0, 1)), (1e308, (0, 10)), (1e308, (0, 0, 1j))):
+            with pytest.raises(ValueError, match="overflows"):
+                diffop.flow(D, t, P, a)
         with pytest.raises(ValueError, match="odd coefficients must be real"):
             diffop.flow(D, 0.5, (0, 1j), a)
     # a refused (t, P) leaves no factors behind for the next call

@@ -168,6 +168,25 @@ def test_custom_measure_positive_weight_required():
         rec.custom_measure(lambda x: -np.ones_like(x), (-1.0, 1.0))
 
 
+def test_callable_weight_not_finite_past_its_decay_builds():
+    # cosh overflows at |x| = 713.2 of the tail scan, where exp(-x^2) cosh(x)
+    # has long decayed: a plain callable's NaN samples there count as a
+    # decayed tail, as the expression's do, and the two routes agree
+    import warnings
+    from favard.expr import compile_function
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = rec.stieltjes(rec.custom_measure(lambda x: np.exp(-x * x) * np.cosh(x)), 12)
+        ref = rec.stieltjes(rec.custom_measure(compile_function("exp(-x^2)*cosh(x)")), 12)
+    assert np.array_equal(J.b, ref.b) and np.array_equal(J.c, ref.c)
+
+
+def test_callable_weight_not_finite_in_its_bulk_is_refused():
+    # log(x) is NaN on the whole left side: no decayed sample comes before it
+    with pytest.raises(ValueError, match="non-finite"):
+        rec.custom_measure(lambda x: np.log(x))
+
+
 @pytest.mark.parametrize("a,b,dilation", [(1.0, 1.0, 1.0), (1.0, 0.5, 1.0), (0.25, 0.25, 1.0),
                                           (0.75, 0.75, 2.0), (0.5, 1.5, 2.0)])
 def test_conthahn_coeffs_match_stieltjes(a, b, dilation):

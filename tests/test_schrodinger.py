@@ -219,8 +219,9 @@ def test_folded_blocks_keep_the_norm_over_100_steps(N):
 
 def test_mt_grid_pair_roundtrip():
     # the square N-point theta pair on the window n = -N/2..N/2-1: synthesis
-    # is the closed form, analysis inverts it, and the pair is unitary
-    for N in (64, 256, 1024):
+    # is the closed form, analysis inverts it, and the pair is unitary; at
+    # N = 6 and 10 the window length is 2 mod 4
+    for N in (6, 10, 64, 256, 1024):
         path = sch._strang_setup(make_basis("mt", N=N), N)
         nodes, synthesize, analyze = path.nodes, path.synthesize, path.analyze
         assert nodes.size == N
@@ -234,6 +235,24 @@ def test_mt_grid_pair_roundtrip():
         weights = 0.25 * h / np.cos(np.arctan(2.0 * nodes)) ** 2  # h dx/dtheta
         energy = np.sum(weights * np.abs(synthesize(a)) ** 2)
         assert abs(energy / np.sum(np.abs(a) ** 2) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_mt_windows_agree_where_they_overlap(N):
+    # both windows read one coefficient map: on the overlap
+    # n = -N/2+1..N/2-1 each returns the coefficients of f, and 0 at the
+    # index only its own window has (N/2 for the FFT, -N/2 for Strang)
+    rng = np.random.default_rng(N)
+    ns = np.arange(-N // 2 + 1, N // 2)
+    a = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+    f = lambda x: a @ malmquist_takenaka(ns[:, None], x)
+    fft = co.mt_coeffs_fft(f, N)
+    path = sch._strang_setup(make_basis("mt", N=N), N)
+    strang = path.analyze(f(path.nodes))
+    tol = 1e-13 * np.max(np.abs(a))
+    assert fft.n_start == -N // 2 + 1
+    assert np.max(np.abs(fft.values[:-1] - a)) < tol and abs(fft.values[-1]) < tol
+    assert np.max(np.abs(strang[1:] - a)) < tol and abs(strang[0]) < tol
 
 
 def test_mt_strang_setup_needs_an_even_size():
