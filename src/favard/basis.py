@@ -376,58 +376,45 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     ``mt``, ``tanhjacobi:<a>,<b>``, ``custom-weight:<expr>`` (a weight
     expression in the variable x) and ``charlier:<a>``, the periodic system
     of the bilateral Charlier lattice (``periodic.charlier_basis``), whose
-    coefficients do not grow past N.  conthahn and tanhjacobi are the
-    continuous Hahn measure at dilation s = 1 and 2; this is the only place
-    that maps their names to (a, b, s), which the basis carries as
-    ``tanh_jacobi``.
+    coefficients do not grow past N.  Each measure has one branch, whatever
+    its spelling: hermite is genhermite:0, legendre and ultraspherical:<alpha>
+    are jacobi:0,0 and jacobi:<alpha>,<alpha>, and mt is laguerre:0 indexed
+    over all integers; every spelling of the Hermite, Legendre and
+    Malmquist-Takenaka measures takes its closed table.  conthahn and
+    tanhjacobi are the continuous Hahn measure at dilation s = 1 and 2; this
+    is the only place that maps their names to (a, b, s), which the basis
+    carries as ``tanh_jacobi``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     head, _, tail = family.partition(":")
     head = head.strip().lower()
-    if head == "hermite":
+    if head in ("hermite", "legendre", "mt"):
         if tail:
-            raise ValueError("hermite takes no parameters")
-        source = lambda M: rec.build_jacobi(rec.hermite_coeffs, M)
-        return TransformedBasis("hermite", rec.hermite_measure(), source(N),
-                                coeff_source=source, closed_table=hermite_function_table)
-    if head == "genhermite":
-        eta, = _parse_params(family, tail, 1)
+            raise ValueError(f"{head} takes no parameters")
+        family = head
+    if head in ("hermite", "genhermite"):
+        eta, = _parse_params(family, tail, 1) if head == "genhermite" else [0.0]
         source = lambda M: rec.build_jacobi(lambda n: rec.generalized_hermite_coeffs(eta, n), M)
         return TransformedBasis(family, rec.generalized_hermite_measure(eta), source(N),
-                                coeff_source=source)
-    if head == "legendre":
-        if tail:
-            raise ValueError("legendre takes no parameters")
-        source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(0.0, n), M)
-        return TransformedBasis("legendre", rec.legendre_measure(), source(N),
-                                coeff_source=source, closed_table=transformed_legendre_table)
-    if head == "ultraspherical":
-        alpha, = _parse_params(family, tail, 1)
-        source = lambda M: rec.build_jacobi(lambda n: rec.ultraspherical_coeffs(alpha, n), M)
-        closed = alpha == 0.0  # the Legendre measure
-        return TransformedBasis(family, rec.ultraspherical_measure(alpha), source(N),
+                                coeff_source=source,
+                                closed_table=hermite_function_table if eta == 0.0 else None)
+    if head in ("legendre", "ultraspherical", "jacobi"):
+        alpha, beta = (_parse_params(family, tail, 2) if head == "jacobi"
+                       else 2 * _parse_params(family, tail, 1) if head == "ultraspherical"
+                       else [0.0, 0.0])
+        source = lambda M: rec.jacobi_poly_coeffs(alpha, beta, M)
+        closed = alpha == beta == 0.0  # the Legendre measure
+        return TransformedBasis(family, rec.jacobi_measure(alpha, beta), source(N),
                                 coeff_source=source,
                                 closed_table=transformed_legendre_table if closed else None)
-    if head == "jacobi":
-        alpha, beta = _parse_params(family, tail, 2)
-        source = lambda M: rec.jacobi_poly_coeffs(alpha, beta, M)
-        return TransformedBasis(family, rec.jacobi_measure(alpha, beta), source(N),
-                                coeff_source=source)
-    if head == "laguerre":
-        alpha = _parse_params(family, tail, 1)[0] if tail else 0.0
+    if head in ("laguerre", "mt"):
+        alpha, = _parse_params(family, tail, 1) if tail else [0.0]
         source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(alpha, n), M)
-        closed = alpha == 0.0  # the Malmquist-Takenaka measure
         return TransformedBasis(family, rec.laguerre_measure(alpha), source(N),
                                 coeff_source=source,
-                                closed_table=_mt_table if closed else None)
-    if head == "mt":
-        if tail:
-            raise ValueError("mt takes no parameters")
-        source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(0.0, n), M)
-        return TransformedBasis("mt", rec.laguerre_measure(0.0), source(N),
-                                coeff_source=source, closed_table=_mt_table,
-                                bilateral=True)
+                                closed_table=_mt_table if alpha == 0.0 else None,
+                                bilateral=head == "mt")
     if head in ("conthahn", "tanhjacobi"):
         # one measure at two dilations, so one closed table: the conthahn
         # row at x is 2^{-1/2} times the tanhjacobi row at x / 2

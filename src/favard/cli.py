@@ -329,12 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _coeffs_method(bas, method: str, N: int) -> str:
     """The transform coeffs runs: ``auto`` takes the family's fast one if it
     has one; fft and dct are refused where they do not apply."""
-    head = bas.family.partition(":")[0]
     kind = coeffs_mod.tanh_cheb_kind(bas)
     if method == "auto":
-        method = "fft" if head == "mt" else "dct" if kind is not None else "xspace"
+        method = "fft" if bas.bilateral else "dct" if kind is not None else "xspace"
     if method == "fft":
-        if head != "mt":
+        if not bas.bilateral:
             raise ValueError("--method fft is only available for the mt family")
         coeffs_mod.check_mt_fft_size(N)
     elif method == "dct":

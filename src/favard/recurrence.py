@@ -229,8 +229,12 @@ def laguerre_measure(alpha: float = 0.0) -> MeasureSpec:
 
 
 def generalized_hermite_measure(eta: float) -> MeasureSpec:
+    """Unit-mass |xi|^{2 eta} e^{-xi^2}, with a breakpoint at 0 where the density
+    has a kink; at eta = 0 it is ``hermite_measure()``, which has none."""
     if eta <= -0.5:
         raise ValueError("generalized Hermite exponent must exceed -1/2")
+    if eta == 0.0:
+        return hermite_measure()
 
     def w(xi):
         xi = np.asarray(xi, float)
@@ -282,6 +286,8 @@ def ultraspherical_coeffs(alpha: float, n: int) -> tuple[float, float]:
         raise ValueError("ultraspherical exponent must exceed -1")
     if n < 0:
         raise ValueError("index must be >= 0")
+    if n == 0:  # (2 alpha + 1) cancels, and vanishes at alpha = -1/2
+        return math.sqrt(1.0 / (2 * alpha + 3)), 0.0
     num = (n + 1) * (n + 2 * alpha + 1)
     den = (2 * n + 2 * alpha + 1) * (2 * n + 2 * alpha + 3)
     return math.sqrt(num / den), 0.0
@@ -300,7 +306,8 @@ def jacobi_coeffs(alpha: float, beta: float, n: int) -> tuple[float, float]:
         c = (beta - alpha) / (s + 2.0)
         b2 = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((s + 2.0) ** 2 * (s + 3.0))
     else:
-        c = (beta - alpha) * (beta + alpha) / ((2 * n + s) * (2 * n + s + 2.0))
+        # +0.0 at alpha = beta, where (beta - alpha)(beta + alpha) is -0.0 for alpha < 0
+        c = 0.0 if alpha == beta else (beta - alpha) * s / ((2 * n + s) * (2 * n + s + 2.0))
         num = 4.0 * (n + 1) * (n + 1 + alpha) * (n + 1 + beta) * (n + 1 + s)
         den = (2 * n + s + 1.0) * (2 * n + s + 2.0) ** 2 * (2 * n + s + 3.0)
         b2 = num / den

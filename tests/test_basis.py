@@ -19,6 +19,7 @@ from favard import _panels
 from favard import basis as bas
 from favard import recurrence as rec
 from favard import specfun
+from favard import verify as ver
 from favard.errors import AccuracyError
 from favard.quadrature import _SQRT_2PI, _transform_edges, _transform_interval
 from favard.basis import (
@@ -286,11 +287,35 @@ def test_closed_tables_raise_no_runtime_warning():
         assert abs(legendre[n, 5] - ref) <= 1e-15 * abs(ref), n
 
 
-def test_ultraspherical_zero_uses_the_legendre_table():
-    x = np.concatenate([np.linspace(-70.0, 70.0, 301), _PI_PROBES])
-    want = phi_grid(make_basis("legendre", N=8), 48, x)
-    got = phi_grid(make_basis("ultraspherical:0.0", N=8), 48, x)
-    assert np.array_equal(got, want)
+# the spellings of one measure; mt is laguerre:0 over all integers, and
+# shares its rows n >= 0
+@pytest.mark.parametrize("names", [
+    ("legendre", "ultraspherical:0", "jacobi:0,0"), ("hermite", "genhermite:0"),
+    ("laguerre", "laguerre:0", "mt"), ("ultraspherical:-0.25", "jacobi:-0.25,-0.25"),
+    ("ultraspherical:0.5", "jacobi:0.5,0.5"), ("ultraspherical:1.5", "jacobi:1.5,1.5"),
+], ids="=".join)
+def test_spellings_of_one_measure_agree(names):
+    # one make_basis branch per measure: the same recurrence bits at every
+    # size, the same weight, the same closed table and the same Gram check
+    bases = [make_basis(name, N=8) for name in names]
+    first = bases[0]
+    for size in (64, 128, 256, 512, 1024, 2048, 4096):
+        for basis in bases:
+            basis.ensure(size - 1)
+        bits = {(b.jacobi.b.tobytes(), b.jacobi.c.tobytes()) for b in bases}
+        assert len(bits) == 1 and len(first.jacobi) == size, size
+    xi = np.linspace(-40.0, 40.0, 4001)
+    with np.errstate(divide="ignore"):
+        weights = [b.measure.weight(xi) for b in bases]
+    for basis, w in zip(bases[1:], weights[1:]):
+        assert np.array_equal(w, weights[0]), basis.family
+        assert basis.measure.breakpoints == first.measure.breakpoints, basis.family
+        assert basis.closed_table is first.closed_table, basis.family
+    reports = [ver.check_gram(b, 12).as_dict() for b in bases]
+    for report in reports:
+        report["metadata"].pop("family")
+    assert all(report == reports[0] for report in reports), reports
+    assert reports[0]["pass"] or first.closed_table is None, reports[0]
 
 
 @pytest.mark.parametrize("family", ["hermite", "legendre", "ultraspherical:0.0", "mt",

@@ -328,18 +328,48 @@ def test_every_command_keeps_the_exit_contract(family, tmp_path, capsys):
     coeffs_csv = tmp_path / "coeffs.csv"
     coeffs_csv.write_text("")
     for argv in _sweep_commands(family, str(coeffs_csv)):
-        try:
-            rc = cli.main(argv)
-        except Exception as exc:  # a traceback on the command line
-            pytest.fail(f"{argv} raised {exc!r}")
-        got = capsys.readouterr()
-        assert rc in (0, 1, 2), argv
-        if rc == 2:
-            assert got.out == "", argv
-        assert got.err == "" or (got.err.startswith("favard: ")
-                                 and got.err.count("\n") == 1), (argv, got.err)
+        rc, got = _run_under_the_exit_contract(argv, (0, 1, 2), capsys)
         if argv[0] == "coeffs" and rc == 0:
             coeffs_csv.write_text(got.out)
+
+
+def _run_under_the_exit_contract(argv, codes, capsys):
+    """(exit code, captured output) of ``argv``, asserting the module
+    docstring's contract: an exit code in ``codes``, nothing on stdout for a
+    configuration error, and stderr empty or one "favard:" line, never an
+    exception out of main."""
+    try:
+        rc = cli.main(argv)
+    except Exception as exc:  # a traceback on the command line
+        pytest.fail(f"{argv} raised {exc!r}")
+    got = capsys.readouterr()
+    assert rc in codes, argv
+    if rc == 2:
+        assert got.out == "", argv
+    assert got.err == "" or (got.err.startswith("favard: ")
+                             and got.err.count("\n") == 1), (argv, got.err)
+    return rc, got
+
+
+# every README family name at a boundary of its parameters
+@pytest.mark.parametrize("family", ["ultraspherical:-0.5", "jacobi:-0.5,-0.5",
+                                    "genhermite:-0.25", "laguerre:-0.5",
+                                    "tanhjacobi:0.25,0.25", "conthahn:0.5,0.5",
+                                    "charlier:0.1", "custom-weight:exp(-x^2)"])
+def test_quad_and_diffmat_keep_the_exit_contract_at_boundary_parameters(family, capsys):
+    # ultraspherical:-0.5 divided by 2 alpha + 1 = 0 at n = 0
+    for argv in (["quad", "--family", family, "--N", "8"],
+                 ["diffmat", "--family", family, "--N", "4"]):
+        _run_under_the_exit_contract(argv, (0, 2), capsys)
+
+
+def test_diffmat_of_one_measure_prints_one_table(capsys):
+    # ultraspherical:-0.25 is jacobi:-0.25,-0.25, whose diagonal c_n = 0 once
+    # printed as -0
+    outs = [run_cli(["diffmat", "--family", family, "--N", "6"], capsys)
+            for family in ("ultraspherical:-0.25", "jacobi:-0.25,-0.25")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert "-0" not in [cell for line in outs[0][1].splitlines() for cell in line.split(",")]
 
 
 def test_verify_expected_fail_keeps_exit_zero(capsys):

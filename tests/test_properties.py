@@ -30,7 +30,9 @@ def _pair(lo, hi):
 # family -> (its names, the largest N drawn)
 FAMILIES = {
     "hermite": (st.just("hermite"), 1024),
+    "genhermite": (_param(-0.45, 3.0).map("genhermite:{}".format), 1024),
     "legendre": (st.just("legendre"), 1024),
+    "ultraspherical": (_param(-0.5, 3.0).map("ultraspherical:{}".format), 1024),
     "laguerre": (_param(-0.5, 4.0).map("laguerre:{}".format), 1024),
     "jacobi": (_pair(-0.5, 3.0).map("jacobi:{}".format), 1024),
     "conthahn": (_pair(0.25, 3.0).map("conthahn:{}".format), 1024),

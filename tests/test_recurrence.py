@@ -48,8 +48,9 @@ def test_jacobi_coeffs_match_hand_formula():
 
 
 def test_ultraspherical_is_jacobi_aa():
-    # weight (1 - x^2)^alpha, i.e. Jacobi with both exponents alpha
-    for alpha in (0.0, 1.0, 1.5):
+    # weight (1 - x^2)^alpha, i.e. Jacobi with both exponents alpha; at
+    # alpha = -1/2 the factor 2 alpha + 1 vanishes at n = 0
+    for alpha in (-0.5, 0.0, 1.0, 1.5):
         for n in range(8):
             bu, cu = rec.ultraspherical_coeffs(alpha, n)
             bj, cj = rec.jacobi_coeffs(alpha, alpha, n)
