@@ -287,6 +287,13 @@ def test_closed_tables_raise_no_runtime_warning():
         assert abs(legendre[n, 5] - ref) <= 1e-15 * abs(ref), n
 
 
+def test_ultraspherical_zero_uses_the_legendre_table():
+    x = np.concatenate([np.linspace(-70.0, 70.0, 301), _PI_PROBES])
+    want = phi_grid(make_basis("legendre", N=8), 48, x)
+    got = phi_grid(make_basis("ultraspherical:0.0", N=8), 48, x)
+    assert np.array_equal(got, want)
+
+
 # the spellings of one measure; mt is laguerre:0 over all integers, and
 # shares its rows n >= 0
 @pytest.mark.parametrize("names", [

@@ -484,6 +484,15 @@ def test_pw_support_reports_expected_fail_per_row():
     assert ver.pw_support_reports(make_basis("legendre", N=8), []) == []
 
 
+def test_gram_ultraspherical_zero_is_legendre():
+    # the same functions, the same table, so the same strategy and error
+    got = ver.check_gram(make_basis("ultraspherical:0", N=8), N=6).as_dict()
+    want = ver.check_gram(make_basis("legendre", N=8), N=6).as_dict()
+    assert got["pass"] and got["metadata"].pop("family") == "ultraspherical:0"
+    want["metadata"].pop("family")
+    assert got == want
+
+
 def test_pw_support_rejects_negative_index():
     for family in ("legendre", "hermite"):
         with pytest.raises(ValueError):
