@@ -247,9 +247,8 @@ class TransformedBasis:
     rows n < 0 ``phi`` takes from ``malmquist_takenaka``.  ``sigma`` is an
     optional real phase baked into the transform: the integrand carries
     e^{i sigma(xi)}, which changes neither orthonormality nor the
-    differentiation matrix.
-    ``tanh_jacobi`` is (a, b, s) for the tanh-Jacobi family at dilation s
-    (conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2), else None.
+    differentiation matrix.  ``measure.key`` says what the basis is;
+    ``family`` is only the spelling it was built from.
     """
 
     family: str
@@ -259,7 +258,6 @@ class TransformedBasis:
     closed_table: Callable | None = None
     sigma: Callable | None = None
     bilateral: bool = False
-    tanh_jacobi: tuple[float, float, float] | None = None
     # Strang set-up per size N, valid for the jacobi stored under "jacobi";
     # filled and emptied by schrodinger._strang_setup.
     _strang: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -367,6 +365,17 @@ def _parse_params(family: str, text: str, count: int) -> list[float]:
         raise ValueError(f"family {family!r} has non-numeric parameters {text!r}") from None
 
 
+def _closed_table(key) -> Callable | None:
+    """The closed table of the measure named ``key``, or None; every continuous
+    Hahn measure takes the tanh-Jacobi table, whose conthahn row at x is
+    2^{-1/2} times the tanhjacobi row at x / 2."""
+    if key is not None and key[0] == "hahn":
+        a, b, s = key[1:]
+        return lambda nmax, x: _tanh_jacobi_scan(a, b, nmax, x, s)
+    return {("hermite", 0.0): hermite_function_table, ("laguerre", 0.0): _mt_table,
+            ("jacobi", 0.0, 0.0): transformed_legendre_table}.get(key)
+
+
 def make_basis(family: str, N: int = 64) -> TransformedBasis:
     """Construct a named basis.
 
@@ -378,12 +387,11 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     of the bilateral Charlier lattice (``periodic.charlier_basis``), whose
     coefficients do not grow past N.  Each measure has one branch, whatever
     its spelling: hermite is genhermite:0, legendre and ultraspherical:<alpha>
-    are jacobi:0,0 and jacobi:<alpha>,<alpha>, and mt is laguerre:0 indexed
-    over all integers; every spelling of the Hermite, Legendre and
-    Malmquist-Takenaka measures takes its closed table.  conthahn and
-    tanhjacobi are the continuous Hahn measure at dilation s = 1 and 2; this
-    is the only place that maps their names to (a, b, s), which the basis
-    carries as ``tanh_jacobi``.
+    are jacobi:0,0 and jacobi:<alpha>,<alpha>, mt is laguerre:0 indexed
+    over all integers, and conthahn and tanhjacobi are the continuous Hahn
+    measure at dilation s = 1 and 2.  This is the only place that reads a
+    family name: the closed table, like every later dispatch, follows the
+    measure's ``key``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -393,52 +401,43 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
         if tail:
             raise ValueError(f"{head} takes no parameters")
         family = head
+    sigma = None
     if head in ("hermite", "genhermite"):
         eta, = _parse_params(family, tail, 1) if head == "genhermite" else [0.0]
+        measure = rec.generalized_hermite_measure(eta)
         source = lambda M: rec.build_jacobi(lambda n: rec.generalized_hermite_coeffs(eta, n), M)
-        return TransformedBasis(family, rec.generalized_hermite_measure(eta), source(N),
-                                coeff_source=source,
-                                closed_table=hermite_function_table if eta == 0.0 else None)
-    if head in ("legendre", "ultraspherical", "jacobi"):
+    elif head in ("legendre", "ultraspherical", "jacobi"):
         alpha, beta = (_parse_params(family, tail, 2) if head == "jacobi"
                        else 2 * _parse_params(family, tail, 1) if head == "ultraspherical"
                        else [0.0, 0.0])
+        measure = rec.jacobi_measure(alpha, beta)
         source = lambda M: rec.jacobi_poly_coeffs(alpha, beta, M)
-        closed = alpha == beta == 0.0  # the Legendre measure
-        return TransformedBasis(family, rec.jacobi_measure(alpha, beta), source(N),
-                                coeff_source=source,
-                                closed_table=transformed_legendre_table if closed else None)
-    if head in ("laguerre", "mt"):
+    elif head in ("laguerre", "mt"):
         alpha, = _parse_params(family, tail, 1) if tail else [0.0]
+        measure = rec.laguerre_measure(alpha)
         source = lambda M: rec.build_jacobi(lambda n: rec.laguerre_coeffs(alpha, n), M)
-        return TransformedBasis(family, rec.laguerre_measure(alpha), source(N),
-                                coeff_source=source,
-                                closed_table=_mt_table if alpha == 0.0 else None,
-                                bilateral=head == "mt")
-    if head in ("conthahn", "tanhjacobi"):
-        # one measure at two dilations, so one closed table: the conthahn
-        # row at x is 2^{-1/2} times the tanhjacobi row at x / 2
+    elif head in ("conthahn", "tanhjacobi"):
         a, b = _parse_params(family, tail, 2)
         s = 1.0 if head == "conthahn" else 2.0
+        measure = rec.conthahn_measure(a, b, s)
         source = lambda M: rec.build_jacobi(lambda n: rec.conthahn_coeffs(a, b, n, s), M)
         # For a != b the real-valued system uses the complex square root
         # Gamma(a+i xi/s) Gamma(b-i xi/s), i.e. the canonical transform with
         # the phase of that product; for a = b the phase vanishes identically.
-        sig = None if a == b else (lambda xi: specfun.gamma_pair_phase(a, b, xi / s))
-        return TransformedBasis(family, rec.conthahn_measure(a, b, s), source(N),
-                                coeff_source=source,
-                                closed_table=lambda nmax, x: _tanh_jacobi_scan(a, b, nmax, x, s),
-                                sigma=sig, tanh_jacobi=(a, b, s))
-    if head == "custom-weight":
+        if a != b:
+            sigma = lambda xi: specfun.gamma_pair_phase(a, b, xi / s)
+    elif head == "custom-weight":
         if not tail:
             raise ValueError("custom-weight needs an expression")
         from . import expr as _expr
-        weight_fn = _expr.compile_function(tail)
-        measure = rec.custom_measure(weight_fn)
+        measure = rec.custom_measure(_expr.compile_function(tail))
         source = lambda M: rec.stieltjes(measure, M)
-        return TransformedBasis(family, measure, source(N), coeff_source=source)
-    if head == "charlier":
+    elif head == "charlier":
         a, = _parse_params(family, tail, 1)
         from .periodic import charlier_basis
         return charlier_basis(a, N)
-    raise ValueError(f"unknown family {family!r}")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return TransformedBasis(family, measure, source(N), coeff_source=source,
+                            closed_table=_closed_table(measure.key), sigma=sigma,
+                            bilateral=head == "mt")

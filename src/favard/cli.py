@@ -51,6 +51,8 @@ def _parse_fields(spec: str, what: str, form: str) -> list[float]:
     fields = [_eval_scalar(p, f"{what} {name}") for p, name in zip(parts, ("start", "end", "step"))]
     if not fields[1] > fields[0]:
         raise ValueError(f"{what} needs hi > lo, got {spec!r}")
+    if not math.isfinite(fields[1] - fields[0]):
+        raise ValueError(f"{what} width hi - lo is past the double range, got {spec!r}")
     return fields
 
 
@@ -58,10 +60,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     lo, hi, step = _parse_fields(spec, "grid", "lo:hi:step")
     if step <= 0.0:
         raise ValueError(f"grid needs step > 0, got {spec!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = (hi - lo) / step + 1e-9
     try:
+        count = int(count) + 1
         return lo + step * np.arange(count)
-    except MemoryError:
+    except (MemoryError, OverflowError, ValueError):
         raise ValueError(f"grid {spec!r} has {count} points, more than can be allocated") from None
 
 
@@ -213,11 +216,21 @@ _CHECK_NAMES = ("gram", "recurrence", "cramer", "ramanujan",
                 "tanh-jacobi-identity", "pw-support")
 
 
-def _verify_reports(family, bas, which, N, a) -> list:
-    head = family.partition(":")[0]
-    reports = []
+def _verify_checks(which: str, key) -> list:
+    """The checks of ``verify which`` on the measure named ``key``; ``all`` is gram and
+    recurrence plus cramer (Hermite measure), pw-support (Legendre measure), or
+    tanh-jacobi-identity and ramanujan (continuous Hahn measures)."""
+    if which != "all":
+        return [which]
+    extra = {("hermite", 0.0): ["cramer"], ("jacobi", 0.0, 0.0): ["pw-support"]}.get(key, [])
+    if key is not None and key[0] == "hahn":
+        extra = ["tanh-jacobi-identity", "ramanujan"]
+    return ["gram", "recurrence", *extra]
 
-    def add(name):
+
+def _cmd_verify(bas, checks, N, a, out) -> int:
+    reports = []
+    for name in checks:
         if name in ("gram", "recurrence"):
             fn = verify_mod.check_gram if name == "gram" else verify_mod.check_recurrence
             reports.append(fn(bas, N))
@@ -226,30 +239,9 @@ def _verify_reports(family, bas, which, N, a) -> list:
         elif name == "ramanujan":
             reports.append(verify_mod.check_ramanujan(a))
         elif name == "tanh-jacobi-identity":
-            tj_a, tj_b, _ = bas.tanh_jacobi
-            reports.append(verify_mod.check_tanh_jacobi_identity(tj_a, tj_b, min(N, 6)))
-        elif name == "pw-support":
+            reports.append(verify_mod.check_tanh_jacobi_identity(bas, min(N, 6)))
+        else:  # pw-support
             reports.extend(verify_mod.pw_support_reports(bas, range(min(N, 3))))
-        else:
-            raise ValueError(f"unknown check {name!r}")
-
-    if which == "all":
-        add("gram")
-        add("recurrence")
-        if head == "hermite":
-            add("cramer")
-        if head == "tanhjacobi":
-            add("tanh-jacobi-identity")
-            add("ramanujan")
-        if head == "legendre":
-            add("pw-support")
-    else:
-        add(which)
-    return reports
-
-
-def _cmd_verify(family, bas, which, N, a, out) -> int:
-    reports = _verify_reports(family, bas, which, N, a)
     payload = [r.as_dict() for r in reports]
     _emit(out, json.dumps(payload, indent=2) + "\n")
     bad = [r for r in reports if not r.passed and not r.metadata.get("expected_fail")]
@@ -308,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = subs.add_parser("schrodinger", help="Strang-split Schroedinger propagation")
-    p.add_argument("--basis", required=True, help="hermite or mt")
+    p.add_argument("--basis", required=True, help="hermite (or genhermite:0) or mt")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--f0", required=True, help="initial data, expression in x")
     p.add_argument("--T", type=float, required=True)
@@ -389,7 +381,7 @@ def _configure(args: argparse.Namespace) -> functools.partial:
         f0 = compile_function(args.f0)
         V = None if args.potential.strip().lower() == "none" else compile_function(args.potential)
         grid = _parse_grid(args.grid)
-        sch._grid_builder(bas.family, args.N)  # raises where there is no Strang grid pair
+        sch._grid_builder(bas, args.N)  # raises where there is no Strang grid pair
         return functools.partial(_cmd_schrodinger, bas, args.N, f0, V, args.tau,
                                  int(round(steps)), grid, args.out)
     if sub == "verify":
@@ -397,21 +389,21 @@ def _configure(args: argparse.Namespace) -> functools.partial:
             raise ValueError(f"unknown check {args.check!r}; "
                              f"expected all or one of {', '.join(_CHECK_NAMES)}")
         a = _eval_scalar(args.a, "ramanujan parameter")
-        head = args.family.partition(":")[0]
-        if a <= 0.0 and (args.check == "ramanujan"
-                         or (args.check == "all" and head == "tanhjacobi")):
-            raise ValueError("ramanujan parameter --a must be positive")
-        if args.check == "tanh-jacobi-identity" and head != "tanhjacobi":
-            raise ValueError("tanh-jacobi-identity needs --family tanhjacobi:a,b")
         # every check but cramer and ramanujan reads one basis, built here,
-        # which checks the family; the identity reads (a, b) from it
+        # which checks the family; its measure's key picks what all runs
         bas = None
         if args.check not in ("cramer", "ramanujan"):
             bas = _resolve_family(args.family, max(args.N, 12))
-            if args.check == "pw-support":
-                _on_the_line(bas, "pw-support")
-        return functools.partial(_cmd_verify, args.family, bas, args.check, args.N, a,
-                                 args.out)
+        key = bas and bas.measure.key
+        checks = _verify_checks(args.check, key)
+        if a <= 0.0 and "ramanujan" in checks:
+            raise ValueError("ramanujan parameter --a must be positive")
+        if "tanh-jacobi-identity" in checks and not (key and key[0] == "hahn"):
+            raise ValueError("tanh-jacobi-identity needs a continuous Hahn family, "
+                             "conthahn:a,b or tanhjacobi:a,b")
+        if "pw-support" in checks:
+            _on_the_line(bas, "pw-support")
+        return functools.partial(_cmd_verify, bas, checks, args.N, a, args.out)
     raise ValueError(f"unknown subcommand {sub!r}")
 
 

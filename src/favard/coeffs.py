@@ -357,9 +357,9 @@ _TANH_CHEB_KINDS = {(0.75, 0.75): ("dst", 2), (0.25, 0.25): ("dct", 2),
 
 def tanh_cheb_kind(basis) -> tuple[float, float] | None:
     """The (a, b) pair when ``basis`` is one of the four tanh-Chebyshev
-    families with a fast transform (tanhjacobi, dilation 2), else None."""
-    a, b, s = basis.tanh_jacobi or (0.0, 0.0, 0.0)
-    return (a, b) if s == 2.0 and (a, b) in _TANH_CHEB_KINDS else None
+    families with a fast transform (the continuous Hahn measure at dilation 2), else None."""
+    key = basis.measure.key
+    return key[1:3] if key in {("hahn", a, b, 2.0) for a, b in _TANH_CHEB_KINDS} else None
 
 
 def check_tanh_cheb_size(N: int) -> None:

@@ -77,7 +77,10 @@ class MeasureSpec:
     Continuous measures carry a normalized density ``weight`` on
     ``support`` (endpoints may be infinite) plus interior ``breakpoints``
     where the density is not smooth.  Discrete measures carry ``points``
-    and normalized ``masses``.
+    and normalized ``masses``.  ``key``, which every dispatch on what the
+    measure is reads, names it: ("hermite", eta), ("jacobi", alpha, beta),
+    ("laguerre", alpha), ("hahn", a, b, dilation), ("charlier", a), or None
+    from ``custom_measure``.
     """
 
     kind: str
@@ -87,6 +90,7 @@ class MeasureSpec:
     masses: np.ndarray | None = None
     breakpoints: tuple = ()
     symmetric: bool = False
+    key: tuple | None = None
     # ``tails``: the weight on each infinite side at the scan radii
     _tails: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -144,7 +148,7 @@ def _truncated_interval(support, tails, degree):
 
 
 def continuous_measure(raw_weight, support, *, breakpoints=(), mass=None,
-                       symmetric=False) -> MeasureSpec:
+                       symmetric=False, key=None) -> MeasureSpec:
     """Wrap a nonnegative integrable density as a unit-mass MeasureSpec.
 
     Without a given ``mass`` the mass is integrated on the interval cut
@@ -166,7 +170,7 @@ def continuous_measure(raw_weight, support, *, breakpoints=(), mass=None,
         support=(float(lo), float(hi)),
         weight=lambda xi: raw_weight(xi) * inv,
         breakpoints=tuple(breakpoints),
-        symmetric=symmetric,
+        symmetric=symmetric, key=key,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         # bit for bit what ``weight`` gives at the scan radii
@@ -179,7 +183,7 @@ def hermite_measure() -> MeasureSpec:
         lambda xi: np.exp(-np.asarray(xi, float) ** 2),
         (-np.inf, np.inf),
         mass=math.sqrt(math.pi),
-        symmetric=True,
+        symmetric=True, key=("hermite", 0.0),
     )
 
 
@@ -209,7 +213,8 @@ def jacobi_measure(alpha: float, beta: float) -> MeasureSpec:
         return out
 
     mass = 2.0 ** (alpha + beta + 1.0) * _beta(alpha + 1.0, beta + 1.0)
-    return continuous_measure(w, (-1.0, 1.0), mass=mass, symmetric=(alpha == beta))
+    return continuous_measure(w, (-1.0, 1.0), mass=mass, symmetric=(alpha == beta),
+                              key=("jacobi", float(alpha), float(beta)))
 
 
 def laguerre_measure(alpha: float = 0.0) -> MeasureSpec:
@@ -225,7 +230,8 @@ def laguerre_measure(alpha: float = 0.0) -> MeasureSpec:
                 out = np.where(xi == 0.0, 1.0, out)
         return out
 
-    return continuous_measure(w, (0.0, np.inf), mass=math.gamma(1.0 + alpha))
+    return continuous_measure(w, (0.0, np.inf), mass=math.gamma(1.0 + alpha),
+                              key=("laguerre", float(alpha)))
 
 
 def generalized_hermite_measure(eta: float) -> MeasureSpec:
@@ -242,7 +248,7 @@ def generalized_hermite_measure(eta: float) -> MeasureSpec:
 
     return continuous_measure(
         w, (-np.inf, np.inf), breakpoints=(0.0,),
-        mass=math.gamma(eta + 0.5), symmetric=True,
+        mass=math.gamma(eta + 0.5), symmetric=True, key=("hermite", float(eta)),
     )
 
 
@@ -265,7 +271,8 @@ def conthahn_measure(a: float, b: float, dilation: float = 1.0) -> MeasureSpec:
     lg = math.lgamma
     mass = s * 2.0 * math.pi * math.exp(lg(2.0 * a) + lg(2.0 * b) + 2.0 * lg(a + b)
                                         - lg(2.0 * a + 2.0 * b))
-    return continuous_measure(w, (-np.inf, np.inf), mass=mass, symmetric=True)
+    return continuous_measure(w, (-np.inf, np.inf), mass=mass, symmetric=True,
+                              key=("hahn", float(a), float(b), s))
 
 
 def custom_measure(weight_fn, support=(-np.inf, np.inf)) -> MeasureSpec:
@@ -620,5 +627,5 @@ def charlier_bilateral(a: float, K: int | None = None) -> MeasureSpec:
         support=(float(-K), float(K)),
         points=k.astype(float),
         masses=masses,
-        symmetric=True,
+        symmetric=True, key=("charlier", float(a)),
     )

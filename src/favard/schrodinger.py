@@ -214,20 +214,22 @@ def _mt_grid(D: diffop.DiffMatrix):
     return nodes, synthesize, analyze, rows
 
 
-# (nodes, synthesize, analyze, rows) of a family's grid pair, built from D:
-# for the D.N leading basis functions, for mt for the window n = -D.N..D.N-1
-_GRIDS = {"hermite": _hermite_grid, "mt": _mt_grid}
+# (nodes, synthesize, analyze, rows) of a measure's grid pair by its key, built from D:
+# for the D.N leading Hermite functions, for mt for the window n = -D.N..D.N-1
+_GRIDS = {("hermite", 0.0): _hermite_grid, ("laguerre", 0.0): _mt_grid}
 
 
-def _grid_builder(family: str, N: int):
-    """The grid-pair builder of a basis family for size N; ValueError if it has none."""
-    build = _GRIDS.get(family)
+def _grid_builder(basis: basis_mod.TransformedBasis, N: int):
+    """The grid-pair builder of ``basis``'s measure for size N; ValueError naming it if none."""
+    key = basis.measure.key
+    build = _GRIDS.get(key)
     if build is None:
-        raise ValueError(
-            "Strang splitting needs a fast synthesis/analysis path; "
-            "supported bases: hermite, mt"
-        )
-    if family == "mt" and N % 2:
+        raise ValueError(f"Strang splitting needs a grid pair, which the measure {key} of "
+                         f"{basis.family} has not; the Hermite measure and mt have one")
+    if key == ("laguerre", 0.0) and not basis.bilateral:
+        raise ValueError(f"Strang splitting on the measure {key} of {basis.family} needs "
+                         f"the bilateral window n = -N/2..N/2-1 of mt")
+    if basis.bilateral and N % 2:
         raise ValueError(f"mt Strang splitting takes the window n = -N/2..N/2-1 and needs "
                          f"an even N, got {N}")
     return build
@@ -350,7 +352,7 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
     not be the old ones, or a direct assignment) every path is dropped
     before use.
     """
-    grid = _grid_builder(basis.family, N)
+    grid = _grid_builder(basis, N)
     size = N // 2 if basis.bilateral else N
     basis.ensure(size - 1)
     cache = basis._strang

@@ -156,20 +156,22 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
     return _mirrored(G) if fold else G, {"step": h, "reach": K * h, "tail": tail, **stop}
 
 
-def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Points x and weights w at which a closed family's Gram sum is exact.
+def _rule_gram(basis, N: int) -> tuple[np.ndarray, dict] | None:
+    """Gram of phi_0..phi_{N-1}, and its metadata, on points x and weights w
+    at which the sum is exact, picked by the measure's ``key``; None for a
+    measure without such a rule.
 
-    A lattice system (a discrete measure, ``charlier:<a>``) is 2 pi periodic
+    A lattice system (the Charlier measure, ``charlier:<a>``) is 2 pi periodic
     and orthonormal under (1/2pi) dx over one period: phi_m conj(phi_n) is
     a trigonometric polynomial of degree at most 2K on the lattice |k| <= K,
     so the uniform rule on M = 4K > 2K points of [-pi, pi), weights 1/M, is
     exact.  On the line a change of variable makes phi_m conj(phi_n) dx a
-    polynomial against a classical weight.  mt and laguerre:0 take
-    x = tan(theta/2)/2, where the integrand is (1/2pi) e^{i(m-n)theta}, on
-    N uniform points in theta: |m - n| <= N - 1, so the trapezoid sum is
-    exact.
-    hermite rows are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi).  The
-    tanh-Jacobi family at dilation s (``basis.tanh_jacobi`` = (a, b, s):
+    polynomial against a classical weight.  The Laguerre measure at alpha =
+    0 (mt, laguerre:0) takes x = tan(theta/2)/2, where the integrand is
+    (1/2pi) e^{i(m-n)theta}, on N uniform points in theta: |m - n| <= N - 1,
+    so the trapezoid sum is exact.
+    Hermite rows (eta = 0) are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi).
+    The continuous Hahn measure at dilation s (key ("hahn", a, b, s):
     conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2) has rows +-P_n(t) e(x)
     at t = tanh(s x / 2), e = sqrt(s/2) (1-t)^a (1+t)^b / sqrt(S) its row 0:
     e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t (dx = (2/s) dy
@@ -177,30 +179,34 @@ def _substitution_rule(basis, N: int) -> tuple[np.ndarray, np.ndarray, dict]:
     the N-point Gauss rule of its polynomials, w_i = lambda_i / e(x_i)^2,
     formed from log lambda_i: at the outer Hermite nodes lambda_i underflows
     and 1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2 is not small.
-    Returns x, w and the report's metadata.
     """
+    key = basis.measure.key
+    head = key[0] if key else None
     meta = {"family": basis.family, "N": N}
-    if basis.measure.kind == "discrete":
+    if head == "charlier":
         K = int(basis.measure.support[1])
         M = 4 * K
-        return (2.0 * math.pi * np.arange(M) / M - math.pi, np.full(M, 1.0 / M),
-                {"strategy": "trapezoid", **meta, "M": M, "K": K})
-    if basis.closed_table is basis_mod._mt_table:
+        x, w = 2.0 * math.pi * np.arange(M) / M - math.pi, np.full(M, 1.0 / M)
+        meta = {"strategy": "trapezoid", **meta, "M": M, "K": K}
+    elif key == ("laguerre", 0.0):
         h, theta, x = basis_mod._mt_theta_grid(N)
-        return (x, h * 0.25 / np.cos(0.5 * theta) ** 2,
-                {"strategy": "theta-substitution", **meta, "nodes": N})
-    if basis.tanh_jacobi is not None:
-        a, b, s = basis.tanh_jacobi
+        w = h * 0.25 / np.cos(0.5 * theta) ** 2
+        meta = {"strategy": "theta-substitution", **meta, "nodes": N}
+    elif head == "hahn":
+        a, b, s = key[1:]
         t, log_w, _ = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
         x = (2.0 / s) * np.arctanh(t)
-        log_e = np.log(basis.closed_table(0, x)[0])  # p_0 = 1: row 0 is e
-        strategy = "gauss-jacobi"
-    else:  # hermite, told by its data: a wrapper may replace hermite_function_table
+        e = basis_mod._tanh_jacobi_scan(a, b, 0, x, s)[0]  # p_0 = 1: row 0 is e
+        w = np.exp(log_w - 2.0 * np.log(e))
+        meta = {"strategy": "gauss-jacobi", **meta, "nodes": N}
+    elif key == ("hermite", 0.0):
         basis.ensure(N - 1)
         x, log_w, _ = quadrature._gauss_log_rule(basis.jacobi, N)
-        log_e = -0.5 * x * x - 0.25 * math.log(math.pi)
-        strategy = "gauss-hermite"
-    return x, np.exp(log_w - 2.0 * log_e), {"strategy": strategy, **meta, "nodes": N}
+        w = np.exp(log_w - 2.0 * (-0.5 * x * x - 0.25 * math.log(math.pi)))
+        meta = {"strategy": "gauss-hermite", **meta, "nodes": N}
+    else:
+        return None
+    return _weighted_gram(basis_mod.phi_grid(basis, N - 1, x), w), meta
 
 
 def _zeta_tail(N: int, J: int) -> np.ndarray:
@@ -268,35 +274,30 @@ def _gave_up(name: str, tol: float, meta: dict, exc: AccuracyError) -> CheckRepo
                        metadata={**meta, "error": str(exc), "estimate": exc.estimate})
 
 
-def _rule_gram(basis, N: int) -> tuple[np.ndarray, dict]:
-    """Gram of phi_0..phi_{N-1} under ``_substitution_rule``, and its metadata."""
-    x, w, meta = _substitution_rule(basis, N)
-    table = basis_mod.phi_grid(basis, N - 1, x)
-    return _weighted_gram(table, w), meta
-
-
 def check_gram(basis, N: int = 12) -> CheckReport:
-    """max |G - I| for phi_0..phi_{N-1} under the family's best quadrature.
+    """max |G - I| for phi_0..phi_{N-1} under the best quadrature of the measure.
 
-    The tolerance is 1e-8, and 1e-10 on a lattice, where the rule is exact.
-    A quadrature route that gives up (``AccuracyError``) yields a failing
-    report, as in ``_gave_up``.
+    The measure's key picks it: ``_legendre_gram`` for the Legendre measure,
+    else ``_rule_gram``, else ``_lattice_gram``.  The tolerance is 1e-8,
+    and 1e-10 on a lattice, where the rule is exact.  A quadrature route
+    that gives up (``AccuracyError``) yields a failing report, as in
+    ``_gave_up``.
     """
     tol = 1e-10 if basis.measure.kind == "discrete" else 1e-8
     family = basis.family
-    if basis.closed_table is basis_mod.transformed_legendre_table:
+    if basis.measure.key == ("jacobi", 0.0, 0.0):
         G, reach = _legendre_gram(N)
         meta = {"strategy": "nyquist-lattice+zeta-tail", "family": family, "N": N,
                 "step": 0.5 * math.pi, "reach": reach}
-    elif basis.closed_table is None:
+    elif (ruled := _rule_gram(basis, N)) is not None:
+        G, meta = ruled
+    else:
         meta = {"strategy": "nyquist-lattice", "family": family, "N": N}
         try:
             G, lattice = _lattice_gram(basis, N, tol)
         except AccuracyError as exc:
             return _gave_up("gram", tol, meta, exc)
         meta.update(lattice)
-    else:
-        G, meta = _rule_gram(basis, N)
     err = float(np.max(np.abs(G - np.eye(N))))
     return CheckReport("gram", err, tol, metadata=meta)
 
@@ -389,26 +390,25 @@ def check_ramanujan(a: float) -> CheckReport:
                        metadata={"a": a, "window": X, "relative_errors": details})
 
 
-def check_tanh_jacobi_identity(a: float, b: float, N: int = 5) -> CheckReport:
-    """Quadrature transform vs the tanh-Jacobi closed form, n <= N, at 33 points of [-4, 4].
+def check_tanh_jacobi_identity(basis, N: int = 5) -> CheckReport:
+    """Quadrature vs closed rows of a continuous Hahn basis, n <= N, at 33 points of [-4, 4].
 
-    The transform side integrates the continuous-Hahn orthonormal
-    polynomials against the gamma-pair weight.  For a != b the weight's
-    square root carries the complex phase of Gamma(a + i xi/2)
-    Gamma(b - i xi/2), which the transform side integrates; the closed
-    table is the transform of that same phased measure, so the two tables
-    are compared entry by entry, and a sign or phase error in any one
-    degree shows in the error.
+    The transform side integrates the orthonormal polynomials against the
+    gamma-pair weight at the basis's dilation s.  For a != b the weight's
+    square root carries the complex phase of Gamma(a + i xi/s)
+    Gamma(b - i xi/s); the closed table is the transform of that same phased
+    measure, so the two tables are compared entry by entry, and a sign or
+    phase error in any one degree shows.  Any other measure: ValueError.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("parameters must be positive")
+    key = basis.measure.key
+    if key is None or key[0] != "hahn":
+        raise ValueError(f"tanh-jacobi-identity needs a continuous Hahn basis, not {basis.family}")
     xs = np.linspace(-4.0, 4.0, 33)
-    bas = basis_mod.make_basis(f"tanhjacobi:{a},{b}", N=N + 1)
-    quad = basis_mod.phi_grid(bas, N, xs, method="quadrature")
-    closed = basis_mod.tanh_jacobi_table(a, b, N, xs)
+    quad = basis_mod.phi_grid(basis, N, xs, method="quadrature")
+    closed = basis_mod.phi_grid(basis, N, xs, method="closed")
     worst = float(np.max(np.abs(quad - closed)))
     return CheckReport("tanh-jacobi-identity", worst, 1e-6,
-                       metadata={"a": a, "b": b, "N": N})
+                       metadata={"a": key[1], "b": key[2], "N": N})
 
 
 # The guard band of the Paley-Wiener check, as a share of the band B.

@@ -140,7 +140,7 @@ def test_criterion_07_ramanujan_identity():
 
 
 def test_criterion_08_tanh_jacobi_identity():
-    rep = ver.check_tanh_jacobi_identity(0.75, 0.75, N=5)
+    rep = ver.check_tanh_jacobi_identity(make_basis("tanhjacobi:0.75,0.75", N=6), N=5)
     ok = rep.max_abs_error <= 1e-6
     report(8, "tanh-Jacobi closed form vs continuous-Hahn transform", ok,
            f"max err {rep.max_abs_error:.3e} <= 1e-6")

@@ -296,16 +296,20 @@ def test_ultraspherical_zero_uses_the_legendre_table():
 
 # the spellings of one measure; mt is laguerre:0 over all integers, and
 # shares its rows n >= 0
-@pytest.mark.parametrize("names", [
+SPELLINGS = [
     ("legendre", "ultraspherical:0", "jacobi:0,0"), ("hermite", "genhermite:0"),
     ("laguerre", "laguerre:0", "mt"), ("ultraspherical:-0.25", "jacobi:-0.25,-0.25"),
     ("ultraspherical:0.5", "jacobi:0.5,0.5"), ("ultraspherical:1.5", "jacobi:1.5,1.5"),
-], ids="=".join)
+]
+
+
+@pytest.mark.parametrize("names", SPELLINGS, ids="=".join)
 def test_spellings_of_one_measure_agree(names):
     # one make_basis branch per measure: the same recurrence bits at every
     # size, the same weight, the same closed table and the same Gram check
     bases = [make_basis(name, N=8) for name in names]
     first = bases[0]
+    assert len({b.measure.key for b in bases}) == 1, [b.measure.key for b in bases]
     for size in (64, 128, 256, 512, 1024, 2048, 4096):
         for basis in bases:
             basis.ensure(size - 1)

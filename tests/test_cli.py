@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ import pytest
 
 from favard import cli
 from favard.errors import TruncationLossWarning
+from test_basis import SPELLINGS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -219,6 +221,12 @@ def test_exit_code_usage_errors(capsys):
         ["verify", "ramanujan", "--a", "1/0"],
         # 1e18 points: the 6.94 EiB allocation fails at once, so nothing is allocated
         ["basis", "eval", "--family", "hermite", "--grid", "0:1e9:1e-9"],
+        # a width hi - lo, or a point count, past the double range
+        ["basis", "eval", "--family", "hermite", "--n", "0:1", "--grid=-1e308:1e308:1e307"],
+        ["basis", "eval", "--family", "hermite", "--n", "0:1", "--grid=-1e300:1e300:1e-300"],
+        ["periodic", "eval", "--n", "0:1", "--grid=-1e308:1e308:1e307"],
+        ["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "4",
+         "--window=-1e308:1e308"],
     ]
     for argv in cases:
         rc = cli.main(argv)
@@ -306,8 +314,14 @@ def _sweep_commands(family: str, coeffs_csv: str) -> list:
     """Every subcommand at small sizes; decay reads coeffs_csv, and
     periodic takes no family."""
     grid = ["--grid", "-1:1:0.5"]
+    wide = "--grid=-1e308:1e308:1e307"  # its width hi - lo overflows
     cmds = [
         ["basis", "eval", "--family", family, "--n", "0:2", *grid],
+        ["basis", "eval", "--family", family, "--n", "0:1", wide],
+        ["periodic", "eval", "--a", "0.5", "--n", "0:1", wide],
+        ["schrodinger", "--basis", family, "--N", "8", "--f0", "exp(-x^2)",
+         "--T", "0.2", "--tau", "0.1", wide],
+        ["coeffs", "--family", family, "--f", "exp(-x^2)", "--N", "4", "--window=-1e308:1e308"],
         ["quad", "--family", family, "--N", "4"],
         ["diffmat", "--family", family, "--N", "4"],
         ["coeffs", "--family", family, "--f", "exp(-x^2)", "--N", "8"],
@@ -320,7 +334,9 @@ def _sweep_commands(family: str, coeffs_csv: str) -> list:
                    for check in ("all", *cli._CHECK_NAMES)]
 
 
-@pytest.mark.parametrize("family", ["hermite", "mt", "charlier:0.5", "nosuch"])
+@pytest.mark.parametrize("family", ["hermite", "genhermite:0", "jacobi:0,0", "laguerre:0", "mt",
+                                    "conthahn:0.5,0.5", "tanhjacobi:0.25,0.75",
+                                    "custom-weight:exp(-x^2)", "charlier:0.5", "nosuch"])
 def test_every_command_keeps_the_exit_contract(family, tmp_path, capsys):
     # exit 0, 1 or 2; nothing on stdout for a configuration error; stderr
     # empty or one "favard:" line, never an exception out of main; decay
@@ -475,11 +491,37 @@ def test_verify_gram_conthahn_n256_takes_the_gauss_jacobi_route(capsys):
 
 @pytest.mark.parametrize("pair", ["1,1", "0.5,0.5", "1,0.5", "0.75,0.25"])
 def test_verify_all_conthahn_passes(pair, capsys):
+    # the continuous Hahn measure at dilation 1 runs the checks of dilation 2
     rc, out = run_cli(["verify", "all", "--family", f"conthahn:{pair}"], capsys)
     assert rc == 0
     reports = json.loads(out)
-    assert [r["name"] for r in reports] == ["gram", "recurrence"]
+    assert [r["name"] for r in reports] == ["gram", "recurrence", "tanh-jacobi-identity",
+                                            "ramanujan"]
     assert all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("names", SPELLINGS, ids="=".join)
+def test_verify_all_reads_the_measure_not_the_spelling(names, capsys):
+    # every spelling of one measure runs the same checks, and prints the same
+    # bytes but for the family string
+    runs = []
+    for name in names:
+        rc, out = run_cli(["verify", "all", "--family", name], capsys)
+        runs.append((rc, re.sub(r'"family": "[^"]*"', '"family": ""', out)))
+    assert all(run == runs[0] for run in runs), names
+    extra = {"legendre": ["pw-support"] * 3, "hermite": ["cramer"]}.get(names[0], [])
+    assert [r["name"] for r in json.loads(runs[0][1])] == ["gram", "recurrence", *extra]
+
+
+@pytest.mark.parametrize("pair", ["0.5,0.5", "0.25,0.75"])
+def test_tanh_jacobi_identity_runs_on_conthahn(pair, capsys):
+    # conthahn:a,b is the continuous Hahn measure at dilation 1: its
+    # quadrature rows meet its closed table as tanhjacobi:a,b's do
+    rc, out = run_cli(["verify", "tanh-jacobi-identity", "--family", f"conthahn:{pair}"],
+                      capsys)
+    assert rc == 0
+    report, = json.loads(out)
+    assert report["pass"] and report["max_abs_error"] <= 1e-10, report
 
 
 def test_tanh_jacobi_identity_runs_for_unequal_parameters(capsys):
@@ -540,17 +582,41 @@ def test_verify_reports_a_quadrature_route_that_gives_up(monkeypatch, capsys, ch
         assert r["metadata"]["family"] == "custom-weight:exp(-abs(x))"
 
 
+def test_schrodinger_reads_the_measure_not_the_spelling(capsys):
+    # genhermite:0 is the Hermite measure: the bytes of --basis hermite
+    schrod = ["--N", "32", "--f0", "exp(-x^2)", "--potential", "x^2",
+              "--T", "0.25", "--tau", "0.125"]
+    want = run_cli(["schrodinger", "--basis", "hermite", *schrod], capsys)
+    assert want[0] == 0
+    assert run_cli(["schrodinger", "--basis", "genhermite:0", *schrod], capsys) == want
+
+
+@pytest.mark.parametrize("family, says", [
+    ("laguerre:0", "needs the bilateral window n = -N/2..N/2-1 of mt"),
+    ("laguerre", "needs the bilateral window n = -N/2..N/2-1 of mt"),
+    ("legendre", "measure ('jacobi', 0.0, 0.0) of legendre has not"),
+    ("genhermite:1", "measure ('hermite', 1.0) of genhermite:1 has not"),
+])
+def test_schrodinger_refusal_names_the_measure(family, says, capsys):
+    rc = cli.main(["schrodinger", "--basis", family, "--N", "8", "--f0", "exp(-x^2)",
+                   "--T", "0.25", "--tau", "0.125"])
+    got = capsys.readouterr()
+    assert rc == 2 and got.out == ""
+    assert got.err.startswith("favard: Strang splitting") and says in got.err, got.err
+    assert got.err.count("\n") == 1, got.err
+
+
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
     from favard import schrodinger as sch
 
     calls = []
-    build = sch._GRIDS["hermite"]
+    build = sch._GRIDS[("hermite", 0.0)]
 
     def counted(D):
         calls.append(D.N)
         return build(D)
 
-    monkeypatch.setitem(sch._GRIDS, "hermite", counted)
+    monkeypatch.setitem(sch._GRIDS, ("hermite", 0.0), counted)
     rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", "64",
                        "--f0", "exp(-x^2)", "--potential", "x^2",
                        "--T", "0.5", "--tau", "0.0625"], capsys)

@@ -283,11 +283,11 @@ def test_mt_strang_harmonic_phases(N):
 def grids(monkeypatch):
     """Every grid-pair build of a Strang path, by size."""
     sizes = []
-    for family, build in list(sch._GRIDS.items()):
+    for key, build in list(sch._GRIDS.items()):
         def counted_build(D, _build=build):
             sizes.append(D.N)
             return _build(D)
-        monkeypatch.setitem(sch._GRIDS, family, counted_build)
+        monkeypatch.setitem(sch._GRIDS, key, counted_build)
     return sizes
 
 

@@ -8,8 +8,9 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
-from favard import basis, coeffs, diffop, quadrature, recurrence, schrodinger, verify
+from favard import basis, cli, coeffs, diffop, quadrature, recurrence, schrodinger, verify
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -124,3 +125,20 @@ def test_objects_built_outside_the_tracer_give_the_same_bits():
     for name in ("schrodinger.strang_propagate", "schrodinger.free_coeff_step",
                  "diffop.expm_apply", "verify.check_gram", "verify.check_recurrence"):
         assert tracer.calls[name] >= 1, name
+
+
+@pytest.mark.parametrize("family", ["legendre", "mt"])
+def test_verify_all_under_the_tracer_prints_the_same_bytes(family, capsys):
+    # the tracer replaces module functions, closed tables among them; the
+    # checks follow the measure's key, so they and their bytes stay
+    def run():
+        rc = cli.main(["verify", "all", "--family", family])
+        return rc, capsys.readouterr().out
+
+    plain = run()
+    tracer = _tracer_module().Tracer()
+    with tracer:
+        traced = run()
+    assert plain[0] == 0 and traced == plain
+    assert not any(tracer.errors.values()), tracer.errors
+    assert tracer.calls["cli.main"] == tracer.calls["verify.check_gram"] == 1

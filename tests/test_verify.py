@@ -51,8 +51,10 @@ def test_gram_periodic_branch():
 def test_lattice_gram_steps_by_the_band_of_the_rows(family):
     # every family without a closed table takes the lattice of the band
     # its rows are integrated over; the smooth weights pass at 1e-8
-    # (conthahn with its closed table removed, as a quadrature-route measure)
-    basis = dataclasses.replace(make_basis(family, N=8), closed_table=None)
+    # (conthahn as a custom measure: its key and closed table removed)
+    basis = make_basis(family, N=8)
+    basis = dataclasses.replace(basis, closed_table=None,
+                                measure=dataclasses.replace(basis.measure, key=None))
     rep = ver.check_gram(basis, 6)
     lo, hi = quadrature._transform_interval(basis.measure, 5)
     assert rep.metadata["strategy"] == "nyquist-lattice"
@@ -310,8 +312,25 @@ def test_ramanujan_hand_values():
     assert abs(np.sqrt(np.pi) * scipy.special.gamma(1.0) * scipy.special.gamma(1.5) - np.pi / 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("family, table, strategy", [
+    ("legendre", "transformed_legendre_table", "nyquist-lattice+zeta-tail"),
+    ("mt", "_mt_table", "theta-substitution"),
+    ("laguerre:0", "_mt_table", "theta-substitution"),
+    ("hermite", "hermite_function_table", "gauss-hermite"),
+])
+def test_gram_rule_survives_a_wrapped_table(monkeypatch, family, table, strategy):
+    # a tracer wraps the table functions after a basis holds them; the rule
+    # follows the measure's key, not the identity of a function
+    basis = make_basis(family, N=14)
+    inner = getattr(basis_mod, table)
+    monkeypatch.setattr(basis_mod, table, lambda *args: inner(*args))
+    rep = ver.check_gram(basis, 12)
+    assert rep.metadata["strategy"] == strategy, rep
+    assert rep.passed and rep.max_abs_error < 1e-12, rep
+
+
 def test_tanh_jacobi_identity_symmetric():
-    rep = ver.check_tanh_jacobi_identity(0.75, 0.75)
+    rep = ver.check_tanh_jacobi_identity(make_basis("tanhjacobi:0.75,0.75", N=6))
     assert rep.passed
     assert rep.max_abs_error < 1e-10
 
@@ -320,28 +339,46 @@ def test_tanh_jacobi_identity_asymmetric():
     # for a != b the transform integrates the gamma-pair phase, and the
     # identity holds at rounding level, as for a = b
     for a, b in ((1.0, 0.5), (0.75, 0.25), (0.5, 1.5), (2.0, 1.0), (0.5, 1.0)):
-        rep = ver.check_tanh_jacobi_identity(a, b)
+        rep = ver.check_tanh_jacobi_identity(make_basis(f"tanhjacobi:{a},{b}", N=6))
         assert rep.passed and rep.max_abs_error < 1e-12, (a, b)
     with pytest.raises(TypeError):
-        ver.check_tanh_jacobi_identity(0.5, 1.0, experimental=True)
+        ver.check_tanh_jacobi_identity(make_basis("tanhjacobi:0.5,1", N=6), experimental=True)
+
+
+@pytest.mark.parametrize("pair", ["0.5,0.5", "0.25,0.75", "1,0.5"])
+def test_tanh_jacobi_identity_holds_at_both_dilations(pair):
+    # conthahn:a,b is the continuous Hahn measure at dilation 1, tanhjacobi:a,b
+    # at dilation 2: the check compares the basis it is given with its own table
+    for name in ("conthahn", "tanhjacobi"):
+        rep = ver.check_tanh_jacobi_identity(make_basis(f"{name}:{pair}", N=6))
+        assert rep.passed and rep.max_abs_error < 1e-10, (name, rep)
+        assert rep.metadata == {"a": float(pair.split(",")[0]),
+                                "b": float(pair.split(",")[1]), "N": 5}
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre", "mt", "custom-weight:exp(-x^2)"])
+def test_tanh_jacobi_identity_refuses_other_measures(family):
+    with pytest.raises(ValueError, match="continuous Hahn"):
+        ver.check_tanh_jacobi_identity(make_basis(family, N=6))
 
 
 @pytest.mark.parametrize("factor", [-1.0, 1j])
 @pytest.mark.parametrize("row", [0, 3])
-def test_tanh_jacobi_identity_sees_a_per_degree_phase(monkeypatch, row, factor):
+def test_tanh_jacobi_identity_sees_a_per_degree_phase(row, factor):
     # the check compares the tables entry by entry, so a closed row off by a
     # sign or a unit phase fails it; a constant fitted per degree hid both
-    table = basis_mod.tanh_jacobi_table
+    for family in ("tanhjacobi:0.75,0.75", "tanhjacobi:0.75,0.25", "conthahn:0.75,0.25"):
+        basis = make_basis(family, N=6)
+        table = basis.closed_table
 
-    def planted(a, b, nmax, x):
-        out = table(a, b, nmax, x).astype(complex)
-        out[row] *= factor
-        return out
+        def planted(nmax, x, table=table):
+            out = table(nmax, x).astype(complex)
+            out[row] *= factor
+            return out
 
-    monkeypatch.setattr(basis_mod, "tanh_jacobi_table", planted)
-    for a, b in ((0.75, 0.75), (0.75, 0.25)):
-        rep = ver.check_tanh_jacobi_identity(a, b)
-        assert not rep.passed and rep.max_abs_error > 1e-3, (a, b)
+        basis.closed_table = planted
+        rep = ver.check_tanh_jacobi_identity(basis)
+        assert not rep.passed and rep.max_abs_error > 1e-3, family
 
 
 def test_pw_support_legendre_inside_band():
