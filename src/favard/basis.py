@@ -10,7 +10,9 @@ with the recurrence coefficients of p_n.  Families with known closed forms
 (Hermite, Legendre, Malmquist-Takenaka, tanh-Jacobi) evaluate those
 directly; everything else goes through oscillatory quadrature.  The
 continuous Hahn families conthahn:a,b and tanhjacobi:a,b are one measure
-at dilations 1 and 2, so both take the tanh-Jacobi table.
+at dilations 1 and 2, so both take the tanh-Jacobi table.  One table,
+``_measure_rules``, gives each measure key its closed table, its exact
+Gram rule and its Strang grid pair.
 
 Each closed family has one table scan: ``*_table(nmax, x)`` returns rows
 0..nmax from a single sweep in n (a three-term recurrence for Hermite,
@@ -24,15 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import diffop
 from . import recurrence as rec
 from . import specfun
 from .diffop import _I_POWERS
-from .quadrature import _SQRT_2PI, oscillatory_transform
+from .quadrature import _SQRT_2PI, _gauss_log_rule, oscillatory_transform
 from .recurrence import JacobiMatrix, MeasureSpec
 
 __all__ = [
@@ -365,15 +368,151 @@ def _parse_params(family: str, text: str, count: int) -> list[float]:
         raise ValueError(f"family {family!r} has non-numeric parameters {text!r}") from None
 
 
-def _closed_table(key) -> Callable | None:
-    """The closed table of the measure named ``key``, or None; every continuous
-    Hahn measure takes the tanh-Jacobi table, whose conthahn row at x is
-    2^{-1/2} times the tanhjacobi row at x / 2."""
-    if key is not None and key[0] == "hahn":
+def _hermite_log_weights(jacobi: JacobiMatrix, N: int, nodes=None):
+    """Nodes x_i and log weights of the N-point Gauss rule for the Hermite functions.
+
+    Hermite rows (eta = 0) are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi), so
+    w_i = lambda_i / e(x_i)^2 for the Christoffel weights lambda_i, formed
+    from log lambda_i (``quadrature._gauss_log_rule``): at the outer nodes
+    lambda_i underflows and 1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2
+    is not small.  ``nodes`` are D's own when given, and are not solved again.
+    """
+    x, log_w, _ = _gauss_log_rule(jacobi, N, nodes=nodes)
+    return x, log_w - 2.0 * (-0.5 * x * x - 0.25 * math.log(math.pi))
+
+
+def _hermite_rule(basis: TransformedBasis, N: int):
+    basis.ensure(N - 1)
+    x, log_w = _hermite_log_weights(basis.jacobi, N)
+    return x, np.exp(log_w), "gauss-hermite", {"nodes": N}
+
+
+def _mt_rule(basis: TransformedBasis, N: int):
+    """x = tan(theta/2)/2 on N uniform points in theta (``_mt_theta_grid``), where
+    phi_m conj(phi_n) dx is (1/2pi) e^{i(m-n)theta} d theta: |m - n| <= N - 1,
+    so the trapezoid sum is exact."""
+    h, theta, x = _mt_theta_grid(N)
+    return x, h * 0.25 / np.cos(0.5 * theta) ** 2, "theta-substitution", {"nodes": N}
+
+
+def _hahn_rule(basis: TransformedBasis, N: int):
+    """The continuous Hahn measure at dilation s has rows +-P_n(t) e(x) at
+    t = tanh(s x / 2), e = sqrt(s/2) (1-t)^a (1+t)^b / sqrt(S) its row 0:
+    e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t (dx = (2/s) dy
+    cancels the s/2), so the N-point Gauss rule in t serves, with
+    w_i = lambda_i / e(x_i)^2 from log lambda_i, at x = (2/s) artanh t."""
+    a, b, s = basis.measure.key[1:]
+    t, log_w, _ = _gauss_log_rule(_tanh_jacobi_matrix(a, b, N - 1), N)
+    x = (2.0 / s) * np.arctanh(t)
+    e = _tanh_jacobi_scan(a, b, 0, x, s)[0]  # p_0 = 1: row 0 is e
+    return x, np.exp(log_w - 2.0 * np.log(e)), "gauss-jacobi", {"nodes": N}
+
+
+def _lattice_rule(basis: TransformedBasis, N: int):
+    """A lattice system is 2 pi periodic and orthonormal under (1/2pi) dx over
+    one period: phi_m conj(phi_n) is a trigonometric polynomial of degree at
+    most 2K on the lattice |k| <= K, so the uniform rule on M = 4K > 2K
+    points of [-pi, pi), weights 1/M, is exact."""
+    K = int(basis.measure.support[1])
+    M = 4 * K
+    x = 2.0 * math.pi * np.arange(M) / M - math.pi
+    return x, np.full(M, 1.0 / M), "trapezoid", {"M": M, "K": K}
+
+
+def _hermite_grid(basis: TransformedBasis, D: diffop.DiffMatrix):
+    """Gauss-Hermite synthesis/analysis pair exact on span{phi_0..phi_{N-1}}.
+
+    The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
+    V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
+    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = w_i^(-1/2) for the weights
+    w_i of the Gram rule (``_hermite_log_weights`` on D's nodes), and the
+    grid values c V^T P a (P = diag((-1)^k)) are c times D's coordinates of
+    S^-1 a.  When D folds, z(+-x) = (f_0 +- i f_1) / sqrt2 for the pair
+    coordinates f of S^-1 a, and f = [E; iO] for [E; O] = enter(sign * a),
+    S's real row sign: the grid holds E -+ O at +-x, scaled by c / sqrt2 (by
+    c at the centre node 0 of odd N, which is f_0 alone).  Analysis inverts
+    synthesis; the weights cancel.  The scale is built on first use, which
+    a folded Strang step never makes.  ``rows(grid)`` is phi_0..phi_{N-1}
+    on grid.
+    """
+    eig, N, jacobi = D.eigensystem, D.N, basis.jacobi
+    if isinstance(eig, diffop.FoldedEigensystem):
+        sign, h, r = diffop._row_signs(N), eig.h, eig.r
+        fold = np.where(np.arange(h + r) < r, 1.0, math.sqrt(0.5))
+        # f_0 - f_1 at x >= 0 and f_0 + f_1 at -x, and back (the centre is its own mirror)
+        nodes = lambda f: np.concatenate(((f[0] + f[1])[r:][::-1], f[0] - f[1]))
+
+        def pairs(u):
+            plus, minus = u[h:], np.concatenate((u[h:h + r], u[:h][::-1]))
+            return np.stack((0.5 * (plus + minus), 0.5 * (minus - plus)))
+    else:
+        sign, fold = _I_POWERS[np.arange(N) % 4], 1.0
+        nodes = pairs = lambda z: z
+    # c at the coordinate nodes: the last h + r of the N, or all N
+    scale = cache(lambda: fold * np.exp(
+        -0.5 * _hermite_log_weights(jacobi, N, D.nodes)[1][N - eig.coord_nodes.size:]))
+    synthesize = lambda a: nodes(scale() * eig.enter(sign * a))
+    analyze = lambda u: sign.conj() * eig.leave(pairs(u) / scale())
+    rows = lambda grid: hermite_function_table(N - 1, grid)
+    return eig.x, synthesize, analyze, rows
+
+
+def _mt_grid(basis: TransformedBasis, D: diffop.DiffMatrix):
+    """Square theta-grid pair for the Malmquist-Takenaka window n = -K..K-1, K = D.N.
+
+    On the N = 2K points x_j of ``_mt_theta_grid`` every phi_n is one
+    Fourier mode e^{i n theta_j} times a factor common to all n: analysis is
+    the window of one FFT of (1 - 2ix) u times the per-n factor of the map
+    ``mt_coeffs_fft`` reads (``_mt_coefficients`` at offset 1/2, taken
+    once), and synthesis divides by it before one inverse FFT and by (1 - 2ix) after.
+    |phi_n(x_j)|^2 dx/dtheta = 1 / (2 pi) at every node, so with the weights
+    h dx/dtheta the pair is exactly unitary: the potential step keeps the
+    norm to rounding.  ``rows(grid)`` is phi_n on grid for the window's n.
+    """
+    import scipy.fft
+
+    K = D.N
+    N = 2 * K
+    nodes = _mt_theta_grid(N)[2]
+    factor = 1.0 - 2j * nodes
+    per_n = _mt_coefficients(np.ones(N, dtype=complex), 0.5, -K, N)
+    bins = (np.arange(N) + K) % N  # bin n mod N of the window's n, and back
+    synthesize = lambda a: scipy.fft.ifft((a / per_n)[bins]) / factor
+    analyze = lambda u: per_n * scipy.fft.fft(factor * u)[bins]
+    rows = lambda grid: malmquist_takenaka(np.arange(-K, K)[:, None], grid)
+    return nodes, synthesize, analyze, rows
+
+
+@dataclass(frozen=True)
+class _Rules:
+    """One measure's entry in ``_measure_rules``."""
+
+    closed: Callable | None = None  # closed_table(nmax, x)
+    rule: Callable | None = None  # (basis, N) -> x, w, name, metadata
+    grid: Callable | None = None  # (basis, D) -> nodes, synthesize, analyze, rows
+    bilateral: bool = False  # grid serves the window n = -D.N..D.N-1
+
+
+def _measure_rules(key) -> _Rules:
+    """The closed table, exact rule and Strang grid pair of the measure named
+    ``key``, each None where it has none; read per call, so a table replaced
+    on this module is the one a new basis takes.
+
+    The rule is N points x_i and weights w_i with sum_i w_i phi_m(x_i)
+    conj(phi_n(x_i)) = delta_mn for m, n < N.  Every continuous Hahn measure
+    takes the tanh-Jacobi table, whose conthahn row at x is 2^{-1/2} times
+    the tanhjacobi row at x / 2; the Charlier lattice's table is built with
+    the basis (``periodic.charlier_basis``).
+    """
+    head = key[0] if key else None
+    if head == "hahn":
         a, b, s = key[1:]
-        return lambda nmax, x: _tanh_jacobi_scan(a, b, nmax, x, s)
-    return {("hermite", 0.0): hermite_function_table, ("laguerre", 0.0): _mt_table,
-            ("jacobi", 0.0, 0.0): transformed_legendre_table}.get(key)
+        return _Rules(lambda nmax, x: _tanh_jacobi_scan(a, b, nmax, x, s), _hahn_rule)
+    if head == "charlier":
+        return _Rules(rule=_lattice_rule)
+    return {("hermite", 0.0): _Rules(hermite_function_table, _hermite_rule, _hermite_grid),
+            ("laguerre", 0.0): _Rules(_mt_table, _mt_rule, _mt_grid, bilateral=True),
+            ("jacobi", 0.0, 0.0): _Rules(transformed_legendre_table)}.get(key, _Rules())
 
 
 def make_basis(family: str, N: int = 64) -> TransformedBasis:
@@ -439,5 +578,5 @@ def make_basis(family: str, N: int = 64) -> TransformedBasis:
     else:
         raise ValueError(f"unknown family {family!r}")
     return TransformedBasis(family, measure, source(N), coeff_source=source,
-                            closed_table=_closed_table(measure.key), sigma=sigma,
+                            closed_table=_measure_rules(measure.key).closed, sigma=sigma,
                             bilateral=head == "mt")

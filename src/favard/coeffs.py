@@ -16,6 +16,7 @@ import numpy as np
 from . import specfun
 from .basis import TransformedBasis, _mt_coefficients, malmquist_takenaka, phi_grid
 from .diffop import _I_POWERS, _real_times
+from .errors import AccuracyError
 from .quadrature import _gauss_log_rule
 
 __all__ = [
@@ -134,7 +135,14 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     The metadata holds a tail estimate (largest integrand magnitude
     |phi_n(x) f(x)| at the window edges, taken as
     |phi_n(x)| max(|f(x)|, |f(-x)|) on the folded rule); a warning string
-    is attached when the window looks too small.
+    is attached when the window looks too small.  ``coarse_gap`` is the
+    largest move of a coefficient when the rule takes every other sample of
+    the same f values, its weights doubled.  Above 1e-3 of the largest
+    |a_n| the integral of |f|^2 is taken both ways too, and its relative
+    move is recorded as ``coarse_norm_gap``: above 1e-3 as well, the grid
+    does not resolve f, and AccuracyError is raised.  Rows alone can alias
+    on the coarser grid (mt's at M = 1025 on [-40, 40], where the rule is
+    right to 2e-7), so a coefficient gap alone is only recorded.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -150,13 +158,15 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
     else:
         x = np.linspace(lo, hi, M)
     fx = np.asarray(f(x), dtype=complex)
+    w = np.full(M, x[1] - x[0])
+    w[[0, -1]] *= 0.5
+    # weights of the full rule minus the rule on every other sample, doubled
+    gap_w = w.copy()
+    gap_w[0::2] *= -1.0
     n_start = 0
     if mirrored and basis.measure.symmetric and basis.sigma is None and not basis.bilateral:
-        vals, edge, peak = _xspace_folded(basis, N, x, fx)
+        vals, gaps, edge, peak = _xspace_folded(basis, N, x, fx, w, gap_w)
     else:
-        w = np.full(M, x[1] - x[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
         if basis.bilateral:
             ns = np.arange(-N // 2 + 1, N // 2 + 1)
             V = malmquist_takenaka(ns[:, None], x)
@@ -165,23 +175,36 @@ def coeffs_xspace(f, basis: TransformedBasis, N: int,
             V = phi_grid(basis, N - 1, x)
         integrand = np.conj(V) * fx
         vals = integrand @ w
+        gaps = integrand @ gap_w
         edge = float(np.max(np.abs(integrand[:, [0, -1]])))
         peak = float(np.max(np.abs(integrand)))
+    gap, largest = float(np.max(np.abs(gaps))), float(np.max(np.abs(vals)))
     meta = {"method": "xspace", "window": (lo, hi), "points": M,
-            "tail_estimate": edge}
+            "tail_estimate": edge, "coarse_gap": gap}
     if edge > 1e-10 * max(peak, 1e-300):
         meta["warning"] = "integrand not negligible at the window edges"
+    if gap > 1e-3 * largest:
+        mass = np.abs(fx) ** 2
+        norm2 = float(mass @ w)
+        meta["coarse_norm_gap"] = abs(float(mass @ gap_w)) / norm2 if norm2 > 0.0 else 0.0
+        if meta["coarse_norm_gap"] > 1e-3:
+            raise AccuracyError(
+                f"the {M}-point trapezoid rule on [{lo:g}, {hi:g}] does not resolve f: on "
+                f"every other point a coefficient moves by {gap:.3g}, the largest being "
+                f"{largest:.3g}", estimate=gap)
     return CoefficientVector(vals, n_start, meta=meta)
 
 
-def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarray):
-    """(values, edge, peak) of the parity-folded trapezoid rule.
+def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarray,
+                   w: np.ndarray, gap_w: np.ndarray):
+    """(values, gaps, edge, peak) of the parity-folded trapezoid rule.
 
-    ``x`` is the mirrored grid (x[M//2] = 0) and ``fx`` the samples of f on
-    it.  The rows are real: the closed tables of symmetric families are, and
-    for a symmetric measure without a phase so is every phi_n (its transform
-    integrand has the parity of n), which ``phi_grid``'s parity fold returns
-    with a zero imaginary part.
+    ``x`` is the mirrored grid (x[M//2] = 0), ``fx`` the samples of f on it,
+    and ``w`` and ``gap_w`` the whole grid's weights and gap weights
+    (``coeffs_xspace``), which are even.  The rows are real: the closed
+    tables of symmetric families are, and for a symmetric measure without a
+    phase so is every phi_n (its transform integrand has the parity of n),
+    which ``phi_grid``'s parity fold returns with a zero imaginary part.
     """
     h = x.size // 2
     half = x[h:]
@@ -189,15 +212,17 @@ def _xspace_folded(basis: TransformedBasis, N: int, x: np.ndarray, fx: np.ndarra
              else phi_grid(basis, N - 1, half))
     rows = np.ascontiguousarray(table.real)
     f_pos, f_neg = fx[h:], fx[h::-1]
-    w = np.full(half.size, x[1] - x[0])
-    w[0] *= 0.5  # x = 0 is counted once by f(0) + f(-0)
-    w[-1] *= 0.5
-    vals = np.empty(N, dtype=complex)
-    vals[0::2] = _real_times(rows[0::2], (f_pos + f_neg) * w)
-    vals[1::2] = _real_times(rows[1::2], (f_pos - f_neg) * w)
+    even, odd = f_pos + f_neg, f_pos - f_neg
+    out = []
+    for weights in (w[h:].copy(), gap_w[h:].copy()):
+        weights[0] *= 0.5  # x = 0 is counted once by f(0) + f(-0)
+        vals = np.empty(N, dtype=complex)
+        vals[0::2] = _real_times(rows[0::2], even * weights)
+        vals[1::2] = _real_times(rows[1::2], odd * weights)
+        out.append(vals)
     f_top = np.maximum(np.abs(f_pos), np.abs(f_neg))
     reach = np.maximum(rows.max(axis=0), -rows.min(axis=0)) * f_top
-    return vals, float(reach[-1]), float(np.max(reach))
+    return *out, float(reach[-1]), float(np.max(reach))
 
 
 # Points per call of f on the Malmquist-Takenaka grid: a block's complex

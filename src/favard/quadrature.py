@@ -113,27 +113,29 @@ def golub_welsch(jacobi: JacobiMatrix, N: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=_unit_weights(total, last))
 
 
-def _gauss_log_rule(jacobi: JacobiMatrix, N: int, rows: int = 0):
+def _gauss_log_rule(jacobi: JacobiMatrix, N: int, rows: int = 0, nodes=None):
     """Nodes and log Christoffel weights of ``golub_welsch``'s N-point rule, and a weighted table.
 
     The weights are log(1 / sum_{k<N} p_k(x_i)^2), unnormalized and never
     clipped, so a caller that divides them by a tiny function value keeps
     their relative accuracy where the unit weights are 0.0.  The table
     (``rows`` <= N) is at the nodes the sum ran on: all N, or for a zero
-    diagonal the last (N+1)//2, which are >= 0.
+    diagonal the last (N+1)//2, which are >= 0.  ``nodes``, when given, are
+    the rule's nodes solved already (``DiffMatrix.nodes``), not solved again.
     """
-    nodes, total, last, table = _gauss_sums(jacobi, N, rows)
+    nodes, total, last, table = _gauss_sums(jacobi, N, rows, nodes)
     return nodes, _log_weights(total, last), table
 
 
-def _gauss_sums(jacobi: JacobiMatrix, N: int, rows: int = 0):
+def _gauss_sums(jacobi: JacobiMatrix, N: int, rows: int = 0, nodes=None):
     """Nodes, the Christoffel sums (total, last) of ``_christoffel_sums`` at every
     node, and its table, for ``golub_welsch``'s N-point rule."""
     if N <= 0:
         raise ValueError("N must be positive")
     if N > len(jacobi):
         raise IndexError(f"need {N} coefficient pairs, have {len(jacobi)}")
-    nodes = gauss_nodes(jacobi.c[:N], jacobi.b)
+    if nodes is None:
+        nodes = gauss_nodes(jacobi.c[:N], jacobi.b)
     if np.any(jacobi.c[:N]):
         return (nodes, *_christoffel_sums(nodes, jacobi, N, rows))
     r = N % 2

@@ -11,31 +11,23 @@ which stay orthonormal for every t, so u(x, t) = sum_n u_hat_n psi_n(x, t)
 with time-independent coefficients.  On coefficients the free flow is
 e^{i t D^2}, ``diffop.flow`` with P(z) = i z^2; with a potential, Strang
 splitting alternates its half-steps (its factor at tau/2) with pointwise
-phase multiplication on a grid matched to the basis.  That set-up (D with
-its eigensystem, the grid and its synthesis/analysis pair) is built once
-per basis and size and kept on the basis, so repeated Strang calls pay
-only for their steps.
+phase multiplication on a grid matched to the basis: the grid pair of the
+basis's measure in ``basis._measure_rules``.  That set-up (D with its
+eigensystem, the grid and its synthesis/analysis pair) is built once per
+basis and size and kept on the basis, so repeated Strang calls pay only for
+their steps.
 
-On the Gauss-Hermite grid the potential step needs no grid pair at all when
-D folds (its diagonal is exactly zero, see ``diffop``): in D's eigenbasis it
-is z -> conj(K) Phi K z with K = V^T diag(i^k) V, and K is fixed by two real
-half-size blocks.  A Strang run then keeps its state in D's real Schur
-coordinates from the first step to the last (``_FoldedPath``).
-
-Malmquist-Takenaka (MT) Strang is bilateral, on the window
-n = -N/2..N/2-1: phi_n for n >= 0 alone span only the functions whose
-Fourier transform vanishes for xi < 0, and the mirror phi_{-n-1} =
--i conj(phi_n) makes D two conjugate blocks of one N/2-point Laguerre
-eigensystem (``_BilateralPath``), stepped through the square N-point
-theta-grid FFT pair.  A Hermite table with numerically computed, nonzero c
-keeps the state in D's eigenbasis and synthesizes on the grid and analyzes
-back (``_EigenbasisPath``).  Every path enters and leaves through the maps
-of D's eigensystem.
+The paths differ in the coordinates they keep the state in: D's real
+Schur coordinates for a folded Hermite operator (``_FoldedPath``, whose
+potential step needs no grid pair), the eigenbases of the two blocks of
+the Malmquist-Takenaka window n = -N/2..N/2-1 (``_BilateralPath``: phi_n
+for n >= 0 alone span only the functions whose Fourier transform vanishes
+for xi < 0), and D's eigenbasis otherwise (``_EigenbasisPath``).  Every
+path enters and leaves through the maps of D's eigensystem.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -45,10 +37,9 @@ from typing import Callable
 import numpy as np
 
 from . import basis as basis_mod
-from . import diffop, quadrature
+from . import diffop
 from .coeffs import CoefficientVector
 from .errors import TruncationLossWarning
-from .recurrence import JacobiMatrix
 
 __all__ = [
     "TruncationLossWarning",
@@ -137,102 +128,21 @@ def free_coeff_step(D: diffop.DiffMatrix, t: float, a):
     return diffop.flow(D, t, (0, 0, 1j), a)
 
 
-def _hermite_scale(D: diffop.DiffMatrix) -> np.ndarray:
-    """c_i = sqrt(w(x_i) / lambda_i) at D's coordinate nodes x_i, for the Hermite weight w.
-
-    lambda_i are the Christoffel weights of the N-point Gauss rule:
-    1 / lambda_i = sum_{k<N} p_k(x_i)^2 = total_i 4^last_i from one
-    ``_christoffel_sums`` sweep over D's own bands, so c carries their
-    relative accuracy at every node (Gautschi 2004, sec. 3.1) and is formed
-    from logarithms, in range for any N.
-    """
-    x = D.eigensystem.coord_nodes
-    total, last, _ = quadrature._christoffel_sums(x, JacobiMatrix(D.sub, D.diag[:-1]), D.N)
-    return np.exp(0.5 * np.log(total) + math.log(2.0) * last - 0.5 * x * x
-                  - 0.25 * math.log(math.pi))
-
-
-def _hermite_grid(D: diffop.DiffMatrix):
-    """Gauss-Hermite synthesis/analysis pair exact on span{phi_0..phi_{N-1}}.
-
-    The nodes are D's Gauss nodes.  D's eigenvectors are signed so that
-    V[k, i] = p_k(x_i) sqrt(lambda_i), and phi_k = (-1)^k p_k sqrt(w), so
-    phi_k(x_i) = (-1)^k c_i V[k, i] with c_i = sqrt(w(x_i) / lambda_i)
-    (``_hermite_scale``, from the Gauss rule's Christoffel sums), and the
-    grid values c V^T P a (P = diag((-1)^k)) are c times D's coordinates of
-    S^-1 a.  When D folds, z(+-x) = (f_0 +- i f_1) / sqrt2 for the pair
-    coordinates f of S^-1 a, and f = [E; iO] for [E; O] = enter(sign * a),
-    S's real row sign: the grid holds E -+ O at +-x, scaled by c / sqrt2 (by
-    c at the centre node of odd N, which is f_0 alone).  Analysis inverts
-    synthesis; the Christoffel weights c_i^2 cancel.  The scale is built on
-    first use, which a folded Strang step never makes.  ``rows(grid)`` is
-    phi_0..phi_{N-1} on grid.
-    """
-    eig, N = D.eigensystem, D.N
-    if isinstance(eig, diffop.FoldedEigensystem):
-        sign, h, r = diffop._row_signs(N), eig.h, eig.r
-        fold = np.where(np.arange(h + r) < r, 1.0, math.sqrt(0.5))
-        # f_0 - f_1 at x >= 0 and f_0 + f_1 at -x, and back (the centre is its own mirror)
-        nodes = lambda f: np.concatenate(((f[0] + f[1])[r:][::-1], f[0] - f[1]))
-
-        def pairs(u):
-            plus, minus = u[h:], np.concatenate((u[h:h + r], u[:h][::-1]))
-            return np.stack((0.5 * (plus + minus), 0.5 * (minus - plus)))
-    else:
-        sign, fold = diffop._I_POWERS[np.arange(N) % 4], 1.0
-        nodes = pairs = lambda z: z
-    scale = functools.cache(lambda: fold * _hermite_scale(D))
-    synthesize = lambda a: nodes(scale() * eig.enter(sign * a))
-    analyze = lambda u: sign.conj() * eig.leave(pairs(u) / scale())
-    rows = lambda grid: basis_mod.hermite_function_table(N - 1, grid)
-    return eig.x, synthesize, analyze, rows
-
-
-def _mt_grid(D: diffop.DiffMatrix):
-    """Square theta-grid pair for the Malmquist-Takenaka window n = -K..K-1, K = D.N.
-
-    On the N = 2K points x_j of ``basis._mt_theta_grid`` every phi_n is one
-    Fourier mode e^{i n theta_j} times a factor common to all n: analysis is
-    the window of one FFT of (1 - 2ix) u times the per-n factor of the map
-    ``mt_coeffs_fft`` reads (``basis._mt_coefficients`` at offset 1/2, taken
-    once), and synthesis divides by it before one inverse FFT and by (1 - 2ix) after.
-    |phi_n(x_j)|^2 dx/dtheta = 1 / (2 pi) at every node, so with the weights
-    h dx/dtheta the pair is exactly unitary: the potential step keeps the
-    norm to rounding.  ``rows(grid)`` is phi_n on grid for the window's n.
-    """
-    import scipy.fft
-
-    K = D.N
-    N = 2 * K
-    nodes = basis_mod._mt_theta_grid(N)[2]
-    factor = 1.0 - 2j * nodes
-    per_n = basis_mod._mt_coefficients(np.ones(N, dtype=complex), 0.5, -K, N)
-    bins = (np.arange(N) + K) % N  # bin n mod N of the window's n, and back
-    synthesize = lambda a: scipy.fft.ifft((a / per_n)[bins]) / factor
-    analyze = lambda u: per_n * scipy.fft.fft(factor * u)[bins]
-    rows = lambda grid: basis_mod.malmquist_takenaka(np.arange(-K, K)[:, None], grid)
-    return nodes, synthesize, analyze, rows
-
-
-# (nodes, synthesize, analyze, rows) of a measure's grid pair by its key, built from D:
-# for the D.N leading Hermite functions, for mt for the window n = -D.N..D.N-1
-_GRIDS = {("hermite", 0.0): _hermite_grid, ("laguerre", 0.0): _mt_grid}
-
-
 def _grid_builder(basis: basis_mod.TransformedBasis, N: int):
-    """The grid-pair builder of ``basis``'s measure for size N; ValueError naming it if none."""
+    """The grid-pair builder of ``basis``'s measure for size N (``basis._measure_rules``);
+    ValueError naming the measure if it has none."""
     key = basis.measure.key
-    build = _GRIDS.get(key)
-    if build is None:
+    rules = basis_mod._measure_rules(key)
+    if rules.grid is None:
         raise ValueError(f"Strang splitting needs a grid pair, which the measure {key} of "
                          f"{basis.family} has not; the Hermite measure and mt have one")
-    if key == ("laguerre", 0.0) and not basis.bilateral:
+    if rules.bilateral and not basis.bilateral:
         raise ValueError(f"Strang splitting on the measure {key} of {basis.family} needs "
                          f"the bilateral window n = -N/2..N/2-1 of mt")
     if basis.bilateral and N % 2:
         raise ValueError(f"mt Strang splitting takes the window n = -N/2..N/2-1 and needs "
                          f"an even N, got {N}")
-    return build
+    return rules.grid
 
 
 class _EigenbasisPath:
@@ -367,7 +277,7 @@ def _strang_setup(basis: basis_mod.TransformedBasis, N: int):
             path = _FoldedPath
         else:
             path = _EigenbasisPath
-        cache[N] = path(D, *grid(D))
+        cache[N] = path(D, *grid(basis, D))
     return cache[N]
 
 

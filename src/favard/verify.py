@@ -157,55 +157,13 @@ def _lattice_gram(basis, N: int, tol: float) -> tuple[np.ndarray, dict]:
 
 
 def _rule_gram(basis, N: int) -> tuple[np.ndarray, dict] | None:
-    """Gram of phi_0..phi_{N-1}, and its metadata, on points x and weights w
-    at which the sum is exact, picked by the measure's ``key``; None for a
-    measure without such a rule.
-
-    A lattice system (the Charlier measure, ``charlier:<a>``) is 2 pi periodic
-    and orthonormal under (1/2pi) dx over one period: phi_m conj(phi_n) is
-    a trigonometric polynomial of degree at most 2K on the lattice |k| <= K,
-    so the uniform rule on M = 4K > 2K points of [-pi, pi), weights 1/M, is
-    exact.  On the line a change of variable makes phi_m conj(phi_n) dx a
-    polynomial against a classical weight.  The Laguerre measure at alpha =
-    0 (mt, laguerre:0) takes x = tan(theta/2)/2, where the integrand is
-    (1/2pi) e^{i(m-n)theta}, on N uniform points in theta: |m - n| <= N - 1,
-    so the trapezoid sum is exact.
-    Hermite rows (eta = 0) are +-p_n(x) e(x), e^2 = e^{-x^2} / sqrt(pi).
-    The continuous Hahn measure at dilation s (key ("hahn", a, b, s):
-    conthahn:a,b at s = 1, tanhjacobi:a,b at s = 2) has rows +-P_n(t) e(x)
-    at t = tanh(s x / 2), e = sqrt(s/2) (1-t)^a (1+t)^b / sqrt(S) its row 0:
-    e^2 dx is the unit-mass Jacobi(2a-1, 2b-1) weight in t (dx = (2/s) dy
-    cancels the s/2), so the nodes sit at x = (2/s) artanh t.  Each takes
-    the N-point Gauss rule of its polynomials, w_i = lambda_i / e(x_i)^2,
-    formed from log lambda_i: at the outer Hermite nodes lambda_i underflows
-    and 1 / e^2 overflows, yet lambda_i p_{N-1}(x_i)^2 is not small.
-    """
-    key = basis.measure.key
-    head = key[0] if key else None
-    meta = {"family": basis.family, "N": N}
-    if head == "charlier":
-        K = int(basis.measure.support[1])
-        M = 4 * K
-        x, w = 2.0 * math.pi * np.arange(M) / M - math.pi, np.full(M, 1.0 / M)
-        meta = {"strategy": "trapezoid", **meta, "M": M, "K": K}
-    elif key == ("laguerre", 0.0):
-        h, theta, x = basis_mod._mt_theta_grid(N)
-        w = h * 0.25 / np.cos(0.5 * theta) ** 2
-        meta = {"strategy": "theta-substitution", **meta, "nodes": N}
-    elif head == "hahn":
-        a, b, s = key[1:]
-        t, log_w, _ = quadrature._gauss_log_rule(basis_mod._tanh_jacobi_matrix(a, b, N - 1), N)
-        x = (2.0 / s) * np.arctanh(t)
-        e = basis_mod._tanh_jacobi_scan(a, b, 0, x, s)[0]  # p_0 = 1: row 0 is e
-        w = np.exp(log_w - 2.0 * np.log(e))
-        meta = {"strategy": "gauss-jacobi", **meta, "nodes": N}
-    elif key == ("hermite", 0.0):
-        basis.ensure(N - 1)
-        x, log_w, _ = quadrature._gauss_log_rule(basis.jacobi, N)
-        w = np.exp(log_w - 2.0 * (-0.5 * x * x - 0.25 * math.log(math.pi)))
-        meta = {"strategy": "gauss-hermite", **meta, "nodes": N}
-    else:
+    """Gram of phi_0..phi_{N-1}, and its metadata, on the exact N-point rule of
+    the measure (``basis._measure_rules``); None for a measure without one."""
+    rule = basis_mod._measure_rules(basis.measure.key).rule
+    if rule is None:
         return None
+    x, w, strategy, extra = rule(basis, N)
+    meta = {"strategy": strategy, "family": basis.family, "N": N, **extra}
     return _weighted_gram(basis_mod.phi_grid(basis, N - 1, x), w), meta
 
 
@@ -398,7 +356,8 @@ def check_tanh_jacobi_identity(basis, N: int = 5) -> CheckReport:
     square root carries the complex phase of Gamma(a + i xi/s)
     Gamma(b - i xi/s); the closed table is the transform of that same phased
     measure, so the two tables are compared entry by entry, and a sign or
-    phase error in any one degree shows.  Any other measure: ValueError.
+    phase error in any one degree shows.  The report names the measure: a,
+    b and the dilation s.  Any other measure: ValueError.
     """
     key = basis.measure.key
     if key is None or key[0] != "hahn":
@@ -408,7 +367,7 @@ def check_tanh_jacobi_identity(basis, N: int = 5) -> CheckReport:
     closed = basis_mod.phi_grid(basis, N, xs, method="closed")
     worst = float(np.max(np.abs(quad - closed)))
     return CheckReport("tanh-jacobi-identity", worst, 1e-6,
-                       metadata={"a": key[1], "b": key[2], "N": N})
+                       metadata={"a": key[1], "b": key[2], "s": key[3], "N": N})
 
 
 # The guard band of the Paley-Wiener check, as a share of the band B.

@@ -524,6 +524,18 @@ def test_tanh_jacobi_identity_runs_on_conthahn(pair, capsys):
     assert report["pass"] and report["max_abs_error"] <= 1e-10, report
 
 
+def test_tanh_jacobi_identity_report_names_the_dilation(capsys):
+    # conthahn:a,b and tanhjacobi:a,b check different bases of one measure
+    # family, so their reports differ in the dilation s, as the bases do
+    metas = []
+    for family in ("conthahn:0.5,0.5", "tanhjacobi:0.5,0.5"):
+        rc, out = run_cli(["verify", "tanh-jacobi-identity", "--family", family], capsys)
+        assert rc == 0
+        metas.append(json.loads(out)[0]["metadata"])
+    assert metas == [{"a": 0.5, "b": 0.5, "s": 1.0, "N": 6},
+                     {"a": 0.5, "b": 0.5, "s": 2.0, "N": 6}]
+
+
 def test_tanh_jacobi_identity_runs_for_unequal_parameters(capsys):
     # a != b carries the gamma-pair phase and passes like a = b; verify all
     # runs the identity for every tanhjacobi:a,b
@@ -607,22 +619,40 @@ def test_schrodinger_refusal_names_the_measure(family, says, capsys):
 
 
 def test_schrodinger_builds_grid_pair_once(monkeypatch, capsys):
-    from favard import schrodinger as sch
+    import dataclasses
+
+    from favard import basis as basis_mod
 
     calls = []
-    build = sch._GRIDS[("hermite", 0.0)]
+    rules = basis_mod._measure_rules
+    build = rules(("hermite", 0.0)).grid
 
-    def counted(D):
+    def counted(basis, D):
         calls.append(D.N)
-        return build(D)
+        return build(basis, D)
 
-    monkeypatch.setitem(sch._GRIDS, ("hermite", 0.0), counted)
+    monkeypatch.setattr(basis_mod, "_measure_rules", lambda key: (
+        dataclasses.replace(rules(key), grid=counted) if key == ("hermite", 0.0) else rules(key)))
     rc, out = run_cli(["schrodinger", "--basis", "hermite", "--N", "64",
                        "--f0", "exp(-x^2)", "--potential", "x^2",
                        "--T", "0.5", "--tau", "0.0625"], capsys)
     assert rc == 0
     assert out.startswith("t,x,re_u,im_u,norm\n")
     assert calls == [64]
+
+
+def test_schrodinger_hermite_solves_for_nodes_once(monkeypatch, capsys):
+    # the pair's scale reads the Gram rule's log weights at D's own nodes, so
+    # the set-up makes one node solve (dqds) and one vector solve (dbdsdc)
+    from favard import _lapack
+
+    calls = []
+    call = _lapack._call
+    monkeypatch.setattr(_lapack, "_call",
+                        lambda name, *args: calls.append(name) or call(name, *args))
+    rc, _ = run_cli(["schrodinger", "--basis", "hermite", "--N", "512", "--f0", "exp(-x^2)",
+                     "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"], capsys)
+    assert rc == 0 and sorted(calls) == ["dbdsdc", "dlasq1"]
 
 
 def test_schrodinger_hermite_sweeps_the_table_once(monkeypatch, capsys):
@@ -874,6 +904,19 @@ def test_coeffs_symmetric_window_folds_whatever_its_ends(capsys, window):
                        "--window", window], capsys)
     assert rc == 0
     assert out.splitlines()[2] == "1,0,0,0"
+
+
+@pytest.mark.parametrize("window", ["-1e150:1e150", "-1e6:1e6"])
+def test_coeffs_window_the_grid_cannot_resolve_exits_one(capsys, window):
+    # on a window this wide the 8193 points step over the Gaussian, and the
+    # rule on every other point moves a0 by its own size
+    rc = cli.main(["coeffs", "--family", "hermite", "--f", "exp(-x^2)", "--N", "3",
+                   f"--window={window}"])
+    got = capsys.readouterr()
+    assert rc == 1 and got.out == ""
+    assert got.err.startswith("favard: the 8193-point trapezoid rule")
+    assert "does not resolve f" in got.err
+    assert got.err.count("\n") == 1, got.err
 
 
 def test_coeffs_default_window_keeps_its_points():

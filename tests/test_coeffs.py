@@ -155,6 +155,41 @@ def test_xspace_unfolded_inputs_keep_general_rule(family, window, M):
     assert ("warning" in got.meta) == (edge > 1e-10 * max(peak, 1e-300))
 
 
+def test_xspace_records_the_coarse_gap():
+    # the gap is |full rule - rule on every other sample, its weights doubled|
+    basis = make_basis("hermite", N=24)
+    f = _coherent(0.4, kick=0.2)
+    for window, M in (((-30.0, 30.0), 8193), ((-30.0, 31.0), 1024), ((-3.0, 3.0), 65)):
+        got = co.coeffs_xspace(f, basis, 16, window=window, M=M)
+        x = np.linspace(*window, M)
+        g = np.conj(phi_grid(basis, 15, x)) * f(x)
+        w = np.full(M, x[1] - x[0])
+        w[[0, -1]] *= 0.5
+        gap = np.max(np.abs(g @ w - 2.0 * g[:, ::2] @ w[::2]))
+        assert got.meta["coarse_gap"] == pytest.approx(gap, rel=1e-6, abs=1e-15)
+        assert (got.meta["coarse_gap"] < 1e-12) == (M > 65)
+
+
+def test_xspace_coarse_gap_of_aliasing_rows_is_recorded_not_raised():
+    # mt's rows alias on every other of 1025 points of [-40, 40], not on all of
+    # them: the gap is 0.17 of the largest coefficient, the values are right
+    # to 2e-7, and f itself is resolved on both grids
+    basis = make_basis("mt", N=16)
+    f = lambda x: 1.0 / (1.0 + (2.0 * x) ** 4)
+    got = co.coeffs_xspace(f, basis, 16, window=(-40.0, 40.0), M=1025)
+    ref = co.coeffs_xspace(f, basis, 16, window=(-40.0, 40.0), M=8193)
+    largest = np.max(np.abs(got.values))
+    assert got.meta["coarse_gap"] > 0.1 * largest and got.meta["coarse_norm_gap"] < 1e-3
+    assert np.max(np.abs(got.values - ref.values)) < 1e-6 * largest
+
+
+def test_xspace_grid_that_steps_over_f_raises():
+    basis = make_basis("hermite", N=8)
+    with pytest.raises(AccuracyError, match="does not resolve f") as err:
+        co.coeffs_xspace(lambda x: np.exp(-x * x), basis, 3, window=(-1e150, 1e150))
+    assert err.value.estimate > 1e146
+
+
 def test_coefficient_vector_meta_is_keyword_only():
     # a third positional argument is refused rather than taken as meta
     with pytest.raises(TypeError):

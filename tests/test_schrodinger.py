@@ -1,6 +1,7 @@
 """Free and potential Schrodinger evolution: phase-modulated transforms,
 unitary coefficient flow, Strang splitting, grid pairs."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -160,16 +161,47 @@ def _mp_hermite_scale(x, N):
     return np.array(out)
 
 
+def _pair_scale(basis, D):
+    """The Hermite pair's scale c = w^(-1/2) at D's coordinate nodes, from the log
+    weights of the Gram rule on D's own nodes."""
+    log_w = basis_mod._hermite_log_weights(basis.jacobi, D.N, D.nodes)[1]
+    return np.exp(-0.5 * log_w[D.N - D.eigensystem.coord_nodes.size:])
+
+
 @pytest.mark.parametrize("N,outer,tol", [(63, None, 2e-13), (64, None, 2e-13),
                                          (512, None, 2e-13), (2048, 16, 5e-13)])
 def test_hermite_scale_matches_50_digits(N, outer, tol):
     # c = sqrt(w / lambda) from the Gauss rule's Christoffel sums, at every
     # nonnegative node (the scale is even) or at the outermost ones
-    D = sch._strang_setup(make_basis("hermite", N=N), N).D
+    basis = make_basis("hermite", N=N)
+    D = sch._strang_setup(basis, N).D
     x = D.eigensystem.coord_nodes
     pick = slice(-outer if outer else None, None)
-    c = sch._hermite_scale(D)[pick]
+    c = _pair_scale(basis, D)[pick]
     assert np.max(np.abs(c / _mp_hermite_scale(x[pick], N) - 1.0)) < tol
+
+
+@pytest.mark.parametrize("N", [64, 511, 512])
+def test_hermite_pair_scale_is_the_gram_weight(N):
+    # one Hermite weight: the Strang pair's c and the w of ``verify gram``'s
+    # rule come from the same log weights at the same nodes, so c^2 w = 1 to
+    # rounding (two formulas gave up to 5e-14 at N = 511 and 512)
+    basis = make_basis("hermite", N=N)
+    path = sch._strang_setup(basis, N)
+    x, w, strategy, _ = basis_mod._measure_rules(basis.measure.key).rule(basis, N)
+    assert strategy == "gauss-hermite" and np.array_equal(x, path.D.nodes)
+    c = _pair_scale(basis, path.D)
+    assert np.max(np.abs(c * c * w[N - c.size:] - 1.0)) < 1e-15
+    # and the pair scales by that c, bit for bit: phi_0's coefficients
+    # synthesize to c f_0 at x >= 0, over sqrt2 off the centre node, read
+    # where the coordinate f_0 = enter(e_0)[0] has not underflowed
+    e0 = np.zeros(N)
+    e0[0] = 1.0
+    f0 = path.eig.enter(e0.astype(complex))[0].real
+    fold = np.where(np.arange(c.size) < N % 2, 1.0, np.sqrt(0.5))
+    live = f0 != 0.0
+    assert np.count_nonzero(live) > c.size // 4
+    assert np.array_equal(path.synthesize(e0)[N - c.size:][live], ((fold * c) * f0)[live])
 
 
 @pytest.mark.parametrize("N", [63, 64, 511, 512, 1023, 2048])
@@ -281,13 +313,22 @@ def test_mt_strang_harmonic_phases(N):
 
 @pytest.fixture
 def grids(monkeypatch):
-    """Every grid-pair build of a Strang path, by size."""
+    """Every grid-pair build of a Strang path, by size: each measure's grid
+    pair in ``basis._measure_rules``, counted."""
     sizes = []
-    for key, build in list(sch._GRIDS.items()):
-        def counted_build(D, _build=build):
+    rules = basis_mod._measure_rules
+
+    def counted_rules(key):
+        found = rules(key)
+        if found.grid is None:
+            return found
+
+        def counted_build(basis, D, _build=found.grid):
             sizes.append(D.N)
-            return _build(D)
-        monkeypatch.setitem(sch._GRIDS, key, counted_build)
+            return _build(basis, D)
+        return dataclasses.replace(found, grid=counted_build)
+
+    monkeypatch.setattr(basis_mod, "_measure_rules", counted_rules)
     return sizes
 
 

@@ -142,3 +142,28 @@ def test_verify_all_under_the_tracer_prints_the_same_bytes(family, capsys):
     assert plain[0] == 0 and traced == plain
     assert not any(tracer.errors.values()), tracer.errors
     assert tracer.calls["cli.main"] == tracer.calls["verify.check_gram"] == 1
+
+
+SCHRODINGER = ["--f0", "exp(-x^2)", "--potential", "x^2", "--T", "0.5", "--tau", "0.0625"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["schrodinger", "--basis", "hermite", "--N", "64", *SCHRODINGER],
+    ["schrodinger", "--basis", "mt", "--N", "64", *SCHRODINGER],
+    *(["verify", "gram", "--family", family]
+      for family in ("hermite", "mt", "tanhjacobi:0.75,0.75", "charlier:0.5")),
+], ids=lambda argv: " ".join(a for a in argv[:6] if not a.startswith("--")))
+def test_measure_rules_under_the_tracer_print_the_same_bytes(argv, capsys):
+    # the grid pairs and exact rules come from one table on the measure's
+    # key; the tracer replaces the closed tables they reach, not the table
+    def run():
+        rc = cli.main(argv)
+        return rc, capsys.readouterr().out
+
+    plain = run()
+    tracer = _tracer_module().Tracer()
+    with tracer:
+        traced = run()
+    assert plain[0] == 0 and traced == plain
+    assert not any(tracer.errors.values()), tracer.errors
+    assert tracer.calls["cli.main"] == 1

@@ -348,12 +348,13 @@ def test_tanh_jacobi_identity_asymmetric():
 @pytest.mark.parametrize("pair", ["0.5,0.5", "0.25,0.75", "1,0.5"])
 def test_tanh_jacobi_identity_holds_at_both_dilations(pair):
     # conthahn:a,b is the continuous Hahn measure at dilation 1, tanhjacobi:a,b
-    # at dilation 2: the check compares the basis it is given with its own table
-    for name in ("conthahn", "tanhjacobi"):
+    # at dilation 2: the check compares the basis it is given with its own
+    # table, and its report names the dilation
+    for name, s in (("conthahn", 1.0), ("tanhjacobi", 2.0)):
         rep = ver.check_tanh_jacobi_identity(make_basis(f"{name}:{pair}", N=6))
         assert rep.passed and rep.max_abs_error < 1e-10, (name, rep)
         assert rep.metadata == {"a": float(pair.split(",")[0]),
-                                "b": float(pair.split(",")[1]), "N": 5}
+                                "b": float(pair.split(",")[1]), "s": s, "N": 5}
 
 
 @pytest.mark.parametrize("family", ["hermite", "legendre", "mt", "custom-weight:exp(-x^2)"])
